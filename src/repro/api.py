@@ -1,10 +1,11 @@
 """Unified facade: one request object, one session, every solver path.
 
 Historically each entry point threaded its execution knobs through its
-own kwargs — ``solve_spf(engine=, allow_holes=, scheduler=)``,
+own kwargs — ``solve_spf(engine=, allow_holes=)``,
 ``DynamicSPF(engine=, threshold=, faults=)``, a global ``--backend``
 flag on the CLI — so there was no single object a server could accept,
-hash, queue, or replay.  This module is that object, in two halves:
+hash, queue, or replay.  The scheduler is not one of those kwargs:
+it is a :class:`Session` setting.  This module is that object, in two halves:
 
 * :class:`SolveRequest` — a frozen, JSON-round-trippable description of
   one piece of work (a solve, a token-routing run, or a churn/repair

@@ -12,14 +12,13 @@ fault classes are modeled:
   with probability ``drop_prob`` (a lossy-beep model in the spirit of
   fault-tolerant beeping/pod layers).
 
-The injector keeps *detection counters*: on the indexed fast path
-(:meth:`CircuitEngine.run_round_indexed`, which all repair waves use),
-whenever a fault actually changed a round's outcome the round is
-re-propagated fault-free and the listened partition sets that should
-have heard a beep but did not are counted in
-:attr:`FaultStats.missed_hears`.  The id-keyed ``run_round`` path only
-counts the injected faults themselves (``suppressed`` / ``dropped`` /
-``faulty_rounds``) — it has no listen list to diff.  The dynamics layer
+The injector keeps *detection counters*: the round kernel
+(:meth:`CircuitEngine.run_round_indexed`, which the id-keyed
+``run_round`` adapter also goes through) filters each round's beeps
+with :meth:`FaultInjector.filter_beeps`, and whenever a beep was lost
+it re-propagates the round fault-free (:meth:`FaultInjector.detect`):
+the listened partition sets that should have heard a beep but did not
+are counted in :attr:`FaultStats.missed_hears`.  The dynamics layer
 arms an injector only around its repair waves and heals every damaged
 label (see :class:`repro.dynamics.maintain.DynamicSPF`), so the counters
 double as a ground-truth "faults detected" metric.
@@ -36,7 +35,6 @@ from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.grid.coords import Node
 from repro.sim.compiled import CompiledLayout
-from repro.sim.pins import PartitionSetId
 
 
 @dataclass
@@ -92,48 +90,34 @@ class FaultInjector:
             return False
         return True
 
-    def filter_ids(
-        self, beeps: Iterable[PartitionSetId]
-    ) -> List[PartitionSetId]:
-        """Filter id-keyed beeps (the :meth:`run_round` path)."""
-        kept: List[PartitionSetId] = []
-        lost = False
-        for set_id in beeps:
-            if self._keep(set_id[0]):
-                kept.append(set_id)
-            else:
-                lost = True
-        if lost:
-            self.stats.faulty_rounds += 1
-        return kept
+    def filter_beeps(self, compiled: CompiledLayout, beeps: List[int]) -> List[int]:
+        """The beeps that reach their circuit this round (integer set-ids).
 
-    def execute(
+        Beeps of crashed amoebots are suppressed and each surviving beep
+        is dropped with probability :attr:`drop_prob`, in beep order, so
+        a seeded injector loses the same beeps on every run.
+        """
+        ids = compiled.index.ids
+        return [i for i in beeps if self._keep(ids[i][0])]
+
+    def detect(
         self,
         compiled: CompiledLayout,
-        beeps: Iterable[int],
+        beeps: List[int],
         listen: Optional[Sequence[int]],
-    ) -> List[bool]:
-        """Execute one indexed round under faults, tracking detection.
+        faulty,
+    ) -> None:
+        """Count a round that lost beeps and the hears it cost.
 
-        When a beep was lost, the fault-free round is propagated too
-        (pure array work, no extra synchronous round) and every
-        listened set that hears in the clean run but not in the faulty
-        one increments :attr:`FaultStats.missed_hears`.
-
-        Backend-agnostic: the result bits come back as whatever the
-        compilation's backend produces (list of bools or a boolean
-        ndarray) and the detection diff handles either — under numpy it
-        is a single vectorized ``&``/``sum`` pass.
+        Propagates the fault-free round too (pure array work, no extra
+        synchronous round) and adds every listened set that hears in
+        the clean run but not in ``faulty`` to
+        :attr:`FaultStats.missed_hears`.  Backend-agnostic: the diff
+        handles list-of-bool and boolean-ndarray results alike.
         """
-        all_beeps = list(beeps)
-        ids = compiled.index.ids
-        kept = [i for i in all_beeps if self._keep(ids[i][0])]
-        result = compiled.execute(kept, listen)
-        if len(kept) != len(all_beeps):
-            self.stats.faulty_rounds += 1
-            clean = compiled.execute(all_beeps, listen)
-            self.stats.missed_hears += missed_hears(clean, result)
-        return result
+        self.stats.faulty_rounds += 1
+        clean = compiled.execute(beeps, listen)
+        self.stats.missed_hears += missed_hears(clean, faulty)
 
 
 def missed_hears(clean, faulty) -> int:

@@ -18,10 +18,9 @@ Design constraints (the ISSUE's "compiled out when disabled" rule):
   called at *phase* granularity (build, grid index, compile, rounds,
   repair, store), never inside the per-round hot loop.  Per-round
   spans exist but are opt-in: ``Tracer(trace_rounds=True)`` makes
-  :meth:`repro.sim.engine.CircuitEngine.enable_round_tracing` wrap the
-  round methods of that one engine via instance-attribute shadowing,
-  leaving the class methods (and every untraced engine) bit-identical
-  to the uninstrumented build.
+  :meth:`repro.sim.engine.CircuitEngine.enable_round_tracing` set that
+  one engine's ``trace_rounds`` flag, which the round kernel reads;
+  every untraced engine skips the span stage entirely.
 * The activation is *per thread* (the daemon traces concurrent jobs on
   separate worker threads), and one tracer may be activated on several
   threads at once (campaign workers): span stacks are thread-local

@@ -24,10 +24,11 @@ the plain synchronous engine bit for bit.
 with any scheduler.  Crashed amoebots are non-participants: the barrier
 does not wait for them (a crashed amoebot never activates; waiting would
 deadlock the epoch).  Randomly *dropped* beeps are transient, and the
-injector's detection counters make them observable, so the engine runs a
-detect-and-retransmit loop: whenever a round lost a beep to the drop
-probability, the round is re-executed in a fresh epoch (each retry is a
-real round and a real epoch, counted in
+injector's detection counters make them observable, so the round kernel
+(:meth:`CircuitEngine.run_round_indexed`) runs a detect-and-retransmit
+loop whenever a scheduler is present: a round in which a dropped beep
+changed a listened outcome is re-executed in a fresh epoch (each retry
+is a real round and a real epoch, counted in
 :attr:`ActivationStats.retransmissions`) until it goes through clean.
 This is what keeps ``solve_spf`` checker-valid under drops — the cost
 shows up in rounds/activations/time instead of in broken forests.
@@ -37,13 +38,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from repro.grid.structure import AmoebotStructure
 from repro.metrics.rounds import RoundCounter
 from repro.sim.circuits import CircuitLayout
 from repro.sim.engine import AnyLayoutCache, CircuitEngine
-from repro.sim.pins import PartitionSetId
 from repro.sched.schedulers import Scheduler, make_scheduler
 
 _FNV_PRIME = 1099511628211
@@ -96,12 +96,13 @@ class ActivationStats:
 class ActivationEngine(CircuitEngine):
     """A :class:`CircuitEngine` driven by per-amoebot activation events.
 
-    Drop-in: every ``run_round`` / ``run_round_indexed`` /
-    ``charge_local_round`` call advances one epoch of the event queue
-    before (or instead of) propagating beeps, so existing algorithms run
-    unmodified under any scheduler.  Round counts match the synchronous
-    engine by construction; activation counts and scheduler time are
-    collected in :attr:`stats` and charged to the shared
+    Drop-in: setting :attr:`scheduler` arms the round kernel's epoch
+    stage, so every beep round and every local round advances one
+    epoch of the event queue (:meth:`_advance_epoch`) and existing
+    algorithms run unmodified under any scheduler.  This class adds no
+    round path of its own.  Round counts match the synchronous engine
+    by construction; activation counts and scheduler time are collected
+    in :attr:`stats` and charged to the shared
     :class:`~repro.metrics.rounds.RoundCounter`.
     """
 
@@ -162,7 +163,11 @@ class ActivationEngine(CircuitEngine):
         self._heap = heap
 
     def _advance_epoch(self, layout: Optional[CircuitLayout]) -> None:
-        """Pop events until every participant activated once (one round)."""
+        """Pop events until every participant activated once (one round).
+
+        The round kernel's epoch stage: called once per beep round
+        (with its layout) and once per local round (``layout=None``).
+        """
         if self._grid is None or self._grid is not self.structure.grid_index():
             self._reset_queue()
         if layout is not None:
@@ -219,82 +224,3 @@ class ActivationEngine(CircuitEngine):
         stats.time += t - self._clock
         self._clock = t
         self.rounds.charge_activations(epoch_activations)
-
-    # ------------------------------------------------------------------
-    # round execution under the scheduler
-    # ------------------------------------------------------------------
-    def run_round_indexed(
-        self,
-        layout: CircuitLayout,
-        beeps: Iterable[int],
-        listen: Optional[Sequence[int]] = None,
-    ) -> List[bool]:
-        """One beep round as one epoch (integer fast path).
-
-        Without an armed drop injector this is: advance one epoch, then
-        the base class's array round.  With drops it becomes the
-        detect-and-retransmit loop described in the module docstring.
-        """
-        injector = self.fault_injector
-        if injector is None or not injector.drop_prob:
-            self._advance_epoch(layout)
-            return super().run_round_indexed(layout, beeps, listen)
-        # Detect-and-retransmit: re-run the round whenever a *dropped*
-        # beep changed an observed outcome.  The injector's clean-run
-        # diff (``missed_hears``) is the detection signal; a drop
-        # covered by another beep on the same circuit needs no retry,
-        # and crash suppression (permanent, also counted in
-        # ``missed_hears``) never triggers one on its own.
-        beep_list = list(beeps)
-        for _attempt in range(self.max_retransmissions + 1):
-            dropped_before = injector.stats.dropped
-            missed_before = injector.stats.missed_hears
-            self._advance_epoch(layout)
-            result = super().run_round_indexed(layout, beep_list, listen)
-            if (
-                injector.stats.dropped == dropped_before
-                or injector.stats.missed_hears == missed_before
-            ):
-                return result
-            self.stats.retransmissions += 1
-        raise RuntimeError(
-            f"round still dropping beeps after {self.max_retransmissions} "
-            "retransmissions (drop probability too high to make progress)"
-        )
-
-    def run_round(
-        self,
-        layout: CircuitLayout,
-        beeps: Iterable[PartitionSetId],
-        listen: Optional[Iterable[PartitionSetId]] = None,
-    ) -> Dict[PartitionSetId, bool]:
-        """One beep round as one epoch (dict surface)."""
-        injector = self.fault_injector
-        if injector is None or not injector.drop_prob:
-            self._advance_epoch(layout)
-            return super().run_round(layout, beeps, listen)
-        # Route through the indexed path so the injector's clean-run
-        # diff drives the same detect-and-retransmit loop (the dict
-        # path's ``filter_ids`` has no outcome detection).
-        compiled = layout.compiled()
-        index = compiled.index
-        beep_idx = index.indices(list(beeps), "beep on")
-        if listen is None:
-            listen_ids: List[PartitionSetId] = list(index.ids)
-            bits = self.run_round_indexed(layout, beep_idx, None)
-        else:
-            listen_ids = list(listen)
-            bits = self.run_round_indexed(
-                layout, beep_idx, index.indices(listen_ids, "listen on")
-            )
-        return dict(zip(listen_ids, bits))
-
-    def charge_local_round(self, rounds: int = 1) -> None:
-        """Account local (beep-free) rounds; each costs one epoch.
-
-        Local rounds have no beeps to drop, but every amoebot still has
-        to wake up once to do its local computation.
-        """
-        for _ in range(rounds):
-            self._advance_epoch(None)
-        super().charge_local_round(rounds)

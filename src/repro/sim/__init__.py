@@ -12,9 +12,13 @@ The simulator is strict about the model:
 * pins only exist toward occupied neighbors;
 * a pin belongs to at most one partition set;
 * beeps carry no payload and no origin information;
-* every call to :meth:`CircuitEngine.run_round` (or its integer twin
-  :meth:`CircuitEngine.run_round_indexed`) is one synchronous round and
-  ticks the shared :class:`~repro.metrics.RoundCounter`.
+* every call to :meth:`CircuitEngine.run_round_indexed` — the one round
+  kernel, which the id-keyed :meth:`CircuitEngine.run_round` adapter
+  and :meth:`CircuitEngine.run_rounds` also go through — is one
+  synchronous round and ticks the shared
+  :class:`~repro.metrics.RoundCounter`.  The kernel's optional stages
+  run in a fixed order: scheduler epoch, fault filter with detection,
+  propagate, tick, round trace (:func:`attach_trace`).
 
 Execution pipeline — **build -> freeze -> compile -> run**: build
 layouts *outside* round loops; freezing validates a layout once and
@@ -27,7 +31,7 @@ through the engine's :class:`LayoutCache` (``engine.layouts``).  Hot
 loops resolve their partition sets to integer ids once via
 :class:`~repro.sim.compiled.PartitionSetIndex` and run
 :meth:`CircuitEngine.run_rounds` with zero per-round dict construction;
-``run_round(..., listen=...)`` remains the id-keyed surface and
+``run_round(..., listen=...)`` remains the id-keyed adapter and
 materializes only the beep results the caller reads.  See
 ``repro.sim.circuits`` for the full contract and :data:`LAYOUT_STATS`
 for the rebuild/compile/round probes.

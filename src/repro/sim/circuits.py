@@ -75,9 +75,9 @@ class LayoutBuildStats:
     ``compiles`` counts :class:`~repro.sim.compiled.CompiledLayout`
     constructions (every full or incremental freeze lowers to arrays;
     noop freezes reuse the base arrays and do not compile),
-    ``indexed_rounds`` counts rounds executed through the integer-id
-    fast path, and ``mapped_rounds`` counts rounds through the
-    id-keyed compatibility path.
+    ``indexed_rounds`` counts every beep round the round kernel
+    executes, and ``mapped_rounds`` counts the subset that entered
+    through the id-keyed ``run_round`` adapter.
 
     The cache counters aggregate :class:`LayoutCache` traffic across
     every cache in the process: ``cache_hits`` / ``cache_misses`` /
@@ -104,8 +104,8 @@ class LayoutBuildStats:
         return self.full_builds + self.incremental_builds
 
     def total_rounds(self) -> int:
-        """Beep rounds executed over the array backend (either path)."""
-        return self.indexed_rounds + self.mapped_rounds
+        """Beep rounds executed over the array backend (either entry)."""
+        return self.indexed_rounds
 
     def to_dict(self) -> dict:
         """All counters as a JSON-ready mapping (``/stats`` payload)."""

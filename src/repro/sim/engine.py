@@ -11,16 +11,21 @@ Execution pipeline: **build -> freeze -> compile -> run**.  Layouts are
 built *outside* round loops and passed in repeatedly; freezing compiles
 a layout into flat integer arrays
 (:class:`~repro.sim.compiled.CompiledLayout`), and a round is then a
-couple of array passes.  Two entry points exist:
+couple of array passes.
 
-* :meth:`run_round` — the id-keyed compatibility surface: beeps and
-  listens are :data:`~repro.sim.pins.PartitionSetId` tuples and the
-  result is a dict.  Translation costs one hash per id passed.
-* :meth:`run_round_indexed` / :meth:`run_rounds` — the fast path:
-  beeps and listens are stable integer set-ids resolved once through
-  :meth:`CircuitLayout.compiled`'s
-  :class:`~repro.sim.compiled.PartitionSetIndex`, and the result is a
-  flat list of bits with zero per-round dict construction.
+One kernel executes every beep round: :meth:`run_round_indexed`.
+Beeps and listens are stable integer set-ids resolved once through
+:meth:`CircuitLayout.compiled`'s
+:class:`~repro.sim.compiled.PartitionSetIndex`, and the result is a
+flat list of bits with zero per-round dict construction.  Its optional
+stages run in a fixed order — scheduler epoch, fault filter with
+detection, propagate, tick, round trace — each skipped while its field
+is unset, so the plain synchronous round pays for none of them.
+:meth:`run_rounds` batches kernel calls on one layout, and
+:meth:`run_round` is a thin adapter that resolves
+:data:`~repro.sim.pins.PartitionSetId` tuples to set-ids (one hash per
+id passed) and returns a dict.  :meth:`charge_local_round` is the one
+path for local (beep-free) rounds.
 
 The engine's :attr:`layouts` cache memoizes standard layouts
 (:meth:`global_layout`, :meth:`edge_subset_layout`) by wiring
@@ -32,17 +37,16 @@ compiled once per worker process rather than once per trial.
 from __future__ import annotations
 
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Hashable,
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
     Tuple,
-    TypeVar,
     Union,
 )
 
@@ -50,6 +54,7 @@ from repro.backend import resolve_backend
 from repro.grid.coords import Node
 from repro.grid.structure import AmoebotStructure
 from repro.metrics.rounds import RoundCounter
+from repro.obs.trace import NOOP_SPAN, trace_span
 from repro.sim.circuits import (
     LAYOUT_STATS,
     CircuitLayout,
@@ -57,58 +62,14 @@ from repro.sim.circuits import (
     ScopedLayoutCache,
 )
 from repro.sim.compiled import CompiledLayout
-from repro.sim.errors import PinConfigurationError
 from repro.sim.pins import PartitionSetId
 
-_V = TypeVar("_V")
+if TYPE_CHECKING:
+    from repro.dynamics.faults import FaultInjector
+    from repro.sim.trace import RoundTrace
 
 #: Either layout cache flavor the engine can own.
 AnyLayoutCache = Union[LayoutCache, ScopedLayoutCache]
-
-
-def listen_subset(
-    mapping: Mapping[PartitionSetId, _V],
-    listen: Iterable[PartitionSetId],
-) -> Dict[PartitionSetId, _V]:
-    """Restrict a per-partition-set mapping to the ``listen``-ed sets.
-
-    The single source of the ``listen`` contract on *dict* results:
-    every listened set must be declared in ``mapping``, otherwise
-    :class:`PinConfigurationError` is raised.  Kept for callers holding
-    a fully materialized round result; the engine itself restricts over
-    the compiled arrays instead.
-    """
-    subset: Dict[PartitionSetId, _V] = {}
-    for set_id in listen:
-        try:
-            subset[set_id] = mapping[set_id]
-        except KeyError:
-            raise PinConfigurationError(
-                f"cannot listen on undeclared partition set {set_id}"
-            ) from None
-    return subset
-
-
-def materialize_result(
-    compiled: CompiledLayout,
-    hears: bytearray,
-    listen: Optional[Iterable[PartitionSetId]],
-) -> Dict[PartitionSetId, bool]:
-    """Build the id-keyed dict view of a round result.
-
-    ``listen=None`` materializes every declared set (the historical
-    :meth:`CircuitEngine.run_round` contract); otherwise only the
-    listened sets, raising on undeclared ones.
-    """
-    comp = compiled.comp
-    if listen is None:
-        ids = compiled.index.ids
-        return {ids[i]: hears[comp[i]] != 0 for i in range(len(ids))}
-    index = compiled.index
-    return {
-        set_id: hears[comp[index.index_of(set_id, "listen on")]] != 0
-        for set_id in listen
-    }
 
 
 class CircuitEngine:
@@ -163,11 +124,21 @@ class CircuitEngine:
         self.layouts: AnyLayoutCache = (
             layouts if layouts is not None else LayoutCache(maxsize=layout_cache_size)
         )
+        # The round kernel's optional stages (see run_round_indexed).
+        # ``None`` / ``False`` skips a stage at no cost.
+        #: Activation scheduler; set only by
+        #: :class:`~repro.sched.ActivationEngine`, which also supplies
+        #: the epoch step, ``stats`` and ``max_retransmissions``.
+        self.scheduler = None
         #: Optional fault model (see :mod:`repro.dynamics.faults`).  When
         #: set, every round's beep list passes through the injector
         #: before propagation: crashed amoebots go silent and individual
-        #: beeps may be dropped.  ``None`` (the default) costs nothing.
-        self.fault_injector = None
+        #: beeps may be dropped.
+        self.fault_injector: Optional[FaultInjector] = None
+        #: Round-by-round log (set by :func:`repro.sim.trace.attach_trace`).
+        self.round_trace: Optional[RoundTrace] = None
+        #: Per-round telemetry spans (:meth:`enable_round_tracing`).
+        self.trace_rounds = False
 
     def rebind(
         self,
@@ -279,20 +250,6 @@ class CircuitEngine:
     # ------------------------------------------------------------------
     # round execution
     # ------------------------------------------------------------------
-    def _activate(
-        self, layout: CircuitLayout, beeps: Iterable[PartitionSetId]
-    ) -> Tuple[CompiledLayout, bytearray]:
-        """Compile (cached) and propagate id-keyed ``beeps`` into a mask."""
-        compiled = layout.compiled()
-        comp = compiled.comp
-        index = compiled.index
-        if self.fault_injector is not None:
-            beeps = self.fault_injector.filter_ids(beeps)
-        hears = bytearray(compiled.n_components)
-        for set_id in beeps:
-            hears[comp[index.index_of(set_id, "beep on")]] = 1
-        return compiled, hears
-
     def run_round(
         self,
         layout: CircuitLayout,
@@ -303,23 +260,27 @@ class CircuitEngine:
 
         ``beeps`` lists the partition sets whose owners activate them.
         Returns, for every declared partition set, whether a beep is heard
-        there at the beginning of the next round.  Ticks the round
-        counter by one.
+        there at the beginning of the next round.  ``listen`` (opt-in)
+        names the partition sets the caller will actually read: only
+        those entries are materialized.  ``listen=()`` is valid for
+        rounds whose result the caller ignores entirely.
 
-        An already-frozen layout is used as-is — freezing (and the array
-        compilation it performs) is idempotent, so passing the same
-        layout for many rounds pays the component computation once.
-        ``listen`` (opt-in) names the partition sets the caller will
-        actually read: only those entries are materialized, which keeps
-        rounds on large layouts from building structure-sized dicts
-        nobody looks at.  ``listen=()`` is valid for rounds whose result
-        the caller ignores entirely.  Hot loops that already hold stable
-        integer set-ids should call :meth:`run_round_indexed` instead.
+        A thin adapter: the ids are resolved to integer set-ids and the
+        round runs through :meth:`run_round_indexed`, the one round
+        kernel.  Hot loops that already hold integer set-ids should call
+        the kernel directly.
         """
-        compiled, hears = self._activate(layout, beeps)
-        self.rounds.tick()
+        index = layout.compiled().index
+        beep_idx = index.indices(beeps, "beep on")
+        if listen is None:
+            keys: Sequence[PartitionSetId] = index.ids
+            listen_idx = None
+        else:
+            keys = list(listen)
+            listen_idx = index.indices(keys, "listen on")
         LAYOUT_STATS.mapped_rounds += 1
-        return materialize_result(compiled, hears, listen)
+        bits = self.run_round_indexed(layout, beep_idx, listen_idx)
+        return dict(zip(keys, bits if type(bits) is list else bits.tolist()))
 
     def run_round_indexed(
         self,
@@ -335,13 +296,79 @@ class CircuitEngine:
         ``listen`` entry, in order — or one bit per declared set (index
         order) when ``listen`` is ``None``.  No dicts are built and no
         tuples are hashed.
+
+        This is the only code that executes a beep round.  Its stages
+        run in a fixed order, each skipped while its field is unset:
+
+        1. scheduler epoch (:attr:`scheduler`, set by
+           :class:`~repro.sched.ActivationEngine`);
+        2. fault filter with ``missed_hears`` detection
+           (:attr:`fault_injector`);
+        3. propagate over the compiled arrays;
+        4. tick the round counter;
+        5. record into :attr:`round_trace`; the per-round span
+           (:attr:`trace_rounds`) encloses the stages and closes last.
+
+        Under a scheduler with beep drops armed, stages 1–5 repeat
+        (detect-and-retransmit) until no drop changed a listened
+        outcome; each repetition is a real round and a real epoch.  The
+        plain synchronous engine never retransmits.
         """
         compiled = layout.compiled()
+        if (
+            self.scheduler is None
+            and self.fault_injector is None
+            and self.round_trace is None
+            and not self.trace_rounds
+        ):
+            # No stage armed: the plain synchronous round, beeps uncopied.
+            result = compiled.execute(beeps, listen)
+            self.rounds.tick()
+            LAYOUT_STATS.indexed_rounds += 1
+            return result
+        beeps = list(beeps)
+        with trace_span("round") if self.trace_rounds else NOOP_SPAN:
+            injector = self.fault_injector
+            if self.scheduler is None or injector is None or not injector.drop_prob:
+                return self._staged_round(layout, compiled, beeps, listen)
+            # Detect-and-retransmit: re-run the round whenever a *dropped*
+            # beep changed an observed outcome.  The injector's clean-run
+            # diff (``missed_hears``) is the detection signal; a drop
+            # covered by another beep on the same circuit needs no retry,
+            # and crash suppression (permanent, also counted in
+            # ``missed_hears``) never triggers one on its own.
+            stats = injector.stats
+            for _attempt in range(self.max_retransmissions + 1):
+                dropped, missed = stats.dropped, stats.missed_hears
+                result = self._staged_round(layout, compiled, beeps, listen)
+                if stats.dropped == dropped or stats.missed_hears == missed:
+                    return result
+                self.stats.retransmissions += 1
+            raise RuntimeError(
+                f"round still dropping beeps after {self.max_retransmissions} "
+                "retransmissions (drop probability too high to make progress)"
+            )
+
+    def _staged_round(
+        self,
+        layout: CircuitLayout,
+        compiled: CompiledLayout,
+        beeps: List[int],
+        listen: Optional[Sequence[int]],
+    ):
+        """Stages 1–5 of one round (see :meth:`run_round_indexed`)."""
+        if self.scheduler is not None:
+            self._advance_epoch(layout)
+        injector = self.fault_injector
+        kept = beeps if injector is None else injector.filter_beeps(compiled, beeps)
+        result = compiled.execute(kept, listen)
+        if len(kept) != len(beeps):
+            injector.detect(compiled, beeps, listen, result)
         self.rounds.tick()
         LAYOUT_STATS.indexed_rounds += 1
-        if self.fault_injector is not None:
-            return self.fault_injector.execute(compiled, beeps, listen)
-        return compiled.execute(beeps, listen)
+        if self.round_trace is not None:
+            self.round_trace.record_round(compiled, kept)
+        return result
 
     def run_rounds(
         self,
@@ -362,37 +389,25 @@ class CircuitEngine:
             yield self.run_round_indexed(layout, beeps, listen)
 
     def enable_round_tracing(self) -> None:
-        """Wrap this engine's round entry points in telemetry spans.
+        """Wrap each of this engine's rounds in a ``round`` telemetry span.
 
-        Opt-in per engine instance (``repro solve --trace-rounds``): the
-        class methods stay untouched, so engines without tracing run the
-        exact seed bytecode — the wrappers are installed as *instance*
-        attributes that shadow :meth:`run_round` /
-        :meth:`run_round_indexed` only on this object.  Idempotent.
+        Opt-in per engine instance (``repro solve --trace-rounds``):
+        sets :attr:`trace_rounds`, which the round kernel reads.
+        Idempotent.
         """
-        if "run_round_indexed" in self.__dict__:
-            return
-        from repro.obs.trace import trace_span
-
-        cls = type(self)
-        base_indexed = cls.run_round_indexed
-        base_mapped = cls.run_round
-
-        def traced_indexed(layout, beeps, listen=None):
-            with trace_span("round"):
-                return base_indexed(self, layout, beeps, listen)
-
-        def traced_mapped(layout, beeps, listen=None):
-            with trace_span("round"):
-                return base_mapped(self, layout, beeps, listen)
-
-        self.run_round_indexed = traced_indexed
-        self.run_round = traced_mapped
+        self.trace_rounds = True
 
     def charge_local_round(self, rounds: int = 1) -> None:
         """Charge rounds for steps with no beeps (pure local recomputation).
 
         The paper occasionally spends a round in which amoebots only
         update state / reconfigure pins; accounting keeps those explicit.
+        Under a scheduler each local round still costs one epoch: every
+        amoebot has to wake up once to do its local computation.
         """
+        if self.scheduler is not None:
+            for _ in range(rounds):
+                self._advance_epoch(None)
         self.rounds.tick(rounds)
+        if self.round_trace is not None:
+            self.round_trace.record_local(rounds)

@@ -1,7 +1,8 @@
 """Round-by-round execution traces.
 
 Attach a :class:`RoundTrace` to a :class:`CircuitEngine` and every
-synchronous round is recorded: how many circuits the layout formed, how
+synchronous round is recorded by the engine's round kernel — under any
+scheduler and fault injector: how many circuits the layout formed, how
 many partition sets beeped, and how many heard something.  Traces can
 be summarized, diffed against a previous run (regression debugging for
 round counts), and exported to JSON for external tooling.
@@ -13,9 +14,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
-from repro.sim.circuits import LAYOUT_STATS, CircuitLayout
 from repro.sim.compiled import CompiledLayout
-from repro.sim.engine import CircuitEngine, materialize_result
+from repro.sim.engine import CircuitEngine
 
 
 @dataclass
@@ -36,34 +36,20 @@ class RoundTrace:
 
     records: List[RoundRecord] = field(default_factory=list)
 
-    def record_round(
-        self, layout: CircuitLayout, beeps: int, heard: int
-    ) -> None:
-        """Record one beep round."""
-        self.records.append(
-            RoundRecord(
-                index=len(self.records),
-                circuits=len(layout.circuits()),
-                partition_sets=len(layout.partition_sets()),
-                beeping_sets=beeps,
-                hearing_sets=heard,
-            )
-        )
+    def record_round(self, compiled: CompiledLayout, beeps: List[int]) -> None:
+        """Record one beep round from its compiled arrays.
 
-    def record_round_arrays(
-        self, compiled: CompiledLayout, beeps: int, hears: bytearray
-    ) -> None:
-        """Record one beep round from its compiled-array execution.
-
-        Counts hearing sets straight off the component mask — no dict is
-        materialized to observe the round.
+        ``beeps`` are the set-ids that reached their circuit (after the
+        fault filter).  Hearing sets are counted off the component mask
+        — no dict is materialized to observe the round.
         """
+        hears = compiled.propagate(beeps)
         self.records.append(
             RoundRecord(
                 index=len(self.records),
                 circuits=compiled.n_components,
                 partition_sets=len(compiled.index),
-                beeping_sets=beeps,
+                beeping_sets=len(beeps),
                 hearing_sets=compiled.hearing_count(hears),
             )
         )
@@ -123,40 +109,12 @@ class RoundTrace:
 
 
 def attach_trace(engine: CircuitEngine) -> RoundTrace:
-    """Instrument an engine: every subsequent round is recorded.
+    """Record every subsequent round of ``engine``; returns the trace.
 
-    Returns the trace.  Instrumentation wraps ``run_round``,
-    ``run_round_indexed`` (the compiled fast path, which ``run_rounds``
-    delegates to), and ``charge_local_round``; detach by constructing a
-    fresh engine.  Observation happens on the compiled arrays: the
-    hearing count is read off the component mask, so tracing adds no
-    per-round dict construction of its own.
+    Sets :attr:`CircuitEngine.round_trace`, which the round kernel
+    records into after each tick (beep rounds) and
+    :meth:`CircuitEngine.charge_local_round` after each local charge.
+    Detach by setting the field back to ``None``.
     """
-    trace = RoundTrace()
-    original_charge = engine.charge_local_round
-
-    def run_round(layout, beeps, listen=None):
-        beep_list = list(beeps)
-        compiled, hears = engine._activate(layout, beep_list)
-        engine.rounds.tick()
-        LAYOUT_STATS.mapped_rounds += 1
-        trace.record_round_arrays(compiled, len(beep_list), hears)
-        return materialize_result(compiled, hears, listen)
-
-    def run_round_indexed(layout, beeps, listen=None):
-        beep_list = list(beeps)
-        compiled = layout.compiled()
-        hears = compiled.propagate(beep_list)
-        engine.rounds.tick()
-        LAYOUT_STATS.indexed_rounds += 1
-        trace.record_round_arrays(compiled, len(beep_list), hears)
-        return compiled.read(hears, listen)
-
-    def charge_local_round(rounds: int = 1):
-        original_charge(rounds)
-        trace.record_local(rounds)
-
-    engine.run_round = run_round  # type: ignore[method-assign]
-    engine.run_round_indexed = run_round_indexed  # type: ignore[method-assign]
-    engine.charge_local_round = charge_local_round  # type: ignore[method-assign]
-    return trace
+    engine.round_trace = RoundTrace()
+    return engine.round_trace

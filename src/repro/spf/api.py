@@ -20,17 +20,12 @@ Quickstart (the unified facade)::
     # Fully declarative (what `repro serve` executes): requests are
     # serializable, content-hashed, and cached by the session's store.
     report = session.run(SolveRequest(shape="hexagon:4", k=1, l=5))
-
-The ``scheduler=`` kwarg below is a deprecated alias for
-``session=Session(scheduler=...)`` and will be removed after one
-release.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional, Set, Union
+from typing import Iterable, Optional, Set
 
 from repro.grid.coords import Node
 from repro.grid.structure import AmoebotStructure
@@ -73,7 +68,6 @@ def solve_spf(
     destinations: Iterable[Node],
     engine: Optional[CircuitEngine] = None,
     allow_holes: bool = False,
-    scheduler: Optional[Union[str, object]] = None,
     *,
     session: Optional[object] = None,
 ) -> SPFSolution:
@@ -96,29 +90,13 @@ def solve_spf(
     its default.  ``engine`` remains the low-level composition hook for
     callers that manage an engine's lifecycle themselves (the dynamics
     layer, the campaign runner); it is mutually exclusive with
-    ``session``.
-
-    .. deprecated::
-        ``scheduler=`` — pass ``session=Session(scheduler=...)``
-        instead.  The alias warns and will be removed after one
-        release.
+    ``session``.  An event-driven scheduler is a session setting:
+    ``session=Session(scheduler="random:1")``.
     """
     source_set = set(sources)
     dest_set = set(destinations)
     if not source_set or not dest_set:
         raise ValueError("sources and destinations must be non-empty")
-    if scheduler is not None:
-        warnings.warn(
-            "solve_spf(scheduler=...) is deprecated; pass "
-            "session=Session(scheduler=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if engine is not None or session is not None:
-            raise ValueError("pass one of engine, scheduler, or session — not both at once")
-        from repro.sched import ActivationEngine
-
-        engine = ActivationEngine(structure, scheduler=scheduler)
     if session is not None:
         if engine is not None:
             raise ValueError("pass either engine or session, not both")

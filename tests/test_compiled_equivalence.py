@@ -421,11 +421,12 @@ def test_numpy_backend_faulty_rounds_are_bit_identical(case, seed):
         layout = apply_assignment(engine, pins_of)
         compiled = layout.compiled()
         injector = FaultInjector(drop_prob=0.5, seed=seed)
+        engine.fault_injector = injector
         index = compiled.index
         beep_idx = index.indices(beeps, "beep on")
         listen_idx = index.indices(listen)
         bits = [
-            list(injector.execute(compiled, beep_idx, listen_idx))
+            list(engine.run_round_indexed(layout, beep_idx, listen_idx))
             for _ in range(4)
         ]
         results[engine.backend] = (

@@ -109,18 +109,21 @@ class TestSpans:
 
 
 class TestRoundTracing:
-    def test_disabled_engine_has_no_instance_shadowing(self):
+    def test_round_tracing_sets_flags_without_shadowing_methods(self):
         from repro.sim.engine import CircuitEngine
+        from repro.sim.trace import attach_trace
         from repro.workloads.specs import build_structure
 
         engine = CircuitEngine(build_structure("hexagon:2"))
-        # The bit-identity guarantee: without opt-in, the instance runs
-        # the untouched class methods — nothing shadowed on the object.
-        assert "run_round_indexed" not in engine.__dict__
-        assert "run_round" not in engine.__dict__
+        assert not engine.trace_rounds and engine.round_trace is None
         engine.enable_round_tracing()
-        assert "run_round_indexed" in engine.__dict__
         engine.enable_round_tracing()  # idempotent
+        assert engine.trace_rounds is True
+        trace = attach_trace(engine)
+        assert engine.round_trace is trace
+        # Tracing is kernel state, never a per-instance method override.
+        for name in ("run_round_indexed", "run_round", "charge_local_round"):
+            assert name not in engine.__dict__, name
 
     def test_round_spans_and_bit_identity(self):
         request = SolveRequest(shape="random:60:3", k=1, l=3, algorithm="spt")

@@ -4,9 +4,9 @@ Two contracts live here:
 
 * ``repro.__all__`` names exactly the supported API — adding or
   removing an export is a deliberate, test-visible act.
-* The deprecated kwarg aliases (``solve_spf(scheduler=)``,
-  ``DynamicSPF(engine=)``) warn but behave identically to the
-  session-based replacements, for one release.
+* The deprecated ``DynamicSPF(engine=)`` alias warns but behaves
+  identically to the session-based replacement.  ``solve_spf`` has no
+  scheduler kwarg: a scheduler is a ``Session`` setting.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class TestPublicSurface:
         params = list(inspect.signature(solve_spf).parameters)
         assert params == [
             "structure", "sources", "destinations", "engine",
-            "allow_holes", "scheduler", "session",
+            "allow_holes", "session",
         ]
 
     def test_dynamic_spf_signature(self):
@@ -96,25 +96,12 @@ class TestPublicSurface:
 
 
 class TestDeprecatedAliases:
-    """The old kwargs warn and delegate, bit-identically."""
+    """The old ``DynamicSPF(engine=)`` kwarg warns and delegates, bit-identically."""
 
     def _instance(self):
         structure = random_hole_free(40, seed=3)
         nodes = sorted(structure.nodes)
         return structure, [nodes[0]], nodes[-3:]
-
-    def test_solve_spf_scheduler_kwarg_warns_and_matches(self):
-        structure, sources, destinations = self._instance()
-        with pytest.warns(DeprecationWarning, match="solve_spf.*deprecated"):
-            old = solve_spf(
-                structure, sources, destinations, scheduler="random:5"
-            )
-        new = solve_spf(
-            structure, sources, destinations,
-            session=Session(scheduler="random:5"),
-        )
-        assert old.rounds == new.rounds
-        assert old.forest.parent == new.forest.parent
 
     def test_dynamic_spf_engine_kwarg_warns_and_matches(self):
         from repro import CircuitEngine, DynamicSPF

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
 from repro.sched import (
     ActivationEngine,
     AdversarialDelayScheduler,
@@ -31,7 +32,6 @@ from repro.sched import (
     WeightedScheduler,
     make_scheduler,
 )
-from repro.sim.engine import CircuitEngine
 from repro.spf.api import solve_spf
 from repro.verify.forest_checker import check_forest
 from repro.workloads import sample_sources_destinations, spread_nodes
@@ -296,23 +296,12 @@ class TestMakeScheduler:
         with pytest.raises(ValueError):
             make_scheduler(bad)
 
-    def test_solve_spf_rejects_engine_plus_scheduler(self):
-        structure = random_hole_free(10, seed=0)
-        nodes = sorted(structure.nodes)
-        with pytest.raises(ValueError, match="not both"):
-            solve_spf(
-                structure,
-                [nodes[0]],
-                [nodes[-1]],
-                engine=CircuitEngine(structure),
-                scheduler="sync",
-            )
-
     def test_solve_spf_scheduler_shortcut(self):
         structure = random_hole_free(20, seed=4)
         nodes = sorted(structure.nodes)
         solution = solve_spf(
-            structure, [nodes[0]], nodes[-2:], scheduler="random:1"
+            structure, [nodes[0]], nodes[-2:],
+            session=Session(scheduler="random:1"),
         )
         plain = solve_spf(structure, [nodes[0]], nodes[-2:])
         assert solution.rounds == plain.rounds
