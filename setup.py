@@ -14,8 +14,6 @@ setup(
         # Optional vectorized execution backend (see repro.backend):
         # rounds, component labeling, and grid-index builds lower onto
         # array kernels, bit-identical to the pure-Python reference.
-        # scipy additionally accelerates component labeling when
-        # present but is never required.
         "perf": ["numpy>=1.24"],
     },
     entry_points={

@@ -48,10 +48,11 @@ import random as _random
 import threading
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from repro.backend import BACKEND_NAMES, resolve_backend
+from repro.backend import BACKEND_NAMES, resolve_backend, use_backend
 from repro.experiments.spec import (
     ALGORITHMS,
     ALL_NODES,
@@ -585,10 +586,14 @@ class Session:
         started = time.perf_counter()
         cache_hits0 = LAYOUT_STATS.cache_hits
         cache_misses0 = LAYOUT_STATS.cache_misses
+        # Structure and grid-index builds consult the thread's default
+        # backend, so a named backend scopes the whole solve.
+        backend = request.backend or self.backend
         try:
-            return self._execute(
-                request, key, emit, started, cache_hits0, cache_misses0
-            )
+            with use_backend(backend) if backend else nullcontext():
+                return self._execute(
+                    request, key, emit, started, cache_hits0, cache_misses0
+                )
         except Cancelled as exc:
             exc.partial.update(progress)
             exc.partial.setdefault("key", key)

@@ -19,12 +19,16 @@ never changes behavior.  Selection is explicit at three levels:
 
 * per engine — ``CircuitEngine(structure, backend="numpy")``;
 * per process — :func:`set_default_backend` (the CLI's ``--backend``);
-* per block — the :func:`use_backend` context manager (tests pin the
-  seed round totals under ``backend="numpy"`` this way).
+* per block, on the calling thread — the :func:`use_backend` context
+  manager.  Tests pin the seed round totals under ``backend="numpy"``
+  this way, and ``Session.run`` scopes a solve to its session's backend
+  so that grid-index and structure builds follow it too: a
+  ``backend="python"`` solve never imports numpy.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
@@ -38,6 +42,9 @@ _numpy_module = _UNRESOLVED
 #: ``None``.  ``"auto"`` keeps resolution lazy: numpy availability is
 #: probed at use, not at import.
 _default_backend = "auto"
+
+#: Per-thread override of the default, set by :func:`use_backend`.
+_scoped = threading.local()
 
 
 class BackendUnavailableError(RuntimeError):
@@ -75,26 +82,31 @@ def require_numpy():
 def resolve_backend(name: Optional[str] = None) -> str:
     """Resolve a backend request to ``"python"`` or ``"numpy"``.
 
-    ``None`` consults the process default; ``"auto"`` picks numpy iff it
-    imports.  Forcing ``"numpy"`` without numpy installed raises
+    ``None`` consults the default (this thread's :func:`use_backend`
+    scope, else the process's); ``"auto"`` picks numpy iff it imports.
+    Forcing ``"numpy"`` without numpy installed raises
     :class:`BackendUnavailableError` — an explicit request must never
     degrade silently.
     """
     if name is None:
-        name = _default_backend
+        name = _requested()
     if name == "auto":
         return "numpy" if numpy_or_none() is not None else "python"
-    if name == "python":
-        return "python"
+    _validate(name)
+    return name
+
+
+def _requested() -> str:
+    return getattr(_scoped, "name", None) or _default_backend
+
+
+def _validate(name: str) -> None:
+    if name not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown backend {name!r} (choose from {', '.join(BACKEND_NAMES)})"
+        )
     if name == "numpy":
         require_numpy()
-        return "numpy"
-    raise ValueError(f"unknown backend {name!r} (choose from {', '.join(BACKEND_NAMES)})")
-
-
-def default_backend() -> str:
-    """The process default, resolved to ``"python"`` or ``"numpy"``."""
-    return resolve_backend(None)
 
 
 def set_default_backend(name: str) -> None:
@@ -103,12 +115,7 @@ def set_default_backend(name: str) -> None:
     Validates eagerly — setting ``"numpy"`` on a numpy-free install
     fails here rather than at the first compile.
     """
-    if name not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown backend {name!r} (choose from {', '.join(BACKEND_NAMES)})"
-        )
-    if name == "numpy":
-        require_numpy()
+    _validate(name)
     global _default_backend
     _default_backend = name
 
@@ -117,11 +124,11 @@ def backend_info() -> dict:
     """Observability snapshot of the backend configuration.
 
     Reported by ``repro serve``'s ``/stats`` endpoint and usable from
-    tests: the requested process default, what it currently resolves
-    to, and whether numpy is importable.
+    tests: the requested default, what it currently resolves to, and
+    whether numpy is importable.
     """
     return {
-        "default": _default_backend,
+        "default": _requested(),
         "resolved": resolve_backend(None),
         "numpy": numpy_or_none() is not None,
     }
@@ -129,11 +136,11 @@ def backend_info() -> dict:
 
 @contextmanager
 def use_backend(name: str) -> Iterator[str]:
-    """Temporarily set the process default backend (tests, benches)."""
-    global _default_backend
-    previous = _default_backend
-    set_default_backend(name)
+    """Temporarily set the default backend on the calling thread."""
+    _validate(name)
+    previous = getattr(_scoped, "name", None)
+    _scoped.name = name
     try:
         yield resolve_backend(name)
     finally:
-        _default_backend = previous
+        _scoped.name = previous

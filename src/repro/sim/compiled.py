@@ -452,42 +452,10 @@ def _connected_components(adj: List[List[int]]) -> Tuple[List[int], int]:
     return comp, n_components
 
 
-def _scipy_connected_components():
-    """The scipy csgraph labeler, or ``None`` when scipy is absent.
-
-    :func:`scipy.sparse.csgraph.connected_components` scans vertices in
-    index order and labels each newly met component with the next dense
-    id, so its labels are exactly the ascending first-member order the
-    Python union-find produces — no relabeling needed for bit-identity.
-    """
-    try:
-        from scipy.sparse import csr_array
-        from scipy.sparse.csgraph import connected_components
-    except ImportError:  # pragma: no cover - exercised on scipy-free installs
-        return None
-
-    def labeler(size, src, dst, np):
-        graph = csr_array(
-            (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(size, size)
-        )
-        n_components, labels = connected_components(
-            graph, directed=True, connection="weak"
-        )
-        return labels.astype(np.intp, copy=False), int(n_components)
-
-    return labeler
-
-
-_SCIPY_CC = _scipy_connected_components()
-
-
 def _connected_components_np(size: int, src, dst, np):
     """Vectorized component labels over flat edge arrays.
 
-    Prefers scipy's compiled csgraph labeler (its vertex-scan order
-    makes the labels bit-identical to the union-find's — see
-    :func:`_scipy_connected_components`); falls back to pure-numpy
-    min-label hooking with pointer jumping (Shiloach–Vishkin style):
+    Min-label hooking with pointer jumping (Shiloach–Vishkin style):
     every node starts as its own label; each sweep hooks the larger
     root of every edge onto the smaller and then flattens the pointer
     forest by repeated ``label[label]`` squaring, so the sweep count is
@@ -497,18 +465,14 @@ def _connected_components_np(size: int, src, dst, np):
     sorted unique values therefore assigns exactly the same dense
     labels as the Python union-find's ascending first-member scan.
     """
-    if _SCIPY_CC is not None and src.size:
-        return _SCIPY_CC(size, src, dst, np)
     label = np.arange(size, dtype=np.intp)
     if src.size:
         while True:
             before = label
             roots_a = label[src]
             roots_b = label[dst]
-            hooked = np.minimum(roots_a, roots_b)
             label = label.copy()
-            np.minimum.at(label, roots_a, hooked)
-            np.minimum.at(label, roots_b, hooked)
+            np.minimum.at(label, np.maximum(roots_a, roots_b), np.minimum(roots_a, roots_b))
             while True:
                 squared = label[label]
                 if np.array_equal(squared, label):

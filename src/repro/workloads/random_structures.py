@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import List, Optional, Set
 
-from repro.backend import numpy_or_none
+from repro.backend import numpy_or_none, resolve_backend
 from repro.grid.coords import Node
 from repro.grid.directions import all_directions_ccw
 from repro.grid.structure import AmoebotStructure
@@ -132,7 +132,9 @@ def random_hole_free(
 
     for v in origin.neighbors():
         refresh(v)
-    np = numpy_or_none()
+    # The draw follows the backend in effect (``Session.run`` scopes it
+    # to the session's), so python-backend growth never imports numpy.
+    np = numpy_or_none() if resolve_backend() == "numpy" else None
     base = 1.0 - compactness
     while len(nodes) < n:
         if not cand_keys:  # pragma: no cover - cannot happen on the grid

@@ -436,3 +436,91 @@ def test_numpy_backend_faulty_rounds_are_bit_identical(case, seed):
             injector.stats.missed_hears,
         )
     assert results["python"] == results["numpy"]
+
+
+# ----------------------------------------------------------------------
+# labeler differential: numpy min-label hooking vs the union-find
+# ----------------------------------------------------------------------
+
+
+def _path_edges(order: List[int]) -> List[Tuple[int, int]]:
+    return list(zip(order, order[1:]))
+
+
+def _labeler_cases() -> Dict[str, Tuple[int, List[Tuple[int, int]]]]:
+    import random
+
+    n = 257
+    zigzag = [i // 2 if i % 2 == 0 else n - 1 - i // 2 for i in range(n)]
+    shuffled = list(range(n))
+    random.Random(7).shuffle(shuffled)
+    star = [(0, i) for i in range(1, 40)]
+    reversed_star = [(i, 39) for i in range(39)]
+    two_paths = _path_edges(list(range(0, 60, 2))) + _path_edges(
+        list(range(59, 0, -2))
+    )
+    return {
+        "path_ascending": (n, _path_edges(list(range(n)))),
+        "path_descending": (n, _path_edges(list(range(n - 1, -1, -1)))),
+        "path_zigzag": (n, _path_edges(zigzag)),
+        "path_random": (n, _path_edges(shuffled)),
+        "star_center_first": (40, star),
+        "star_center_last": (40, reversed_star),
+        "stars_with_singletons": (100, star + [(70, 50), (50, 90)]),
+        "isolated_singletons": (12, []),
+        "empty_universe": (0, []),
+        "duplicate_and_reversed": (
+            10,
+            [(3, 1), (1, 3), (3, 1), (1, 3), (7, 7), (9, 4), (4, 9), (9, 4)],
+        ),
+        "interleaved_paths": (60, two_paths),
+    }
+
+
+@requires_numpy
+@pytest.mark.parametrize("name", sorted(_labeler_cases()))
+def test_numpy_labeler_matches_union_find(name):
+    from repro.sim.compiled import _connected_components, _connected_components_np
+
+    np = numpy_or_none()
+    size, edges = _labeler_cases()[name]
+    adj: List[List[int]] = [[] for _ in range(size)]
+    for a, b in edges:
+        adj[a].append(b)
+    src = np.asarray([a for a, _ in edges], dtype=np.intp)
+    dst = np.asarray([b for _, b in edges], dtype=np.intp)
+    expected, expected_count = _connected_components(adj)
+    labels, count = _connected_components_np(size, src, dst, np)
+    assert labels.tolist() == expected
+    assert count == expected_count
+    assert labels.dtype == np.intp and labels.shape == (size,)
+
+
+@requires_numpy
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.integers(min_value=1, max_value=80).flatmap(
+        lambda size: st.tuples(
+            st.just(size),
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=size - 1),
+                    st.integers(min_value=0, max_value=size - 1),
+                ),
+                max_size=3 * size,
+            ),
+        )
+    )
+)
+def test_numpy_labeler_matches_union_find_on_random_graphs(data):
+    from repro.sim.compiled import _connected_components, _connected_components_np
+
+    np = numpy_or_none()
+    size, edges = data
+    adj: List[List[int]] = [[] for _ in range(size)]
+    for a, b in edges:
+        adj[a].append(b)
+    src = np.asarray([a for a, _ in edges], dtype=np.intp)
+    dst = np.asarray([b for _, b in edges], dtype=np.intp)
+    labels, count = _connected_components_np(size, src, dst, np)
+    assert (labels.tolist(), count) == _connected_components(adj)
