@@ -6,13 +6,19 @@ neighbors.  :func:`grid_distance` is the closed-form distance in the
 *infinite* grid; shortest-path distance inside a finite amoebot structure
 (the induced subgraph :math:`G_X`) is generally larger and computed by the
 BFS oracle in :mod:`repro.grid.oracle`.
+
+``Node`` is a :class:`typing.NamedTuple`, so hashing, equality, ordering
+and construction run in C.  Invariant: its hash is ``hash((x, y))``, the
+hash of its field tuple.  Set and dict iteration order over nodes — and
+with it every tie-break, round count and pinned forest — depends on that
+hash, so it must not change.  A node compares equal to the plain tuple
+of its coordinates: ``Node(1, 2) == (1, 2)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from repro.grid.directions import (
     Axis,
@@ -23,9 +29,11 @@ from repro.grid.directions import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class Node:
-    """A node of the infinite triangular grid in axial coordinates."""
+class Node(NamedTuple):
+    """A node of the infinite triangular grid in axial coordinates.
+
+    Hash, equality and order are those of the tuple ``(x, y)``.
+    """
 
     x: int
     y: int
@@ -68,10 +76,6 @@ class Node:
     def cartesian(self) -> Tuple[float, float]:
         """Cartesian embedding (for visualization)."""
         return (self.x + self.y / 2.0, self.y * math.sqrt(3.0) / 2.0)
-
-    def __iter__(self) -> Iterator[int]:
-        yield self.x
-        yield self.y
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Node({self.x}, {self.y})"

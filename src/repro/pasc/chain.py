@@ -10,8 +10,7 @@ two channels carrying the primary and secondary wires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.grid.coords import Node
 from repro.grid.directions import Direction, opposite
@@ -22,12 +21,16 @@ from repro.sim.pins import PartitionSetId
 Unit = Tuple[Node, str]
 
 
-@dataclass(frozen=True)
-class ChainLink:
+class ChainLink(NamedTuple):
     """The physical wiring between consecutive chain units.
 
     The link occupies channels ``primary_channel`` and
     ``secondary_channel`` of the edge leaving ``src`` in ``direction``.
+
+    A :class:`typing.NamedTuple`: hash, equality and order are those of
+    the field tuple and run in C.  Invariant: the hash is the
+    field-tuple hash, which keeps wiring keys and layout-cache iteration
+    stable.  A link compares equal to the plain tuple of its fields.
     """
 
     src: Node
@@ -105,11 +108,14 @@ class PascChainRun:
         self.links = list(links)
         self.weights = list(weights)
         self.tag = tag
+        # Partition-set labels, fixed for the run.
+        self._p_labels = [self._label(uid, "p") for _, uid in self.units]
+        self._s_labels = [self._label(uid, "s") for _, uid in self.units]
         # Algorithm state (one O(1) record per unit).
         self._active = [w == 1 for w in self.weights]
         self._value = [0] * len(units)
         self._iteration = 0
-        #: Units whose activity flipped in the last absorb(); exactly
+        #: Units whose activity flipped in the last absorb_bits(); exactly
         #: these change their outgoing-link wiring for the next
         #: iteration (the layout-reuse contract's "touched region").
         self._flipped: List[int] = []
@@ -127,17 +133,16 @@ class PascChainRun:
     # ------------------------------------------------------------------
     # labels
     # ------------------------------------------------------------------
-    def _label(self, index: int, which: str) -> str:
-        node, uid = self.units[index]
+    def _label(self, uid: str, which: str) -> str:
         return f"{self.tag}:{uid}:{which}" if uid else f"{self.tag}:{which}"
 
     def primary_set(self, index: int) -> PartitionSetId:
         """Partition-set id of unit ``index``'s primary wire."""
-        return (self.units[index][0], self._label(index, "p"))
+        return (self.units[index][0], self._p_labels[index])
 
     def secondary_set(self, index: int) -> PartitionSetId:
         """Partition-set id of unit ``index``'s secondary wire."""
-        return (self.units[index][0], self._label(index, "s"))
+        return (self.units[index][0], self._s_labels[index])
 
     # ------------------------------------------------------------------
     # runner protocol
@@ -177,8 +182,8 @@ class PascChainRun:
         """Wire this iteration's primary/secondary circuits into ``layout``."""
         for i, (node, _) in enumerate(self.units):
             p_pins, s_pins = self._unit_wiring(i)
-            layout.assign(node, self._label(i, "p"), p_pins)
-            layout.assign(node, self._label(i, "s"), s_pins)
+            layout.assign(node, self._p_labels[i], p_pins)
+            layout.assign(node, self._s_labels[i], s_pins)
         self._flipped = []
 
     def rewire_layout(self, layout: CircuitLayout) -> None:
@@ -193,8 +198,8 @@ class PascChainRun:
             # between the primary and secondary set: one pin exchange.
             layout.exchange_pins(
                 node,
-                self._label(i, "p"),
-                self._label(i, "s"),
+                self._p_labels[i],
+                self._s_labels[i],
                 (
                     (link.direction, link.primary_channel),
                     (link.direction, link.secondary_channel),
@@ -203,8 +208,8 @@ class PascChainRun:
         self._flipped = []
 
     def listen_sets(self) -> List[PartitionSetId]:
-        """The partition sets absorb() reads: every unit's secondary set."""
-        return [self.secondary_set(i) for i in range(len(self.units))]
+        """The partition sets absorb_bits() reads: every unit's secondary set."""
+        return [(node, label) for (node, _), label in zip(self.units, self._s_labels)]
 
     def wiring_key(self) -> Tuple:
         """Hashable snapshot determining this run's current wiring."""
@@ -213,12 +218,6 @@ class PascChainRun:
     def beeps(self) -> List[PartitionSetId]:
         """The chain's first unit beeps on its primary set."""
         return [self.primary_set(0)]
-
-    def absorb(self, received: Dict[PartitionSetId, bool]) -> None:
-        """Read this iteration's bit at every unit and update activity."""
-        self.absorb_bits(
-            [received.get(self.secondary_set(i), False) for i in range(len(self.units))]
-        )
 
     def absorb_bits(self, bits: Sequence[bool]) -> None:
         """Absorb a flat bit list aligned with :meth:`listen_sets` order.
@@ -243,9 +242,10 @@ class PascChainRun:
         self._flipped = flipped
         self._iteration += 1
 
-    def active_units(self) -> List[Unit]:
-        """Units that are still active (beep in the termination round)."""
-        return [u for u, a in zip(self.units, self._active) if a]
+    def active_nodes(self) -> List[Node]:
+        """Amoebots of the still-active units (they beep in the
+        termination round; an amoebot may appear once per unit)."""
+        return [node for (node, _), a in zip(self.units, self._active) if a]
 
     @property
     def iterations(self) -> int:

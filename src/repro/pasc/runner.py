@@ -23,8 +23,8 @@ round against the engine's cached global layout
 splicing a structure-sized circuit into every runs' layout: the two
 wirings coexist on disjoint channels of the same pin configuration,
 round counts are unchanged (still one beep round each), and the runs'
-layouts stay proportional to the runs.  When every run exposes a
-wiring key, the *initial* runs' layout is additionally memoized in the
+layouts stay proportional to the runs.  The *initial* runs' layout
+(keyed by every run's ``wiring_key``) is additionally memoized in the
 engine's layout cache, so deterministic algorithms that re-execute
 identical PASC runs (e.g. the recomputed decomposition tree of the
 forest algorithm) skip the one full build as well.  Only iteration 0 is
@@ -39,8 +39,7 @@ termination probe are resolved to stable integer set-ids once per derive
 chain, both rounds of an iteration go through
 :meth:`~repro.sim.engine.CircuitEngine.run_rounds`, and each run absorbs
 its slice of the flat bit list (``absorb_bits``) — zero per-round dict
-construction.  Runs lacking ``listen_sets``/``absorb_bits`` fall back to
-the id-keyed dict path with identical round counts.
+construction.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Protocol, Sequence, Tuple
 
+from repro.grid.coords import Node
 from repro.sim.circuits import CircuitLayout
 from repro.sim.engine import CircuitEngine
 from repro.sim.errors import PinConfigurationError
@@ -55,24 +55,7 @@ from repro.sim.pins import PartitionSetId
 
 
 class PascRun(Protocol):
-    """Protocol shared by chain and tree runs (and ETT wrappers).
-
-    Implementations may additionally offer optional methods the runner
-    exploits when present (duck-typed, checked via ``hasattr``):
-
-    * ``rewire_layout(layout)`` — reassign only the partition sets whose
-      wiring changed since the last ``contribute_layout``/``rewire_layout``
-      call, enabling derived-layout reuse instead of full rebuilds;
-    * ``listen_sets()`` — the partition sets ``absorb`` actually reads,
-      so the engine materializes only those beep results;
-    * ``absorb_bits(bits)`` — like ``absorb`` but consuming a flat bit
-      list aligned with ``listen_sets()`` order; together with
-      ``listen_sets`` this lets the runner execute iterations on the
-      compiled integer fast path with zero per-round dict construction;
-    * ``wiring_key()`` — a hashable snapshot determining this run's
-      current wiring, enabling layout-cache hits across repeated
-      identical executions.
-    """
+    """Protocol shared by chain and tree runs (and ETT wrappers)."""
 
     def is_done(self) -> bool:
         """Whether no participant is active (all further bits zero)."""
@@ -82,16 +65,32 @@ class PascRun(Protocol):
         """Wire this iteration's circuits into the shared layout."""
         ...
 
+    def rewire_layout(self, layout: CircuitLayout) -> None:
+        """Reassign only the partition sets whose wiring changed since
+        the last ``contribute_layout``/``rewire_layout`` call, so the
+        next iteration derives its layout instead of rebuilding it."""
+        ...
+
+    def wiring_key(self) -> Tuple:
+        """Hashable snapshot of this run's current wiring (the key of
+        the engine's layout cache for repeated identical executions)."""
+        ...
+
     def beeps(self) -> List[PartitionSetId]:
         """Partition sets this run activates in the PASC round."""
         ...
 
-    def absorb(self, received) -> None:
-        """Read this iteration's bit at every unit; update activity."""
+    def listen_sets(self) -> List[PartitionSetId]:
+        """Partition sets whose bits :meth:`absorb_bits` consumes."""
         ...
 
-    def active_units(self) -> List:
-        """Units that beep in the shared termination round."""
+    def absorb_bits(self, bits: Sequence[bool]) -> None:
+        """Read this iteration's bits, aligned with :meth:`listen_sets`
+        order, and update activity."""
+        ...
+
+    def active_nodes(self) -> List[Node]:
+        """Amoebots that beep in the shared termination round."""
         ...
 
 
@@ -162,20 +161,12 @@ def run_pasc(
     term_probe: PartitionSetId = (next(iter(engine.structure)), TERMINATION_LABEL)
     term_layout = engine.global_layout(label=TERMINATION_LABEL, channel=term_channel)
 
-    listenable = all(hasattr(run, "listen_sets") for run in runs)
-    indexed = listenable and all(hasattr(run, "absorb_bits") for run in runs)
-
-    listen: Optional[List[PartitionSetId]] = None
+    listen: List[PartitionSetId] = []
     slices: List[Tuple[int, int]] = []
-    if listenable:
-        listen = []
-        for run in runs:
-            run_listen = run.listen_sets()
-            slices.append((len(listen), len(listen) + len(run_listen)))
-            listen.extend(run_listen)
-
-    rewirable = all(hasattr(run, "rewire_layout") for run in runs)
-    keyable = all(hasattr(run, "wiring_key") for run in runs)
+    for run in runs:
+        run_listen = run.listen_sets()
+        slices.append((len(listen), len(listen) + len(run_listen)))
+        listen.extend(run_listen)
 
     def wiring_key() -> Tuple:
         """Cache key of the *initial* wiring (iteration-0 activity)."""
@@ -206,8 +197,7 @@ def run_pasc(
                 )
             first_iteration = layout is None
             layout = _iteration_layout(
-                engine, runs, layout, rewirable,
-                wiring_key() if keyable and first_iteration else None,
+                engine, runs, layout, wiring_key() if first_iteration else None
             )
             if layout.uses_channel(term_channel):
                 # The termination circuit executes on its own layout,
@@ -219,55 +209,25 @@ def run_pasc(
                     f"termination channel {term_channel}"
                 )
 
-            if indexed:
-                assert listen is not None
-                index = layout.compiled().index
-                if index is not cached_index:
-                    cached_index = index
-                    listen_idx = index.indices(listen, "listen on")
-                beep_idx = index.indices(
-                    (set_id for run in runs for set_id in run.beeps()), "beep on"
-                )
+            index = layout.compiled().index
+            if index is not cached_index:
+                cached_index = index
+                listen_idx = index.indices(listen, "listen on")
+            beep_idx = index.indices((set_id for run in runs for set_id in run.beeps()), "beep on")
 
-                bits = engine.run_round_indexed(layout, beep_idx, listen_idx)
-                for run, (lo, hi) in zip(runs, slices):
-                    run.absorb_bits(bits[lo:hi])
-                iterations += 1
-                # Resolved after the absorb, so the termination beeps
-                # read this iteration's activity.
-                term_beep_idx = term_index.indices(
-                    (
-                        (unit[0] if isinstance(unit, tuple) else unit,
-                         TERMINATION_LABEL)
-                        for run in runs
-                        for unit in run.active_units()
-                    ),
-                    "beep on",
-                )
-                term_bits = engine.run_round_indexed(
-                    term_layout, term_beep_idx, (term_probe_idx,)
-                )
-                if not term_bits[0]:
-                    break
-            else:
-                beeps: List[PartitionSetId] = []
-                for run in runs:
-                    beeps.extend(run.beeps())
-                received = engine.run_round(layout, beeps, listen=listen)
-                for run in runs:
-                    run.absorb(received)
-                iterations += 1
-
-                term_beeps: List[PartitionSetId] = []
-                for run in runs:
-                    for unit in run.active_units():
-                        node = unit[0] if isinstance(unit, tuple) else unit
-                        term_beeps.append((node, TERMINATION_LABEL))
-                term_received = engine.run_round(
-                    term_layout, term_beeps, listen=(term_probe,)
-                )
-                if not term_received[term_probe]:
-                    break
+            bits = engine.run_round_indexed(layout, beep_idx, listen_idx)
+            for run, (lo, hi) in zip(runs, slices):
+                run.absorb_bits(bits[lo:hi])
+            iterations += 1
+            # Resolved after the absorb, so the termination beeps read
+            # this iteration's activity.
+            term_beep_idx = term_index.indices(
+                ((node, TERMINATION_LABEL) for run in runs for node in run.active_nodes()),
+                "beep on",
+            )
+            term_bits = engine.run_round_indexed(term_layout, term_beep_idx, (term_probe_idx,))
+            if not term_bits[0]:
+                break
     return PascResult(
         iterations=iterations,
         rounds=engine.rounds.total - start_rounds,
@@ -279,19 +239,18 @@ def _iteration_layout(
     engine: CircuitEngine,
     runs: Sequence[PascRun],
     previous: Optional[CircuitLayout],
-    rewirable: bool,
     key: Optional[Tuple],
 ) -> CircuitLayout:
     """The frozen layout for the coming iteration, built as cheaply as
     possible: cache hit (iteration 0 only) > derivation from the previous
-    iteration > full build (runs without incremental support).  The
-    layout carries only the runs' circuits; the global termination
-    circuit lives on the engine's cached global layout."""
+    iteration > full build.  The layout carries only the runs' circuits;
+    the global termination circuit lives on the engine's cached global
+    layout."""
     if key is not None:
         cached = engine.layouts.get(key)
         if cached is not None:
             return cached
-    if previous is not None and rewirable:
+    if previous is not None:
         layout = previous.derive()
         for run in runs:
             run.rewire_layout(layout)

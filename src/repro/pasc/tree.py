@@ -50,6 +50,8 @@ class PascTreeRun:
         if root in self.parent:
             raise ValueError("root must not have a parent")
         self.tag = tag
+        self._p_label = f"{tag}:p"
+        self._s_label = f"{tag}:s"
         self.pch = primary_channel
         self.sch = secondary_channel
         self.nodes: List[Node] = [root] + sorted(self.parent)
@@ -64,7 +66,7 @@ class PascTreeRun:
         self._active: Dict[Node, bool] = {u: True for u in self.nodes}
         self._value: Dict[Node, int] = {u: 0 for u in self.nodes}
         self._iteration = 0
-        #: Nodes whose activity flipped in the last absorb(); only these
+        #: Nodes whose activity flipped in the last absorb_bits(); only these
         #: re-cross their child links in the next iteration's layout.
         self._flipped: List[Node] = []
         self._wiring_base = (
@@ -90,11 +92,11 @@ class PascTreeRun:
     # ------------------------------------------------------------------
     def primary_set(self, node: Node) -> PartitionSetId:
         """Partition-set id of ``node``'s primary wire."""
-        return (node, f"{self.tag}:p")
+        return (node, self._p_label)
 
     def secondary_set(self, node: Node) -> PartitionSetId:
         """Partition-set id of ``node``'s secondary wire."""
-        return (node, f"{self.tag}:s")
+        return (node, self._s_label)
 
     # ------------------------------------------------------------------
     # runner protocol (same shape as PascChainRun)
@@ -128,8 +130,8 @@ class PascTreeRun:
         """Wire this iteration's primary/secondary circuits."""
         for u in self.nodes:
             p_pins, s_pins = self._node_wiring(u)
-            layout.assign(u, f"{self.tag}:p", p_pins)
-            layout.assign(u, f"{self.tag}:s", s_pins)
+            layout.assign(u, self._p_label, p_pins)
+            layout.assign(u, self._s_label, s_pins)
         self._flipped = []
 
     def rewire_layout(self, layout: CircuitLayout) -> None:
@@ -146,11 +148,11 @@ class PascTreeRun:
                 d = u.direction_to(child)
                 pins.append((d, self.pch))
                 pins.append((d, self.sch))
-            layout.exchange_pins(u, f"{self.tag}:p", f"{self.tag}:s", pins)
+            layout.exchange_pins(u, self._p_label, self._s_label, pins)
         self._flipped = []
 
     def listen_sets(self) -> List[PartitionSetId]:
-        """The partition sets absorb() reads: every node's secondary set."""
+        """The partition sets absorb_bits() reads: every node's secondary set."""
         return [self.secondary_set(u) for u in self.nodes]
 
     def wiring_key(self) -> Tuple:
@@ -160,12 +162,6 @@ class PascTreeRun:
     def beeps(self) -> List[PartitionSetId]:
         """The root beeps on its primary set."""
         return [self.primary_set(self.root)]
-
-    def absorb(self, received: Dict[PartitionSetId, bool]) -> None:
-        """Read this iteration's bit and update activity."""
-        self.absorb_bits(
-            [received.get(self.secondary_set(u), False) for u in self.nodes]
-        )
 
     def absorb_bits(self, bits: Sequence[bool]) -> None:
         """Absorb a flat bit list aligned with :meth:`listen_sets` order.
@@ -185,7 +181,7 @@ class PascTreeRun:
         self._flipped = flipped
         self._iteration += 1
 
-    def active_units(self) -> List[Node]:
+    def active_nodes(self) -> List[Node]:
         """Amoebots still active (beep in the termination round)."""
         return [u for u, a in self._active.items() if a]
 

@@ -15,9 +15,7 @@ once into an index, then run the hot loop over flat integers.  Since
 the grid-index refactor the layouts themselves keep their pin tables in
 integer space, so the standard lowering (:func:`compile_wiring_ids`)
 never hashes a tuple at all — pin mates resolve through the grid
-index's mirror-edge table; :func:`compile_wiring` remains as the
-tuple-keyed reference implementation the equivalence tests compare
-against.
+index's mirror-edge table.
 
 **Backends.**  The integer tables admit two traversal strategies
 (:mod:`repro.backend`).  Under ``backend="python"`` every pass is a
@@ -45,7 +43,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.backend import require_numpy, resolve_backend
 from repro.sim.errors import PinConfigurationError
-from repro.sim.pins import PartitionSetId, Pin
+from repro.sim.pins import PartitionSetId
 
 
 class PartitionSetIndex:
@@ -310,34 +308,6 @@ class CompiledLayout:
 # ----------------------------------------------------------------------
 
 
-def compile_wiring(
-    sets: Iterable[PartitionSetId],
-    pin_owner: Mapping[Pin, PartitionSetId],
-    index: Optional[PartitionSetIndex] = None,
-) -> CompiledLayout:
-    """Lower a tuple-keyed wiring to a :class:`CompiledLayout`.
-
-    Legacy/reference surface: hashes every set and pin exactly once.
-    Layout freezing no longer routes through here — layouts keep their
-    pin tables in integer space from construction on and compile via
-    :func:`compile_wiring_ids` without any tuple hashing — but the
-    function stays as the independent reference the equivalence tests
-    compare the integer path against.  ``index`` may carry a pre-built
-    partition-set index to keep integer ids stable.
-    """
-    if index is None:
-        index = PartitionSetIndex(sets)
-    pos = index._pos
-    adj: List[List[int]] = [[] for _ in range(len(index))]
-    get = pin_owner.get
-    for pin, owner in pin_owner.items():
-        mate_owner = get(pin.mate())
-        if mate_owner is not None:
-            adj[pos[owner]].append(pos[mate_owner])
-    comp, n_components = _connected_components(adj)
-    return CompiledLayout(index, adj, comp, n_components)
-
-
 def compile_wiring_ids(
     ids: Iterable[PartitionSetId],
     pin_slot: Mapping[int, int],
@@ -588,7 +558,6 @@ def recompile_derived(
 __all__ = [
     "CompiledLayout",
     "PartitionSetIndex",
-    "compile_wiring",
     "compile_wiring_ids",
     "recompile_derived",
     "resolve_backend",

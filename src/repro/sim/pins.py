@@ -11,49 +11,34 @@ by matching channel indices: pin ``(u, d, i)`` is wired to pin
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.grid.coords import Node
 from repro.grid.directions import Direction, opposite
 
 
-@dataclass(frozen=True, order=True)
-class Pin:
-    """One pin: an endpoint of an external link at a specific amoebot."""
+class Pin(NamedTuple):
+    """One pin: an endpoint of an external link at a specific amoebot.
+
+    A :class:`typing.NamedTuple`, like :class:`~repro.grid.coords.Node`:
+    hash, equality and order are those of ``(node, direction, channel)``
+    and run in C.  Invariant: the hash is the field-tuple hash, which
+    keeps the iteration order of pin-keyed tables (and so every round
+    count) stable.  A pin compares equal to the plain tuple of its
+    fields.
+    """
 
     node: Node
     direction: Direction
     channel: int
 
     def mate(self) -> "Pin":
-        """The pin at the other endpoint of this pin's external link.
-
-        Memoized process-wide: mates are immutable, and the component
-        computation asks for them on every freeze — constructing fresh
-        ``Node``/``Pin`` objects there dominated layout freezing.
-        """
-        mate = _MATE_CACHE.get(self)
-        if mate is None:
-            if len(_MATE_CACHE) >= _MATE_CACHE_LIMIT:
-                _MATE_CACHE.clear()
-            mate = Pin(
-                self.node.neighbor(self.direction),
-                opposite(self.direction),
-                self.channel,
-            )
-            _MATE_CACHE[self] = mate
-            _MATE_CACHE[mate] = self
-        return mate
-
-
-#: Pin -> its mate.  One structure needs ≤ 6·c entries per amoebot, so
-#: the limit comfortably covers the largest single workload; it exists
-#: because long-lived processes (campaign workers) touch thousands of
-#: distinct structures, and an unbounded memo would leak across trials.
-#: Clearing wholesale is fine — the memo only saves reconstruction cost.
-_MATE_CACHE = {}
-_MATE_CACHE_LIMIT = 1 << 18
+        """The pin at the other endpoint of this pin's external link."""
+        return Pin(
+            self.node.neighbor(self.direction),
+            opposite(self.direction),
+            self.channel,
+        )
 
 
 #: A partition set is identified by its owning amoebot plus a local label.

@@ -144,15 +144,40 @@ def round_cases(draw):
 # ----------------------------------------------------------------------
 
 
+def compile_wiring(sets, pin_owner) -> Dict:
+    """Tuple-keyed reference lowering of a wiring to its circuits.
+
+    ``pin_owner`` maps each :class:`~repro.sim.pins.Pin` to its owning
+    partition set; a pin's partner is found by ``Pin.mate()`` and a
+    dict probe, the object-level path the integer lowering replaced.
+    Returns partition set -> circuit label.
+    """
+    adj: Dict = {set_id: [] for set_id in sets}
+    for pin, owner in pin_owner.items():
+        mate_owner = pin_owner.get(pin.mate())
+        if mate_owner is not None:
+            adj[owner].append(mate_owner)
+    comp: Dict = {}
+    for start in adj:
+        if start in comp:
+            continue
+        label = comp[start] = len(comp)
+        stack = [start]
+        while stack:
+            for nxt in adj[stack.pop()]:
+                if nxt not in comp:
+                    comp[nxt] = label
+                    stack.append(nxt)
+    return comp
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=round_cases())
 def test_integer_lowering_matches_tuple_reference(case):
     # The layout lowers through compile_wiring_ids (integer pins, grid
-    # index mirror-edge mates); compile_wiring is the retained
-    # tuple-keyed reference lowering.  Both must produce the same
-    # circuits, up to component renumbering.
-    from repro.sim.compiled import compile_wiring
-
+    # index mirror-edge mates); compile_wiring above is the tuple-keyed
+    # reference lowering.  Both must produce the same circuits, up to
+    # component renumbering.
     structure, pins_of, _beeps, _listen = case
     engine = CircuitEngine(structure, channels=CHANNELS)
     layout = apply_assignment(engine, pins_of)
@@ -160,17 +185,15 @@ def test_integer_lowering_matches_tuple_reference(case):
 
     reference = compile_wiring(layout.partition_sets(), layout.pin_assignments())
     grouped: Dict[int, Set] = {}
-    for set_id in layout.partition_sets():
-        grouped.setdefault(
-            reference.comp[reference.index.index_of(set_id)], set()
-        ).add(set_id)
+    for set_id, label in reference.items():
+        grouped.setdefault(label, set()).add(set_id)
     expected = {frozenset(members) for members in grouped.values()}
 
     actual: Dict[int, Set] = {}
     for i, set_id in enumerate(compiled.index.ids):
         actual.setdefault(compiled.comp[i], set()).add(set_id)
     assert {frozenset(members) for members in actual.values()} == expected
-    assert compiled.n_components == reference.n_components
+    assert compiled.n_components == len(grouped)
 
 
 @settings(max_examples=60, deadline=None)

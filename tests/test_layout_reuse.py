@@ -282,8 +282,8 @@ class TestPascLayoutReuse:
         engine = CircuitEngine(structure)
 
         class NeverDone(PascChainRun):
-            def active_units(self):
-                return [self.units[0]]
+            def active_nodes(self):
+                return [self.units[0][0]]
 
         run = NeverDone([(u, "") for u in nodes], chain_links_for_nodes(nodes))
         with pytest.raises(RuntimeError, match=r"4 amoebots"):

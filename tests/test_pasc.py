@@ -53,8 +53,9 @@ class TestChainDistance:
         # Execute exactly one iteration manually.
         layout = engine.new_layout()
         run.contribute_layout(layout)
-        received = engine.run_round(layout, run.beeps())
-        run.absorb(received)
+        listen = run.listen_sets()
+        received = engine.run_round(layout, run.beeps(), listen=listen)
+        run.absorb_bits([received[set_id] for set_id in listen])
         values = run.node_values()
         for i, u in enumerate(nodes):
             assert values[u] == i % 2  # bit 0 of the distance
@@ -261,9 +262,42 @@ class TestParallelRuns:
         engine = CircuitEngine(s)
 
         class NeverDone(PascChainRun):
-            def active_units(self):
-                return [self.units[0]]
+            def active_nodes(self):
+                return [self.units[0][0]]
 
         run = NeverDone([(u, "") for u in nodes], chain_links_for_nodes(nodes))
         with pytest.raises(RuntimeError):
             run_pasc(engine, [run], max_iterations=5)
+
+    def test_tree_and_chain_runs_share_one_execution(self):
+        # A tree run and a chain run on disjoint amoebots of one
+        # structure: each must compute what it computes alone, and the
+        # shared execution lasts as long as the longer of the two.
+        from repro.workloads import parallelogram
+
+        structure = parallelogram(24, 3)
+        root = Node(0, 0)
+        parent = {Node(x, 0): Node(x - 1, 0) for x in range(1, 24)}
+        parent.update({Node(x, 1): Node(x, 0) for x in range(24)})
+        chain_nodes = [Node(x, 2) for x in range(6)]
+
+        def make_runs():
+            tree = PascTreeRun(root, parent)
+            chain = PascChainRun(
+                [(u, "c") for u in chain_nodes],
+                chain_links_for_nodes(chain_nodes),
+                tag="chain",
+            )
+            return tree, chain
+
+        alone_tree, alone_chain = make_runs()
+        tree_result = run_pasc(CircuitEngine(structure), [alone_tree])
+        chain_result = run_pasc(CircuitEngine(structure), [alone_chain])
+        assert tree_result.iterations != chain_result.iterations
+
+        tree, chain = make_runs()
+        result = run_pasc(CircuitEngine(structure), [tree, chain])
+        assert tree.values() == alone_tree.values()
+        assert chain.values() == alone_chain.values()
+        assert result.rounds == 2 * result.iterations
+        assert result.iterations == max(tree_result.iterations, chain_result.iterations)
