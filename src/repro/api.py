@@ -34,11 +34,10 @@ Quickstart::
     again = session.run(SolveRequest(shape="random:200:7", k=1, l=0))
     assert again.cached  # served from the session's result store
 
-The old kwargs on :func:`~repro.spf.api.solve_spf` and
-:class:`~repro.dynamics.maintain.DynamicSPF` remain as deprecated
-aliases for one release (they warn and delegate); ``engine=`` on
-``solve_spf``/``run_pasc`` stays supported as the low-level composition
-hook the library itself uses.
+Campaign trials are requests too: the experiment runner executes each
+:class:`~repro.experiments.spec.TrialSpec` as ``trial.request()`` on a
+worker session.  ``engine=`` on ``solve_spf``/``run_pasc`` stays
+supported as the low-level composition hook the library itself uses.
 """
 
 from __future__ import annotations
@@ -157,6 +156,12 @@ class SolveRequest:
             raise RequestError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
             )
+        if self.algorithm == "spt" and self.k != 1:
+            raise RequestError("algorithm 'spt' requires k = 1")
+        if self.algorithm == "sequential" and self.l != ALL_NODES:
+            # sequential_merge_forest spans the whole structure; a
+            # request claiming l destinations would be mislabeled.
+            raise RequestError("algorithm 'sequential' requires l = 0 (all nodes)")
         try:
             _check_scheduler(self.scheduler)
         except ValueError as exc:
@@ -186,8 +191,10 @@ class SolveRequest:
                 )
             if self.algorithm != "auto":
                 raise RequestError("churn requests require algorithm 'auto'")
-        elif self.churn or self.churn_steps:
-            raise RequestError("churn parameters given on a non-churn request")
+        elif self.churn:
+            raise RequestError("churn kind given on a non-churn request")
+        elif self.churn_steps:
+            raise RequestError("churn_steps given without a churn kind")
         if not 0.0 < self.threshold <= 1.0:
             raise RequestError(
                 f"threshold must be in (0, 1], got {self.threshold}"
@@ -459,14 +466,15 @@ class Session:
     # ------------------------------------------------------------------
     # hot state
     # ------------------------------------------------------------------
-    def structure(self, shape: str, cache: bool = True) -> AmoebotStructure:
+    def structure(self, shape: str) -> AmoebotStructure:
         """Build (or serve from the LRU) a structure with a warm index.
 
-        ``cache=False`` always builds fresh — used for churn requests,
-        whose structures are mutated in place by the editor.
+        Churn requests share it too: the dynamics layer edits its own
+        copy of the node set and derives new indexes, never mutating
+        the structure it started from.
         """
         with self._lock:
-            if cache and shape in self._structures:
+            if shape in self._structures:
                 self._structures.move_to_end(shape)
                 self.stats.structure_hits += 1
                 return self._structures[shape]
@@ -476,10 +484,9 @@ class Session:
             structure.grid_index()  # warm: one build, reused by every layout
         with self._lock:
             self.stats.structures_built += 1
-            if cache:
-                self._structures[shape] = structure
-                while len(self._structures) > self.max_structures:
-                    self._structures.popitem(last=False)
+            self._structures[shape] = structure
+            while len(self._structures) > self.max_structures:
+                self._structures.popitem(last=False)
         return structure
 
     def engine_for(
@@ -614,9 +621,7 @@ class Session:
         with trace_span(request.kind, key=key, shape=request.shape,
                         cached=False) as root_span:
             with trace_span("build", shape=request.shape) as build_span:
-                structure = self.structure(
-                    request.shape, cache=request.kind != "churn"
-                )
+                structure = self.structure(request.shape)
                 sources, destinations = _pick_endpoints(structure, request)
                 build_span.set(n=len(structure))
             emit({"event": "structure", "n": len(structure), "k": len(sources),
@@ -802,7 +807,9 @@ class Session:
                 crashed=crashed, drop_prob=request.drop, seed=request.seed
             )
         initial_n = len(structure)
-        with trace_span("rounds") as solve_span:
+        # One ``rounds`` span over the initial solve and every repair,
+        # so traces attribute repair rounds to the simulation too.
+        with trace_span("rounds", algorithm="dynamic") as rounds_span:
             dyn = DynamicSPF(
                 structure,
                 sources,
@@ -812,48 +819,33 @@ class Session:
                 session=_BoundEngineSession(engine),
             )
             initial_rounds = dyn.engine.rounds.total
-            solve_span.set(algorithm="dynamic", rounds=initial_rounds)
-        initial_members = len(dyn.forest.members)
-        emit({"event": "solved", "algorithm": "dynamic",
-              "members": len(dyn.forest.members), "rounds": initial_rounds})
-        script = generate_churn(
-            structure,
-            request.churn,
-            steps=request.churn_steps,
-            batch_size=request.churn_batch,
-            seed=request.seed,
-            protected=dyn.protected,
-        )
-        batches = []
-        for i, batch in enumerate(script):
-            st = dyn.apply(batch)
-            batches.append(st)
-            emit({"event": "batch", "index": i, "ops": st.batch_ops,
-                  "mode": st.mode, "rounds": st.rounds, "n": st.structure_size})
+            initial_members = len(dyn.forest.members)
+            emit({"event": "solved", "algorithm": "dynamic",
+                  "members": initial_members, "rounds": initial_rounds})
+            script = generate_churn(
+                structure,
+                request.churn,
+                steps=request.churn_steps,
+                batch_size=request.churn_batch,
+                seed=request.seed,
+                protected=dyn.protected,
+            )
+            batches = []
+            for i, batch in enumerate(script):
+                st = dyn.apply(batch)
+                batches.append(st)
+                emit({"event": "batch", "index": i, "ops": st.batch_ops,
+                      "mode": st.mode, "rounds": st.rounds,
+                      "n": st.structure_size})
+            rounds_span.set(rounds=dyn.engine.rounds.total)
         report = self._base_report(
             request, dyn.structure, sources, destinations, dyn.engine,
             dyn.forest, "dynamic",
         )
-        # One fresh solve on the final structure: the CLI's reference
-        # point for how much the incremental repairs saved.
-        from repro.spf.api import solve_spf
-
-        with trace_span("reference") as ref_span:
-            reference = solve_spf(
-                dyn.structure,
-                sources,
-                destinations
-                if request.l != ALL_NODES
-                else list(dyn.structure.nodes),
-                engine=self.engine_for(dyn.structure, scheduler=""),
-                allow_holes=request.allow_holes or self.allow_holes,
-            )
-            ref_span.set(rounds=reference.rounds)
         report.repair = {
             "initial_n": initial_n,
             "initial_rounds": initial_rounds,
             "initial_members": initial_members,
-            "fresh_rounds": reference.rounds,
             "edit_batches": len(batches),
             "edit_ops": sum(s.batch_ops for s in batches),
             "repairs_patch": sum(1 for s in batches if s.mode == "patch"),
@@ -931,10 +923,9 @@ def _pick_endpoints(
 ) -> Tuple[List[Node], List[Node]]:
     """Sources/destinations per the request's placement policy.
 
-    Mirrors the historical CLI selection exactly (the raw ``seed``
-    drives sampling), so flag-built and request-built invocations pick
-    identical endpoints — round counts stay bit-identical across the
-    migration.
+    The raw ``seed`` drives sampling, so flag-built and request-built
+    invocations pick identical endpoints.  Campaign trials seed their
+    requests with :meth:`~repro.experiments.spec.TrialSpec.sampling_seed`.
     """
     ordered = sorted(structure.nodes)
     n = len(ordered)

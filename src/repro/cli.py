@@ -24,11 +24,6 @@ Commands
     Run the solver daemon: a long-lived :class:`~repro.api.Session`
     behind an HTTP job API with JSONL progress streaming and a
     persistent result store (see :mod:`repro.service`).
-``chaos``
-    Resilience smoke drill: drive the fault injectors in
-    ``tests/chaos.py`` (flaky store writes, expiring deadlines, a full
-    queue, worker processes killed mid-trial) and verify every
-    guarantee of the resilience layer holds.
 ``trace``
     Render a JSONL span trace (written by ``solve --trace`` or a
     campaign's ``--trace-dir``) as a text flamegraph.
@@ -191,6 +186,24 @@ def cmd_route(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fresh_solve_rounds(report) -> int:
+    """Rounds of one fresh solve on a churn report's final structure.
+
+    The reference point for how much the incremental repairs saved.
+    With ``l = 0`` every node of the final structure is a destination,
+    as it is for the repaired forest; otherwise the request's
+    destinations are, which churn never removes.
+    """
+    from repro.api import ALL_NODES
+    from repro.spf.api import solve_spf
+
+    structure = report.structure
+    destinations = (
+        list(structure.nodes) if report.l == ALL_NODES else report.destinations
+    )
+    return solve_spf(structure, report.sources, destinations).rounds
+
+
 def cmd_churn(args: argparse.Namespace) -> int:
     """Handle ``repro churn`` — dynamic SPF repair under an edit stream."""
     report = _run_request(
@@ -208,6 +221,7 @@ def cmd_churn(args: argparse.Namespace) -> int:
         trace_rounds=args.trace_rounds,
     )
     repair = report.repair
+    fresh_rounds = _fresh_solve_rounds(report)
     print(f"n = {repair['initial_n']}, k = {args.k}, l = {args.l}")
     print(f"initial solve: {repair['initial_rounds']} rounds, "
           f"{repair['initial_members']} members")
@@ -221,7 +235,7 @@ def cmd_churn(args: argparse.Namespace) -> int:
               f"{b['healed']:>6}")
     print(f"repair total: {repair['repair_rounds']} rounds over "
           f"{repair['edit_batches']} batches "
-          f"(one fresh solve on the final structure: {repair['fresh_rounds']} rounds)")
+          f"(one fresh solve on the final structure: {fresh_rounds} rounds)")
     if report.sched is not None:
         _print_scheduler_report(report.sched)
     if report.faults is not None:
@@ -275,184 +289,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         server.server_close()
         if summary["cancelled"]:
             print(f"cancelled {summary['cancelled']} queued job(s)")
-    return 0
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Handle ``repro chaos`` — the resilience smoke drill.
-
-    Drives the fault injectors from ``tests/chaos.py`` against an
-    in-process :class:`~repro.service.SolverService` and a real
-    multi-process :class:`~repro.experiments.runner.CampaignRunner`:
-    flaky store writes, a deadline that expires mid-run, a full queue
-    shedding cold work while warm cache hits are still served, and
-    worker processes killed mid-trial.  Prints what happened and exits
-    nonzero if any resilience guarantee was violated.
-    """
-    import os
-    import tempfile
-    import time
-
-    try:
-        from tests.chaos import (
-            CHAOS_DIR_ENV,
-            FlakyStore,
-            GatedSession,
-            arm_crash_once,
-            arm_poison,
-            chaos_crash_trial,
-        )
-    except ImportError as exc:
-        raise SystemExit(
-            "repro chaos needs tests/chaos.py importable (run it from a "
-            f"source checkout root): {exc}"
-        ) from exc
-
-    from repro.api import Session, SolveRequest
-    from repro.experiments import CampaignRunner, ResultStore
-    from repro.experiments.spec import CampaignSpec, ScenarioSpec
-    from repro.resilience import RetryPolicy
-    from repro.service import JobSpec, ServiceOverloaded, SolverService
-
-    failures: List[str] = []
-
-    def check(ok: bool, label: str) -> None:
-        print(f"  [{'ok' if ok else 'FAIL'}] {label}")
-        if not ok:
-            failures.append(label)
-
-    # -- phase 1: daemon drill (flaky store, deadline, backpressure) ----
-    print("phase 1: solver daemon under chaos")
-    store = FlakyStore(fail_every=2)
-    warm_request = SolveRequest(shape="hexagon:3", k=1, l=3, seed=1)
-    # Pre-warm the store through a plain session so the daemon has one
-    # cacheable record (FlakyStore write #1 — the one that succeeds).
-    Session(store=store).run(warm_request)
-
-    gated = GatedSession(Session(store=store))
-    service = SolverService(session=gated, workers=1, max_queue=1)
-    try:
-        # Cold job with a deadline: it blocks on the gate until the
-        # deadline trips, so the worker frees itself without our help.
-        doomed = service.submit(
-            JobSpec(
-                request=SolveRequest(shape="hexagon:4", k=2, l=4, seed=2),
-                deadline_s=0.2,
-            )
-        )
-        gated.entered.wait(timeout=5.0)
-        # Second cold job fills the queue (depth 1 of 1)...
-        queued = service.submit(
-            JobSpec(request=SolveRequest(shape="hexagon:3", k=1, l=2, seed=3))
-        )
-        status = service.health()["status"]
-        check(
-            status in ("degraded", "overloaded"),
-            f"/healthz degrades under load (status={status})",
-        )
-        # ...so the next cold submission must be shed with a hint...
-        try:
-            service.submit(
-                JobSpec(
-                    request=SolveRequest(shape="hexagon:3", k=1, l=2, seed=4)
-                )
-            )
-            shed_info = "no ServiceOverloaded raised"
-            shed_ok = False
-        except ServiceOverloaded as exc:
-            shed_info = f"retry_after_s={exc.retry_after_s}"
-            shed_ok = exc.retry_after_s >= 1
-        check(shed_ok, f"cold submission shed when full ({shed_info})")
-        # ...while a warm cache hit is still served, never 500.
-        warm = service.submit(JobSpec(request=warm_request))
-        check(
-            warm.state == "done" and warm.result.get("cached") is True,
-            "warm cache hit served while overloaded",
-        )
-        timed_out = service.wait(doomed.id, timeout=10.0)
-        check(
-            timed_out.state == "timeout",
-            f"deadline job reached state=timeout (state={timed_out.state})",
-        )
-        gated.release()
-        finished = service.wait(queued.id, timeout=30.0)
-        check(
-            finished.state == "done",
-            "queued job completes after the worker frees up",
-        )
-        check(
-            gated.stats.store_failures >= 1,
-            f"flaky store writes survived as store_failures="
-            f"{gated.stats.store_failures}, not errors",
-        )
-        terminal = {"done", "failed", "timeout", "shed"}
-        states = [job["state"] for job in service.jobs()]
-        check(
-            all(state in terminal for state in states),
-            f"every job reached a terminal state ({states})",
-        )
-        print(
-            "  counters: sheds={:g} timeouts={:g}".format(
-                service._sheds_total.value(), service._timeouts_total.value()
-            )
-        )
-    finally:
-        service.shutdown(wait=True)
-
-    # -- phase 2: campaign with crashing workers ------------------------
-    print(f"phase 2: {args.trials}-trial campaign, workers killed mid-job")
-    campaign = CampaignSpec(
-        name="chaos-drill",
-        scenarios=(
-            ScenarioSpec(
-                name="chaos",
-                shape="random:30:1",
-                ks=(1,),
-                ls=(1,),
-                seeds=tuple(range(args.trials)),
-            ),
-        ),
-    )
-    trials = campaign.trials()
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-        for trial in trials[1:4]:
-            arm_crash_once(tmp, trial)  # 3 transient worker crashes
-        arm_poison(tmp, trials[0])  # 1 trial that always kills its worker
-        os.environ[CHAOS_DIR_ENV] = tmp
-        try:
-            runner = CampaignRunner(
-                store=ResultStore(Path(tmp) / "results.jsonl"),
-                workers=args.workers,
-                retry=RetryPolicy(attempts=3, base_delay_s=0.01,
-                                  max_delay_s=0.05),
-                trial_fn=chaos_crash_trial,
-            )
-            started = time.monotonic()
-            report = runner.run(campaign, resume=False)
-        finally:
-            os.environ.pop(CHAOS_DIR_ENV, None)
-    check(
-        len(report.results) == args.trials - 1,
-        f"{len(report.results)}/{args.trials} trials recovered "
-        "(all but the poison trial)",
-    )
-    check(
-        report.retries >= 3,
-        f"crashed trials were retried on fresh workers "
-        f"(retries={report.retries})",
-    )
-    quarantined_keys = {rec["key"] for rec in report.quarantined}
-    check(
-        quarantined_keys == {trials[0].key()},
-        "exactly the poison trial was quarantined "
-        f"({len(report.quarantined)} record(s))",
-    )
-    print(f"  campaign wall time: {time.monotonic() - started:.1f}s")
-
-    if failures:
-        print(f"chaos drill FAILED: {len(failures)} violation(s)")
-        return 1
-    print("chaos drill passed: all resilience guarantees held")
     return 0
 
 
@@ -855,21 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
         "next to the store every SECONDS (0 = off)",
     )
     serve.set_defaults(func=cmd_serve)
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="resilience smoke drill: flaky store, deadlines, "
-        "backpressure, crashing workers",
-    )
-    chaos.add_argument(
-        "--trials", type=int, default=12, metavar="N",
-        help="campaign size for the worker-crash drill",
-    )
-    chaos.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="campaign process fan-out (crashes need workers >= 2)",
-    )
-    chaos.set_defaults(func=cmd_chaos)
 
     trace = sub.add_parser(
         "trace", help="render a JSONL span trace as a text flamegraph"

@@ -56,7 +56,6 @@ stays exact even under injected faults.
 from __future__ import annotations
 
 import heapq
-import warnings
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -292,10 +291,8 @@ class DynamicSPF:
         (backend, scheduler, shared caches) — the preferred way to run
         dynamics under an event-driven scheduler:
         ``DynamicSPF(..., session=Session(scheduler="random:1"))``.
-    engine:
-        Deprecated alias for ``session`` (warns): a pre-built engine;
-        the round counter carries over, so the initial solve and every
-        repair charge one clock.
+        The initial solve and every repair charge that one engine's
+        round counter.
     threshold:
         Dirty fraction above which a batch triggers a full re-solve
         instead of a regional repair wave.
@@ -310,23 +307,11 @@ class DynamicSPF:
         structure: AmoebotStructure,
         sources: Iterable[Node],
         destinations: Optional[Iterable[Node]] = None,
-        engine: Optional[CircuitEngine] = None,
         threshold: float = 0.2,
         faults: Optional[object] = None,
         *,
         session: Optional[object] = None,
     ):
-        if engine is not None:
-            warnings.warn(
-                "DynamicSPF(engine=...) is deprecated; pass "
-                "session=Session(scheduler=..., backend=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if session is not None:
-                raise ValueError("pass either engine or session, not both")
-        elif session is not None:
-            engine = session.engine_for(structure)
         self.sources: FrozenSet[Node] = frozenset(sources)
         if not self.sources:
             raise ValueError("need at least one source")
@@ -353,7 +338,11 @@ class DynamicSPF:
         self.faults = faults
         self._layout_cache = LayoutCache(maxsize=32)
         self._version = 0
-        self.engine = engine if engine is not None else CircuitEngine(structure)
+        self.engine = (
+            session.engine_for(structure)
+            if session is not None
+            else CircuitEngine(structure)
+        )
         self.engine.rebind(structure, self._layout_cache.scoped(self._version))
         self.repairs: List[RepairStats] = []
         self.forest: Forest

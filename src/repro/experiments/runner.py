@@ -1,42 +1,44 @@
 """Campaign execution: expand specs into trials, run them in parallel.
 
-The runner is deliberately split in two layers:
+A trial is a :class:`~repro.api.SolveRequest` on a worker session:
+:func:`execute_trial` runs ``trial.request()`` through
+:meth:`Session.run <repro.api.Session.run>` — the same pipeline as the
+CLI, library calls and daemon jobs — and copies the report into a
+:class:`TrialResult`.  The runner itself only orchestrates:
 
-* :func:`execute_trial` — a pure, module-level function from
-  :class:`TrialSpec` to :class:`TrialResult`.  Being top-level makes it
-  picklable, so the same function body runs inline (``workers <= 1``)
-  and inside :class:`~concurrent.futures.ProcessPoolExecutor` workers.
-* :class:`CampaignRunner` — orchestration: cache lookups against a
-  :class:`~repro.experiments.store.ResultStore`, worker fan-out, and
-  progress reporting.
+* :func:`execute_trial` is module-level, hence picklable, so the same
+  function body runs inline (``workers <= 1``) and inside
+  :class:`~concurrent.futures.ProcessPoolExecutor` workers.
+* :class:`CampaignRunner` does cache lookups against a
+  :class:`~repro.experiments.store.ResultStore`, worker fan-out,
+  retries and quarantine, and progress reporting.
 
-Determinism: a trial's source/destination sampling seed is derived from
-its content hash (:meth:`TrialSpec.sampling_seed`), never from runner
-state, so serial and parallel runs produce bit-identical records.
+Determinism: a trial's request is seeded with
+:meth:`TrialSpec.sampling_seed`, derived from its content hash, never
+from runner state, so serial and parallel runs produce bit-identical
+records.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import random
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
-from repro.experiments.spec import ALL_NODES, CampaignSpec, TrialSpec, expand_trials
+from repro.experiments.spec import CampaignSpec, TrialSpec, expand_trials
 from repro.experiments.store import ResultStore
-from repro.grid.coords import Node
 from repro.grid.oracle import structure_diameter
-from repro.grid.structure import AmoebotStructure
 from repro.obs import Tracer, trace_span, use_tracer
 from repro.resilience import CancellationToken, RetryPolicy
-from repro.sim.circuits import LayoutCache
-from repro.sim.engine import CircuitEngine
-from repro.workloads.samplers import sample_sources_destinations, spread_nodes
-from repro.workloads.specs import build_structure
+
+if TYPE_CHECKING:
+    from repro.api import Session
 
 logger = logging.getLogger("repro.experiments.runner")
 
@@ -55,37 +57,62 @@ _TRACE_DIR: Optional[str] = None
 
 
 def _set_trace_dir(path: Optional[str]) -> None:
-    """Install the trace spool directory (process-pool initializer)."""
+    """Install the trace spool directory."""
     global _TRACE_DIR
     _TRACE_DIR = path
 
-#: Process-wide layout cache shared by every trial a worker executes.
-#: Keys are scoped by the trial structure's node set, so trials over the
-#: same shape (different seeds, algorithms, or endpoint placements) reuse
-#: one frozen-and-compiled layout per wiring fingerprint instead of
-#: rebuilding and recompiling it per trial.  Bounded LRU: long campaigns
-#: with many distinct shapes cannot pin unbounded layout memory.
-_WORKER_LAYOUTS = LayoutCache(maxsize=128)
+
+class _NoStore(ResultStore):
+    """A result store that keeps nothing: the campaign store is the cache."""
+
+    def add(self, record: Mapping[str, object]) -> None:
+        pass
 
 
-def _trial_engine(structure: AmoebotStructure, scheduler: str = "") -> CircuitEngine:
-    """An engine whose layout cache is shared across the worker's trials.
+#: The process-wide session every trial a worker executes runs on.  Its
+#: structure LRU and layout cache are shared across trials, so trials
+#: over the same shape reuse one structure and one compiled layout per
+#: wiring.  Created on first use: :mod:`repro.api` imports this package.
+#: Threads racing on first use may each build one; all but one are
+#: dropped, which only loses their caches.
+_WORKER_SESSION: Optional["Session"] = None
 
-    A non-empty ``scheduler`` spec selects the event-driven
-    :class:`~repro.sched.ActivationEngine` (activation counts and
-    scheduler time become part of the trial record).
+
+def _worker_session() -> "Session":
+    global _WORKER_SESSION
+    if _WORKER_SESSION is None:
+        from repro.api import Session
+
+        _WORKER_SESSION = Session(store=_NoStore())
+    return _WORKER_SESSION
+
+
+def _init_worker(trace_dir: Optional[str]) -> None:
+    """Process-pool initializer: trace spool plus a session of its own.
+
+    A forked worker must not reuse the parent's session: one of the
+    parent's threads may have held the session lock at fork time.
     """
-    layouts = _WORKER_LAYOUTS.scoped(frozenset(structure.nodes))
-    if scheduler:
-        from repro.sched import ActivationEngine
+    global _WORKER_SESSION
+    _WORKER_SESSION = None
+    _set_trace_dir(trace_dir)
 
-        return ActivationEngine(structure, scheduler=scheduler, layouts=layouts)
-    return CircuitEngine(structure, layouts=layouts)
+
+#: Churn repair counters a churn trial records as its ``sections``.
+_REPAIR_COUNTERS = (
+    "edit_batches", "edit_ops", "repairs_patch", "repairs_full",
+    "repair_rounds", "wave_rounds", "dirty_nodes",
+)
 
 
 @dataclass
 class TrialResult:
-    """Everything measured for one executed trial."""
+    """Everything measured for one executed trial.
+
+    ``elapsed_s`` is the wall time of the trial's request on an already
+    built structure: endpoint picking, engine setup and the solve (plus
+    the churn and its repairs), never the shape's construction.
+    """
 
     key: str
     scenario: str
@@ -146,114 +173,17 @@ class TrialResult:
         return cls(**kwargs)  # type: ignore[arg-type]
 
 
-def _pick_endpoints(
-    structure: AmoebotStructure, trial: TrialSpec
-) -> Tuple[List[Node], List[Node]]:
-    """Choose sources and destinations per the trial's placement policy."""
-    ordered = sorted(structure.nodes)
-    n = len(ordered)
-    if trial.k > n:
-        raise ValueError(
-            f"trial {trial.key()}: k = {trial.k} exceeds structure size {n}"
-        )
-    want_all = trial.l == ALL_NODES
-    if not want_all and trial.k + trial.l > n:
-        # Reject rather than silently truncate: a record claiming l
-        # destinations must have been measured with exactly l.
-        raise ValueError(
-            f"trial {trial.key()}: cannot pick {trial.k}+{trial.l} "
-            f"disjoint nodes from {n}"
-        )
-
-    if trial.placement == "extremes":
-        sources = ordered[: trial.k]
-        destinations = list(ordered) if want_all else ordered[n - trial.l:]
-    elif trial.placement == "spread":
-        sources = spread_nodes(structure, trial.k)
-        if want_all:
-            destinations = list(ordered)
-        else:
-            chosen = set(sources)
-            destinations = [u for u in ordered if u not in chosen][: trial.l]
-    else:  # random
-        if want_all:
-            rng = random.Random(trial.sampling_seed())
-            sources = rng.sample(ordered, trial.k)
-            destinations = list(ordered)
-        else:
-            sources, destinations = sample_sources_destinations(
-                structure, trial.k, trial.l, seed=trial.sampling_seed()
-            )
-    if not destinations:
-        raise ValueError(f"trial {trial.key()}: no destinations (l = {trial.l})")
-    return sources, destinations
-
-
-def _execute_churn_trial(
-    trial: TrialSpec,
-    structure: AmoebotStructure,
-    sources: List[Node],
-    destinations: List[Node],
-) -> Tuple[int, int, Dict[str, int], int, Optional[float]]:
-    """Initial solve + churn/repair loop.
-
-    Returns ``(members, rounds, extras, activations, sched_time)``.
-
-    The dynamics engine owns its layout cache (the structure mutates
-    every batch, so the worker-wide shape-keyed cache does not apply).
-    Churn is seeded from the trial's content hash, so records are
-    reproducible across runs and worker counts.
-    """
-    from repro.api import Session
-    from repro.dynamics import DynamicSPF, generate_churn
-
-    # A per-trial session: churn mutates the structure, so nothing is
-    # shareable beyond the engine policy (scheduler spec, backend).
-    dyn = DynamicSPF(
-        structure,
-        sources,
-        destinations if trial.l != ALL_NODES else None,
-        session=Session(scheduler=trial.scheduler),
-    )
-    script = generate_churn(
-        structure,
-        trial.churn,
-        steps=trial.churn_steps,
-        batch_size=trial.churn_batch,
-        seed=trial.sampling_seed(),
-        protected=dyn.protected,
-    )
-    stats = dyn.apply_script(script)
-    extras: Dict[str, int] = {
-        "edit_batches": len(stats),
-        "edit_ops": sum(s.batch_ops for s in stats),
-        "repairs_patch": sum(1 for s in stats if s.mode == "patch"),
-        "repairs_full": sum(1 for s in stats if s.mode == "full"),
-        "repair_rounds": sum(s.rounds for s in stats),
-        "wave_rounds": sum(s.wave_rounds for s in stats),
-        "dirty_nodes": sum(s.dirty for s in stats),
-    }
-    sched_stats = getattr(dyn.engine, "stats", None)
-    sched_time = round(sched_stats.time, 6) if sched_stats is not None else None
-    return (
-        len(dyn.forest.members),
-        dyn.engine.rounds.total,
-        extras,
-        dyn.engine.rounds.activations,
-        sched_time,
-    )
-
-
 def execute_trial(trial: TrialSpec) -> TrialResult:
     """Run one trial and measure rounds, forest size and wall time.
 
-    When a trace spool directory is installed (``--trace-dir``), the
-    whole trial runs under a span tracer whose records are appended —
-    tagged with the trial key — to this process's
-    ``trials-<pid>.jsonl`` in that directory.
+    The trial always executes (``resume=False``): the campaign's store
+    is the only result cache.  When a trace spool directory is
+    installed (``--trace-dir``), the whole trial runs under a span
+    tracer whose records are appended — tagged with the trial key — to
+    this process's ``trials-<pid>.jsonl`` in that directory.
     """
     if _TRACE_DIR is None:
-        return _run_trial(trial)
+        return _run_request(trial)
     tracer = Tracer()
     with use_tracer(tracer):
         with trace_span(
@@ -263,7 +193,7 @@ def execute_trial(trial: TrialSpec) -> TrialResult:
             seed=trial.seed,
             algorithm=trial.algorithm,
         ) as span:
-            result = _run_trial(trial)
+            result = _run_request(trial)
             span.set(rounds=result.rounds)
     tracer.dump(
         os.path.join(_TRACE_DIR, f"trials-{os.getpid()}.jsonl"),
@@ -273,107 +203,39 @@ def execute_trial(trial: TrialSpec) -> TrialResult:
     return result
 
 
-def _run_trial(trial: TrialSpec) -> TrialResult:
-    """The untraced trial body (see :func:`execute_trial`)."""
-    with trace_span("build", shape=trial.shape):
-        structure = build_structure(trial.shape)
-        sources, destinations = _pick_endpoints(structure, trial)
-    resolved = trial.algorithm
-    start = time.perf_counter()
-
+def _run_request(trial: TrialSpec) -> TrialResult:
+    """The untraced trial body: ``trial.request()`` on the worker session."""
+    session = _worker_session()
+    # Build (or fetch) the shape first, so the request's timing starts
+    # on a built structure whether or not an earlier trial built it.
+    structure = session.structure(trial.shape)
+    report = session.run(trial.request(), resume=False)
     if trial.churn:
-        with trace_span("rounds", algorithm="dynamic") as churn_span:
-            (
-                members, total_rounds, extras, activations, sched_time,
-            ) = _execute_churn_trial(trial, structure, sources, destinations)
-            churn_span.set(rounds=total_rounds)
-        elapsed = time.perf_counter() - start
-        sections: Dict[str, int] = dict(extras)
-        return TrialResult(
-            key=trial.key(),
-            scenario=trial.scenario,
-            shape=trial.shape,
-            n=len(structure),
-            k=trial.k,
-            l=trial.l,
-            seed=trial.seed,
-            algorithm=trial.algorithm,
-            resolved="dynamic",
-            placement=trial.placement,
-            rounds=total_rounds,
-            forest_members=members,
-            elapsed_s=round(elapsed, 6),
-            diameter=(
-                structure_diameter(structure) if trial.measure_diameter else None
-            ),
-            sections=sections,
-            scheduler=trial.scheduler,
-            activations=activations,
-            sched_time=sched_time,
-        )
-
-    engine = _trial_engine(structure, trial.scheduler)
-    with trace_span("rounds", algorithm=trial.algorithm) as rounds_span:
-        if trial.algorithm == "auto":
-            from repro.spf.api import solve_spf
-
-            solution = solve_spf(structure, sources, destinations, engine=engine)
-            members = len(solution.forest.members)
-            resolved = solution.algorithm
-        elif trial.algorithm == "spt":
-            from repro.spf.spt import shortest_path_tree
-
-            spt = shortest_path_tree(engine, structure, sources[0], destinations)
-            members = len(spt.members)
-        elif trial.algorithm == "forest":
-            from repro.spf.forest import shortest_path_forest
-
-            forest = shortest_path_forest(
-                engine,
-                structure,
-                sources,
-                destinations if trial.l != ALL_NODES else None,
-            )
-            members = len(forest.members)
-        elif trial.algorithm == "sequential":
-            from repro.baselines.sequential_merge import sequential_merge_forest
-
-            forest = sequential_merge_forest(engine, structure, sources)
-            members = len(forest.members)
-        elif trial.algorithm == "wave":
-            from repro.baselines.bfs_wave import bfs_wave_forest
-
-            forest = bfs_wave_forest(
-                engine, structure, set(sources), set(destinations)
-            )
-            members = len(forest.members)
-        else:  # pragma: no cover - spec validation rejects this earlier
-            raise ValueError(f"unknown algorithm {trial.algorithm!r}")
-        rounds_span.set(algorithm=resolved, rounds=engine.rounds.total)
-
-    elapsed = time.perf_counter() - start
-    sched_stats = getattr(engine, "stats", None)
+        # The report describes the final structure; a churn trial
+        # records the size it started from and its repair counters.
+        n = report.repair["initial_n"]
+        sections = {name: report.repair[name] for name in _REPAIR_COUNTERS}
+    else:
+        n, sections = report.n, dict(report.sections)
     return TrialResult(
         key=trial.key(),
         scenario=trial.scenario,
         shape=trial.shape,
-        n=len(structure),
+        n=n,
         k=trial.k,
         l=trial.l,
         seed=trial.seed,
         algorithm=trial.algorithm,
-        resolved=resolved,
+        resolved=report.algorithm,
         placement=trial.placement,
-        rounds=engine.rounds.total,
-        forest_members=members,
-        elapsed_s=round(elapsed, 6),
+        rounds=report.rounds,
+        forest_members=report.forest_members,
+        elapsed_s=report.elapsed_s,
         diameter=structure_diameter(structure) if trial.measure_diameter else None,
-        sections=dict(engine.rounds.breakdown()),
+        sections=sections,
         scheduler=trial.scheduler,
-        activations=engine.rounds.activations,
-        sched_time=(
-            round(sched_stats.time, 6) if sched_stats is not None else None
-        ),
+        activations=report.activations,
+        sched_time=report.sched_time,
     )
 
 
@@ -648,7 +510,7 @@ class CampaignRunner:
             settled: set = set()
             with ProcessPoolExecutor(
                 max_workers=self.workers,
-                initializer=_set_trace_dir,
+                initializer=_init_worker,
                 initargs=(self.trace_dir,),
             ) as pool:
                 futures = {
@@ -696,7 +558,7 @@ class CampaignRunner:
                 try:
                     with ProcessPoolExecutor(
                         max_workers=1,
-                        initializer=_set_trace_dir,
+                        initializer=_init_worker,
                         initargs=(self.trace_dir,),
                     ) as solo:
                         result = solo.submit(self.trial_fn, trial).result()

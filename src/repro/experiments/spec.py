@@ -18,7 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.api import SolveRequest
 
 ALGORITHMS = ("auto", "spt", "forest", "sequential", "wave")
 PLACEMENTS = ("random", "spread", "extremes")
@@ -93,42 +96,40 @@ class TrialSpec:
     scheduler: str = ""
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise SpecError(f"k must be positive, got {self.k}")
-        _check_scheduler(self.scheduler)
-        if self.l < ALL_NODES:
-            raise SpecError(f"l must be >= 0 (0 = all nodes), got {self.l}")
-        if self.algorithm not in ALGORITHMS:
-            raise SpecError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
-            )
-        if self.placement not in PLACEMENTS:
-            raise SpecError(
-                f"unknown placement {self.placement!r}; expected one of {PLACEMENTS}"
-            )
-        if self.algorithm == "spt" and self.k != 1:
-            raise SpecError("algorithm 'spt' requires k = 1")
-        if self.algorithm == "sequential" and self.l != ALL_NODES:
-            # sequential_merge_forest spans the whole structure; a
-            # trial claiming l destinations would be mislabeled.
-            raise SpecError("algorithm 'sequential' requires l = 0 (all nodes)")
-        if self.churn not in CHURNS:
-            raise SpecError(
-                f"unknown churn kind {self.churn!r}; expected one of {CHURNS}"
-            )
-        if self.churn:
-            if self.algorithm != "auto":
-                raise SpecError("churn trials require algorithm 'auto'")
-            if self.churn_steps < 1:
-                raise SpecError(
-                    f"churn trials need churn_steps >= 1, got {self.churn_steps}"
-                )
-            if self.churn_batch < 1:
-                raise SpecError(
-                    f"churn_batch must be positive, got {self.churn_batch}"
-                )
-        elif self.churn_steps != 0:
-            raise SpecError("churn_steps given without a churn kind")
+        # One set of rules for trials and requests: a trial is valid
+        # exactly when the request it executes as is.
+        from repro.api import RequestError
+
+        try:
+            # The seed plays no part in validation: skip the hashing.
+            self._request(self.seed)
+        except RequestError as exc:
+            raise SpecError(str(exc)) from exc
+
+    def request(self) -> "SolveRequest":
+        """The :class:`~repro.api.SolveRequest` this trial executes as.
+
+        Endpoints and churn are sampled from :meth:`sampling_seed`, so
+        the request is as reproducible as the trial's content hash.
+        """
+        return self._request(self.sampling_seed())
+
+    def _request(self, seed: int) -> "SolveRequest":
+        from repro.api import SolveRequest
+
+        return SolveRequest(
+            kind="churn" if self.churn else "solve",
+            shape=self.shape,
+            k=self.k,
+            l=self.l,
+            seed=seed,
+            placement=self.placement,
+            algorithm=self.algorithm,
+            scheduler=self.scheduler,
+            churn=self.churn,
+            churn_steps=self.churn_steps,
+            churn_batch=self.churn_batch,
+        )
 
     def config(self) -> Dict[str, object]:
         """The identity-bearing configuration (scenario name excluded).

@@ -92,9 +92,9 @@ class CircuitEngine:
     layouts:
         Optional externally owned layout cache (plain or scoped).  When
         provided, ``layout_cache_size`` is ignored and the engine shares
-        the given cache — the campaign runner uses this to reuse one
-        compiled layout per wiring fingerprint across all trials a
-        worker process executes.
+        the given cache — a :class:`~repro.api.Session` uses this to
+        reuse one compiled layout per wiring fingerprint across every
+        request it executes.
     """
 
     def __init__(

@@ -89,7 +89,7 @@ def solve_spf(
     session's ``allow_holes`` policy applies when the kwarg is left at
     its default.  ``engine`` remains the low-level composition hook for
     callers that manage an engine's lifecycle themselves (the dynamics
-    layer, the campaign runner); it is mutually exclusive with
+    layer, the session's own pipelines); it is mutually exclusive with
     ``session``.  An event-driven scheduler is a session setting:
     ``session=Session(scheduler="random:1")``.
     """

@@ -1,7 +1,7 @@
 """Chaos injectors for the resilience layer (not a test module itself).
 
-Fault injectors shared by the chaos suite (``tests/test_chaos.py``) and
-the ``repro chaos`` smoke command:
+Fault injectors used by the chaos suite (``tests/test_chaos.py``) and
+the daemon tests:
 
 * :func:`chaos_crash_trial` — a picklable :func:`execute_trial` wrapper
   that kills its *worker process* (``os._exit``, no cleanup, no

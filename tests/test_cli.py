@@ -199,6 +199,39 @@ class TestChurnCommand:
         assert "faults:" in out
         assert "S" in out  # the rendered frame marks the source
 
+    @pytest.mark.parametrize("argv, fresh_rounds", [
+        (["--shape", "random:80:1", "-k", "1", "-l", "3", "--seed", "0",
+          "--kind", "growth", "--steps", "3", "--batch", "2"], 32),
+        # The reference solve stays synchronous under a scheduler.
+        (["--shape", "random:100:2", "--kind", "erosion", "--steps", "4",
+          "--scheduler", "random:2"], 34),
+    ])
+    def test_churn_prints_fresh_reference_solve(self, capsys, argv, fresh_rounds):
+        assert main(["churn", *argv]) == 0
+        out = capsys.readouterr().out
+        assert (
+            f"(one fresh solve on the final structure: {fresh_rounds} rounds)"
+            in out
+        )
+
+    @pytest.mark.parametrize("kind, shape, fresh_rounds", [
+        # Erosion removes nodes that were destinations of the initial
+        # solve; growth adds nodes that become destinations.
+        ("erosion", "random:100:2", 127),
+        ("growth", "random:80:1", 209),
+    ])
+    def test_fresh_reference_solve_with_all_nodes_as_destinations(
+        self, kind, shape, fresh_rounds
+    ):
+        from repro.api import Session
+        from repro.cli import _fresh_solve_rounds
+
+        report = Session().churn(
+            shape, k=2, l=0, seed=4, churn=kind, churn_steps=4, churn_batch=3
+        )
+        assert report.n != report.repair["initial_n"]
+        assert _fresh_solve_rounds(report) == fresh_rounds
+
     def test_churn_unknown_kind(self):
         with pytest.raises(SystemExit):
             main(["churn", "--shape", "hexagon:2", "--kind", "melt"])

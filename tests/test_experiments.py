@@ -141,18 +141,19 @@ class TestTrialKeys:
 
 class TestRunner:
     def test_worker_layout_cache_shared_across_trials(self):
-        # Trials over the same shape hit the worker-wide layout cache:
-        # the second execution reuses frozen-and-compiled layouts built
-        # by the first instead of recompiling them per trial.
-        from repro.experiments.runner import _WORKER_LAYOUTS
+        # Trials over the same shape hit the worker session's layout
+        # cache: the second execution reuses frozen-and-compiled layouts
+        # built by the first instead of recompiling them per trial.
+        from repro.experiments.runner import _worker_session
 
         first = TrialSpec(scenario="s", shape="hexagon:2", k=1, l=1, seed=0)
         second = TrialSpec(scenario="s", shape="hexagon:2", k=1, l=1, seed=1)
         execute_trial(first)
-        hits_before = _WORKER_LAYOUTS.hits
+        layouts = _worker_session().layouts
+        hits_before = layouts.hits
         result = execute_trial(second)
         assert result.rounds > 0
-        assert _WORKER_LAYOUTS.hits > hits_before
+        assert layouts.hits > hits_before
 
     def test_execute_trial_measures(self):
         trial = TrialSpec(

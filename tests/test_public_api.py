@@ -4,16 +4,14 @@ Two contracts live here:
 
 * ``repro.__all__`` names exactly the supported API — adding or
   removing an export is a deliberate, test-visible act.
-* The deprecated ``DynamicSPF(engine=)`` alias warns but behaves
-  identically to the session-based replacement.  ``solve_spf`` has no
-  scheduler kwarg: a scheduler is a ``Session`` setting.
+* No deprecated aliases remain: ``DynamicSPF`` takes its engine from a
+  ``session=``, and ``solve_spf`` has no scheduler kwarg — a scheduler
+  is a ``Session`` setting.
 """
 
 from __future__ import annotations
 
 import inspect
-
-import pytest
 
 import repro
 from repro import Session, SolveRequest, solve_spf
@@ -90,35 +88,18 @@ class TestPublicSurface:
 
         params = list(inspect.signature(DynamicSPF.__init__).parameters)
         assert params == [
-            "self", "structure", "sources", "destinations", "engine",
+            "self", "structure", "sources", "destinations",
             "threshold", "faults", "session",
         ]
 
 
 class TestDeprecatedAliases:
-    """The old ``DynamicSPF(engine=)`` kwarg warns and delegates, bit-identically."""
+    """The session-based paths raise no deprecation warnings."""
 
     def _instance(self):
         structure = random_hole_free(40, seed=3)
         nodes = sorted(structure.nodes)
         return structure, [nodes[0]], nodes[-3:]
-
-    def test_dynamic_spf_engine_kwarg_warns_and_matches(self):
-        from repro import CircuitEngine, DynamicSPF
-
-        structure, sources, destinations = self._instance()
-        with pytest.warns(DeprecationWarning, match="DynamicSPF.*deprecated"):
-            old = DynamicSPF(
-                structure, sources, destinations,
-                engine=CircuitEngine(structure),
-            )
-        structure2 = random_hole_free(40, seed=3)
-        nodes2 = sorted(structure2.nodes)
-        new = DynamicSPF(
-            structure2, [nodes2[0]], nodes2[-3:], session=Session()
-        )
-        assert old.forest.parent == new.forest.parent
-        assert old.engine.rounds.total == new.engine.rounds.total
 
     def test_session_path_does_not_warn(self, recwarn):
         structure, sources, destinations = self._instance()

@@ -71,6 +71,16 @@ class TestSolveRequest:
         with pytest.raises(RequestError, match="backend"):
             SolveRequest(backend="fortran")
 
+    def test_algorithm_constraints(self):
+        # A one-source tree cannot report k = 3, and the sequential
+        # baseline spans the whole structure, so it cannot report l = 5.
+        with pytest.raises(RequestError, match="'spt' requires k = 1"):
+            SolveRequest(shape="hexagon:4", k=3, l=5, algorithm="spt")
+        with pytest.raises(RequestError, match="'sequential' requires l = 0"):
+            SolveRequest(shape="hexagon:4", l=5, algorithm="sequential")
+        SolveRequest(shape="hexagon:4", k=1, l=5, algorithm="spt")
+        SolveRequest(shape="hexagon:4", k=3, l=0, algorithm="sequential")
+
 
 class TestSessionParity:
     """Request-built runs are bit-identical to direct solver calls."""
@@ -116,7 +126,8 @@ class TestSessionParity:
         assert churn.repair["edit_batches"] == 3
         assert len(churn.repair["batches"]) == 3
         assert churn.repair["initial_rounds"] > 0
-        assert churn.repair["fresh_rounds"] > 0
+        # The fresh reference solve is the CLI's own (see test_cli.py).
+        assert "fresh_rounds" not in churn.repair
 
     def test_report_round_trips_through_store_record(self):
         session = Session()
@@ -152,6 +163,45 @@ class TestSessionCaching:
         assert GRID_STATS.full_builds == 0
         assert LAYOUT_STATS.cache_hits > 0
         assert session.stats.structure_hits >= 1
+
+    def test_churn_shares_the_cached_structure_and_leaves_it_untouched(self):
+        session = Session()
+        structure = session.structure("random:60:1")
+        index = structure.grid_index()
+        nodes = structure.nodes
+        arrays = (list(index.nodes), bytes(index.nbr), bytes(index.deg),
+                  bytes(index.boundary), index.n_slots)
+        report = session.churn(
+            "random:60:1", k=2, l=3, seed=5, churn="mixed", churn_steps=4,
+            churn_batch=3,
+        )
+        assert report.repair["edit_ops"] > 0
+        assert session.stats.structures_built == 1
+        assert session.structure("random:60:1") is structure
+        assert structure.nodes == nodes
+        assert structure.grid_index() is index
+        assert (list(index.nodes), bytes(index.nbr), bytes(index.deg),
+                bytes(index.boundary), index.n_slots) == arrays
+
+    def test_churn_repairs_trace_under_the_rounds_span(self):
+        from repro.obs import Tracer, use_tracer
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            report = Session().churn(
+                "random:60:1", k=1, l=3, seed=0, churn="mixed", churn_steps=3,
+            )
+        records = tracer.records()
+        (rounds,) = [r for r in records if r["name"] == "rounds"]
+        repairs = [r for r in records if r["name"] == "repair"]
+        assert len(repairs) == 3
+        by_id = {r["id"]: r for r in records}
+        for repair in repairs:
+            parent = by_id[repair["parent"]]
+            while parent["name"] != "rounds":
+                parent = by_id[parent["parent"]]
+            assert parent is rounds
+        assert rounds["attrs"]["rounds"] == report.rounds
 
     def test_file_store_resumes_across_sessions(self, tmp_path):
         path = tmp_path / "reports.jsonl"
