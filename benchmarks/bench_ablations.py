@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices called out in DESIGN.md §5.
+"""Ablation benches for the reproduction's design choices.
 
 * axis choice for the divide & conquer split (X vs Y vs Z);
 * centroid-decomposition-ordered merging vs naive sequential merging;

@@ -12,27 +12,13 @@ patch-mode repairs must never build a layout from scratch — the wave
 layout is patched across structure versions through ``derive_for``, so
 ``LAYOUT_STATS`` shows incremental builds only.
 
-Run as a script to (re)generate ``BENCH_dynamics.json``::
-
-    PYTHONPATH=src:. python benchmarks/bench_dynamics.py --output BENCH_dynamics.json
-
 CI runs the pytest entry points with ``BENCH_QUICK=1`` as a perf smoke.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import statistics
-import sys
 from typing import Dict, List
-
-# Runnable as a plain script (`python benchmarks/bench_dynamics.py`):
-# the repository root must be importable for the repro package under
-# PYTHONPATH=src plus this file's own module.  Mirrors check_regression.
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-if _ROOT not in sys.path:
-    sys.path.insert(0, _ROOT)
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 SIZES = (100,) if QUICK else (100, 200, 400)
@@ -46,8 +32,8 @@ def churn_repair_run(
 
     Batch sizes are capped at 5% of ``n`` so every batch qualifies as
     "localized" per the dynamics acceptance claim.  Returns one record
-    per batch with the repair rounds, the rounds a from-scratch solve
-    on the *same edited structure* costs, and the dirty-region size.
+    per batch with its repair mode, the repair rounds, and the rounds a
+    from-scratch solve on the *same edited structure* costs.
     """
     from repro.dynamics import DynamicSPF, generate_churn
     from repro.sim.circuits import LAYOUT_STATS
@@ -77,9 +63,6 @@ def churn_repair_run(
                 f"{resolve.rounds} — the dynamics claim is broken"
             )
         records.append({
-            "n": len(dyn.structure),
-            "ops": stats.batch_ops,
-            "dirty": stats.dirty,
             "mode": stats.mode,
             "repair_rounds": stats.rounds,
             "full_rounds": resolve.rounds,
@@ -131,59 +114,3 @@ def test_repair_beats_resolve():
 def test_layout_reuse_contract():
     """Pytest entry: derive hits, not rebuilds, during repairs."""
     layout_reuse_contract()
-
-
-def main(argv: List[str] | None = None) -> int:
-    """Generate ``BENCH_dynamics.json`` from fresh measurements."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_dynamics.json")
-    parser.add_argument("--steps", type=int, default=STEPS)
-    args = parser.parse_args(argv)
-
-    layout_reuse_contract()
-    workloads: Dict[str, Dict[str, object]] = {}
-    for n in SIZES:
-        for kind in ("growth", "erosion", "tunnel", "block_move"):
-            records = churn_repair_run(n, kind, steps=args.steps)
-            patch = [r for r in records if r["mode"] == "patch"]
-            if not patch:
-                continue
-            repair = statistics.median(r["repair_rounds"] for r in patch)
-            full = statistics.median(r["full_rounds"] for r in patch)
-            name = f"churn_{kind}_n{n}"
-            workloads[name] = {
-                "repair_rounds_median": repair,
-                "full_solve_rounds_median": full,
-                "round_speedup": round(full / max(repair, 1), 2),
-                "batches": len(records),
-                "patched": len(patch),
-                "dirty_median": statistics.median(r["dirty"] for r in patch),
-            }
-            print(
-                f"{name}: repair {repair} vs full {full} rounds "
-                f"({workloads[name]['round_speedup']}x)"
-            )
-    payload = {
-        "description": (
-            "Synchronous-round cost of incremental SPF repair under "
-            "localized churn (each batch edits <= 2.5% of the nodes) "
-            "versus a from-scratch solve_spf on the same edited "
-            "structure.  Repaired forests are bit-identical to the "
-            "fresh solve (asserted per batch); patch-mode repairs "
-            "never rebuild a layout from scratch (derive-chain "
-            "contract, asserted).  Medians over all patch-mode batches "
-            "of seeded churn scripts."
-        ),
-        "workloads": workloads,
-    }
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.output}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -18,24 +18,14 @@ asserts ``spans x per_call`` against 2% of the measured solve time.
 That is immune to scheduler noise, which an equal-work A/B comparison
 at the 2% level is not.
 
-Run quick in CI via ``BENCH_QUICK=1`` (shrinks the instance).  Running
-the module as a script writes ``BENCH_obs.json``, which doubles as a
-``check_regression.py`` baseline (``build_s`` carries structure+index
-construction, ``rounds_s`` the solve under a disabled tracer).
+Run quick in CI via ``BENCH_QUICK=1`` (shrinks the instance).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import statistics
-import sys
 import time
-from typing import Dict, List
-
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-if _ROOT not in sys.path:
-    sys.path.insert(0, _ROOT)
+from typing import Dict
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 N = 600 if QUICK else 2000
@@ -64,10 +54,8 @@ def tracer_overhead(n: int = N) -> Dict[str, float]:
     from repro.obs import Tracer, trace_span, use_tracer
     from repro.workloads import random_hole_free
 
-    start = time.perf_counter()
     structure = random_hole_free(n, seed=SEED)
     structure.grid_index()
-    build_s = time.perf_counter() - start
 
     start = time.perf_counter()
     untraced = _solve(structure)
@@ -86,8 +74,6 @@ def tracer_overhead(n: int = N) -> Dict[str, float]:
 
     overhead_s = spans * per_call_s
     return {
-        "build_s": build_s,
-        "rounds_s": solve_s,
         "n": n,
         "rounds": untraced.rounds,
         "spans": spans,
@@ -98,13 +84,7 @@ def tracer_overhead(n: int = N) -> Dict[str, float]:
 
 
 def phase_trace_coverage(n: int = N) -> Dict[str, float]:
-    """Solve under a phase tracer; report span coverage of the root.
-
-    ``build_s``/``rounds_s`` come from the *spans themselves* (the
-    ``build`` and ``rounds`` children of the root ``solve`` span), so a
-    drift in this workload localizes exactly like a flamegraph would
-    show it.
-    """
+    """Solve under a phase tracer; report span coverage of the root."""
     from repro.api import Session, SolveRequest
     from repro.obs import Tracer, use_tracer
 
@@ -115,11 +95,9 @@ def phase_trace_coverage(n: int = N) -> Dict[str, float]:
         )
     records = tracer.records()
     (root,) = [r for r in records if r["parent"] is None]
-    children = {r["name"]: r for r in records if r["parent"] == root["id"]}
-    coverage = sum(r["dur_s"] for r in children.values()) / root["dur_s"]
+    children = [r for r in records if r["parent"] == root["id"]]
+    coverage = sum(r["dur_s"] for r in children) / root["dur_s"]
     return {
-        "build_s": children["build"]["dur_s"],
-        "rounds_s": children["rounds"]["dur_s"],
         "n": n,
         "rounds": report.rounds,
         "spans": len(records),
@@ -143,7 +121,6 @@ def metrics_scrape(scrapes: int = SCRAPES) -> Dict[str, float]:
         validate_prometheus_text,
     )
 
-    start = time.perf_counter()
     registry = register_process_views(MetricsRegistry())
     jobs = registry.counter("repro_jobs_total", "Jobs by state.")
     latency = registry.histogram(
@@ -157,7 +134,6 @@ def metrics_scrape(scrapes: int = SCRAPES) -> Dict[str, float]:
             kind=("solve", "route", "campaign")[i % 3],
             cached=("true", "false")[i % 2],
         )
-    build_s = time.perf_counter() - start
 
     body = registry.render_prometheus()
     problems = validate_prometheus_text(body)
@@ -166,13 +142,11 @@ def metrics_scrape(scrapes: int = SCRAPES) -> Dict[str, float]:
     start = time.perf_counter()
     for _ in range(scrapes):
         registry.render_prometheus()
-    rounds_s = time.perf_counter() - start
+    elapsed_s = time.perf_counter() - start
     return {
-        "build_s": build_s,
-        "rounds_s": rounds_s,
         "scrapes": scrapes,
         "body_bytes": len(body),
-        "scrape_ms": round(1000.0 * rounds_s / scrapes, 3),
+        "scrape_ms": round(1000.0 * elapsed_s / scrapes, 3),
     }
 
 
@@ -202,62 +176,3 @@ def test_metrics_scrape_is_cheap_and_valid():
     # A scrape of a populated registry must cost well under a typical
     # 1s-interval scraper's budget.
     assert result["scrape_ms"] < 50.0, result
-
-
-# ----------------------------------------------------------------------
-# scribe mode: python benchmarks/bench_obs.py
-# ----------------------------------------------------------------------
-
-
-def main() -> int:
-    """Measure and write ``BENCH_obs.json``."""
-    repeats = 3
-    workload_fns = {
-        "obs_tracer_off": tracer_overhead,
-        "obs_tracer_phase": phase_trace_coverage,
-        "obs_metrics_scrape": metrics_scrape,
-    }
-    workloads: Dict[str, Dict[str, object]] = {}
-    for name, fn in workload_fns.items():
-        fn()  # warm-up: imports, caches, pyc compilation
-        runs: List[Dict[str, float]] = []
-        totals: List[float] = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            runs.append(fn())
-            totals.append(round(time.perf_counter() - start, 6))
-        median = statistics.median
-        detail = runs[len(runs) // 2]
-        workloads[name] = {
-            "after_s": median(totals),
-            "build_s": median([r["build_s"] for r in runs]),
-            "rounds_s": median([r["rounds_s"] for r in runs]),
-            "backend": "python",
-            "detail": {
-                k: v for k, v in detail.items() if k not in ("build_s", "rounds_s")
-            },
-        }
-        print(f"measured {name}: {json.dumps(workloads[name], sort_keys=True)}")
-    payload = {
-        "description": (
-            "Telemetry overhead: obs_tracer_off solves random:2000 with no "
-            "tracer active and bounds the disabled trace_span cost at "
-            "spans x per-call (contract: <= 2% of the solve); "
-            "obs_tracer_phase solves under a phase tracer (contract: child "
-            "spans cover >= 90% of the root, rounds bit-identical); "
-            "obs_metrics_scrape renders the Prometheus exposition of a "
-            "daemon-shaped registry. after_s medians gate "
-            "check_regression.py."
-        ),
-        "instance": {"shape": f"random:{N}:{SEED}", "scrapes": SCRAPES},
-        "workloads": workloads,
-    }
-    with open("BENCH_obs.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    print("wrote BENCH_obs.json")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

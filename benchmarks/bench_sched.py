@@ -1,4 +1,4 @@
-"""Scheduler cost contract (CI perf-smoke) and BENCH_sched.json scribe.
+"""Scheduler cost contract (CI perf-smoke).
 
 The event-driven :class:`~repro.sched.ActivationEngine` promises two
 things the benchmarks pin down on the standard ``random:200:7``
@@ -11,24 +11,15 @@ instance:
   (sync < adversarial-with-few-victims < random/weighted), which is the
   measurable quantity the scheduler axis exists for.
 
-Run quick in CI via ``BENCH_QUICK=1`` (shrinks the instance).  Running
-the module as a script measures rounds-vs-activations medians per
-scheduler and writes ``BENCH_sched.json``, which doubles as a
-``check_regression.py`` baseline.
+Run quick in CI via ``BENCH_QUICK=1`` (shrinks the instance).  The exact
+per-scheduler activation counts on ``random:200:7`` are pinned in
+``tests/test_sched.py``.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import statistics
-import sys
-import time
 from typing import Dict
-
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-if _ROOT not in sys.path:
-    sys.path.insert(0, _ROOT)
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 N = 60 if QUICK else 200
@@ -39,32 +30,19 @@ K = 1
 SCHEDULERS = ("sync", "random:1", "adversarial:4", "weighted:1")
 
 
-def sched_solve(spec: str, n: int = N, seed: int = SEED, k: int = K) -> Dict[str, float]:
-    """One SSSP solve under ``spec``; phases plus cost counters.
-
-    Returns the ``check_regression.py`` phase dict (``build_s`` /
-    ``rounds_s``) extended with the run's deterministic cost counters
-    (``rounds``, ``activations``, ``time``).
-    """
+def sched_solve(spec: str, n: int = N, seed: int = SEED, k: int = K) -> Dict[str, int]:
+    """One SSSP solve under ``spec``; its ``rounds`` and ``activations``."""
     from repro.sched import ActivationEngine
     from repro.spf.api import solve_spf
     from repro.workloads import random_hole_free
 
-    start = time.perf_counter()
     structure = random_hole_free(n, seed=seed)
-    structure.grid_index()
     nodes = sorted(structure.nodes)
     engine = ActivationEngine(structure, scheduler=spec)
-    build_s = time.perf_counter() - start
-    start = time.perf_counter()
     solution = solve_spf(structure, nodes[:k], list(structure.nodes), engine=engine)
-    rounds_s = time.perf_counter() - start
     return {
-        "build_s": build_s,
-        "rounds_s": rounds_s,
         "rounds": solution.rounds,
         "activations": solution.activations,
-        "time": round(engine.stats.time, 3),
     }
 
 
@@ -100,59 +78,3 @@ def test_async_schedulers_cost_more_activations():
             "wasted wake-ups must make asynchronous schedules strictly "
             "more expensive"
         )
-
-
-# ----------------------------------------------------------------------
-# baseline scribe (python benchmarks/bench_sched.py)
-# ----------------------------------------------------------------------
-
-
-def main(repeats: int = 3, path: str = "BENCH_sched.json") -> int:
-    """Measure every scheduler and write the committed baseline."""
-    workloads: Dict[str, Dict[str, object]] = {}
-    for spec in SCHEDULERS:
-        sched_solve(spec)  # warm-up: imports, caches, pyc compilation
-        runs = []
-        phase_runs = {"build_s": [], "rounds_s": []}
-        counters: Dict[str, float] = {}
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = sched_solve(spec)
-            runs.append(round(time.perf_counter() - start, 6))
-            for phase in phase_runs:
-                phase_runs[phase].append(round(result[phase], 6))
-            counters = {
-                "rounds": result["rounds"],
-                "activations": result["activations"],
-                "time": result["time"],
-            }
-        name = f"sched_{spec.split(':')[0]}_random{N}"
-        workloads[name] = {
-            "after_s": statistics.median(runs),
-            "build_s": statistics.median(phase_runs["build_s"]),
-            "rounds_s": statistics.median(phase_runs["rounds_s"]),
-            "detail": {"scheduler": spec, **counters},
-        }
-        print(
-            f"measured {name}: median {workloads[name]['after_s']:.3f}s, "
-            f"{counters['rounds']} rounds, {counters['activations']} activations"
-        )
-    payload = {
-        "description": (
-            "Event-driven scheduler cost on the standard random:%d:%d SSSP "
-            "instance: round totals are scheduler-invariant, activation "
-            "counts are the per-scheduler cost (deterministic per seed). "
-            "after_s medians gate check_regression.py." % (N, SEED)
-        ),
-        "instance": {"shape": f"random:{N}:{SEED}", "k": K, "l": "all"},
-        "workloads": workloads,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    print(f"wrote {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

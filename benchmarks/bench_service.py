@@ -11,25 +11,15 @@ fetch from N concurrent client threads), so the measured latency
 includes serialization, the socket, the queue, and the worker pool —
 everything a user of ``repro serve`` actually experiences.
 
-Run quick in CI via ``BENCH_QUICK=1`` (shrinks the instance).  Running
-the module as a script writes ``BENCH_service.json``, which doubles as
-a ``check_regression.py`` baseline (``build_s`` carries the cold p50,
-``rounds_s`` the warm p50).
+Run quick in CI via ``BENCH_QUICK=1`` (shrinks the instance).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import statistics
-import sys
 import threading
 import time
 from typing import Dict, List
-
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-if _ROOT not in sys.path:
-    sys.path.insert(0, _ROOT)
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 CLIENTS = 8
@@ -51,9 +41,7 @@ def service_roundtrip(
     Starts an HTTP daemon on an ephemeral port, fires ``clients``
     concurrent client threads each submitting its own solve request
     (distinct seeds — every cold job is real work), then repeats the
-    identical jobs for the warm pass.  Returns the
-    ``check_regression.py`` phase dict (``build_s`` = cold p50,
-    ``rounds_s`` = warm p50) extended with the latency distribution
+    identical jobs for the warm pass.  Returns the latency distribution
     and the daemon-reported cache hit rate.
     """
     from repro.api import SolveRequest
@@ -98,8 +86,6 @@ def service_roundtrip(
         thread.join(timeout=30)
 
     return {
-        "build_s": _pct(cold, 0.50),
-        "rounds_s": _pct(warm, 0.50),
         "clients": clients,
         "cold_p50_s": _pct(cold, 0.50),
         "cold_p99_s": _pct(cold, 0.99),
@@ -124,63 +110,3 @@ def test_service_sustains_concurrent_clients_with_cache_speedup():
     # The acceptance bar: a warm-cache repeat is at least 5x cheaper
     # than the cold first submission of the same job.
     assert result["cold_p50_s"] >= 5 * result["warm_p50_s"], result
-
-
-# ----------------------------------------------------------------------
-# scribe mode: python benchmarks/bench_service.py
-# ----------------------------------------------------------------------
-
-
-def main() -> int:
-    """Measure and write ``BENCH_service.json``."""
-    repeats = 3
-    runs: List[Dict[str, float]] = []
-    totals: List[float] = []
-    service_roundtrip()  # warm-up: imports, pyc, thread machinery
-    for _ in range(repeats):
-        start = time.perf_counter()
-        runs.append(service_roundtrip())
-        totals.append(round(time.perf_counter() - start, 6))
-    median = statistics.median
-    result = runs[len(runs) // 2]
-    payload = {
-        "description": (
-            "Solver-daemon HTTP round trips: 8 concurrent clients submit "
-            "solve jobs cold, then repeat them warm against the session's "
-            "content-hash result store. build_s = cold p50, rounds_s = "
-            "warm p50; the service contract is warm >= 5x faster. "
-            "after_s medians gate check_regression.py."
-        ),
-        "instance": {
-            "clients": CLIENTS,
-            "shape": f"random:{N}:*",
-            "workers": WORKERS,
-        },
-        "workloads": {
-            "service_roundtrip": {
-                "after_s": median(totals),
-                "build_s": median([r["build_s"] for r in runs]),
-                "rounds_s": median([r["rounds_s"] for r in runs]),
-                "backend": "python",
-                "detail": {
-                    "clients": result["clients"],
-                    "hit_rate": result["hit_rate"],
-                    "cold_p50_s": result["cold_p50_s"],
-                    "cold_p99_s": result["cold_p99_s"],
-                    "warm_p50_s": result["warm_p50_s"],
-                    "warm_p99_s": result["warm_p99_s"],
-                    "speedup": result["speedup"],
-                },
-            },
-        },
-    }
-    with open("BENCH_service.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    print(json.dumps(payload["workloads"]["service_roundtrip"], indent=2))
-    print("wrote BENCH_service.json")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,11 +1,13 @@
 """Shared helpers for the benchmark harness.
 
-Every bench regenerates one experiment of DESIGN.md's index: it prints a
-table of *measured synchronous rounds* next to the paper's asymptotic
-claim, checks the growth shape, and times the simulator via
-pytest-benchmark.  Absolute round constants are implementation-specific;
-the shapes (flat / logarithmic / polylogarithmic / linear) are what the
-paper proves and what these benches validate.
+Every paper-claim bench regenerates one of the paper's round results
+(the T2–T5 tables: Theorem 39, Theorem 56, Lemma 4; see the README's
+*Tests and benchmarks*): it prints a table of *measured synchronous
+rounds* next to the paper's asymptotic claim, checks the growth shape,
+and times the simulator via pytest-benchmark.  Absolute round constants
+are implementation-specific; the shapes (flat / logarithmic /
+polylogarithmic / linear) are what the paper proves and what these
+benches validate.
 """
 
 from __future__ import annotations

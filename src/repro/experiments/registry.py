@@ -4,7 +4,7 @@ The registry keeps scenario definitions *as data*, so the CLI, the
 sweeps, the benchmark harness, and user scripts all name the same
 experiments.  ``*-small`` variants are the quick versions used by
 ``repro sweep`` and CI smoke runs; the full versions reproduce the
-benchmark sweeps (T2/T3/T4 of DESIGN.md's index).
+benchmark sweeps (the T2/T3/T4 round tables of Theorems 39 and 56).
 """
 
 from __future__ import annotations

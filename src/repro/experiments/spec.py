@@ -26,11 +26,6 @@ if TYPE_CHECKING:
 ALGORITHMS = ("auto", "spt", "forest", "sequential", "wave")
 PLACEMENTS = ("random", "spread", "extremes")
 
-#: Churn flavors a scenario may request (mirrors
-#: :data:`repro.dynamics.edits.CHURN_KINDS`; duplicated as a literal so
-#: spec validation never imports the simulator).
-CHURNS = ("", "growth", "erosion", "tunnel", "block_move", "mixed")
-
 #: Scheduler base names a trial may request (mirrors
 #: :data:`repro.sched.schedulers.SCHEDULER_NAMES`; duplicated as a
 #: literal so spec validation never imports the simulator).  A spec is
@@ -59,15 +54,14 @@ def content_key(config: Mapping[str, object]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
 
 
-def _check_scheduler(spec: str, context: str = "") -> None:
+def _check_scheduler(spec: str) -> None:
     """Validate a scheduler spec string (``""`` or ``NAME[:params]``)."""
     if not spec:
         return
     base = spec.split(":", 1)[0]
     if base not in SCHEDULERS:
-        where = f"scenario {context!r}: " if context else ""
         raise SpecError(
-            f"{where}unknown scheduler {spec!r}; expected '' or one of "
+            f"unknown scheduler {spec!r}; expected '' or one of "
             f"{SCHEDULERS} (optionally with ':'-separated parameters)"
         )
 
@@ -253,7 +247,8 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise SpecError("scenario name must be non-empty")
-        object.__setattr__(self, "schedulers", tuple(self.schedulers))
+        for attr in ("sizes", "ks", "ls", "seeds", "schedulers"):
+            object.__setattr__(self, attr, tuple(getattr(self, attr)))
         if not self.schedulers:
             raise SpecError(f"scenario {self.name!r}: empty scheduler axis")
         for sched in self.schedulers:
@@ -262,7 +257,6 @@ class ScenarioSpec:
                     f"scenario {self.name!r}: scheduler entries must be "
                     f"strings, got {sched!r}"
                 )
-            _check_scheduler(sched, context=self.name)
         has_placeholder = "{n}" in self.shape
         if has_placeholder and not self.sizes:
             raise SpecError(
@@ -274,46 +268,14 @@ class ScenarioSpec:
                 f"scenario {self.name!r}: sizes given but shape "
                 f"{self.shape!r} has no {{n}} placeholder"
             )
-        for attr in ("sizes", "ks", "ls", "seeds"):
-            object.__setattr__(self, attr, tuple(getattr(self, attr)))
         if not self.ks or not self.ls or not self.seeds:
             raise SpecError(f"scenario {self.name!r}: empty axis")
-        if self.algorithm not in ALGORITHMS:
-            raise SpecError(
-                f"scenario {self.name!r}: unknown algorithm "
-                f"{self.algorithm!r}; expected one of {ALGORITHMS}"
-            )
-        if self.placement not in PLACEMENTS:
-            raise SpecError(
-                f"scenario {self.name!r}: unknown placement "
-                f"{self.placement!r}; expected one of {PLACEMENTS}"
-            )
-        if self.algorithm == "spt" and any(k != 1 for k in self.ks):
-            raise SpecError(
-                f"scenario {self.name!r}: algorithm 'spt' requires k = 1"
-            )
-        if self.algorithm == "sequential" and any(l != ALL_NODES for l in self.ls):
-            raise SpecError(
-                f"scenario {self.name!r}: algorithm 'sequential' requires "
-                "l = 0 (all nodes)"
-            )
-        if self.churn not in CHURNS:
-            raise SpecError(
-                f"scenario {self.name!r}: unknown churn kind {self.churn!r}; "
-                f"expected one of {CHURNS}"
-            )
-        if self.churn and self.algorithm != "auto":
-            raise SpecError(
-                f"scenario {self.name!r}: churn scenarios require algorithm 'auto'"
-            )
-        if self.churn and self.churn_steps < 1:
-            raise SpecError(
-                f"scenario {self.name!r}: churn scenarios need churn_steps >= 1"
-            )
-        if not self.churn and self.churn_steps != 0:
-            raise SpecError(
-                f"scenario {self.name!r}: churn_steps given without a churn kind"
-            )
+        # Every other rule is a trial's: a scenario is valid exactly
+        # when each trial it expands to is.
+        try:
+            self.trials()
+        except SpecError as exc:
+            raise SpecError(f"scenario {self.name!r}: {exc}") from exc
 
     def trials(self) -> List[TrialSpec]:
         """Expand the grid into concrete trials (deduplicated, ordered)."""

@@ -1,7 +1,8 @@
 """Lightweight experiment records and text tables for benches.
 
-The benchmark harness prints, for every experiment of DESIGN.md's index,
-a table of measured round counts next to the paper's asymptotic claim.
+The benchmark harness prints, for every paper result it reproduces (the
+README's *Tests and benchmarks*), a table of measured round counts next
+to the paper's asymptotic claim.
 ``ResultTable`` renders aligned monospace tables; ``ExperimentRecord``
 carries one row worth of data plus fitted-model diagnostics.
 """

@@ -1,4 +1,4 @@
-"""Axis-choice ablation (DESIGN.md §5, item 4).
+"""Axis-choice ablation (the axis rows of ``benchmarks/bench_ablations.py``).
 
 The divide & conquer algorithm splits along one axis's portals; the
 paper picks it arbitrarily.  Correctness must hold for all three axes,

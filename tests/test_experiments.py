@@ -87,6 +87,10 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match=fragment):
             ScenarioSpec.from_dict(data)
 
+    def test_trial_rule_rejection_names_the_scenario(self):
+        with pytest.raises(SpecError, match="^scenario 'lopsided': .*requires k = 1"):
+            ScenarioSpec(name="lopsided", shape="hexagon:2", ks=(1, 2), algorithm="spt")
+
     def test_bad_campaigns_rejected(self):
         with pytest.raises(SpecError, match="no scenarios"):
             CampaignSpec.from_dict({"name": "empty"})

@@ -152,6 +152,28 @@ class TestSchedulerDeterminism:
         assert solution.rounds == plain.rounds
         assert solution.forest.parent == plain.forest.parent
 
+    @pytest.mark.parametrize(
+        "spec,expected",
+        [
+            ("sync", (56, 11200, 56.0)),
+            ("random:1", (56, 67894, 341.808)),
+            ("adversarial:4", (56, 32214, 179.0)),
+            ("weighted:1", (56, 101633, 415.566)),
+        ],
+    )
+    def test_pinned_activation_costs(self, spec, expected):
+        # SSSP on random:200:7 from its smallest node: the rounds are
+        # scheduler-invariant, the activations and scheduler time are
+        # each scheduler's deterministic cost.
+        structure = random_hole_free(200, seed=7)
+        source = min(structure.nodes)
+        solution, engine = _solve(structure, [source], list(structure.nodes), spec)
+        assert (
+            solution.rounds,
+            solution.activations,
+            round(engine.stats.time, 3),
+        ) == expected
+
 
 # ----------------------------------------------------------------------
 # scheduler-specific behavior
