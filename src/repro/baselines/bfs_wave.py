@@ -25,8 +25,29 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.grid.coords import Node
 from repro.grid.directions import Direction
 from repro.grid.structure import AmoebotStructure
+from repro.sim.circuits import CircuitLayout
 from repro.sim.engine import CircuitEngine
 from repro.spf.types import Forest
+
+
+def wave_set_label(direction: Direction) -> str:
+    """The singleton partition set of an amoebot's link toward ``direction``."""
+    return f"wave:{direction.name}"
+
+
+def build_wave_layout(engine: CircuitEngine, structure: AmoebotStructure) -> CircuitLayout:
+    """Singleton pin configuration: one partition set per incident link.
+
+    Shared by the BFS wave baseline and the dynamic repair wave
+    (:class:`repro.dynamics.maintain.DynamicSPF`), which derives it
+    across structure versions.
+    """
+    layout = engine.new_layout()
+    for u in structure:
+        for d in structure.occupied_directions(u):
+            layout.assign(u, wave_set_label(d), [(d, 0)])
+    layout.freeze()
+    return layout
 
 
 def bfs_wave_forest(
@@ -45,21 +66,13 @@ def bfs_wave_forest(
     )
     pending = set(dest_set) - source_set
 
-    # Singleton pin configuration: one partition set per incident link.
     # The wiring never changes, so the layout is built once (and cached
-    # on the engine for repeated waves over the same structure).
-    def build_wave_layout():
-        layout = engine.new_layout()
-        for u in structure:
-            for d in structure.occupied_directions(u):
-                layout.assign(u, f"wave:{d.name}", [(d, 0)])
-        layout.freeze()
-        return layout
-
-    # The key carries the node set: callers may run waves over
+    # on the engine for repeated waves over the same structure).  The
+    # key carries the node set: callers may run waves over
     # sub-structures of the engine's structure.
     layout = engine.layouts.get_or_build(
-        ("bfs-wave", 0, structure.nodes), build_wave_layout
+        ("bfs-wave", 0, structure.nodes),
+        lambda: build_wave_layout(engine, structure),
     )
 
     parent: Dict[Node, Node] = {}
@@ -73,7 +86,7 @@ def bfs_wave_forest(
     index = layout.compiled().index
     slots: Dict[Node, List[Tuple[Direction, int]]] = {
         u: [
-            (d, index.index_of((u, f"wave:{d.name}"), "listen on"))
+            (d, index.index_of((u, wave_set_label(d)), "listen on"))
             for d in structure.occupied_directions(u)
         ]
         for u in structure

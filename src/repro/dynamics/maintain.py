@@ -59,6 +59,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from repro.baselines.bfs_wave import build_wave_layout, wave_set_label
 from repro.dynamics.edits import EditBatch, EditError, EditScript, StructureEditor
 from repro.grid.coords import Node
 from repro.grid.directions import opposite
@@ -272,9 +273,6 @@ class RepairStats:
         return self.dirty / max(self.structure_size, 1)
 
 
-_WAVE = "wave:{}"
-
-
 class DynamicSPF:
     """An (S, D)-shortest-path forest maintained under structure edits.
 
@@ -349,7 +347,7 @@ class DynamicSPF:
         self.dist: Dict[Node, int]
         self._parent: Dict[Node, Node] = {}
         self._solve_full()
-        self._wave_layout = self._build_wave_layout()
+        self._wave_layout = build_wave_layout(self.engine, self.structure)
 
     @property
     def protected(self) -> FrozenSet[Node]:
@@ -389,14 +387,6 @@ class DynamicSPF:
     # ------------------------------------------------------------------
     # wave layout maintenance (derive chain across structure versions)
     # ------------------------------------------------------------------
-    def _build_wave_layout(self) -> CircuitLayout:
-        layout = self.engine.new_layout()
-        for u in self.structure:
-            for d in self.structure.occupied_directions(u):
-                layout.assign(u, _WAVE.format(d.name), [(d, 0)])
-        layout.freeze()
-        return layout
-
     def _derive_wave_layout(
         self,
         old_structure: AmoebotStructure,
@@ -416,15 +406,15 @@ class DynamicSPF:
         clone = self._wave_layout.derive_for(new_structure)
         for r in removed:
             for d in old_structure.occupied_directions(r):
-                clone.release(r, _WAVE.format(d.name))
+                clone.release(r, wave_set_label(d))
                 v = r.neighbor(d)
                 if v in new_structure:
-                    clone.release(v, _WAVE.format(opposite(d).name))
+                    clone.release(v, wave_set_label(opposite(d)))
         for a in added:
             for d in new_structure.occupied_directions(a):
-                clone.assign(a, _WAVE.format(d.name), [(d, 0)])
+                clone.assign(a, wave_set_label(d), [(d, 0)])
                 back = opposite(d)
-                clone.assign(a.neighbor(d), _WAVE.format(back.name), [(back, 0)])
+                clone.assign(a.neighbor(d), wave_set_label(back), [(back, 0)])
         clone.freeze()
         return clone
 
@@ -605,7 +595,7 @@ class DynamicSPF:
 
         def slots(u: Node) -> List[Tuple[object, int]]:
             return [
-                (d, index.index_of((u, _WAVE.format(d.name)), "wave on"))
+                (d, index.index_of((u, wave_set_label(d)), "wave on"))
                 for d in structure.occupied_directions(u)
             ]
 

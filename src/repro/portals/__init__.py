@@ -23,7 +23,6 @@ from repro.portals.primitives import (
     portal_elect,
     portal_centroids,
     portal_centroid_decomposition,
-    PortalDecompositionTree,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "portal_elect",
     "portal_centroids",
     "portal_centroid_decomposition",
-    "PortalDecompositionTree",
 ]

@@ -11,6 +11,9 @@ are exact implementations of the paper's constructions:
 * :func:`centroid_decomposition` — the ``Q'``-centroid decomposition
   tree, level by level with same-level recursions sharing rounds
   (Lemma 31).
+
+Each is written once over a tree scope (:mod:`repro.primitives.scope`),
+so the portal primitives of Section 3.5 run the same code.
 """
 
 from repro.primitives.root_prune import RootPruneResult, root_and_prune, RootPruneOp

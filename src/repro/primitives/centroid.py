@@ -16,13 +16,14 @@ rounds.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.grid.coords import Node
-from repro.ett.technique import ETTOp, mark_one_outgoing_edge
+from repro.ett.technique import ETTOp
 from repro.ett.tour import EulerTour, build_euler_tour
 from repro.pasc.runner import run_pasc
-from repro.primitives.root_prune import RootPruneOp, RootPruneResult
+from repro.primitives.root_prune import RootPruneOp, decode_root_prune
+from repro.primitives.scope import NodeScope
 from repro.sim.engine import CircuitEngine
 
 
@@ -45,40 +46,48 @@ class CentroidOp:
         self.q_nodes = set(q_nodes)
         if not self.q_nodes:
             raise ValueError("Q must be non-empty for the centroid primitive")
+        self.tag = tag
         self.phase1 = RootPruneOp(tour, self.q_nodes, tag=f"{tag}1")
         self.phase2: ETTOp | None = None
-        self._rp: RootPruneResult | None = None
 
     def prepare_phase2(self) -> None:
-        """Decode phase 1 and build the second ETT."""
-        self._rp = self.phase1.result()
-        marked = mark_one_outgoing_edge(self.tour, self.q_nodes)
-        self.phase2 = ETTOp(self.tour, marked, tag="cen2")
+        """Build the second ETT, with the first one's weights."""
+        self.phase2 = ETTOp(self.tour, self.phase1.ett_op.marked, tag=f"{self.tag}2")
 
     def centroids(self) -> Set[Node]:
         """The Q-centroids, from both phases' prefix sums."""
-        if self.phase2 is None or self._rp is None:
-            raise RuntimeError("run both phases before reading centroids")
-        rp = self._rp
-        ett = self.phase2.result()
-        q_size = rp.q_size
-        result: Set[Node] = set()
-        if not self.tour.edges:
-            # Single-node tree: the node is trivially the centroid.
-            return set(self.q_nodes)
-        for u in self.q_nodes:
-            ok = True
-            for v in self.tour.adjacency[u]:
-                if rp.parent.get(u) == v:
-                    size = q_size - ett.diff(u, v)
-                else:
-                    size = ett.diff(v, u)
-                if 2 * size > q_size:
-                    ok = False
-                    break
-            if ok:
-                result.add(u)
-        return result
+        return decode_centroids(NodeScope(self.tour.adjacency), self, self.q_nodes)
+
+
+def decode_centroids(scope, op: CentroidOp, q_units: Set) -> Set:
+    """Decode finished centroid ETTs on the units of a tree scope.
+
+    ``op`` ran on ``scope``'s tour with the representatives of
+    ``q_units`` marked; each unit of ``Q`` sums its neighbors' component
+    sizes from its :meth:`diff` (Corollary 22).
+    """
+    if op.phase2 is None:
+        raise RuntimeError("run both phases before reading centroids")
+    if not op.tour.edges:
+        # Single-node tree: the node is trivially the centroid.
+        return set(q_units)
+    rp = decode_root_prune(scope, op.phase1)
+    diff = scope.diff(op.phase2.result())
+    q_size = rp.q_size
+    result: Set = set()
+    for u in q_units:
+        ok = True
+        for v in scope.unit_adjacency[u]:
+            if rp.parent.get(u) == v:
+                size = q_size - diff(u, v)
+            else:
+                size = diff(v, u)
+            if 2 * size > q_size:
+                ok = False
+                break
+        if ok:
+            result.add(u)
+    return result
 
 
 def q_centroids(
@@ -89,14 +98,27 @@ def q_centroids(
     section: str = "centroid",
 ) -> Set[Node]:
     """Compute the Q-centroid(s) of a tree; ``O(log |Q|)`` rounds."""
-    tour = build_euler_tour(root, adjacency)
-    op = CentroidOp(tour, q_nodes)
-    if op.phase1.ett_op.chain is not None:
-        run_pasc(engine, [op.phase1.ett_op.chain], section=section)
-    op.prepare_phase2()
-    if op.phase2 is not None and op.phase2.chain is not None:
-        run_pasc(engine, [op.phase2.chain], section=section)
+    op = CentroidOp(build_euler_tour(root, adjacency), q_nodes)
+    run_centroid_phases(engine, [op], (section, section))
     return op.centroids()
+
+
+def run_centroid_phases(
+    engine: CircuitEngine, ops: Sequence[CentroidOp], sections: Tuple[str, str]
+) -> None:
+    """Run the ETTs of centroid ops on node-disjoint trees in shared rounds.
+
+    Each phase's ETTs share one PASC execution, charged to that phase's
+    section; decode each op afterwards.
+    """
+    chains = [op.phase1.ett_op.chain for op in ops if op.phase1.ett_op.chain]
+    if chains:
+        run_pasc(engine, chains, section=sections[0])
+    for op in ops:
+        op.prepare_phase2()
+    chains = [op.phase2.chain for op in ops if op.phase2.chain]
+    if chains:
+        run_pasc(engine, chains, section=sections[1])
 
 
 def brute_force_q_centroids(

@@ -18,55 +18,57 @@ primitive costs ``O(log² |Q'|)`` rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.grid.coords import Node
 from repro.ett.election import ElectionRequest, elect_first_marked_many
 from repro.ett.technique import mark_one_outgoing_edge
-from repro.ett.tour import build_euler_tour
-from repro.pasc.runner import run_pasc
-from repro.primitives.centroid import CentroidOp
+from repro.primitives.centroid import CentroidOp, decode_centroids, run_centroid_phases
+from repro.primitives.scope import NodeScope, split_components
 from repro.sim.engine import CircuitEngine
-
-Adjacency = Dict[Node, List[Node]]
 
 
 @dataclass
 class DecompositionTree:
-    """A Q'-centroid decomposition tree (the paper's ``DT(T)``)."""
+    """A Q'-centroid decomposition tree (the paper's ``DT(T)``).
 
-    levels: List[List[Node]] = field(default_factory=list)
-    parent: Dict[Node, Optional[Node]] = field(default_factory=dict)
-    subtree_nodes: Dict[Node, Set[Node]] = field(default_factory=dict)
+    Its members are nodes, or portals for the portal decomposition
+    (Lemma 37); ``subtree_units`` maps each member to the units of the
+    recursion that elected it.
+    """
+
+    levels: List[List[Hashable]] = field(default_factory=list)
+    parent: Dict[Hashable, Optional[Hashable]] = field(default_factory=dict)
+    subtree_units: Dict[Hashable, Set[Hashable]] = field(default_factory=dict)
 
     @property
     def height(self) -> int:
         return len(self.levels)
 
-    def members(self) -> Set[Node]:
-        """All nodes elected into the decomposition tree."""
+    def members(self) -> Set[Hashable]:
+        """All units elected into the decomposition tree."""
         return set(self.parent)
 
-    def depth_of(self, node: Node) -> int:
-        """Depth of a node in the decomposition tree."""
+    def depth_of(self, unit: Hashable) -> int:
+        """Depth of a unit in the decomposition tree."""
         for depth, level in enumerate(self.levels):
-            if node in level:
+            if unit in level:
                 return depth
-        raise KeyError(f"{node} is not a decomposition-tree node")
+        raise KeyError(f"{unit} is not a decomposition-tree node")
 
 
 @dataclass
 class _Recursion:
-    adjacency: Adjacency  # restricted to this recursion's nodes
-    root: Node
-    q: Set[Node]
-    caller: Optional[Node]
+    scope: object  # the recursion's subtree, see repro.primitives.scope
+    root: Hashable
+    q: Set[Hashable]
+    caller: Optional[Hashable]
 
 
 def centroid_decomposition(
     engine: CircuitEngine,
     root: Node,
-    adjacency: Adjacency,
+    adjacency: Dict[Node, List[Node]],
     q_prime: Set[Node],
     section: str = "decomposition",
 ) -> DecompositionTree:
@@ -81,10 +83,41 @@ def centroid_decomposition(
     unknown = q_prime.difference(adjacency)
     if unknown:
         raise ValueError(f"Q' contains non-tree nodes: {sorted(unknown)[:3]}")
+    return decompose(
+        engine,
+        NodeScope(adjacency),
+        root,
+        q_prime,
+        section,
+        sections="decomposition",
+        label="decomp",
+        tag="cen",
+    )
 
+
+def decompose(
+    engine: CircuitEngine,
+    scope,
+    root: Hashable,
+    q_prime: Set[Hashable],
+    section: str,
+    sections: str,
+    label: str,
+    tag: str,
+) -> DecompositionTree:
+    """The level loop of Lemmas 31 and 37 on any tree scope.
+
+    Each level runs every recursion's centroid computation, elects one
+    centroid per recursion, splits at it and keeps the components that
+    still hold ``Q'`` units; a global circuit then checks whether
+    unelected ``Q'`` units remain.  Level rounds are charged to
+    ``{sections}:ett1``, ``:ett2`` and ``:elect``, circuits use the
+    partition sets ``{label}:term`` and ``{label}:comp``, and the
+    centroid ETTs are tagged ``{tag}1`` and ``{tag}2``.
+    """
     tree = DecompositionTree()
     active: List[_Recursion] = [
-        _Recursion(adjacency=adjacency, root=root, q=set(q_prime), caller=None)
+        _Recursion(scope=scope, root=root, q=set(q_prime), caller=None)
     ]
     remaining = set(q_prime)
     guard = 2 * len(q_prime).bit_length() + 4
@@ -92,10 +125,11 @@ def centroid_decomposition(
     # The termination circuit never changes: built (or cache-hit) once,
     # reused by every level's check.  It is global, so listening on a
     # single probe set is equivalent to scanning all of them.
-    term_layout = engine.global_layout(label="decomp:term")
+    term_label = f"{label}:term"
+    term_layout = engine.global_layout(label=term_label)
     term_index = term_layout.compiled().index
     term_probe = term_index.index_of(
-        (next(iter(engine.structure)), "decomp:term"), "listen on"
+        (next(iter(engine.structure)), term_label), "listen on"
     )
 
     with engine.rounds.section(section):
@@ -103,13 +137,16 @@ def centroid_decomposition(
         while active:
             if level_index > guard:
                 raise RuntimeError("decomposition exceeded its level guard")
-            level_centroids, next_active = _run_level(engine, active, tree)
+            level_centroids, next_active = _run_level(
+                engine, scope, active, tree, sections, label, tag
+            )
             tree.levels.append(level_centroids)
             remaining.difference_update(level_centroids)
             # Termination check: a global circuit where every unelected
-            # Q' node beeps; silence ends the primitive.
+            # Q' unit beeps; silence ends the primitive.
             beeps = term_index.indices(
-                ((u, "decomp:term") for u in remaining), "beep on"
+                ((u, term_label) for u in scope.representatives(remaining)),
+                "beep on",
             )
             received = engine.run_round_indexed(term_layout, beeps, (term_probe,))
             active = next_active
@@ -124,98 +161,77 @@ def centroid_decomposition(
     return tree
 
 
-def _components_after_removal(adjacency: Adjacency, removed: Node) -> List[Set[Node]]:
-    """Connected components of the recursion's tree minus one node."""
-    components: List[Set[Node]] = []
-    seen: Set[Node] = {removed}
-    for start in adjacency[removed]:
-        if start in seen:
-            continue
-        component = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adjacency[u]:
-                if v not in component and v != removed:
-                    component.add(v)
-                    stack.append(v)
-        seen |= component
-        components.append(component)
-    return components
-
-
 def _run_level(
     engine: CircuitEngine,
+    scope,
     recursions: Sequence[_Recursion],
     tree: DecompositionTree,
-) -> Tuple[List[Node], List[_Recursion]]:
-    """Execute all recursions of one level in shared rounds."""
-    ops: List[CentroidOp] = []
-    tours = []
-    for rec in recursions:
-        tour = build_euler_tour(rec.root, rec.adjacency)
-        tours.append(tour)
-        ops.append(CentroidOp(tour, rec.q))
-
-    # Phase 1 ETTs (parents) of all recursions share their rounds.
-    chains = [op.phase1.ett_op.chain for op in ops if op.phase1.ett_op.chain]
-    if chains:
-        run_pasc(engine, chains, section="decomposition:ett1")
-    for op in ops:
-        op.prepare_phase2()
-    # Phase 2 ETTs (component sizes) likewise.
-    chains = [op.phase2.chain for op in ops if op.phase2 and op.phase2.chain]
-    if chains:
-        run_pasc(engine, chains, section="decomposition:ett2")
+    sections: str,
+    label: str,
+    tag: str,
+) -> Tuple[List[Hashable], List[_Recursion]]:
+    """Execute all recursions of one level (subtrees of ``scope``) together."""
+    ops = [
+        CentroidOp(rec.scope.tour(rec.root), rec.scope.representatives(rec.q), tag=tag)
+        for rec in recursions
+    ]
+    # Both ETT phases of all recursions share their rounds.
+    run_centroid_phases(engine, ops, (f"{sections}:ett1", f"{sections}:ett2"))
 
     # Elect one centroid per recursion in one shared round.
     requests: List[Optional[ElectionRequest]] = []
-    centroid_sets: List[Set[Node]] = []
-    for op, tour in zip(ops, tours):
-        centroids = op.centroids()
+    centroid_sets: List[Set[Hashable]] = []
+    for op, rec in zip(ops, recursions):
+        centroids = decode_centroids(rec.scope, op, rec.q)
         if not centroids:
-            raise AssertionError(
-                "a recursion found no Q'-centroid; Q' was not augmented"
-            )
+            raise AssertionError("a recursion found no Q'-centroid; Q' was not augmented")
         centroid_sets.append(centroids)
+        tour = op.tour
         if tour.edges:
-            requests.append(
-                ElectionRequest(tour, mark_one_outgoing_edge(tour, centroids))
-            )
+            marked = mark_one_outgoing_edge(tour, rec.scope.representatives(centroids))
+            requests.append(ElectionRequest(tour, marked))
         else:
             requests.append(None)  # single-node tree elects itself
     winners = elect_first_marked_many(
         engine,
         [r for r in requests if r is not None],
-        section="decomposition:elect",
+        section=f"{sections}:elect",
     )
     winner_iter = iter(winners)
-    elected: List[Node] = []
+    elected: List[Hashable] = []
     for req, centroids, rec in zip(requests, centroid_sets, recursions):
-        choice = next(iter(centroids)) if req is None else next(winner_iter)
+        if req is None:
+            choice = next(iter(centroids))
+        else:
+            choice = rec.scope.unit_of(next(winner_iter))
         elected.append(choice)
         tree.parent[choice] = rec.caller
-        tree.subtree_nodes[choice] = set(rec.adjacency)
+        tree.subtree_units[choice] = set(rec.scope.units)
+    scope.announce_winner(engine)  # every recursion's winner, in parallel
 
     # Split at the elected centroids; one shared beep round on component
-    # circuits decides which components still hold Q' nodes.
-    component_specs: List[Tuple[_Recursion, Node, Set[Node]]] = []
+    # circuits (the union of each component's tree edges) decides which
+    # components still hold Q' units.
+    comp_label = f"{label}:comp"
+    specs: List[Tuple[_Recursion, Hashable, Set[Hashable]]] = []
     for rec, choice in zip(recursions, elected):
-        for component in _components_after_removal(rec.adjacency, choice):
-            component_specs.append((rec, choice, component))
+        for component in split_components(rec.scope.unit_adjacency, choice):
+            specs.append((rec, choice, component))
     edges = []
-    for rec, _choice, component in component_specs:
-        for u in component:
-            for v in rec.adjacency[u]:
-                if v in component and (u.x, u.y, v.x, v.y) < (v.x, v.y, u.x, u.y):
+    for rec, _choice, component in specs:
+        nodes = rec.scope.nodes_of(component)
+        adjacency = rec.scope.adjacency
+        for u in nodes:
+            for v in adjacency[u]:
+                if v in nodes and u < v:
                     edges.append((u, v))
-    layout = engine.edge_subset_layout(edges, label="decomp:comp", channel=0)
+    layout = engine.edge_subset_layout(edges, label=comp_label, channel=0)
     index = layout.compiled().index
     beeps = index.indices(
         (
-            (u, "decomp:comp")
-            for rec, choice, component in component_specs
-            for u in (rec.q - {choice}) & component
+            (u, comp_label)
+            for rec, choice, component in specs
+            for u in rec.scope.representatives((rec.q - {choice}) & component)
         ),
         "beep on",
     )
@@ -223,30 +239,26 @@ def _run_level(
     # suffices (bits align with the spec order read below).
     listen = index.indices(
         (
-            (next(iter(component)), "decomp:comp")
-            for _rec, _choice, component in component_specs
+            (next(iter(rec.scope.representatives(component))), comp_label)
+            for rec, _choice, component in specs
         ),
         "listen on",
     )
     received = engine.run_round_indexed(layout, beeps, listen)
 
     next_active: List[_Recursion] = []
-    for probe_bit, (rec, choice, component) in zip(received, component_specs):
+    for heard, (rec, choice, component) in zip(received, specs):
         q_in_component = (rec.q - {choice}) & component
-        heard = probe_bit
         if heard != bool(q_in_component):
             raise AssertionError("component beep disagrees with membership")
         if not q_in_component:
             continue
-        sub_adjacency = {
-            u: [v for v in rec.adjacency[u] if v in component] for u in component
-        }
         # The centroid's neighbor inside the component roots the next
         # recursion (the paper's r_{Z_u} = u).
-        sub_root = next(v for v in rec.adjacency[choice] if v in component)
+        sub_root = next(v for v in rec.scope.unit_adjacency[choice] if v in component)
         next_active.append(
             _Recursion(
-                adjacency=sub_adjacency,
+                scope=rec.scope.restrict(component),
                 root=sub_root,
                 q=q_in_component,
                 caller=choice,

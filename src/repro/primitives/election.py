@@ -8,12 +8,12 @@ subpath, and the owner of the first marked edge wins.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Hashable, Iterable, List, Set
 
 from repro.grid.coords import Node
 from repro.ett.election import elect_first_marked
 from repro.ett.technique import mark_one_outgoing_edge
-from repro.ett.tour import build_euler_tour
+from repro.primitives.scope import NodeScope
 from repro.sim.engine import CircuitEngine
 
 
@@ -28,12 +28,22 @@ def elect(
     candidates = set(q_nodes)
     if not candidates:
         raise ValueError("election requires a non-empty candidate set")
-    unknown = candidates.difference(adjacency)
+    return elect_unit(engine, NodeScope(adjacency), root, candidates, section)
+
+
+def elect_unit(
+    engine: CircuitEngine, scope, root: Hashable, candidates: Set, section: str
+) -> Hashable:
+    """Elect one unit of a tree scope among non-empty ``candidates``.
+
+    Candidates outside the scope are rejected.  A one-unit scope elects
+    its only unit locally; otherwise the election costs one round.
+    """
+    unknown = candidates.difference(scope.unit_adjacency)
     if unknown:
         raise ValueError(f"candidates outside the tree: {sorted(unknown)[:3]}")
-    if len(adjacency) == 1:
-        # Single-node tree: the only node is the only candidate.
+    if len(scope.unit_adjacency) == 1:
         return next(iter(candidates))
-    tour = build_euler_tour(root, adjacency)
-    marked = mark_one_outgoing_edge(tour, candidates)
-    return elect_first_marked(engine, tour, marked, section=section)
+    tour = scope.tour(root)
+    marked = mark_one_outgoing_edge(tour, scope.representatives(candidates))
+    return scope.unit_of(elect_first_marked(engine, tour, marked, section=section))

@@ -23,12 +23,16 @@ from repro.grid.coords import Node
 from repro.ett.technique import ETTOp, ETTResult, mark_one_outgoing_edge
 from repro.ett.tour import EulerTour, build_euler_tour
 from repro.pasc.runner import run_pasc
+from repro.primitives.scope import NodeScope
 from repro.sim.engine import CircuitEngine
 
 
 @dataclass
 class RootPruneResult:
     """Everything the root and prune primitive reveals.
+
+    Its units are nodes, or portals for the portal primitive (Lemma 33);
+    the attributes below say "node" for either.
 
     Attributes
     ----------
@@ -85,57 +89,50 @@ class RootPruneOp:
 
     def result(self) -> RootPruneResult:
         """Decode V_Q, parents, and degrees once the ETT has finished."""
-        ett = self.ett_op.result()
-        tour = self.tour
-        root = tour.root
-        in_vq: Set[Node] = set()
-        parent: Dict[Node, Node] = {}
-        degree_q: Dict[Node, int] = {}
+        return decode_root_prune(NodeScope(self.tour.adjacency), self)
 
-        if not tour.edges:
-            # Single-node tree: the root is in V_Q iff it is in Q.
-            q_size = len(self.q_nodes)
+
+def decode_root_prune(scope, op: RootPruneOp) -> RootPruneResult:
+    """Decode a finished root-and-prune ETT on the units of a tree scope.
+
+    ``op`` ran on ``scope``'s tour with the representatives of ``Q``
+    marked; every unit decides from its :meth:`diff` to each neighbor.
+    """
+    ett = op.ett_op.result()
+    root = scope.unit_of(op.tour.root)
+    # A single-node tree has no tour: its root reads |Q| locally.
+    q_size = ett.total if op.tour.edges else len(op.q_nodes)
+    diff = scope.diff(ett)
+    in_vq: Set = set()
+    parent: Dict = {}
+    degree_q: Dict = {}
+    for u in scope.units:
+        diffs = {v: diff(u, v) for v in scope.unit_adjacency[u]}
+        nonzero = [v for v, d in diffs.items() if d != 0]
+        if u == root:
             if q_size > 0:
-                in_vq.add(root)
-                degree_q[root] = 0
-            return RootPruneResult(
-                root=root,
-                in_vq=in_vq,
-                parent=parent,
-                degree_q=degree_q,
-                augmentation=set(),
-                q_size=q_size,
-                ett=ett,
-            )
-
-        q_size = ett.total
-        for u, neighbors in tour.adjacency.items():
-            diffs = {v: ett.diff(u, v) for v in neighbors}
-            nonzero = [v for v, d in diffs.items() if d != 0]
-            if u == root:
-                if q_size > 0:
-                    in_vq.add(u)
-                    degree_q[u] = len(nonzero)
-            elif nonzero:
                 in_vq.add(u)
                 degree_q[u] = len(nonzero)
-                parents = [v for v, d in diffs.items() if d > 0]
-                if len(parents) != 1:
-                    raise AssertionError(
-                        f"node {u} sees {len(parents)} positive differences; "
-                        "ETT prefix sums are inconsistent"
-                    )
-                parent[u] = parents[0]
-        augmentation = {u for u, deg in degree_q.items() if deg >= 3}
-        return RootPruneResult(
-            root=root,
-            in_vq=in_vq,
-            parent=parent,
-            degree_q=degree_q,
-            augmentation=augmentation,
-            q_size=q_size,
-            ett=ett,
-        )
+        elif nonzero:
+            in_vq.add(u)
+            degree_q[u] = len(nonzero)
+            parents = [v for v, d in diffs.items() if d > 0]
+            if len(parents) != 1:
+                raise AssertionError(
+                    f"node {u} sees {len(parents)} positive differences; "
+                    "ETT prefix sums are inconsistent"
+                )
+            parent[u] = parents[0]
+    augmentation = {u for u, deg in degree_q.items() if deg >= 3}
+    return RootPruneResult(
+        root=root,
+        in_vq=in_vq,
+        parent=parent,
+        degree_q=degree_q,
+        augmentation=augmentation,
+        q_size=q_size,
+        ett=ett,
+    )
 
 
 def root_and_prune(

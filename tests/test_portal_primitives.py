@@ -132,6 +132,17 @@ class TestPortalElection:
         with pytest.raises(ValueError):
             portal_elect(CircuitEngine(s), system, root, [])
 
+    def test_candidates_outside_single_portal_scope_rejected(self):
+        # A one-portal scope must not hand out a candidate it does not
+        # contain, as the node-level elect() refuses the same input.
+        s, system = make_system(seed=3, n=60)
+        p, q = system.portals[0], system.portals[1]
+        scope = PortalScope(system, [p])
+        for candidates in ([q], [p, q]):
+            with pytest.raises(ValueError):
+                portal_elect(CircuitEngine(s), system, p, candidates, scope=scope)
+        assert portal_elect(CircuitEngine(s), system, p, [p], scope=scope) == p
+
 
 def brute_force_portal_centroids(system, q, scope_portals=None):
     portals = scope_portals or set(system.portals)

@@ -242,7 +242,7 @@ class TestCentroidDecomposition:
         for level in tree.levels:
             for i, a in enumerate(level):
                 for b in level[i + 1 :]:
-                    assert not (tree.subtree_nodes[a] & tree.subtree_nodes[b])
+                    assert not (tree.subtree_units[a] & tree.subtree_units[b])
 
     def test_deterministic(self, random_structure):
         root = random_structure.westernmost()
