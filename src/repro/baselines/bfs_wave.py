@@ -43,11 +43,22 @@ def build_wave_layout(engine: CircuitEngine, structure: AmoebotStructure) -> Cir
     across structure versions.
     """
     layout = engine.new_layout()
-    for u in structure:
-        for d in structure.occupied_directions(u):
-            layout.assign(u, wave_set_label(d), [(d, 0)])
+    layout.assign_sets(_link_sets(engine.structure.grid_index(), structure.grid_index()))
     layout.freeze()
     return layout
+
+
+def _link_sets(index, sub):
+    """One singleton set per link of ``sub``, with ``index``'s ids.
+
+    The wave may run on a sub-structure: its links are the
+    sub-structure's, its ids the engine structure's.
+    """
+    labels = [wave_set_label(d) for d in Direction]
+    for sid in sub.live_ids():
+        nid = index.id_of(sub.nodes[sid])
+        for d in sub.occupied_direction_values(sid):
+            yield nid, labels[d], ((nid * 6 + d, 0),)
 
 
 def bfs_wave_forest(

@@ -13,10 +13,9 @@ Multiple elections on node-disjoint trees share the round:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Set
+from typing import Iterable, List, Sequence, Set, Tuple
 
 from repro.grid.coords import Node
-from repro.grid.directions import opposite
 from repro.ett.technique import _channels_for
 from repro.ett.tour import DirectedEdge, EulerTour
 from repro.sim.engine import CircuitEngine
@@ -66,25 +65,26 @@ def elect_first_marked_many(
         layout = engine.layouts.get_or_build(
             key, lambda: _election_layout(engine, requests, tag)
         )
-        index = layout.compiled().index
+        id_of = engine.structure.grid_index().id_of
 
-        beeps = index.indices(
-            ((request.tour.root, f"{tag}:0") for request in requests), "beep on"
+        beeps = layout.set_ids(
+            ((id_of(request.tour.root), f"{tag}:0") for request in requests), "beep on"
         )
         # Only the candidate units (marked outgoing edge) ever read the
         # result, so only their integer set-ids are resolved and read —
         # the simulator scans candidates in tour order, mirroring each
         # amoebot checking only its own occurrences.
         candidates: List[List[Node]] = []
-        listen: List[int] = []
+        listen_keys: List[Tuple[int, str]] = []
         for request in requests:
             tour, marked = request.tour, request.marked
             per_request: List[Node] = []
             for i, (node, uid) in enumerate(tour.units):
                 if i < len(tour.edges) and tour.edges[i] in marked:
                     per_request.append(node)
-                    listen.append(index.index_of((node, f"{tag}:{uid}"), "listen on"))
+                    listen_keys.append((id_of(node), f"{tag}:{uid}"))
             candidates.append(per_request)
+        listen = layout.set_ids(listen_keys, "listen on")
         bits = engine.run_round_indexed(layout, beeps, listen)
 
     winners: List[Node] = []
@@ -108,28 +108,36 @@ def elect_first_marked_many(
 def _election_layout(
     engine: CircuitEngine, requests: Sequence[ElectionRequest], tag: str
 ):
-    """Build the shared subpath-circuit layout of all requests."""
+    """Build the shared subpath-circuit layout of all requests.
+
+    Unit ``i`` joins its incoming wire and, unless ``e_i`` is marked,
+    its outgoing wire into one partition set: subpath circuits.  Each
+    tour edge uses its direction's primary channel (the ETT channel
+    discipline), on both of its endpoints' pins.
+    """
     layout = engine.new_layout()
-    for request in requests:
-        tour, marked = request.tour, request.marked
-        # Unit i joins its incoming wire and, unless e_i is marked,
-        # its outgoing wire into one partition set: subpath circuits.
-        for i, (node, uid) in enumerate(tour.units):
-            label = f"{tag}:{uid}"
-            pins = []
-            if i > 0:
-                u, v = tour.edges[i - 1]
-                d = u.direction_to(v)
-                pch, _ = _channels_for(d)
-                pins.append((opposite(d), pch))
-            if i < len(tour.edges) and tour.edges[i] not in marked:
-                u, v = tour.edges[i]
-                d = u.direction_to(v)
-                pch, _ = _channels_for(d)
-                pins.append((d, pch))
-            layout.assign(node, label, pins)
+    layout.assign_sets(_subpath_sets(engine.structure.grid_index(), requests, tag))
     layout.freeze()
     return layout
+
+
+def _subpath_sets(index, requests: Sequence[ElectionRequest], tag: str):
+    """Every unit's set with its pins, streamed into the layout."""
+    id_of = index.id_of
+    mate_edges = index.mate_edges()
+    for request in requests:
+        tour, marked = request.tour, request.marked
+        nids = [id_of(node) for node, _ in tour.units]
+        incoming: List[Tuple[int, int]] = []
+        for i, (nid, (_, uid)) in enumerate(zip(nids, tour.units)):
+            pins = incoming
+            if i < len(tour.edges):
+                edge = index.edge_between(nid, nids[i + 1])
+                channel = _channels_for(edge % 6)[0]
+                if tour.edges[i] not in marked:
+                    pins = pins + [(edge, channel)]
+                incoming = [(mate_edges[edge], channel)]
+            yield nid, f"{tag}:{uid}", pins
 
 
 def elect_first_marked(

@@ -20,11 +20,9 @@ from repro.pasc.chain import ChainLink, PascChainRun
 from repro.pasc.runner import PascResult, run_pasc
 from repro.sim.engine import CircuitEngine
 
-_POSITIVE = (Direction.E, Direction.NE, Direction.NW)
-
-
 def _channels_for(direction: Direction) -> Tuple[int, int]:
-    return (0, 1) if direction in _POSITIVE else (2, 3)
+    # E, NE and NW are the direction values 0-2.
+    return (0, 1) if direction < 3 else (2, 3)
 
 
 def tour_links(tour: EulerTour) -> List[ChainLink]:

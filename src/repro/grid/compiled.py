@@ -250,6 +250,18 @@ class GridIndex:
         """Id of the occupied neighbor of ``i`` toward ``direction`` (-1 if none)."""
         return self.nbr[i * 6 + direction]
 
+    def edge_between(self, i: int, j: int) -> int:
+        """Edge id ``i * 6 + d`` of the edge from ``i`` to neighbor ``j``.
+
+        Raises :class:`KeyError` when the two are not adjacent.
+        """
+        nbr = self.nbr
+        base = i * 6
+        for d in range(6):
+            if nbr[base + d] == j and j >= 0:
+                return base + d
+        raise KeyError(f"grid-index ids {i} and {j} are not adjacent")
+
     def occupied_direction_values(self, i: int) -> List[int]:
         """Direction *values* toward occupied neighbors, ascending (= ccw from E)."""
         nbr = self.nbr

@@ -52,6 +52,10 @@ class AmoebotStructure:
         self._neighbor_cache: Dict[Node, Tuple[Node, ...]] = {}
         self._direction_cache: Dict[Node, Tuple[Direction, ...]] = {}
         self._grid_index: Optional["GridIndex"] = None
+        # Set once the constructor has scanned the structure and found
+        # no hole; trusted and hole-tolerant constructions leave it
+        # unset, so consumers must scan.
+        self._checked_hole_free = False
         if not self._is_connected():
             raise StructureError("amoebot structure must be connected")
         if require_hole_free:
@@ -59,6 +63,7 @@ class AmoebotStructure:
 
             if has_holes(node_set):
                 raise StructureError("amoebot structure must be hole-free")
+            self._checked_hole_free = True
 
     @classmethod
     def from_validated(
@@ -92,6 +97,7 @@ class AmoebotStructure:
         self._neighbor_cache = {}
         self._direction_cache = {}
         self._grid_index = None
+        self._checked_hole_free = False
         if basis is not None:
             dirty_nodes = tuple(dirty)
             stale: Set[Node] = set(dirty_nodes)

@@ -13,8 +13,9 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.grid.coords import Node
-from repro.grid.directions import Direction, opposite
+from repro.grid.directions import Direction
 from repro.sim.circuits import CircuitLayout
+from repro.sim.errors import PinConfigurationError
 from repro.sim.pins import PartitionSetId
 
 #: A unit is identified by its operating amoebot and a local occurrence id.
@@ -129,6 +130,14 @@ class PascChainRun:
         self._wiring_base = (
             "chain", self.tag, tuple(self.units), tuple(self.links),
         )
+        # Grid-index view, computed once per index (_index_view()):
+        # the units' node ids and the links' edge ids.
+        self._index = None
+        self._nids: List[int] = []
+        self._out_edges: List[int] = []
+        # The units' partition-set slots in the current layout.
+        self._p_slots: List[int] = []
+        self._s_slots: List[int] = []
 
     # ------------------------------------------------------------------
     # labels
@@ -151,76 +160,101 @@ class PascChainRun:
         """No participant is active: all further bits are zero."""
         return not any(self._active)
 
-    def _unit_wiring(
-        self, i: int
-    ) -> Tuple[List[Tuple[Direction, int]], List[Tuple[Direction, int]]]:
-        """Primary/secondary pin lists of unit ``i`` for its current state.
+    def _index_view(self, layout: CircuitLayout) -> Tuple[List[int], List[int]]:
+        """The units' node ids and the links' edge ids in ``layout``'s index."""
+        index = layout.structure.grid_index()
+        if self._index is not index:
+            id_of = index.id_of
+            nids = [id_of(node) for node, _ in self.units]
+            if None in nids:
+                node = self.units[nids.index(None)][0]
+                raise PinConfigurationError(f"{node} is not part of the structure")
+            self._nids = nids
+            self._out_edges = [
+                nid * 6 + link.direction for nid, link in zip(nids, self.links)
+            ]
+            self._index = index
+        return self._nids, self._out_edges
+
+    def contribute_layout(self, layout: CircuitLayout) -> None:
+        """Wire this iteration's primary/secondary circuits into ``layout``.
 
         Unit ``i`` owns the wiring of its *outgoing* link ``links[i]``:
         straight when passive, crossed when active.  Incoming links are
         always joined straight to the unit's own sets.
         """
-        p_pins: List[Tuple[Direction, int]] = []
-        s_pins: List[Tuple[Direction, int]] = []
-        if i > 0:
-            link = self.links[i - 1]
-            back = opposite(link.direction)
-            p_pins.append((back, link.primary_channel))
-            s_pins.append((back, link.secondary_channel))
-        if i < len(self.links):
-            link = self.links[i]
-            if self._active[i]:
-                # Crossed: the primary set drives the secondary wire.
-                p_pins.append((link.direction, link.secondary_channel))
-                s_pins.append((link.direction, link.primary_channel))
-            else:
-                p_pins.append((link.direction, link.primary_channel))
-                s_pins.append((link.direction, link.secondary_channel))
-        return p_pins, s_pins
+        slots = layout.assign_sets(self._unit_sets(layout))
+        self._p_slots = slots[0::2]
+        self._s_slots = slots[1::2]
+        self._flipped = []
 
-    def contribute_layout(self, layout: CircuitLayout) -> None:
-        """Wire this iteration's primary/secondary circuits into ``layout``."""
-        for i, (node, _) in enumerate(self.units):
-            p_pins, s_pins = self._unit_wiring(i)
-            layout.assign(node, self._p_labels[i], p_pins)
-            layout.assign(node, self._s_labels[i], s_pins)
+    def _unit_sets(self, layout: CircuitLayout):
+        """Every unit's primary and secondary set with its pins, in unit
+        order.  Streamed: a batch built up front survives long enough for
+        the garbage collector to promote it, and a full collection then
+        walks it."""
+        nids, out_edges = self._index_view(layout)
+        mate_edges = layout.structure.grid_index().mate_edges()
+        p_labels, s_labels = self._p_labels, self._s_labels
+        active = self._active
+        incoming_p = incoming_s = ()
+        for i, link in enumerate(self.links):
+            edge = out_edges[i]
+            pch, sch = link.primary_channel, link.secondary_channel
+            if active[i]:
+                # Crossed: the primary set drives the secondary wire.
+                yield nids[i], p_labels[i], incoming_p + ((edge, sch),)
+                yield nids[i], s_labels[i], incoming_s + ((edge, pch),)
+            else:
+                yield nids[i], p_labels[i], incoming_p + ((edge, pch),)
+                yield nids[i], s_labels[i], incoming_s + ((edge, sch),)
+            back = mate_edges[edge]
+            incoming_p = ((back, pch),)
+            incoming_s = ((back, sch),)
+        last = len(self.links)
+        yield nids[last], p_labels[last], incoming_p
+        yield nids[last], s_labels[last], incoming_s
+
+    def bind_layout(self, layout: CircuitLayout) -> None:
+        """Adopt an equal wiring built elsewhere (a layout-cache hit):
+        resolve this run's partition-set slots in ``layout``."""
+        nids, _ = self._index_view(layout)
+        self._p_slots = layout.set_ids(zip(nids, self._p_labels))
+        self._s_slots = layout.set_ids(zip(nids, self._s_labels))
         self._flipped = []
 
     def rewire_layout(self, layout: CircuitLayout) -> None:
         """Reassign only the units whose wiring changed since the last
         contribute/rewire (a derived layout recomputes just their circuits)."""
+        last = len(self.links)
         for i in self._flipped:
-            if i >= len(self.links):
+            if i >= last:
                 continue  # the last unit has no outgoing link to re-cross
-            node = self.units[i][0]
             link = self.links[i]
+            edge = self._out_edges[i]
             # Un-crossing swaps the channels of the same physical pins
             # between the primary and secondary set: one pin exchange.
-            layout.exchange_pins(
-                node,
-                self._p_labels[i],
-                self._s_labels[i],
-                (
-                    (link.direction, link.primary_channel),
-                    (link.direction, link.secondary_channel),
-                ),
+            layout.exchange_slots(
+                self._p_slots[i],
+                self._s_slots[i],
+                ((edge, link.primary_channel), (edge, link.secondary_channel)),
             )
         self._flipped = []
 
-    def listen_sets(self) -> List[PartitionSetId]:
-        """The partition sets absorb_bits() reads: every unit's secondary set."""
-        return [(node, label) for (node, _), label in zip(self.units, self._s_labels)]
+    def listen_slots(self) -> List[int]:
+        """Set-ids absorb_bits() reads: every unit's secondary set."""
+        return self._s_slots
 
     def wiring_key(self) -> Tuple:
         """Hashable snapshot determining this run's current wiring."""
         return (self._wiring_base, tuple(self._active))
 
-    def beeps(self) -> List[PartitionSetId]:
+    def beep_slots(self) -> List[int]:
         """The chain's first unit beeps on its primary set."""
-        return [self.primary_set(0)]
+        return self._p_slots[:1]
 
     def absorb_bits(self, bits: Sequence[bool]) -> None:
-        """Absorb a flat bit list aligned with :meth:`listen_sets` order.
+        """Absorb a flat bit list aligned with :meth:`listen_slots` order.
 
         The compiled fast path of :func:`~repro.pasc.runner.run_pasc`
         hands each run its slice of the round's bit list; unit ``i``'s

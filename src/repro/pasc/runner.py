@@ -15,7 +15,7 @@ whose activity flipped re-cross their outgoing links — so the runner
 honors the layout-reuse contract of :mod:`repro.sim.circuits`: the
 runs' layout is built and frozen **once**, and every subsequent
 iteration *derives* it, re-wiring only the flipped units (one
-``exchange_pins`` crossing flip per unit) and recomputing only the
+``exchange_slots`` crossing flip per unit) and recomputing only the
 touched circuits.  The never-changing global termination circuit lives
 on its own reserved channel, so the runner executes the termination
 round against the engine's cached global layout
@@ -33,13 +33,14 @@ never-repeating key per iteration, churning the LRU out of its genuinely
 reusable entries and pinning structure-sized layout copies, while
 derivation already makes iterations 1+ cheap.
 
-Execution itself rides the compiled fast path: freezing lowers each
-iteration's layout to flat integer arrays, the runs' listen sets and the
-termination probe are resolved to stable integer set-ids once per derive
-chain, both rounds of an iteration go through
-:meth:`~repro.sim.engine.CircuitEngine.run_rounds`, and each run absorbs
-its slice of the flat bit list (``absorb_bits``) — zero per-round dict
-construction.
+Execution itself rides the compiled fast path: runs build their
+circuits from grid-index integers and keep the slots of their partition
+sets, which are the compiled set-ids of the frozen layout and stay valid
+along the derive chain, so beeps and listens are never resolved through
+partition-set tuples; both rounds of an iteration go through
+:meth:`~repro.sim.engine.CircuitEngine.run_round_indexed`, and each run
+absorbs its slice of the flat bit list (``absorb_bits``) — zero
+per-round dict construction.
 """
 
 from __future__ import annotations
@@ -62,7 +63,13 @@ class PascRun(Protocol):
         ...
 
     def contribute_layout(self, layout: CircuitLayout) -> None:
-        """Wire this iteration's circuits into the shared layout."""
+        """Wire this iteration's circuits into the shared layout and
+        remember the slots of the partition sets it declared."""
+        ...
+
+    def bind_layout(self, layout: CircuitLayout) -> None:
+        """Resolve this run's slots in an equal wiring built by an
+        earlier execution (a layout-cache hit)."""
         ...
 
     def rewire_layout(self, layout: CircuitLayout) -> None:
@@ -76,16 +83,16 @@ class PascRun(Protocol):
         the engine's layout cache for repeated identical executions)."""
         ...
 
-    def beeps(self) -> List[PartitionSetId]:
-        """Partition sets this run activates in the PASC round."""
+    def beep_slots(self) -> List[int]:
+        """Set-ids this run activates in the PASC round."""
         ...
 
-    def listen_sets(self) -> List[PartitionSetId]:
-        """Partition sets whose bits :meth:`absorb_bits` consumes."""
+    def listen_slots(self) -> List[int]:
+        """Set-ids whose bits :meth:`absorb_bits` consumes."""
         ...
 
     def absorb_bits(self, bits: Sequence[bool]) -> None:
-        """Read this iteration's bits, aligned with :meth:`listen_sets`
+        """Read this iteration's bits, aligned with :meth:`listen_slots`
         order, and update activity."""
         ...
 
@@ -161,13 +168,6 @@ def run_pasc(
     term_probe: PartitionSetId = (next(iter(engine.structure)), TERMINATION_LABEL)
     term_layout = engine.global_layout(label=TERMINATION_LABEL, channel=term_channel)
 
-    listen: List[PartitionSetId] = []
-    slices: List[Tuple[int, int]] = []
-    for run in runs:
-        run_listen = run.listen_sets()
-        slices.append((len(listen), len(listen) + len(run_listen)))
-        listen.extend(run_listen)
-
     def wiring_key() -> Tuple:
         """Cache key of the *initial* wiring (iteration-0 activity)."""
         return ("pasc", term_channel, tuple(run.wiring_key() for run in runs))
@@ -176,14 +176,13 @@ def run_pasc(
     start_rounds = engine.rounds.total
     start_activations = engine.rounds.activations
     layout: Optional[CircuitLayout] = None
-    # Integer set-ids, resolved once per partition-set index.  Derived
-    # layouts keep the index object of their base, so one resolution
-    # covers the whole derive chain; a fresh index (full rebuild, cache
-    # hit on a different layout object) triggers re-resolution.  The
-    # termination layout is cached on the engine, so its ids hold for
-    # the whole execution.
-    cached_index = None
+    # Integer set-ids are the slots each run learned when its sets were
+    # declared (or resolved on a cache hit).  Derivation keeps slots, so
+    # they hold for the whole derive chain.  The termination layout is
+    # cached on the engine, so its ids hold for the whole execution.
     listen_idx: List[int] = []
+    slices: List[Tuple[int, int]] = []
+    beep_idx: List[int] = []
     term_index = term_layout.compiled().index
     term_probe_idx = term_index.index_of(term_probe, "listen on")
     with engine.rounds.section(section):
@@ -208,12 +207,12 @@ def run_pasc(
                     f"PASC runs must not wire pins on the reserved "
                     f"termination channel {term_channel}"
                 )
-
-            index = layout.compiled().index
-            if index is not cached_index:
-                cached_index = index
-                listen_idx = index.indices(listen, "listen on")
-            beep_idx = index.indices((set_id for run in runs for set_id in run.beeps()), "beep on")
+            if first_iteration:
+                for run in runs:
+                    run_listen = run.listen_slots()
+                    slices.append((len(listen_idx), len(listen_idx) + len(run_listen)))
+                    listen_idx.extend(run_listen)
+                    beep_idx.extend(run.beep_slots())
 
             bits = engine.run_round_indexed(layout, beep_idx, listen_idx)
             for run, (lo, hi) in zip(runs, slices):
@@ -249,6 +248,8 @@ def _iteration_layout(
     if key is not None:
         cached = engine.layouts.get(key)
         if cached is not None:
+            for run in runs:
+                run.bind_layout(cached)
             return cached
     if previous is not None:
         layout = previous.derive()

@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.grid.coords import Node
-from repro.grid.directions import Direction
 from repro.sim.circuits import CircuitLayout
+from repro.sim.errors import PinConfigurationError
 from repro.sim.pins import PartitionSetId
 
 
@@ -66,13 +66,23 @@ class PascTreeRun:
         self._active: Dict[Node, bool] = {u: True for u in self.nodes}
         self._value: Dict[Node, int] = {u: 0 for u in self.nodes}
         self._iteration = 0
-        #: Nodes whose activity flipped in the last absorb_bits(); only these
-        #: re-cross their child links in the next iteration's layout.
-        self._flipped: List[Node] = []
+        #: Positions (in :attr:`nodes`) of the nodes whose activity
+        #: flipped in the last absorb_bits(); only these re-cross their
+        #: child links in the next iteration's layout.
+        self._flipped: List[int] = []
         self._wiring_base = (
             "tree", self.tag, self.root,
             tuple(sorted(self.parent.items())), self.pch, self.sch,
         )
+        # Grid-index view, computed once per index (_index_view()):
+        # node ids, parent edge ids (-1 at the root) and child edge ids.
+        self._index = None
+        self._nids: List[int] = []
+        self._parent_edges: List[int] = []
+        self._child_edges: List[List[int]] = []
+        # The nodes' partition-set slots in the current layout.
+        self._p_slots: List[int] = []
+        self._s_slots: List[int] = []
 
     def _check_acyclic(self) -> None:
         seen = {self.root}
@@ -105,79 +115,119 @@ class PascTreeRun:
         """No amoebot is active: all further bits are zero."""
         return not any(self._active.values())
 
-    def _node_wiring(
-        self, u: Node
-    ) -> Tuple[List[Tuple[Direction, int]], List[Tuple[Direction, int]]]:
-        """Primary/secondary pin lists of ``u`` for its current activity."""
-        p_pins: List[Tuple[Direction, int]] = []
-        s_pins: List[Tuple[Direction, int]] = []
-        par = self.parent.get(u)
-        if par is not None:
-            d = u.direction_to(par)
-            p_pins.append((d, self.pch))
-            s_pins.append((d, self.sch))
-        for child in self.children[u]:
-            d = u.direction_to(child)
-            if self._active[u]:
-                p_pins.append((d, self.sch))
-                s_pins.append((d, self.pch))
-            else:
-                p_pins.append((d, self.pch))
-                s_pins.append((d, self.sch))
-        return p_pins, s_pins
+    def _index_view(self, layout: CircuitLayout) -> List[int]:
+        """Node ids, parent and child edge ids in ``layout``'s index."""
+        index = layout.structure.grid_index()
+        if self._index is not index:
+            id_of = index.id_of
+            nids = [id_of(u) for u in self.nodes]
+            if None in nids:
+                node = self.nodes[nids.index(None)]
+                raise PinConfigurationError(f"{node} is not part of the structure")
+            position = {u: k for k, u in enumerate(self.nodes)}
+            mate_edges = index.mate_edges()
+            parent_edges = [-1] * len(nids)
+            child_edges: List[List[int]] = [[] for _ in nids]
+            for k, u in enumerate(self.nodes):
+                for child in self.children[u]:
+                    c = position[child]
+                    edge = index.edge_between(nids[c], nids[k])
+                    parent_edges[c] = edge
+                    child_edges[k].append(mate_edges[edge])
+            self._nids = nids
+            self._parent_edges = parent_edges
+            self._child_edges = child_edges
+            self._index = index
+        return self._nids
 
     def contribute_layout(self, layout: CircuitLayout) -> None:
-        """Wire this iteration's primary/secondary circuits."""
-        for u in self.nodes:
-            p_pins, s_pins = self._node_wiring(u)
-            layout.assign(u, self._p_label, p_pins)
-            layout.assign(u, self._s_label, s_pins)
+        """Wire this iteration's primary/secondary circuits: the parent
+        edge straight, every child edge straight or, while the node is
+        active, crossed."""
+        slots = layout.assign_sets(self._node_sets(layout))
+        self._p_slots = slots[0::2]
+        self._s_slots = slots[1::2]
+        self._flipped = []
+
+    def _node_sets(self, layout: CircuitLayout):
+        """Every node's primary and secondary set with its pins, in node
+        order.  Streamed: a batch built up front survives long enough for
+        the garbage collector to promote it, and a full collection then
+        walks it."""
+        nids = self._index_view(layout)
+        pch, sch = self.pch, self.sch
+        p_label, s_label = self._p_label, self._s_label
+        active = self._active
+        for k, u in enumerate(self.nodes):
+            p_pins: List[Tuple[int, int]] = []
+            s_pins: List[Tuple[int, int]] = []
+            edge = self._parent_edges[k]
+            if edge >= 0:
+                p_pins.append((edge, pch))
+                s_pins.append((edge, sch))
+            crossed = active[u]
+            for edge in self._child_edges[k]:
+                if crossed:
+                    p_pins.append((edge, sch))
+                    s_pins.append((edge, pch))
+                else:
+                    p_pins.append((edge, pch))
+                    s_pins.append((edge, sch))
+            yield nids[k], p_label, p_pins
+            yield nids[k], s_label, s_pins
+
+    def bind_layout(self, layout: CircuitLayout) -> None:
+        """Adopt an equal wiring built elsewhere (a layout-cache hit):
+        resolve this run's partition-set slots in ``layout``."""
+        nids = self._index_view(layout)
+        self._p_slots = layout.set_ids((nid, self._p_label) for nid in nids)
+        self._s_slots = layout.set_ids((nid, self._s_label) for nid in nids)
         self._flipped = []
 
     def rewire_layout(self, layout: CircuitLayout) -> None:
         """Reassign only the nodes whose activity (and hence child-link
         crossing) changed since the last contribute/rewire."""
-        for u in self._flipped:
-            children = self.children[u]
-            if not children:
+        pch, sch = self.pch, self.sch
+        for k in self._flipped:
+            child_edges = self._child_edges[k]
+            if not child_edges:
                 continue  # leaves own no child links; their wiring is static
             # Un-crossing swaps the channels of the same physical pins of
             # every child link between the two sets: one pin exchange.
             pins = []
-            for child in children:
-                d = u.direction_to(child)
-                pins.append((d, self.pch))
-                pins.append((d, self.sch))
-            layout.exchange_pins(u, self._p_label, self._s_label, pins)
+            for edge in child_edges:
+                pins.append((edge, pch))
+                pins.append((edge, sch))
+            layout.exchange_slots(self._p_slots[k], self._s_slots[k], pins)
         self._flipped = []
 
-    def listen_sets(self) -> List[PartitionSetId]:
-        """The partition sets absorb_bits() reads: every node's secondary set."""
-        return [self.secondary_set(u) for u in self.nodes]
+    def listen_slots(self) -> List[int]:
+        """Set-ids absorb_bits() reads: every node's secondary set."""
+        return self._s_slots
 
     def wiring_key(self) -> Tuple:
         """Hashable snapshot determining this run's current wiring."""
         return (self._wiring_base, tuple(self._active[u] for u in self.nodes))
 
-    def beeps(self) -> List[PartitionSetId]:
+    def beep_slots(self) -> List[int]:
         """The root beeps on its primary set."""
-        return [self.primary_set(self.root)]
+        return self._p_slots[:1]
 
     def absorb_bits(self, bits: Sequence[bool]) -> None:
-        """Absorb a flat bit list aligned with :meth:`listen_sets` order.
+        """Absorb a flat bit list aligned with :meth:`listen_slots` order.
 
         ``bits[i]`` is the bit of ``self.nodes[i]`` (the listen order);
         the compiled fast path of :func:`~repro.pasc.runner.run_pasc`
         reads bits positionally instead of through id-keyed dicts.
         """
         bit_index = self._iteration
-        flipped: List[Node] = []
-        for u, heard_secondary in zip(self.nodes, bits):
+        flipped: List[int] = []
+        for k, (u, heard_secondary) in enumerate(zip(self.nodes, bits)):
             if heard_secondary:
                 self._value[u] |= 1 << bit_index
             if self._active[u] and not heard_secondary:
                 self._active[u] = False
-                flipped.append(u)
+                flipped.append(k)
         self._flipped = flipped
         self._iteration += 1
 

@@ -23,10 +23,10 @@ about nodes.  What remains is intra-portal communication:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.grid.coords import Node
-from repro.grid.directions import Direction
+from repro.grid.directions import Axis, Direction
 from repro.ett.technique import ETTResult
 from repro.ett.tour import EulerTour, build_euler_tour
 from repro.pasc.chain import PascChainRun, chain_links_for_nodes
@@ -39,6 +39,8 @@ from repro.primitives.root_prune import RootPruneOp, RootPruneResult, decode_roo
 from repro.sim.engine import CircuitEngine
 
 PORTAL_CIRCUIT_CHANNEL = 4  # portal-internal broadcast wire
+#: The one partition set per amoebot of a scope's portal-circuit layout.
+PORTAL_LABEL = "portal"
 # Two PASC pairs for degree counting; the ETT channels (0-3) are free
 # again by the time the counting layout is built.
 PORTAL_COUNT_CHANNELS = (0, 1, 2, 3)
@@ -82,7 +84,6 @@ class PortalScope:
                 for p in self.portals
             }
         self.units = self.portals
-        self._circuit_edges: Optional[List[Tuple[Node, Node]]] = None
         self._circuit_key: Optional[Tuple] = None
 
     def tour(self, root_portal: Portal) -> EulerTour:
@@ -126,60 +127,58 @@ class PortalScope:
             raise ValueError("Q contains portals outside the scope")
         return portal_set
 
-    def broadcast(self, engine: CircuitEngine, label: str, beepers: Iterable[Node]) -> None:
-        """One round on the portal circuits ``label`` in which ``beepers`` beep.
+    def broadcast(self, engine: CircuitEngine, beepers: Iterable[Node]) -> None:
+        """One round on the scope's portal circuits in which ``beepers`` beep.
 
         The simulator already knows what the round tells the portals; it
         is executed for its cost, so nothing is listened to.
         """
-        layout = self.portal_circuit_layout(engine, label=label)
-        beeps = layout.compiled().index.indices(((u, label) for u in beepers), "beep on")
+        layout = self.portal_circuit_layout(engine)
+        id_of = engine.structure.grid_index().id_of
+        beeps = layout.set_ids(((id_of(u), PORTAL_LABEL) for u in beepers), "beep on")
         engine.run_round_indexed(layout, beeps, ())
 
-    def portal_circuit_layout(self, engine: CircuitEngine, label: str = "portal"):
+    def portal_circuit_layout(self, engine: CircuitEngine):
         """One circuit per portal: its internal (axis-parallel) edges.
 
-        The edge list is computed once per scope and the layout itself
-        is memoized by the engine's cache under a run-shaped key — one
-        ``(representative id, length)`` pair per portal instead of one
-        coordinate pair per edge, so repeated per-label broadcasts cost
-        one small frozenset lookup each.
+        One layout per scope wiring, whatever the round is for: every
+        broadcast addresses the sets ``(amoebot, PORTAL_LABEL)`` of the
+        same layout.  It is memoized by the engine's cache under a
+        run-shaped key — one ``(representative id, length)`` pair per
+        portal instead of one coordinate pair per edge — and on a miss
+        built from the edge ids the key's runs name.
         """
-        if self._circuit_edges is None:
-            edges: List[Tuple[Node, Node]] = []
-            for p in self.portals:
-                for u, v in zip(p.nodes, p.nodes[1:]):
-                    edges.append((u, v))
-            self._circuit_edges = edges
         key = self._circuit_key
         if key is None:
             key = self._circuit_key = portal_runs_key(
                 engine, ((self.system.axis, p) for p in self.portals)
             )
         return engine.edge_subset_layout(
-            self._circuit_edges,
-            label=label,
+            portal_run_edges(engine, key),
+            label=PORTAL_LABEL,
             channel=PORTAL_CIRCUIT_CHANNEL,
             key=key,
         )
 
 
 def portal_runs_key(
-    engine: CircuitEngine, runs: Iterable[Tuple[object, Portal]]
+    engine: CircuitEngine, runs: Iterable[Tuple[Axis, Portal]]
 ) -> Tuple:
     """A cheap canonical cache key for a set of portal runs.
 
     A portal is a maximal contiguous run of grid cells, so ``(axis,
     representative id, length)`` triples — ids taken from the *engine
     structure's* grid index — uniquely name its edge set without
-    hashing per-edge coordinate pairs.  From-scratch indexes assign
-    ids canonically (sorted node order), so these keys may be shared
-    across equal structures (the campaign workers' node-set-scoped
-    layout cache relies on that); *derived* indexes (churn) are not
-    canonical, so their keys carry the index's root identity and never
-    collide across derive chains.  Used to key
+    hashing per-edge coordinate pairs; single-amoebot runs have no
+    edge and are left out, so scopes with the same edges share a key.
+    From-scratch indexes assign ids canonically (sorted node order), so
+    these keys may be shared across equal structures (the campaign
+    workers' node-set-scoped layout cache relies on that); *derived*
+    indexes (churn) are not canonical, so their keys carry the index's
+    root identity and never collide across derive chains.  Used to key
     :meth:`CircuitEngine.edge_subset_layout` for portal circuits (here
-    and in the propagation algorithm).
+    and in the propagation algorithm); :func:`portal_run_edges` lists
+    the edges a key names.
     """
     index = engine.structure.grid_index()
     id_of = index.id_of
@@ -189,8 +188,25 @@ def portal_runs_key(
         frozenset(
             (int(axis), id_of(p.representative), len(p.nodes))
             for axis, p in runs
+            if len(p.nodes) > 1
         ),
     )
+
+
+def portal_run_edges(engine: CircuitEngine, key: Tuple) -> Iterator[int]:
+    """The internal edge ids of the portal runs a :func:`portal_runs_key` names.
+
+    Each run is walked from its representative in the positive axis
+    direction over the engine structure's neighbor table, yielding
+    ``id * 6 + pos_dir`` per edge.  Lazy: a cache hit never walks.
+    """
+    nbr = engine.structure.grid_index().nbr
+    for axis, nid, length in key[2]:
+        pos_d = int(Axis(axis).directions[0])
+        for _ in range(length - 1):
+            edge = nid * 6 + pos_d
+            yield edge
+            nid = nbr[edge]
 
 
 def portal_root_and_prune(
@@ -217,7 +233,7 @@ def portal_root_and_prune(
         # Fig. 4a: V_Q membership beeps on the portal circuits.  Fig. 4b:
         # the parent direction on per-directed-edge circuits, which carry
         # one beep each — charged as one more round.
-        scope.broadcast(engine, "portal", (p.nodes[0] for p in result.in_vq))
+        scope.broadcast(engine, (p.nodes[0] for p in result.in_vq))
         engine.charge_local_round()
         if compute_augmentation:
             _count_degrees(engine, scope, result, section=section)
@@ -274,7 +290,7 @@ def _count_degrees(
                 raise AssertionError(f"portal degree recount mismatch for {p}")
     # One more round: portals with degree >= 3 announce membership in A_Q
     # on their portal circuits.
-    scope.broadcast(engine, "portal:aq", (p.nodes[-1] for p in result.augmentation))
+    scope.broadcast(engine, (p.nodes[-1] for p in result.augmentation))
 
 
 def _is_north_side(system: PortalSystem, u: Node, v: Node) -> bool:
@@ -305,7 +321,7 @@ def portal_elect(
         winner = elect_unit(engine, scope, root_portal, candidates, f"{section}:ett")
         if len(scope.units) > 1:
             # Announce the winning portal on its portal circuit.
-            scope.broadcast(engine, "portal:won", (winner.representative,))
+            scope.broadcast(engine, (winner.representative,))
     return winner
 
 
@@ -325,7 +341,7 @@ def portal_centroids(
     with engine.rounds.section(section):
         run_centroid_phases(engine, [op], (f"{section}:ett1", f"{section}:ett2"))
         # Portals learn non-centroid status via one portal-circuit beep.
-        scope.broadcast(engine, "portal:cen", ())
+        scope.broadcast(engine, ())
     return decode_centroids(scope, op, q)
 
 

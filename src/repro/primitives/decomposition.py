@@ -217,6 +217,7 @@ def _run_level(
     for rec, choice in zip(recursions, elected):
         for component in split_components(rec.scope.unit_adjacency, choice):
             specs.append((rec, choice, component))
+    id_of = engine.structure.grid_index().id_of
     edges = []
     for rec, _choice, component in specs:
         nodes = rec.scope.nodes_of(component)
@@ -224,12 +225,11 @@ def _run_level(
         for u in nodes:
             for v in adjacency[u]:
                 if v in nodes and u < v:
-                    edges.append((u, v))
+                    edges.append(id_of(u) * 6 + u.direction_to(v))
     layout = engine.edge_subset_layout(edges, label=comp_label, channel=0)
-    index = layout.compiled().index
-    beeps = index.indices(
+    beeps = layout.set_ids(
         (
-            (u, comp_label)
+            (id_of(u), comp_label)
             for rec, choice, component in specs
             for u in rec.scope.representatives((rec.q - {choice}) & component)
         ),
@@ -237,9 +237,9 @@ def _run_level(
     )
     # Each component circuit carries one bit; one probe per component
     # suffices (bits align with the spec order read below).
-    listen = index.indices(
+    listen = layout.set_ids(
         (
-            (next(iter(rec.scope.representatives(component))), comp_label)
+            (id_of(next(iter(rec.scope.representatives(component)))), comp_label)
             for rec, _choice, component in specs
         ),
         "listen on",

@@ -14,23 +14,24 @@ The simulator is strict about the model:
 * beeps carry no payload and no origin information;
 * every call to :meth:`CircuitEngine.run_round_indexed` — the one round
   kernel, which the id-keyed :meth:`CircuitEngine.run_round` adapter
-  and :meth:`CircuitEngine.run_rounds` also go through — is one
-  synchronous round and ticks the shared
+  also goes through — is one synchronous round and ticks the shared
   :class:`~repro.metrics.RoundCounter`.  The kernel's optional stages
   run in a fixed order: scheduler epoch, fault filter with detection,
   propagate, tick, round trace (:func:`attach_trace`).
 
 Execution pipeline — **build -> freeze -> compile -> run**: build
-layouts *outside* round loops; freezing validates a layout once and
+layouts *outside* round loops, from grid-index edge ids and ``(edge
+id, channel)`` pins; freezing validates a layout once and
 *compiles* it to flat integer arrays
 (:class:`~repro.sim.compiled.CompiledLayout`), so a round is a couple of
 array passes.  Evolving wirings go through :meth:`CircuitLayout.derive`
 (incremental re-wiring, components recomputed only over the touched
 circuits, integer set-ids stable across the chain) and repeated wirings
 through the engine's :class:`LayoutCache` (``engine.layouts``).  Hot
-loops resolve their partition sets to integer ids once via
-:class:`~repro.sim.compiled.PartitionSetIndex` and run
-:meth:`CircuitEngine.run_rounds` with zero per-round dict construction;
+loops resolve their partition sets to integer ids once (the builder's
+slots, :meth:`CircuitLayout.set_ids`) and run
+:meth:`CircuitEngine.run_round_indexed` with zero per-round dict
+construction;
 ``run_round(..., listen=...)`` remains the id-keyed adapter and
 materializes only the beep results the caller reads.  See
 ``repro.sim.circuits`` for the full contract and :data:`LAYOUT_STATS`

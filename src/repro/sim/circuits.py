@@ -53,6 +53,7 @@ from repro.grid.directions import OPPOSITE_VALUES as _OPPOSITE, Direction
 from repro.grid.structure import AmoebotStructure
 from repro.sim.compiled import (
     CompiledLayout,
+    PartitionSetIndex,
     compile_wiring_ids,
     recompile_derived,
 )
@@ -123,6 +124,10 @@ class LayoutBuildStats:
         )
 
 
+#: A partition set's key is ``label id << _KEY_SHIFT | node id``.
+_KEY_SHIFT = 32
+_NID_MASK = (1 << _KEY_SHIFT) - 1
+
 #: Process-wide component-computation counters.  Reset in tests via
 #: ``LAYOUT_STATS.reset()``; purely observational, never read by the
 #: algorithms themselves.
@@ -132,11 +137,14 @@ LAYOUT_STATS = LayoutBuildStats()
 class CircuitLayout:
     """A system-wide pin configuration.
 
-    Build one by calling :meth:`assign` for every pin an amoebot places
-    into a named partition set, then :meth:`freeze` (done implicitly by
-    the engine).  Unassigned pins are inert singletons: they belong to no
-    algorithm-visible partition set and never carry beeps, which is
-    equivalent to each amoebot parking them in private singleton sets.
+    Build one from grid-index integers — :meth:`assign_sets` places
+    ``(edge id, channel)`` pins into named partition sets ``(node id,
+    label)``, :meth:`assign_edges` fuses an edge subset, and
+    :meth:`assign_global` wires the global circuit — then
+    :meth:`freeze` (done implicitly by the engine).  Unassigned pins
+    are inert singletons: they belong to no algorithm-visible partition
+    set and never carry beeps, which is equivalent to each amoebot
+    parking them in private singleton sets.
 
     A frozen layout is immutable; to change the wiring, :meth:`derive` a
     new layout and :meth:`reassign` the partition sets that moved.
@@ -150,11 +158,14 @@ class CircuitLayout:
     dense *slot* (which becomes its compiled integer id verbatim), and
     the pin-ownership table maps int to int.  Validation (does the pin
     exist? is the channel in budget?) reads the index's flat neighbor
-    array, and pin mates resolve through its mirror-edge table — after
-    the one ``node -> id`` lookup per :meth:`assign` call, nothing
-    hashes coordinates.  The :class:`Pin`/:data:`PartitionSetId` object
-    views remain available for tests and observability
-    (:meth:`pin_assignments`, :meth:`partition_sets`).
+    array, and pin mates resolve through its mirror-edge table, so
+    nothing hashes coordinates; only the Node-keyed :meth:`assign`
+    (re-wiring derived layouts) looks one node up.  The builders return
+    slots, and :meth:`set_ids` resolves ``(node id, label)`` keys, so
+    callers address sets without partition-set tuples.  The
+    :class:`Pin`/:data:`PartitionSetId` object views remain available
+    for tests and observability (:meth:`pin_assignments`,
+    :meth:`partition_sets`).
     """
 
     def __init__(
@@ -172,11 +183,16 @@ class CircuitLayout:
         #: construction (``None`` -> process default) and inherited by
         #: every derived layout so a derive chain never mixes backends.
         self._backend = resolve_backend(backend)
-        #: (node_id, label) -> slot.  Slots are stable for the lifetime
-        #: of a layout (a released set keeps its slot, marked dead) and
-        #: are compacted away only by a full relower.
-        self._key_slot: Dict[Tuple[int, str], int] = {}
-        self._ids: List[PartitionSetId] = []
+        #: Partition sets are keyed by ints, ``label id << 32 | node
+        #: id`` (see :meth:`_label_key`), so declaring one allocates no
+        #: tuple; the ``(node, label)`` views are built on demand.
+        self._labels: List[str] = []
+        self._label_ids: Dict[str, int] = {}
+        #: key -> slot.  Slots are stable for the lifetime of a layout
+        #: (a released set keeps its slot, marked dead) and are
+        #: compacted away only by a full relower.
+        self._key_slot: Dict[int, int] = {}
+        self._slot_keys: List[int] = []
         self._alive = bytearray()
         self._n_alive = 0
         self._pin_slot: Dict[int, int] = {}
@@ -210,88 +226,184 @@ class CircuitLayout:
     ) -> None:
         """Place ``pins`` of ``node`` into the partition set ``label``.
 
-        May be called repeatedly for the same label to accumulate pins.
-        An empty pin collection still declares the partition set (a
-        partition set with no pins forms its own trivial circuit; an
-        amoebot may use one as a local flag).
+        The Node-keyed form of :meth:`assign_sets`, kept for re-wiring
+        *derived* layouts (:meth:`reassign`, the dynamics layer's
+        patching); fresh layouts are built from grid-index integers.
+        """
+        nid = self._gi.id_of(node)
+        if nid is None:
+            raise PinConfigurationError(f"{node} is not part of the structure")
+        base = nid * 6
+        self.assign_sets(((nid, label, [(base + d, ch) for d, ch in pins]),))
+
+    def assign_sets(
+        self, sets: Iterable[Tuple[int, str, Iterable[Tuple[int, int]]]]
+    ) -> List[int]:
+        """Place ``(edge id, channel)`` pins into partition sets ``(nid, label)``.
+
+        ``sets`` yields ``(nid, label, pins)`` triples.  Edge ids are the
+        grid index's ``nid * 6 + direction``; every pin of a set must
+        leave its amoebot ``nid``.  Pins accumulate over repeated
+        entries for one set; an empty pin collection still declares the
+        set (a partition set with no pins forms its own trivial
+        circuit; an amoebot may use one as a local flag).  Returns each
+        entry's slot, which is its compiled set-id once the layout is
+        frozen.
         """
         if self._frozen:
             raise PinConfigurationError("layout is frozen")
         gi = self._gi
-        nid = gi.id_of(node)
-        if nid is None:
-            raise PinConfigurationError(f"{node} is not part of the structure")
-        slot = self._slot_for(nid, node, label)
-        track = self._base_compiled is not None
-        if track:
-            self._dirty.add(slot)
-        channels = self._channels
+        nodes = gi.nodes
+        n_slots = gi.n_slots
         nbr = gi.nbr
-        pin_slot = self._pin_slot
+        declare = self._key_slot.setdefault
+        label_ids = self._label_ids
+        slot_keys = self._slot_keys
+        alive = self._alive
         slot_pins = self._slot_pins
         owned = self._owned_pin_lists
-        base = nid * 6
+        pin_slot = self._pin_slot
+        get_owner = pin_slot.get
+        channels = self._channels
+        track = self._base_compiled is not None
+        mate_edges = gi.mate_edges() if track else None
+        dirty = self._dirty
         channel_mask = self._channel_mask
-        for direction, channel in pins:
-            if not 0 <= channel < channels:
-                raise PinConfigurationError(
-                    f"channel {channel} out of range (c={channels})"
-                )
-            channel_mask |= 1 << channel
-            edge = base + direction
-            mate_nid = nbr[edge]
-            if mate_nid < 0:
-                raise PinConfigurationError(
-                    f"{node} has no neighbor toward {direction.name}; pin does not exist"
-                )
-            pin = edge * channels + channel
-            existing = pin_slot.get(pin)
-            if existing is not None:
-                if existing != slot:
+        slots: List[int] = []
+        for nid, label, pins in sets:
+            node = nodes[nid] if nid is not None and 0 <= nid < n_slots else None
+            if node is None:
+                raise PinConfigurationError(f"node id {nid} is not part of the structure")
+            lid = label_ids.get(label)
+            key = (self._label_key(label) if lid is None else lid << _KEY_SHIFT) | nid
+            fresh = len(slot_keys)
+            slot = declare(key, fresh)
+            if slot == fresh:
+                slot_keys.append(key)
+                alive.append(1)
+                pin_list: List[int] = []
+                slot_pins.append(pin_list)
+                owned.add(slot)
+                self._n_alive += 1
+            else:
+                if not alive[slot]:
+                    alive[slot] = 1
+                    self._n_alive += 1
+                pin_list = slot_pins[slot]
+                if pin_list is None:
+                    pin_list = slot_pins[slot] = []
+                    owned.add(slot)
+                elif slot not in owned:
+                    # Clone before appending: the list is shared with
+                    # the frozen base layout this one was derived from.
+                    pin_list = slot_pins[slot] = list(pin_list)
+                    owned.add(slot)
+            slots.append(slot)
+            if track:
+                dirty.add(slot)
+            base = nid * 6
+            for edge, channel in pins:
+                if not (0 <= channel < channels and 0 <= edge - base < 6 and nbr[edge] >= 0):
+                    self._channel_mask = channel_mask
+                    self._reject_pin(node, base, edge, channel)
+                pin = edge * channels + channel
+                existing = get_owner(pin)
+                if existing is None:
+                    pin_slot[pin] = slot
+                    pin_list.append(pin)
+                    channel_mask |= 1 << channel
+                    if track:
+                        mate_owner = get_owner(mate_edges[edge] * channels + channel)
+                        if mate_owner is not None:
+                            dirty.add(mate_owner)
+                elif existing != slot:
+                    self._channel_mask = channel_mask
                     raise PinConfigurationError(
                         f"pin {self._pin_of(pin)} already assigned to "
-                        f"partition set {self._ids[existing]}"
+                        f"partition set {self._set_id(existing)}"
                     )
                 # Re-assigning a pin to its own set is an idempotent
                 # no-op: a duplicate pin-list entry would leave a stale
                 # record behind if the pin later moved to a sibling via
-                # exchange_pins (which removes exactly one entry).
-                continue
-            pin_slot[pin] = slot
-            pin_list = slot_pins[slot]
-            if pin_list is None:
-                pin_list = slot_pins[slot] = []
-                owned.add(slot)
-            elif slot not in owned:
-                # Clone before appending: the list is shared with the
-                # frozen base layout this one was derived from.
-                pin_list = slot_pins[slot] = list(pin_list)
-                owned.add(slot)
-            pin_list.append(pin)
-            if track:
-                mate_owner = pin_slot.get(
-                    (mate_nid * 6 + _OPPOSITE[direction]) * channels + channel
-                )
-                if mate_owner is not None:
-                    self._dirty.add(mate_owner)
+                # exchange_slots (which removes exactly one entry).
         self._channel_mask = channel_mask
+        return slots
 
-    def _slot_for(self, nid: int, node: Node, label: str) -> int:
-        """The (live) slot of partition set ``(node, label)``, declaring it."""
-        key = (nid, label)
-        slot = self._key_slot.get(key)
-        if slot is None:
-            slot = len(self._ids)
-            self._key_slot[key] = slot
-            self._ids.append((node, label))
-            self._alive.append(1)
-            self._slot_pins.append(None)
-            self._owned_pin_lists.add(slot)
-            self._n_alive += 1
-        elif not self._alive[slot]:
-            self._alive[slot] = 1
-            self._n_alive += 1
-        return slot
+    def _reject_pin(self, node: Node, base: int, edge: int, channel: int) -> None:
+        """Raise the error for an invalid ``(edge id, channel)`` pin of ``node``."""
+        if not 0 <= channel < self._channels:
+            raise PinConfigurationError(
+                f"channel {channel} out of range (c={self._channels})"
+            )
+        direction = edge - base
+        if not 0 <= direction < 6:
+            raise PinConfigurationError(
+                f"edge {edge} does not leave {node}; pin does not exist"
+            )
+        raise PinConfigurationError(
+            f"{node} has no neighbor toward {Direction(direction).name}; "
+            "pin does not exist"
+        )
+
+    def assign_edges(
+        self,
+        label: str,
+        channel: int,
+        edges: Iterable[int],
+        isolated_ok: bool = False,
+    ) -> None:
+        """Fuse each connected component of an edge subset into one circuit.
+
+        ``edges`` are grid-index edge ids ``nid * 6 + direction``; both
+        endpoints of every edge put their channel-``channel`` pin of it
+        into their set ``label`` (mates come from
+        :meth:`~repro.grid.compiled.GridIndex.mate_edges`), so the
+        circuits of ``label`` are exactly the components of the edge
+        subset.  With ``isolated_ok`` every amoebot the edges do not
+        touch declares an empty set ``label`` too (so it can still
+        listen, hearing nothing), in bulk over the index.  Makes the
+        checks of :meth:`assign_sets`, with the same messages.
+        """
+        if self._frozen:
+            raise PinConfigurationError("layout is frozen")
+        if not 0 <= channel < self._channels:
+            raise PinConfigurationError(
+                f"channel {channel} out of range (c={self._channels})"
+            )
+        gi = self._gi
+        mate_edges = gi.mate_edges()
+        touched: Set[int] = set()
+
+        def ends():
+            for edge in edges:
+                touched.add(edge // 6)
+                yield edge // 6, label, ((edge, channel),)
+                # Reached only once assign_sets accepted the edge.
+                mate = mate_edges[edge]
+                touched.add(mate // 6)
+                yield mate // 6, label, ((mate, channel),)
+
+        self.assign_sets(ends())
+        if not isolated_ok:
+            return
+        key_slot = self._key_slot
+        label_key = self._label_key(label)
+        keys = [label_key | nid for nid in gi.live_ids() if nid not in touched]
+        new = [key for key in keys if key not in key_slot]
+        if len(new) != len(keys):
+            # Sets declared earlier (maybe released since): the general
+            # path revives them.
+            self.assign_sets(
+                (key & _NID_MASK, label, ()) for key in keys if key in key_slot
+            )
+        # Fresh sets change the set universe, so even a derived layout
+        # relowers on freeze: no per-set dirty tracking is needed.
+        first = len(self._slot_keys)
+        key_slot.update(zip(new, range(first, first + len(new))))
+        self._slot_keys.extend(new)
+        self._alive.extend(b"\x01" * len(new))
+        self._slot_pins.extend([None] * len(new))
+        self._n_alive += len(new)
 
     def _pin_of(self, pin: int) -> Pin:
         """Decode an integer pin into its :class:`Pin` view (cold paths)."""
@@ -299,9 +411,52 @@ class CircuitLayout:
         nid, d = divmod(edge, 6)
         return Pin(self._gi.nodes[nid], Direction(d), channel)
 
-    def declare(self, node: Node, label: str) -> None:
-        """Declare a pin-less partition set (a private flag circuit)."""
-        self.assign(node, label, ())
+    def _label_key(self, label: str) -> int:
+        """``label``'s id shifted into key position, registering it."""
+        lid = self._label_ids.get(label)
+        if lid is None:
+            lid = self._label_ids[label] = len(self._labels)
+            self._labels.append(label)
+        return lid << _KEY_SHIFT
+
+    def _key_of(self, nid: Optional[int], label: str) -> Optional[int]:
+        """The key of set ``(nid, label)``, or ``None`` if the label is new."""
+        lid = self._label_ids.get(label)
+        if lid is None or nid is None or not 0 <= nid <= _NID_MASK:
+            return None
+        return lid << _KEY_SHIFT | nid
+
+    def _set_id(self, slot: int) -> PartitionSetId:
+        """The ``(node, label)`` view of a slot (cold paths)."""
+        key = self._slot_keys[slot]
+        return (self._gi.nodes[key & _NID_MASK], self._labels[key >> _KEY_SHIFT])
+
+    def set_ids(
+        self, keys: Iterable[Tuple[int, str]], action: str = "address"
+    ) -> List[int]:
+        """Compiled set-ids of the partition sets ``(node id, label)``.
+
+        Freezes the layout, whose slots then coincide with its compiled
+        set-ids, so resolution is one int-keyed probe per set; the
+        :class:`~repro.sim.compiled.PartitionSetIndex` tuple table is
+        never built.  ``action`` names the operation in the error for
+        an undeclared set (``beep on`` / ``listen on``).
+        """
+        self.freeze()
+        key_slot = self._key_slot
+        key_of = self._key_of
+        result: List[int] = []
+        for nid, label in keys:
+            key = key_of(nid, label)
+            slot = None if key is None else key_slot.get(key)
+            if slot is None:
+                in_range = isinstance(nid, int) and 0 <= nid < self._gi.n_slots
+                node = self._gi.nodes[nid] if in_range else nid
+                raise PinConfigurationError(
+                    f"cannot {action} undeclared partition set {(node, label)}"
+                )
+            result.append(slot)
+        return result
 
     def assign_global(self, label: str, channel: int) -> None:
         """Wire every amoebot's channel-``channel`` pins into one set each.
@@ -318,48 +473,11 @@ class CircuitLayout:
             raise PinConfigurationError(
                 f"channel {channel} out of range (c={self._channels})"
             )
-        if self._base_compiled is not None:
-            # Derived layouts need per-set dirty tracking: take the
-            # general path, which maintains it.
-            for node in self._structure:
-                pins = [
-                    (d, channel)
-                    for d in self._structure.occupied_directions(node)
-                ]
-                self.assign(node, label, pins)
-            return
-        gi = self._gi
-        nbr = gi.nbr
-        channels = self._channels
-        pin_slot = self._pin_slot
-        slot_pins = self._slot_pins
-        ids = self._ids
-        nodes = gi.nodes
-        self._channel_mask |= 1 << channel
-        for nid in range(gi.n_slots):
-            node = nodes[nid]
-            if node is None:
-                continue
-            slot = self._slot_for(nid, node, label)
-            pin_list = slot_pins[slot]
-            if pin_list is None:
-                pin_list = slot_pins[slot] = []
-                self._owned_pin_lists.add(slot)
-            base = nid * 6
-            for d in range(6):
-                if nbr[base + d] < 0:
-                    continue
-                pin = (base + d) * channels + channel
-                existing = pin_slot.get(pin)
-                if existing is not None:
-                    if existing != slot:
-                        raise PinConfigurationError(
-                            f"pin {self._pin_of(pin)} already assigned to "
-                            f"partition set {ids[existing]}"
-                        )
-                    continue
-                pin_slot[pin] = slot
-                pin_list.append(pin)
+        nbr = self._gi.nbr
+        self.assign_sets(
+            (nid, label, [(e, channel) for e in range(nid * 6, nid * 6 + 6) if nbr[e] >= 0])
+            for nid in self._gi.live_ids()
+        )
 
     # ------------------------------------------------------------------
     # derivation: cheap re-wiring of an already-computed layout
@@ -384,8 +502,10 @@ class CircuitLayout:
         clone._gi = self._gi
         clone._channels = self._channels
         clone._backend = self._backend
+        clone._labels = list(self._labels)
+        clone._label_ids = dict(self._label_ids)
         clone._key_slot = dict(self._key_slot)
-        clone._ids = list(self._ids)
+        clone._slot_keys = list(self._slot_keys)
         clone._alive = bytearray(self._alive)
         clone._n_alive = self._n_alive
         clone._pin_slot = dict(self._pin_slot)
@@ -451,8 +571,8 @@ class CircuitLayout:
         if self._frozen:
             raise PinConfigurationError("layout is frozen; derive() a new one first")
         track = self._base_compiled is not None
-        nid = self._gi.slot_of(node)
-        slot = None if nid is None else self._key_slot.get((nid, label))
+        key = self._key_of(self._gi.slot_of(node), label)
+        slot = None if key is None else self._key_slot.get(key)
         if slot is None or not self._alive[slot]:
             # Releasing a set this layout never declared: historically
             # this marked an unknown id dirty, forcing the conservative
@@ -508,23 +628,22 @@ class CircuitLayout:
         self.release(node, label)
         self.assign(node, label, pins)
 
-    def exchange_pins(
-        self,
-        node: Node,
-        label_a: str,
-        label_b: str,
-        pins: Iterable[Tuple[Direction, int]],
+    def exchange_slots(
+        self, slot_a: int, slot_b: int, pins: Iterable[Tuple[int, int]]
     ) -> None:
         """Swap ownership of ``pins`` between two sibling partition sets.
 
-        Every listed pin must currently belong to ``(node, label_a)`` or
-        ``(node, label_b)``; its ownership flips to the other set.  This
-        is PASC's crossing flip — un-/re-crossing a link exchanges the
-        two channels of the same physical pins between a unit's primary
-        and secondary sets — as one cheap operation: the pins already
-        passed validation when first assigned, so no existence or budget
-        checks are repeated and no release-both-then-reassign dance is
-        needed.
+        ``slot_a`` and ``slot_b`` are the sets' slots: callers that built
+        the sets keep them (:meth:`assign_sets` returns them; derivation
+        keeps them), so a crossing flip probes no partition-set key.
+        ``pins`` are ``(edge id, channel)`` pairs; every listed pin must
+        currently belong to one of the two sets, and its ownership flips
+        to the other.  This is PASC's crossing flip — un-/re-crossing a
+        link exchanges the two channels of the same physical pins
+        between a unit's primary and secondary sets — as one cheap
+        operation: the pins already passed validation when first
+        assigned, so no existence or budget checks are repeated and no
+        release-both-then-reassign dance is needed.
 
         **Ownership-swap contract.**  The operation is exactly a
         transfer of ownership records, with these guarantees and
@@ -555,22 +674,12 @@ class CircuitLayout:
         """
         if self._frozen:
             raise PinConfigurationError("layout is frozen; derive() a new one first")
-        nid = self._gi.id_of(node)
-        if nid is None:
-            raise PinConfigurationError(f"{node} is not part of the structure")
-        key_slot = self._key_slot
         alive = self._alive
-        slot_a = key_slot.get((nid, label_a))
-        slot_b = key_slot.get((nid, label_b))
-        if (
-            slot_a is None
-            or slot_b is None
-            or not alive[slot_a]
-            or not alive[slot_b]
-        ):
+        set_id = self._set_id
+        if not alive[slot_a] or not alive[slot_b]:
             raise PinConfigurationError(
-                f"exchange_pins requires both {(node, label_a)} and "
-                f"{(node, label_b)} to be declared"
+                f"exchange_slots requires both {set_id(slot_a)} and "
+                f"{set_id(slot_b)} to be declared"
             )
         pin_slot = self._pin_slot
         slot_pins = self._slot_pins
@@ -580,10 +689,8 @@ class CircuitLayout:
             self._dirty.add(slot_a)
             self._dirty.add(slot_b)
         channels = self._channels
-        nbr = self._gi.nbr
-        base = nid * 6
-        for direction, channel in pins:
-            edge = base + direction
+        mate_edges = self._gi.mate_edges()
+        for edge, channel in pins:
             pin = edge * channels + channel
             owner = pin_slot.get(pin)
             if owner == slot_a:
@@ -591,10 +698,10 @@ class CircuitLayout:
             elif owner == slot_b:
                 new_owner = slot_a
             else:
-                owner_id = None if owner is None else self._ids[owner]
+                owner_id = None if owner is None else set_id(owner)
                 raise PinConfigurationError(
                     f"pin {self._pin_of(pin)} belongs to {owner_id}, not to "
-                    f"{(node, label_a)} or {(node, label_b)}"
+                    f"{set_id(slot_a)} or {set_id(slot_b)}"
                 )
             pin_slot[pin] = new_owner
             old_list = slot_pins[owner]
@@ -611,11 +718,9 @@ class CircuitLayout:
                 owned.add(new_owner)
             new_list.append(pin)
             if track:
-                mate_nid = nbr[edge]
-                if mate_nid >= 0:
-                    mate_owner = pin_slot.get(
-                        (mate_nid * 6 + _OPPOSITE[direction]) * channels + channel
-                    )
+                mate = mate_edges[edge]
+                if mate >= 0:
+                    mate_owner = pin_slot.get(mate * channels + channel)
                     if mate_owner is not None:
                         self._dirty.add(mate_owner)
 
@@ -640,12 +745,16 @@ class CircuitLayout:
             else:
                 self._freeze_full()
         self._frozen = True
+        # Copy-on-write bookkeeping is only read while the layout is
+        # mutable; derived clones start their own.  Cached layouts drop
+        # one set entry per partition set.
+        self._owned_pin_lists = set()
 
     def _freeze_full(self) -> None:
-        if self._n_alive != len(self._ids):
+        if self._n_alive != len(self._slot_keys):
             self._compact()
         self._compiled = compile_wiring_ids(
-            self._ids,
+            self._new_index(),
             self._pin_slot,
             self._channels,
             self._gi.mate_edges(),
@@ -666,8 +775,8 @@ class CircuitLayout:
 
         if (
             self._force_relower
-            or self._n_alive != len(self._ids)
-            or len(self._ids) != len(base.index)
+            or self._n_alive != len(self._slot_keys)
+            or len(self._slot_keys) != len(base.index)
         ):
             # The partition-set universe changed (sets released for good
             # or newly declared): compact the slots and relower from
@@ -675,7 +784,7 @@ class CircuitLayout:
             # still skipped — that is the derive() contract.
             self._compact()
             self._compiled = compile_wiring_ids(
-                self._ids,
+                self._new_index(),
                 self._pin_slot,
                 self._channels,
                 self._gi.mate_edges(),
@@ -721,15 +830,15 @@ class CircuitLayout:
         :func:`~repro.sim.compiled.recompile_derived`.
         """
         alive = self._alive
-        if self._n_alive == len(self._ids):
+        if self._n_alive == len(self._slot_keys):
             return
-        remap = [-1] * len(self._ids)
+        remap = [-1] * len(self._slot_keys)
         fresh = 0
-        for slot in range(len(self._ids)):
+        for slot in range(len(self._slot_keys)):
             if alive[slot]:
                 remap[slot] = fresh
                 fresh += 1
-        self._ids = [sid for sid, a in zip(self._ids, alive) if a]
+        self._slot_keys = [key for key, a in zip(self._slot_keys, alive) if a]
         self._slot_pins = [pl for pl, a in zip(self._slot_pins, alive) if a]
         self._key_slot = {
             key: remap[slot]
@@ -740,8 +849,24 @@ class CircuitLayout:
         self._owned_pin_lists = {
             remap[slot] for slot in self._owned_pin_lists if alive[slot]
         }
-        self._alive = bytearray(b"\x01") * len(self._ids)
+        self._alive = bytearray(b"\x01") * len(self._slot_keys)
         self._dirty.clear()
+
+    def _new_index(self) -> PartitionSetIndex:
+        """A set-id index whose ``(node, label)`` tuples are built on demand.
+
+        Called at freeze, after compaction: the frozen layout never
+        changes its keys again, so the index may read them later.
+        """
+        keys = self._slot_keys
+        nodes = self._gi.nodes
+        labels = self._labels
+        return PartitionSetIndex(
+            size=len(keys),
+            materialize=lambda: [
+                (nodes[key & _NID_MASK], labels[key >> _KEY_SHIFT]) for key in keys
+            ],
+        )
 
     def compiled(self) -> CompiledLayout:
         """The flat-array form of this layout (freezes if necessary)."""
@@ -763,7 +888,8 @@ class CircuitLayout:
 
     def partition_sets(self) -> Set[PartitionSetId]:
         """All declared partition sets."""
-        return {sid for sid, a in zip(self._ids, self._alive) if a}
+        alive = self._alive
+        return {self._set_id(slot) for slot in range(len(alive)) if alive[slot]}
 
     def uses_channel(self, channel: int) -> bool:
         """Whether any pin was ever assigned on ``channel``.
@@ -783,9 +909,9 @@ class CircuitLayout:
         it for tests and statistics.  Built afresh on every call — do
         not use it anywhere hot.
         """
-        ids = self._ids
         return {
-            self._pin_of(pin): ids[slot] for pin, slot in self._pin_slot.items()
+            self._pin_of(pin): self._set_id(slot)
+            for pin, slot in self._pin_slot.items()
         }
 
     def circuit_of(self, node: Node, label: str) -> int:
@@ -795,12 +921,13 @@ class CircuitLayout:
         learn circuit identities, only beeps.
         """
         compiled = self.compiled()
-        index = compiled.index.get((node, label))
-        if index is None:
+        key = self._key_of(self._gi.id_of(node), label)
+        slot = None if key is None else self._key_slot.get(key)
+        if slot is None:
             raise PinConfigurationError(
                 f"partition set ({node}, {label!r}) was never declared"
             )
-        return compiled.comp[index]
+        return compiled.comp[slot]
 
     def circuits(self) -> List[List[PartitionSetId]]:
         """All circuits as lists of partition sets (simulator/test view)."""
@@ -837,7 +964,7 @@ class CircuitLayout:
         layouts on the same structure fingerprint equal iff their
         wirings are identical, regardless of assignment order or how
         they were built (from scratch, by :meth:`derive` re-wiring, or
-        via :meth:`exchange_pins`).
+        via :meth:`exchange_slots`).
 
         **What it does not cover.**  The structure itself (two layouts
         on *different* structures may collide — node ids are only
@@ -851,10 +978,11 @@ class CircuitLayout:
         and debugging.
         """
         alive = self._alive
+        labels = self._labels
         slot_keys: Dict[int, Tuple[int, str]] = {}
         for key, slot in self._key_slot.items():
             if alive[slot]:
-                slot_keys[slot] = key
+                slot_keys[slot] = (key & _NID_MASK, labels[key >> _KEY_SHIFT])
         assignments = tuple(
             sorted(
                 (pin,) + slot_keys[slot]

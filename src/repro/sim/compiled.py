@@ -39,7 +39,7 @@ derive chain of an algorithm's round loop.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.backend import require_numpy, resolve_backend
 from repro.sim.errors import PinConfigurationError
@@ -54,13 +54,27 @@ class PartitionSetIndex:
     integer-indexed.  Instances are shared across derived layouts whose
     set universe did not change, which is what makes the integer ids
     *stable*: resolve a listen set once, reuse the index every round.
+
+    The index is lazy: ``materialize`` produces the ``(node, label)``
+    tuples on first use of :attr:`ids`, so a layout whose callers
+    address sets by slot never creates them.
     """
 
-    __slots__ = ("ids", "_pos_cache")
+    __slots__ = ("_ids", "_size", "_materialize", "_pos_cache")
 
-    def __init__(self, ids: Iterable[PartitionSetId]):
-        self.ids: List[PartitionSetId] = list(ids)
+    def __init__(self, size: int, materialize: Callable[[], List[PartitionSetId]]):
+        self._ids: Optional[List[PartitionSetId]] = None
+        self._size = size
+        self._materialize = materialize
         self._pos_cache: Optional[Dict[PartitionSetId, int]] = None
+
+    @property
+    def ids(self) -> List[PartitionSetId]:
+        """The partition sets in id order, built on first use."""
+        ids = self._ids
+        if ids is None:
+            ids = self._ids = self._materialize()
+        return ids
 
     @property
     def _pos(self) -> Dict[PartitionSetId, int]:
@@ -77,7 +91,7 @@ class PartitionSetIndex:
         return pos
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return self._size
 
     def __contains__(self, set_id: PartitionSetId) -> bool:
         return set_id in self._pos
@@ -309,11 +323,10 @@ class CompiledLayout:
 
 
 def compile_wiring_ids(
-    ids: Iterable[PartitionSetId],
+    index: PartitionSetIndex,
     pin_slot: Mapping[int, int],
     channels: int,
     mate_edges: Sequence[int],
-    index: Optional[PartitionSetIndex] = None,
     backend: str = "python",
 ) -> CompiledLayout:
     """Lower an integer-keyed wiring to a :class:`CompiledLayout`.
@@ -329,8 +342,6 @@ def compile_wiring_ids(
     over the sorted pin array and the components come from vectorized
     min-label propagation — no Python loop touches the pin table.
     """
-    if index is None:
-        index = PartitionSetIndex(ids)
     if backend == "numpy":
         np = require_numpy()
         src, dst = _compile_edges_np(pin_slot, channels, mate_edges, np)

@@ -8,30 +8,40 @@ configuration and are received at the beginning of the next round
 (Section 1.2).  One :meth:`run_round` call is one synchronous round.
 
 Execution pipeline: **build -> freeze -> compile -> run**.  Layouts are
-built *outside* round loops and passed in repeatedly; freezing compiles
-a layout into flat integer arrays
-(:class:`~repro.sim.compiled.CompiledLayout`), and a round is then a
-couple of array passes.
+built *outside* round loops, in the integer space of the structure's
+:class:`~repro.grid.compiled.GridIndex`: edge subsets from edge ids
+``nid * 6 + direction`` in one pass
+(:meth:`CircuitLayout.assign_edges
+<repro.sim.circuits.CircuitLayout.assign_edges>`), per-set wirings
+(PASC units, election subpaths) from ``(edge id, channel)`` pins
+(:meth:`CircuitLayout.assign_sets
+<repro.sim.circuits.CircuitLayout.assign_sets>`).  Freezing compiles a
+layout into flat integer arrays
+(:class:`~repro.sim.compiled.CompiledLayout`), whose set-ids are the
+slots the builder handed out, and a round is then a couple of array
+passes.  Node-keyed :meth:`~repro.sim.circuits.CircuitLayout.assign`
+remains for re-wiring derived layouts.
 
 One kernel executes every beep round: :meth:`run_round_indexed`.
-Beeps and listens are stable integer set-ids resolved once through
-:meth:`CircuitLayout.compiled`'s
-:class:`~repro.sim.compiled.PartitionSetIndex`, and the result is a
+Beeps and listens are stable integer set-ids, resolved once per wiring
+(the builder's slots, :meth:`CircuitLayout.set_ids
+<repro.sim.circuits.CircuitLayout.set_ids>`, or the compiled
+:class:`~repro.sim.compiled.PartitionSetIndex`), and the result is a
 flat list of bits with zero per-round dict construction.  Its optional
 stages run in a fixed order — scheduler epoch, fault filter with
 detection, propagate, tick, round trace — each skipped while its field
 is unset, so the plain synchronous round pays for none of them.
-:meth:`run_rounds` batches kernel calls on one layout, and
 :meth:`run_round` is a thin adapter that resolves
 :data:`~repro.sim.pins.PartitionSetId` tuples to set-ids (one hash per
 id passed) and returns a dict.  :meth:`charge_local_round` is the one
 path for local (beep-free) rounds.
 
 The engine's :attr:`layouts` cache memoizes standard layouts
-(:meth:`global_layout`, :meth:`edge_subset_layout`) by wiring
-fingerprint so repeated constructions are free; campaign workers may
-inject a shared, structure-scoped cache so identical wirings are
-compiled once per worker process rather than once per trial.
+(:meth:`global_layout`, :meth:`edge_subset_layout`,
+:meth:`edge_subsets_layout`) by wiring fingerprint so repeated
+constructions are free; campaign workers may inject a shared,
+structure-scoped cache so identical wirings are compiled once per
+worker process rather than once per trial.
 """
 
 from __future__ import annotations
@@ -41,17 +51,14 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
-    Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
-    Set,
-    Tuple,
     Union,
 )
 
 from repro.backend import resolve_backend
-from repro.grid.coords import Node
 from repro.grid.structure import AmoebotStructure
 from repro.metrics.rounds import RoundCounter
 from repro.obs.trace import NOOP_SPAN, trace_span
@@ -190,7 +197,7 @@ class CircuitEngine:
 
     def edge_subset_layout(
         self,
-        edges: Iterable[Tuple[Node, Node]],
+        edges: Iterable[int],
         label: str = "net",
         channel: int = 0,
         isolated_ok: bool = True,
@@ -198,52 +205,62 @@ class CircuitEngine:
     ) -> CircuitLayout:
         """A layout that fuses each connected component of ``edges``.
 
-        Every endpoint of a listed edge joins its channel-``channel`` pin
-        for that edge into a single partition set per amoebot, so the
-        circuits are exactly the connected components of the edge subset.
-        Amoebots not incident to any listed edge declare an empty
-        partition set (so they can still listen, hearing nothing) when
-        ``isolated_ok`` is set.  Cached by the edge set: deterministic
-        algorithms that rebuild identical sub-circuits (the recomputed
-        decomposition tree, repeated portal broadcasts) hit the cache.
+        ``edges`` are grid-index edge ids ``nid * 6 + direction`` of
+        this engine's structure.  Every endpoint of a listed edge joins
+        its channel-``channel`` pin for that edge into a single
+        partition set per amoebot, so the circuits are exactly the
+        connected components of the edge subset.  Amoebots not incident
+        to any listed edge declare an empty partition set (so they can
+        still listen, hearing nothing) when ``isolated_ok`` is set.
+        Cached by the edge set: deterministic algorithms that rebuild
+        identical sub-circuits (the recomputed decomposition tree,
+        repeated portal broadcasts) hit the cache.
 
         ``key``, when given, replaces the default ``frozenset(edges)``
         cache key.  Callers that can *name* their edge set cheaply (the
         portal machinery keys its circuits by ``(axis, representative
-        id, run length)`` triples) skip hashing every edge's coordinate
-        pair on each lookup; the caller guarantees the key uniquely
-        determines the edge set on this engine's structure.
+        id, run length)`` triples) skip building the edge list on a
+        hit; the caller guarantees the key uniquely determines the
+        edge set on this engine's structure.
         """
-        edge_list = list(edges)
+        return self.edge_subsets_layout({label: edges}, channel, isolated_ok, key)
+
+    def edge_subsets_layout(
+        self,
+        subsets: Mapping[str, Iterable[int]],
+        channel: int = 0,
+        isolated_ok: bool = True,
+        key: Optional[Hashable] = None,
+    ) -> CircuitLayout:
+        """:meth:`edge_subset_layout` for several labelled edge subsets.
+
+        Each label gets its own partition set per amoebot, so the
+        subsets' circuits stay apart even where they share amoebots;
+        one layout carries them all, so one round serves every label.
+        ``subsets`` may be lazy (e.g. generators) when ``key`` is
+        given: they are consumed only on a cache miss.
+        """
         if key is None:
-            key = frozenset(edge_list)
-        cache_key = ("edges", label, channel, isolated_ok, key)
+            subsets = {label: list(edges) for label, edges in subsets.items()}
+            key = tuple(
+                (label, frozenset(edges)) for label, edges in subsets.items()
+            )
+        else:
+            key = (tuple(subsets), key)
         return self.layouts.get_or_build(
-            cache_key,
-            lambda: self._build_edge_subset_layout(
-                edge_list, label, channel, isolated_ok
-            ),
+            ("edges", channel, isolated_ok, key),
+            lambda: self._build_edge_subset_layout(subsets, channel, isolated_ok),
         )
 
     def _build_edge_subset_layout(
         self,
-        edges: List[Tuple[Node, Node]],
-        label: str,
+        subsets: Mapping[str, Iterable[int]],
         channel: int,
         isolated_ok: bool,
     ) -> CircuitLayout:
         layout = self.new_layout()
-        touched: Set[Node] = set()
-        for u, v in edges:
-            d = u.direction_to(v)
-            layout.assign(u, label, [(d, channel)])
-            layout.assign(v, label, [(v.direction_to(u), channel)])
-            touched.add(u)
-            touched.add(v)
-        if isolated_ok:
-            for node in self.structure:
-                if node not in touched:
-                    layout.declare(node, label)
+        for label, edges in subsets.items():
+            layout.assign_edges(label, channel, edges, isolated_ok=isolated_ok)
         layout.freeze()
         return layout
 
@@ -369,24 +386,6 @@ class CircuitEngine:
         if self.round_trace is not None:
             self.round_trace.record_round(compiled, kept)
         return result
-
-    def run_rounds(
-        self,
-        layout: CircuitLayout,
-        activations: Iterable[Tuple[Iterable[int], Optional[Sequence[int]]]],
-    ) -> Iterator[List[bool]]:
-        """Execute consecutive rounds on one layout (batched fast path).
-
-        ``activations`` yields ``(beep_indices, listen_indices)`` pairs;
-        the result bits of round *i* are yielded before activation
-        *i + 1* is pulled, so callers may compute later activations from
-        earlier results (the PASC runner derives each iteration's
-        termination beeps this way).  The layout is compiled once for
-        the whole batch; per-round work is two array passes.
-        """
-        layout.freeze()
-        for beeps, listen in activations:
-            yield self.run_round_indexed(layout, beeps, listen)
 
     def enable_round_tracing(self) -> None:
         """Wrap each of this engine's rounds in a ``round`` telemetry span.

@@ -109,7 +109,9 @@ def solve_spf(
 
     from repro.grid.holes import has_holes
 
-    if has_holes(structure.nodes):
+    # A structure its constructor already found hole-free is not scanned
+    # again; trusted and hole-tolerant constructions are.
+    if not structure._checked_hole_free and has_holes(structure.nodes):
         if not allow_holes:
             raise ValueError(
                 "structure has holes; the polylogarithmic algorithms "

@@ -75,16 +75,9 @@ def shortest_path_forest(
     with engine.rounds.section(section):
         # ---- Step 1: Q, A_Q, Q' (Lemma 51) ----------------------------
         scope = PortalScope(system)
-        layout = scope.portal_circuit_layout(engine, label="portal:src")
-        # The round is charged for its cost; the simulator reads Q from
-        # the portal map directly, so nothing is materialized.
-        engine.run_round_indexed(
-            layout,
-            layout.compiled().index.indices(
-                ((s, "portal:src") for s in source_set), "beep on"
-            ),
-            (),
-        )
+        # Every source beeps on its portal circuit.  The round is charged
+        # for its cost; the simulator reads Q from the portal map.
+        scope.broadcast(engine, source_set)
         q_portals = {system.portal_of[s] for s in source_set}
 
         rp = portal_root_and_prune(

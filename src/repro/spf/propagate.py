@@ -61,6 +61,31 @@ def _toward_direction(axis: Axis, other: Axis, gap_sign: int) -> Direction:
     return neg
 
 
+def _vis_label(axis: Axis) -> str:
+    return f"vis:{axis.name}"
+
+
+def visibility_layout(engine: CircuitEngine, systems: Dict[Axis, PortalSystem]):
+    """The transversal portal circuits of Phase 1, one per portal.
+
+    Each axis of ``systems`` wires its portals' internal edges into its
+    own partition set per amoebot (label ``vis:<axis>``), so the two
+    axes' circuits stay apart where they cross, and one layout carries
+    both: one round lets every ``p`` in ``P`` beep on both its circuits.
+    """
+    from repro.portals.primitives import portal_run_edges, portal_runs_key
+
+    keys = {
+        _vis_label(d): portal_runs_key(engine, ((d, p) for p in system.portals))
+        for d, system in systems.items()
+    }
+    return engine.edge_subsets_layout(
+        {label: portal_run_edges(engine, key) for label, key in keys.items()},
+        channel=4,
+        key=tuple(keys.values()),
+    )
+
+
 def propagate_forest(
     engine: CircuitEngine,
     structure: AmoebotStructure,
@@ -101,26 +126,16 @@ def propagate_forest(
         # portal circuits; a B-amoebot hears per axis iff its portal
         # meets P (executed as a real round; the projection bookkeeping
         # below mirrors what each amoebot reads locally).
-        from repro.portals.primitives import portal_runs_key
-
-        circuit_edges = []
-        for d in other_axes:
-            for run in systems[d].portals:
-                circuit_edges.extend(zip(run.nodes, run.nodes[1:]))
-        layout = engine.edge_subset_layout(
-            circuit_edges,
-            label="vis",
-            channel=4,
-            key=portal_runs_key(
-                engine,
-                ((d, p) for d in other_axes for p in systems[d].portals),
-            ),
-        )
+        layout = visibility_layout(engine, systems)
+        id_of = engine.structure.grid_index().id_of
         # Charged for its cost; the projection bookkeeping below mirrors
         # what each amoebot reads locally, so nothing is materialized.
         engine.run_round_indexed(
             layout,
-            layout.compiled().index.indices(((p, "vis") for p in portal), "beep on"),
+            layout.set_ids(
+                ((id_of(p), _vis_label(d)) for p in portal for d in other_axes),
+                "beep on",
+            ),
             (),
         )
 

@@ -60,21 +60,6 @@ class SPTResult:
         return path
 
 
-def _mark_destination_portals(
-    engine: CircuitEngine,
-    system: PortalSystem,
-    destinations: Set[Node],
-    scope: PortalScope,
-) -> Set[Portal]:
-    """One beep round: every destination beeps on its portal circuit."""
-    layout = scope.portal_circuit_layout(engine, label="portal:dst")
-    beeps = layout.compiled().index.indices(
-        ((d, "portal:dst") for d in destinations), "beep on"
-    )
-    engine.run_round_indexed(layout, beeps, ())
-    return {system.portal_of[d] for d in destinations}
-
-
 def feasible_parents(
     structure: AmoebotStructure,
     systems: Dict[Axis, PortalSystem],
@@ -132,7 +117,9 @@ def shortest_path_tree(
         for axis in Axis:
             system = systems[axis]
             scope = PortalScope(system)
-            q_portals = _mark_destination_portals(engine, system, dest_set, scope)
+            # One beep round: every destination beeps on its portal circuit.
+            scope.broadcast(engine, dest_set)
+            q_portals = {system.portal_of[d] for d in dest_set}
             # The source's portal must count as populated even without
             # destinations so the root is never pruned away.
             rp = portal_root_and_prune(

@@ -53,3 +53,20 @@ def bfs_tree_adjacency(
 def random_subset(structure: AmoebotStructure, count: int, seed: int) -> Set[Node]:
     rng = random.Random(seed)
     return set(rng.sample(sorted(structure.nodes), count))
+
+
+def edge_ids(structure: AmoebotStructure, pairs) -> List[int]:
+    """Grid-index edge ids ``id(u) * 6 + direction(u -> v)`` of node pairs."""
+    id_of = structure.grid_index().id_of
+    return [id_of(u) * 6 + u.direction_to(v) for u, v in pairs]
+
+
+def exchange_pins(layout, node: Node, label_a: str, label_b: str, pins) -> None:
+    """Node-keyed oracle for ``CircuitLayout.exchange_slots``: swap the
+    ``(direction, channel)`` pins of ``node`` between its sets
+    ``label_a`` and ``label_b`` on a mutable layout."""
+    nid = layout.structure.grid_index().id_of(node)
+    slot_a, slot_b = (
+        layout._key_slot[layout._key_of(nid, label)] for label in (label_a, label_b)
+    )
+    layout.exchange_slots(slot_a, slot_b, [(nid * 6 + d, ch) for d, ch in pins])

@@ -13,7 +13,7 @@ structures and random pin assignments:
 * the integer fast path ``run_round_indexed`` bit lists,
 * error paths (beeping or listening on undeclared sets), and
 * incremental recompilation after ``derive``/``reassign``/
-  ``exchange_pins`` re-wiring versus a from-scratch build of the same
+  ``exchange_slots`` re-wiring versus a from-scratch build of the same
   wiring.
 """
 
@@ -32,6 +32,8 @@ from repro.sim.circuits import CircuitLayout
 from repro.sim.engine import CircuitEngine
 from repro.sim.errors import PinConfigurationError
 from repro.workloads.random_structures import random_hole_free
+
+from tests.conftest import exchange_pins
 
 CHANNELS = 3
 LABELS = ("a", "b", "c")
@@ -357,7 +359,7 @@ def test_numpy_backend_round_is_bit_identical(case):
 @settings(max_examples=25, deadline=None)
 @given(case=round_cases(), data=st.data())
 def test_numpy_backend_derived_chain_is_bit_identical(case, data):
-    # Drive the same derive -> reassign/exchange_pins -> freeze chain
+    # Drive the same derive -> reassign -> freeze chain
     # through both backends; the incremental recompilation must stay in
     # lock-step with the python reference at every step.
     structure, pins_of, beeps, _listen = case
@@ -415,8 +417,8 @@ def test_numpy_backend_exchange_pins_matches_python():
         derived = layout.derive()
         for node in sorted(structure.nodes)[:4]:
             dirs = list(structure.occupied_directions(node))
-            derived.exchange_pins(
-                node, "a", "b", [(d, c) for d in dirs for c in (0, 1)]
+            exchange_pins(
+                derived, node, "a", "b", [(d, c) for d in dirs for c in (0, 1)]
             )
         derived.freeze()
         compiled = derived.compiled()

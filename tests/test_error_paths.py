@@ -3,25 +3,30 @@
 import pytest
 
 from repro.grid.coords import Node
+from repro.grid.directions import Direction
 from repro.grid.structure import AmoebotStructure
 from repro.metrics.rounds import RoundCounter
 from repro.sim.engine import CircuitEngine
+from repro.sim.errors import PinConfigurationError
 from repro.spf.types import Forest
 from repro.workloads import hexagon, line_structure
+from tests.conftest import edge_ids
 
 
 class TestEngineEdgeCases:
     def test_edge_subset_layout_rejects_non_adjacent(self):
         s = line_structure(4)
         engine = CircuitEngine(s)
-        with pytest.raises(ValueError):
-            engine.edge_subset_layout([(Node(0, 0), Node(2, 0))])
+        # The edge from (0, 0) toward NE leads to no amoebot.
+        edge = s.grid_index().id_of(Node(0, 0)) * 6 + Direction.NE
+        with pytest.raises(PinConfigurationError, match="no neighbor toward NE"):
+            engine.edge_subset_layout([edge])
 
     def test_edge_subset_layout_without_isolated(self):
         s = line_structure(4)
         engine = CircuitEngine(s)
         layout = engine.edge_subset_layout(
-            [(Node(0, 0), Node(1, 0))], isolated_ok=False
+            edge_ids(s, [(Node(0, 0), Node(1, 0))]), isolated_ok=False
         )
         sets = layout.partition_sets()
         assert (Node(3, 0), "net") not in sets

@@ -55,3 +55,33 @@ class TestHoleFallback:
         nodes = sorted(s.nodes)
         solution = solve_spf(s, [nodes[0]], [nodes[-1]], allow_holes=True)
         assert solution.algorithm == "spt"
+
+
+class TestOneHoleScanPerSolve:
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        from repro.grid import holes
+
+        calls = []
+        find_holes = holes.find_holes
+
+        def counting(nodes):
+            calls.append(1)
+            return find_holes(nodes)
+
+        monkeypatch.setattr(holes, "find_holes", counting)
+        return calls
+
+    def test_session_solve_scans_once(self, scans):
+        from repro.api import Session, SolveRequest
+
+        Session().run(SolveRequest(kind="solve", shape="random:120:2", k=2, l=4))
+        assert len(scans) == 1
+
+    def test_unchecked_structures_are_scanned(self, scans, holey_structure):
+        nodes = sorted(holey_structure.nodes)
+        scans.clear()
+        trusted = AmoebotStructure.from_validated(nodes)
+        solution = solve_spf(trusted, [nodes[0]], [nodes[-1]], allow_holes=True)
+        assert solution.algorithm == "wave-fallback"
+        assert len(scans) == 1

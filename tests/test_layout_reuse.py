@@ -32,7 +32,7 @@ from repro.spf.spt import shortest_path_tree
 from repro.workloads import hexagon, line_structure
 from repro.workloads.specs import build_structure
 
-from tests.conftest import bfs_tree_adjacency
+from tests.conftest import bfs_tree_adjacency, edge_ids, exchange_pins
 
 
 def line_nodes(n):
@@ -138,7 +138,7 @@ class TestDerive:
 
     def test_duplicate_assign_is_idempotent_under_exchange(self):
         # Re-assigning a pin to its own set must not leave a duplicate
-        # pin-list entry behind: exchange_pins removes exactly one entry,
+        # pin-list entry behind: exchange_slots removes exactly one entry,
         # and a stale leftover would feed a phantom edge to the derived
         # freeze's adjacency rebuild (merging circuits never wired).
         engine = CircuitEngine(line_structure(3))
@@ -147,15 +147,15 @@ class TestDerive:
         layout = engine.new_layout()
         layout.assign(a, "a", [(d, 0)])
         layout.assign(a, "a", [(d, 0)])  # idempotent no-op
-        layout.declare(a, "b")
+        layout.assign(a, "b", ())
         layout.assign(b, "x", [(b.direction_to(a), 0)])
         layout.freeze()
         derived = layout.derive()
-        derived.exchange_pins(a, "a", "b", [(d, 0)])
+        exchange_pins(derived, a, "a", "b", [(d, 0)])
         derived.freeze()
 
         fresh = engine.new_layout()
-        fresh.declare(a, "a")
+        fresh.assign(a, "a", ())
         fresh.assign(a, "b", [(d, 0)])
         fresh.assign(b, "x", [(b.direction_to(a), 0)])
         fresh.freeze()
@@ -306,7 +306,7 @@ class TestEngineLayoutCache:
 
     def test_edge_subset_layout_cached_by_content(self):
         engine = CircuitEngine(hexagon(2))
-        edges = [(Node(0, 0), Node(1, 0))]
+        edges = edge_ids(engine.structure, [(Node(0, 0), Node(1, 0))])
         first = engine.edge_subset_layout(edges, label="e")
         second = engine.edge_subset_layout(list(edges), label="e")
         assert first is second
@@ -547,7 +547,7 @@ class TestLayoutStatsChainConsistency:
                 clone.reassign(u, "mix", [(structure.occupied_directions(u)[0], 2)])
             else:
                 clone.release(u, "mix")
-                clone.declare(u, "mix")  # re-declared empty: same universe
+                clone.assign(u, "mix", ())  # re-declared empty: same universe
             clone.freeze()
             freezes += 1
             current = clone

@@ -53,8 +53,8 @@ class TestChainDistance:
         # Execute exactly one iteration manually.
         layout = engine.new_layout()
         run.contribute_layout(layout)
-        listen = run.listen_sets()
-        received = engine.run_round(layout, run.beeps(), listen=listen)
+        listen = [run.secondary_set(i) for i in range(len(nodes))]
+        received = engine.run_round(layout, [run.primary_set(0)], listen=listen)
         run.absorb_bits([received[set_id] for set_id in listen])
         values = run.node_values()
         for i, u in enumerate(nodes):

@@ -181,3 +181,30 @@ def _a_union_p(structure, portal):
         if not touches_north:
             members |= component
     return members
+
+
+class TestVisibilityRound:
+    def test_one_circuit_per_transversal_portal(self, monkeypatch):
+        """Phase 1's round runs on the Y and Z portal circuits, kept apart."""
+        from repro.portals.portals import PortalSystem
+
+        s = hexagon(4)
+        row, below = split_at_row(s, 0)
+        engine = CircuitEngine(s)
+        base = forest_on(s, below, [row[0]], engine)
+        layouts = []
+        run_round = engine.run_round_indexed
+
+        def spy(layout, beeps, listen=None):
+            layouts.append(layout)
+            return run_round(layout, beeps, listen)
+
+        monkeypatch.setattr(engine, "run_round_indexed", spy)
+        propagate_forest(engine, s, row, base, axis=Axis.X)
+        vis = [
+            layout for layout in layouts
+            if any(label.startswith("vis") for _, label in layout.compiled().index.ids)
+        ]
+        assert len(vis) == 1
+        portals = sum(len(PortalSystem(s, d).portals) for d in Axis.X.others)
+        assert vis[0].compiled().n_components == portals

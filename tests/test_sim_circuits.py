@@ -59,7 +59,7 @@ class TestLayoutValidation:
         layout = CircuitLayout(s, channels=2)
         layout.freeze()
         with pytest.raises(PinConfigurationError):
-            layout.declare(Node(0, 0), "x")
+            layout.assign(Node(0, 0), "x", ())
 
     def test_zero_channels_rejected(self):
         with pytest.raises(PinConfigurationError):
@@ -117,7 +117,7 @@ class TestCircuitFormation:
         s = parallelogram(3, 2)
         layout = CircuitLayout(s, channels=1)
         layout.assign(Node(0, 0), "solo", [(Direction.E, 0)])
-        layout.declare(Node(2, 1), "flag")
+        layout.assign(Node(2, 1), "flag", ())
         circuits = layout.circuits()
         assert len(circuits) == 2
 

@@ -6,6 +6,7 @@ from repro.grid.coords import Node
 from repro.sim.engine import CircuitEngine
 from repro.sim.errors import PinConfigurationError
 from repro.workloads import hexagon, line_structure, parallelogram
+from tests.conftest import edge_ids
 from repro.sim.amoebot import LocalState, assert_constant_size
 
 
@@ -69,7 +70,7 @@ class TestEdgeSubsetLayout:
             (Node(1, 0), Node(2, 0)),
             (Node(4, 0), Node(5, 0)),
         ]
-        layout = engine.edge_subset_layout(edges, label="net")
+        layout = engine.edge_subset_layout(edge_ids(s, edges), label="net")
         received = engine.run_round(layout, [(Node(0, 0), "net")])
         assert received[(Node(2, 0), "net")]
         assert not received[(Node(4, 0), "net")]
