@@ -16,9 +16,9 @@ it is a :class:`Session` setting.  This module is that object, in two halves:
   three execute them identically.
 
 * :class:`Session` — the owner of everything hot and reusable across
-  requests: the execution backend, the default scheduler, a bounded
-  structure cache (with warm :class:`~repro.grid.compiled.GridIndex`
-  es), a shared :class:`~repro.sim.circuits.LayoutCache`, and a
+  requests: the default scheduler, a bounded structure cache (with
+  warm :class:`~repro.grid.compiled.GridIndex` es), a shared
+  :class:`~repro.sim.circuits.LayoutCache`, and a
   :class:`~repro.experiments.store.ResultStore` consulted by request
   key so identical requests are served from cache — in-process for a
   plain session, across daemon restarts when the store is backed by a
@@ -47,11 +47,10 @@ import random as _random
 import threading
 import time
 from collections import OrderedDict
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from repro.backend import BACKEND_NAMES, resolve_backend, use_backend
+from repro.backend import check_backend
 from repro.experiments.spec import (
     ALGORITHMS,
     ALL_NODES,
@@ -109,10 +108,12 @@ class SolveRequest:
         repair incrementally (:class:`repro.dynamics.DynamicSPF`), with
         optional ``crash``/``drop`` fault injection.
 
-    ``scheduler`` and ``backend`` override the session defaults for
-    this request only ("" = inherit).  Identity is :meth:`key`, the
-    content hash of :meth:`config` — two requests with equal configs
-    are the same work, which is what the result store caches on.
+    ``scheduler`` overrides the session default for this request only
+    ("" = inherit).  ``backend`` is validated against
+    :data:`repro.backend.BACKEND_NAMES` but selects nothing: one kernel
+    set runs every request.  Identity is :meth:`key`, the content hash
+    of :meth:`config` — two requests with equal configs are the same
+    work, which is what the result store caches on.
     """
 
     kind: str = "solve"
@@ -166,11 +167,11 @@ class SolveRequest:
             _check_scheduler(self.scheduler)
         except ValueError as exc:
             raise RequestError(str(exc)) from exc
-        if self.backend and self.backend not in BACKEND_NAMES:
-            raise RequestError(
-                f"unknown backend {self.backend!r}; expected '' or one of "
-                f"{BACKEND_NAMES}"
-            )
+        if self.backend:
+            try:
+                check_backend(self.backend)
+            except ValueError as exc:
+                raise RequestError(str(exc)) from exc
         if self.tokens < 0:
             raise RequestError(f"tokens must be >= 0, got {self.tokens}")
         if self.tokens and self.kind != "route":
@@ -228,6 +229,8 @@ class SolveRequest:
         :meth:`TrialSpec.config`.  ``deadline_s`` never enters: it is a
         quality-of-service bound, not part of what the work *is*, so a
         request keeps its cache identity however impatient the caller.
+        ``backend`` never enters either: every backend name runs the
+        same kernels, so requests differing only in it share one result.
         """
         out: Dict[str, object] = {
             "kind": self.kind,
@@ -241,8 +244,6 @@ class SolveRequest:
         }
         if self.scheduler:
             out["scheduler"] = self.scheduler
-        if self.backend:
-            out["backend"] = self.backend
         if self.kind == "route":
             out["tokens"] = self.tokens
         if self.kind == "churn":
@@ -401,7 +402,7 @@ class SessionStats:
 
 
 class Session:
-    """Owner of engines, backend, scheduler, caches, and the result store.
+    """Owner of engines, scheduler, caches, and the result store.
 
     A session is the unit of state reuse: structures (with their warm
     grid indexes) and compiled layouts persist across every request it
@@ -413,8 +414,9 @@ class Session:
     Parameters
     ----------
     backend:
-        Execution backend for every engine the session builds
-        (``auto``/``python``/``numpy``; ``None`` = process default).
+        Backend name (``auto``/``python``/``numpy``; ``None`` = process
+        default), validated and kept for compatibility; every name runs
+        the same kernels (:mod:`repro.backend`).
     scheduler:
         Default activation scheduler spec (``""`` = plain synchronous
         engine; otherwise e.g. ``"random:1"`` — see
@@ -439,10 +441,8 @@ class Session:
         store: Optional[object] = None,
         max_structures: int = 32,
     ):
-        if backend is not None and backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {backend!r} (choose from {', '.join(BACKEND_NAMES)})"
-            )
+        if backend is not None:
+            check_backend(backend)
         if isinstance(scheduler, str):
             _check_scheduler(scheduler)
         self.backend = backend
@@ -493,18 +493,16 @@ class Session:
         self,
         structure: AmoebotStructure,
         scheduler: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> CircuitEngine:
         """An engine over ``structure`` wired to the session's caches.
 
-        ``scheduler``/``backend`` override the session defaults (pass
-        ``""`` to force the synchronous engine regardless of the
-        session's scheduler).  Layouts are scoped views of the shared
+        ``scheduler`` overrides the session default (pass ``""`` to
+        force the synchronous engine regardless of the session's
+        scheduler).  Layouts are scoped views of the shared
         session cache, so same-structure engines reuse compiled
         layouts.
         """
         sched = self.scheduler if scheduler is None else scheduler
-        backend = backend if backend else self.backend
         layouts = self.layouts.scoped(frozenset(structure.nodes))
         if sched:
             from repro.sched import ActivationEngine
@@ -514,11 +512,8 @@ class Session:
                 scheduler=sched,
                 channels=self.channels,
                 layouts=layouts,
-                backend=backend,
             )
-        return CircuitEngine(
-            structure, channels=self.channels, layouts=layouts, backend=backend
-        )
+        return CircuitEngine(structure, channels=self.channels, layouts=layouts)
 
     # ------------------------------------------------------------------
     # execution
@@ -593,14 +588,8 @@ class Session:
         started = time.perf_counter()
         cache_hits0 = LAYOUT_STATS.cache_hits
         cache_misses0 = LAYOUT_STATS.cache_misses
-        # Structure and grid-index builds consult the thread's default
-        # backend, so a named backend scopes the whole solve.
-        backend = request.backend or self.backend
         try:
-            with use_backend(backend) if backend else nullcontext():
-                return self._execute(
-                    request, key, emit, started, cache_hits0, cache_misses0
-                )
+            return self._execute(request, key, emit, started, cache_hits0, cache_misses0)
         except Cancelled as exc:
             exc.partial.update(progress)
             exc.partial.setdefault("key", key)
@@ -626,11 +615,7 @@ class Session:
                 build_span.set(n=len(structure))
             emit({"event": "structure", "n": len(structure), "k": len(sources),
                   "l": len(destinations)})
-            engine = self.engine_for(
-                structure,
-                scheduler=request.scheduler or None,
-                backend=request.backend or None,
-            )
+            engine = self.engine_for(structure, scheduler=request.scheduler or None)
             tracer = current_tracer()
             if tracer is not None and tracer.trace_rounds:
                 engine.enable_round_tracing()
@@ -912,7 +897,7 @@ class _BoundEngineSession:
     def __init__(self, engine: CircuitEngine):
         self._engine = engine
 
-    def engine_for(self, structure, scheduler=None, backend=None):
+    def engine_for(self, structure, scheduler=None):
         if self._engine.structure is not structure:
             raise ValueError("bound engine belongs to a different structure")
         return self._engine

@@ -44,7 +44,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.backend import BACKEND_NAMES, BackendUnavailableError, set_default_backend
+from repro.backend import BACKEND_NAMES, check_backend, set_default_backend
 from repro.grid.directions import Axis
 from repro.grid.oracle import structure_diameter
 from repro.grid.structure import AmoebotStructure
@@ -500,6 +500,14 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _backend_name(name: str) -> str:
+    """argparse type for ``--backend``: :func:`check_backend`'s verdict."""
+    try:
+        return check_backend(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser."""
     parser = argparse.ArgumentParser(
@@ -508,10 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=list(BACKEND_NAMES),
+        type=_backend_name,
         default="auto",
-        help="execution backend for compiled layouts and grid indexes "
-        "(auto: numpy when importable; results are bit-identical either way)",
+        metavar="{" + ",".join(BACKEND_NAMES) + "}",
+        help="backend name, accepted for compatibility: every name runs "
+        "the same pure-Python kernels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -712,10 +721,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        set_default_backend(args.backend)
-    except (ValueError, BackendUnavailableError) as exc:
-        raise SystemExit(str(exc)) from exc
+    set_default_backend(args.backend)
     try:
         return args.func(args)
     except BrokenPipeError:  # e.g. `repro campaign summarize | head`

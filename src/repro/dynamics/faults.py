@@ -112,22 +112,19 @@ class FaultInjector:
         Propagates the fault-free round too (pure array work, no extra
         synchronous round) and adds every listened set that hears in
         the clean run but not in ``faulty`` to
-        :attr:`FaultStats.missed_hears`.  Backend-agnostic: the diff
-        handles list-of-bool and boolean-ndarray results alike.
+        :attr:`FaultStats.missed_hears`.
         """
         self.stats.faulty_rounds += 1
         clean = compiled.execute(beeps, listen)
         self.stats.missed_hears += missed_hears(clean, faulty)
 
 
-def missed_hears(clean, faulty) -> int:
+def missed_hears(clean: Sequence[bool], faulty: Sequence[bool]) -> int:
     """How many positions hear in ``clean`` but not in ``faulty``.
 
-    Accepts list-of-bool and boolean-ndarray bit vectors in any
-    combination (the two executions always share a backend in practice,
-    but the diff does not rely on it).  The vectors must describe the
-    same listen list; diverging lengths mean the caller compared rounds
-    of different layouts, which would silently miscount — rejected.
+    The vectors must describe the same listen list; diverging lengths
+    mean the caller compared rounds of different layouts, which would
+    silently miscount — rejected.
     """
     if len(clean) != len(faulty):
         raise ValueError(
@@ -135,6 +132,4 @@ def missed_hears(clean, faulty) -> int:
             f"({len(clean)} != {len(faulty)}); both rounds must use the "
             "same layout and listen list"
         )
-    if type(clean) is list or type(faulty) is list:
-        return sum(1 for should, did in zip(clean, faulty) if should and not did)
-    return int((clean & ~faulty).sum())
+    return sum(1 for should, did in zip(clean, faulty) if should and not did)

@@ -286,7 +286,7 @@ class DynamicSPF:
         explicit destinations are too.
     session:
         Optional :class:`repro.api.Session` supplying the engine
-        (backend, scheduler, shared caches) — the preferred way to run
+        (scheduler, shared caches) — the preferred way to run
         dynamics under an event-driven scheduler:
         ``DynamicSPF(..., session=Session(scheduler="random:1"))``.
         The initial solve and every repair charge that one engine's

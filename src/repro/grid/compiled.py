@@ -35,7 +35,6 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.backend import numpy_or_none, resolve_backend
 from repro.grid.coords import Node
 from repro.grid.directions import DIRECTION_OFFSETS, OPPOSITE_VALUES as _OPP, Direction
 from repro.obs.trace import trace_span
@@ -44,19 +43,6 @@ from repro.obs.trace import trace_span
 _OFFSETS: Tuple[Tuple[int, int], ...] = tuple(
     DIRECTION_OFFSETS[Direction(d)] for d in range(6)
 )
-
-#: Below this node count the vectorized build loses to the plain loop
-#: (ndarray setup dominates); the python path runs regardless of
-#: backend for tiny structures.
-_VECTORIZE_MIN = 64
-
-#: Packed-coordinate layout for the vectorized build: a node sorts as
-#: ``(x + BIAS) * SHIFT + (y + BIAS)``, which is order-isomorphic to
-#: the ``(x, y)`` dataclass order whenever both coordinates fit in
-#: ``(-BIAS, BIAS)`` — keys stay under 2^52, comfortably inside int64.
-_COORD_BIAS = 1 << 25
-_COORD_SHIFT = 1 << 26
-
 
 class GridIndexStats:
     """Counters for grid-index construction (probe for tests/CI).
@@ -88,8 +74,8 @@ class GridIndexStats:
 GRID_STATS = GridIndexStats()
 
 
-def _build_tables_py(ordered: List[Node]) -> Tuple[array, bytearray, bytearray]:
-    """Neighbor/degree/boundary tables by one hashing pass (reference).
+def _build_tables(ordered: List[Node]) -> Tuple[array, bytearray, bytearray]:
+    """Neighbor/degree/boundary tables by one hashing pass.
 
     ``ordered`` must already be sorted; ids are list positions.
     """
@@ -113,45 +99,6 @@ def _build_tables_py(ordered: List[Node]) -> Tuple[array, bytearray, bytearray]:
         boundary[base // 6] = 1 if count < 6 else 0
         base += 6
     return nbr, deg, boundary
-
-
-def _build_tables_np(node_list: List[Node], np):
-    """Vectorized index build: canonical sort + searchsorted adjacency.
-
-    Coordinates pack into order-preserving int64 keys, the canonical
-    id order is one ``argsort``, and each of the six neighbor columns
-    is one ``searchsorted`` probe of the shifted keys — no per-node
-    ``Node`` construction or dict probing.  Degree and boundary are row
-    reductions.  The resulting tables convert back to ``array("i")`` /
-    ``bytearray`` so :meth:`GridIndex.derive` patches them in place
-    exactly as before, byte for byte identical to the reference build.
-
-    Returns ``None`` (caller falls back to the reference loop) when a
-    coordinate is too large for the packed layout.
-    """
-    n = len(node_list)
-    xs = np.fromiter((u.x for u in node_list), dtype=np.int64, count=n)
-    ys = np.fromiter((u.y for u in node_list), dtype=np.int64, count=n)
-    limit = _COORD_BIAS - 2
-    if max(abs(int(xs.min())), int(xs.max()), abs(int(ys.min())), int(ys.max())) > limit:
-        return None
-    keys = (xs + _COORD_BIAS) * _COORD_SHIFT + (ys + _COORD_BIAS)
-    order = np.argsort(keys)
-    keys = keys[order]
-    ordered = [node_list[i] for i in order.tolist()]
-    nbr2 = np.full((n, 6), -1, dtype=np.int32)
-    last = n - 1
-    for d, (dx, dy) in enumerate(_OFFSETS):
-        shifted = keys + (dx * _COORD_SHIFT + dy)
-        pos = np.minimum(np.searchsorted(keys, shifted), last)
-        found = keys[pos] == shifted
-        nbr2[found, d] = pos[found]
-    counts = (nbr2 >= 0).sum(axis=1, dtype=np.uint8)
-    nbr = array("i")
-    nbr.frombytes(nbr2.ravel().tobytes())
-    deg = bytearray(counts.tobytes())
-    boundary = bytearray((counts < 6).astype(np.uint8).tobytes())
-    return ordered, nbr, deg, boundary
 
 
 class GridIndex:
@@ -183,13 +130,8 @@ class GridIndex:
         if not node_list:
             raise ValueError("grid index requires at least one node")
         with trace_span("grid_tables", n=len(node_list)):
-            built = None
-            if len(node_list) >= _VECTORIZE_MIN and resolve_backend() == "numpy":
-                built = _build_tables_np(node_list, numpy_or_none())
-            if built is None:
-                ordered = sorted(node_list)
-                built = (ordered, *_build_tables_py(ordered))
-        ordered, nbr, deg, boundary = built
+            ordered = sorted(node_list)
+            nbr, deg, boundary = _build_tables(ordered)
         self.nodes: List[Optional[Node]] = list(ordered)
         self.n_slots = len(ordered)
         self._live = len(ordered)
@@ -283,19 +225,11 @@ class GridIndex:
         mate = self._mate_e
         if mate is None:
             nbr = self.nbr
-            if len(nbr) >= 6 * _VECTORIZE_MIN and resolve_backend() == "numpy":
-                np = numpy_or_none()
-                j = np.frombuffer(nbr, dtype=np.int32).reshape(-1, 6)
-                opp = np.asarray(_OPP, dtype=np.int32)
-                mate_np = np.where(j >= 0, j * 6 + opp[None, :], -1)
-                mate = array("i")
-                mate.frombytes(mate_np.astype(np.int32).ravel().tobytes())
-            else:
-                mate = array("i", [-1] * len(nbr))
-                for e in range(len(nbr)):
-                    j = nbr[e]
-                    if j >= 0:
-                        mate[e] = j * 6 + _OPP[e % 6]
+            mate = array("i", [-1] * len(nbr))
+            for e in range(len(nbr)):
+                j = nbr[e]
+                if j >= 0:
+                    mate[e] = j * 6 + _OPP[e % 6]
             self._mate_e = mate
         return mate
 

@@ -127,7 +127,7 @@ def run_pasc(
 
     ``engine`` may also be a :class:`repro.api.Session` together with an
     explicit ``structure=`` — the session then supplies the engine
-    (backend, scheduler, shared layout caches), unifying PASC with the
+    (scheduler, shared layout caches), unifying PASC with the
     rest of the facade: ``run_pasc(session, runs, structure=st)`` is
     ``run_pasc(session.engine_for(st), runs)``.
 

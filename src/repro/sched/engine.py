@@ -115,7 +115,6 @@ class ActivationEngine(CircuitEngine):
         layout_cache_size: int = 256,
         layouts: Optional[AnyLayoutCache] = None,
         max_retransmissions: int = 1000,
-        backend: Optional[str] = None,
     ):
         super().__init__(
             structure,
@@ -123,7 +122,6 @@ class ActivationEngine(CircuitEngine):
             counter=counter,
             layout_cache_size=layout_cache_size,
             layouts=layouts,
-            backend=backend,
         )
         self.scheduler = make_scheduler(scheduler)
         self.max_retransmissions = max_retransmissions

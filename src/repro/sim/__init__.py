@@ -24,16 +24,17 @@ layouts *outside* round loops, from grid-index edge ids and ``(edge
 id, channel)`` pins; freezing validates a layout once and
 *compiles* it to flat integer arrays
 (:class:`~repro.sim.compiled.CompiledLayout`), so a round is a couple of
-array passes.  Evolving wirings go through :meth:`CircuitLayout.derive`
-(incremental re-wiring, components recomputed only over the touched
-circuits, integer set-ids stable across the chain) and repeated wirings
-through the engine's :class:`LayoutCache` (``engine.layouts``).  Hot
-loops resolve their partition sets to integer ids once (the builder's
-slots, :meth:`CircuitLayout.set_ids`) and run
+pure-Python passes over them (one kernel set; :mod:`repro.backend`
+keeps only the backend names).  Evolving wirings go through
+:meth:`CircuitLayout.derive` (incremental re-wiring, components
+recomputed only over the touched circuits, integer set-ids stable
+across the chain) and repeated wirings through the engine's
+:class:`LayoutCache` (``engine.layouts``).  Hot loops resolve their
+partition sets to integer ids once (the builder's slots,
+:meth:`CircuitLayout.set_ids`) and run
 :meth:`CircuitEngine.run_round_indexed` with zero per-round dict
-construction;
-``run_round(..., listen=...)`` remains the id-keyed adapter and
-materializes only the beep results the caller reads.  See
+construction; ``run_round(..., listen=...)`` remains the id-keyed
+adapter and materializes only the beep results the caller reads.  See
 ``repro.sim.circuits`` for the full contract and :data:`LAYOUT_STATS`
 for the rebuild/compile/round probes.
 """

@@ -37,7 +37,7 @@ even when the wiring *does* evolve between rounds:
   the cache and skip validation, union-find, and compilation entirely.
 
 :data:`LAYOUT_STATS` counts full versus incremental component builds,
-array compilations, rounds executed over the array backend, and layout
+array compilations, rounds executed over the compiled arrays, and layout
 cache traffic, so tests and CI can assert that nobody reintroduces
 per-round rebuilds.
 """
@@ -47,7 +47,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.backend import resolve_backend
 from repro.grid.coords import Node
 from repro.grid.directions import OPPOSITE_VALUES as _OPPOSITE, Direction
 from repro.grid.structure import AmoebotStructure
@@ -72,7 +71,7 @@ class LayoutBuildStats:
     ``noop_freezes`` counts derived freezes with no re-wiring at all
     (the base layout's compiled arrays are adopted verbatim).
 
-    The compile/execute counters probe the flat-array backend:
+    The compile/execute counters probe the flat-array lowering:
     ``compiles`` counts :class:`~repro.sim.compiled.CompiledLayout`
     constructions (every full or incremental freeze lowers to arrays;
     noop freezes reuse the base arrays and do not compile),
@@ -105,7 +104,7 @@ class LayoutBuildStats:
         return self.full_builds + self.incremental_builds
 
     def total_rounds(self) -> int:
-        """Beep rounds executed over the array backend (either entry)."""
+        """Beep rounds executed over the compiled arrays (either entry)."""
         return self.indexed_rounds
 
     def to_dict(self) -> dict:
@@ -168,21 +167,12 @@ class CircuitLayout:
     :meth:`partition_sets`).
     """
 
-    def __init__(
-        self,
-        structure: AmoebotStructure,
-        channels: int,
-        backend: Optional[str] = None,
-    ):
+    def __init__(self, structure: AmoebotStructure, channels: int):
         if channels < 1:
             raise PinConfigurationError("pin budget c must be at least 1")
         self._structure = structure
         self._gi = structure.grid_index()
         self._channels = channels
-        #: Execution backend the compiled arrays run under; resolved at
-        #: construction (``None`` -> process default) and inherited by
-        #: every derived layout so a derive chain never mixes backends.
-        self._backend = resolve_backend(backend)
         #: Partition sets are keyed by ints, ``label id << 32 | node
         #: id`` (see :meth:`_label_key`), so declaring one allocates no
         #: tuple; the ``(node, label)`` views are built on demand.
@@ -501,7 +491,6 @@ class CircuitLayout:
         clone._structure = self._structure
         clone._gi = self._gi
         clone._channels = self._channels
-        clone._backend = self._backend
         clone._labels = list(self._labels)
         clone._label_ids = dict(self._label_ids)
         clone._key_slot = dict(self._key_slot)
@@ -758,7 +747,6 @@ class CircuitLayout:
             self._pin_slot,
             self._channels,
             self._gi.mate_edges(),
-            backend=self._backend,
         )
         LAYOUT_STATS.full_builds += 1
         LAYOUT_STATS.compiles += 1
@@ -788,7 +776,6 @@ class CircuitLayout:
                 self._pin_slot,
                 self._channels,
                 self._gi.mate_edges(),
-                backend=self._backend,
             )
         else:
             # Universe intact: slots coincide with the base index's

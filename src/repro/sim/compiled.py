@@ -17,18 +17,10 @@ integer space, so the standard lowering (:func:`compile_wiring_ids`)
 never hashes a tuple at all — pin mates resolve through the grid
 index's mirror-edge table.
 
-**Backends.**  The integer tables admit two traversal strategies
-(:mod:`repro.backend`).  Under ``backend="python"`` every pass is a
-pure-Python loop — the dependency-free reference.  Under
-``backend="numpy"`` the same lowering runs on ndarray kernels: pin
-mates resolve by ``searchsorted`` over the sorted pin array, connected
-components by vectorized min-label propagation with pointer jumping,
-``execute`` becomes one boolean scatter plus one gather, and
-``component_sizes`` a single ``bincount``.  Both backends produce
-*bit-identical* results — the numpy component labeling converges to the
-minimal member index of each circuit, which is exactly the label order
-the Python union-find assigns — so round counts, forests, and every
-pinned total are unchanged by the backend switch.
+Every pass is a pure-Python loop over flat integers; there is one
+kernel set.  Component labels are assigned in ascending order of each
+circuit's minimal member index, so round counts, forests, and every
+pinned total depend only on the wiring.
 
 Compiled layouts are immutable and cached on their layout; deriving a
 layout with an unchanged partition-set universe re-uses the base
@@ -41,7 +33,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.backend import require_numpy, resolve_backend
 from repro.sim.errors import PinConfigurationError
 from repro.sim.pins import PartitionSetId
 
@@ -124,15 +115,6 @@ class PartitionSetIndex:
         return result
 
 
-def _index_array(values, np):
-    """``values`` (ndarray / sequence / iterable of ints) as an intp array."""
-    if isinstance(values, np.ndarray):
-        return values
-    if isinstance(values, (list, tuple, range)):
-        return np.asarray(values, dtype=np.intp)
-    return np.fromiter(values, dtype=np.intp)
-
-
 class CompiledLayout:
     """A frozen layout lowered to flat integer arrays.
 
@@ -142,28 +124,18 @@ class CompiledLayout:
         Partition set <-> integer id mapping.
     adj:
         ``adj[i]`` lists the integer ids of the sets wired to set ``i``
-        by external links (one entry per wired link endpoint).  Under
-        the numpy backend the rows are materialized lazily from the
-        compiled edge arrays — only the incremental derive path reads
-        them.
+        by external links (one entry per wired link endpoint).
     comp:
-        Dense circuit label per set id (``0 .. n_components - 1``); a
-        plain list under the Python backend, an ``intp`` ndarray under
-        numpy.  Labels agree bit for bit between backends.
+        Dense circuit label per set id (``0 .. n_components - 1``).
     n_components:
         Number of circuits; every label in that range is non-empty.
-    backend:
-        ``"python"`` or ``"numpy"`` — how rounds over this compilation
-        execute.
     """
 
     __slots__ = (
         "index",
+        "adj",
         "comp",
         "n_components",
-        "backend",
-        "_adj",
-        "_edges",
         "_starts",
         "_members",
         "_comp_sizes",
@@ -172,74 +144,38 @@ class CompiledLayout:
     def __init__(
         self,
         index: PartitionSetIndex,
-        adj: Optional[List[List[int]]],
-        comp,
+        adj: List[List[int]],
+        comp: List[int],
         n_components: int,
-        backend: str = "python",
-        edges=None,
     ):
         self.index = index
-        self.backend = backend
-        self._adj = adj
-        self._edges = edges
-        if backend == "numpy":
-            np = require_numpy()
-            self.comp = np.asarray(comp, dtype=np.intp)
-        else:
-            self.comp = comp
+        self.adj = adj
+        self.comp = comp
         self.n_components = n_components
-        self._starts = None
-        self._members = None
-        self._comp_sizes = None
-
-    @property
-    def adj(self) -> List[List[int]]:
-        """Adjacency rows, materialized from the edge arrays on demand.
-
-        The Python backend builds the rows during compilation; the
-        numpy backend keeps only the flat ``(src, dst)`` edge arrays
-        and pays the row materialization once, if and when a derive
-        chain actually needs rows to patch.
-        """
-        adj = self._adj
-        if adj is None:
-            adj = [[] for _ in range(len(self.index))]
-            src, dst = self._edges
-            for a, b in zip(src.tolist(), dst.tolist()):
-                adj[a].append(b)
-            self._adj = adj
-        return adj
+        self._starts: Optional[List[int]] = None
+        self._members: Optional[List[int]] = None
+        self._comp_sizes: Optional[List[int]] = None
 
     def members_csr(self):
         """Component -> member set-ids as ``(starts, members)`` arrays.
 
         ``members[starts[c] : starts[c + 1]]`` are the set ids of circuit
-        ``c``, ascending.  Built lazily by one counting pass (Python) or
-        one stable argsort (numpy) and cached; both orders are identical
-        (members of a circuit in ascending set-id order).
+        ``c``, ascending.  Built lazily by one counting pass and cached.
         """
         if self._starts is None:
             comp = self.comp
-            if self.backend == "numpy":
-                np = require_numpy()
-                counts = np.bincount(comp, minlength=self.n_components)
-                starts = np.zeros(self.n_components + 1, dtype=np.intp)
-                np.cumsum(counts, out=starts[1:])
-                self._starts = starts
-                self._members = np.argsort(comp, kind="stable")
-            else:
-                starts = [0] * (self.n_components + 1)
-                for c in comp:
-                    starts[c + 1] += 1
-                for c in range(1, len(starts)):
-                    starts[c] += starts[c - 1]
-                members = [0] * len(comp)
-                cursor = list(starts[: self.n_components])
-                for i, c in enumerate(comp):
-                    members[cursor[c]] = i
-                    cursor[c] += 1
-                self._starts = starts
-                self._members = members
+            starts = [0] * (self.n_components + 1)
+            for c in comp:
+                starts[c + 1] += 1
+            for c in range(1, len(starts)):
+                starts[c] += starts[c - 1]
+            members = [0] * len(comp)
+            cursor = list(starts[: self.n_components])
+            for i, c in enumerate(comp):
+                members[cursor[c]] = i
+                cursor[c] += 1
+            self._starts = starts
+            self._members = members
         assert self._members is not None
         return self._starts, self._members
 
@@ -265,34 +201,15 @@ class CompiledLayout:
         self,
         beep_indices: Iterable[int],
         listen_indices: Optional[Sequence[int]] = None,
-    ):
-        """One full round in integer space: propagate, then read.
-
-        The Python backend returns a list of bools; the numpy backend a
-        boolean ndarray with identical truth values (beep -> component
-        scatter, then one per-listen gather; no per-round Python loop).
-        """
-        if self.backend == "numpy":
-            np = require_numpy()
-            comp = self.comp
-            hears = np.zeros(self.n_components, dtype=np.bool_)
-            beeps = _index_array(beep_indices, np)
-            if beeps.size:
-                hears[comp[beeps]] = True
-            if listen_indices is None:
-                return hears[comp]
-            listens = _index_array(listen_indices, np)
-            return hears[comp[listens]]
+    ) -> List[bool]:
+        """One full round in integer space: propagate, then read."""
         return self.read(self.propagate(beep_indices), listen_indices)
 
-    def component_sizes(self):
+    def component_sizes(self) -> List[int]:
         """Member count per circuit, precomputed once per compilation."""
         sizes = self._comp_sizes
         if sizes is None:
-            if self.backend == "numpy":
-                np = require_numpy()
-                sizes = np.bincount(self.comp, minlength=self.n_components)
-            elif self._starts is not None:
+            if self._starts is not None:
                 starts = self._starts
                 sizes = [starts[c + 1] - starts[c] for c in range(self.n_components)]
             else:
@@ -314,7 +231,7 @@ class CompiledLayout:
         for c in range(self.n_components):
             if hears[c]:
                 total += sizes[c]
-        return int(total)
+        return total
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +244,6 @@ def compile_wiring_ids(
     pin_slot: Mapping[int, int],
     channels: int,
     mate_edges: Sequence[int],
-    backend: str = "python",
 ) -> CompiledLayout:
     """Lower an integer-keyed wiring to a :class:`CompiledLayout`.
 
@@ -337,18 +253,7 @@ def compile_wiring_ids(
     (:meth:`~repro.grid.compiled.GridIndex.mate_edges`).  The whole
     lowering — mate resolution, adjacency, union-find — runs over flat
     integers: nothing is hashed except the C-level int dict probes.
-
-    Under ``backend="numpy"`` mate resolution is one ``searchsorted``
-    over the sorted pin array and the components come from vectorized
-    min-label propagation — no Python loop touches the pin table.
     """
-    if backend == "numpy":
-        np = require_numpy()
-        src, dst = _compile_edges_np(pin_slot, channels, mate_edges, np)
-        comp, n_components = _connected_components_np(len(index), src, dst, np)
-        return CompiledLayout(
-            index, None, comp, n_components, backend="numpy", edges=(src, dst)
-        )
     adj: List[List[int]] = [[] for _ in range(len(index))]
     get = pin_slot.get
     c = channels
@@ -361,43 +266,13 @@ def compile_wiring_ids(
     return CompiledLayout(index, adj, comp, n_components)
 
 
-def _compile_edges_np(
-    pin_slot: Mapping[int, int], channels: int, mate_edges: Sequence[int], np
-):
-    """Directed slot-adjacency edges of an integer wiring, vectorized.
-
-    One entry per wired pin endpoint, in pin-table order — exactly the
-    entries the Python loop appends, so lazily materialized adjacency
-    rows are identical list for list.  Mates resolve by binary search:
-    sort the pin encodings once, then locate every pin's mirror
-    encoding in ``O(P log P)`` with zero dict probes.
-    """
-    count = len(pin_slot)
-    if count == 0:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty
-    pins = np.fromiter(pin_slot.keys(), dtype=np.int64, count=count)
-    slots = np.fromiter(pin_slot.values(), dtype=np.intp, count=count)
-    mate_table = np.asarray(mate_edges, dtype=np.int64)
-    edges = pins // channels
-    mate_edge = mate_table[edges]
-    wired = mate_edge >= 0
-    mate_pins = np.where(wired, pins + (mate_edge - edges) * channels, -1)
-    order = np.argsort(pins)
-    sorted_pins = pins[order]
-    pos = np.minimum(np.searchsorted(sorted_pins, mate_pins), count - 1)
-    found = wired & (sorted_pins[pos] == mate_pins)
-    return slots[found], slots[order[pos[found]]]
-
-
 def _connected_components(adj: List[List[int]]) -> Tuple[List[int], int]:
     """Dense component labels of the integer adjacency table.
 
     Union-find with path halving and union by size, entirely over flat
     integer arrays.  Labels are assigned in ascending order of each
     component's minimal member index (the first member encountered by
-    the ascending scan), which is the invariant the numpy labeling
-    reproduces.
+    the ascending scan).
     """
     size = len(adj)
     parent = list(range(size))
@@ -431,38 +306,6 @@ def _connected_components(adj: List[List[int]]) -> Tuple[List[int], int]:
             comp[root] = label
         comp[i] = label
     return comp, n_components
-
-
-def _connected_components_np(size: int, src, dst, np):
-    """Vectorized component labels over flat edge arrays.
-
-    Min-label hooking with pointer jumping (Shiloach–Vishkin style):
-    every node starts as its own label; each sweep hooks the larger
-    root of every edge onto the smaller and then flattens the pointer
-    forest by repeated ``label[label]`` squaring, so the sweep count is
-    logarithmic in the largest component diameter.  Labels only ever
-    decrease and ``label[i] <= i`` is invariant, so the fixpoint label
-    of every component is its *minimal member index* — relabeling by
-    sorted unique values therefore assigns exactly the same dense
-    labels as the Python union-find's ascending first-member scan.
-    """
-    label = np.arange(size, dtype=np.intp)
-    if src.size:
-        while True:
-            before = label
-            roots_a = label[src]
-            roots_b = label[dst]
-            label = label.copy()
-            np.minimum.at(label, np.maximum(roots_a, roots_b), np.minimum(roots_a, roots_b))
-            while True:
-                squared = label[label]
-                if np.array_equal(squared, label):
-                    break
-                label = squared
-            if np.array_equal(label, before):
-                break
-    uniq, inverse = np.unique(label, return_inverse=True)
-    return inverse.astype(np.intp, copy=False).reshape(size), int(uniq.size)
 
 
 def _group_region(region: Sequence[int], adj: List[List[int]]) -> List[List[int]]:
@@ -506,17 +349,14 @@ def recompile_derived(
     are unchanged and shared with ``base``).  Components are recomputed
     only inside the touched region — the base circuits containing a
     dirty set — and relabeled so circuit labels stay dense, mirroring
-    the historical dict-based incremental freeze.  The result inherits
-    the base compilation's backend; the O(touched) bound holds either
-    way (the numpy comp array is rebuilt from the patched labels in one
-    C-level pass).
+    the historical dict-based incremental freeze.
     """
     adj = list(base.adj)
     for i, row in new_rows.items():
         adj[i] = row
 
     base_comp = base.comp
-    affected = sorted({int(base_comp[i]) for i in dirty_indices})
+    affected = sorted({base_comp[i] for i in dirty_indices})
     starts, members = base.members_csr()
     region: List[int] = []
     for c in affected:
@@ -526,7 +366,7 @@ def recompile_derived(
 
     comp = list(base_comp)
     n_components = base.n_components
-    sizes = [int(starts[c + 1] - starts[c]) for c in range(n_components)]
+    sizes = [starts[c + 1] - starts[c] for c in range(n_components)]
     group_members: Dict[int, List[int]] = {}
     for c in affected:
         sizes[c] = 0
@@ -563,7 +403,7 @@ def recompile_derived(
         sizes[tail] = 0
         n_components -= 1
 
-    return CompiledLayout(base.index, adj, comp, n_components, backend=base.backend)
+    return CompiledLayout(base.index, adj, comp, n_components)
 
 
 __all__ = [
@@ -571,5 +411,4 @@ __all__ = [
     "PartitionSetIndex",
     "compile_wiring_ids",
     "recompile_derived",
-    "resolve_backend",
 ]

@@ -102,6 +102,9 @@ class CircuitEngine:
         the given cache — a :class:`~repro.api.Session` uses this to
         reuse one compiled layout per wiring fingerprint across every
         request it executes.
+    backend:
+        A name from :data:`repro.backend.BACKEND_NAMES`, validated and
+        kept for compatibility; every name runs the same kernels.
     """
 
     def __init__(
@@ -115,9 +118,7 @@ class CircuitEngine:
     ):
         self.structure = structure
         self.channels = channels
-        #: Execution backend for every layout this engine builds
-        #: (``"python"`` or ``"numpy"``); ``None`` resolves the process
-        #: default (:func:`repro.backend.resolve_backend`) once, here.
+        #: What ``backend`` resolves to (always ``"python"``).
         self.backend = resolve_backend(backend)
         self.rounds = counter if counter is not None else RoundCounter()
         # Synchronous semantics: every amoebot activates once per round,
@@ -172,7 +173,7 @@ class CircuitEngine:
     # ------------------------------------------------------------------
     def new_layout(self) -> CircuitLayout:
         """A fresh, empty layout bound to this engine's structure."""
-        return CircuitLayout(self.structure, self.channels, backend=self.backend)
+        return CircuitLayout(self.structure, self.channels)
 
     def global_layout(self, label: str = "global", channel: int = 0) -> CircuitLayout:
         """A layout wiring the whole structure into one global circuit.
@@ -297,7 +298,7 @@ class CircuitEngine:
             listen_idx = index.indices(keys, "listen on")
         LAYOUT_STATS.mapped_rounds += 1
         bits = self.run_round_indexed(layout, beep_idx, listen_idx)
-        return dict(zip(keys, bits if type(bits) is list else bits.tolist()))
+        return dict(zip(keys, bits))
 
     def run_round_indexed(
         self,

@@ -11,7 +11,7 @@ Quickstart (the unified facade)::
     solution = solve_spf(structure, [nodes[0]], nodes[-5:])
 
     # Reusing hot state across solves: a Session owns the engine
-    # configuration (backend, scheduler, layout caches) and hands the
+    # configuration (scheduler, layout caches) and hands the
     # same engine policy to every call.
     session = Session(scheduler="random:1")
     solution = solve_spf(structure, [nodes[0]], nodes[-5:], session=session)
@@ -85,7 +85,7 @@ def solve_spf(
     ``algorithm`` field says which path was taken.
 
     ``session`` (a :class:`repro.api.Session`) supplies the engine —
-    backend, scheduler, and shared layout caches in one object; the
+    scheduler and shared layout caches in one object; the
     session's ``allow_holes`` policy applies when the kwarg is left at
     its default.  ``engine`` remains the low-level composition hook for
     callers that manage an engine's lifecycle themselves (the dynamics

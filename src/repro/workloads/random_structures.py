@@ -15,7 +15,6 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import List, Optional, Set
 
-from repro.backend import numpy_or_none, resolve_backend
 from repro.grid.coords import Node
 from repro.grid.directions import all_directions_ccw
 from repro.grid.structure import AmoebotStructure
@@ -26,13 +25,6 @@ from repro.grid.structure import AmoebotStructure
 #: is what keeps the frontier maintainable by bisection.
 _KEY_BIAS = 1 << 32
 _KEY_SHIFT = 1 << 33
-
-#: Frontier size below which the scalar cumulative-weight draw beats
-#: the ndarray one: per-draw ``fromiter``/``cumsum`` setup is a fixed
-#: few microseconds, the scalar scan costs ~80ns per candidate, so the
-#: crossover sits near a couple hundred candidates (a blob's frontier
-#: passes that around n = 10^4).
-_NUMPY_DRAW_MIN = 256
 
 
 def _node_key(v: Node) -> int:
@@ -132,34 +124,16 @@ def random_hole_free(
 
     for v in origin.neighbors():
         refresh(v)
-    # The draw follows the backend in effect (``Session.run`` scopes it
-    # to the session's), so python-backend growth never imports numpy.
-    np = numpy_or_none() if resolve_backend() == "numpy" else None
     base = 1.0 - compactness
     while len(nodes) < n:
         if not cand_keys:  # pragma: no cover - cannot happen on the grid
             raise RuntimeError("growth stalled")
         # One weighted draw, replicating random.choices(k=1) exactly:
         # cumulative weights, one random() draw, right-bisection bounded
-        # to the last index.  The numpy branch computes the identical
-        # weights and the identical sequential cumulative sum (cumsum is
-        # not pairwise), so the chosen index matches bit for bit.
-        hi = len(cand_keys) - 1
-        if np is not None and hi >= _NUMPY_DRAW_MIN:
-            counts = np.fromiter(
-                cand_counts, dtype=np.float64, count=len(cand_counts)
-            )
-            cum = np.cumsum(base + compactness * (counts * counts))
-            total = float(cum[-1]) + 0.0
-            x = rng.random() * total
-            idx = min(int(np.searchsorted(cum, x, side="right")), hi)
-        else:
-            cum_list = list(
-                accumulate(base + compactness * (c * c) for c in cand_counts)
-            )
-            total = cum_list[-1] + 0.0
-            x = rng.random() * total
-            idx = bisect_right(cum_list, x, 0, hi)
+        # to the last index.
+        cum = list(accumulate(base + compactness * (c * c) for c in cand_counts))
+        x = rng.random() * (cum[-1] + 0.0)
+        idx = bisect_right(cum, x, 0, len(cum) - 1)
         chosen = cand_nodes[idx]
         nodes.add(chosen)
         refresh(chosen)

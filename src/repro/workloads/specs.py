@@ -52,11 +52,10 @@ _SIZE_ARG_COUNTS: Dict[str, int] = {
 }
 
 #: Named scale tiers over the seeded random generator, so campaigns,
-#: benches, and CI name the same structures.  ``large`` is CI-sized
-#: (the numpy leg's perf smoke builds it); ``huge`` is the n = 10^5
-#: tier the vectorized backend unlocked — both rely on the generator's
-#: frontier-incremental growth (the historical per-step re-sort made
-#: anything past ~1600 nodes unreachable).
+#: benches, and CI name the same structures.  ``large`` is n = 20000,
+#: ``huge`` n = 10^5; both rely on the generator's frontier-incremental
+#: growth (the historical per-step re-sort made anything past ~1600
+#: nodes unreachable).
 SCALE_TIERS: Dict[str, str] = {
     "large": "random:20000:11",
     "huge": "random:100000:11",

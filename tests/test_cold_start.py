@@ -1,12 +1,13 @@
-"""Cold-start import guard: optional array libraries load only when used.
+"""Cold-start import guard: no solve loads an array library.
 
-Each check runs in a fresh interpreter, since the test process itself
-has long since imported numpy.  The contract (see ``repro.backend``):
+Each check runs in a fresh interpreter, since the test process may
+already have imported numpy.  The contract (see ``repro.backend``):
 
 * ``import repro`` imports neither numpy nor scipy;
-* a solve on a ``backend="python"`` session never imports numpy, not
-  even for grid-index or random-structure builds;
-* no solve, on either backend, imports scipy.
+* no ``Session`` solve of any request kind imports numpy or scipy,
+  under any backend name — every name runs the same pure-Python
+  kernels, grid-index and random-structure builds included;
+* ``backend_info()`` does not probe numpy.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ import sys
 
 import pytest
 
-from repro.backend import numpy_or_none
+from repro.backend import BACKEND_NAMES
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-#: Requests large enough to cross every vectorization threshold
-#: (GridIndex tables, mate tables) and to cover each request kind.
+#: Requests covering each request kind, on structures large enough for
+#: every grid-index and mate table to be built.
 REQUESTS = (
     "SolveRequest(shape='line:200', k=2, l=5)",
     "SolveRequest(shape='random:300:3', k=2, l=5)",
@@ -32,6 +33,8 @@ REQUESTS = (
     "SolveRequest(kind='churn', shape='random:120:2', k=2, l=3,"
     " churn='growth', churn_steps=1)",
 )
+
+NO_ARRAY_LIBRARY = {"numpy": False, "scipy": False}
 
 
 def _modules_after(body: str) -> dict:
@@ -53,22 +56,28 @@ def _modules_after(body: str) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def _solves(backend: str) -> str:
-    runs = "\n".join(f"session.run({r})" for r in REQUESTS)
-    return (
+def test_import_repro_loads_no_array_library():
+    assert _modules_after("import repro") == NO_ARRAY_LIBRARY
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_solve_never_imports_an_array_library(backend):
+    runs = "\n".join(
+        f"session.run(dataclasses.replace({r}, backend={backend!r}))"
+        for r in REQUESTS
+    )
+    body = (
+        "import dataclasses\n"
         "from repro.api import Session, SolveRequest\n"
         f"session = Session(backend={backend!r})\n{runs}"
     )
+    assert _modules_after(body) == NO_ARRAY_LIBRARY
 
 
-def test_import_repro_loads_no_array_library():
-    assert _modules_after("import repro") == {"numpy": False, "scipy": False}
-
-
-def test_python_backend_solve_never_imports_numpy():
-    assert _modules_after(_solves("python")) == {"numpy": False, "scipy": False}
-
-
-@pytest.mark.skipif(numpy_or_none() is None, reason="numpy not installed")
-def test_numpy_backend_solve_never_imports_scipy():
-    assert _modules_after(_solves("numpy")) == {"numpy": True, "scipy": False}
+def test_backend_info_does_not_probe_numpy():
+    body = (
+        "from repro import backend_info, set_default_backend\n"
+        "set_default_backend('numpy')\n"
+        "assert backend_info() == {'default': 'numpy', 'resolved': 'python'}"
+    )
+    assert _modules_after(body) == NO_ARRAY_LIBRARY

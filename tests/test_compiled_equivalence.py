@@ -1,11 +1,11 @@
 """Property test: compiled-array rounds match a dict-based reference.
 
-The compiled backend (:mod:`repro.sim.compiled`) must be observationally
+The compiled layer (:mod:`repro.sim.compiled`) must be observationally
 identical to the specification it replaced: beeps propagate exactly
 within the connected components of the partition-set graph induced by
 the wired external links.  This file keeps an *independent* reference
 implementation — plain dict/set BFS over (node, label) tuples, no shared
-code with the array backend — and checks, over random hole-free
+code with the compiled layer — and checks, over random hole-free
 structures and random pin assignments:
 
 * the full ``run_round`` result dict,
@@ -14,18 +14,21 @@ structures and random pin assignments:
 * error paths (beeping or listening on undeclared sets), and
 * incremental recompilation after ``derive``/``reassign``/
   ``exchange_slots`` re-wiring versus a from-scratch build of the same
-  wiring.
+  wiring,
+* faulty rounds: one injector seed replays the same drops, and a drop
+  only ever removes hears, and
+* the union-find labeler against a BFS labeling of the same graph.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Set, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import numpy_or_none
 from repro.grid.coords import Node
 from repro.grid.directions import opposite
 from repro.sim.circuits import CircuitLayout
@@ -215,7 +218,6 @@ def test_round_matches_reference(case):
     assert engine.run_round(layout, beeps, listen=()) == {}
 
     # Integer fast path: same bits, in listen order and in index order.
-    # (list() materializes the bits: the numpy backend returns ndarrays.)
     index = layout.compiled().index
     beep_idx = index.indices(beeps, "beep on")
     bits = engine.run_round_indexed(layout, beep_idx, index.indices(listen))
@@ -297,175 +299,110 @@ def test_error_paths_match_reference_contract():
     assert engine.rounds.total == before
 
 
-# ----------------------------------------------------------------------
-# python-vs-numpy backend equivalence (the numpy lowering must be
-# *bit-identical* to the pure-Python reference, not merely isomorphic:
-# same dense component labels, same bits, same forests)
-# ----------------------------------------------------------------------
-
-requires_numpy = pytest.mark.skipif(
-    numpy_or_none() is None, reason="numpy not installed"
-)
-
-
-def _both_engines(structure) -> Tuple[CircuitEngine, CircuitEngine]:
-    return (
-        CircuitEngine(structure, channels=CHANNELS, backend="python"),
-        CircuitEngine(structure, channels=CHANNELS, backend="numpy"),
-    )
-
-
-@requires_numpy
-@settings(max_examples=50, deadline=None)
-@given(case=round_cases())
-def test_numpy_backend_round_is_bit_identical(case):
-    structure, pins_of, beeps, listen = case
-    py_engine, np_engine = _both_engines(structure)
-    py_layout = apply_assignment(py_engine, pins_of)
-    np_layout = apply_assignment(np_engine, pins_of)
-    py_compiled = py_layout.compiled()
-    np_compiled = np_layout.compiled()
-
-    # Identical dense labels — not just the same partition — plus
-    # identical adjacency rows, sizes, and CSR member slices.
-    assert list(py_compiled.comp) == [int(c) for c in np_compiled.comp]
-    assert py_compiled.n_components == np_compiled.n_components
-    assert [sorted(row) for row in py_compiled.adj] == [
-        sorted(int(v) for v in row) for row in np_compiled.adj
-    ]
-    assert list(py_compiled.component_sizes()) == [
-        int(s) for s in np_compiled.component_sizes()
-    ]
-    py_starts, py_members = py_compiled.members_csr()
-    np_starts, np_members = np_compiled.members_csr()
-    assert list(py_starts) == [int(v) for v in np_starts]
-    assert list(py_members) == [int(v) for v in np_members]
-
-    # Same bits on the full result, the listen subset, and the empty
-    # subset (the numpy path returns ndarrays; compare as lists).
-    index = py_compiled.index
-    beep_idx = index.indices(beeps, "beep on")
-    listen_idx = index.indices(listen)
-    assert list(py_compiled.execute(beep_idx, None)) == list(
-        np_compiled.execute(beep_idx, None)
-    )
-    assert list(py_compiled.execute(beep_idx, listen_idx)) == list(
-        np_compiled.execute(beep_idx, listen_idx)
-    )
-    assert list(np_compiled.execute(beep_idx, [])) == []
-
-
-@requires_numpy
-@settings(max_examples=25, deadline=None)
-@given(case=round_cases(), data=st.data())
-def test_numpy_backend_derived_chain_is_bit_identical(case, data):
-    # Drive the same derive -> reassign -> freeze chain
-    # through both backends; the incremental recompilation must stay in
-    # lock-step with the python reference at every step.
-    structure, pins_of, beeps, _listen = case
-    py_engine, np_engine = _both_engines(structure)
-    py_layout = apply_assignment(py_engine, pins_of)
-    np_layout = apply_assignment(np_engine, pins_of)
-    py_layout.freeze()
-    np_layout.freeze()
-
-    declared = sorted(pins_of)
-    for _step in range(data.draw(st.integers(min_value=1, max_value=3))):
-        py_layout = py_layout.derive()
-        np_layout = np_layout.derive()
-        if declared:
-            for set_id in data.draw(
-                st.lists(st.sampled_from(declared), unique=True, max_size=2)
-            ):
-                node, label = set_id
-                keep = [
-                    (d, c)
-                    for (_n, d, c) in pins_of[set_id]
-                    if data.draw(st.booleans())
-                ]
-                py_layout.reassign(node, label, keep)
-                np_layout.reassign(node, label, keep)
-        py_layout.freeze()
-        np_layout.freeze()
-        py_compiled = py_layout.compiled()
-        np_compiled = np_layout.compiled()
-        assert list(py_compiled.comp) == [int(c) for c in np_compiled.comp]
-        assert py_compiled.n_components == np_compiled.n_components
-        beep_idx = py_compiled.index.indices(
-            [s for s in beeps if s in py_layout.partition_sets()]
-        )
-        assert list(py_compiled.execute(beep_idx, None)) == list(
-            np_compiled.execute(beep_idx, None)
-        )
-
-
-@requires_numpy
-def test_numpy_backend_exchange_pins_matches_python():
+def test_exchange_on_derived_layout_matches_reference():
     # PASC's crossing flip: swapping pin ownership between sibling sets
-    # on a derived layout must recompile identically under both
-    # backends.
+    # on a derived layout must recompile to the circuits of the swapped
+    # wiring.
     structure = random_hole_free(12, seed=5)
-    results = {}
-    for backend in ("python", "numpy"):
-        engine = CircuitEngine(structure, channels=CHANNELS, backend=backend)
-        layout = engine.new_layout()
-        for node in sorted(structure.nodes):
-            dirs = list(structure.occupied_directions(node))
-            layout.assign(node, "a", [(d, 0) for d in dirs])
-            layout.assign(node, "b", [(d, 1) for d in dirs])
-        layout.freeze()
-        derived = layout.derive()
-        for node in sorted(structure.nodes)[:4]:
-            dirs = list(structure.occupied_directions(node))
-            exchange_pins(
-                derived, node, "a", "b", [(d, c) for d in dirs for c in (0, 1)]
-            )
-        derived.freeze()
-        compiled = derived.compiled()
-        results[backend] = (
-            [int(c) for c in compiled.comp],
-            compiled.n_components,
-            [int(s) for s in compiled.component_sizes()],
+    engine = CircuitEngine(structure, channels=CHANNELS)
+    pins_of: Dict[SetId, List[PinSpec]] = {}
+    for node in sorted(structure.nodes):
+        dirs = list(structure.occupied_directions(node))
+        pins_of[(node, "a")] = [(node, d, 0) for d in dirs]
+        pins_of[(node, "b")] = [(node, d, 1) for d in dirs]
+    base = apply_assignment(engine, pins_of)
+    base.freeze()
+    derived = base.derive()
+    swapped = dict(pins_of)
+    for node in sorted(structure.nodes)[:4]:
+        dirs = list(structure.occupied_directions(node))
+        exchange_pins(derived, node, "a", "b", [(d, c) for d in dirs for c in (0, 1)])
+        swapped[(node, "a")] = pins_of[(node, "b")]
+        swapped[(node, "b")] = pins_of[(node, "a")]
+    derived.freeze()
+
+    component = reference_components(set(swapped), swapped)
+    circuits: Dict[int, Set[SetId]] = {}
+    for set_id, label in component.items():
+        circuits.setdefault(label, set()).add(set_id)
+    assert {frozenset(c) for c in derived.circuits()} == {
+        frozenset(c) for c in circuits.values()
+    }
+    for set_id in sorted(swapped):
+        assert engine.run_round(derived, [set_id]) == reference_round(
+            set(swapped), swapped, [set_id]
         )
-    assert results["python"] == results["numpy"]
 
 
-@requires_numpy
 @settings(max_examples=20, deadline=None)
 @given(case=round_cases(), seed=st.integers(min_value=0, max_value=1000))
-def test_numpy_backend_faulty_rounds_are_bit_identical(case, seed):
-    # The fault injector owns its randomness, so the same seed must
-    # drop the same beeps — and detect the same missed hears — under
-    # both backends.
+def test_faulty_rounds_replay_from_the_injector_seed(case, seed):
+    # The fault injector owns its randomness, so two engines armed with
+    # the same seed drop the same beeps and detect the same missed
+    # hears.  A drop only removes beeps, so every faulty hear is one the
+    # reference hears too.
     from repro.dynamics.faults import FaultInjector
 
     structure, pins_of, beeps, listen = case
-    py_engine, np_engine = _both_engines(structure)
-    results = {}
-    for engine in (py_engine, np_engine):
+    expected = reference_round(set(pins_of), pins_of, beeps)
+    runs = []
+    for _ in range(2):
+        engine = CircuitEngine(structure, channels=CHANNELS)
         layout = apply_assignment(engine, pins_of)
-        compiled = layout.compiled()
         injector = FaultInjector(drop_prob=0.5, seed=seed)
         engine.fault_injector = injector
-        index = compiled.index
+        index = layout.compiled().index
         beep_idx = index.indices(beeps, "beep on")
         listen_idx = index.indices(listen)
         bits = [
             list(engine.run_round_indexed(layout, beep_idx, listen_idx))
             for _ in range(4)
         ]
-        results[engine.backend] = (
-            bits,
-            injector.stats.dropped,
-            injector.stats.faulty_rounds,
-            injector.stats.missed_hears,
-        )
-    assert results["python"] == results["numpy"]
+        for round_bits in bits:
+            for set_id, heard in zip(listen, round_bits):
+                assert expected[set_id] or not heard
+        runs.append((bits, dataclasses.astuple(injector.stats)))
+    assert runs[0] == runs[1]
 
 
 # ----------------------------------------------------------------------
-# labeler differential: numpy min-label hooking vs the union-find
+# the labeler: union-find over the integer adjacency table against a
+# plain BFS labeling, on orders that stress path halving and union by
+# size
 # ----------------------------------------------------------------------
+
+
+def reference_labels(size: int, edges: List[Tuple[int, int]]) -> Tuple[List[int], int]:
+    """Dense labels by BFS, numbered by each component's least member."""
+    neighbors: List[List[int]] = [[] for _ in range(size)]
+    for a, b in edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    labels = [-1] * size
+    count = 0
+    for start in range(size):
+        if labels[start] != -1:
+            continue
+        labels[start] = count
+        queue = [start]
+        while queue:
+            current = queue.pop()
+            for nxt in neighbors[current]:
+                if labels[nxt] == -1:
+                    labels[nxt] = count
+                    queue.append(nxt)
+        count += 1
+    return labels, count
+
+
+def _labeler_output(size: int, edges: List[Tuple[int, int]]) -> Tuple[List[int], int]:
+    from repro.sim.compiled import _connected_components
+
+    adj: List[List[int]] = [[] for _ in range(size)]
+    for a, b in edges:
+        adj[a].append(b)
+    labels, count = _connected_components(adj)
+    return list(labels), count
 
 
 def _path_edges(order: List[int]) -> List[Tuple[int, int]]:
@@ -502,26 +439,12 @@ def _labeler_cases() -> Dict[str, Tuple[int, List[Tuple[int, int]]]]:
     }
 
 
-@requires_numpy
 @pytest.mark.parametrize("name", sorted(_labeler_cases()))
-def test_numpy_labeler_matches_union_find(name):
-    from repro.sim.compiled import _connected_components, _connected_components_np
-
-    np = numpy_or_none()
+def test_labeler_matches_reference(name):
     size, edges = _labeler_cases()[name]
-    adj: List[List[int]] = [[] for _ in range(size)]
-    for a, b in edges:
-        adj[a].append(b)
-    src = np.asarray([a for a, _ in edges], dtype=np.intp)
-    dst = np.asarray([b for _, b in edges], dtype=np.intp)
-    expected, expected_count = _connected_components(adj)
-    labels, count = _connected_components_np(size, src, dst, np)
-    assert labels.tolist() == expected
-    assert count == expected_count
-    assert labels.dtype == np.intp and labels.shape == (size,)
+    assert _labeler_output(size, edges) == reference_labels(size, edges)
 
 
-@requires_numpy
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.integers(min_value=1, max_value=80).flatmap(
@@ -537,15 +460,6 @@ def test_numpy_labeler_matches_union_find(name):
         )
     )
 )
-def test_numpy_labeler_matches_union_find_on_random_graphs(data):
-    from repro.sim.compiled import _connected_components, _connected_components_np
-
-    np = numpy_or_none()
+def test_labeler_matches_reference_on_random_graphs(data):
     size, edges = data
-    adj: List[List[int]] = [[] for _ in range(size)]
-    for a, b in edges:
-        adj[a].append(b)
-    src = np.asarray([a for a, _ in edges], dtype=np.intp)
-    dst = np.asarray([b for _, b in edges], dtype=np.intp)
-    labels, count = _connected_components_np(size, src, dst, np)
-    assert (labels.tolist(), count) == _connected_components(adj)
+    assert _labeler_output(size, edges) == reference_labels(size, edges)

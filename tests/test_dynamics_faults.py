@@ -76,17 +76,6 @@ class TestFaultInjector:
         with pytest.raises(ValueError, match="different lengths"):
             missed_hears([True, False], [True])
 
-    def test_detection_diff_accepts_ndarray_bits(self):
-        np = pytest.importorskip("numpy")
-        from repro.dynamics.faults import missed_hears
-
-        clean = np.asarray([True, True, False, True])
-        faulty = np.asarray([True, False, False, False])
-        assert missed_hears(clean, faulty) == 2
-        # Mixed representations diff elementwise too.
-        assert missed_hears([True, True, False, True], faulty) == 2
-        assert missed_hears(clean, [True, False, False, False]) == 2
-
     def test_bad_probability_rejected(self):
         with pytest.raises(ValueError):
             FaultInjector(drop_prob=1.5)

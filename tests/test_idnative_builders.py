@@ -8,7 +8,7 @@ layouts, PASC chain and tree runs and the election layout.  The oracles
 below are the Node-keyed constructions those builders replaced, written
 with :meth:`CircuitLayout.assign`; "the same circuits" means the same
 partition of ``(node, label)`` sets into circuits and the same
-beep -> hear bits for a seeded sample of beep sets, on both backends.
+beep -> hear bits for a seeded sample of beep sets.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from collections import Counter
 import pytest
 
 from repro.api import Session, SolveRequest
-from repro.backend import numpy_or_none
 from repro.ett.election import ElectionRequest, _election_layout
 from repro.ett.technique import ETTOp, _channels_for, mark_one_outgoing_edge
 from repro.ett.tour import build_euler_tour
@@ -34,21 +33,22 @@ from repro.workloads import line_structure
 from repro.workloads.specs import build_structure
 from tests.conftest import bfs_tree_adjacency, edge_ids
 
-SHAPES = ("random:150:2", "line:40", "comb:6:8", "hexagon:4")
-BACKENDS = (
-    "python",
-    pytest.param(
-        "numpy",
-        marks=pytest.mark.skipif(numpy_or_none() is None, reason="numpy not installed"),
-    ),
+SHAPES = (
+    "random:150:2",
+    "random:300:7",
+    "line:40",
+    "comb:6:8",
+    "hexagon:4",
+    "lollipop:2:8",
+    "staircase:4:5",
 )
 
 
 # ----------------------------------------------------------------------
 # Node-keyed oracles
 # ----------------------------------------------------------------------
-def oracle_edge_subset(structure, pairs, label, channel, isolated_ok, backend):
-    layout = CircuitLayout(structure, 8, backend=backend)
+def oracle_edge_subset(structure, pairs, label, channel, isolated_ok):
+    layout = CircuitLayout(structure, 8)
     touched = set()
     for u, v in pairs:
         layout.assign(u, label, [(u.direction_to(v), channel)])
@@ -139,24 +139,23 @@ def _tree(structure):
 # ----------------------------------------------------------------------
 # equivalence
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("shape", SHAPES)
 class TestSameCircuitsAsOracle:
-    def test_edge_subset_layout(self, shape, backend):
+    def test_edge_subset_layout(self, shape):
         structure = build_structure(shape)
-        engine = CircuitEngine(structure, backend=backend)
+        engine = CircuitEngine(structure)
         rng = random.Random(shape)
         pairs = rng.sample(structure.edges(), len(structure.edges()) // 3)
         for isolated_ok in (True, False):
             got = engine.edge_subset_layout(
                 edge_ids(structure, pairs), label="net", channel=2, isolated_ok=isolated_ok
             )
-            want = oracle_edge_subset(structure, pairs, "net", 2, isolated_ok, backend)
+            want = oracle_edge_subset(structure, pairs, "net", 2, isolated_ok)
             assert_same_circuits(engine, got, want, shape)
 
-    def test_pasc_chain_contribution(self, shape, backend):
+    def test_pasc_chain_contribution(self, shape):
         structure = build_structure(shape)
-        engine = CircuitEngine(structure, backend=backend)
+        engine = CircuitEngine(structure)
         root, adjacency, _parent = _tree(structure)
         tour = build_euler_tour(root, adjacency)
         rng = random.Random(shape)
@@ -168,9 +167,9 @@ class TestSameCircuitsAsOracle:
         oracle_chain(want, chain, chain.weights)
         assert_same_circuits(engine, got, want, shape)
 
-    def test_pasc_tree_contribution(self, shape, backend):
+    def test_pasc_tree_contribution(self, shape):
         structure = build_structure(shape)
-        engine = CircuitEngine(structure, backend=backend)
+        engine = CircuitEngine(structure)
         root, _adjacency, parent = _tree(structure)
         run = PascTreeRun(root, parent)
         got = engine.new_layout()
@@ -179,9 +178,9 @@ class TestSameCircuitsAsOracle:
         oracle_tree(want, run)
         assert_same_circuits(engine, got, want, shape)
 
-    def test_election_layout(self, shape, backend):
+    def test_election_layout(self, shape):
         structure = build_structure(shape)
-        engine = CircuitEngine(structure, backend=backend)
+        engine = CircuitEngine(structure)
         root, adjacency, _parent = _tree(structure)
         tour = build_euler_tour(root, adjacency)
         rng = random.Random(shape)
@@ -312,7 +311,7 @@ def test_edge_subset_builds_per_solve(monkeypatch):
         return build(self, subsets, channel, isolated_ok)
 
     monkeypatch.setattr(CircuitEngine, "_build_edge_subset_layout", counting)
-    report = Session(backend="python").run(
+    report = Session().run(
         SolveRequest(kind="solve", shape="random:500:3", k=4, l=5, seed=1)
     )
     assert report.rounds == 460

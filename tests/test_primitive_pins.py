@@ -5,7 +5,7 @@ cannot tell which primitive moved, and ``benchmarks/bench_primitives.py``
 only bounds growth.  These pins fix, per primitive and structure, the
 total rounds, the per-section breakdown and a digest of every output
 (``V_Q``, parents, ``T_Q``-degrees, ``A_Q``, centroids, the winner, the
-decomposition levels and parents) on both backends.  A refactor of the
+decomposition levels and parents).  A refactor of the
 node or portal primitives must leave every value unchanged.
 """
 
@@ -16,7 +16,6 @@ import random
 
 import pytest
 
-from repro.backend import numpy_or_none, use_backend
 from repro.grid.directions import Axis
 from repro.portals.portals import PortalSystem
 from repro.portals.primitives import (
@@ -31,7 +30,6 @@ from repro.workloads.specs import build_structure
 
 from tests.conftest import bfs_tree_adjacency, random_subset
 
-SPECS = ("lollipop:2:8", "random:150:9")
 
 
 def _key(unit):
@@ -219,27 +217,85 @@ PINS = {
         },
         "0bd12b89ef67ada0",
     ),
+    # Recorded later, before the numpy kernels were deleted, to pin two
+    # deeper shapes: a comb and a staircase.
+    ("comb:6:8", "root_and_prune"): (8, {"root_prune": 8}, "e802faf924d189e8"),
+    ("comb:6:8", "q_centroids"): (16, {"centroid": 16}, []),
+    ("comb:6:8", "centroid_decomposition"): (
+        52,
+        {
+            "decomposition": 52,
+            "decomposition:elect": 4,
+            "decomposition:ett1": 20,
+            "decomposition:ett2": 20,
+        },
+        "3501540c35f3ad2e",
+    ),
+    ("comb:6:8", "portal_root_and_prune"): (
+        13,
+        {
+            "portal_root_prune": 13,
+            "portal_root_prune:degrees": 4,
+            "portal_root_prune:ett": 6,
+        },
+        "1b2fa54f322bf1a9",
+    ),
+    ("comb:6:8", "portal_centroids"): (
+        13,
+        {"portal_centroid": 13, "portal_centroid:ett1": 6, "portal_centroid:ett2": 6},
+        [(10, 4)],
+    ),
+    ("comb:6:8", "portal_elect"): (
+        2,
+        {"portal_election": 2, "portal_election:ett": 1},
+        (10, 4),
+    ),
+    ("comb:6:8", "portal_centroid_decomposition"): (
+        36,
+        {"pdec:elect": 3, "pdec:ett1": 12, "pdec:ett2": 12, "portal_decomposition": 36},
+        "c9c7925ab7e6c03a",
+    ),
+    ("staircase:4:5", "root_and_prune"): (8, {"root_prune": 8}, "ef90032186c9c928"),
+    ("staircase:4:5", "q_centroids"): (16, {"centroid": 16}, [(9, 5), (10, 5)]),
+    ("staircase:4:5", "centroid_decomposition"): (
+        52,
+        {
+            "decomposition": 52,
+            "decomposition:elect": 4,
+            "decomposition:ett1": 20,
+            "decomposition:ett2": 20,
+        },
+        "23b067de4d14b5ca",
+    ),
+    ("staircase:4:5", "portal_root_and_prune"): (
+        11,
+        {
+            "portal_root_prune": 11,
+            "portal_root_prune:degrees": 2,
+            "portal_root_prune:ett": 6,
+        },
+        "7c578f0ee62c15cd",
+    ),
+    ("staircase:4:5", "portal_centroids"): (
+        13,
+        {"portal_centroid": 13, "portal_centroid:ett1": 6, "portal_centroid:ett2": 6},
+        [(5, 5), (10, 10)],
+    ),
+    ("staircase:4:5", "portal_elect"): (
+        2,
+        {"portal_election": 2, "portal_election:ett": 1},
+        (0, 0),
+    ),
+    ("staircase:4:5", "portal_centroid_decomposition"): (
+        36,
+        {"pdec:elect": 3, "pdec:ett1": 12, "pdec:ett2": 12, "portal_decomposition": 36},
+        "c51b634b476c6f9f",
+    ),
 }
 
 
-@pytest.fixture(
-    params=[
-        "python",
-        pytest.param(
-            "numpy",
-            marks=pytest.mark.skipif(
-                numpy_or_none() is None, reason="numpy not installed"
-            ),
-        ),
-    ]
-)
-def backend(request):
-    with use_backend(request.param):
-        yield request.param
-
-
 @pytest.mark.parametrize("spec, primitive", sorted(PINS))
-def test_primitive_matches_pin(backend, spec, primitive):
+def test_primitive_matches_pin(spec, primitive):
     total, breakdown, outputs = observe(spec, primitive)
     want_total, want_breakdown, want_outputs = PINS[(spec, primitive)]
     assert total == want_total

@@ -9,9 +9,10 @@ the two consequences:
   engine with every amoebot crashed hears nothing, and a traced
   :class:`~repro.sched.ActivationEngine` charges the same epochs as an
   untraced one;
-* tracing is neutral across the whole execution matrix: engine ×
-  backend × faults × tracing give identical rounds, activations,
-  scheduler checksums, fault counters, and forests.
+* tracing is neutral across the whole execution matrix: shape ×
+  engine × faults × tracing give identical rounds, activations,
+  scheduler checksums, fault counters, and forests.  Each matrix runs on
+  a random hole-free blob and on a deep shape (a comb or a line).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from contextlib import nullcontext
 import pytest
 
 from repro.api import Session, SolveRequest
-from repro.backend import numpy_or_none
 from repro.dynamics import DynamicSPF, FaultInjector, generate_churn
 from repro.obs.trace import Tracer, use_tracer
 from repro.sched import ActivationEngine
@@ -33,12 +33,8 @@ from repro.spf.spt import shortest_path_tree
 from repro.workloads import random_hole_free
 from repro.workloads.specs import build_structure
 
-requires_numpy = pytest.mark.skipif(
-    numpy_or_none() is None, reason="numpy not installed"
-)
-
+SHAPES = ("random:60:11", "comb:6:8")
 ENGINES = ("sync", "random:1", "adversarial")
-BACKENDS = ("python", pytest.param("numpy", marks=requires_numpy))
 FAULTS = ("off", "crash", "drop")
 TRACING = ("off", "attach_trace", "trace_rounds")
 
@@ -94,16 +90,16 @@ def _fingerprint(engine, injector, forest):
 
 
 @functools.lru_cache(maxsize=None)
-def _dynamic_run(engine, backend, faults, tracing):
+def _dynamic_run(shape, engine, faults, tracing):
     """A seeded churn run through ``DynamicSPF``, the armed-fault path."""
-    structure = random_hole_free(60, seed=11)
+    structure = build_structure(shape)
     nodes = sorted(structure.nodes)
     injector = {
         "off": None,
         "crash": FaultInjector(crashed=nodes[1::2]),
         "drop": FaultInjector(drop_prob=0.3, seed=5),
     }[faults]
-    session = Session(scheduler="" if engine == "sync" else engine, backend=backend)
+    session = Session(scheduler="" if engine == "sync" else engine)
     dyn = DynamicSPF(structure, [nodes[0]], nodes[-4:], faults=injector, session=session)
     script = generate_churn(
         structure, "mixed", steps=4, batch_size=3, seed=7, protected=dyn.protected
@@ -124,25 +120,23 @@ def _dynamic_run(engine, backend, faults, tracing):
 
 @pytest.mark.parametrize("tracing", TRACING)
 @pytest.mark.parametrize("faults", FAULTS)
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("engine", ENGINES)
-def test_tracing_is_neutral(engine, backend, faults, tracing):
-    traced = _dynamic_run(engine, backend, faults, tracing)
-    assert traced == _dynamic_run(engine, backend, faults, "off")
-    # Backends are bit-identical too, so every cell matches the python one.
-    assert traced == _dynamic_run(engine, "python", faults, "off")
+@pytest.mark.parametrize("shape", SHAPES)
+def test_tracing_is_neutral(shape, engine, faults, tracing):
+    traced = _dynamic_run(shape, engine, faults, tracing)
+    assert traced == _dynamic_run(shape, engine, faults, "off")
     if faults != "off":
         assert traced[3] != dataclasses.astuple(FaultInjector().stats)
 
 
 @pytest.mark.parametrize("faults", ({"crash": 20}, {"drop": 0.3}), ids=("crash", "drop"))
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("engine", ENGINES)
-def test_session_churn_tracing_is_neutral(engine, backend, faults):
+@pytest.mark.parametrize("shape", ("random:60:3", "line:40"))
+def test_session_churn_tracing_is_neutral(shape, engine, faults):
     request = SolveRequest(
-        kind="churn", shape="random:60:3", k=1, l=3, churn="mixed",
+        kind="churn", shape=shape, k=1, l=3, churn="mixed",
         churn_steps=4, scheduler="" if engine == "sync" else engine,
-        backend=backend, **faults,
+        **faults,
     )
     plain = Session().run(request)
     tracer = Tracer(trace_rounds=True)

@@ -7,6 +7,7 @@ session's result store, and reports must survive a JSON round trip.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -45,6 +46,17 @@ class TestSolveRequest:
         assert "tokens" not in SolveRequest(shape="hexagon:3").config()
         assert "churn" not in SolveRequest(shape="hexagon:3").config()
         assert "scheduler" not in SolveRequest(shape="hexagon:3").config()
+
+    def test_key_ignores_the_backend_name(self):
+        # Every backend name runs the same kernels, so the name is not
+        # part of what the work is; a backend-free request keeps the
+        # key it has always had.
+        plain = SolveRequest(shape="hexagon:3")
+        assert plain.key() == "9a718ab11eb53fe5cd51"
+        for backend in ("auto", "python", "numpy"):
+            named = SolveRequest(shape="hexagon:3", backend=backend)
+            assert "backend" not in named.config()
+            assert named.key() == plain.key()
 
     def test_key_changes_with_any_set_knob(self):
         base = SolveRequest(shape="hexagon:3")
@@ -100,6 +112,17 @@ class TestSessionParity:
         assert report.sources == sources
         assert report.destinations == destinations
 
+    def test_numpy_backend_request_matches_python(self):
+        request = SolveRequest(shape="random:80:2", k=2, l=4, seed=0)
+        reports = [
+            Session().run(dataclasses.replace(request, backend=backend)).to_dict()
+            for backend in ("python", "numpy")
+        ]
+        for report in reports:
+            report.pop("elapsed_s")
+        assert reports[0] == reports[1]
+        assert reports[1]["backend"] == "python"
+
     def test_scheduler_request_matches_scheduler_session(self):
         report_a = Session().run(
             SolveRequest(shape="random:40:3", k=1, l=2, scheduler="random:7")
@@ -149,6 +172,16 @@ class TestSessionCaching:
         assert second.rounds == first.rounds
         assert session.stats.cache_hits == 1
         assert session.stats.hit_rate == 0.5
+
+    def test_backend_names_share_one_cached_result(self, tmp_path):
+        session = Session(store=str(tmp_path / "store.jsonl"))
+        request = SolveRequest(shape="hexagon:3", k=1, l=3, seed=2)
+        first = session.run(dataclasses.replace(request, backend="python"))
+        second = session.run(dataclasses.replace(request, backend="numpy"))
+        assert not first.cached
+        assert second.cached
+        assert second.key == first.key
+        assert second.rounds == first.rounds
 
     def test_resume_false_reexecutes_but_reuses_hot_state(self):
         session = Session()
