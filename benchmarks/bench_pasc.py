@@ -18,13 +18,13 @@ import os
 
 from repro.grid.coords import Node
 from repro.metrics.records import ResultTable
-from repro.pasc.chain import PascChainRun, chain_links_for_nodes
 from repro.pasc.runner import run_pasc
 from repro.sim.circuits import LAYOUT_STATS
 from repro.sim.engine import CircuitEngine
 from repro.workloads import line_structure
 
 from benchmarks.conftest import emit
+from tests.conftest import node_chain
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 LENGTHS = (4, 16, 256) if QUICK else (4, 16, 64, 256, 1024)
@@ -34,7 +34,7 @@ def pasc_run(length: int):
     structure = line_structure(length)
     nodes = [Node(i, 0) for i in range(length)]
     engine = CircuitEngine(structure)
-    run = PascChainRun([(u, "") for u in nodes], chain_links_for_nodes(nodes))
+    run = node_chain(structure, nodes)
     LAYOUT_STATS.reset()
     result = run_pasc(engine, [run])
     # Layout-reuse contract: one full build for the initial runs'

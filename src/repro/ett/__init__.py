@@ -15,13 +15,21 @@ which encode subtree counts (Lemma 17).  The root additionally learns the
 total weight ``W`` (Corollary 15).  The ETT costs ``O(log W)`` rounds.
 """
 
-from repro.ett.tour import EulerTour, build_euler_tour, adjacency_from_edges
+from repro.ett.tour import (
+    EulerTour,
+    adjacency_from_edges,
+    edge_masks,
+    euler_tour,
+    tree_masks,
+)
 from repro.ett.technique import ETTOp, ETTResult, run_ett, run_etts_parallel, mark_one_outgoing_edge
 from repro.ett.election import elect_first_marked
 
 __all__ = [
     "EulerTour",
-    "build_euler_tour",
+    "euler_tour",
+    "tree_masks",
+    "edge_masks",
     "adjacency_from_edges",
     "ETTOp",
     "ETTResult",

@@ -12,28 +12,30 @@ Multiple elections on node-disjoint trees share the round:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from repro.grid.coords import Node
-from repro.ett.technique import _channels_for
-from repro.ett.tour import DirectedEdge, EulerTour
+from repro.ett.technique import ETT_CHANNELS
+from repro.ett.tour import EulerTour
+from repro.pasc.chain import occurrences
 from repro.sim.engine import CircuitEngine
 
 
 @dataclass
 class ElectionRequest:
-    """One election: a tour plus the marked out-edges of the candidates."""
+    """One election: a tour plus the marked tour positions (the
+    candidates' out-edges)."""
 
     tour: EulerTour
-    marked: Set[DirectedEdge]
+    marked: List[int]
 
     def __post_init__(self) -> None:
+        self.marked = sorted(set(self.marked))
         if not self.marked:
             raise ValueError("cannot elect from an empty candidate set")
-        unknown = set(self.marked).difference(self.tour.edges)
-        if unknown:
-            raise ValueError(f"marked edges not on the tour: {sorted(unknown)[:3]}")
+        if self.marked[0] < 0 or self.marked[-1] >= self.tour.length:
+            raise ValueError(f"marked positions outside the tour of length {self.tour.length}")
 
 
 def elect_first_marked_many(
@@ -41,62 +43,67 @@ def elect_first_marked_many(
     requests: Sequence[ElectionRequest],
     tag: str = "elect",
     section: str = "election",
-) -> List[Node]:
+) -> List[int]:
     """Run all elections in one shared beep round.
 
     The requests' trees must be node-disjoint (they are in every use in
-    this repository: parallel recursions of the decomposition primitive).
-    Returns one winner per request, in order.  Costs one round (zero if
-    ``requests`` is empty).
+    this repository: parallel recursions of the decomposition primitive)
+    and their tours built in the engine structure's grid index.
+    Returns the node id of one winner per request, in order.  Costs one
+    round (zero if ``requests`` is empty).
     """
     if not requests:
         return []
+    index = engine.structure.grid_index()
     with engine.rounds.section(section):
         # The wiring is fully determined by the tours and their marked
-        # edges; deterministic algorithms (the recomputed decomposition
-        # tree, repeated merge levels) re-issue identical elections, so
-        # the layout is memoized in the engine's cache.
+        # positions; deterministic algorithms (the recomputed
+        # decomposition tree, repeated merge levels) re-issue identical
+        # elections, so the layout is memoized in the engine's cache.
         key = (
-            "elect", tag,
+            "elect",
+            tag,
+            None if index.canonical else id(index.root),
             tuple(
-                (tuple(r.tour.edges), tuple(sorted(r.marked))) for r in requests
+                (
+                    r.tour.root_id,
+                    array("i", r.tour.edge_ids).tobytes(),
+                    array("i", r.marked).tobytes(),
+                )
+                for r in requests
             ),
         )
         layout = engine.layouts.get_or_build(
             key, lambda: _election_layout(engine, requests, tag)
         )
-        id_of = engine.structure.grid_index().id_of
-
         beeps = layout.set_ids(
-            ((id_of(request.tour.root), f"{tag}:0") for request in requests), "beep on"
+            ((request.tour.root_id, f"{tag}:0") for request in requests), "beep on"
         )
         # Only the candidate units (marked outgoing edge) ever read the
         # result, so only their integer set-ids are resolved and read —
         # the simulator scans candidates in tour order, mirroring each
         # amoebot checking only its own occurrences.
-        candidates: List[List[Node]] = []
+        candidates: List[List[int]] = []
         listen_keys: List[Tuple[int, str]] = []
         for request in requests:
-            tour, marked = request.tour, request.marked
-            per_request: List[Node] = []
-            for i, (node, uid) in enumerate(tour.units):
-                if i < len(tour.edges) and tour.edges[i] in marked:
-                    per_request.append(node)
-                    listen_keys.append((id_of(node), f"{tag}:{uid}"))
+            nids = request.tour.unit_nids()
+            occurrence = occurrences(nids)
+            per_request = [nids[i] for i in request.marked]
+            listen_keys.extend((nids[i], f"{tag}:{occurrence[i]}") for i in request.marked)
             candidates.append(per_request)
         listen = layout.set_ids(listen_keys, "listen on")
         bits = engine.run_round_indexed(layout, beeps, listen)
 
-    winners: List[Node] = []
+    winners: List[int] = []
     cursor = 0
     for per_request in candidates:
         # The elected amoebot hears the beep at an occurrence whose
         # outgoing edge it marked (locally checkable): the first set bit
         # among this request's candidate occurrences.
         winner = None
-        for offset, node in enumerate(per_request):
+        for offset, nid in enumerate(per_request):
             if bits[cursor + offset]:
-                winner = node
+                winner = nid
                 break
         cursor += len(per_request)
         if winner is None:
@@ -123,35 +130,37 @@ def _election_layout(
 
 def _subpath_sets(index, requests: Sequence[ElectionRequest], tag: str):
     """Every unit's set with its pins, streamed into the layout."""
-    id_of = index.id_of
     mate_edges = index.mate_edges()
+    # An amoebot has at most six tree edges, so at most seven units.
+    labels = [f"{tag}:{k}" for k in range(7)]
     for request in requests:
-        tour, marked = request.tour, request.marked
-        nids = [id_of(node) for node, _ in tour.units]
+        tour = request.tour
+        marked = set(request.marked)
+        nids = tour.unit_nids()
         incoming: List[Tuple[int, int]] = []
-        for i, (nid, (_, uid)) in enumerate(zip(nids, tour.units)):
+        for i, (nid, k) in enumerate(zip(nids, occurrences(nids))):
             pins = incoming
-            if i < len(tour.edges):
-                edge = index.edge_between(nid, nids[i + 1])
-                channel = _channels_for(edge % 6)[0]
-                if tour.edges[i] not in marked:
+            if i < len(tour.edge_ids):
+                edge = tour.edge_ids[i]
+                channel = ETT_CHANNELS[edge % 6][0]
+                if i not in marked:
                     pins = pins + [(edge, channel)]
                 incoming = [(mate_edges[edge], channel)]
-            yield nid, f"{tag}:{uid}", pins
+            yield nid, labels[k], pins
 
 
 def elect_first_marked(
     engine: CircuitEngine,
     tour: EulerTour,
-    marked: Iterable[DirectedEdge],
+    marked: Iterable[int],
     tag: str = "elect",
     section: str = "election",
-) -> Node:
-    """Elect the source of the first marked edge on the tour.
+) -> int:
+    """Elect the source of the first marked tour position; its node id.
 
-    The marked edges realize :math:`w_Q` (each candidate marks one
+    The marked positions realize :math:`w_Q` (each candidate marks one
     outgoing edge), so the elected amoebot is a member of ``Q``.
     Costs exactly one round.
     """
-    request = ElectionRequest(tour, set(marked))
+    request = ElectionRequest(tour, list(marked))
     return elect_first_marked_many(engine, [request], tag=tag, section=section)[0]

@@ -21,31 +21,14 @@ Each costs ``O(log n)`` rounds.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict
 
+from repro.ett.technique import ETTOp
+from repro.ett.tour import EulerTour
 from repro.grid.coords import Node
-from repro.ett.technique import ETTOp, mark_one_outgoing_edge
-from repro.ett.tour import DirectedEdge, EulerTour
 from repro.pasc.runner import run_pasc
 from repro.pasc.tree import PascTreeRun
 from repro.sim.engine import CircuitEngine
-
-
-def _first_occurrence_edges(tour: EulerTour) -> Dict[Node, int]:
-    """Index of each node's first out-edge instance on the tour."""
-    first: Dict[Node, int] = {}
-    for i, (u, _v) in enumerate(tour.edges):
-        if u not in first:
-            first[u] = i
-    return first
-
-
-def _last_occurrence_edges(tour: EulerTour) -> Dict[Node, int]:
-    """Index of each node's last out-edge instance on the tour."""
-    last: Dict[Node, int] = {}
-    for i, (u, _v) in enumerate(tour.edges):
-        last[u] = i
-    return last
 
 
 def descendant_counts(
@@ -56,18 +39,18 @@ def descendant_counts(
     One ETT execution with ``Q = V``: the subtree count across the
     parent edge (Lemma 17 with full weights); the root reads ``n``.
     """
-    nodes = tour.nodes()
-    if len(nodes) == 1:
+    if not tour.length:
         return {tour.root: 1}
-    marked = mark_one_outgoing_edge(tour, nodes)
-    op = ETTOp(tour, marked, tag="desc")
+    op = ETTOp(tour, tour.first_positions(), tag="desc")
     run_pasc(engine, [op.chain], section=section)
     result = op.result()
 
+    nodes = tour.index.nodes
+    nbr = tour.index.nbr
     counts: Dict[Node, int] = {tour.root: result.total}
-    parent = _tour_parents(tour)
-    for u, p in parent.items():
-        counts[u] = result.diff(u, p)
+    for i, e in enumerate(tour.edge_ids):
+        if tour.twin[i] > i:  # e enters the child nbr[e] from its parent
+            counts[nodes[nbr[e]]] = -result.diff_at(i)
     return counts
 
 
@@ -79,15 +62,14 @@ def preorder_numbers(
     Each node marks its *first* outgoing tour edge; the exclusive
     prefix sum at that instance counts the nodes first-visited earlier.
     """
-    nodes = tour.nodes()
-    if len(nodes) == 1:
+    if not tour.length:
         return {tour.root: 0}
-    first = _first_occurrence_edges(tour)
-    marked: Set[DirectedEdge] = {tour.edges[i] for i in first.values()}
-    op = ETTOp(tour, marked, tag="pre")
+    first = tour.first_positions()
+    op = ETTOp(tour, first, tag="pre")
     run_pasc(engine, [op.chain], section=section)
     values = op.chain.values()
-    return {u: values[tour.units[i]] for u, i in first.items()}
+    nodes = tour.index.nodes
+    return {nodes[tour.edge_ids[i] // 6]: values[i] for i in first}
 
 
 def postorder_numbers(
@@ -95,22 +77,22 @@ def postorder_numbers(
 ) -> Dict[Node, int]:
     """0-based postorder numbers with respect to the tour's rotation.
 
-    Each node marks its *last* outgoing tour edge; the tour leaves a
-    node for good exactly when its subtree is complete, so the count of
-    earlier last-departures is the postorder number.  The root, which
-    has no departure after its last child, takes number ``n - 1``.
+    Each non-root node marks its *last* outgoing tour edge — the one
+    back to its parent: the tour leaves a node for good exactly when its
+    subtree is complete, so the count of earlier last-departures is the
+    postorder number.  The root, which has no departure after its last
+    child, takes number ``n - 1``.
     """
-    nodes = tour.nodes()
-    if len(nodes) == 1:
+    if not tour.length:
         return {tour.root: 0}
-    last = _last_occurrence_edges(tour)
-    non_root = {u: i for u, i in last.items() if u != tour.root}
-    marked = {tour.edges[i] for i in non_root.values()}
-    op = ETTOp(tour, marked, tag="post")
+    twin = tour.twin
+    last = [i for i in range(tour.length) if twin[i] < i]
+    op = ETTOp(tour, last, tag="post")
     run_pasc(engine, [op.chain], section=section)
     inclusive = op.chain.inclusive_values()
-    numbers = {u: inclusive[tour.units[i]] - 1 for u, i in non_root.items()}
-    numbers[tour.root] = len(nodes) - 1
+    nodes = tour.index.nodes
+    numbers = {nodes[tour.edge_ids[i] // 6]: inclusive[i] - 1 for i in last}
+    numbers[tour.root] = len(tour.masks) - 1
     return numbers
 
 
@@ -118,18 +100,9 @@ def node_levels(
     engine: CircuitEngine, tour: EulerTour, section: str = "ett_levels"
 ) -> Dict[Node, int]:
     """Depth of every node below the tour root (Corollary 5)."""
-    parent = _tour_parents(tour)
+    nodes = tour.index.nodes
+    nbr = tour.index.nbr
+    parent = {nodes[nbr[e]]: nodes[e // 6] for i, e in enumerate(tour.edge_ids) if tour.twin[i] > i}
     run = PascTreeRun(tour.root, parent, tag="lvl")
     run_pasc(engine, [run], section=section)
     return run.values()
-
-
-def _tour_parents(tour: EulerTour) -> Dict[Node, Node]:
-    """Parents with respect to the tour root (first-entry edges)."""
-    parent: Dict[Node, Node] = {}
-    seen = {tour.root}
-    for u, v in tour.edges:
-        if v not in seen:
-            seen.add(v)
-            parent[v] = u
-    return parent

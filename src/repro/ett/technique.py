@@ -6,52 +6,66 @@ primary/secondary wires, the opposite directions use (2, 3), so the two
 traversals of one physical edge never collide.  Together with the
 reserved termination channel this needs 5 of the engine's channels; the
 paper's Remark 16 similarly charges O(1) links per edge.
+
+Everything is tour positions and grid-index integers: the marked edges
+of a weight function are tour positions, the ETT's chain is built from
+the tour's edge ids, and :class:`ETTResult` keeps one prefix sum per
+tour position, so a prefix difference across a tree edge is
+``inclusive[i] - inclusive[twin[i]]``.  :attr:`ETTResult.prefix` and
+:meth:`ETTResult.diff` are ``Node`` views for tests and observers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.grid.coords import Node
-from repro.grid.directions import Direction
 from repro.ett.tour import DirectedEdge, EulerTour
-from repro.pasc.chain import ChainLink, PascChainRun
+from repro.grid.coords import Node
+from repro.pasc.chain import PascChainRun
 from repro.pasc.runner import PascResult, run_pasc
 from repro.sim.engine import CircuitEngine
 
-def _channels_for(direction: Direction) -> Tuple[int, int]:
-    # E, NE and NW are the direction values 0-2.
-    return (0, 1) if direction < 3 else (2, 3)
+#: ``(primary, secondary)`` channels of a tour link by its direction:
+#: E, NE and NW (direction values 0-2) use (0, 1), the rest (2, 3).
+ETT_CHANNELS: Tuple[Tuple[int, int], ...] = ((0, 1),) * 3 + ((2, 3),) * 3
 
 
-def tour_links(tour: EulerTour) -> List[ChainLink]:
-    """Chain links joining consecutive tour instances."""
-    links = []
-    for u, v in tour.edges:
-        d = u.direction_to(v)
-        pch, sch = _channels_for(d)
-        links.append(ChainLink(u, d, pch, sch))
-    return links
-
-
-@dataclass
 class ETTResult:
     """Prefix sums and derived quantities of one ETT execution.
 
-    ``prefix[(u, v)]`` is :math:`prefixsum_{(u,v)} = \\sum_{j \\le i} w(e_j)`
-    where ``(u, v)`` is the ``i``-th tour edge.  Both endpoint amoebots of
-    the edge can compute it bit by bit (Lemma 14), so exposing it per
-    directed edge matches what the distributed amoebots know.
+    ``inclusive[i]`` is :math:`prefixsum_{e_i} = \\sum_{j \\le i} w(e_j)`
+    for the ``i``-th tour edge.  Both endpoint amoebots of the edge can
+    compute it bit by bit (Lemma 14), so exposing it per tour position
+    matches what the distributed amoebots know.
     """
 
-    tour: EulerTour
-    prefix: Dict[DirectedEdge, int]
-    total: int
+    __slots__ = ("tour", "inclusive", "total", "_position")
+
+    def __init__(self, tour: EulerTour, inclusive: List[int], total: int):
+        self.tour = tour
+        self.inclusive = inclusive
+        self.total = total
+        self._position: Optional[Dict[int, int]] = None
+
+    def diff_at(self, i: int) -> int:
+        """``prefixsum(e_i) - prefixsum(reverse of e_i)``."""
+        return self.inclusive[i] - self.inclusive[self.tour.twin[i]]
+
+    # ------------------------------------------------------------------
+    # Node views (tests and observers)
+    # ------------------------------------------------------------------
+    @property
+    def prefix(self) -> Dict[DirectedEdge, int]:
+        """Prefix sum per directed tour edge, keyed by node pairs."""
+        return dict(zip(self.tour.edges, self.inclusive))
 
     def diff(self, u: Node, v: Node) -> int:
         """``prefixsum(u, v) - prefixsum(v, u)`` for tree neighbors."""
-        return self.prefix[(u, v)] - self.prefix[(v, u)]
+        position = self._position
+        if position is None:
+            position = self._position = {e: i for i, e in enumerate(self.tour.edge_ids)}
+        index = self.tour.index
+        return self.diff_at(position[index.id_of(u) * 6 + u.direction_to(v)])
 
     def subtree_count(self, child: Node, parent: Node) -> int:
         """Number of marked nodes in ``child``'s subtree (Lemma 17.1/3).
@@ -65,22 +79,30 @@ class ETTResult:
 class ETTOp:
     """One ETT execution, exposable to the parallel PASC runner.
 
-    Build the op, feed :attr:`chain` (if any) to
+    ``marked`` are the tour positions of the edges of weight 1.  Build
+    the op, feed :attr:`chain` (if any) to
     :func:`~repro.pasc.runner.run_pasc` — possibly together with the
     chains of other simultaneously running ETTs on disjoint trees — then
     call :meth:`result` to obtain the prefix sums.
     """
 
-    def __init__(self, tour: EulerTour, marked: Iterable[DirectedEdge], tag: str = "ett"):
+    def __init__(self, tour: EulerTour, marked: Iterable[int], tag: str = "ett"):
         self.tour = tour
-        self.marked = set(marked)
-        unknown = self.marked.difference(tour.edges)
-        if unknown:
-            raise ValueError(f"marked edges not on the tour: {sorted(unknown)[:3]}")
-        if tour.edges:
-            weights = [1 if e in self.marked else 0 for e in tour.edges] + [0]
+        self.marked = sorted(set(marked))
+        length = tour.length
+        if self.marked and not (0 <= self.marked[0] and self.marked[-1] < length):
+            raise ValueError(f"marked positions outside the tour of length {length}")
+        if length:
+            weights = [0] * (length + 1)
+            for i in self.marked:
+                weights[i] = 1
             self.chain: Optional[PascChainRun] = PascChainRun(
-                tour.units, tour_links(tour), weights=weights, tag=tag
+                tour.index,
+                tour.unit_nids(),
+                tour.edge_ids,
+                channels=ETT_CHANNELS,
+                weights=weights,
+                tag=tag,
             )
         else:
             # Single-node tree: nothing to communicate; W = 0 by definition.
@@ -89,27 +111,25 @@ class ETTOp:
     def result(self) -> ETTResult:
         """Decode the prefix sums once the PASC run has finished."""
         if self.chain is None:
-            return ETTResult(tour=self.tour, prefix={}, total=0)
+            return ETTResult(self.tour, [], 0)
+        # prefixsum(e_i) = exclusive(v_i) + w(v_i) = exclusive(v_{i+1});
+        # the source amoebot computes the former, the target the latter.
         inclusive = self.chain.inclusive_values()
-        prefix: Dict[DirectedEdge, int] = {}
-        for i, edge in enumerate(self.tour.edges):
-            # prefixsum(e_i) = exclusive(v_i) + w(v_i) = exclusive(v_{i+1});
-            # the source amoebot computes the former, the target the latter.
-            prefix[edge] = inclusive[self.tour.units[i]]
-        total = self.chain.values()[self.tour.units[-1]]
-        return ETTResult(tour=self.tour, prefix=prefix, total=total)
+        total = self.chain.values()[-1]
+        inclusive.pop()
+        return ETTResult(self.tour, inclusive, total)
 
 
 def run_ett(
     engine: CircuitEngine,
     tour: EulerTour,
-    marked: Iterable[DirectedEdge],
+    marked: Iterable[int],
     tag: str = "ett",
     section: str = "ett",
 ) -> Tuple[ETTResult, PascResult]:
-    """Execute the ETT with weight 1 on each directed edge in ``marked``.
+    """Execute the ETT with weight 1 on each marked tour position.
 
-    Returns the prefix sums per directed edge and the PASC statistics.
+    Returns the prefix sums per tour position and the PASC statistics.
     Costs ``O(log W)`` rounds where ``W = |marked|`` (Lemma 14).
     """
     op = ETTOp(tour, marked, tag=tag)
@@ -133,29 +153,18 @@ def run_etts_parallel(
     return [op.result() for op in ops], stats
 
 
-def mark_one_outgoing_edge(
-    tour: EulerTour, members: Iterable[Node]
-) -> Set[DirectedEdge]:
+def mark_one_outgoing_edge(tour: EulerTour, member_ids: Iterable[int]) -> List[int]:
     """The weight function :math:`w_Q`: every node of ``Q`` marks exactly
     one of its outgoing tour edges (Section 3.1).
 
-    We deterministically mark the out-edge of the node's *first*
-    occurrence on the tour, which every amoebot identifies locally.
+    ``member_ids`` are node ids of the tour's index.  We deterministically
+    mark the out-edge of the node's *first* occurrence on the tour, which
+    every amoebot identifies locally; the marked tour positions are
+    returned in ascending order.
     """
-    members_set = set(members)
-    unknown = members_set.difference(tour.adjacency)
+    members = set(member_ids)
+    unknown = members.difference(tour.masks)
     if unknown:
-        raise ValueError(f"members not on the tree: {sorted(unknown)[:3]}")
-    marked: Set[DirectedEdge] = set()
-    claimed: Set[Node] = set()
-    for edge in tour.edges:
-        u = edge[0]
-        if u in members_set and u not in claimed:
-            marked.add(edge)
-            claimed.add(u)
-    missing = members_set - claimed
-    if missing:
-        # Only possible for a single-node tour (no edges at all).
-        if tour.edges:
-            raise AssertionError(f"nodes without outgoing tour edge: {missing}")
-    return marked
+        raise ValueError(f"member node ids not on the tree: {sorted(unknown)[:3]}")
+    edge_ids = tour.edge_ids
+    return [i for i in tour.first_positions() if edge_ids[i] // 6 in members]

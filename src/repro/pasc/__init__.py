@@ -31,14 +31,12 @@ this is what makes the paper's "apply the PASC algorithm simultaneously
 on each path/portal" steps cost the maximum instead of the sum.
 """
 
-from repro.pasc.chain import ChainLink, PascChainRun, chain_links_for_nodes
+from repro.pasc.chain import PascChainRun
 from repro.pasc.tree import PascTreeRun
 from repro.pasc.runner import run_pasc, PascResult
 
 __all__ = [
-    "ChainLink",
     "PascChainRun",
-    "chain_links_for_nodes",
     "PascTreeRun",
     "run_pasc",
     "PascResult",

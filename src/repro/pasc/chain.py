@@ -4,56 +4,47 @@ A *unit* is one PASC instance operated by an amoebot.  On plain chains
 every amoebot operates a single unit; in the Euler tour technique an
 amoebot operates one unit per occurrence on the tour (at most its degree,
 hence at most six).  Consecutive units always sit on neighboring amoebots
-and are joined by a :class:`ChainLink` naming the physical edge and the
-two channels carrying the primary and secondary wires.
+and are joined by a *link*: the physical edge between them, carrying the
+primary and secondary wires on a pair of channels.
+
+A chain lives in grid-index integers
+(:class:`~repro.grid.compiled.GridIndex`): its units are ``(node id,
+occurrence)`` pairs — the occurrence is how many earlier units of the
+chain the same amoebot operates — and link ``i`` is the edge id
+``nid * 6 + d`` leaving unit ``i``'s amoebot toward unit ``i + 1``'s,
+checked against :attr:`GridIndex.nbr
+<repro.grid.compiled.GridIndex.nbr>`.  The chain's layout is written by
+one :meth:`~repro.sim.circuits.CircuitLayout.assign_chain` call and its
+wiring key is made of ints and bytes.  ``Node`` appears only in the
+views :meth:`PascChainRun.node_values`, :meth:`PascChainRun.primary_set`
+and :meth:`PascChainRun.secondary_set`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from array import array
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.grid.coords import Node
-from repro.grid.directions import Direction
 from repro.sim.circuits import CircuitLayout
 from repro.sim.errors import PinConfigurationError
 from repro.sim.pins import PartitionSetId
 
-#: A unit is identified by its operating amoebot and a local occurrence id.
-Unit = Tuple[Node, str]
+#: A unit is identified by its operating amoebot's id and its occurrence.
+Unit = Tuple[int, int]
+#: A link's ``(primary, secondary)`` channel pair.
+ChannelPair = Tuple[int, int]
 
 
-class ChainLink(NamedTuple):
-    """The physical wiring between consecutive chain units.
-
-    The link occupies channels ``primary_channel`` and
-    ``secondary_channel`` of the edge leaving ``src`` in ``direction``.
-
-    A :class:`typing.NamedTuple`: hash, equality and order are those of
-    the field tuple and run in C.  Invariant: the hash is the
-    field-tuple hash, which keeps wiring keys and layout-cache iteration
-    stable.  A link compares equal to the plain tuple of its fields.
-    """
-
-    src: Node
-    direction: Direction
-    primary_channel: int
-    secondary_channel: int
-
-    def dst(self) -> Node:
-        """The amoebot at the far end of the link."""
-        return self.src.neighbor(self.direction)
-
-
-def chain_links_for_nodes(
-    nodes: Sequence[Node],
-    primary_channel: int = 0,
-    secondary_channel: int = 1,
-) -> List[ChainLink]:
-    """Links joining consecutive nodes of a plain amoebot chain."""
-    links = []
-    for u, v in zip(nodes, nodes[1:]):
-        links.append(ChainLink(u, u.direction_to(v), primary_channel, secondary_channel))
-    return links
+def occurrences(nids: Sequence[int]) -> List[int]:
+    """Per unit, how many earlier units the same amoebot operates."""
+    seen: Dict[int, int] = {}
+    result: List[int] = []
+    for nid in nids:
+        k = seen.get(nid, 0)
+        result.append(k)
+        seen[nid] = k + 1
+    return result
 
 
 class PascChainRun:
@@ -61,13 +52,17 @@ class PascChainRun:
 
     Parameters
     ----------
-    units:
-        The chain ``(u_0, ..., u_{m-1})`` as (amoebot, occurrence-id)
-        pairs.  Occurrence ids keep partition-set labels of multiple
-        units at the same amoebot distinct; plain chains may use ``""``.
-    links:
-        ``links[i]`` wires unit ``i`` to unit ``i+1``; exactly
-        ``len(units) - 1`` entries.
+    index:
+        The grid index the ids refer to: that of the structure the
+        engine runs on.
+    nids:
+        The operating node id of every unit ``u_0, ..., u_{m-1}``.
+    out_edges:
+        ``out_edges[i]`` is the edge id from unit ``i``'s amoebot to
+        unit ``i + 1``'s; exactly ``m - 1`` entries.
+    channels:
+        The ``(primary, secondary)`` channel pair of every link, or six
+        pairs indexed by the link's direction.
     weights:
         0/1 participation weights per unit; default all 1 (plain PASC).
     tag:
@@ -75,83 +70,98 @@ class PascChainRun:
         sharing the same layout.
 
     After :func:`~repro.pasc.runner.run_pasc` completes, ``values()``
-    maps every unit to its *exclusive* weighted prefix count
-    :math:`\\sum_{j<i} w(u_j)` and ``inclusive_values()`` to the
-    inclusive sum.  (Amoebots read these bit by bit; the accumulated
-    integers live in the driver, which is an observer convenience — the
-    per-amoebot state is the O(1) dataclass the construction requires.)
+    lists every unit's *exclusive* weighted prefix count
+    :math:`\\sum_{j<i} w(u_j)` and ``inclusive_values()`` the inclusive
+    sum.  (Amoebots read these bit by bit; the accumulated integers live
+    in the simulator, which is an observer convenience — the per-amoebot
+    state is the O(1) dataclass the construction requires.)
     """
 
     def __init__(
         self,
-        units: Sequence[Unit],
-        links: Sequence[ChainLink],
+        index,
+        nids: Sequence[int],
+        out_edges: Sequence[int],
+        channels: Union[ChannelPair, Sequence[ChannelPair]] = (0, 1),
         weights: Optional[Sequence[int]] = None,
         tag: str = "pasc",
     ):
-        if not units:
+        nids = list(nids)
+        out_edges = list(out_edges)
+        if not nids:
             raise ValueError("chain must contain at least one unit")
-        if len(links) != len(units) - 1:
+        if len(out_edges) != len(nids) - 1:
             raise ValueError("need exactly one link between consecutive units")
-        for (node, _), link in zip(units, links):
-            if link.src != node:
-                raise ValueError(f"link {link} does not start at its unit {node}")
-        for (node, _), link in zip(units[1:], links):
-            if link.dst() != node:
-                raise ValueError(f"link {link} does not end at its unit {node}")
+        # Links end only at live ids, so checking the ends of the id range
+        # and the first unit covers every unit once the links check out.
+        if min(nids) < 0 or max(nids) >= index.n_slots or index.nodes[nids[0]] is None:
+            raise ValueError("chain units must be live node ids of the index")
+        nbr = index.nbr
+        if [e // 6 for e in out_edges] != nids[:-1]:
+            i = next(i for i, e in enumerate(out_edges) if e // 6 != nids[i])
+            raise ValueError(f"link {i} does not start at its unit {index.nodes[nids[i]]}")
+        if [nbr[e] for e in out_edges] != nids[1:]:
+            i = next(i for i, e in enumerate(out_edges) if nbr[e] != nids[i + 1])
+            raise ValueError(f"link {i} does not end at its unit {index.nodes[nids[i + 1]]}")
+        if len(channels) == 2 and isinstance(channels[0], int):
+            channels = (tuple(channels),) * 6
+        self.channels: Tuple[ChannelPair, ...] = tuple(tuple(pair) for pair in channels)
+        if len(self.channels) != 6:
+            raise ValueError("give one channel pair, or one per direction")
         if weights is None:
-            weights = [1] * len(units)
-        if len(weights) != len(units):
+            weights = [1] * len(nids)
+        if len(weights) != len(nids):
             raise ValueError("one weight per unit required")
         if any(w not in (0, 1) for w in weights):
             raise ValueError("weights must be 0 or 1")
-        self.units = list(units)
-        self.links = list(links)
+        self.index = index
+        self.nids = nids
+        self.out_edges = out_edges
         self.weights = list(weights)
         self.tag = tag
-        # Partition-set labels, fixed for the run.
-        self._p_labels = [self._label(uid, "p") for _, uid in self.units]
-        self._s_labels = [self._label(uid, "s") for _, uid in self.units]
+        self._occurrences = occurrences(nids)
+        #: Partition-set labels per occurrence, fixed for the run.
+        self._labels = [(f"{tag}:{k}:p", f"{tag}:{k}:s") for k in range(max(self._occurrences) + 1)]
         # Algorithm state (one O(1) record per unit).
-        self._active = [w == 1 for w in self.weights]
-        self._value = [0] * len(units)
+        self._active = bytearray(self.weights)
+        self._value = [0] * len(nids)
         self._iteration = 0
         #: Units whose activity flipped in the last absorb_bits(); exactly
         #: these change their outgoing-link wiring for the next
         #: iteration (the layout-reuse contract's "touched region").
         self._flipped: List[int] = []
-        seen = set()
-        for unit in self.units:
-            if unit in seen:
-                raise ValueError(f"duplicate unit {unit}")
-            seen.add(unit)
-        # Static part of the wiring fingerprint; the dynamic part is the
-        # per-unit activity snapshot (see wiring_key()).
+        # Static part of the wiring fingerprint: ints and bytes only
+        # (unit ids follow from the links and the last unit).  Ids of a
+        # derived index are not canonical, so they carry its identity.
         self._wiring_base = (
-            "chain", self.tag, tuple(self.units), tuple(self.links),
+            "chain",
+            tag,
+            self.channels,
+            None if index.canonical else id(index.root),
+            nids[-1],
+            array("i", out_edges).tobytes(),
         )
-        # Grid-index view, computed once per index (_index_view()):
-        # the units' node ids and the links' edge ids.
-        self._index = None
-        self._nids: List[int] = []
-        self._out_edges: List[int] = []
         # The units' partition-set slots in the current layout.
         self._p_slots: List[int] = []
         self._s_slots: List[int] = []
 
     # ------------------------------------------------------------------
-    # labels
+    # units and labels
     # ------------------------------------------------------------------
-    def _label(self, uid: str, which: str) -> str:
-        return f"{self.tag}:{uid}:{which}" if uid else f"{self.tag}:{which}"
+    @property
+    def units(self) -> List[Unit]:
+        """The units as ``(node id, occurrence)`` pairs."""
+        return list(zip(self.nids, self._occurrences))
 
     def primary_set(self, index: int) -> PartitionSetId:
-        """Partition-set id of unit ``index``'s primary wire."""
-        return (self.units[index][0], self._p_labels[index])
+        """Partition-set id of unit ``index``'s primary wire (Node view)."""
+        nid = self.nids[index]
+        return (self.index.nodes[nid], self._labels[self._occurrences[index]][0])
 
     def secondary_set(self, index: int) -> PartitionSetId:
-        """Partition-set id of unit ``index``'s secondary wire."""
-        return (self.units[index][0], self._s_labels[index])
+        """Partition-set id of unit ``index``'s secondary wire (Node view)."""
+        nid = self.nids[index]
+        return (self.index.nodes[nid], self._labels[self._occurrences[index]][1])
 
     # ------------------------------------------------------------------
     # runner protocol
@@ -160,85 +170,69 @@ class PascChainRun:
         """No participant is active: all further bits are zero."""
         return not any(self._active)
 
-    def _index_view(self, layout: CircuitLayout) -> Tuple[List[int], List[int]]:
-        """The units' node ids and the links' edge ids in ``layout``'s index."""
+    def _check_index(self, layout: CircuitLayout) -> None:
         index = layout.structure.grid_index()
-        if self._index is not index:
-            id_of = index.id_of
-            nids = [id_of(node) for node, _ in self.units]
-            if None in nids:
-                node = self.units[nids.index(None)][0]
-                raise PinConfigurationError(f"{node} is not part of the structure")
-            self._nids = nids
-            self._out_edges = [
-                nid * 6 + link.direction for nid, link in zip(nids, self.links)
-            ]
-            self._index = index
-        return self._nids, self._out_edges
+        if index is not self.index and not (
+            index.canonical and self.index.canonical and index.nodes == self.index.nodes
+        ):
+            raise PinConfigurationError(
+                "chain ids belong to another structure's grid index than the layout's"
+            )
 
     def contribute_layout(self, layout: CircuitLayout) -> None:
         """Wire this iteration's primary/secondary circuits into ``layout``.
 
-        Unit ``i`` owns the wiring of its *outgoing* link ``links[i]``:
-        straight when passive, crossed when active.  Incoming links are
-        always joined straight to the unit's own sets.
+        Unit ``i`` owns the wiring of its *outgoing* link
+        ``out_edges[i]``: straight when passive, crossed when active.
+        Incoming links are always joined straight to the unit's own sets.
         """
-        slots = layout.assign_sets(self._unit_sets(layout))
-        self._p_slots = slots[0::2]
-        self._s_slots = slots[1::2]
+        self._check_index(layout)
+        self._p_slots, self._s_slots = layout.assign_chain(
+            self.nids,
+            self.out_edges,
+            self.channels,
+            self._active,
+            self._labels,
+            self._occurrences,
+        )
         self._flipped = []
-
-    def _unit_sets(self, layout: CircuitLayout):
-        """Every unit's primary and secondary set with its pins, in unit
-        order.  Streamed: a batch built up front survives long enough for
-        the garbage collector to promote it, and a full collection then
-        walks it."""
-        nids, out_edges = self._index_view(layout)
-        mate_edges = layout.structure.grid_index().mate_edges()
-        p_labels, s_labels = self._p_labels, self._s_labels
-        active = self._active
-        incoming_p = incoming_s = ()
-        for i, link in enumerate(self.links):
-            edge = out_edges[i]
-            pch, sch = link.primary_channel, link.secondary_channel
-            if active[i]:
-                # Crossed: the primary set drives the secondary wire.
-                yield nids[i], p_labels[i], incoming_p + ((edge, sch),)
-                yield nids[i], s_labels[i], incoming_s + ((edge, pch),)
-            else:
-                yield nids[i], p_labels[i], incoming_p + ((edge, pch),)
-                yield nids[i], s_labels[i], incoming_s + ((edge, sch),)
-            back = mate_edges[edge]
-            incoming_p = ((back, pch),)
-            incoming_s = ((back, sch),)
-        last = len(self.links)
-        yield nids[last], p_labels[last], incoming_p
-        yield nids[last], s_labels[last], incoming_s
 
     def bind_layout(self, layout: CircuitLayout) -> None:
         """Adopt an equal wiring built elsewhere (a layout-cache hit):
-        resolve this run's partition-set slots in ``layout``."""
-        nids, _ = self._index_view(layout)
-        self._p_slots = layout.set_ids(zip(nids, self._p_labels))
-        self._s_slots = layout.set_ids(zip(nids, self._s_labels))
+        resolve this run's partition-set slots in ``layout``.
+
+        An equal wiring key means the layout was built by
+        :meth:`contribute_layout` of an equal chain, which declares the
+        sets in unit order (primary, secondary); resolving the first and
+        the last set checks that and fixes every slot in between.
+        """
+        self._check_index(layout)
+        labels, occurrence = self._labels, self._occurrences
+        first, last = layout.set_ids(
+            (
+                (self.nids[0], labels[occurrence[0]][0]),
+                (self.nids[-1], labels[occurrence[-1]][1]),
+            )
+        )
+        end = first + 2 * len(self.nids)
+        if last != end - 1:
+            raise PinConfigurationError("the cached layout declares this chain's sets out of order")
+        self._p_slots = list(range(first, end, 2))
+        self._s_slots = list(range(first + 1, end, 2))
         self._flipped = []
 
     def rewire_layout(self, layout: CircuitLayout) -> None:
         """Reassign only the units whose wiring changed since the last
         contribute/rewire (a derived layout recomputes just their circuits)."""
-        last = len(self.links)
+        last = len(self.out_edges)
         for i in self._flipped:
             if i >= last:
                 continue  # the last unit has no outgoing link to re-cross
-            link = self.links[i]
-            edge = self._out_edges[i]
+            edge = self.out_edges[i]
+            pch, sch = self.channels[edge % 6]
             # Un-crossing swaps the channels of the same physical pins
             # between the primary and secondary set: one pin exchange.
-            layout.exchange_slots(
-                self._p_slots[i],
-                self._s_slots[i],
-                ((edge, link.primary_channel), (edge, link.secondary_channel)),
-            )
+            layout.exchange_slots(self._p_slots[i], self._s_slots[i], ((edge, pch), (edge, sch)))
         self._flipped = []
 
     def listen_slots(self) -> List[int]:
@@ -247,7 +241,7 @@ class PascChainRun:
 
     def wiring_key(self) -> Tuple:
         """Hashable snapshot determining this run's current wiring."""
-        return (self._wiring_base, tuple(self._active))
+        return (self._wiring_base, bytes(self._active))
 
     def beep_slots(self) -> List[int]:
         """The chain's first unit beeps on its primary set."""
@@ -271,15 +265,15 @@ class PascChainRun:
                 # Active participants whose bit is 0 drop out; exactly the
                 # units with bits 0..t all 1 stay active, preserving the
                 # parity invariant for the next iteration.
-                active[i] = False
+                active[i] = 0
                 flipped.append(i)
         self._flipped = flipped
         self._iteration += 1
 
-    def active_nodes(self) -> List[Node]:
-        """Amoebots of the still-active units (they beep in the
+    def active_ids(self) -> List[int]:
+        """Node ids of the still-active units (they beep in the
         termination round; an amoebot may appear once per unit)."""
-        return [node for (node, _), a in zip(self.units, self._active) if a]
+        return [nid for nid, a in zip(self.nids, self._active) if a]
 
     @property
     def iterations(self) -> int:
@@ -288,24 +282,17 @@ class PascChainRun:
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
-    def values(self) -> Dict[Unit, int]:
-        """Exclusive weighted prefix count per unit."""
-        return dict(zip(self.units, self._value))
+    def values(self) -> List[int]:
+        """Exclusive weighted prefix count per unit, in unit order."""
+        return list(self._value)
 
-    def inclusive_values(self) -> Dict[Unit, int]:
+    def inclusive_values(self) -> List[int]:
         """Inclusive weighted prefix sum per unit (adds own weight)."""
-        return {
-            unit: value + weight
-            for unit, value, weight in zip(self.units, self._value, self.weights)
-        }
+        return [value + weight for value, weight in zip(self._value, self.weights)]
 
     def node_values(self) -> Dict[Node, int]:
         """Exclusive counts keyed by amoebot (plain single-unit chains)."""
-        result: Dict[Node, int] = {}
-        for (node, _), value in zip(self.units, self._value):
-            if node in result:
-                raise ValueError(
-                    "node_values() requires at most one unit per amoebot"
-                )
-            result[node] = value
-        return result
+        if len(set(self.nids)) != len(self.nids):
+            raise ValueError("node_values() requires at most one unit per amoebot")
+        nodes = self.index.nodes
+        return {nodes[nid]: value for nid, value in zip(self.nids, self._value)}

@@ -40,7 +40,12 @@ along the derive chain, so beeps and listens are never resolved through
 partition-set tuples; both rounds of an iteration go through
 :meth:`~repro.sim.engine.CircuitEngine.run_round_indexed`, and each run
 absorbs its slice of the flat bit list (``absorb_bits``) — zero
-per-round dict construction.
+per-round dict construction.  The termination beeps are addressed the
+same way: runs report the node ids of their active units
+(``active_ids``), which resolve to slots of the global layout through
+:meth:`~repro.sim.circuits.CircuitLayout.set_ids`, so neither round
+builds a ``(node, label)`` tuple.  Wiring keys are made of ints, strings
+and bytes (see :mod:`repro.pasc.chain`).
 """
 
 from __future__ import annotations
@@ -48,11 +53,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Protocol, Sequence, Tuple
 
-from repro.grid.coords import Node
 from repro.sim.circuits import CircuitLayout
 from repro.sim.engine import CircuitEngine
 from repro.sim.errors import PinConfigurationError
-from repro.sim.pins import PartitionSetId
 
 
 class PascRun(Protocol):
@@ -96,8 +99,9 @@ class PascRun(Protocol):
         order, and update activity."""
         ...
 
-    def active_nodes(self) -> List[Node]:
-        """Amoebots that beep in the shared termination round."""
+    def active_ids(self) -> List[int]:
+        """Node ids of the amoebots that beep in the shared termination
+        round."""
         ...
 
 
@@ -164,9 +168,10 @@ def run_pasc(
     # amoebot), so listening on a single probe set is equivalent to
     # scanning all of them.  It lives on its own reserved channel and
     # never changes, so the engine's cached global layout carries it —
-    # one build per engine, shared by every PASC execution.
-    term_probe: PartitionSetId = (next(iter(engine.structure)), TERMINATION_LABEL)
+    # one build per engine, shared by every PASC execution.  Its sets
+    # are addressed by node id, like every run's.
     term_layout = engine.global_layout(label=TERMINATION_LABEL, channel=term_channel)
+    probe_nid = next(iter(engine.structure.grid_index().live_ids()))
 
     def wiring_key() -> Tuple:
         """Cache key of the *initial* wiring (iteration-0 activity)."""
@@ -183,8 +188,7 @@ def run_pasc(
     listen_idx: List[int] = []
     slices: List[Tuple[int, int]] = []
     beep_idx: List[int] = []
-    term_index = term_layout.compiled().index
-    term_probe_idx = term_index.index_of(term_probe, "listen on")
+    term_probe_idx = term_layout.set_ids([(probe_nid, TERMINATION_LABEL)], "listen on")
     with engine.rounds.section(section):
         while True:
             if iterations >= max_iterations:
@@ -220,11 +224,11 @@ def run_pasc(
             iterations += 1
             # Resolved after the absorb, so the termination beeps read
             # this iteration's activity.
-            term_beep_idx = term_index.indices(
-                ((node, TERMINATION_LABEL) for run in runs for node in run.active_nodes()),
+            term_beep_idx = term_layout.set_ids(
+                ((nid, TERMINATION_LABEL) for run in runs for nid in run.active_ids()),
                 "beep on",
             )
-            term_bits = engine.run_round_indexed(term_layout, term_beep_idx, (term_probe_idx,))
+            term_bits = engine.run_round_indexed(term_layout, term_beep_idx, term_probe_idx)
             if not term_bits[0]:
                 break
     return PascResult(

@@ -11,6 +11,7 @@ Corollary 5 notes.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.grid.coords import Node
@@ -70,10 +71,12 @@ class PascTreeRun:
         #: flipped in the last absorb_bits(); only these re-cross their
         #: child links in the next iteration's layout.
         self._flipped: List[int] = []
-        self._wiring_base = (
-            "tree", self.tag, self.root,
-            tuple(sorted(self.parent.items())), self.pch, self.sch,
-        )
+        # Static part of the wiring fingerprint, as bytes rather than
+        # node tuples: cached layouts keep their keys alive, and bytes
+        # are neither hashed per node nor walked by the garbage collector.
+        coordinates = array("q", (c for u in self.nodes for c in u))
+        coordinates.extend(c for u in self.nodes[1:] for c in self.parent[u])
+        self._wiring_base = ("tree", self.tag, self.pch, self.sch, coordinates.tobytes())
         # Grid-index view, computed once per index (_index_view()):
         # node ids, parent edge ids (-1 at the root) and child edge ids.
         self._index = None
@@ -207,7 +210,8 @@ class PascTreeRun:
 
     def wiring_key(self) -> Tuple:
         """Hashable snapshot determining this run's current wiring."""
-        return (self._wiring_base, tuple(self._active[u] for u in self.nodes))
+        active = self._active
+        return (self._wiring_base, bytes(active[u] for u in self.nodes))
 
     def beep_slots(self) -> List[int]:
         """The root beeps on its primary set."""
@@ -231,9 +235,11 @@ class PascTreeRun:
         self._flipped = flipped
         self._iteration += 1
 
-    def active_nodes(self) -> List[Node]:
-        """Amoebots still active (beep in the termination round)."""
-        return [u for u, a in self._active.items() if a]
+    def active_ids(self) -> List[int]:
+        """Node ids, in the last layout's index, of the amoebots still
+        active (they beep in the termination round)."""
+        active = self._active
+        return [nid for nid, u in zip(self._nids, self.nodes) if active[u]]
 
     @property
     def iterations(self) -> int:

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from repro.ett.tour import mask_adjacency
 from repro.grid.coords import Node
 from repro.grid.directions import OPPOSITE_VALUES as _OPP
 from repro.grid.directions import Axis, Direction, counterclockwise
@@ -80,9 +82,12 @@ class PortalSystem:
     Construction runs over the structure's
     :class:`~repro.grid.compiled.GridIndex`: portal runs, the local
     tree rule, the implicit spanning tree, and the portal adjacency are
-    all computed from the flat neighbor array in integer space, and the
-    ``Node``/:class:`Portal` views the algorithms consume are
-    materialized once at the end (one dict insert per node).
+    all computed from the flat neighbor array in integer space.  The
+    implicit tree stays in it (:attr:`tree_masks`, which Euler tours are
+    read off); the :class:`Portal` objects and ``portal_of`` are
+    materialized once at the end (one dict insert per node), and the
+    ``Node`` views :attr:`implicit_adjacency` and :attr:`connector` are
+    built only when asked for.
     """
 
     def __init__(self, structure: AmoebotStructure, axis: Axis):
@@ -98,8 +103,9 @@ class PortalSystem:
         self.portal_offset_of_id: List[int] = []
         self._build_portals()
         self.portal_adjacency: Dict[Portal, List[Portal]] = {}
-        self.connector: Dict[Tuple[Portal, Portal], Tuple[Node, Node]] = {}
-        self.implicit_adjacency: Dict[Node, List[Node]] = {}
+        #: The implicit portal tree: node id -> bitmask of its tree
+        #: directions (the form :func:`~repro.ett.tour.euler_tour` reads).
+        self.tree_masks: Dict[int, int] = {}
         self._build_implicit_tree()
 
     # ------------------------------------------------------------------
@@ -163,75 +169,64 @@ class PortalSystem:
         nid = self._gi.id_of(node)
         if nid is None:
             raise KeyError(f"{node} is not part of the structure")
-        return [Direction(d) for d in self._tree_direction_values(nid)]
+        mask = self._tree_direction_mask(nid)
+        return [Direction(d) for d in range(6) if mask >> d & 1]
 
-    def _tree_direction_values(self, nid: int) -> List[int]:
-        """The local rule over the grid index (direction *values*)."""
+    def _tree_direction_mask(self, nid: int) -> int:
+        """The local rule over the grid index, as a direction bitmask."""
         nbr = self._gi.nbr
         base = nid * 6
         r = self._rotation
-        east = (0 + r) % 6
+        east = r
         ne = (1 + r) % 6
         nw = (2 + r) % 6
         west = (3 + r) % 6
         sw = (4 + r) % 6
         se = (5 + r) % 6
-        result: List[int] = []
+        mask = 0
         if nbr[base + east] >= 0:
-            result.append(east)
+            mask |= 1 << east
         if nbr[base + west] >= 0:
-            result.append(west)
+            mask |= 1 << west
         else:
             if nbr[base + nw] >= 0:
-                result.append(nw)
+                mask |= 1 << nw
             if nbr[base + sw] >= 0:
-                result.append(sw)
+                mask |= 1 << sw
         if nbr[base + nw] < 0 and nbr[base + ne] >= 0:
-            result.append(ne)
+            mask |= 1 << ne
         if nbr[base + sw] < 0 and nbr[base + se] >= 0:
-            result.append(se)
-        return result
+            mask |= 1 << se
+        return mask
 
     def _build_implicit_tree(self) -> None:
         gi = self._gi
         nbr = gi.nbr
         nodes = gi.nodes
         n_slots = gi.n_slots
-        selected = bytearray(6 * n_slots)
+        selected = [
+            0 if nodes[nid] is None else self._tree_direction_mask(nid) for nid in range(n_slots)
+        ]
+
+        # The rule is asymmetric (selected by one endpoint); an edge
+        # belongs to the tree when either endpoint selects it, which the
+        # local rule makes consistent on hole-free structures.
+        portal_index = self.portal_index_of_id
+        masks = self.tree_masks
+        adjacency_ids: Dict[int, Set[int]] = {}
+        edge_count = 0
         live = 0
         for nid in range(n_slots):
             if nodes[nid] is None:
                 continue
             live += 1
             base = nid * 6
-            for d in self._tree_direction_values(nid):
-                selected[base + d] = 1
-
-        # The rule is asymmetric (selected by one endpoint); an edge
-        # belongs to the tree when either endpoint selects it, which the
-        # local rule makes consistent on hole-free structures.  Neighbor
-        # lists are emitted in ascending direction order — exactly the
-        # counterclockwise rotation order
-        # :func:`~repro.ett.tour.adjacency_from_edges` sorts into.
-        portal_index = self.portal_index_of_id
-        implicit: Dict[Node, List[Node]] = {}
-        connector = self.connector
-        adjacency_ids: Dict[int, Set[int]] = {}
-        edge_count = 0
-        portals = self.portals
-        for nid in range(n_slots):
-            u = nodes[nid]
-            if u is None:
-                continue
-            base = nid * 6
-            row: List[Node] = []
+            mask = selected[nid]
             for d in range(6):
                 j = nbr[base + d]
-                if j < 0:
+                if j < 0 or not (mask >> d & 1 or selected[j] >> _OPP[d] & 1):
                     continue
-                if not (selected[base + d] or selected[j * 6 + _OPP[d]]):
-                    continue
-                row.append(nodes[j])
+                mask |= 1 << d
                 if nid < j:
                     edge_count += 1
                     pu = portal_index[nid]
@@ -239,11 +234,7 @@ class PortalSystem:
                     if pu != pv:
                         adjacency_ids.setdefault(pu, set()).add(pv)
                         adjacency_ids.setdefault(pv, set()).add(pu)
-                        v = nodes[j]
-                        connector[(portals[pu], portals[pv])] = (u, v)
-                        connector[(portals[pv], portals[pu])] = (v, u)
-            implicit[u] = row
-        self.implicit_adjacency = implicit
+            masks[nid] = mask
 
         expected = live - 1
         if edge_count != expected:
@@ -253,12 +244,37 @@ class PortalSystem:
                 "have holes"
             )
 
+        portals = self.portals
         self.portal_adjacency = {
             portals[k]: [portals[m] for m in sorted(members)]
             for k, members in adjacency_ids.items()
         }
         for p in portals:
             self.portal_adjacency.setdefault(p, [])
+
+    @cached_property
+    def connector(self) -> Dict[Tuple[Portal, Portal], Tuple[Node, Node]]:
+        """``(p, q) -> (u, v)``: the implicit-tree edge from portal ``p``
+        to its neighbor portal ``q`` (built on first use)."""
+        nodes = self._gi.nodes
+        nbr = self._gi.nbr
+        portals = self.portals
+        portal_index = self.portal_index_of_id
+        connector: Dict[Tuple[Portal, Portal], Tuple[Node, Node]] = {}
+        for nid, mask in self.tree_masks.items():
+            for d in range(6):
+                if mask >> d & 1:
+                    j = nbr[nid * 6 + d]
+                    if portal_index[nid] != portal_index[j]:
+                        key = (portals[portal_index[nid]], portals[portal_index[j]])
+                        connector[key] = (nodes[nid], nodes[j])
+        return connector
+
+    @property
+    def implicit_adjacency(self) -> Dict[Node, List[Node]]:
+        """The implicit portal tree as rotation-ordered ``Node`` adjacency
+        (a view for tests and figures)."""
+        return mask_adjacency(self._gi, self.tree_masks)
 
     # ------------------------------------------------------------------
     # queries

@@ -5,8 +5,9 @@ The portal primitives *are* the node primitives of
 the node-level Euler tour of the *implicit* portal tree, each portal
 acting through its representative amoebot, and by Lemma 32 the
 portal-graph prefix difference between adjacent portals equals the
-node-level difference across their unique connector edge
-(:meth:`PortalScope.diff`).  The shared root-and-prune, centroid and
+node-level difference across their unique connector edge — the one tour
+edge joining them, which the decoders find through
+:attr:`PortalScope.unit_index`.  The shared root-and-prune, centroid and
 decomposition code therefore decides about portals exactly as it does
 about nodes.  What remains is intra-portal communication:
 
@@ -23,19 +24,20 @@ about nodes.  What remains is intra-portal communication:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+import copy
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.grid.coords import Node
-from repro.grid.directions import Axis, Direction
-from repro.ett.technique import ETTResult
-from repro.ett.tour import EulerTour, build_euler_tour
-from repro.pasc.chain import PascChainRun, chain_links_for_nodes
+from repro.grid.directions import Axis
+from repro.ett.tour import EulerTour, euler_tour
+from repro.pasc.chain import PascChainRun
 from repro.pasc.runner import run_pasc
 from repro.portals.portals import Portal, PortalSystem
 from repro.primitives.centroid import CentroidOp, decode_centroids, run_centroid_phases
 from repro.primitives.decomposition import DecompositionTree, decompose
 from repro.primitives.election import elect_unit
 from repro.primitives.root_prune import RootPruneOp, RootPruneResult, decode_root_prune
+from repro.primitives.scope import restrict_masks
 from repro.sim.engine import CircuitEngine
 
 PORTAL_CIRCUIT_CHANNEL = 4  # portal-internal broadcast wire
@@ -58,63 +60,93 @@ class PortalScope:
     connected portal subtree (the decomposition's recursions, the forest
     algorithm's regions); this helper owns the restriction plumbing.  It
     is the tree scope (see :mod:`repro.primitives.scope`) whose units
-    are portals.
+    are portals, numbered as in ``system.portals``.  ``index`` is the
+    grid index of the structure the engine runs on (default: the
+    system's own); the system's tree is carried over to it once.
     """
 
-    def __init__(self, system: PortalSystem, portals: Optional[Iterable[Portal]] = None):
+    def __init__(
+        self,
+        system: PortalSystem,
+        portals: Optional[Iterable[Portal]] = None,
+        index=None,
+    ):
         self.system = system
-        if portals is None:
-            # Whole-system scope: no filtering needed — adopt the
-            # system's adjacency structures verbatim (read-only).
-            self.portals = set(system.portals)
-            self.adjacency: Dict[Node, List[Node]] = system.implicit_adjacency
-            self.unit_adjacency: Dict[Portal, List[Portal]] = system.portal_adjacency
+        own = system.structure.grid_index()
+        self.index = own if index is None else index
+        self.unit_objects: List[Portal] = system.portals
+        if self.index is own:
+            # Whole-system views, adopted verbatim (read-only).
+            self.masks: Dict[int, int] = system.tree_masks
+            self.unit_index = system.portal_index_of_id
         else:
-            self.portals = set(portals)
-            unknown = self.portals.difference(system.portals)
-            if unknown:
-                raise ValueError("scope contains portals of a different system")
-            nodes = self.nodes_of(self.portals)
-            self.adjacency = {
-                u: [v for v in system.implicit_adjacency[u] if v in nodes]
-                for u in nodes
-            }
-            self.unit_adjacency = {
-                p: [q for q in system.portal_adjacency[p] if q in self.portals]
-                for p in self.portals
-            }
-        self.units = self.portals
+            id_of = self.index.id_of
+            nodes = own.nodes
+            portal_index = system.portal_index_of_id
+            self.masks = {}
+            self.unit_index = {}
+            for nid, mask in system.tree_masks.items():
+                moved = id_of(nodes[nid])
+                self.masks[moved] = mask
+                self.unit_index[moved] = portal_index[nid]
+        self.portals = set(system.portals)
+        self.unit_adjacency: Dict[Portal, List[Portal]] = system.portal_adjacency
         self._circuit_key: Optional[Tuple] = None
+        if portals is not None:
+            portal_set = set(portals)
+            if not portal_set <= self.portals:
+                raise ValueError("scope contains portals of a different system")
+            self._restrict_to(portal_set)
+
+    @property
+    def units(self) -> Set[Portal]:
+        return self.portals
+
+    def _restrict_to(self, portals: Set[Portal]) -> None:
+        self.masks = restrict_masks(self.index, self.masks, self.node_ids_of(portals))
+        self.unit_adjacency = {
+            p: [q for q in self.unit_adjacency[p] if q in portals] for p in portals
+        }
+        self.portals = portals
+        self._circuit_key = None
 
     def tour(self, root_portal: Portal) -> EulerTour:
         """Euler tour of the scope's implicit tree, rooted at the portal's representative."""
         if root_portal not in self.portals:
             raise ValueError("root portal outside the scope")
-        return build_euler_tour(root_portal.representative, self.adjacency)
+        root_id = self.index.id_of(root_portal.representative)
+        return euler_tour(self.index, root_id, self.masks)
 
-    def representatives(self, portals: Iterable[Portal]) -> Iterable[Node]:
-        """Representative amoebots of the given portals, lazily."""
-        return (p.representative for p in portals)
+    def representative_ids(self, portals: Iterable[Portal]) -> List[int]:
+        """Node ids of the representative amoebots of the given portals."""
+        id_of = self.index.id_of
+        return [id_of(p.representative) for p in portals]
 
-    def unit_of(self, node: Node) -> Portal:
+    def unit_at(self, nid: int) -> Portal:
         """The portal an amoebot of the scope belongs to."""
-        return self.system.portal_of[node]
+        return self.unit_objects[self.unit_index[nid]]
 
-    def diff(self, ett: ETTResult) -> Callable[[Portal, Portal], int]:
-        """Portal-graph prefix differences via connector edges (Lemma 32)."""
-        connector = self.system.connector
-        return lambda p, q: ett.diff(*connector[(p, q)])
-
-    def nodes_of(self, portals: Iterable[Portal]) -> Set[Node]:
-        """The amoebots of the given portals."""
-        nodes: Set[Node] = set()
+    def node_ids_of(self, portals: Iterable[Portal]) -> Set[int]:
+        """The node ids of the given portals' amoebots."""
+        nbr = self.index.nbr
+        id_of = self.index.id_of
+        ids: Set[int] = set()
         for p in portals:
-            nodes.update(p.nodes)
-        return nodes
+            pos_d = int(p.axis.directions[0])
+            nid = id_of(p.representative)
+            ids.add(nid)
+            for _ in range(len(p.nodes) - 1):
+                nid = nbr[nid * 6 + pos_d]
+                ids.add(nid)
+        return ids
 
     def restrict(self, portals: Set[Portal]) -> "PortalScope":
         """The scope of a connected subset of this scope's portals."""
-        return PortalScope(self.system, portals)
+        if not portals <= self.portals:
+            raise ValueError("scope contains portals of a different system")
+        scope = copy.copy(self)
+        scope._restrict_to(set(portals))
+        return scope
 
     def announce_winner(self, engine: CircuitEngine) -> None:
         """One portal-circuit round: each elected portal learns it won."""
@@ -223,9 +255,9 @@ def portal_root_and_prune(
     ``O(log |Q|)`` rounds.
     """
     if scope is None:
-        scope = PortalScope(system)
+        scope = PortalScope(system, index=engine.structure.grid_index())
     q = scope.check(q_portals)
-    op = RootPruneOp(scope.tour(root_portal), scope.representatives(q), tag="prp")
+    op = RootPruneOp(scope.tour(root_portal), scope.representative_ids(q), tag="prp")
     with engine.rounds.section(section):
         if op.ett_op.chain is not None:
             run_pasc(engine, [op.ett_op.chain], section=f"{section}:ett")
@@ -252,51 +284,59 @@ def _count_degrees(
     this runs the actual portal-chain PASC so the *round cost* of the
     degree computation is the real one, and cross-checks the counts.
     """
-    diff = scope.diff(result.ett)
-    runs: List[PascChainRun] = []
-    expected: List[Tuple[Portal, int]] = []
-    for p in scope.portals:
+    # Connector roles: the source amoebot of every tour edge that leaves
+    # a V_Q portal toward a neighbor portal with a nonzero difference.
+    tour = result.ett.tour
+    inclusive = result.ett.inclusive
+    twin = tour.twin
+    unit_index = scope.unit_index
+    portals = scope.unit_objects
+    index = scope.index
+    nbr = index.nbr
+    r = int(scope.system.axis)
+    north_dirs = ((1 + r) % 6, (2 + r) % 6)  # the rotated NE and NW
+    roles: Dict[Portal, Tuple[Set[int], Set[int]]] = {}
+    for i, e in enumerate(tour.edge_ids):
+        if inclusive[i] == inclusive[twin[i]]:
+            continue
+        u = unit_index[e // 6]
+        if u == unit_index[nbr[e]]:
+            continue
+        p = portals[u]
         if p not in result.in_vq:
             continue
-        nodes = list(p.nodes)
-        if len(nodes) < 2:
-            continue  # single-amoebot portal counts its roles locally
-        north_roles: Set[Node] = set()
-        south_roles: Set[Node] = set()
-        for q in scope.unit_adjacency[p]:
-            if diff(p, q) == 0:
-                continue
-            u, v = scope.system.connector[(p, q)]
-            side = north_roles if _is_north_side(scope.system, u, v) else south_roles
-            if u in side:
-                raise AssertionError("two same-side connector roles at one amoebot")
-            side.add(u)
-        pch, sch, pch2, sch2 = PORTAL_COUNT_CHANNELS
-        links_n = chain_links_for_nodes(nodes, pch, sch)
-        links_s = chain_links_for_nodes(nodes, pch2, sch2)
-        wn = [1 if u in north_roles else 0 for u in nodes]
-        ws = [1 if u in south_roles else 0 for u in nodes]
-        runs.append(PascChainRun([(u, "n") for u in nodes], links_n, weights=wn, tag="degN"))
-        runs.append(PascChainRun([(u, "s") for u in nodes], links_s, weights=ws, tag="degS"))
-        expected.append((p, len(north_roles) + len(south_roles)))
+        north, south = roles.setdefault(p, (set(), set()))
+        side = north if e % 6 in north_dirs else south
+        if e // 6 in side:
+            raise AssertionError("two same-side connector roles at one amoebot")
+        side.add(e // 6)
+
+    runs: List[PascChainRun] = []
+    expected: List[Tuple[Portal, int]] = []
+    pch, sch, pch2, sch2 = PORTAL_COUNT_CHANNELS
+    for p in scope.portals:
+        if p not in result.in_vq or len(p.nodes) < 2:
+            continue  # a single-amoebot portal counts its roles locally
+        north, south = roles.get(p, ((), ()))
+        pos_d = int(p.axis.directions[0])
+        nids = [index.id_of(p.representative)]
+        for _ in range(len(p.nodes) - 1):
+            nids.append(nbr[nids[-1] * 6 + pos_d])
+        out_edges = [nid * 6 + pos_d for nid in nids[:-1]]
+        wn = [1 if nid in north else 0 for nid in nids]
+        ws = [1 if nid in south else 0 for nid in nids]
+        runs.append(PascChainRun(index, nids, out_edges, (pch, sch), wn, tag="degN"))
+        runs.append(PascChainRun(index, nids, out_edges, (pch2, sch2), ws, tag="degS"))
+        expected.append((p, len(north) + len(south)))
     if runs:
         run_pasc(engine, runs, section=f"{section}:degrees")
         for (p, want), run_n, run_s in zip(expected, runs[0::2], runs[1::2]):
-            got = (
-                run_n.inclusive_values()[run_n.units[-1]]
-                + run_s.inclusive_values()[run_s.units[-1]]
-            )
+            got = run_n.inclusive_values()[-1] + run_s.inclusive_values()[-1]
             if got != want:
                 raise AssertionError(f"portal degree recount mismatch for {p}")
     # One more round: portals with degree >= 3 announce membership in A_Q
     # on their portal circuits.
     scope.broadcast(engine, (p.nodes[-1] for p in result.augmentation))
-
-
-def _is_north_side(system: PortalSystem, u: Node, v: Node) -> bool:
-    """Whether connector edge u->v leaves on the rotated-north side."""
-    d = u.direction_to(v)
-    return d in (system.rotate(Direction.NW), system.rotate(Direction.NE))
 
 
 def portal_elect(
@@ -316,7 +356,7 @@ def portal_elect(
     if not candidates:
         raise ValueError("portal election requires candidates")
     if scope is None:
-        scope = PortalScope(system)
+        scope = PortalScope(system, index=engine.structure.grid_index())
     with engine.rounds.section(section):
         winner = elect_unit(engine, scope, root_portal, candidates, f"{section}:ett")
         if len(scope.units) > 1:
@@ -335,9 +375,9 @@ def portal_centroids(
 ) -> Set[Portal]:
     """The portal Q-centroid(s); ``O(log |Q|)`` rounds (Lemma 36)."""
     if scope is None:
-        scope = PortalScope(system)
+        scope = PortalScope(system, index=engine.structure.grid_index())
     q = scope.check(q_portals)
-    op = CentroidOp(scope.tour(root_portal), scope.representatives(q), tag="pc")
+    op = CentroidOp(scope.tour(root_portal), scope.representative_ids(q), tag="pc")
     with engine.rounds.section(section):
         run_centroid_phases(engine, [op], (f"{section}:ett1", f"{section}:ett2"))
         # Portals learn non-centroid status via one portal-circuit beep.
@@ -360,7 +400,7 @@ def portal_centroid_decomposition(
     depends on that (Section 5.4.4).
     """
     if scope is None:
-        scope = PortalScope(system)
+        scope = PortalScope(system, index=engine.structure.grid_index())
     if not q_prime:
         raise ValueError("Q' must be non-empty")
     scope.check(q_prime)

@@ -20,9 +20,9 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.grid.coords import Node
 from repro.ett.technique import ETTOp
-from repro.ett.tour import EulerTour, build_euler_tour
+from repro.ett.tour import EulerTour
 from repro.pasc.runner import run_pasc
-from repro.primitives.root_prune import RootPruneOp, decode_root_prune
+from repro.primitives.root_prune import RootPruneOp, unit_differences
 from repro.primitives.scope import NodeScope
 from repro.sim.engine import CircuitEngine
 
@@ -30,6 +30,7 @@ from repro.sim.engine import CircuitEngine
 class CentroidOp:
     """A centroid computation exposable to the parallel runner.
 
+    ``q_ids`` are node ids of ``Q`` (or of its units' representatives).
     Phases (both feed the shared PASC rounds when batched):
 
     1. :attr:`phase1` — the root-and-prune ETT (parents).
@@ -41,13 +42,13 @@ class CentroidOp:
     :meth:`centroids` at the end.
     """
 
-    def __init__(self, tour: EulerTour, q_nodes: Iterable[Node], tag: str = "cen"):
+    def __init__(self, tour: EulerTour, q_ids: Iterable[int], tag: str = "cen"):
         self.tour = tour
-        self.q_nodes = set(q_nodes)
-        if not self.q_nodes:
+        self.q_ids = set(q_ids)
+        if not self.q_ids:
             raise ValueError("Q must be non-empty for the centroid primitive")
         self.tag = tag
-        self.phase1 = RootPruneOp(tour, self.q_nodes, tag=f"{tag}1")
+        self.phase1 = RootPruneOp(tour, self.q_ids, tag=f"{tag}1")
         self.phase2: ETTOp | None = None
 
     def prepare_phase2(self) -> None:
@@ -56,38 +57,48 @@ class CentroidOp:
 
     def centroids(self) -> Set[Node]:
         """The Q-centroids, from both phases' prefix sums."""
-        return decode_centroids(NodeScope(self.tour.adjacency), self, self.q_nodes)
+        nodes = self.tour.index.nodes
+        scope = NodeScope(self.tour.index, self.tour.masks)
+        return decode_centroids(scope, self, {nodes[n] for n in self.q_ids})
 
 
 def decode_centroids(scope, op: CentroidOp, q_units: Set) -> Set:
     """Decode finished centroid ETTs on the units of a tree scope.
 
     ``op`` ran on ``scope``'s tour with the representatives of
-    ``q_units`` marked; each unit of ``Q`` sums its neighbors' component
-    sizes from its :meth:`diff` (Corollary 22).
+    ``q_units`` marked; each unit of ``Q`` reads its neighbors'
+    component sizes from its prefix differences (Corollary 22).
     """
     if op.phase2 is None:
         raise RuntimeError("run both phases before reading centroids")
-    if not op.tour.edges:
+    tour = op.tour
+    if not tour.length:
         # Single-node tree: the node is trivially the centroid.
         return set(q_units)
-    rp = decode_root_prune(scope, op.phase1)
-    diff = scope.diff(op.phase2.result())
-    q_size = rp.q_size
-    result: Set = set()
-    for u in q_units:
-        ok = True
-        for v in scope.unit_adjacency[u]:
-            if rp.parent.get(u) == v:
-                size = q_size - diff(u, v)
-            else:
-                size = diff(v, u)
-            if 2 * size > q_size:
-                ok = False
-                break
-        if ok:
-            result.add(u)
-    return result
+    unit_index = scope.unit_index
+    phase1 = op.phase1.ett_op.result()
+    _degree, parent = unit_differences(unit_index, tour, phase1.inclusive)
+    q_size = phase1.total
+    q = {unit_index[nid] for nid in op.q_ids}
+    inclusive = op.phase2.result().inclusive
+    twin = tour.twin
+    nbr = tour.index.nbr
+    heavy: Set[int] = set()
+    for i, e in enumerate(tour.edge_ids):
+        u = unit_index[e // 6]
+        if u not in q:
+            continue
+        v = unit_index[nbr[e]]
+        if u == v:
+            continue
+        # The component behind v: everything but u's subtree when v is
+        # u's parent, v's subtree otherwise.
+        d = inclusive[i] - inclusive[twin[i]]
+        size = q_size - d if parent.get(u) == v else -d
+        if 2 * size > q_size:
+            heavy.add(u)
+    units = scope.unit_objects
+    return {units[u] for u in q if u not in heavy}
 
 
 def q_centroids(
@@ -98,7 +109,8 @@ def q_centroids(
     section: str = "centroid",
 ) -> Set[Node]:
     """Compute the Q-centroid(s) of a tree; ``O(log |Q|)`` rounds."""
-    op = CentroidOp(build_euler_tour(root, adjacency), q_nodes)
+    scope = NodeScope.from_adjacency(engine.structure.grid_index(), adjacency)
+    op = CentroidOp(scope.tour(root), scope.representative_ids(q_nodes))
     run_centroid_phases(engine, [op], (section, section))
     return op.centroids()
 

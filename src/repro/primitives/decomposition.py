@@ -85,7 +85,7 @@ def centroid_decomposition(
         raise ValueError(f"Q' contains non-tree nodes: {sorted(unknown)[:3]}")
     return decompose(
         engine,
-        NodeScope(adjacency),
+        NodeScope.from_adjacency(engine.structure.grid_index(), adjacency),
         root,
         q_prime,
         section,
@@ -127,10 +127,8 @@ def decompose(
     # single probe set is equivalent to scanning all of them.
     term_label = f"{label}:term"
     term_layout = engine.global_layout(label=term_label)
-    term_index = term_layout.compiled().index
-    term_probe = term_index.index_of(
-        (next(iter(engine.structure)), term_label), "listen on"
-    )
+    probe_nid = next(iter(engine.structure.grid_index().live_ids()))
+    term_probe = term_layout.set_ids([(probe_nid, term_label)], "listen on")
 
     with engine.rounds.section(section):
         level_index = 0
@@ -144,11 +142,11 @@ def decompose(
             remaining.difference_update(level_centroids)
             # Termination check: a global circuit where every unelected
             # Q' unit beeps; silence ends the primitive.
-            beeps = term_index.indices(
-                ((u, term_label) for u in scope.representatives(remaining)),
+            beeps = term_layout.set_ids(
+                ((nid, term_label) for nid in scope.representative_ids(remaining)),
                 "beep on",
             )
-            received = engine.run_round_indexed(term_layout, beeps, (term_probe,))
+            received = engine.run_round_indexed(term_layout, beeps, term_probe)
             active = next_active
             if not received[0]:
                 break
@@ -172,7 +170,7 @@ def _run_level(
 ) -> Tuple[List[Hashable], List[_Recursion]]:
     """Execute all recursions of one level (subtrees of ``scope``) together."""
     ops = [
-        CentroidOp(rec.scope.tour(rec.root), rec.scope.representatives(rec.q), tag=tag)
+        CentroidOp(rec.scope.tour(rec.root), rec.scope.representative_ids(rec.q), tag=tag)
         for rec in recursions
     ]
     # Both ETT phases of all recursions share their rounds.
@@ -187,8 +185,8 @@ def _run_level(
             raise AssertionError("a recursion found no Q'-centroid; Q' was not augmented")
         centroid_sets.append(centroids)
         tour = op.tour
-        if tour.edges:
-            marked = mark_one_outgoing_edge(tour, rec.scope.representatives(centroids))
+        if tour.length:
+            marked = mark_one_outgoing_edge(tour, rec.scope.representative_ids(centroids))
             requests.append(ElectionRequest(tour, marked))
         else:
             requests.append(None)  # single-node tree elects itself
@@ -203,7 +201,7 @@ def _run_level(
         if req is None:
             choice = next(iter(centroids))
         else:
-            choice = rec.scope.unit_of(next(winner_iter))
+            choice = rec.scope.unit_at(next(winner_iter))
         elected.append(choice)
         tree.parent[choice] = rec.caller
         tree.subtree_units[choice] = set(rec.scope.units)
@@ -217,21 +215,23 @@ def _run_level(
     for rec, choice in zip(recursions, elected):
         for component in split_components(rec.scope.unit_adjacency, choice):
             specs.append((rec, choice, component))
-    id_of = engine.structure.grid_index().id_of
+    nbr = engine.structure.grid_index().nbr
     edges = []
     for rec, _choice, component in specs:
-        nodes = rec.scope.nodes_of(component)
-        adjacency = rec.scope.adjacency
-        for u in nodes:
-            for v in adjacency[u]:
-                if v in nodes and u < v:
-                    edges.append(id_of(u) * 6 + u.direction_to(v))
+        ids = rec.scope.node_ids_of(component)
+        masks = rec.scope.masks
+        for nid in ids:
+            # Each tree edge once, from the endpoint it leaves E/NE/NW.
+            mask = masks[nid]
+            for d in (0, 1, 2):
+                if mask >> d & 1 and nbr[nid * 6 + d] in ids:
+                    edges.append(nid * 6 + d)
     layout = engine.edge_subset_layout(edges, label=comp_label, channel=0)
     beeps = layout.set_ids(
         (
-            (id_of(u), comp_label)
+            (nid, comp_label)
             for rec, choice, component in specs
-            for u in rec.scope.representatives((rec.q - {choice}) & component)
+            for nid in rec.scope.representative_ids((rec.q - {choice}) & component)
         ),
         "beep on",
     )
@@ -239,7 +239,7 @@ def _run_level(
     # suffices (bits align with the spec order read below).
     listen = layout.set_ids(
         (
-            (id_of(next(iter(rec.scope.representatives(component)))), comp_label)
+            (rec.scope.representative_ids((next(iter(component)),))[0], comp_label)
             for rec, _choice, component in specs
         ),
         "listen on",

@@ -28,7 +28,8 @@ def elect(
     candidates = set(q_nodes)
     if not candidates:
         raise ValueError("election requires a non-empty candidate set")
-    return elect_unit(engine, NodeScope(adjacency), root, candidates, section)
+    scope = NodeScope.from_adjacency(engine.structure.grid_index(), adjacency)
+    return elect_unit(engine, scope, root, candidates, section)
 
 
 def elect_unit(
@@ -45,5 +46,5 @@ def elect_unit(
     if len(scope.unit_adjacency) == 1:
         return next(iter(candidates))
     tour = scope.tour(root)
-    marked = mark_one_outgoing_edge(tour, scope.representatives(candidates))
-    return scope.unit_of(elect_first_marked(engine, tour, marked, section=section))
+    marked = mark_one_outgoing_edge(tour, scope.representative_ids(candidates))
+    return scope.unit_at(elect_first_marked(engine, tour, marked, section=section))

@@ -17,11 +17,11 @@ Costs ``O(log |Q|)`` rounds (Lemma 20).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Set
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from repro.grid.coords import Node
 from repro.ett.technique import ETTOp, ETTResult, mark_one_outgoing_edge
-from repro.ett.tour import EulerTour, build_euler_tour
+from repro.ett.tour import EulerTour
 from repro.pasc.runner import run_pasc
 from repro.primitives.scope import NodeScope
 from repro.sim.engine import CircuitEngine
@@ -73,61 +73,96 @@ class RootPruneResult:
 class RootPruneOp:
     """A root-and-prune execution exposable to the parallel runner.
 
-    Several ops on edge-disjoint trees can share their rounds by passing
-    their ``ett_op.chain`` objects to one :func:`run_pasc` call; the
-    decomposition primitive relies on this.
+    ``q_ids`` are the node ids (of the tour's index) of ``Q``, or of
+    the representatives of ``Q``'s units.  Several ops on edge-disjoint
+    trees can share their rounds by passing their ``ett_op.chain``
+    objects to one :func:`run_pasc` call; the decomposition primitive
+    relies on this.
     """
 
-    def __init__(self, tour: EulerTour, q_nodes: Iterable[Node], tag: str = "rp"):
+    def __init__(self, tour: EulerTour, q_ids: Iterable[int], tag: str = "rp"):
         self.tour = tour
-        self.q_nodes = set(q_nodes)
-        unknown = self.q_nodes.difference(tour.adjacency)
+        self.q_ids = set(q_ids)
+        unknown = self.q_ids.difference(tour.masks)
         if unknown:
-            raise ValueError(f"Q contains non-tree nodes: {sorted(unknown)[:3]}")
-        marked = mark_one_outgoing_edge(tour, self.q_nodes)
+            raise ValueError(f"Q contains non-tree node ids: {sorted(unknown)[:3]}")
+        marked = mark_one_outgoing_edge(tour, self.q_ids)
         self.ett_op = ETTOp(tour, marked, tag=tag)
 
     def result(self) -> RootPruneResult:
         """Decode V_Q, parents, and degrees once the ETT has finished."""
-        return decode_root_prune(NodeScope(self.tour.adjacency), self)
+        return decode_root_prune(NodeScope(self.tour.index, self.tour.masks), self)
+
+
+def unit_differences(
+    unit_index: Mapping[int, int], tour: EulerTour, inclusive: Sequence[int]
+) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Per unit number, its nonzero prefix differences and its parent.
+
+    Every tour edge joining two units carries the units' prefix
+    difference ``inclusive[i] - inclusive[twin[i]]``; a unit's nonzero
+    differences are its ``T_Q``-degree and its unique positive one
+    points at its parent (Corollary 18, Lemma 19).  Returns
+    ``(degree, parent)``, both keyed by unit number.
+    """
+    nbr = tour.index.nbr
+    twin = tour.twin
+    degree: Dict[int, int] = {}
+    parent: Dict[int, int] = {}
+    for i, e in enumerate(tour.edge_ids):
+        d = inclusive[i] - inclusive[twin[i]]
+        if not d:
+            continue
+        u = unit_index[e // 6]
+        v = unit_index[nbr[e]]
+        if u == v:
+            continue
+        degree[u] = degree.get(u, 0) + 1
+        if d > 0:
+            if u in parent:
+                raise AssertionError(
+                    f"unit {u} sees several positive differences; "
+                    "ETT prefix sums are inconsistent"
+                )
+            parent[u] = v
+    return degree, parent
 
 
 def decode_root_prune(scope, op: RootPruneOp) -> RootPruneResult:
     """Decode a finished root-and-prune ETT on the units of a tree scope.
 
     ``op`` ran on ``scope``'s tour with the representatives of ``Q``
-    marked; every unit decides from its :meth:`diff` to each neighbor.
+    marked; every unit decides from its differences to its neighbors.
     """
     ett = op.ett_op.result()
-    root = scope.unit_of(op.tour.root)
+    tour = op.tour
+    units = scope.unit_objects
+    root = scope.unit_index[tour.root_id]
     # A single-node tree has no tour: its root reads |Q| locally.
-    q_size = ett.total if op.tour.edges else len(op.q_nodes)
-    diff = scope.diff(ett)
+    q_size = ett.total if tour.length else len(op.q_ids)
+    degree, parent = unit_differences(scope.unit_index, tour, ett.inclusive)
     in_vq: Set = set()
-    parent: Dict = {}
+    parent_of: Dict = {}
     degree_q: Dict = {}
-    for u in scope.units:
-        diffs = {v: diff(u, v) for v in scope.unit_adjacency[u]}
-        nonzero = [v for v, d in diffs.items() if d != 0]
+    for u, count in degree.items():
         if u == root:
-            if q_size > 0:
-                in_vq.add(u)
-                degree_q[u] = len(nonzero)
-        elif nonzero:
-            in_vq.add(u)
-            degree_q[u] = len(nonzero)
-            parents = [v for v, d in diffs.items() if d > 0]
-            if len(parents) != 1:
-                raise AssertionError(
-                    f"node {u} sees {len(parents)} positive differences; "
-                    "ETT prefix sums are inconsistent"
-                )
-            parent[u] = parents[0]
+            continue
+        if u not in parent:
+            raise AssertionError(
+                f"node {units[u]} sees no positive difference; ETT prefix sums are inconsistent"
+            )
+        unit = units[u]
+        in_vq.add(unit)
+        degree_q[unit] = count
+        parent_of[unit] = units[parent[u]]
+    if q_size > 0:
+        in_vq.add(units[root])
+        degree_q[units[root]] = degree.get(root, 0)
     augmentation = {u for u, deg in degree_q.items() if deg >= 3}
     return RootPruneResult(
-        root=root,
+        root=units[root],
         in_vq=in_vq,
-        parent=parent,
+        parent=parent_of,
         degree_q=degree_q,
         augmentation=augmentation,
         q_size=q_size,
@@ -138,7 +173,7 @@ def decode_root_prune(scope, op: RootPruneOp) -> RootPruneResult:
 def root_and_prune(
     engine: CircuitEngine,
     root: Node,
-    adjacency: Dict[Node, list],
+    adjacency: Dict[Node, List[Node]],
     q_nodes: Iterable[Node],
     tag: str = "rp",
     section: str = "root_prune",
@@ -148,8 +183,20 @@ def root_and_prune(
     ``adjacency`` is the tree in rotation order (see
     :func:`repro.ett.tour.adjacency_from_edges`).
     """
-    tour = build_euler_tour(root, adjacency)
-    op = RootPruneOp(tour, q_nodes, tag=tag)
+    scope = NodeScope.from_adjacency(engine.structure.grid_index(), adjacency)
+    return root_and_prune_scope(engine, scope, root, q_nodes, tag, section)
+
+
+def root_and_prune_scope(
+    engine: CircuitEngine,
+    scope: NodeScope,
+    root: Node,
+    q_nodes: Iterable[Node],
+    tag: str = "rp",
+    section: str = "root_prune",
+) -> RootPruneResult:
+    """:func:`root_and_prune` on a tree given as a :class:`NodeScope`."""
+    op = RootPruneOp(scope.tour(root), scope.representative_ids(q_nodes), tag=tag)
     if op.ett_op.chain is not None:
         run_pasc(engine, [op.ett_op.chain], section=section)
-    return op.result()
+    return decode_root_prune(scope, op)

@@ -45,7 +45,7 @@ per-round rebuilds.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.grid.coords import Node
 from repro.grid.directions import OPPOSITE_VALUES as _OPPOSITE, Direction
@@ -308,16 +308,119 @@ class CircuitLayout:
                             dirty.add(mate_owner)
                 elif existing != slot:
                     self._channel_mask = channel_mask
-                    raise PinConfigurationError(
-                        f"pin {self._pin_of(pin)} already assigned to "
-                        f"partition set {self._set_id(existing)}"
-                    )
+                    self._reject_owned(pin)
                 # Re-assigning a pin to its own set is an idempotent
                 # no-op: a duplicate pin-list entry would leave a stale
                 # record behind if the pin later moved to a sibling via
                 # exchange_slots (which removes exactly one entry).
         self._channel_mask = channel_mask
         return slots
+
+    def assign_chain(
+        self,
+        nids: Sequence[int],
+        out_edges: Sequence[int],
+        channels: Sequence[Tuple[int, int]],
+        crossed: Sequence[int],
+        labels: Sequence[Tuple[str, str]],
+        occurrences: Sequence[int],
+    ) -> Tuple[List[int], List[int]]:
+        """Declare a PASC chain's primary and secondary sets in one pass.
+
+        Unit ``i`` is operated by node id ``nids[i]`` and names its sets
+        ``labels[occurrences[i]]`` (primary, secondary).  It joins its
+        incoming link straight and its outgoing link ``out_edges[i]``
+        (an edge id leaving ``nids[i]``) straight, or crossed where
+        ``crossed[i]`` is set; a link of direction ``d`` carries its two
+        wires on the channel pair ``channels[d]``.  Sets are declared in
+        unit order, primary first, so the returned ``(primary slots,
+        secondary slots)`` are the slots :meth:`assign_sets` would hand
+        out for the same sets.  Makes the checks of :meth:`assign_sets`
+        with the same messages, and refuses a set declared before; a
+        call that raises leaves the layout unusable.  Fresh layouts only:
+        derived layouts re-wire by :meth:`exchange_slots`.
+        """
+        if self._frozen:
+            raise PinConfigurationError("layout is frozen")
+        if self._base_compiled is not None:
+            raise PinConfigurationError(
+                "assign_chain builds fresh layouts; re-wire a derived one with exchange_slots"
+            )
+        gi = self._gi
+        nodes = gi.nodes
+        if min(nids) < 0 or max(nids) >= gi.n_slots or nodes[nids[-1]] is None:
+            bad = next(n for n in nids if not 0 <= n < gi.n_slots or nodes[n] is None)
+            raise PinConfigurationError(f"node id {bad} is not part of the structure")
+        nbr = gi.nbr
+        mate_edges = gi.mate_edges()
+        c = self._channels
+        label_key = self._label_key
+        keys = [(label_key(p), label_key(s)) for p, s in labels]
+        key_slot = self._key_slot
+        slot_keys = self._slot_keys
+        slot_pins = self._slot_pins
+        claim = self._pin_slot.setdefault
+        channel_mask = self._channel_mask
+        first = len(slot_keys)
+        last = len(out_edges)
+        p_in = s_in = back = -1
+        for i in range(len(nids)):
+            nid = nids[i]
+            base = nid * 6
+            slot = first + 2 * i
+            kp, ks = keys[occurrences[i]]
+            kp |= nid
+            ks |= nid
+            if kp in key_slot or ks in key_slot:
+                label = labels[occurrences[i]][0 if kp in key_slot else 1]
+                raise PinConfigurationError(
+                    f"partition set {(nodes[nid], label)} is already declared"
+                )
+            key_slot[kp] = slot
+            key_slot[ks] = slot + 1
+            slot_keys.append(kp)
+            slot_keys.append(ks)
+            if i and not 0 <= back - base < 6:
+                self._reject_pin(nodes[nid], base, back, 0)
+            if i < last:
+                e = out_edges[i]
+                pch, sch = channels[e % 6]
+                if not (0 <= pch < c and 0 <= sch < c and 0 <= e - base < 6 and nbr[e] >= 0):
+                    self._reject_pin(nodes[nid], base, e, sch if 0 <= pch < c else pch)
+                channel_mask |= 1 << pch | 1 << sch
+                if crossed[i]:
+                    p_out, s_out = e * c + sch, e * c + pch
+                else:
+                    p_out, s_out = e * c + pch, e * c + sch
+                p_pins = [p_in, p_out] if i else [p_out]
+                s_pins = [s_in, s_out] if i else [s_out]
+                back = mate_edges[e]
+                p_in = back * c + pch
+                s_in = back * c + sch
+            else:
+                p_pins = [p_in] if i else []
+                s_pins = [s_in] if i else []
+            for pin in p_pins:
+                if claim(pin, slot) != slot:
+                    self._reject_owned(pin)
+            for pin in s_pins:
+                if claim(pin, slot + 1) != slot + 1:
+                    self._reject_owned(pin)
+            slot_pins.append(p_pins)
+            slot_pins.append(s_pins)
+        self._channel_mask = channel_mask
+        count = 2 * len(nids)
+        self._alive.extend(b"\x01" * count)
+        self._n_alive += count
+        self._owned_pin_lists.update(range(first, first + count))
+        return list(range(first, first + count, 2)), list(range(first + 1, first + count, 2))
+
+    def _reject_owned(self, pin: int) -> None:
+        """Raise the error for a pin that already belongs to another set."""
+        raise PinConfigurationError(
+            f"pin {self._pin_of(pin)} already assigned to "
+            f"partition set {self._set_id(self._pin_slot[pin])}"
+        )
 
     def _reject_pin(self, node: Node, base: int, edge: int, channel: int) -> None:
         """Raise the error for an invalid ``(edge id, channel)`` pin of ``node``."""
@@ -434,11 +537,15 @@ class CircuitLayout:
         """
         self.freeze()
         key_slot = self._key_slot
-        key_of = self._key_of
+        label_ids = self._label_ids
+        n_slots = self._gi.n_slots
         result: List[int] = []
         for nid, label in keys:
-            key = key_of(nid, label)
-            slot = None if key is None else key_slot.get(key)
+            lid = label_ids.get(label)
+            if lid is None or nid is None or not 0 <= nid < n_slots:
+                slot = None
+            else:
+                slot = key_slot.get(lid << _KEY_SHIFT | nid)
             if slot is None:
                 in_range = isinstance(nid, int) and 0 <= nid < self._gi.n_slots
                 node = self._gi.nodes[nid] if in_range else nid

@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.grid.coords import Node
 from repro.grid.directions import Axis
 from repro.grid.structure import AmoebotStructure
-from repro.ett.tour import adjacency_from_edges, build_euler_tour
+from repro.ett.tour import edge_masks, euler_tour
 from repro.pasc.runner import run_pasc
 from repro.portals.portals import Portal, PortalSystem
 from repro.portals.primitives import (
@@ -74,7 +74,7 @@ def shortest_path_forest(
 
     with engine.rounds.section(section):
         # ---- Step 1: Q, A_Q, Q' (Lemma 51) ----------------------------
-        scope = PortalScope(system)
+        scope = PortalScope(system, index=engine.structure.grid_index())
         # Every source beeps on its portal circuit.  The round is charged
         # for its cost; the simulator reads Q from the portal map.
         scope.broadcast(engine, source_set)
@@ -207,6 +207,7 @@ def _base_case(
     # portal graph, adjacent vertices sharing connector edges), so the
     # trusted constructor skips the O(n) re-validation flood fill.
     sub_structure = AmoebotStructure.from_validated(region.nodes)
+    systems: Dict[Axis, PortalSystem] = {}  # of sub_structure, built on demand
     forest: Optional[Forest] = None
     for vertex in ordered:
         line_nodes = list(vertex.nodes)
@@ -223,6 +224,7 @@ def _base_case(
             partial,
             axis=axis,
             section=f"{section}:base_propagate",
+            systems=systems,
         )
         forest = (
             partial
@@ -269,6 +271,7 @@ def _merge_at_portal(
     # Both side regions are connected and share the portal, so their
     # union is connected: the trusted constructor applies.
     structure = AmoebotStructure.from_validated(combined_nodes)
+    systems: Dict[Axis, PortalSystem] = {}  # of structure, built on demand
 
     forests = []
     for forest in (north.forest, south.forest):
@@ -282,6 +285,7 @@ def _merge_at_portal(
                 forest,
                 axis=axis,
                 section=f"{section}:merge_propagate",
+                systems=systems,
             )
         )
     if len(forests) == 2:
@@ -421,14 +425,15 @@ def _prune_to_destinations(
 ) -> Forest:
     """Batched root-and-prune on every tree with Q = D (Corollary 57)."""
     ops: List[Tuple[Node, RootPruneOp]] = []
+    index = engine.structure.grid_index()
     with engine.rounds.section(f"{section}:prune"):
         for source, parent_map in forest.tree_parent_maps().items():
             tree_nodes = {source} | set(parent_map)
             q = (destinations & tree_nodes) | {source}
-            edges = [(u, p) for u, p in parent_map.items()]
-            adjacency = adjacency_from_edges(edges) if edges else {source: []}
-            tour = build_euler_tour(source, adjacency)
-            ops.append((source, RootPruneOp(tour, q, tag=f"pr{source.x}_{source.y}")))
+            masks = edge_masks(index, parent_map.items(), (source,))
+            tour = euler_tour(index, index.id_of(source), masks)
+            q_ids = [index.id_of(u) for u in q]
+            ops.append((source, RootPruneOp(tour, q_ids, tag=f"pr{source.x}_{source.y}")))
         chains = [op.ett_op.chain for _s, op in ops if op.ett_op.chain is not None]
         if chains:
             run_pasc(engine, chains, section=f"{section}:prune_pasc")

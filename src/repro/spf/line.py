@@ -10,10 +10,10 @@ east (where they exist) and points its parent at the closer one.  All
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.grid.coords import Node
-from repro.pasc.chain import PascChainRun, chain_links_for_nodes
+from repro.pasc.chain import PascChainRun
 from repro.pasc.runner import run_pasc
 from repro.sim.engine import CircuitEngine
 from repro.spf.types import Forest
@@ -54,11 +54,21 @@ def line_forest(
 
     source_positions = sorted(index[s] for s in source_set)
 
+    # The chain in grid-index integers, once: node ids, the edge ids
+    # toward the next amoebot and their mirrors toward the previous one.
+    grid = engine.structure.grid_index()
+    nids = [grid.id_of(u) for u in nodes]
+    if None in nids:
+        raise ValueError(f"{nodes[nids.index(None)]} is not part of the structure")
+    east_edges = [nid * 6 + u.direction_to(v) for nid, u, v in zip(nids, nodes, nodes[1:])]
+    mate = grid.mate_edges()
+    west_edges = [mate[e] for e in east_edges]
+
     # Segments between consecutive sources (and the chain ends); PASC
     # runs from each source toward the next one in both directions.
     runs: List[PascChainRun] = []
-    east_runs: Dict[int, PascChainRun] = {}  # keyed by segment start pos
-    west_runs: Dict[int, PascChainRun] = {}
+    east_runs: Dict[int, Tuple[int, PascChainRun]] = {}  # segment start pos -> (end, run)
+    west_runs: Dict[int, Tuple[int, PascChainRun]] = {}
     for i, pos in enumerate(source_positions):
         east_end = (
             source_positions[i + 1]
@@ -66,24 +76,26 @@ def line_forest(
             else len(nodes) - 1
         )
         if east_end > pos:
-            seg = nodes[pos : east_end + 1]
             run = PascChainRun(
-                [(u, "e") for u in seg],
-                chain_links_for_nodes(seg, *_EAST_CHANNELS),
+                grid,
+                nids[pos : east_end + 1],
+                east_edges[pos:east_end],
+                _EAST_CHANNELS,
                 tag=f"line_e{pos}",
             )
             runs.append(run)
-            east_runs[pos] = run
+            east_runs[pos] = (east_end, run)
         west_end = source_positions[i - 1] if i > 0 else 0
         if west_end < pos:
-            seg = list(reversed(nodes[west_end : pos + 1]))
             run = PascChainRun(
-                [(u, "w") for u in seg],
-                chain_links_for_nodes(seg, *_WEST_CHANNELS),
+                grid,
+                nids[west_end : pos + 1][::-1],
+                west_edges[west_end:pos][::-1],
+                _WEST_CHANNELS,
                 tag=f"line_w{pos}",
             )
             runs.append(run)
-            west_runs[pos] = run
+            west_runs[pos] = (west_end, run)
 
     if runs:
         run_pasc(engine, runs, section=section)
@@ -92,12 +104,10 @@ def line_forest(
     # source's direction (a purely local decision).
     dist_from_west: Dict[Node, int] = {}
     dist_from_east: Dict[Node, int] = {}
-    for run in east_runs.values():
-        for (u, _uid), value in run.values().items():
-            dist_from_west[u] = value
-    for run in west_runs.values():
-        for (u, _uid), value in run.values().items():
-            dist_from_east[u] = value
+    for pos, (end, run) in east_runs.items():
+        dist_from_west.update(zip(nodes[pos : end + 1], run.values()))
+    for pos, (end, run) in west_runs.items():
+        dist_from_east.update(zip(nodes[end : pos + 1][::-1], run.values()))
     engine.charge_local_round()
 
     parent: Dict[Node, Node] = {}

@@ -93,6 +93,7 @@ def propagate_forest(
     forest: Forest,
     axis: Axis = Axis.X,
     section: str = "propagate",
+    systems: Optional[Dict[Axis, PortalSystem]] = None,
 ) -> Forest:
     """Extend an ``A ∪ P`` forest across portal ``P`` into the rest.
 
@@ -100,6 +101,11 @@ def propagate_forest(
     on one ``axis``-parallel line, all forest members).  ``B`` is the
     complement of the forest's members.  Returns an S-forest covering
     the whole structure (Lemma 50).
+
+    ``systems`` holds portal systems of ``structure`` that the caller
+    already has; the transversal axes missing from it are built and
+    added, so a caller propagating several forests over one structure
+    builds each system once.
     """
     portal = list(portal_nodes)
     if not portal:
@@ -118,7 +124,11 @@ def propagate_forest(
         return forest
 
     other_axes = axis.others
-    systems = {d: PortalSystem(structure, d) for d in other_axes}
+    if systems is None:
+        systems = {}
+    for d in other_axes:
+        if d not in systems:
+            systems[d] = PortalSystem(structure, d)
 
     with engine.rounds.section(section):
         # ---- Phase 1: visibility + parents inside B' ------------------

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.grid.coords import Node
+from repro.grid.directions import Direction
 from repro.portals.portals import Portal, PortalSystem
-from repro.portals.primitives import _is_north_side
 from repro.spf.types import Forest
 
 
@@ -77,6 +77,12 @@ class Region:
     def boundary_portals(self) -> Set[Portal]:
         """The distinct Q' portals the region touches."""
         return {v.portal for v in self.boundary_vertices()}
+
+
+def _is_north_side(system: PortalSystem, u: Node, v: Node) -> bool:
+    """Whether connector edge u->v leaves on the rotated-north side."""
+    d = u.direction_to(v)
+    return d in (system.rotate(Direction.NW), system.rotate(Direction.NE))
 
 
 class RegionDecomposition:

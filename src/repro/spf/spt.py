@@ -33,10 +33,11 @@ from typing import Dict, Iterable, List, Optional, Set
 from repro.grid.coords import Node
 from repro.grid.directions import Axis
 from repro.grid.structure import AmoebotStructure
-from repro.ett.tour import adjacency_from_edges
+from repro.ett.tour import edge_masks
 from repro.portals.portals import Portal, PortalSystem
 from repro.portals.primitives import PortalScope, portal_root_and_prune
-from repro.primitives.root_prune import root_and_prune
+from repro.primitives.root_prune import root_and_prune_scope
+from repro.primitives.scope import NodeScope
 from repro.sim.engine import CircuitEngine
 
 
@@ -116,7 +117,7 @@ def shortest_path_tree(
         portal_parents: Dict[Axis, Dict[Portal, Portal]] = {}
         for axis in Axis:
             system = systems[axis]
-            scope = PortalScope(system)
+            scope = PortalScope(system, index=engine.structure.grid_index())
             # One beep round: every destination beeps on its portal circuit.
             scope.broadcast(engine, dest_set)
             q_portals = {system.portal_of[d] for d in dest_set}
@@ -183,14 +184,11 @@ def shortest_path_tree(
         edges = [
             (u, p) for u, p in raw_parent.items() if u in component and p in component
         ]
-        if edges:
-            adjacency = adjacency_from_edges(edges)
-        else:
-            adjacency = {source: []}
-        rp = root_and_prune(
+        index = engine.structure.grid_index()
+        rp = root_and_prune_scope(
             engine,
+            NodeScope(index, edge_masks(index, edges, (source,))),
             source,
-            adjacency,
             (dest_set & component) | {source},
             section=f"{section}:final_rp",
         )

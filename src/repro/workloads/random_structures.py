@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import List, Optional, Set
 
 from repro.grid.coords import Node
@@ -86,20 +86,25 @@ def random_hole_free(
     # The addable frontier, maintained incrementally *and in sorted
     # order*: adding a node only changes the occupancy masks of its own
     # six neighbors, so each step touches at most seven cells of three
-    # parallel arrays (packed sort key, node, occupied-neighbor count)
-    # kept aligned by bisection.  The frontier of a growing blob is its
-    # perimeter — O(sqrt(n)) cells — so the per-step cost is the weight
-    # scan over the frontier, not a full re-sort; that is what makes
-    # the random:100000 tier reachable.  Membership, candidate order,
-    # and weights match the historical sorted(dict) re-scan exactly,
-    # and each draw consumes exactly one ``rng.random()`` just like
-    # ``rng.choices(...)`` did, so any given seed grows bit for bit
-    # the same structure every prior implementation grew.
+    # parallel arrays (packed sort key, node, draw weight) kept aligned
+    # by bisection.  The cumulative weights of the draw are
+    # kept between draws too and recomputed only from the first index a
+    # step changed, still summed left to right, so they equal the full
+    # recomputation bit for bit.  Membership, candidate order, and
+    # weights match the historical sorted(dict) re-scan exactly, and
+    # each draw consumes exactly one ``rng.random()`` just like
+    # ``rng.choices(...)`` did, so any given seed grows bit for bit the
+    # same structure every prior implementation grew.
     cand_keys: List[int] = []
     cand_nodes: List[Node] = []
-    cand_counts: List[int] = []
+    cand_weights: List[float] = []
+    cum: List[float] = []
+    #: The first candidate index whose weight or position changed since
+    #: ``cum`` was last brought up to date.
+    dirty = 0
 
     def refresh(v: Node) -> None:
+        nonlocal dirty
         key = _node_key(v)
         idx = bisect_left(cand_keys, key)
         present = idx < len(cand_keys) and cand_keys[idx] == key
@@ -113,25 +118,35 @@ def random_hole_free(
             if present:
                 del cand_keys[idx]
                 del cand_nodes[idx]
-                del cand_counts[idx]
+                del cand_weights[idx]
+                dirty = min(dirty, idx)
             return
+        count = sum(mask)
+        weight = base + compactness * (count * count)
         if present:
-            cand_counts[idx] = sum(mask)
+            if cand_weights[idx] != weight:
+                cand_weights[idx] = weight
+                dirty = min(dirty, idx)
         else:
             cand_keys.insert(idx, key)
             cand_nodes.insert(idx, v)
-            cand_counts.insert(idx, sum(mask))
+            cand_weights.insert(idx, weight)
+            dirty = min(dirty, idx)
 
+    base = 1.0 - compactness
     for v in origin.neighbors():
         refresh(v)
-    base = 1.0 - compactness
     while len(nodes) < n:
         if not cand_keys:  # pragma: no cover - cannot happen on the grid
             raise RuntimeError("growth stalled")
         # One weighted draw, replicating random.choices(k=1) exactly:
         # cumulative weights, one random() draw, right-bisection bounded
-        # to the last index.
-        cum = list(accumulate(base + compactness * (c * c) for c in cand_counts))
+        # to the last index.  (Adding the 0.0 start is exact.)
+        del cum[dirty:]
+        tail = accumulate(islice(cand_weights, dirty, None), initial=cum[-1] if cum else 0.0)
+        next(tail)
+        cum.extend(tail)
+        dirty = len(cum)
         x = rng.random() * (cum[-1] + 0.0)
         idx = bisect_right(cum, x, 0, len(cum) - 1)
         chosen = cand_nodes[idx]

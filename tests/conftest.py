@@ -10,7 +10,9 @@ import pytest
 from repro.grid.coords import Node
 from repro.grid.oracle import bfs_tree
 from repro.grid.structure import AmoebotStructure
-from repro.ett.tour import adjacency_from_edges
+from repro.ett.tour import EulerTour, adjacency_from_edges
+from repro.pasc.chain import PascChainRun
+from repro.primitives.scope import NodeScope
 from repro.sim.engine import CircuitEngine
 from repro.workloads import hexagon, random_hole_free
 
@@ -50,9 +52,31 @@ def bfs_tree_adjacency(
     return adjacency, cleaned
 
 
+def node_tour(
+    structure: AmoebotStructure, root: Node, adjacency: Dict[Node, List[Node]]
+) -> EulerTour:
+    """The Euler tour of a ``Node``-adjacency tree of ``structure``."""
+    return NodeScope.from_adjacency(structure.grid_index(), adjacency).tour(root)
+
+
+def node_chain(
+    structure: AmoebotStructure, nodes, channels=(0, 1), weights=None, tag: str = "pasc"
+) -> PascChainRun:
+    """A PASC chain through consecutive adjacent ``nodes`` of ``structure``."""
+    nids = node_ids(structure, nodes)
+    out_edges = [nid * 6 + u.direction_to(v) for nid, u, v in zip(nids, nodes, nodes[1:])]
+    return PascChainRun(structure.grid_index(), nids, out_edges, channels, weights, tag)
+
+
 def random_subset(structure: AmoebotStructure, count: int, seed: int) -> Set[Node]:
     rng = random.Random(seed)
     return set(rng.sample(sorted(structure.nodes), count))
+
+
+def node_ids(structure: AmoebotStructure, nodes) -> List[int]:
+    """Grid-index ids of ``nodes``."""
+    id_of = structure.grid_index().id_of
+    return [id_of(u) for u in nodes]
 
 
 def edge_ids(structure: AmoebotStructure, pairs) -> List[int]:

@@ -1,10 +1,9 @@
 """Tests for layout statistics (and the Remark 16 channel budget)."""
 
 from repro.metrics.circuit_stats import layout_stats
-from repro.pasc.chain import PascChainRun, chain_links_for_nodes
 from repro.sim.engine import CircuitEngine
 from repro.workloads import hexagon, line_structure, random_hole_free
-from tests.conftest import bfs_tree_adjacency
+from tests.conftest import bfs_tree_adjacency, node_chain, node_tour
 
 
 class TestLayoutStats:
@@ -33,7 +32,7 @@ class TestLayoutStats:
         s = line_structure(8)
         nodes = sorted(s.nodes)
         engine = CircuitEngine(s)
-        run = PascChainRun([(u, "") for u in nodes], chain_links_for_nodes(nodes))
+        run = node_chain(s, nodes)
         layout = engine.new_layout()
         run.contribute_layout(layout)
         stats = layout_stats(layout)
@@ -45,10 +44,10 @@ class TestLayoutStats:
         s = random_hole_free(60, seed=500)
         root = s.westernmost()
         adjacency, _ = bfs_tree_adjacency(s, root)
-        from repro.ett import ETTOp, build_euler_tour, mark_one_outgoing_edge
+        from repro.ett import ETTOp, mark_one_outgoing_edge
 
-        tour = build_euler_tour(root, adjacency)
-        op = ETTOp(tour, mark_one_outgoing_edge(tour, [root]))
+        tour = node_tour(s, root, adjacency)
+        op = ETTOp(tour, mark_one_outgoing_edge(tour, [tour.root_id]))
         engine = CircuitEngine(s)
         layout = engine.new_layout()
         op.chain.contribute_layout(layout)

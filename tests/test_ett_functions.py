@@ -8,17 +8,16 @@ from repro.ett.functions import (
     postorder_numbers,
     preorder_numbers,
 )
-from repro.ett.tour import build_euler_tour
 from repro.grid.coords import Node
 from repro.sim.engine import CircuitEngine
 from repro.workloads import line_structure, random_hole_free
-from tests.conftest import bfs_tree_adjacency
+from tests.conftest import bfs_tree_adjacency, node_tour
 
 
 def tour_for(structure):
     root = structure.westernmost()
     adjacency, parent = bfs_tree_adjacency(structure, root)
-    return build_euler_tour(root, adjacency), parent
+    return node_tour(structure, root, adjacency), parent
 
 
 def reference_orders(tour):
@@ -65,7 +64,7 @@ class TestDescendantCounts:
 
     def test_single_node(self):
         s = line_structure(1)
-        tour = build_euler_tour(Node(0, 0), {Node(0, 0): []})
+        tour = node_tour(s, Node(0, 0), {Node(0, 0): []})
         assert descendant_counts(CircuitEngine(s), tour) == {Node(0, 0): 1}
 
 
@@ -102,8 +101,8 @@ class TestOrderNumbers:
         assert postorder_numbers(engine, tour)[tour.root] == len(s) - 1
 
     def test_single_node_orders(self):
-        tour = build_euler_tour(Node(0, 0), {Node(0, 0): []})
         s = line_structure(1)
+        tour = node_tour(s, Node(0, 0), {Node(0, 0): []})
         assert preorder_numbers(CircuitEngine(s), tour) == {Node(0, 0): 0}
         assert postorder_numbers(CircuitEngine(s), tour) == {Node(0, 0): 0}
 

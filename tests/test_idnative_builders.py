@@ -20,18 +20,19 @@ import pytest
 
 from repro.api import Session, SolveRequest
 from repro.ett.election import ElectionRequest, _election_layout
-from repro.ett.technique import ETTOp, _channels_for, mark_one_outgoing_edge
-from repro.ett.tour import build_euler_tour
+from repro.ett.technique import ETTOp, mark_one_outgoing_edge
 from repro.grid.coords import Node
 from repro.grid.directions import Axis, Direction, opposite
 from repro.pasc.tree import PascTreeRun
 from repro.portals.portals import PortalSystem
+from repro.portals.primitives import PortalScope
 from repro.sim.circuits import CircuitLayout
 from repro.sim.engine import CircuitEngine
 from repro.sim.errors import PinConfigurationError
 from repro.workloads import line_structure
 from repro.workloads.specs import build_structure
-from tests.conftest import bfs_tree_adjacency, edge_ids
+from tests.conftest import bfs_tree_adjacency, edge_ids, node_ids, node_tour
+from tests.node_oracles import build_euler_tour, channels_for, tour_links
 
 SHAPES = (
     "random:150:2",
@@ -62,26 +63,27 @@ def oracle_edge_subset(structure, pairs, label, channel, isolated_ok):
     return layout
 
 
-def oracle_chain(layout, run, weights):
-    """Unit ``i`` joins its incoming link straight and its outgoing link
+def oracle_chain(layout, units, links, weights, tag):
+    """Unit ``i`` — a ``(node, occurrence)`` pair of the Node-keyed tour
+    — joins its incoming ``ChainLink`` straight and its outgoing link
     straight, or crossed while active (weight 1)."""
-    for i, (node, _) in enumerate(run.units):
+    for i, (node, uid) in enumerate(units):
         p_pins, s_pins = [], []
         if i > 0:
-            link = run.links[i - 1]
+            link = links[i - 1]
             back = opposite(link.direction)
             p_pins.append((back, link.primary_channel))
             s_pins.append((back, link.secondary_channel))
-        if i < len(run.links):
-            link = run.links[i]
+        if i < len(links):
+            link = links[i]
             if weights[i]:
                 p_pins.append((link.direction, link.secondary_channel))
                 s_pins.append((link.direction, link.primary_channel))
             else:
                 p_pins.append((link.direction, link.primary_channel))
                 s_pins.append((link.direction, link.secondary_channel))
-        layout.assign(node, run.primary_set(i)[1], p_pins)
-        layout.assign(node, run.secondary_set(i)[1], s_pins)
+        layout.assign(node, f"{tag}:{uid}:p", p_pins)
+        layout.assign(node, f"{tag}:{uid}:s", s_pins)
 
 
 def oracle_tree(layout, run):
@@ -101,19 +103,19 @@ def oracle_tree(layout, run):
         layout.assign(u, run.secondary_set(u)[1], s_pins)
 
 
-def oracle_election(layout, requests, tag):
-    for request in requests:
-        tour, marked = request.tour, request.marked
+def oracle_election(layout, tours, marked, tag):
+    """Subpath circuits of Node-keyed tours cut at the marked positions."""
+    for tour, cut in zip(tours, marked):
         for i, (node, uid) in enumerate(tour.units):
             pins = []
             if i > 0:
                 u, v = tour.edges[i - 1]
                 d = u.direction_to(v)
-                pins.append((opposite(d), _channels_for(d)[0]))
-            if i < len(tour.edges) and tour.edges[i] not in marked:
+                pins.append((opposite(d), channels_for(d)[0]))
+            if i < len(tour.edges) and i not in cut:
                 u, v = tour.edges[i]
                 d = u.direction_to(v)
-                pins.append((d, _channels_for(d)[0]))
+                pins.append((d, channels_for(d)[0]))
             layout.assign(node, f"{tag}:{uid}", pins)
     layout.freeze()
 
@@ -157,15 +159,27 @@ class TestSameCircuitsAsOracle:
         structure = build_structure(shape)
         engine = CircuitEngine(structure)
         root, adjacency, _parent = _tree(structure)
-        tour = build_euler_tour(root, adjacency)
+        trees = [(node_tour(structure, root, adjacency), build_euler_tour(root, adjacency))]
+        # ETT chains of the three implicit portal trees (Theorem 39).
+        for axis in Axis:
+            system = PortalSystem(structure, axis)
+            portal = system.portals[len(system.portals) // 2]
+            trees.append(
+                (
+                    PortalScope(system).tour(portal),
+                    build_euler_tour(portal.representative, system.implicit_adjacency),
+                )
+            )
         rng = random.Random(shape)
-        marked = {e for e in tour.edges if rng.random() < 0.5}
-        chain = ETTOp(tour, marked).chain
-        got = engine.new_layout()
-        chain.contribute_layout(got)
-        want = engine.new_layout()
-        oracle_chain(want, chain, chain.weights)
-        assert_same_circuits(engine, got, want, shape)
+        for tour, oracle in trees:
+            assert tour.edges == oracle.edges
+            marked = [i for i in range(tour.length) if rng.random() < 0.5]
+            chain = ETTOp(tour, marked).chain
+            got = engine.new_layout()
+            chain.contribute_layout(got)
+            want = engine.new_layout()
+            oracle_chain(want, oracle.units, tour_links(oracle), chain.weights, "ett")
+            assert_same_circuits(engine, got, want, shape)
 
     def test_pasc_tree_contribution(self, shape):
         structure = build_structure(shape)
@@ -182,13 +196,14 @@ class TestSameCircuitsAsOracle:
         structure = build_structure(shape)
         engine = CircuitEngine(structure)
         root, adjacency, _parent = _tree(structure)
-        tour = build_euler_tour(root, adjacency)
+        tour = node_tour(structure, root, adjacency)
         rng = random.Random(shape)
         members = rng.sample(sorted(adjacency), max(1, len(adjacency) // 4))
-        requests = [ElectionRequest(tour, mark_one_outgoing_edge(tour, members))]
+        marked = mark_one_outgoing_edge(tour, node_ids(structure, members))
+        requests = [ElectionRequest(tour, marked)]
         got = _election_layout(engine, requests, "elect")
         want = engine.new_layout()
-        oracle_election(want, requests, "elect")
+        oracle_election(want, [build_euler_tour(root, adjacency)], [set(marked)], "elect")
         assert_same_circuits(engine, got, want, shape)
 
 

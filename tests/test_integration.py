@@ -22,6 +22,7 @@ from repro.workloads import (
     spread_nodes,
     staircase,
 )
+from tests.conftest import node_chain
 
 
 class TestSpecialCases:
@@ -133,7 +134,6 @@ class TestFailureInjection:
     def test_channel_starvation_raises(self):
         # With c = 1 the PASC wiring cannot be built: the simulator must
         # fail loudly, not silently mis-wire.
-        from repro.pasc.chain import PascChainRun, chain_links_for_nodes
         from repro.pasc.runner import run_pasc
         from repro.sim.errors import PinConfigurationError
         from repro.workloads import line_structure
@@ -141,6 +141,6 @@ class TestFailureInjection:
         s = line_structure(4)
         engine = CircuitEngine(s, channels=1)
         nodes = sorted(s.nodes)
-        run = PascChainRun([(u, "") for u in nodes], chain_links_for_nodes(nodes))
+        run = node_chain(s, nodes)
         with pytest.raises(PinConfigurationError):
             run_pasc(engine, [run])

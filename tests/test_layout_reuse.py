@@ -19,8 +19,7 @@ import pytest
 from repro.grid.coords import Node
 from repro.ett.election import elect_first_marked
 from repro.ett.technique import mark_one_outgoing_edge
-from repro.ett.tour import build_euler_tour
-from repro.pasc.chain import PascChainRun, chain_links_for_nodes
+from repro.pasc.chain import PascChainRun
 from repro.pasc.runner import run_pasc
 from repro.pasc.tree import PascTreeRun
 from repro.sim.circuits import LAYOUT_STATS, CircuitLayout, LayoutCache
@@ -31,7 +30,7 @@ from repro.spf.spt import shortest_path_tree
 from repro.workloads import hexagon, line_structure
 from repro.workloads.specs import build_structure
 
-from tests.conftest import bfs_tree_adjacency, edge_ids, exchange_pins
+from tests.conftest import bfs_tree_adjacency, edge_ids, exchange_pins, node_chain, node_ids, node_tour
 
 
 def line_nodes(n):
@@ -85,7 +84,7 @@ class TestDerive:
         nodes = line_nodes(8)
         engine = CircuitEngine(structure)
 
-        run = PascChainRun([(u, "") for u in nodes], chain_links_for_nodes(nodes))
+        run = node_chain(structure, nodes)
         base = engine.new_layout()
         run.contribute_layout(base)
         base.freeze()
@@ -122,7 +121,7 @@ class TestDerive:
         structure = line_structure(4)
         nodes = line_nodes(4)
         engine = CircuitEngine(structure)
-        run = PascChainRun([(u, "") for u in nodes], chain_links_for_nodes(nodes))
+        run = node_chain(structure, nodes)
         base = engine.new_layout()
         run.contribute_layout(base)
         base.freeze()
@@ -185,7 +184,7 @@ class TestPascLayoutReuse:
         structure = line_structure(64)
         nodes = line_nodes(64)
         engine = CircuitEngine(structure)
-        run = PascChainRun([(u, "") for u in nodes], chain_links_for_nodes(nodes))
+        run = node_chain(structure, nodes)
         LAYOUT_STATS.reset()
         result = run_pasc(engine, [run])
         assert run.node_values() == {u: i for i, u in enumerate(nodes)}
@@ -207,7 +206,7 @@ class TestPascLayoutReuse:
         structure = line_structure(16)
         nodes = line_nodes(16)
         engine = CircuitEngine(structure)
-        run = PascChainRun([(u, "") for u in nodes], chain_links_for_nodes(nodes))
+        run = node_chain(structure, nodes)
         base = engine.new_layout()
         run.contribute_layout(base)
         base.freeze()
@@ -222,7 +221,7 @@ class TestPascLayoutReuse:
         assert derived.compiled().index is index
         # ...but dropping a set forces a fresh index.
         shrunk = derived.derive()
-        shrunk.release(nodes[0], "pasc:p")
+        shrunk.release(nodes[0], "pasc:0:p")
         shrunk.freeze()
         assert shrunk.compiled().index is not index
 
@@ -230,9 +229,9 @@ class TestPascLayoutReuse:
         structure = line_structure(32)
         nodes = line_nodes(32)
         engine = CircuitEngine(structure)
-        first = PascChainRun([(u, "") for u in nodes], chain_links_for_nodes(nodes))
+        first = node_chain(structure, nodes)
         run_pasc(engine, [first])
-        second = PascChainRun([(u, "") for u in nodes], chain_links_for_nodes(nodes))
+        second = node_chain(structure, nodes)
         LAYOUT_STATS.reset()
         result = run_pasc(engine, [second])
         # The initial wiring cache-hits (only iteration 0 is cached, by
@@ -268,10 +267,7 @@ class TestPascLayoutReuse:
         nodes = line_nodes(4)
         engine = CircuitEngine(structure)
         term_channel = engine.channels - 1
-        run = PascChainRun(
-            [(u, "") for u in nodes],
-            chain_links_for_nodes(nodes, term_channel - 1, term_channel),
-        )
+        run = node_chain(structure, nodes, (term_channel - 1, term_channel))
         with pytest.raises(PinConfigurationError, match="reserved"):
             run_pasc(engine, [run])
 
@@ -281,10 +277,12 @@ class TestPascLayoutReuse:
         engine = CircuitEngine(structure)
 
         class NeverDone(PascChainRun):
-            def active_nodes(self):
-                return [self.units[0][0]]
+            def active_ids(self):
+                return [self.nids[0]]
 
-        run = NeverDone([(u, "") for u in nodes], chain_links_for_nodes(nodes))
+        index = structure.grid_index()
+        nids = [index.id_of(u) for u in nodes]
+        run = NeverDone(index, nids, [nid * 6 + u.direction_to(v) for nid, u, v in zip(nids, nodes, nodes[1:])])
         with pytest.raises(RuntimeError, match=r"4 amoebots"):
             run_pasc(engine, [run], max_iterations=5)
         # The cap is inclusive: exactly max_iterations iterations ran
@@ -413,10 +411,10 @@ class TestRoundTotalsMatchSeed:
         nodes = sorted(structure.nodes)
         root = structure.westernmost()
         adjacency, _ = bfs_tree_adjacency(structure, root)
-        tour = build_euler_tour(root, adjacency)
+        tour = node_tour(structure, root, adjacency)
         engine = CircuitEngine(structure)
-        marked = mark_one_outgoing_edge(tour, [nodes[2], nodes[5]])
-        winner = elect_first_marked(engine, tour, marked)
+        marked = mark_one_outgoing_edge(tour, node_ids(structure, [nodes[2], nodes[5]]))
+        winner = structure.grid_index().nodes[elect_first_marked(engine, tour, marked)]
         assert engine.rounds.total == SEED_ROUNDS[spec]["election"]
         assert winner == SEED_WINNERS[spec]
 

@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.grid.coords import Node
-from repro.pasc.chain import ChainLink, PascChainRun, chain_links_for_nodes
+from repro.grid.directions import Direction
+from repro.ett.technique import ETT_CHANNELS
+from repro.pasc.chain import PascChainRun
 from repro.pasc.runner import run_pasc
 from repro.pasc.tree import PascTreeRun
 from repro.sim.engine import CircuitEngine
 from repro.workloads import line_structure
-from tests.conftest import bfs_tree_adjacency
+from tests.conftest import bfs_tree_adjacency, node_chain
 
 
 def line_nodes(length):
@@ -30,7 +32,7 @@ class TestChainDistance:
         s = line_structure(length)
         nodes = line_nodes(length)
         engine = CircuitEngine(s)
-        run = PascChainRun([(u, "") for u in nodes], chain_links_for_nodes(nodes))
+        run = node_chain(s, nodes)
         run_pasc(engine, [run])
         assert run.node_values() == {u: i for i, u in enumerate(nodes)}
 
@@ -40,7 +42,7 @@ class TestChainDistance:
             s = line_structure(length)
             nodes = line_nodes(length)
             engine = CircuitEngine(s)
-            run = PascChainRun([(u, "") for u in nodes], chain_links_for_nodes(nodes))
+            run = node_chain(s, nodes)
             result = run_pasc(engine, [run])
             assert result.iterations <= math.ceil(math.log2(length)) + 1
             assert result.rounds == 2 * result.iterations
@@ -49,7 +51,7 @@ class TestChainDistance:
         s = line_structure(6)
         nodes = line_nodes(6)
         engine = CircuitEngine(s)
-        run = PascChainRun([(u, "") for u in nodes], chain_links_for_nodes(nodes))
+        run = node_chain(s, nodes)
         # Execute exactly one iteration manually.
         layout = engine.new_layout()
         run.contribute_layout(layout)
@@ -68,26 +70,18 @@ class TestPrefixSums:
         s = line_structure(len(weights))
         nodes = line_nodes(len(weights))
         engine = CircuitEngine(s)
-        run = PascChainRun(
-            [(u, "") for u in nodes],
-            chain_links_for_nodes(nodes),
-            weights=weights,
-        )
+        run = node_chain(s, nodes, weights=weights)
         run_pasc(engine, [run])
         expected = list(itertools.accumulate([0] + weights[:-1]))
-        got = [run.values()[(u, "")] for u in nodes]
-        assert got == expected
+        assert run.values() == expected
 
     def test_inclusive_adds_own_weight(self):
         weights = [1, 0, 1, 1, 0]
         nodes = line_nodes(5)
         engine = CircuitEngine(line_structure(5))
-        run = PascChainRun(
-            [(u, "") for u in nodes], chain_links_for_nodes(nodes), weights=weights
-        )
+        run = node_chain(engine.structure, nodes, weights=weights)
         run_pasc(engine, [run])
-        inclusive = [run.inclusive_values()[(u, "")] for u in nodes]
-        assert inclusive == list(itertools.accumulate(weights))
+        assert run.inclusive_values() == list(itertools.accumulate(weights))
 
     def test_iterations_depend_on_weight_not_length(self):
         # Corollary 6: O(log W) rounds even on a long chain.
@@ -97,69 +91,57 @@ class TestPrefixSums:
         weights = [0] * length
         weights[150] = 1
         engine = CircuitEngine(s)
-        run = PascChainRun(
-            [(u, "") for u in nodes], chain_links_for_nodes(nodes), weights=weights
-        )
+        run = node_chain(s, nodes, weights=weights)
         result = run_pasc(engine, [run])
         assert result.iterations <= 2
 
     def test_all_zero_weights(self):
         nodes = line_nodes(7)
         engine = CircuitEngine(line_structure(7))
-        run = PascChainRun(
-            [(u, "") for u in nodes], chain_links_for_nodes(nodes), weights=[0] * 7
-        )
+        run = node_chain(engine.structure, nodes, weights=[0] * 7)
         result = run_pasc(engine, [run])
         assert all(v == 0 for v in run.node_values().values())
         assert result.iterations == 1  # one round reveals global silence
 
 
 class TestChainValidation:
+    def setup_method(self):
+        self.structure = line_structure(3)
+        self.index = self.structure.grid_index()
+        self.nids = [self.index.id_of(u) for u in line_nodes(3)]
+        self.east = [nid * 6 + Direction.E for nid in self.nids]
+
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
-            PascChainRun([], [])
+            PascChainRun(self.index, [], [])
 
     def test_wrong_link_count(self):
-        nodes = line_nodes(3)
         with pytest.raises(ValueError):
-            PascChainRun([(u, "") for u in nodes], [])
+            PascChainRun(self.index, self.nids, [])
 
     def test_link_endpoint_mismatch(self):
-        nodes = line_nodes(3)
-        from repro.grid.directions import Direction
+        bad = [self.east[0], self.east[0]]  # the second should leave nids[1]
+        with pytest.raises(ValueError, match="does not start at its unit"):
+            PascChainRun(self.index, self.nids, bad)
 
-        bad = [
-            ChainLink(nodes[0], Direction.E, 0, 1),
-            ChainLink(nodes[0], Direction.E, 0, 1),  # should start at nodes[1]
-        ]
-        with pytest.raises(ValueError):
-            PascChainRun([(u, "") for u in nodes], bad)
+    def test_link_to_the_wrong_unit(self):
+        west = self.nids[1] * 6 + Direction.W  # leaves nids[1], ends at nids[0]
+        with pytest.raises(ValueError, match="does not end at its unit"):
+            PascChainRun(self.index, self.nids, [self.east[0], west])
 
     def test_bad_weights(self):
-        nodes = line_nodes(2)
         with pytest.raises(ValueError):
-            PascChainRun(
-                [(u, "") for u in nodes],
-                chain_links_for_nodes(nodes),
-                weights=[2, 0],
-            )
+            PascChainRun(self.index, self.nids, self.east[:2], weights=[2, 0, 0])
 
-    def test_duplicate_unit_rejected(self):
+    def test_revisited_amoebot_gets_a_new_occurrence(self):
         nodes = [Node(0, 0), Node(1, 0), Node(0, 0)]
-        links = [
-            ChainLink(Node(0, 0), Node(0, 0).direction_to(Node(1, 0)), 0, 1),
-            ChainLink(Node(1, 0), Node(1, 0).direction_to(Node(0, 0)), 2, 3),
-        ]
-        with pytest.raises(ValueError):
-            PascChainRun([(u, "") for u in nodes], links)
+        run = node_chain(self.structure, nodes, ETT_CHANNELS)
+        a, b = self.index.id_of(Node(0, 0)), self.index.id_of(Node(1, 0))
+        assert run.units == [(a, 0), (b, 0), (a, 1)]
 
     def test_node_values_requires_unique_nodes(self):
         nodes = [Node(0, 0), Node(1, 0), Node(0, 0)]
-        links = [
-            ChainLink(Node(0, 0), Node(0, 0).direction_to(Node(1, 0)), 0, 1),
-            ChainLink(Node(1, 0), Node(1, 0).direction_to(Node(0, 0)), 2, 3),
-        ]
-        run = PascChainRun([(u, str(i)) for i, u in enumerate(nodes)], links)
+        run = node_chain(self.structure, nodes, ETT_CHANNELS)
         with pytest.raises(ValueError):
             run.node_values()
 
@@ -223,34 +205,20 @@ class TestParallelRuns:
         nodes = line_nodes(length)
         engine = CircuitEngine(s)
         runs = [
-            PascChainRun(
-                [(u, f"a{j}") for u in nodes],
-                chain_links_for_nodes(nodes, 2 * j, 2 * j + 1),
-                tag=f"r{j}",
-            )
+            node_chain(s, nodes, (2 * j, 2 * j + 1), tag=f"r{j}")
             for j in range(3)
         ]
         result = run_pasc(engine, runs)
-        for j, run in enumerate(runs):
-            values = run.values()
-            for i, u in enumerate(nodes):
-                assert values[(u, f"a{j}")] == i
+        for run in runs:
+            assert run.values() == list(range(length))
         assert result.rounds == 2 * result.iterations
 
     def test_runs_of_different_lengths_terminate_together(self):
         s = line_structure(40)
         nodes = line_nodes(40)
         engine = CircuitEngine(s)
-        short = PascChainRun(
-            [(u, "s") for u in nodes[:4]],
-            chain_links_for_nodes(nodes[:4], 0, 1),
-            tag="short",
-        )
-        long = PascChainRun(
-            [(u, "l") for u in nodes],
-            chain_links_for_nodes(nodes, 2, 3),
-            tag="long",
-        )
+        short = node_chain(s, nodes[:4], (0, 1), tag="short")
+        long = node_chain(s, nodes, (2, 3), tag="long")
         result = run_pasc(engine, [short, long])
         assert short.node_values() == {u: i for i, u in enumerate(nodes[:4])}
         assert long.node_values() == {u: i for i, u in enumerate(nodes)}
@@ -262,10 +230,12 @@ class TestParallelRuns:
         engine = CircuitEngine(s)
 
         class NeverDone(PascChainRun):
-            def active_nodes(self):
-                return [self.units[0][0]]
+            def active_ids(self):
+                return [self.nids[0]]
 
-        run = NeverDone([(u, "") for u in nodes], chain_links_for_nodes(nodes))
+        index = s.grid_index()
+        nids = [index.id_of(u) for u in nodes]
+        run = NeverDone(index, nids, [nid * 6 + Direction.E for nid in nids[:-1]])
         with pytest.raises(RuntimeError):
             run_pasc(engine, [run], max_iterations=5)
 
@@ -283,11 +253,7 @@ class TestParallelRuns:
 
         def make_runs():
             tree = PascTreeRun(root, parent)
-            chain = PascChainRun(
-                [(u, "c") for u in chain_nodes],
-                chain_links_for_nodes(chain_nodes),
-                tag="chain",
-            )
+            chain = node_chain(structure, chain_nodes, tag="chain")
             return tree, chain
 
         alone_tree, alone_chain = make_runs()

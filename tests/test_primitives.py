@@ -5,7 +5,6 @@ import math
 
 import pytest
 
-from repro.ett.tour import build_euler_tour
 from repro.grid.coords import Node
 from repro.primitives import (
     brute_force_q_centroids,
@@ -17,7 +16,7 @@ from repro.primitives import (
 from repro.primitives.root_prune import RootPruneOp
 from repro.sim.engine import CircuitEngine
 from repro.workloads import line_structure, random_hole_free
-from tests.conftest import bfs_tree_adjacency, random_subset
+from tests.conftest import bfs_tree_adjacency, node_tour, random_subset
 
 
 def oracle_vq(adjacency, parent, root, q):
@@ -105,9 +104,9 @@ class TestRootAndPrune:
     def test_q_outside_tree_rejected(self, small_hexagon):
         root = small_hexagon.westernmost()
         adjacency, _ = bfs_tree_adjacency(small_hexagon, root)
-        tour = build_euler_tour(root, adjacency)
+        tour = node_tour(small_hexagon, root, adjacency)
         with pytest.raises(ValueError):
-            RootPruneOp(tour, [Node(99, 99)])
+            RootPruneOp(tour, [len(small_hexagon) + 5])
 
     def test_children_helper(self, small_hexagon):
         root = small_hexagon.westernmost()

@@ -28,7 +28,7 @@ from repro.spf.forest import shortest_path_forest
 from repro.spf.line import line_forest
 from repro.spf.spt import shortest_path_tree
 from repro.workloads import line_structure, random_hole_free, spread_nodes
-from tests.conftest import bfs_tree_adjacency, random_subset
+from tests.conftest import bfs_tree_adjacency, node_ids, node_tour, random_subset
 
 
 class TestTreePrimitiveAgreement:
@@ -84,11 +84,11 @@ class TestTreePrimitiveAgreement:
         root = s.westernmost()
         adjacency, parent = bfs_tree_adjacency(s, root)
         q = random_subset(s, 10, seed=0)
-        from repro.ett import build_euler_tour, mark_one_outgoing_edge, run_ett
+        from repro.ett import mark_one_outgoing_edge, run_ett
 
-        tour = build_euler_tour(root, adjacency)
+        tour = node_tour(s, root, adjacency)
         result, _ = run_ett(
-            CircuitEngine(s), tour, mark_one_outgoing_edge(tour, q)
+            CircuitEngine(s), tour, mark_one_outgoing_edge(tour, node_ids(s, q))
         )
         counts = ref_subtree_counts(adjacency, root, q)
         for child, par in parent.items():

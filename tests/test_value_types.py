@@ -1,10 +1,10 @@
-"""Contract of the hot value types: ``Node``, ``Pin`` and ``ChainLink``.
+"""Contract of the hot value types: ``Node`` and ``Pin``.
 
-All three are ``typing.NamedTuple`` classes, so hashing, equality,
-ordering and construction run in C.  Their hash must equal the hash of
-the tuple of their fields: the iteration order of every node-, pin- and
-link-keyed set or dict depends on it, and with that order every
-tie-break, round count and pinned forest.
+Both are ``typing.NamedTuple`` classes, so hashing, equality, ordering
+and construction run in C.  Their hash must equal the hash of the tuple
+of their fields: the iteration order of every node- and pin-keyed set
+or dict depends on it, and with that order every tie-break, round count
+and pinned forest.
 """
 
 import pickle
@@ -13,7 +13,6 @@ import pytest
 
 from repro.grid.coords import Node
 from repro.grid.directions import Direction
-from repro.pasc.chain import ChainLink
 from repro.sim.pins import Pin
 
 NODES = [Node(x, y) for x in (-2, 0, 1, 3) for y in (-1, 0, 2)]
@@ -23,20 +22,13 @@ PINS = [
     for direction in (Direction.E, Direction.NW, Direction.SE)
     for channel in (0, 2)
 ]
-LINKS = [
-    ChainLink(node, direction, primary, secondary)
-    for node in NODES[:4]
-    for direction in (Direction.W, Direction.NE)
-    for primary, secondary in ((0, 1), (1, 0), (2, 3))
-]
 
 FIELDS = {
     Node: lambda v: (v.x, v.y),
     Pin: lambda v: (v.node, v.direction, v.channel),
-    ChainLink: lambda v: (v.src, v.direction, v.primary_channel, v.secondary_channel),
 }
 
-ALL_VALUES = NODES + PINS + LINKS
+ALL_VALUES = NODES + PINS
 
 
 def fields(value):
@@ -48,7 +40,7 @@ def test_hash_is_the_field_tuple_hash(value):
     assert hash(value) == hash(fields(value))
 
 
-@pytest.mark.parametrize("values", [NODES, PINS, LINKS], ids=["Node", "Pin", "ChainLink"])
+@pytest.mark.parametrize("values", [NODES, PINS], ids=["Node", "Pin"])
 def test_order_is_field_wise(values):
     shuffled = values[::-1][1::2] + values[::-1][::2]
     assert sorted(shuffled) == sorted(shuffled, key=fields)
@@ -57,14 +49,14 @@ def test_order_is_field_wise(values):
         assert (a == b) == (fields(a) == fields(b))
 
 
-@pytest.mark.parametrize("value", [NODES[0], PINS[0], LINKS[0]], ids=repr)
+@pytest.mark.parametrize("value", [NODES[0], PINS[0]], ids=repr)
 def test_instances_carry_no_dict(value):
     assert not hasattr(value, "__dict__")
     with pytest.raises(AttributeError):
         value.extra = 1
 
 
-@pytest.mark.parametrize("value", [NODES[-1], PINS[-1], LINKS[-1]], ids=repr)
+@pytest.mark.parametrize("value", [NODES[-1], PINS[-1]], ids=repr)
 def test_pickle_round_trip(value):
     restored = pickle.loads(pickle.dumps(value))
     assert restored == value
