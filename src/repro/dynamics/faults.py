@@ -13,8 +13,7 @@ fault classes are modeled:
   fault-tolerant beeping/pod layers).
 
 The injector keeps *detection counters*: the round kernel
-(:meth:`CircuitEngine.run_round_indexed`, which the id-keyed
-``run_round`` adapter also goes through) filters each round's beeps
+(:meth:`CircuitEngine.run_round_indexed`) filters each round's beeps
 with :meth:`FaultInjector.filter_beeps`, and whenever a beep was lost
 it re-propagates the round fault-free (:meth:`FaultInjector.detect`):
 the listened partition sets that should have heard a beep but did not

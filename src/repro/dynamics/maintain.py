@@ -284,13 +284,15 @@ class DynamicSPF:
         The SPF instance.  ``destinations=None`` means every node (the
         SSSP setting).  Sources are always protected from removal;
         explicit destinations are too.
+    engine:
+        The engine over ``structure`` that the initial solve and every
+        repair charge (default: a plain ``CircuitEngine(structure)``);
+        ``Session.run`` passes a churn request's engine, so its round
+        counter keeps running.  An engine over another structure is a
+        :class:`ValueError`.
     session:
-        Optional :class:`repro.api.Session` supplying the engine
-        (scheduler, shared caches) — the preferred way to run
-        dynamics under an event-driven scheduler:
-        ``DynamicSPF(..., session=Session(scheduler="random:1"))``.
-        The initial solve and every repair charge that one engine's
-        round counter.
+        Alternatively, a :class:`repro.api.Session` supplying the
+        engine (``session.engine_for(structure)``).
     threshold:
         Dirty fraction above which a batch triggers a full re-solve
         instead of a regional repair wave.
@@ -308,6 +310,7 @@ class DynamicSPF:
         threshold: float = 0.2,
         faults: Optional[object] = None,
         *,
+        engine: Optional[CircuitEngine] = None,
         session: Optional[object] = None,
     ):
         self.sources: FrozenSet[Node] = frozenset(sources)
@@ -336,11 +339,13 @@ class DynamicSPF:
         self.faults = faults
         self._layout_cache = LayoutCache(maxsize=32)
         self._version = 0
-        self.engine = (
-            session.engine_for(structure)
-            if session is not None
-            else CircuitEngine(structure)
-        )
+        if engine is None:
+            engine = CircuitEngine(structure) if session is None else session.engine_for(structure)
+        elif session is not None:
+            raise ValueError("pass engine= or session=, not both")
+        elif engine.structure is not structure:
+            raise ValueError("engine belongs to a different structure")
+        self.engine = engine
         self.engine.rebind(structure, self._layout_cache.scoped(self._version))
         self.repairs: List[RepairStats] = []
         self.forest: Forest

@@ -12,7 +12,8 @@ decomposition code therefore decides about portals exactly as it does
 about nodes.  What remains is intra-portal communication:
 
 * portal circuits (each portal fuses its portal-internal pins, Fig. 4a)
-  broadcast membership bits in one round;
+  broadcast membership bits in one round, and the portals whose end
+  amoebots heard are the round's result;
 * the parent direction is announced on per-directed-edge circuits
   (Fig. 4b) in one further round — charged explicitly;
 * ``T_Q``-degrees are counted by PASC prefix sums along each portal
@@ -38,6 +39,7 @@ from repro.primitives.decomposition import DecompositionTree, decompose
 from repro.primitives.election import elect_unit
 from repro.primitives.root_prune import RootPruneOp, RootPruneResult, decode_root_prune
 from repro.primitives.scope import restrict_masks
+from repro.sim.circuits import CircuitLayout
 from repro.sim.engine import CircuitEngine
 
 PORTAL_CIRCUIT_CHANNEL = 4  # portal-internal broadcast wire
@@ -92,6 +94,9 @@ class PortalScope:
         self.portals = set(system.portals)
         self.unit_adjacency: Dict[Portal, List[Portal]] = system.portal_adjacency
         self._circuit_key: Optional[Tuple] = None
+        #: ``(layout, portals, listen set-ids)``: the portals' end
+        #: amoebots, resolved once per scope and layout.
+        self._listeners: Optional[Tuple[CircuitLayout, List[Portal], List[int]]] = None
         if portals is not None:
             portal_set = set(portals)
             if not portal_set <= self.portals:
@@ -109,6 +114,7 @@ class PortalScope:
         }
         self.portals = portals
         self._circuit_key = None
+        self._listeners = None
 
     def tour(self, root_portal: Portal) -> EulerTour:
         """Euler tour of the scope's implicit tree, rooted at the portal's representative."""
@@ -159,16 +165,38 @@ class PortalScope:
             raise ValueError("Q contains portals outside the scope")
         return portal_set
 
-    def broadcast(self, engine: CircuitEngine, beepers: Iterable[Node]) -> None:
-        """One round on the scope's portal circuits in which ``beepers`` beep.
+    def broadcast(self, engine: CircuitEngine, beepers: Iterable[Node]) -> Set[Portal]:
+        """One round on the scope's portal circuits: the portals that heard.
 
-        The simulator already knows what the round tells the portals; it
-        is executed for its cost, so nothing is listened to.
+        ``beepers`` beep; both end amoebots of every portal listen (a
+        one-amoebot portal's only amoebot listens alone).  A portal
+        circuit spans its whole portal, so its ends hear alike; ends
+        that disagree mean a split circuit, and the round raises naming
+        the portal.
         """
         layout = self.portal_circuit_layout(engine)
         id_of = engine.structure.grid_index().id_of
+        if self._listeners is None or self._listeners[0] is not layout:
+            portals = list(self.portals)
+            ends = []
+            for p in portals:
+                ends.append((id_of(p.nodes[0]), PORTAL_LABEL))
+                if len(p.nodes) > 1:
+                    ends.append((id_of(p.nodes[-1]), PORTAL_LABEL))
+            self._listeners = (layout, portals, layout.set_ids(ends, "listen on"))
+        _layout, portals, listen = self._listeners
         beeps = layout.set_ids(((id_of(u), PORTAL_LABEL) for u in beepers), "beep on")
-        engine.run_round_indexed(layout, beeps, ())
+        bits = iter(engine.run_round_indexed(layout, beeps, listen))
+        heard: Set[Portal] = set()
+        for p in portals:
+            bit = next(bits)
+            if len(p.nodes) > 1 and next(bits) != bit:
+                raise AssertionError(
+                    f"portal circuit of {p} is split: its two ends heard different bits"
+                )
+            if bit:
+                heard.add(p)
+        return heard
 
     def portal_circuit_layout(self, engine: CircuitEngine):
         """One circuit per portal: its internal (axis-parallel) edges.
@@ -262,10 +290,11 @@ def portal_root_and_prune(
         if op.ett_op.chain is not None:
             run_pasc(engine, [op.ett_op.chain], section=f"{section}:ett")
         result = decode_root_prune(scope, op)
-        # Fig. 4a: V_Q membership beeps on the portal circuits.  Fig. 4b:
+        # Fig. 4a: every V_Q portal's representative beeps on its portal
+        # circuit, and V_Q is the set of portals that heard.  Fig. 4b:
         # the parent direction on per-directed-edge circuits, which carry
         # one beep each — charged as one more round.
-        scope.broadcast(engine, (p.nodes[0] for p in result.in_vq))
+        result.in_vq = scope.broadcast(engine, (p.nodes[0] for p in result.in_vq))
         engine.charge_local_round()
         if compute_augmentation:
             _count_degrees(engine, scope, result, section=section)
@@ -278,11 +307,13 @@ def _count_degrees(
     result: PortalRootPruneResult,
     section: str,
 ) -> None:
-    """Recount ``deg_Q`` by PASC prefix sums along the portals (Lemma 34).
+    """Count ``deg_Q`` by PASC prefix sums along the portals (Lemma 34).
 
-    The counts are already known to the simulator through ``result``;
-    this runs the actual portal-chain PASC so the *round cost* of the
-    degree computation is the real one, and cross-checks the counts.
+    Each V_Q portal sums its connector roles with one PASC chain per
+    side; the sums are cross-checked against the degrees ``result``
+    decoded.  The portals of degree at least three then beep on their
+    portal circuits, and ``result.augmentation`` (``A_Q``) becomes the
+    set of portals that heard.
     """
     # Connector roles: the source amoebot of every tour edge that leaves
     # a V_Q portal toward a neighbor portal with a nonzero difference.
@@ -336,7 +367,7 @@ def _count_degrees(
                 raise AssertionError(f"portal degree recount mismatch for {p}")
     # One more round: portals with degree >= 3 announce membership in A_Q
     # on their portal circuits.
-    scope.broadcast(engine, (p.nodes[-1] for p in result.augmentation))
+    result.augmentation = scope.broadcast(engine, (p.nodes[-1] for p in result.augmentation))
 
 
 def portal_elect(
@@ -350,7 +381,8 @@ def portal_elect(
     """Elect one portal of ``Q`` in ``O(1)`` rounds (Lemma 35).
 
     The simplified ETT elects an amoebot among the representatives of
-    ``Q``; one portal-circuit beep announces the portal it belongs to.
+    ``Q``; it beeps on its portal circuit, and the one portal that hears
+    is the winner.
     """
     candidates = set(q_portals)
     if not candidates:
@@ -360,8 +392,10 @@ def portal_elect(
     with engine.rounds.section(section):
         winner = elect_unit(engine, scope, root_portal, candidates, f"{section}:ett")
         if len(scope.units) > 1:
-            # Announce the winning portal on its portal circuit.
-            scope.broadcast(engine, (winner.representative,))
+            heard = scope.broadcast(engine, (winner.representative,))
+            if len(heard) != 1:
+                raise AssertionError(f"{len(heard)} portals heard the election winner")
+            (winner,) = heard
     return winner
 
 
@@ -373,16 +407,19 @@ def portal_centroids(
     scope: Optional[PortalScope] = None,
     section: str = "portal_centroid",
 ) -> Set[Portal]:
-    """The portal Q-centroid(s); ``O(log |Q|)`` rounds (Lemma 36)."""
+    """The portal Q-centroid(s); ``O(log |Q|)`` rounds (Lemma 36).
+
+    Each centroid's representative beeps on its portal circuit; the
+    portals that hear are returned.
+    """
     if scope is None:
         scope = PortalScope(system, index=engine.structure.grid_index())
     q = scope.check(q_portals)
     op = CentroidOp(scope.tour(root_portal), scope.representative_ids(q), tag="pc")
     with engine.rounds.section(section):
         run_centroid_phases(engine, [op], (f"{section}:ett1", f"{section}:ett2"))
-        # Portals learn non-centroid status via one portal-circuit beep.
-        scope.broadcast(engine, ())
-    return decode_centroids(scope, op, q)
+        centroids = decode_centroids(scope, op, q)
+        return scope.broadcast(engine, (p.representative for p in centroids))
 
 
 def portal_centroid_decomposition(

@@ -13,8 +13,7 @@ The simulator is strict about the model:
 * a pin belongs to at most one partition set;
 * beeps carry no payload and no origin information;
 * every call to :meth:`CircuitEngine.run_round_indexed` — the one round
-  kernel, which the id-keyed :meth:`CircuitEngine.run_round` adapter
-  also goes through — is one synchronous round and ticks the shared
+  kernel — is one synchronous round and ticks the shared
   :class:`~repro.metrics.RoundCounter`.  The kernel's optional stages
   run in a fixed order: scheduler epoch, fault filter with detection,
   propagate, tick, round trace (:func:`attach_trace`).
@@ -29,12 +28,11 @@ keeps only the backend names).  Evolving wirings go through
 :meth:`CircuitLayout.derive` (incremental re-wiring, components
 recomputed only over the touched circuits, integer set-ids stable
 across the chain) and repeated wirings through the engine's
-:class:`LayoutCache` (``engine.layouts``).  Hot loops resolve their
+:class:`LayoutCache` (``engine.layouts``).  Callers resolve their
 partition sets to integer ids once (the builder's slots,
 :meth:`CircuitLayout.set_ids`) and run
 :meth:`CircuitEngine.run_round_indexed` with zero per-round dict
-construction; ``run_round(..., listen=...)`` remains the id-keyed
-adapter and materializes only the beep results the caller reads.  See
+construction; it returns one bit per listened set.  See
 ``repro.sim.circuits`` for the full contract and :data:`LAYOUT_STATS`
 for the rebuild/compile/round probes.
 """

@@ -8,9 +8,10 @@ them (Section 1.2).  Layouts are reusable: algorithms that keep the same
 pin configuration over many rounds pay the component computation once.
 
 **Rule: build layouts outside round loops.**  Per-round work should be
-:meth:`CircuitEngine.run_round <repro.sim.engine.CircuitEngine.run_round>`
-calls against a layout that already exists.  Three tools make that cheap
-even when the wiring *does* evolve between rounds:
+:meth:`CircuitEngine.run_round_indexed
+<repro.sim.engine.CircuitEngine.run_round_indexed>` calls against a
+layout that already exists.  Three tools make that cheap even when the
+wiring *does* evolve between rounds:
 
 * Freezing *compiles* the layout: partition sets are hashed exactly once
   into dense integer ids and the circuits live in flat arrays
@@ -75,9 +76,8 @@ class LayoutBuildStats:
     ``compiles`` counts :class:`~repro.sim.compiled.CompiledLayout`
     constructions (every full or incremental freeze lowers to arrays;
     noop freezes reuse the base arrays and do not compile),
-    ``indexed_rounds`` counts every beep round the round kernel
-    executes, and ``mapped_rounds`` counts the subset that entered
-    through the id-keyed ``run_round`` adapter.
+    and ``indexed_rounds`` counts every beep round the round kernel
+    executes.
 
     The cache counters aggregate :class:`LayoutCache` traffic across
     every cache in the process: ``cache_hits`` / ``cache_misses`` /
@@ -94,7 +94,6 @@ class LayoutBuildStats:
         self.noop_freezes = 0
         self.compiles = 0
         self.indexed_rounds = 0
-        self.mapped_rounds = 0
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
@@ -104,7 +103,7 @@ class LayoutBuildStats:
         return self.full_builds + self.incremental_builds
 
     def total_rounds(self) -> int:
-        """Beep rounds executed over the compiled arrays (either entry)."""
+        """Beep rounds executed over the compiled arrays."""
         return self.indexed_rounds
 
     def to_dict(self) -> dict:
@@ -117,7 +116,6 @@ class LayoutBuildStats:
             f"incremental={self.incremental_builds}, "
             f"noop={self.noop_freezes}, compiles={self.compiles}, "
             f"indexed_rounds={self.indexed_rounds}, "
-            f"mapped_rounds={self.mapped_rounds}, "
             f"cache=h{self.cache_hits}/m{self.cache_misses}"
             f"/e{self.cache_evictions})"
         )

@@ -5,7 +5,8 @@ round every amoebot may (have) reconfigure(d) its pin configuration —
 captured by the :class:`~repro.sim.circuits.CircuitLayout` passed in —
 and activate any of its partition sets; beeps propagate on the (updated)
 configuration and are received at the beginning of the next round
-(Section 1.2).  One :meth:`run_round` call is one synchronous round.
+(Section 1.2).  One :meth:`run_round_indexed` call is one synchronous
+round.
 
 Execution pipeline: **build -> freeze -> compile -> run**.  Layouts are
 built *outside* round loops, in the integer space of the structure's
@@ -31,10 +32,8 @@ flat list of bits with zero per-round dict construction.  Its optional
 stages run in a fixed order — scheduler epoch, fault filter with
 detection, propagate, tick, round trace — each skipped while its field
 is unset, so the plain synchronous round pays for none of them.
-:meth:`run_round` is a thin adapter that resolves
-:data:`~repro.sim.pins.PartitionSetId` tuples to set-ids (one hash per
-id passed) and returns a dict.  :meth:`charge_local_round` is the one
-path for local (beep-free) rounds.
+:meth:`charge_local_round` is the one path for local (beep-free)
+rounds.
 
 The engine's :attr:`layouts` cache memoizes standard layouts
 (:meth:`global_layout`, :meth:`edge_subset_layout`,
@@ -48,7 +47,6 @@ from __future__ import annotations
 
 from typing import (
     TYPE_CHECKING,
-    Dict,
     Hashable,
     Iterable,
     List,
@@ -69,7 +67,6 @@ from repro.sim.circuits import (
     ScopedLayoutCache,
 )
 from repro.sim.compiled import CompiledLayout
-from repro.sim.pins import PartitionSetId
 
 if TYPE_CHECKING:
     from repro.dynamics.faults import FaultInjector
@@ -268,38 +265,6 @@ class CircuitEngine:
     # ------------------------------------------------------------------
     # round execution
     # ------------------------------------------------------------------
-    def run_round(
-        self,
-        layout: CircuitLayout,
-        beeps: Iterable[PartitionSetId],
-        listen: Optional[Iterable[PartitionSetId]] = None,
-    ) -> Dict[PartitionSetId, bool]:
-        """Execute one synchronous round (id-keyed compatibility surface).
-
-        ``beeps`` lists the partition sets whose owners activate them.
-        Returns, for every declared partition set, whether a beep is heard
-        there at the beginning of the next round.  ``listen`` (opt-in)
-        names the partition sets the caller will actually read: only
-        those entries are materialized.  ``listen=()`` is valid for
-        rounds whose result the caller ignores entirely.
-
-        A thin adapter: the ids are resolved to integer set-ids and the
-        round runs through :meth:`run_round_indexed`, the one round
-        kernel.  Hot loops that already hold integer set-ids should call
-        the kernel directly.
-        """
-        index = layout.compiled().index
-        beep_idx = index.indices(beeps, "beep on")
-        if listen is None:
-            keys: Sequence[PartitionSetId] = index.ids
-            listen_idx = None
-        else:
-            keys = list(listen)
-            listen_idx = index.indices(keys, "listen on")
-        LAYOUT_STATS.mapped_rounds += 1
-        bits = self.run_round_indexed(layout, beep_idx, listen_idx)
-        return dict(zip(keys, bits))
-
     def run_round_indexed(
         self,
         layout: CircuitLayout,

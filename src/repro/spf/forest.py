@@ -2,10 +2,11 @@
 
 Outline (Theorem 56, ``O(log n log² k)`` rounds):
 
-1. **Divide** (§5.4.1): compute the source portals ``Q`` of the x-axis
-   (one beep round), their augmentation ``A_Q`` (portal root-and-prune,
-   Lemma 51), and split the structure into regions along ``Q' = Q ∪ A_Q``
-   so that every region touches at most two ``Q'`` portals (Lemma 52).
+1. **Divide** (§5.4.1): the source portals ``Q`` of the x-axis are the
+   portals that hear their sources beep (one round); compute their
+   augmentation ``A_Q`` (portal root-and-prune, Lemma 51), and split the
+   structure into regions along ``Q' = Q ∪ A_Q`` so that every region
+   touches at most two ``Q'`` portals (Lemma 52).
 2. **Base case** (§5.4.2): per region — all regions in parallel — run
    the line algorithm on the region's LCA boundary portal, propagate
    inward, repeat from the second boundary portal if present, and merge
@@ -75,10 +76,9 @@ def shortest_path_forest(
     with engine.rounds.section(section):
         # ---- Step 1: Q, A_Q, Q' (Lemma 51) ----------------------------
         scope = PortalScope(system, index=engine.structure.grid_index())
-        # Every source beeps on its portal circuit.  The round is charged
-        # for its cost; the simulator reads Q from the portal map.
-        scope.broadcast(engine, source_set)
-        q_portals = {system.portal_of[s] for s in source_set}
+        # Every source beeps on its portal circuit; Q is the set of
+        # portals that heard.
+        q_portals = scope.broadcast(engine, source_set)
 
         rp = portal_root_and_prune(
             engine,

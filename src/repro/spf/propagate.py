@@ -7,9 +7,10 @@ is simply the set of amoebots not yet in the forest — this also covers
 structures that wrap around an end of ``P``.
 
 Phase 1 — the visibility region ``B' = B ∩ vis(P)``:
-  one beep round on the transversal (y-/z-) portal circuits (every
-  ``p ∈ P`` beeps on both of its portals) tells every ``B``-amoebot
-  whether it is visible along its y-portal, its z-portal, or both.
+  one beep round on the transversal (y-/z-) portal circuits: every
+  ``p ∈ P`` beeps on both of its portals and every ``B``-amoebot
+  listens on both of its own, so what it hears says whether it is
+  visible along its y-portal, its z-portal, or both.
   Single-sided amoebots take the neighbor toward their sole projection
   as parent (Lemma 47).  Double-sided amoebots learn
   ``dist(S, proj_y)`` and ``dist(S, proj_z)`` — PASC over the existing
@@ -24,8 +25,8 @@ Phase 2 — the shadowed remainder ``B'' = B \\ vis(P)``:
   shortest path tree with source ``s_Z`` covers ``Z`` (Theorem 39).
   All components run in parallel.
 
-Scheduler contract: all round costs are charged through the engine's
-hooks (``run_round_indexed`` / ``charge_local_round``), so the
+Scheduler contract: every round runs through the engine's hooks
+(``run_round_indexed`` / ``charge_local_round``), so the
 propagation runs unchanged under the event-driven engines of
 :mod:`repro.sched` — delayed amoebots delay epochs, never outcomes.
 """
@@ -38,6 +39,7 @@ from repro.grid.coords import Node
 from repro.grid.directions import Axis, Direction
 from repro.grid.structure import AmoebotStructure
 from repro.portals.portals import PortalSystem
+from repro.portals.primitives import portal_run_edges, portal_runs_key
 from repro.sim.engine import CircuitEngine
 from repro.spf.merge import forest_distances
 from repro.spf.types import Forest
@@ -73,8 +75,6 @@ def visibility_layout(engine: CircuitEngine, systems: Dict[Axis, PortalSystem]):
     axes' circuits stay apart where they cross, and one layout carries
     both: one round lets every ``p`` in ``P`` beep on both its circuits.
     """
-    from repro.portals.primitives import portal_run_edges, portal_runs_key
-
     keys = {
         _vis_label(d): portal_runs_key(engine, ((d, p) for p in system.portals))
         for d, system in systems.items()
@@ -133,43 +133,22 @@ def propagate_forest(
     with engine.rounds.section(section):
         # ---- Phase 1: visibility + parents inside B' ------------------
         # One beep round: every p in P beeps on its two transversal
-        # portal circuits; a B-amoebot hears per axis iff its portal
-        # meets P (executed as a real round; the projection bookkeeping
-        # below mirrors what each amoebot reads locally).
+        # portal circuits and every B-amoebot listens on both of its
+        # own; it hears on an axis iff its portal on that axis meets P.
         layout = visibility_layout(engine, systems)
         id_of = engine.structure.grid_index().id_of
-        # Charged for its cost; the projection bookkeeping below mirrors
-        # what each amoebot reads locally, so nothing is materialized.
-        engine.run_round_indexed(
-            layout,
-            layout.set_ids(
-                ((id_of(p), _vis_label(d)) for p in portal for d in other_axes),
-                "beep on",
-            ),
-            (),
+        labels = [_vis_label(d) for d in other_axes]
+        ordered = sorted(b_nodes)
+        beeps = ((id_of(p), label) for p in portal for label in labels)
+        listen = ((id_of(u), label) for u in ordered for label in labels)
+        bits = engine.run_round_indexed(
+            layout, layout.set_ids(beeps, "beep on"), layout.set_ids(listen, "listen on")
         )
-
-        # Where each transversal portal first meets P, computed in one
-        # pass per axis over the portal runs (instead of re-scanning a
-        # run for every B-amoebot on it).
-        meets: Dict[Axis, List[Optional[Node]]] = {}
-        for d in other_axes:
-            meets[d] = [
-                next((p for p in run.nodes if p in portal_set), None)
-                for run in systems[d].portals
-            ]
-
-        grid = structure.grid_index()
-        visible: Dict[Node, Dict[Axis, Node]] = {}
-        for u in sorted(b_nodes):
-            nid = grid.id_of(u)
-            hits: Dict[Axis, Node] = {}
-            for d in other_axes:
-                meet = meets[d][systems[d].portal_index_of_id[nid]]
-                if meet is not None:
-                    hits[d] = meet
-            if hits:
-                visible[u] = hits
+        visible: Dict[Node, List[Axis]] = {}
+        for i, u in enumerate(ordered):
+            axes = [d for j, d in enumerate(other_axes) if bits[2 * i + j]]
+            if axes:
+                visible[u] = axes
         b_prime = set(visible)
         b_shadow = b_nodes - b_prime
 
@@ -177,29 +156,35 @@ def propagate_forest(
 
         # Distances on P via PASC over the existing forest; the portal
         # circuits forward the bits to doubly-visible amoebots within
-        # the same iterations (no extra rounds, per the paper).
-        needs_distance = any(len(hits) == 2 for hits in visible.values())
+        # the same iterations (no extra rounds, per the paper), so
+        # ``meets`` only names the projection whose distance arrives:
+        # where each transversal portal meets P.
+        meets: Dict[Axis, List[Optional[Node]]] = {}
         dist_on_p: Dict[Node, int] = {}
-        if needs_distance:
+        if any(len(axes) == 2 for axes in visible.values()):
+            for d in other_axes:
+                meets[d] = [
+                    next((p for p in run.nodes if p in portal_set), None)
+                    for run in systems[d].portals
+                ]
             all_dist = forest_distances(
                 engine, forest, channels=(0, 1), tag="prop", section=f"{section}:pasc"
             )
             dist_on_p = {p: all_dist[p] for p in portal}
 
-        for u, hits in visible.items():
+        grid = structure.grid_index()
+        for u, axes in visible.items():
             gap_sign = 1 if _line_coordinate(u, axis) > line else -1
-            if len(hits) == 1:
-                (d, _proj) = next(iter(hits.items()))
-                parent[u] = u.neighbor(_toward_direction(axis, d, gap_sign))
-            else:
-                (d1, p1), (d2, p2) = sorted(hits.items())
+            d = axes[0]
+            if len(axes) == 2:
+                nid = grid.id_of(u)
+                p1, p2 = (meets[e][systems[e].portal_index_of_id[nid]] for e in axes)
                 # Prefer the first transversal axis on ties, matching the
                 # paper's "chooses n_y(u) if dist(S, proj_y) <= dist(S,
                 # proj_z)".
-                if dist_on_p[p1] <= dist_on_p[p2]:
-                    parent[u] = u.neighbor(_toward_direction(axis, d1, gap_sign))
-                else:
-                    parent[u] = u.neighbor(_toward_direction(axis, d2, gap_sign))
+                if dist_on_p[p1] > dist_on_p[p2]:
+                    d = axes[1]
+            parent[u] = u.neighbor(_toward_direction(axis, d, gap_sign))
         engine.charge_local_round()
 
         # ---- Phase 2: shadowed components -----------------------------

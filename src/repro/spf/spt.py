@@ -2,7 +2,8 @@
 
 Pipeline (Theorem 39, ``O(log l)`` rounds overall):
 
-1. One beep round per axis marks the portals containing destinations.
+1. One beep round per axis: destinations beep on their portal circuits,
+   and the portals that hear are the destination portals.
 2. For each of the three axes, the portal root-and-prune primitive roots
    the portal tree at the source's portal and prunes subtrees without
    destination portals (Lemma 33).
@@ -118,11 +119,11 @@ def shortest_path_tree(
         for axis in Axis:
             system = systems[axis]
             scope = PortalScope(system, index=engine.structure.grid_index())
-            # One beep round: every destination beeps on its portal circuit.
-            scope.broadcast(engine, dest_set)
-            q_portals = {system.portal_of[d] for d in dest_set}
-            # The source's portal must count as populated even without
-            # destinations so the root is never pruned away.
+            # One beep round: every destination beeps on its portal
+            # circuit, and Q is the set of portals that heard.  The
+            # source's own portal counts as populated even without
+            # destinations, so the root is never pruned away.
+            q_portals = scope.broadcast(engine, dest_set)
             rp = portal_root_and_prune(
                 engine,
                 system,

@@ -1,11 +1,13 @@
 """Node-keyed constructions the id-native ETT/PASC layer replaced.
 
 The library builds Euler tours, ETT weights and PASC chains in
-grid-index integers (:mod:`repro.ett.tour`, :mod:`repro.pasc.chain`).
-These are the historical ``Node``-keyed versions, kept as test oracles:
-a tour of ``(Node, Node)`` edges read off rotation-ordered adjacency
-lists, ``(Node, occurrence)`` units, ``ChainLink`` wiring and prefix
-sums keyed by directed node pairs.
+grid-index integers (:mod:`repro.ett.tour`, :mod:`repro.pasc.chain`)
+and runs every beep round on integer set-ids.  These are the historical
+``Node``-keyed versions, kept as test oracles: a tour of ``(Node,
+Node)`` edges read off rotation-ordered adjacency lists, ``(Node,
+occurrence)`` units, ``ChainLink`` wiring, prefix sums keyed by
+directed node pairs, and :func:`run_round`, a round addressed by
+``(node, label)`` partition-set ids.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.grid.coords import Node
 from repro.grid.directions import Direction
+from repro.sim.pins import PartitionSetId
 
 DirectedEdge = Tuple[Node, Node]
 
@@ -115,3 +118,27 @@ def ett_prefix(tour: NodeTour, marked: Set[DirectedEdge]) -> Dict[DirectedEdge, 
     """Inclusive prefix sums per directed edge, summed sequentially."""
     sums = accumulate(1 if e in marked else 0 for e in tour.edges)
     return dict(zip(tour.edges, sums))
+
+
+def run_round(
+    engine,
+    layout,
+    beeps: Iterable[PartitionSetId],
+    listen: Optional[Iterable[PartitionSetId]] = None,
+) -> Dict[PartitionSetId, bool]:
+    """One round addressed by ``(node, label)`` ids, heard bits as a dict.
+
+    Resolves the ids to the layout's integer set-ids and runs
+    ``engine.run_round_indexed``; the result maps every listened set
+    (every declared set when ``listen`` is None) to whether it heard a
+    beep.
+    """
+    index = layout.compiled().index
+    beep_idx = index.indices(beeps, "beep on")
+    if listen is None:
+        keys: Sequence[PartitionSetId] = index.ids
+        listen_idx = None
+    else:
+        keys = list(listen)
+        listen_idx = index.indices(keys, "listen on")
+    return dict(zip(keys, engine.run_round_indexed(layout, beep_idx, listen_idx)))

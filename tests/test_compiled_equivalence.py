@@ -37,6 +37,7 @@ from repro.sim.errors import PinConfigurationError
 from repro.workloads.random_structures import random_hole_free
 
 from tests.conftest import exchange_pins
+from tests.node_oracles import run_round
 
 CHANNELS = 3
 LABELS = ("a", "b", "c")
@@ -210,12 +211,12 @@ def test_round_matches_reference(case):
     expected = reference_round(set(pins_of), pins_of, beeps)
 
     # Full materialization.
-    assert engine.run_round(layout, beeps) == expected
+    assert run_round(engine, layout, beeps) == expected
 
     # Listen subsets (duplicates allowed; empty subset stays empty).
-    subset = engine.run_round(layout, beeps, listen=listen)
+    subset = run_round(engine, layout, beeps, listen=listen)
     assert subset == {s: expected[s] for s in listen}
-    assert engine.run_round(layout, beeps, listen=()) == {}
+    assert run_round(engine, layout, beeps, listen=()) == {}
 
     # Integer fast path: same bits, in listen order and in index order.
     index = layout.compiled().index
@@ -265,10 +266,10 @@ def test_derived_rewiring_matches_fresh_build(case, data):
     # ...and the incremental recompilation must match both the reference
     # and a from-scratch build of the identical wiring.
     expected = reference_round(set(rewired), rewired, beeps)
-    assert engine.run_round(derived, beeps) == expected
+    assert run_round(engine, derived, beeps) == expected
 
     fresh = apply_assignment(engine, rewired)
-    assert engine.run_round(fresh, beeps) == expected
+    assert run_round(engine, fresh, beeps) == expected
 
     def grouping(layout):
         return {frozenset(circuit) for circuit in layout.circuits()}
@@ -284,9 +285,9 @@ def test_error_paths_match_reference_contract():
     ghost = (next(iter(structure)), "ghost")
 
     with pytest.raises(PinConfigurationError, match="cannot beep on undeclared"):
-        engine.run_round(layout, [ghost])
+        run_round(engine, layout, [ghost])
     with pytest.raises(PinConfigurationError, match="cannot listen on undeclared"):
-        engine.run_round(layout, [probe], listen=[ghost])
+        run_round(engine, layout, [probe], listen=[ghost])
     index = layout.compiled().index
     with pytest.raises(PinConfigurationError, match="cannot beep on undeclared"):
         index.indices([ghost], "beep on")
@@ -295,7 +296,7 @@ def test_error_paths_match_reference_contract():
     # The round counter must not tick when validation rejects the beeps.
     before = engine.rounds.total
     with pytest.raises(PinConfigurationError):
-        engine.run_round(layout, [ghost])
+        run_round(engine, layout, [ghost])
     assert engine.rounds.total == before
 
 
@@ -329,7 +330,7 @@ def test_exchange_on_derived_layout_matches_reference():
         frozenset(c) for c in circuits.values()
     }
     for set_id in sorted(swapped):
-        assert engine.run_round(derived, [set_id]) == reference_round(
+        assert run_round(engine, derived, [set_id]) == reference_round(
             set(swapped), swapped, [set_id]
         )
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
 from repro.dynamics import (
     CHURN_KINDS,
     DynamicSPF,
@@ -31,6 +32,7 @@ from repro.grid.holes import has_holes
 from repro.grid.oracle import bfs_distances
 from repro.grid.structure import AmoebotStructure
 from repro.sim.circuits import LAYOUT_STATS
+from repro.sim.engine import CircuitEngine
 from repro.spf.api import solve_spf
 from repro.verify.forest_checker import assert_valid_forest
 from repro.workloads import hexagon, random_hole_free, spread_nodes
@@ -318,6 +320,25 @@ class TestRepairCost:
         stats = dyn.apply_script(script)
         assert dyn.engine.rounds.total - before == sum(st_.rounds for st_ in stats)
         assert all(st_.rounds >= 2 for st_ in stats)
+
+    def test_given_engine_keeps_its_round_counter(self):
+        s = random_hole_free(60, seed=6)
+        nodes = sorted(s.nodes)
+        engine = CircuitEngine(s)
+        engine.charge_local_round(5)
+        dyn = DynamicSPF(s, [nodes[0]], nodes[-3:], engine=engine)
+        plain = DynamicSPF(s, [nodes[0]], nodes[-3:])
+        assert dyn.engine is engine
+        assert engine.rounds.total == plain.engine.rounds.total + 5
+
+    def test_engine_must_belong_to_the_structure(self):
+        s = random_hole_free(30, seed=6)
+        nodes = sorted(s.nodes)
+        other = CircuitEngine(random_hole_free(30, seed=6))
+        with pytest.raises(ValueError, match="different structure"):
+            DynamicSPF(s, [nodes[0]], engine=other)
+        with pytest.raises(ValueError, match="not both"):
+            DynamicSPF(s, [nodes[0]], engine=CircuitEngine(s), session=Session())
 
 
 # ----------------------------------------------------------------------

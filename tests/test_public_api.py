@@ -89,7 +89,7 @@ class TestPublicSurface:
         params = list(inspect.signature(DynamicSPF.__init__).parameters)
         assert params == [
             "self", "structure", "sources", "destinations",
-            "threshold", "faults", "session",
+            "threshold", "faults", "engine", "session",
         ]
 
 

@@ -32,6 +32,7 @@ from repro.sim.trace import attach_trace
 from repro.spf.spt import shortest_path_tree
 from repro.workloads import random_hole_free
 from repro.workloads.specs import build_structure
+from tests.node_oracles import run_round
 
 SHAPES = ("random:60:11", "comb:6:8")
 ENGINES = ("sync", "random:1", "adversarial")
@@ -49,7 +50,7 @@ class TestTracedEngineKeepsItsStages:
         beeper = next(iter(structure))
         beep = layout.compiled().index.index_of((beeper, "global"))
         assert list(engine.run_round_indexed(layout, [beep], [beep])) == [False]
-        heard = engine.run_round(layout, [(beeper, "global")])
+        heard = run_round(engine, layout, [(beeper, "global")])
         assert not any(heard.values())
         assert engine.fault_injector.stats.suppressed == 2
         assert [r.beeping_sets for r in trace.records] == [0, 0]
@@ -99,8 +100,12 @@ def _dynamic_run(shape, engine, faults, tracing):
         "crash": FaultInjector(crashed=nodes[1::2]),
         "drop": FaultInjector(drop_prob=0.3, seed=5),
     }[faults]
-    session = Session(scheduler="" if engine == "sync" else engine)
-    dyn = DynamicSPF(structure, [nodes[0]], nodes[-4:], faults=injector, session=session)
+    runner = (
+        CircuitEngine(structure)
+        if engine == "sync"
+        else ActivationEngine(structure, scheduler=engine)
+    )
+    dyn = DynamicSPF(structure, [nodes[0]], nodes[-4:], faults=injector, engine=runner)
     script = generate_churn(
         structure, "mixed", steps=4, batch_size=3, seed=7, protected=dyn.protected
     )

@@ -36,6 +36,7 @@ from repro.spf.api import solve_spf
 from repro.verify.forest_checker import check_forest
 from repro.workloads import sample_sources_destinations, spread_nodes
 from repro.workloads.random_structures import random_hole_free
+from tests.node_oracles import run_round
 
 ALL_SPECS = ("sync", "random:7", "adversarial:5", "weighted:2")
 
@@ -264,7 +265,7 @@ class TestSchedulerFaults:
         engine = ActivationEngine(structure, scheduler="random:3")
         engine.fault_injector = FaultInjector(crashed=[nodes[-1]])
         layout = engine.global_layout()
-        heard = engine.run_round(layout, [(nodes[0], "global")])
+        heard = run_round(engine, layout, [(nodes[0], "global")])
         # The epoch completed (no deadlock waiting on the crashed node)
         # and the healthy beep propagated.
         assert heard[(nodes[0], "global")]

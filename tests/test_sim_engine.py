@@ -8,6 +8,7 @@ from repro.sim.errors import PinConfigurationError
 from repro.workloads import hexagon, line_structure, parallelogram
 from tests.conftest import edge_ids
 from repro.sim.amoebot import LocalState, assert_constant_size
+from tests.node_oracles import run_round
 
 
 class TestGlobalCircuit:
@@ -15,7 +16,7 @@ class TestGlobalCircuit:
         s = hexagon(2)
         engine = CircuitEngine(s)
         layout = engine.global_layout()
-        received = engine.run_round(layout, [(Node(0, 0), "global")])
+        received = run_round(engine, layout, [(Node(0, 0), "global")])
         assert all(received.values())
         assert len(received) == len(s)
 
@@ -23,7 +24,7 @@ class TestGlobalCircuit:
         s = hexagon(1)
         engine = CircuitEngine(s)
         layout = engine.global_layout()
-        received = engine.run_round(layout, [])
+        received = run_round(engine, layout, [])
         assert not any(received.values())
 
     def test_multiple_beeps_indistinguishable(self):
@@ -31,10 +32,8 @@ class TestGlobalCircuit:
         s = line_structure(5)
         engine = CircuitEngine(s)
         layout = engine.global_layout()
-        one = engine.run_round(layout, [(Node(0, 0), "global")])
-        many = engine.run_round(
-            layout, [(Node(i, 0), "global") for i in range(5)]
-        )
+        one = run_round(engine, layout, [(Node(0, 0), "global")])
+        many = run_round(engine, layout, [(Node(i, 0), "global") for i in range(5)])
         assert one == many
 
 
@@ -44,7 +43,7 @@ class TestRoundAccounting:
         engine = CircuitEngine(s)
         layout = engine.global_layout()
         for expected in range(1, 4):
-            engine.run_round(layout, [])
+            run_round(engine, layout, [])
             assert engine.rounds.total == expected
 
     def test_charge_local_round(self):
@@ -57,7 +56,7 @@ class TestRoundAccounting:
 
         counter = RoundCounter()
         engine = CircuitEngine(line_structure(2), counter=counter)
-        engine.run_round(engine.global_layout(), [])
+        run_round(engine, engine.global_layout(), [])
         assert counter.total == 1
 
 
@@ -71,7 +70,7 @@ class TestEdgeSubsetLayout:
             (Node(4, 0), Node(5, 0)),
         ]
         layout = engine.edge_subset_layout(edge_ids(s, edges), label="net")
-        received = engine.run_round(layout, [(Node(0, 0), "net")])
+        received = run_round(engine, layout, [(Node(0, 0), "net")])
         assert received[(Node(2, 0), "net")]
         assert not received[(Node(4, 0), "net")]
         # Isolated amoebot (3, 0) still has a declared, silent set.
@@ -82,7 +81,7 @@ class TestEdgeSubsetLayout:
         engine = CircuitEngine(s)
         layout = engine.global_layout()
         with pytest.raises(PinConfigurationError):
-            engine.run_round(layout, [(Node(0, 0), "missing")])
+            run_round(engine, layout, [(Node(0, 0), "missing")])
 
 
 class TestBeepSemantics:
@@ -101,7 +100,7 @@ class TestBeepSemantics:
                     if u.neighbor(d) in row_set
                 ]
                 layout.assign(u, label, pins)
-        received = engine.run_round(layout, [(top[0], "top")])
+        received = run_round(engine, layout, [(top[0], "top")])
         assert all(received[(u, "top")] for u in top)
         assert not any(received[(u, "bottom")] for u in bottom)
 
@@ -109,7 +108,7 @@ class TestBeepSemantics:
         s = line_structure(2)
         engine = CircuitEngine(s)
         layout = engine.global_layout()
-        received = engine.run_round(layout, [(Node(0, 0), "global")])
+        received = run_round(engine, layout, [(Node(0, 0), "global")])
         assert received[(Node(0, 0), "global")]
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.sim.engine import CircuitEngine
 from repro.workloads import random_hole_free
+from tests.node_oracles import run_round
 
 
 def random_layout(engine, rng):
@@ -46,7 +47,7 @@ def test_beep_delivery_equals_component_membership(seed):
     layout = random_layout(engine, rng)
     all_sets = sorted(layout.partition_sets())
     beepers = rng.sample(all_sets, max(1, len(all_sets) // 5))
-    received = engine.run_round(layout, beepers)
+    received = run_round(engine, layout, beepers)
     beeping_circuits = {layout.circuit_of(*b) for b in beepers}
     for set_id in all_sets:
         expected = layout.circuit_of(*set_id) in beeping_circuits

@@ -5,6 +5,7 @@ from repro.sim.engine import CircuitEngine
 from repro.sim.trace import RoundTrace, attach_trace
 from repro.spf.spt import shortest_path_tree
 from repro.workloads import hexagon, line_structure
+from tests.node_oracles import run_round
 
 
 class TestTraceRecording:
@@ -13,8 +14,8 @@ class TestTraceRecording:
         engine = CircuitEngine(s)
         trace = attach_trace(engine)
         layout = engine.global_layout()
-        engine.run_round(layout, [(Node(0, 0), "global")])
-        engine.run_round(layout, [])
+        run_round(engine, layout, [(Node(0, 0), "global")])
+        run_round(engine, layout, [])
         engine.charge_local_round(2)
         assert len(trace) == 4
         assert trace.beep_rounds() == 2
@@ -33,7 +34,7 @@ class TestTraceRecording:
         engine = CircuitEngine(s)
         trace = attach_trace(engine)
         layout = engine.global_layout()
-        engine.run_round(layout, [(Node(0, 0), "global"), (Node(1, 0), "global")])
+        run_round(engine, layout, [(Node(0, 0), "global"), (Node(1, 0), "global")])
         record = trace.records[0]
         assert record.beeping_sets == 2
         assert record.hearing_sets == 4  # everyone on the global circuit
@@ -44,14 +45,14 @@ class TestTraceRecording:
         engine = CircuitEngine(s)
         trace = attach_trace(engine)
         layout = engine.global_layout()
-        engine.run_round(layout, [])
+        run_round(engine, layout, [])
         assert trace.silent_rounds() == 1
 
     def test_json_roundtrip(self):
         s = line_structure(3)
         engine = CircuitEngine(s)
         trace = attach_trace(engine)
-        engine.run_round(engine.global_layout(), [(Node(0, 0), "global")])
+        run_round(engine, engine.global_layout(), [(Node(0, 0), "global")])
         restored = RoundTrace.from_json(trace.to_json())
         assert restored.records == trace.records
 
@@ -63,7 +64,7 @@ class TestTraceRecording:
         for u in s:
             for d in s.occupied_directions(u):
                 layout.assign(u, f"p{d.name}", [(d, 0)])
-        engine.run_round(layout, [])
+        run_round(engine, layout, [])
         assert trace.max_circuits() == 3
 
 
