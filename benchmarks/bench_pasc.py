@@ -2,32 +2,38 @@
 
 Chain length swept over three orders of magnitude; the measured
 iteration count must track ceil(log2 m) + 1 exactly and rounds must be
-exactly twice the iterations.
+exactly twice the iterations.  A tree case runs the merge stage's
+distance PASC (Corollary 5) over BFS trees of hexagons: its iterations
+track the tree height, not its size.
 
-This bench also guards the layout-reuse-and-compile contract: one PASC
-execution must perform exactly one from-scratch layout build (iteration
-0) and at most one component computation per iteration, every build must
-lower to flat arrays exactly once, and every round must execute on the
-integer fast path — a regression to per-iteration rebuilds or to
-id-keyed dict rounds fails the assertions below.  CI runs the bench in
-quick mode (``BENCH_QUICK=1`` shrinks the sweep) as a perf smoke.
+This bench also guards the layout-reuse-and-compile contract, for
+chains and trees alike: one PASC execution must perform exactly one
+from-scratch layout build (iteration 0) and at most one component
+computation per iteration, every build must lower to flat arrays exactly
+once, and every round must execute on the integer fast path — a
+regression to per-iteration rebuilds or to id-keyed dict rounds fails
+the assertions below.  CI runs the bench in quick mode (``BENCH_QUICK=1``
+shrinks the sweep) as a perf smoke.
 """
 
 import math
 import os
 
 from repro.grid.coords import Node
+from repro.grid.oracle import bfs_tree
 from repro.metrics.records import ResultTable
 from repro.pasc.runner import run_pasc
+from repro.pasc.chain import PascRun
 from repro.sim.circuits import LAYOUT_STATS
 from repro.sim.engine import CircuitEngine
-from repro.workloads import line_structure
+from repro.workloads import hexagon, line_structure
 
 from benchmarks.conftest import emit
 from tests.conftest import node_chain
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 LENGTHS = (4, 16, 256) if QUICK else (4, 16, 64, 256, 1024)
+RADII = (2, 6) if QUICK else (2, 6, 12, 18)
 
 
 def pasc_run(length: int):
@@ -37,6 +43,27 @@ def pasc_run(length: int):
     run = node_chain(structure, nodes)
     LAYOUT_STATS.reset()
     result = run_pasc(engine, [run])
+    check_layout_reuse(engine, result)
+    assert run.node_values() == {u: i for i, u in enumerate(nodes)}
+    return result
+
+
+def tree_pasc_run(radius: int):
+    """The merge stage's distance PASC over a BFS tree of ``hexagon(radius)``."""
+    structure = hexagon(radius)
+    root = structure.westernmost()
+    dist, parent = bfs_tree(structure, root)
+    del parent[root]
+    engine = CircuitEngine(structure)
+    run = PascRun.tree(structure.grid_index(), root, parent, (0, 1), tag="fd")
+    LAYOUT_STATS.reset()
+    result = run_pasc(engine, [run], section="forest_distances")
+    check_layout_reuse(engine, result)
+    assert run.node_values() == dist
+    return result, len(dist), max(dist.values())
+
+
+def check_layout_reuse(engine, result) -> None:
     # Layout-reuse contract: one full build for the initial runs'
     # wiring plus one for the engine-cached global termination layout,
     # then at most one (incremental) component computation per distinct
@@ -59,7 +86,6 @@ def pasc_run(length: int):
         f"{LAYOUT_STATS.indexed_rounds} indexed rounds for "
         f"{result.iterations} iterations; rounds left the integer fast path"
     )
-    assert run.node_values() == {u: i for i, u in enumerate(nodes)}
     # hearing_count contract: the O(circuits) size-summing fast path
     # must agree with the O(partition sets) definition on every mask.
     compiled = engine.global_layout(label="hc-probe").compiled()
@@ -69,7 +95,6 @@ def pasc_run(length: int):
         assert compiled.hearing_count(hears) == brute, (
             "hearing_count diverged from the per-set definition"
         )
-    return result
 
 
 def test_pasc_iterations(benchmark):
@@ -90,3 +115,22 @@ def test_pasc_iterations(benchmark):
     )
 
     benchmark(pasc_run, 256)
+
+
+def test_tree_pasc_iterations():
+    table = ResultTable(
+        "T5: tree PASC over a BFS tree of hexagon(R)",
+        ["R", "n", "height h", "iterations", "rounds", "ceil(log2 (h+1))+1"],
+    )
+    for radius in RADII:
+        result, n, height = tree_pasc_run(radius)
+        # The chain bound of the longest root path (h + 1 amoebots).
+        bound = math.ceil(math.log2(height + 1)) + 1
+        table.add(radius, n, height, result.iterations, result.rounds, bound)
+        assert result.rounds == 2 * result.iterations, "Lemma 4: 2 rounds/iteration"
+        assert result.iterations <= bound, "Corollary 5: O(log height) iterations"
+    emit(
+        table,
+        claim="tree PASC costs the chain's rounds on its longest root path (Corollary 5)",
+        verdict="iterations within the longest path's chain bound, rounds == 2x iterations",
+    )

@@ -692,16 +692,6 @@ class Session:
         kw.setdefault("churn_steps", 8)
         return self.run(SolveRequest(kind="churn", shape=shape, **kw))
 
-    def pasc(self, structure: AmoebotStructure, runs, **kw):
-        """Run PASC on ``runs`` over a session engine for ``structure``.
-
-        The session analogue of
-        ``run_pasc(engine, runs)`` — see :func:`repro.pasc.runner.run_pasc`.
-        """
-        from repro.pasc.runner import run_pasc
-
-        return run_pasc(self.engine_for(structure), runs, **kw)
-
     # ------------------------------------------------------------------
     # kind pipelines
     # ------------------------------------------------------------------

@@ -13,21 +13,21 @@ functions on the same strict machinery:
   a node's preorder number is the number of first occurrences before
   its own first occurrence, i.e. the exclusive prefix sum read at that
   instance; postorder uses last occurrences.
-* :func:`node_levels` — tree PASC (Corollary 5), re-exported here for
-  discoverability.
+* :func:`node_levels` — tree PASC (Corollary 5) over the tour's tree,
+  its units read straight off the tour.
 
 Each costs ``O(log n)`` rounds.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from repro.ett.technique import ETTOp
 from repro.ett.tour import EulerTour
 from repro.grid.coords import Node
 from repro.pasc.runner import run_pasc
-from repro.pasc.tree import PascTreeRun
+from repro.pasc.chain import PascRun
 from repro.sim.engine import CircuitEngine
 
 
@@ -99,10 +99,22 @@ def postorder_numbers(
 def node_levels(
     engine: CircuitEngine, tour: EulerTour, section: str = "ett_levels"
 ) -> Dict[Node, int]:
-    """Depth of every node below the tour root (Corollary 5)."""
-    nodes = tour.index.nodes
+    """Depth of every node below the tour root (Corollary 5).
+
+    One unit per node, in the tour's preorder: every edge that enters a
+    child for the first time is that child's parent link.
+    """
     nbr = tour.index.nbr
-    parent = {nodes[nbr[e]]: nodes[e // 6] for i, e in enumerate(tour.edge_ids) if tour.twin[i] > i}
-    run = PascTreeRun(tour.root, parent, tag="lvl")
+    unit_of = {tour.root_id: 0}
+    nids = [tour.root_id]
+    links: List[int] = []
+    parents: List[int] = []
+    for i, e in enumerate(tour.edge_ids):
+        if tour.twin[i] > i:
+            parents.append(unit_of[e // 6])
+            unit_of[nbr[e]] = len(nids)
+            nids.append(nbr[e])
+            links.append(e)
+    run = PascRun(tour.index, nids, links, tag="lvl", parents=parents)
     run_pasc(engine, [run], section=section)
-    return run.values()
+    return run.node_values()

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ett.tour import DirectedEdge, EulerTour
 from repro.grid.coords import Node
-from repro.pasc.chain import PascChainRun
+from repro.pasc.chain import PascRun
 from repro.pasc.runner import PascResult, run_pasc
 from repro.sim.engine import CircuitEngine
 
@@ -96,7 +96,7 @@ class ETTOp:
             weights = [0] * (length + 1)
             for i in self.marked:
                 weights[i] = 1
-            self.chain: Optional[PascChainRun] = PascChainRun(
+            self.chain: Optional[PascRun] = PascRun(
                 tour.index,
                 tour.unit_nids(),
                 tour.edge_ids,

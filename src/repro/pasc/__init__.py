@@ -16,7 +16,10 @@ amoebot learn, bit by bit (least significant first), the number of
 
 Mechanics (faithful to the published construction): every unit keeps two
 partition sets, *primary* and *secondary*, wired straight through passive
-units and crossed at active ones.  The first unit beeps on its primary
+units and crossed at active ones.  One class,
+:class:`~repro.pasc.chain.PascRun`, runs the construction on a rooted tree
+of units in grid-index ids; a chain is the tree in which every unit's
+parent is the unit before it.  The root unit beeps on its primary
 set each iteration; a unit whose signal arrives on the secondary set
 reads bit 1.  Initially all participants are active; after iteration
 ``t`` exactly the participants whose bits ``0..t`` are all 1 remain
@@ -31,13 +34,11 @@ this is what makes the paper's "apply the PASC algorithm simultaneously
 on each path/portal" steps cost the maximum instead of the sum.
 """
 
-from repro.pasc.chain import PascChainRun
-from repro.pasc.tree import PascTreeRun
+from repro.pasc.chain import PascRun
 from repro.pasc.runner import run_pasc, PascResult
 
 __all__ = [
-    "PascChainRun",
-    "PascTreeRun",
+    "PascRun",
     "run_pasc",
     "PascResult",
 ]

@@ -1,29 +1,37 @@
-"""PASC on chains of units.
+"""PASC's chain construction, on chains and on trees of units.
 
 A *unit* is one PASC instance operated by an amoebot.  On plain chains
-every amoebot operates a single unit; in the Euler tour technique an
-amoebot operates one unit per occurrence on the tour (at most its degree,
-hence at most six).  Consecutive units always sit on neighboring amoebots
-and are joined by a *link*: the physical edge between them, carrying the
-primary and secondary wires on a pair of channels.
+and trees every amoebot operates a single unit; in the Euler tour
+technique an amoebot operates one unit per occurrence on the tour (at
+most its degree, hence at most six).  Every unit but the root hangs from
+a *parent* unit on a neighboring amoebot and is joined to it by a
+*link*: the physical edge between them, carrying the primary and
+secondary wires on a pair of channels.  A chain is the tree in which
+unit ``i``'s parent is unit ``i - 1``.
 
-A chain lives in grid-index integers
-(:class:`~repro.grid.compiled.GridIndex`): its units are ``(node id,
-occurrence)`` pairs — the occurrence is how many earlier units of the
-chain the same amoebot operates — and link ``i`` is the edge id
-``nid * 6 + d`` leaving unit ``i``'s amoebot toward unit ``i + 1``'s,
-checked against :attr:`GridIndex.nbr
-<repro.grid.compiled.GridIndex.nbr>`.  The chain's layout is written by
-one :meth:`~repro.sim.circuits.CircuitLayout.assign_chain` call and its
-wiring key is made of ints and bytes.  ``Node`` appears only in the
-views :meth:`PascChainRun.node_values`, :meth:`PascChainRun.primary_set`
-and :meth:`PascChainRun.secondary_set`.
+Corollary 5 makes tree PASC the chain construction applied on every
+root-to-leaf path: each unit joins its parent link straight and crosses
+its child links while it is active, so every path from the root behaves
+exactly like a chain, and each unit reads the bits of its weighted depth.
+Two external links per tree edge suffice, as the proof notes.
+
+Units live in grid-index integers
+(:class:`~repro.grid.compiled.GridIndex`): a unit is a ``(node id,
+occurrence)`` pair — the occurrence is how many earlier units the same
+amoebot operates — listed root first and every parent before its
+children, and its parent link is the edge id ``nid * 6 + d`` leaving the
+parent's amoebot toward the unit's, checked against :attr:`GridIndex.nbr
+<repro.grid.compiled.GridIndex.nbr>`.  A run's layout is written by one
+:meth:`~repro.sim.circuits.CircuitLayout.assign_pasc` call and its wiring
+key is made of ints and bytes.  ``Node`` appears only in the boundary
+conversion :meth:`PascRun.tree` and the views :meth:`PascRun.node_values`,
+:meth:`PascRun.primary_set` and :meth:`PascRun.secondary_set`.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.grid.coords import Node
 from repro.sim.circuits import CircuitLayout
@@ -47,8 +55,8 @@ def occurrences(nids: Sequence[int]) -> List[int]:
     return result
 
 
-class PascChainRun:
-    """One PASC execution over a chain of units.
+class PascRun:
+    """One PASC execution over a rooted tree of units.
 
     Parameters
     ----------
@@ -56,10 +64,12 @@ class PascChainRun:
         The grid index the ids refer to: that of the structure the
         engine runs on.
     nids:
-        The operating node id of every unit ``u_0, ..., u_{m-1}``.
-    out_edges:
-        ``out_edges[i]`` is the edge id from unit ``i``'s amoebot to
-        unit ``i + 1``'s; exactly ``m - 1`` entries.
+        The operating node id of every unit ``u_0, ..., u_{m-1}``;
+        ``u_0`` is the root.
+    links:
+        ``links[j - 1]`` is the edge id of unit ``j``'s parent link,
+        leaving its parent's amoebot toward unit ``j``'s; exactly
+        ``m - 1`` entries.
     channels:
         The ``(primary, secondary)`` channel pair of every link, or six
         pairs indexed by the link's direction.
@@ -68,41 +78,58 @@ class PascChainRun:
     tag:
         Label prefix isolating this run's partition sets from others
         sharing the same layout.
+    parents:
+        ``parents[j - 1]`` is unit ``j``'s parent, an earlier unit;
+        default ``j - 1``: the units form a chain.
 
     After :func:`~repro.pasc.runner.run_pasc` completes, ``values()``
-    lists every unit's *exclusive* weighted prefix count
-    :math:`\\sum_{j<i} w(u_j)` and ``inclusive_values()`` the inclusive
-    sum.  (Amoebots read these bit by bit; the accumulated integers live
-    in the simulator, which is an observer convenience — the per-amoebot
-    state is the O(1) dataclass the construction requires.)
+    lists every unit's *exclusive* weighted count of its proper
+    ancestors, :math:`\\sum_{j<i} w(u_j)` on a chain, and
+    ``inclusive_values()`` adds the unit's own weight.  (Amoebots read
+    these bit by bit; the accumulated integers live in the simulator,
+    which is an observer convenience — the per-amoebot state is the O(1)
+    record the construction requires.)
     """
 
     def __init__(
         self,
         index,
         nids: Sequence[int],
-        out_edges: Sequence[int],
+        links: Sequence[int],
         channels: Union[ChannelPair, Sequence[ChannelPair]] = (0, 1),
         weights: Optional[Sequence[int]] = None,
         tag: str = "pasc",
+        parents: Optional[Sequence[int]] = None,
     ):
         nids = list(nids)
-        out_edges = list(out_edges)
+        links = list(links)
         if not nids:
-            raise ValueError("chain must contain at least one unit")
-        if len(out_edges) != len(nids) - 1:
-            raise ValueError("need exactly one link between consecutive units")
+            raise ValueError("a PASC run must contain at least one unit")
+        if len(links) != len(nids) - 1:
+            raise ValueError("need exactly one link per unit but the root")
+        if parents is None:
+            parents = range(len(links))
+            parents_key = None
+        else:
+            parents = list(parents)
+            if len(parents) != len(links):
+                raise ValueError("need exactly one parent per unit but the root")
+            for j, p in enumerate(parents, 1):
+                if not 0 <= p < j:
+                    raise ValueError(f"the parent {p} of unit {j} is not an earlier unit")
+            parents_key = array("i", parents).tobytes()
         # Links end only at live ids, so checking the ends of the id range
-        # and the first unit covers every unit once the links check out.
+        # and the root covers every unit once the links check out.
         if min(nids) < 0 or max(nids) >= index.n_slots or index.nodes[nids[0]] is None:
-            raise ValueError("chain units must be live node ids of the index")
+            raise ValueError("units must be live node ids of the index")
         nbr = index.nbr
-        if [e // 6 for e in out_edges] != nids[:-1]:
-            i = next(i for i, e in enumerate(out_edges) if e // 6 != nids[i])
-            raise ValueError(f"link {i} does not start at its unit {index.nodes[nids[i]]}")
-        if [nbr[e] for e in out_edges] != nids[1:]:
-            i = next(i for i, e in enumerate(out_edges) if nbr[e] != nids[i + 1])
-            raise ValueError(f"link {i} does not end at its unit {index.nodes[nids[i + 1]]}")
+        starts = [nids[p] for p in parents]
+        if [e // 6 for e in links] != starts:
+            k = next(k for k, e in enumerate(links) if e // 6 != starts[k])
+            raise ValueError(f"link {k} does not start at its unit {index.nodes[starts[k]]}")
+        if [nbr[e] for e in links] != nids[1:]:
+            k = next(k for k, e in enumerate(links) if nbr[e] != nids[k + 1])
+            raise ValueError(f"link {k} does not end at its unit {index.nodes[nids[k + 1]]}")
         if len(channels) == 2 and isinstance(channels[0], int):
             channels = (tuple(channels),) * 6
         self.channels: Tuple[ChannelPair, ...] = tuple(tuple(pair) for pair in channels)
@@ -116,7 +143,8 @@ class PascChainRun:
             raise ValueError("weights must be 0 or 1")
         self.index = index
         self.nids = nids
-        self.out_edges = out_edges
+        self.links = links
+        self.parents = parents
         self.weights = list(weights)
         self.tag = tag
         self._occurrences = occurrences(nids)
@@ -127,23 +155,73 @@ class PascChainRun:
         self._value = [0] * len(nids)
         self._iteration = 0
         #: Units whose activity flipped in the last absorb_bits(); exactly
-        #: these change their outgoing-link wiring for the next
-        #: iteration (the layout-reuse contract's "touched region").
+        #: these change their child-link wiring for the next iteration
+        #: (the layout-reuse contract's "touched region").
         self._flipped: List[int] = []
+        #: Unit -> edge ids of its child links; a chain's are implied
+        #: (unit ``i``'s only child link is ``links[i]``).
+        self._child_links: Optional[Dict[int, List[int]]] = None
+        if parents_key is not None:
+            self._child_links = {}
+            for p, e in zip(parents, links):
+                self._child_links.setdefault(p, []).append(e)
         # Static part of the wiring fingerprint: ints and bytes only
-        # (unit ids follow from the links and the last unit).  Ids of a
-        # derived index are not canonical, so they carry its identity.
+        # (unit ids follow from the root, the links and the parents; a
+        # chain's parents are implied, which keeps cached keys small).
+        # Ids of a derived index are not canonical, so they carry its
+        # identity.
         self._wiring_base = (
-            "chain",
+            "pasc",
             tag,
             self.channels,
             None if index.canonical else id(index.root),
-            nids[-1],
-            array("i", out_edges).tobytes(),
+            nids[0],
+            array("i", links).tobytes(),
+            parents_key,
         )
         # The units' partition-set slots in the current layout.
         self._p_slots: List[int] = []
         self._s_slots: List[int] = []
+
+    @classmethod
+    def tree(
+        cls,
+        index,
+        root: Node,
+        parent: Mapping[Node, Node],
+        channels: ChannelPair = (0, 1),
+        tag: str = "pasc",
+    ) -> "PascRun":
+        """Tree PASC (Corollary 5) over a ``Node`` parent map: afterwards
+        every node's value is its depth below ``root``.
+
+        Converts the map to units once, root first and breadth-first.
+        Raises :class:`ValueError` for a root with a parent, a tree edge
+        joining non-neighbors, a node outside the structure, and a map
+        that is not one tree below ``root`` (a cycle or a disconnected
+        part).
+        """
+        if root in parent:
+            raise ValueError("root must not have a parent")
+        children: Dict[Node, List[Node]] = {}
+        for child, par in parent.items():
+            if not child.is_adjacent(par):
+                raise ValueError(f"tree edge {par}-{child} joins non-neighbors")
+            children.setdefault(par, []).append(child)
+        nodes = [root]
+        parents: List[int] = []
+        for k, u in enumerate(nodes):  # grows while walked: breadth-first
+            for child in children.get(u, ()):
+                nodes.append(child)
+                parents.append(k)
+        if len(nodes) != len(parent) + 1:
+            raise ValueError("parent mapping is not a single tree below the root")
+        id_of = index.id_of
+        nids = [id_of(u) for u in nodes]
+        if None in nids:
+            raise ValueError(f"{nodes[nids.index(None)]} is not part of the structure")
+        links = [nids[p] * 6 + nodes[p].direction_to(u) for p, u in zip(parents, nodes[1:])]
+        return cls(index, nids, links, channels, tag=tag, parents=parents)
 
     # ------------------------------------------------------------------
     # units and labels
@@ -164,32 +242,28 @@ class PascChainRun:
         return (self.index.nodes[nid], self._labels[self._occurrences[index]][1])
 
     # ------------------------------------------------------------------
-    # runner protocol
+    # what run_pasc calls
     # ------------------------------------------------------------------
-    def is_done(self) -> bool:
-        """No participant is active: all further bits are zero."""
-        return not any(self._active)
-
     def _check_index(self, layout: CircuitLayout) -> None:
         index = layout.structure.grid_index()
         if index is not self.index and not (
             index.canonical and self.index.canonical and index.nodes == self.index.nodes
         ):
             raise PinConfigurationError(
-                "chain ids belong to another structure's grid index than the layout's"
+                "unit ids belong to another structure's grid index than the layout's"
             )
 
     def contribute_layout(self, layout: CircuitLayout) -> None:
         """Wire this iteration's primary/secondary circuits into ``layout``.
 
-        Unit ``i`` owns the wiring of its *outgoing* link
-        ``out_edges[i]``: straight when passive, crossed when active.
-        Incoming links are always joined straight to the unit's own sets.
+        Every unit joins its parent link straight and its child links
+        straight when passive, crossed when active.
         """
         self._check_index(layout)
-        self._p_slots, self._s_slots = layout.assign_chain(
+        self._p_slots, self._s_slots = layout.assign_pasc(
             self.nids,
-            self.out_edges,
+            self.links,
+            self.parents,
             self.channels,
             self._active,
             self._labels,
@@ -202,7 +276,7 @@ class PascChainRun:
         resolve this run's partition-set slots in ``layout``.
 
         An equal wiring key means the layout was built by
-        :meth:`contribute_layout` of an equal chain, which declares the
+        :meth:`contribute_layout` of an equal run, which declares the
         sets in unit order (primary, secondary); resolving the first and
         the last set checks that and fixes every slot in between.
         """
@@ -216,23 +290,29 @@ class PascChainRun:
         )
         end = first + 2 * len(self.nids)
         if last != end - 1:
-            raise PinConfigurationError("the cached layout declares this chain's sets out of order")
+            raise PinConfigurationError("the cached layout declares this run's sets out of order")
         self._p_slots = list(range(first, end, 2))
         self._s_slots = list(range(first + 1, end, 2))
         self._flipped = []
 
     def rewire_layout(self, layout: CircuitLayout) -> None:
         """Reassign only the units whose wiring changed since the last
-        contribute/rewire (a derived layout recomputes just their circuits)."""
-        last = len(self.out_edges)
+        contribute/rewire (a derived layout recomputes just their circuits).
+
+        A flipped unit un-crosses all its child links; a chain unit has
+        at most one.
+        """
+        child_links = self._child_links
+        links = self.links
+        channels = self.channels
         for i in self._flipped:
-            if i >= last:
-                continue  # the last unit has no outgoing link to re-cross
-            edge = self.out_edges[i]
-            pch, sch = self.channels[edge % 6]
+            edges = links[i : i + 1] if child_links is None else child_links.get(i)
+            if not edges:
+                continue  # leaves own no child links; their wiring is static
             # Un-crossing swaps the channels of the same physical pins
             # between the primary and secondary set: one pin exchange.
-            layout.exchange_slots(self._p_slots[i], self._s_slots[i], ((edge, pch), (edge, sch)))
+            pins = [(e, ch) for e in edges for ch in channels[e % 6]]
+            layout.exchange_slots(self._p_slots[i], self._s_slots[i], pins)
         self._flipped = []
 
     def listen_slots(self) -> List[int]:
@@ -244,7 +324,7 @@ class PascChainRun:
         return (self._wiring_base, bytes(self._active))
 
     def beep_slots(self) -> List[int]:
-        """The chain's first unit beeps on its primary set."""
+        """The root beeps on its primary set."""
         return self._p_slots[:1]
 
     def absorb_bits(self, bits: Sequence[bool]) -> None:
@@ -283,15 +363,15 @@ class PascChainRun:
     # results
     # ------------------------------------------------------------------
     def values(self) -> List[int]:
-        """Exclusive weighted prefix count per unit, in unit order."""
+        """Exclusive weighted count per unit, in unit order."""
         return list(self._value)
 
     def inclusive_values(self) -> List[int]:
-        """Inclusive weighted prefix sum per unit (adds own weight)."""
+        """Inclusive weighted count per unit (adds own weight)."""
         return [value + weight for value, weight in zip(self._value, self.weights)]
 
     def node_values(self) -> Dict[Node, int]:
-        """Exclusive counts keyed by amoebot (plain single-unit chains)."""
+        """Exclusive counts keyed by amoebot (one unit per amoebot)."""
         if len(set(self.nids)) != len(self.nids):
             raise ValueError("node_values() requires at most one unit per amoebot")
         nodes = self.index.nodes

@@ -5,13 +5,15 @@ instances run concurrently (Lemma 4 plus the synchronization technique
 of Padalkin et al. [26]):
 
 1. every run's primary/secondary circuits are (re)established and every
-   run's first unit beeps on its primary set; all units read their bit;
+   run's root unit beeps on its primary set; all units read their bit;
 2. the structure forms a global circuit on a reserved channel and every
    still-active participant beeps; silence tells all amoebots that every
    run has finished (all remaining bits are zero).
 
-The pin configuration barely changes between iterations — only units
-whose activity flipped re-cross their outgoing links — so the runner
+Every run is a :class:`~repro.pasc.chain.PascRun` — a chain or a tree
+of units — and the runner drives them all alike.  The pin configuration
+barely changes between iterations — only units whose activity flipped
+re-cross their child links — so the runner
 honors the layout-reuse contract of :mod:`repro.sim.circuits`: the
 runs' layout is built and frozen **once**, and every subsequent
 iteration *derives* it, re-wiring only the flipped units (one
@@ -51,58 +53,12 @@ and bytes (see :mod:`repro.pasc.chain`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.pasc.chain import PascRun
 from repro.sim.circuits import CircuitLayout
 from repro.sim.engine import CircuitEngine
 from repro.sim.errors import PinConfigurationError
-
-
-class PascRun(Protocol):
-    """Protocol shared by chain and tree runs (and ETT wrappers)."""
-
-    def is_done(self) -> bool:
-        """Whether no participant is active (all further bits zero)."""
-        ...
-
-    def contribute_layout(self, layout: CircuitLayout) -> None:
-        """Wire this iteration's circuits into the shared layout and
-        remember the slots of the partition sets it declared."""
-        ...
-
-    def bind_layout(self, layout: CircuitLayout) -> None:
-        """Resolve this run's slots in an equal wiring built by an
-        earlier execution (a layout-cache hit)."""
-        ...
-
-    def rewire_layout(self, layout: CircuitLayout) -> None:
-        """Reassign only the partition sets whose wiring changed since
-        the last ``contribute_layout``/``rewire_layout`` call, so the
-        next iteration derives its layout instead of rebuilding it."""
-        ...
-
-    def wiring_key(self) -> Tuple:
-        """Hashable snapshot of this run's current wiring (the key of
-        the engine's layout cache for repeated identical executions)."""
-        ...
-
-    def beep_slots(self) -> List[int]:
-        """Set-ids this run activates in the PASC round."""
-        ...
-
-    def listen_slots(self) -> List[int]:
-        """Set-ids whose bits :meth:`absorb_bits` consumes."""
-        ...
-
-    def absorb_bits(self, bits: Sequence[bool]) -> None:
-        """Read this iteration's bits, aligned with :meth:`listen_slots`
-        order, and update activity."""
-        ...
-
-    def active_ids(self) -> List[int]:
-        """Node ids of the amoebots that beep in the shared termination
-        round."""
-        ...
 
 
 @dataclass
@@ -125,15 +81,8 @@ def run_pasc(
     term_channel: int | None = None,
     max_iterations: int | None = None,
     section: str = "pasc",
-    structure=None,
 ) -> PascResult:
     """Execute ``runs`` to completion in parallel on ``engine``.
-
-    ``engine`` may also be a :class:`repro.api.Session` together with an
-    explicit ``structure=`` — the session then supplies the engine
-    (scheduler, shared layout caches), unifying PASC with the
-    rest of the facade: ``run_pasc(session, runs, structure=st)`` is
-    ``run_pasc(session.engine_for(st), runs)``.
 
     ``term_channel`` is the channel of the global termination circuit
     (default: the engine's highest channel, which the wiring conventions
@@ -145,20 +94,6 @@ def run_pasc(
     and caching change only wall-clock cost, never the round structure
     (two rounds per iteration, Lemma 4).
     """
-    if not isinstance(engine, CircuitEngine):
-        if not hasattr(engine, "engine_for"):
-            raise TypeError(
-                f"run_pasc needs a CircuitEngine or a Session, got "
-                f"{type(engine).__name__}"
-            )
-        if structure is None:
-            raise ValueError(
-                "run_pasc(session, runs) needs structure=: a session is "
-                "structure-agnostic, so the structure must be explicit"
-            )
-        engine = engine.engine_for(structure)
-    elif structure is not None and structure is not engine.structure:
-        raise ValueError("structure= disagrees with the engine's structure")
     if term_channel is None:
         term_channel = engine.channels - 1
     if max_iterations is None:

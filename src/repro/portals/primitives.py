@@ -31,7 +31,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 from repro.grid.coords import Node
 from repro.grid.directions import Axis
 from repro.ett.tour import EulerTour, euler_tour
-from repro.pasc.chain import PascChainRun
+from repro.pasc.chain import PascRun
 from repro.pasc.runner import run_pasc
 from repro.portals.portals import Portal, PortalSystem
 from repro.primitives.centroid import CentroidOp, decode_centroids, run_centroid_phases
@@ -154,9 +154,11 @@ class PortalScope:
         scope._restrict_to(set(portals))
         return scope
 
-    def announce_winner(self, engine: CircuitEngine) -> None:
-        """One portal-circuit round: each elected portal learns it won."""
-        engine.charge_local_round()
+    def announce_winner(self, engine: CircuitEngine, winner_ids: Iterable[int]) -> Set[Portal]:
+        """One portal-circuit round: each winning amoebot beeps, and the
+        portals that hear are the winners."""
+        nodes = self.index.nodes
+        return self.broadcast(engine, (nodes[nid] for nid in winner_ids))
 
     def check(self, portals: Iterable[Portal]) -> Set[Portal]:
         """``set(portals)``, or :class:`ValueError` if one lies outside."""
@@ -342,7 +344,7 @@ def _count_degrees(
             raise AssertionError("two same-side connector roles at one amoebot")
         side.add(e // 6)
 
-    runs: List[PascChainRun] = []
+    runs: List[PascRun] = []
     expected: List[Tuple[Portal, int]] = []
     pch, sch, pch2, sch2 = PORTAL_COUNT_CHANNELS
     for p in scope.portals:
@@ -356,8 +358,8 @@ def _count_degrees(
         out_edges = [nid * 6 + pos_d for nid in nids[:-1]]
         wn = [1 if nid in north else 0 for nid in nids]
         ws = [1 if nid in south else 0 for nid in nids]
-        runs.append(PascChainRun(index, nids, out_edges, (pch, sch), wn, tag="degN"))
-        runs.append(PascChainRun(index, nids, out_edges, (pch2, sch2), ws, tag="degS"))
+        runs.append(PascRun(index, nids, out_edges, (pch, sch), wn, tag="degN"))
+        runs.append(PascRun(index, nids, out_edges, (pch2, sch2), ws, tag="degS"))
         expected.append((p, len(north) + len(south)))
     if runs:
         run_pasc(engine, runs, section=f"{section}:degrees")

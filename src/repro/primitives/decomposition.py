@@ -196,16 +196,24 @@ def _run_level(
         section=f"{sections}:elect",
     )
     winner_iter = iter(winners)
+    winner_ids = [
+        rec.scope.representative_ids((next(iter(centroids)),))[0]
+        if req is None
+        else next(winner_iter)
+        for req, centroids, rec in zip(requests, centroid_sets, recursions)
+    ]
+    # Every recursion's winner learns it won, all in one shared round.
+    heard = scope.announce_winner(engine, winner_ids)
     elected: List[Hashable] = []
-    for req, centroids, rec in zip(requests, centroid_sets, recursions):
-        if req is None:
-            choice = next(iter(centroids))
-        else:
-            choice = rec.scope.unit_at(next(winner_iter))
+    for rec in recursions:
+        units = set(rec.scope.units)
+        won = heard & units
+        if len(won) != 1:
+            raise AssertionError(f"a recursion heard {len(won)} elected units instead of one")
+        choice = won.pop()
         elected.append(choice)
         tree.parent[choice] = rec.caller
-        tree.subtree_units[choice] = set(rec.scope.units)
-    scope.announce_winner(engine)  # every recursion's winner, in parallel
+        tree.subtree_units[choice] = units
 
     # Split at the elected centroids; one shared beep round on component
     # circuits (the union of each component's tree edges) decides which

@@ -20,7 +20,8 @@ amoebots, but decides about *units*: the tree's nodes themselves
   units) and :meth:`unit_at` (the unit a winning amoebot belongs to);
 * :meth:`node_ids_of` and :meth:`restrict` — a component's amoebots and
   its own scope;
-* :meth:`announce_winner` — the round that tells a unit it was elected.
+* :meth:`announce_winner` — the round that tells a unit it was elected,
+  returning the units that learned it.
 
 :class:`NodeScope` is the scope whose units are the nodes; its unit
 number is the node id.
@@ -91,8 +92,10 @@ class NodeScope:
         masks = restrict_masks(self.index, self.masks, self.node_ids_of(component))
         return NodeScope(self.index, masks)
 
-    def announce_winner(self, engine: CircuitEngine) -> None:
+    def announce_winner(self, engine: CircuitEngine, winner_ids: Iterable[int]) -> Set[Node]:
         """A winning node already knows it won: no round."""
+        nodes = self.index.nodes
+        return {nodes[nid] for nid in winner_ids}
 
 
 def restrict_masks(index, masks: Mapping[int, int], ids: Set[int]) -> Dict[int, int]:

@@ -314,39 +314,44 @@ class CircuitLayout:
         self._channel_mask = channel_mask
         return slots
 
-    def assign_chain(
+    def assign_pasc(
         self,
         nids: Sequence[int],
-        out_edges: Sequence[int],
+        links: Sequence[int],
+        parents: Sequence[int],
         channels: Sequence[Tuple[int, int]],
         crossed: Sequence[int],
         labels: Sequence[Tuple[str, str]],
         occurrences: Sequence[int],
     ) -> Tuple[List[int], List[int]]:
-        """Declare a PASC chain's primary and secondary sets in one pass.
+        """Declare a PASC run's primary and secondary sets in one pass.
 
         Unit ``i`` is operated by node id ``nids[i]`` and names its sets
-        ``labels[occurrences[i]]`` (primary, secondary).  It joins its
-        incoming link straight and its outgoing link ``out_edges[i]``
-        (an edge id leaving ``nids[i]``) straight, or crossed where
-        ``crossed[i]`` is set; a link of direction ``d`` carries its two
-        wires on the channel pair ``channels[d]``.  Sets are declared in
-        unit order, primary first, so the returned ``(primary slots,
-        secondary slots)`` are the slots :meth:`assign_sets` would hand
-        out for the same sets.  Makes the checks of :meth:`assign_sets`
-        with the same messages, and refuses a set declared before; a
-        call that raises leaves the layout unusable.  Fresh layouts only:
-        derived layouts re-wire by :meth:`exchange_slots`.
+        ``labels[occurrences[i]]`` (primary, secondary).  Unit ``0`` is
+        the root; unit ``j > 0`` hangs from the earlier unit
+        ``parents[j - 1]`` by the link ``links[j - 1]``, an edge id
+        leaving the parent's amoebot toward ``nids[j]``.  Every unit
+        joins its parent link straight and each of its child links
+        straight, or crossed where ``crossed[i]`` is set; a link of
+        direction ``d`` carries its two wires on the channel pair
+        ``channels[d]``.  Sets are declared in unit order, primary
+        first, so the returned ``(primary slots, secondary slots)`` are
+        the slots :meth:`assign_sets` would hand out for the same sets.
+        Makes the checks of :meth:`assign_sets` with the same messages,
+        and refuses a set declared before; a call that raises leaves the
+        layout unusable.  Fresh layouts only: derived layouts re-wire by
+        :meth:`exchange_slots`.
         """
         if self._frozen:
             raise PinConfigurationError("layout is frozen")
         if self._base_compiled is not None:
             raise PinConfigurationError(
-                "assign_chain builds fresh layouts; re-wire a derived one with exchange_slots"
+                "assign_pasc builds fresh layouts; re-wire a derived one with exchange_slots"
             )
         gi = self._gi
         nodes = gi.nodes
-        if min(nids) < 0 or max(nids) >= gi.n_slots or nodes[nids[-1]] is None:
+        # A unit's parent link proves it live; the root has none.
+        if min(nids) < 0 or max(nids) >= gi.n_slots or nodes[nids[0]] is None:
             bad = next(n for n in nids if not 0 <= n < gi.n_slots or nodes[n] is None)
             raise PinConfigurationError(f"node id {bad} is not part of the structure")
         nbr = gi.nbr
@@ -359,59 +364,80 @@ class CircuitLayout:
         slot_pins = self._slot_pins
         claim = self._pin_slot.setdefault
         channel_mask = self._channel_mask
+        # Pin lists are allocated at their final size, the parent link
+        # first and then one slot per child link, filled as the children
+        # come: cached layouts keep them, so no list carries spare room.
+        count = len(nids)
+        kids = [0] * count
+        for p in parents:
+            kids[p] += 1
+        fill = [1] * count
+        fill[0] = 0
         first = len(slot_keys)
-        last = len(out_edges)
-        p_in = s_in = back = -1
-        for i in range(len(nids)):
-            nid = nids[i]
+        end = first + 2 * count
+        # One int object per slot, shared by every pin the set claims.
+        p_slots = list(range(first, end, 2))
+        s_slots = list(range(first + 1, end, 2))
+        for j, nid, occurrence, slot, s_slot in zip(
+            range(count), nids, occurrences, p_slots, s_slots
+        ):
             base = nid * 6
-            slot = first + 2 * i
-            kp, ks = keys[occurrences[i]]
+            kp, ks = keys[occurrence]
             kp |= nid
             ks |= nid
             if kp in key_slot or ks in key_slot:
-                label = labels[occurrences[i]][0 if kp in key_slot else 1]
+                label = labels[occurrence][0 if kp in key_slot else 1]
                 raise PinConfigurationError(
                     f"partition set {(nodes[nid], label)} is already declared"
                 )
             key_slot[kp] = slot
-            key_slot[ks] = slot + 1
+            key_slot[ks] = s_slot
             slot_keys.append(kp)
             slot_keys.append(ks)
-            if i and not 0 <= back - base < 6:
-                self._reject_pin(nodes[nid], base, back, 0)
-            if i < last:
-                e = out_edges[i]
-                pch, sch = channels[e % 6]
-                if not (0 <= pch < c and 0 <= sch < c and 0 <= e - base < 6 and nbr[e] >= 0):
-                    self._reject_pin(nodes[nid], base, e, sch if 0 <= pch < c else pch)
-                channel_mask |= 1 << pch | 1 << sch
-                if crossed[i]:
-                    p_out, s_out = e * c + sch, e * c + pch
-                else:
-                    p_out, s_out = e * c + pch, e * c + sch
-                p_pins = [p_in, p_out] if i else [p_out]
-                s_pins = [s_in, s_out] if i else [s_out]
-                back = mate_edges[e]
-                p_in = back * c + pch
-                s_in = back * c + sch
+            if not j:
+                slot_pins.append([0] * kids[0])
+                slot_pins.append([0] * kids[0])
+                continue
+            # The parent's side of the link: straight, or crossed while
+            # the parent is active.
+            p = parents[j - 1]
+            e = links[j - 1]
+            p_base = nids[p] * 6
+            pch, sch = channels[e % 6]
+            if not (0 <= pch < c and 0 <= sch < c and 0 <= e - p_base < 6 and nbr[e] >= 0):
+                self._reject_pin(nodes[nids[p]], p_base, e, sch if 0 <= pch < c else pch)
+            channel_mask |= 1 << pch | 1 << sch
+            if crossed[p]:
+                p_out, s_out = e * c + sch, e * c + pch
             else:
-                p_pins = [p_in] if i else []
-                s_pins = [s_in] if i else []
-            for pin in p_pins:
-                if claim(pin, slot) != slot:
-                    self._reject_owned(pin)
-            for pin in s_pins:
-                if claim(pin, slot + 1) != slot + 1:
-                    self._reject_owned(pin)
-            slot_pins.append(p_pins)
-            slot_pins.append(s_pins)
+                p_out, s_out = e * c + pch, e * c + sch
+            p_slot = p_slots[p]
+            ps_slot = s_slots[p]
+            if claim(p_out, p_slot) != p_slot:
+                self._reject_owned(p_out)
+            if claim(s_out, ps_slot) != ps_slot:
+                self._reject_owned(s_out)
+            k = fill[p]
+            fill[p] = k + 1
+            slot_pins[p_slot][k] = p_out
+            slot_pins[ps_slot][k] = s_out
+            # The unit's side: always straight.
+            back = mate_edges[e]
+            if not 0 <= back - base < 6:
+                self._reject_pin(nodes[nid], base, back, 0)
+            p_in = back * c + pch
+            s_in = back * c + sch
+            if claim(p_in, slot) != slot:
+                self._reject_owned(p_in)
+            if claim(s_in, s_slot) != s_slot:
+                self._reject_owned(s_in)
+            slot_pins.append([p_in] * (1 + kids[j]))
+            slot_pins.append([s_in] * (1 + kids[j]))
         self._channel_mask = channel_mask
-        count = 2 * len(nids)
-        self._alive.extend(b"\x01" * count)
-        self._n_alive += count
-        self._owned_pin_lists.update(range(first, first + count))
-        return list(range(first, first + count, 2)), list(range(first + 1, first + count, 2))
+        self._alive.extend(b"\x01" * (2 * count))
+        self._n_alive += 2 * count
+        self._owned_pin_lists.update(range(first, end))
+        return p_slots, s_slots
 
     def _reject_owned(self, pin: int) -> None:
         """Raise the error for a pin that already belongs to another set."""

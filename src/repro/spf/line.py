@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.grid.coords import Node
-from repro.pasc.chain import PascChainRun
+from repro.pasc.chain import PascRun
 from repro.pasc.runner import run_pasc
 from repro.sim.engine import CircuitEngine
 from repro.spf.types import Forest
@@ -66,9 +66,9 @@ def line_forest(
 
     # Segments between consecutive sources (and the chain ends); PASC
     # runs from each source toward the next one in both directions.
-    runs: List[PascChainRun] = []
-    east_runs: Dict[int, Tuple[int, PascChainRun]] = {}  # segment start pos -> (end, run)
-    west_runs: Dict[int, Tuple[int, PascChainRun]] = {}
+    runs: List[PascRun] = []
+    east_runs: Dict[int, Tuple[int, PascRun]] = {}  # segment start pos -> (end, run)
+    west_runs: Dict[int, Tuple[int, PascRun]] = {}
     for i, pos in enumerate(source_positions):
         east_end = (
             source_positions[i + 1]
@@ -76,7 +76,7 @@ def line_forest(
             else len(nodes) - 1
         )
         if east_end > pos:
-            run = PascChainRun(
+            run = PascRun(
                 grid,
                 nids[pos : east_end + 1],
                 east_edges[pos:east_end],
@@ -87,7 +87,7 @@ def line_forest(
             east_runs[pos] = (east_end, run)
         west_end = source_positions[i - 1] if i > 0 else 0
         if west_end < pos:
-            run = PascChainRun(
+            run = PascRun(
                 grid,
                 nids[west_end : pos + 1][::-1],
                 west_edges[west_end:pos][::-1],

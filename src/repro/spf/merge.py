@@ -14,7 +14,7 @@ from typing import Dict, List
 
 from repro.grid.coords import Node
 from repro.pasc.runner import run_pasc
-from repro.pasc.tree import PascTreeRun
+from repro.pasc.chain import PascRun
 from repro.sim.engine import CircuitEngine
 from repro.spf.types import Forest
 
@@ -30,31 +30,25 @@ def forest_distances(
     section: str = "forest_distances",
 ) -> Dict[Node, int]:
     """``dist(S, u)`` for every member via parallel tree PASC runs."""
-    runs = _forest_runs(forest, channels, tag)
+    runs = _forest_runs(engine, forest, channels, tag)
     if runs:
         run_pasc(engine, runs, section=section)
     return _collect(runs, forest)
 
 
-def _forest_runs(forest: Forest, channels, tag: str) -> List[PascTreeRun]:
-    runs = []
-    for source, parent_map in forest.tree_parent_maps().items():
-        runs.append(
-            PascTreeRun(
-                source,
-                parent_map,
-                tag=f"{tag}:{source.x}:{source.y}",
-                primary_channel=channels[0],
-                secondary_channel=channels[1],
-            )
-        )
-    return runs
+def _forest_runs(engine: CircuitEngine, forest: Forest, channels, tag: str) -> List[PascRun]:
+    """One tree run per source, its tree converted to ids once."""
+    index = engine.structure.grid_index()
+    return [
+        PascRun.tree(index, source, parent_map, channels, tag=f"{tag}:{source.x}:{source.y}")
+        for source, parent_map in forest.tree_parent_maps().items()
+    ]
 
 
-def _collect(runs: List[PascTreeRun], forest: Forest) -> Dict[Node, int]:
+def _collect(runs: List[PascRun], forest: Forest) -> Dict[Node, int]:
     dist: Dict[Node, int] = {}
     for run in runs:
-        dist.update(run.values())
+        dist.update(run.node_values())
     missing = forest.members - set(dist)
     if missing:
         raise AssertionError(f"forest distance missing for {sorted(missing)[:3]}")
@@ -77,8 +71,8 @@ def merge_forests(
         raise ValueError("merging requires identical member sets")
 
     with engine.rounds.section(section):
-        runs1 = _forest_runs(forest1, _FOREST1_CHANNELS, "m1")
-        runs2 = _forest_runs(forest2, _FOREST2_CHANNELS, "m2")
+        runs1 = _forest_runs(engine, forest1, _FOREST1_CHANNELS, "m1")
+        runs2 = _forest_runs(engine, forest2, _FOREST2_CHANNELS, "m2")
         if runs1 or runs2:
             run_pasc(engine, runs1 + runs2, section=f"{section}:pasc")
         dist1 = _collect(runs1, forest1)

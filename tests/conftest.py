@@ -11,7 +11,7 @@ from repro.grid.coords import Node
 from repro.grid.oracle import bfs_tree
 from repro.grid.structure import AmoebotStructure
 from repro.ett.tour import EulerTour, adjacency_from_edges
-from repro.pasc.chain import PascChainRun
+from repro.pasc.chain import PascRun
 from repro.primitives.scope import NodeScope
 from repro.sim.engine import CircuitEngine
 from repro.workloads import hexagon, random_hole_free
@@ -61,11 +61,11 @@ def node_tour(
 
 def node_chain(
     structure: AmoebotStructure, nodes, channels=(0, 1), weights=None, tag: str = "pasc"
-) -> PascChainRun:
+) -> PascRun:
     """A PASC chain through consecutive adjacent ``nodes`` of ``structure``."""
     nids = node_ids(structure, nodes)
     out_edges = [nid * 6 + u.direction_to(v) for nid, u, v in zip(nids, nodes, nodes[1:])]
-    return PascChainRun(structure.grid_index(), nids, out_edges, channels, weights, tag)
+    return PascRun(structure.grid_index(), nids, out_edges, channels, weights, tag)
 
 
 def random_subset(structure: AmoebotStructure, count: int, seed: int) -> Set[Node]:

@@ -1,8 +1,8 @@
 """Rounds are read: what the amoebots hear is what the algorithms use.
 
 Portal circuits (Fig. 4a) tell each portal whether it holds a source or
-a destination, is in ``V_Q`` or ``A_Q``, won an election or is a
-centroid; the transversal portal circuits of the propagation algorithm
+a destination, is in ``V_Q`` or ``A_Q``, won an election, is a centroid
+or was elected into the centroid decomposition; the transversal portal circuits of the propagation algorithm
 tell each ``B``-amoebot whether ``P`` sees it (Lemma 50).  Every such
 round listens, and its callers take their result from the bits — so a
 mis-wired circuit fails here by name, and under an
@@ -23,6 +23,7 @@ from repro.grid.directions import Axis
 from repro.portals.portals import PortalSystem
 from repro.portals.primitives import (
     PortalScope,
+    portal_centroid_decomposition,
     portal_centroids,
     portal_elect,
     portal_root_and_prune,
@@ -122,6 +123,43 @@ class TestPortalBroadcast:
         centroids = portal_centroids(engine, system, root, q)
         assert [heard for _, _, heard in broadcasts] == [centroids]
         assert centroids and centroids <= q
+
+
+def decomposition_instance():
+    structure = random_hole_free(70, seed=8)
+    system = PortalSystem(structure, Axis.X)
+    root = system.portal_of[structure.westernmost()]
+    q = set(random.Random(1).sample(system.portals, 5))
+    engine = CircuitEngine(structure)
+    rp = portal_root_and_prune(engine, system, root, q, compute_augmentation=True)
+    return engine, system, root, q | rp.augmentation
+
+
+class TestAnnouncedWinners:
+    def test_each_level_hears_its_elected_portals(self, monkeypatch):
+        engine, system, root, q_prime = decomposition_instance()
+        announced = []
+        announce = PortalScope.announce_winner
+
+        def spy(self, engine, winner_ids):
+            heard = announce(self, engine, winner_ids)
+            announced.append(heard)
+            return heard
+
+        monkeypatch.setattr(PortalScope, "announce_winner", spy)
+        tree = portal_centroid_decomposition(engine, system, root, q_prime)
+        assert announced == [set(level) for level in tree.levels]
+        assert tree.members() == q_prime
+
+    def test_silent_winners_fail_the_decomposition(self, monkeypatch):
+        engine, system, root, q_prime = decomposition_instance()
+
+        def silent(self, engine, winner_ids):
+            return self.broadcast(engine, ())
+
+        monkeypatch.setattr(PortalScope, "announce_winner", silent)
+        with pytest.raises(AssertionError, match="heard 0 elected units instead of one"):
+            portal_centroid_decomposition(engine, system, root, q_prime)
 
 
 class TestMisWiredCircuits:

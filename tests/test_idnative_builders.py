@@ -4,7 +4,7 @@ Fresh layouts are built from grid-index integers:
 :meth:`CircuitLayout.assign_edges` (edge subsets from ``nid * 6 + d``
 edge ids) and :meth:`CircuitLayout.assign_sets` (``(edge id, channel)``
 pins into sets ``(nid, label)``), used by the engine's edge-subset
-layouts, PASC chain and tree runs and the election layout.  The oracles
+layouts, PASC runs (chains and trees alike) and the election layout.  The oracles
 below are the Node-keyed constructions those builders replaced, written
 with :meth:`CircuitLayout.assign`; "the same circuits" means the same
 partition of ``(node, label)`` sets into circuits and the same
@@ -23,7 +23,8 @@ from repro.ett.election import ElectionRequest, _election_layout
 from repro.ett.technique import ETTOp, mark_one_outgoing_edge
 from repro.grid.coords import Node
 from repro.grid.directions import Axis, Direction, opposite
-from repro.pasc.tree import PascTreeRun
+from repro.pasc.runner import run_pasc
+from repro.pasc.chain import PascRun
 from repro.portals.portals import PortalSystem
 from repro.portals.primitives import PortalScope
 from repro.sim.circuits import CircuitLayout
@@ -31,7 +32,7 @@ from repro.sim.engine import CircuitEngine
 from repro.sim.errors import PinConfigurationError
 from repro.workloads import line_structure
 from repro.workloads.specs import build_structure
-from tests.conftest import bfs_tree_adjacency, edge_ids, node_ids, node_tour
+from tests.conftest import bfs_tree_adjacency, edge_ids, node_chain, node_ids, node_tour
 from tests.node_oracles import build_euler_tour, channels_for, run_round, tour_links
 
 SHAPES = (
@@ -86,21 +87,27 @@ def oracle_chain(layout, units, links, weights, tag):
         layout.assign(node, f"{tag}:{uid}:s", s_pins)
 
 
-def oracle_tree(layout, run):
-    """Every node is active at the start: all child links crossed."""
-    for u in run.nodes:
+def oracle_tree(layout, root, parent, channels, tag):
+    """Corollary 5 over a ``Node`` parent map: every node joins its
+    parent edge straight and, active at the start, crosses every child
+    edge."""
+    pch, sch = channels
+    children = {}
+    for child, par in parent.items():
+        children.setdefault(par, []).append(child)
+    for u in [root, *parent]:
         p_pins, s_pins = [], []
-        par = run.parent.get(u)
+        par = parent.get(u)
         if par is not None:
             d = u.direction_to(par)
-            p_pins.append((d, run.pch))
-            s_pins.append((d, run.sch))
-        for child in run.children[u]:
+            p_pins.append((d, pch))
+            s_pins.append((d, sch))
+        for child in children.get(u, ()):
             d = u.direction_to(child)
-            p_pins.append((d, run.sch))
-            s_pins.append((d, run.pch))
-        layout.assign(u, run.primary_set(u)[1], p_pins)
-        layout.assign(u, run.secondary_set(u)[1], s_pins)
+            p_pins.append((d, sch))
+            s_pins.append((d, pch))
+        layout.assign(u, f"{tag}:0:p", p_pins)
+        layout.assign(u, f"{tag}:0:s", s_pins)
 
 
 def oracle_election(layout, tours, marked, tag):
@@ -185,11 +192,11 @@ class TestSameCircuitsAsOracle:
         structure = build_structure(shape)
         engine = CircuitEngine(structure)
         root, _adjacency, parent = _tree(structure)
-        run = PascTreeRun(root, parent)
+        run = PascRun.tree(structure.grid_index(), root, parent, (2, 3), tag="fd")
         got = engine.new_layout()
         run.contribute_layout(got)
         want = engine.new_layout()
-        oracle_tree(want, run)
+        oracle_tree(want, root, parent, (2, 3), "fd")
         assert_same_circuits(engine, got, want, shape)
 
     def test_election_layout(self, shape):
@@ -205,6 +212,33 @@ class TestSameCircuitsAsOracle:
         want = engine.new_layout()
         oracle_election(want, [build_euler_tour(root, adjacency)], [set(marked)], "elect")
         assert_same_circuits(engine, got, want, shape)
+
+
+@pytest.mark.parametrize("shape", ("line:37", "parallelogram:6:5"))
+def test_path_shaped_tree_is_the_chain(shape):
+    """Corollary 5 on a path: the tree run of a path is the chain run
+    over the same amoebots — same circuits, iterations and values."""
+    structure = build_structure(shape)
+    # A boustrophedon path through every row.
+    rows = {}
+    for u in sorted(structure.nodes, key=lambda u: (u.y, u.x)):
+        rows.setdefault(u.y, []).append(u)
+    nodes = [u for k, y in enumerate(sorted(rows)) for u in rows[y][:: -1 if k % 2 else 1]]
+    assert all(u.is_adjacent(v) for u, v in zip(nodes, nodes[1:]))
+    tree = PascRun.tree(structure.grid_index(), nodes[0], dict(zip(nodes[1:], nodes)))
+    chain = node_chain(structure, nodes)
+    engine = CircuitEngine(structure)
+    layouts = []
+    for run in (tree, chain):
+        layout = engine.new_layout()
+        run.contribute_layout(layout)
+        layout.freeze()
+        layouts.append(layout)
+    assert_same_circuits(engine, layouts[0], layouts[1], shape)
+    assert len(layouts[0].circuits()) == 2  # primary and secondary
+    results = [run_pasc(CircuitEngine(structure), [run]) for run in (tree, chain)]
+    assert results[0] == results[1]
+    assert tree.values() == chain.values() == list(range(len(nodes)))
 
 
 def test_slots_are_compiled_set_ids():

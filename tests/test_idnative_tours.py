@@ -3,7 +3,7 @@ Node-keyed oracles of :mod:`tests.node_oracles`.
 
 The tour is read off per-node tree-direction bitmasks in grid-index
 integers and the ETT's chain is wired by one
-:meth:`~repro.sim.circuits.CircuitLayout.assign_chain` call; "equal"
+:meth:`~repro.sim.circuits.CircuitLayout.assign_pasc` call; "equal"
 means the same directed edges in the same order, the same
 ``(node, occurrence)`` units, the same marked edges and the same prefix
 sums as the historical ``Node``-keyed construction.
@@ -158,7 +158,7 @@ class TestTourErrors:
 
 
 class TestAssignChain:
-    """``assign_chain`` makes the checks of ``assign_sets``."""
+    """``assign_pasc`` makes the checks of ``assign_sets``."""
 
     def setup_method(self):
         self.structure = line_structure(4)

@@ -19,9 +19,8 @@ import pytest
 from repro.grid.coords import Node
 from repro.ett.election import elect_first_marked
 from repro.ett.technique import mark_one_outgoing_edge
-from repro.pasc.chain import PascChainRun
 from repro.pasc.runner import run_pasc
-from repro.pasc.tree import PascTreeRun
+from repro.pasc.chain import PascRun
 from repro.sim.circuits import LAYOUT_STATS, CircuitLayout, LayoutCache
 from repro.sim.engine import CircuitEngine
 from repro.spf.api import solve_spf
@@ -247,13 +246,13 @@ class TestPascLayoutReuse:
         root = structure.westernmost()
         _adjacency, parent = bfs_tree_adjacency(structure, root)
         engine = CircuitEngine(structure)
-        run = PascTreeRun(root, parent)
+        run = PascRun.tree(structure.grid_index(), root, parent)
         LAYOUT_STATS.reset()
         run_pasc(engine, [run])
         # Runs' layout + the engine's global termination layout.
         assert LAYOUT_STATS.full_builds == 2
         # Depths must match the BFS tree depths.
-        values = run.values()
+        values = run.node_values()
         for child, par in parent.items():
             assert values[child] == values[par] + 1
 
@@ -276,7 +275,7 @@ class TestPascLayoutReuse:
         nodes = line_nodes(4)
         engine = CircuitEngine(structure)
 
-        class NeverDone(PascChainRun):
+        class NeverDone(PascRun):
             def active_ids(self):
                 return [self.nids[0]]
 

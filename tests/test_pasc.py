@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from repro.grid.coords import Node
 from repro.grid.directions import Direction
 from repro.ett.technique import ETT_CHANNELS
-from repro.pasc.chain import PascChainRun
 from repro.pasc.runner import run_pasc
-from repro.pasc.tree import PascTreeRun
+from repro.pasc.chain import PascRun
 from repro.sim.engine import CircuitEngine
 from repro.workloads import line_structure
 from tests.conftest import bfs_tree_adjacency, node_chain
@@ -114,25 +113,25 @@ class TestChainValidation:
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
-            PascChainRun(self.index, [], [])
+            PascRun(self.index, [], [])
 
     def test_wrong_link_count(self):
         with pytest.raises(ValueError):
-            PascChainRun(self.index, self.nids, [])
+            PascRun(self.index, self.nids, [])
 
     def test_link_endpoint_mismatch(self):
         bad = [self.east[0], self.east[0]]  # the second should leave nids[1]
         with pytest.raises(ValueError, match="does not start at its unit"):
-            PascChainRun(self.index, self.nids, bad)
+            PascRun(self.index, self.nids, bad)
 
     def test_link_to_the_wrong_unit(self):
         west = self.nids[1] * 6 + Direction.W  # leaves nids[1], ends at nids[0]
         with pytest.raises(ValueError, match="does not end at its unit"):
-            PascChainRun(self.index, self.nids, [self.east[0], west])
+            PascRun(self.index, self.nids, [self.east[0], west])
 
     def test_bad_weights(self):
         with pytest.raises(ValueError):
-            PascChainRun(self.index, self.nids, self.east[:2], weights=[2, 0, 0])
+            PascRun(self.index, self.nids, self.east[:2], weights=[2, 0, 0])
 
     def test_revisited_amoebot_gets_a_new_occurrence(self):
         nodes = [Node(0, 0), Node(1, 0), Node(0, 0)]
@@ -152,12 +151,12 @@ class TestTreePasc:
         root = medium_hexagon.westernmost()
         adjacency, parent = bfs_tree_adjacency(medium_hexagon, root)
         engine = CircuitEngine(medium_hexagon)
-        run = PascTreeRun(root, parent)
+        run = PascRun.tree(medium_hexagon.grid_index(), root, parent)
         run_pasc(engine, [run])
         from repro.grid.oracle import bfs_tree
 
         dist, _ = bfs_tree(medium_hexagon, root)
-        assert run.values() == dist
+        assert run.node_values() == dist
 
     def test_rounds_scale_with_height_not_size(self):
         # A wide 2-row structure: many amoebots, height ~2.
@@ -174,29 +173,50 @@ class TestTreePasc:
             else:
                 parent[u] = Node(u.x, 0)
         engine = CircuitEngine(s)
-        run = PascTreeRun(root, parent)
+        run = PascRun.tree(s.grid_index(), root, parent)
         result = run_pasc(engine, [run])
         assert result.iterations <= 7  # log(height), not log(100)
 
     def test_single_node_tree(self):
         s = line_structure(1)
         engine = CircuitEngine(s)
-        run = PascTreeRun(Node(0, 0), {})
+        run = PascRun.tree(s.grid_index(), Node(0, 0), {})
         result = run_pasc(engine, [run])
-        assert run.values() == {Node(0, 0): 0}
+        assert run.node_values() == {Node(0, 0): 0}
         assert result.iterations == 1
 
     def test_cycle_rejected(self):
-        with pytest.raises(ValueError):
-            PascTreeRun(Node(0, 0), {Node(1, 0): Node(2, 0), Node(2, 0): Node(1, 0)})
+        index = line_structure(6).grid_index()
+        with pytest.raises(ValueError, match="single tree"):
+            PascRun.tree(index, Node(0, 0), {Node(1, 0): Node(2, 0), Node(2, 0): Node(1, 0)})
 
     def test_non_adjacent_edge_rejected(self):
-        with pytest.raises(ValueError):
-            PascTreeRun(Node(0, 0), {Node(5, 0): Node(0, 0)})
+        index = line_structure(6).grid_index()
+        with pytest.raises(ValueError, match="non-neighbors"):
+            PascRun.tree(index, Node(0, 0), {Node(5, 0): Node(0, 0)})
 
     def test_root_with_parent_rejected(self):
-        with pytest.raises(ValueError):
-            PascTreeRun(Node(0, 0), {Node(0, 0): Node(1, 0)})
+        index = line_structure(6).grid_index()
+        with pytest.raises(ValueError, match="root must not have a parent"):
+            PascRun.tree(index, Node(0, 0), {Node(0, 0): Node(1, 0)})
+
+    def test_disconnected_map_rejected(self):
+        index = line_structure(6).grid_index()
+        parent = {Node(1, 0): Node(0, 0), Node(4, 0): Node(3, 0)}
+        with pytest.raises(ValueError, match="single tree"):
+            PascRun.tree(index, Node(0, 0), parent)
+
+    def test_node_outside_the_structure_rejected(self):
+        index = line_structure(2).grid_index()
+        with pytest.raises(ValueError, match="not part of the structure"):
+            PascRun.tree(index, Node(0, 0), {Node(1, 0): Node(0, 0), Node(2, 0): Node(1, 0)})
+
+    def test_parent_after_its_unit_rejected(self):
+        index = line_structure(3).grid_index()
+        a, b, c = (index.id_of(Node(x, 0)) for x in range(3))
+        links = [a * 6 + Direction.E, b * 6 + Direction.E]
+        with pytest.raises(ValueError, match="not an earlier unit"):
+            PascRun(index, [a, b, c], links, parents=[0, 2])
 
 
 class TestParallelRuns:
@@ -230,7 +250,7 @@ class TestParallelRuns:
         nodes = line_nodes(4)
         engine = CircuitEngine(s)
 
-        class NeverDone(PascChainRun):
+        class NeverDone(PascRun):
             def active_ids(self):
                 return [self.nids[0]]
 
@@ -253,7 +273,7 @@ class TestParallelRuns:
         chain_nodes = [Node(x, 2) for x in range(6)]
 
         def make_runs():
-            tree = PascTreeRun(root, parent)
+            tree = PascRun.tree(structure.grid_index(), root, parent)
             chain = node_chain(structure, chain_nodes, tag="chain")
             return tree, chain
 
@@ -264,7 +284,7 @@ class TestParallelRuns:
 
         tree, chain = make_runs()
         result = run_pasc(CircuitEngine(structure), [tree, chain])
-        assert tree.values() == alone_tree.values()
+        assert tree.node_values() == alone_tree.node_values()
         assert chain.values() == alone_chain.values()
         assert result.rounds == 2 * result.iterations
         assert result.iterations == max(tree_result.iterations, chain_result.iterations)
