@@ -7,7 +7,7 @@ stretch the diameter to Θ(n), making the separation visible at small n;
 the table reports the crossover point.
 """
 
-from repro.grid.oracle import structure_diameter
+from repro.grid.oracle import bfs_distances, structure_diameter
 from repro.metrics.records import ResultTable
 from repro.sim.engine import CircuitEngine
 from repro.baselines import bfs_wave_forest
@@ -34,6 +34,7 @@ def compare(steps: int) -> dict:
     return {
         "n": len(structure),
         "diam": structure_diameter(structure),
+        "dist": bfs_distances(structure, [source])[dest],
         "wave": wave_engine.rounds.total,
         "circuit": circuit_engine.rounds.total,
     }
@@ -47,6 +48,8 @@ def test_wave_vs_circuit_crossover(benchmark):
     )
     crossover = None
     for row in rows:
+        # One wave round per hop plus the termination round.
+        assert row["wave"] == row["dist"] + 1, row
         speedup = row["wave"] / row["circuit"]
         if crossover is None and row["circuit"] < row["wave"]:
             crossover = row["n"]

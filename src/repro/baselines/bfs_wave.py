@@ -16,11 +16,16 @@ until every destination is reached; reaching all of ``D`` is detected
 with one global-circuit beep per round by the freshly covered
 destinations' counter — charged one extra round at the end, keeping the
 baseline's cost at ``ecc(S) + O(1)`` rounds.
+
+:func:`timed_wave` is that round loop in grid-index ids.  The baseline
+starts it from the sources at label 0; the dynamic repair
+(:class:`repro.dynamics.maintain.DynamicSPF`) starts it from the
+surviving labels around each dirty component.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.grid.coords import Node
 from repro.grid.directions import Direction
@@ -30,9 +35,8 @@ from repro.sim.engine import CircuitEngine
 from repro.spf.types import Forest
 
 
-def wave_set_label(direction: Direction) -> str:
-    """The singleton partition set of an amoebot's link toward ``direction``."""
-    return f"wave:{direction.name}"
+#: ``WAVE_LABELS[d]``: the singleton set of a link toward direction value ``d``.
+WAVE_LABELS = [f"wave:{d.name}" for d in Direction]
 
 
 def build_wave_layout(engine: CircuitEngine, structure: AmoebotStructure) -> CircuitLayout:
@@ -54,11 +58,85 @@ def _link_sets(index, sub):
     The wave may run on a sub-structure: its links are the
     sub-structure's, its ids the engine structure's.
     """
-    labels = [wave_set_label(d) for d in Direction]
     for sid in sub.live_ids():
         nid = index.id_of(sub.nodes[sid])
         for d in sub.occupied_direction_values(sid):
-            yield nid, labels[d], ((nid * 6 + d, 0),)
+            yield nid, WAVE_LABELS[d], ((nid * 6 + d, 0),)
+
+
+def timed_wave(
+    engine: CircuitEngine,
+    layout: CircuitLayout,
+    directions: Callable[[int], Sequence[int]],
+    labels: Dict[int, int],
+    listeners: Sequence[int],
+    until: Optional[Iterable[int]] = None,
+    cap: Optional[int] = None,
+) -> Dict[int, Tuple[int, int]]:
+    """Run one timed beep wave on a singleton wave layout.
+
+    Amoebots are node ids of the layout's grid index.  ``labels`` maps
+    the labelled amoebots to their labels, in beep order; ``listeners``
+    are the unlabelled ones, in listen order; ``directions(nid)`` lists
+    an amoebot's link directions in the wave's structure.  In round
+    ``t`` the amoebots labelled ``base + t - 1`` (``base`` the smallest
+    initial label) beep on all their links; every listener that hears
+    takes the first direction that heard as its parent and ``base + t``
+    as its label, and beeps one round later.  Beepers keep the given
+    order, with listeners appended in listen order: under beep drops
+    the order decides which beeps are lost.
+
+    The wave ends once every id of ``until`` (default: every listener)
+    is labelled.  Without a ``cap`` a round with no beeper is an error,
+    and the end is announced on a global circuit, charged as one more
+    round.  With a ``cap`` at most ``cap`` rounds run, and listeners
+    never reached stay out of the result.
+
+    Returns ``{nid: (parent id, label)}`` for every listener reached.
+    """
+    nbr = layout.structure.grid_index().nbr
+    dirs_of = {nid: directions(nid) for nid in [*labels, *listeners]}
+    slots = {
+        nid: layout.set_ids([(nid, WAVE_LABELS[d]) for d in ds], "wave on")
+        for nid, ds in dirs_of.items()
+    }
+
+    levels: Dict[int, List[int]] = {}
+    for nid, label in labels.items():
+        levels.setdefault(label, []).append(nid)
+    base = min(labels.values())
+    pending = list(listeners)
+    remaining = set(pending if until is None else until)
+    heard: Dict[int, Tuple[int, int]] = {}
+    t = 0
+    while remaining and (cap is None or t < cap):
+        t += 1
+        beeps = [i for nid in levels.get(base + t - 1, ()) for i in slots[nid]]
+        if not beeps and cap is None:
+            raise AssertionError("wave died before covering all destinations")
+        listen = [i for nid in pending for i in slots[nid]]
+        bits = engine.run_round_indexed(layout, beeps, listen)
+        label = base + t
+        newly: List[int] = []
+        still: List[int] = []
+        cursor = 0
+        for nid in pending:
+            ds = dirs_of[nid]
+            for offset, d in enumerate(ds):
+                if bits[cursor + offset]:
+                    heard[nid] = (nbr[nid * 6 + d], label)
+                    newly.append(nid)
+                    break
+            else:
+                still.append(nid)
+            cursor += len(ds)
+        levels.setdefault(label, []).extend(newly)
+        remaining.difference_update(newly)
+        pending = still
+    if cap is None:
+        # Termination announcement on a global circuit.
+        engine.charge_local_round()
+    return heard
 
 
 def bfs_wave_forest(
@@ -75,7 +153,6 @@ def bfs_wave_forest(
     dest_set = (
         set(destinations) if destinations is not None else set(structure.nodes)
     )
-    pending = set(dest_set) - source_set
 
     # The wiring never changes, so the layout is built once (and cached
     # on the engine for repeated waves over the same structure).  The
@@ -86,49 +163,22 @@ def bfs_wave_forest(
         lambda: build_wave_layout(engine, structure),
     )
 
-    parent: Dict[Node, Node] = {}
-    reached: Set[Node] = set(source_set)
-    frontier: Set[Node] = set(source_set)
-    unreached: Set[Node] = set(structure.nodes) - reached
-
-    # Integer set-ids per (amoebot, incident direction), resolved once:
-    # each wave round then builds flat index lists instead of re-keying
-    # f-string labels into dicts.
-    index = layout.compiled().index
-    slots: Dict[Node, List[Tuple[Direction, int]]] = {
-        u: [
-            (d, index.index_of((u, wave_set_label(d)), "listen on"))
-            for d in structure.occupied_directions(u)
-        ]
-        for u in structure
-    }
-
+    # The wave runs in the engine structure's ids over the links of
+    # ``structure``, which may be a sub-structure.
+    index = engine.structure.grid_index()
+    sub = structure.grid_index()
+    id_of = index.id_of
+    links = {id_of(sub.nodes[sid]): sub.occupied_direction_values(sid) for sid in sub.live_ids()}
+    labels = dict.fromkeys(sorted(id_of(s) for s in source_set), 0)
     with engine.rounds.section(section):
-        while pending:
-            beeps = [i for u in frontier for _d, i in slots[u]]
-            if not beeps:
-                raise AssertionError("wave died before covering all destinations")
-            # Only unreached amoebots read their link sets; the heard
-            # region shrinks as the wave advances.
-            ordered = list(unreached)
-            listen = [i for u in ordered for _d, i in slots[u]]
-            received = engine.run_round_indexed(layout, beeps, listen)
-            new_frontier: Set[Node] = set()
-            cursor = 0
-            for u in ordered:
-                u_slots = slots[u]
-                for offset, (d, _i) in enumerate(u_slots):
-                    if received[cursor + offset]:
-                        parent[u] = u.neighbor(d)
-                        new_frontier.add(u)
-                        break
-                cursor += len(u_slots)
-            reached |= new_frontier
-            unreached -= new_frontier
-            pending -= new_frontier
-            frontier = new_frontier
-        # Termination announcement on a global circuit.
-        engine.charge_local_round()
-
-    members = reached
-    return Forest(sources=source_set, parent=parent, members=members)
+        heard = timed_wave(
+            engine,
+            layout,
+            links.__getitem__,
+            labels,
+            [nid for nid in links if nid not in labels],
+            until={id_of(d) for d in dest_set}.difference(labels),
+        )
+    nodes = index.nodes
+    parent = {nodes[nid]: nodes[p] for nid, (p, _label) in heard.items()}
+    return Forest(sources=source_set, parent=parent, members=source_set | set(parent))

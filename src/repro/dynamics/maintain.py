@@ -40,9 +40,14 @@ the maintained forest is then the deterministic
 **Layout reuse.**  The repair wave runs on a singleton-pin layout that
 is *patched* across structure versions through
 :meth:`CircuitLayout.derive_for` — departed amoebots release their
-partition sets, attached ones assign theirs — so repairs show up in
-:data:`~repro.sim.circuits.LAYOUT_STATS` as incremental builds, never
-as from-scratch rebuilds.
+partition sets (:meth:`~CircuitLayout.release_sets`), attached ones
+assign theirs (:meth:`~CircuitLayout.assign_sets`), keyed by grid-index
+ids — so repairs show up in :data:`~repro.sim.circuits.LAYOUT_STATS` as
+incremental builds, never as from-scratch rebuilds.  Each patch changes
+the set universe, so its freeze relowers the whole layout: what the
+patch saves is re-declaring the singleton sets, not the compile.  The
+wave itself is :func:`~repro.baselines.bfs_wave.timed_wave`, the round
+loop of the BFS baseline.
 
 **Fault tolerance.**  An optional
 :class:`~repro.dynamics.faults.FaultInjector` is armed during repair
@@ -59,10 +64,10 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.baselines.bfs_wave import build_wave_layout, wave_set_label
+from repro.baselines.bfs_wave import WAVE_LABELS, build_wave_layout, timed_wave
 from repro.dynamics.edits import EditBatch, EditError, EditScript, StructureEditor
 from repro.grid.coords import Node
-from repro.grid.directions import opposite
+from repro.grid.directions import OPPOSITE_VALUES
 from repro.grid.oracle import bfs_distances
 from repro.grid.structure import AmoebotStructure
 from repro.motion.routing import RoutingPlan, RoutingStats, route_tokens
@@ -109,30 +114,9 @@ def canonical_forest(
         for u in structure
         if u not in source_set
     }
-    return _chain_forest(source_set, parent_all, destinations, structure)
-
-
-def _chain_forest(
-    source_set: Set[Node],
-    parent_all: Dict[Node, Node],
-    destinations: Optional[Iterable[Node]],
-    structure: AmoebotStructure,
-) -> Forest:
-    """Restrict a total parent map to the destination chains."""
     if destinations is None:
-        return Forest(
-            sources=set(source_set),
-            parent=dict(parent_all),
-            members=set(structure.nodes),
-        )
-    members: Set[Node] = set(source_set)
-    for d in destinations:
-        cur = d
-        while cur not in members:
-            members.add(cur)
-            cur = parent_all[cur]
-    parent = {u: parent_all[u] for u in members if u not in source_set}
-    return Forest(sources=set(source_set), parent=parent, members=members)
+        destinations = structure.nodes
+    return Forest.chains(source_set, parent_all, destinations)
 
 
 def update_distances(
@@ -385,9 +369,8 @@ class DynamicSPF:
         self._refresh_forest()
 
     def _refresh_forest(self) -> None:
-        self.forest = _chain_forest(
-            set(self.sources), self._parent, self.destinations, self.structure
-        )
+        destinations = self.structure.nodes if self.destinations is None else self.destinations
+        self.forest = Forest.chains(self.sources, self._parent, destinations)
 
     # ------------------------------------------------------------------
     # wave layout maintenance (derive chain across structure versions)
@@ -402,24 +385,36 @@ class DynamicSPF:
         """Patch the singleton wave layout across one edit batch.
 
         Departed amoebots release their per-direction sets (and their
-        surviving neighbors release the pin toward the vacated cell);
+        surviving neighbors release the set toward the vacated cell);
         attached amoebots assign theirs (and their neighbors gain the
-        facing pin).  Everything untouched is carried by the derive
-        chain — this is the ``derive()``-instead-of-rebuild integration
-        the layout-reuse machinery was built for.
+        facing set), all keyed by grid-index ids.  Everything untouched
+        is carried by the derive chain.  Every non-empty batch changes
+        the set universe, so the freeze relowers the whole layout: the
+        patch saves re-declaring the singleton sets, not the compile.
         """
+        old = old_structure.grid_index()
+        new = new_structure.grid_index()
         clone = self._wave_layout.derive_for(new_structure)
+        released: List[Tuple[int, str]] = []
         for r in removed:
-            for d in old_structure.occupied_directions(r):
-                clone.release(r, wave_set_label(d))
-                v = r.neighbor(d)
-                if v in new_structure:
-                    clone.release(v, wave_set_label(opposite(d)))
-        for a in added:
-            for d in new_structure.occupied_directions(a):
-                clone.assign(a, wave_set_label(d), [(d, 0)])
-                back = opposite(d)
-                clone.assign(a.neighbor(d), wave_set_label(back), [(back, 0)])
+            rid = old.id_of(r)
+            for d in old.occupied_direction_values(rid):
+                released.append((rid, WAVE_LABELS[d]))
+                vid = old.nbr[rid * 6 + d]
+                if new.nodes[vid] is not None:
+                    released.append((vid, WAVE_LABELS[OPPOSITE_VALUES[d]]))
+        clone.release_sets(released)
+
+        def attached():
+            for a in added:
+                aid = new.id_of(a)
+                for d in new.occupied_direction_values(aid):
+                    yield aid, WAVE_LABELS[d], ((aid * 6 + d, 0),)
+                    vid = new.nbr[aid * 6 + d]
+                    back = OPPOSITE_VALUES[d]
+                    yield vid, WAVE_LABELS[back], ((vid * 6 + back, 0),)
+
+        clone.assign_sets(attached())
         clone.freeze()
         return clone
 
@@ -522,16 +517,21 @@ class DynamicSPF:
     ) -> Tuple[int, int]:
         """Re-label the dirty region with timed beep waves.
 
-        One wave per connected dirty component, executed under the
-        parallel-group accounting (disjoint components repair in the
-        same synchronous rounds).  Returns ``(wave_rounds,
-        corrected)`` where ``corrected`` counts wave labels that did
-        not match the incremental oracle (possible only under injected
-        faults) and were healed.
+        One :func:`~repro.baselines.bfs_wave.timed_wave` per connected
+        dirty component, executed under the parallel-group accounting
+        (disjoint components repair in the same synchronous rounds).
+        Each wave starts from the component's surviving neighbors at
+        their labels and runs at most ``max label - min support + 3``
+        rounds.  Returns ``(wave_rounds, corrected)`` where
+        ``corrected`` counts wave labels that did not match the
+        incremental oracle (possible only under injected faults) and
+        were healed.
         """
         engine = self.engine
         layout = self._wave_layout
-        index = layout.compiled().index
+        index = structure.grid_index()
+        id_of = index.id_of
+        nodes = index.nodes
 
         components: List[List[Node]] = []
         pending = set(region)
@@ -556,10 +556,29 @@ class DynamicSPF:
         try:
             with engine.rounds.parallel() as group:
                 for comp in components:
+                    # Beep and listen orders are Node orders (beep drops
+                    # are drawn in beep order); the wave runs in ids.
+                    comp_set = set(comp)
+                    supports: Dict[int, int] = {}
+                    for u in comp:
+                        for v in structure.neighbors(u):
+                            if v not in comp_set:
+                                supports.setdefault(id_of(v), self.dist[v])
+                    if not supports:
+                        continue  # cannot happen on connected structures
+                    cap = max(self.dist[u] for u in comp) - min(supports.values()) + 3
                     with group.branch():
-                        self._wave_component(
-                            layout, index, structure, comp, wave_parent, wave_label
+                        heard = timed_wave(
+                            engine,
+                            layout,
+                            index.occupied_direction_values,
+                            supports,
+                            [id_of(u) for u in sorted(comp)],
+                            cap=cap,
                         )
+                    for nid, (pid, label) in heard.items():
+                        wave_parent[nodes[nid]] = nodes[pid]
+                        wave_label[nodes[nid]] = label
         finally:
             if self.faults is not None:
                 engine.fault_injector = None
@@ -568,7 +587,8 @@ class DynamicSPF:
         # Verification (self-healing): labels are checked against the
         # incremental oracle; in the distributed view each amoebot
         # cross-checks its label against its neighbors' during the wave
-        # itself, so no extra rounds are charged.
+        # itself, so no extra rounds are charged.  Nodes never labeled
+        # (all supporting beeps faulted away) are healed here too.
         corrected = 0
         for u in region:
             if (
@@ -577,66 +597,6 @@ class DynamicSPF:
             ):
                 corrected += 1
         return wave_rounds, corrected
-
-    def _wave_component(
-        self,
-        layout: CircuitLayout,
-        index,
-        structure: AmoebotStructure,
-        comp: List[Node],
-        wave_parent: Dict[Node, Node],
-        wave_label: Dict[Node, int],
-    ) -> None:
-        comp_set = set(comp)
-        supports: Dict[Node, int] = {}
-        for u in comp:
-            for v in structure.neighbors(u):
-                if v not in comp_set:
-                    supports[v] = self.dist[v]
-        if not supports:
-            return  # cannot happen on connected structures below threshold
-        base = min(supports.values())
-        max_d = max(self.dist[u] for u in comp)
-
-        def slots(u: Node) -> List[Tuple[object, int]]:
-            return [
-                (d, index.index_of((u, wave_set_label(d)), "wave on"))
-                for d in structure.occupied_directions(u)
-            ]
-
-        slot_cache = {u: slots(u) for u in comp_set | set(supports)}
-        labels: Dict[Node, int] = dict(supports)
-        pending_nodes = set(comp_set)
-        engine = self.engine
-        cap = max_d - base + 3
-        t = 0
-        while pending_nodes and t < cap:
-            t += 1
-            level = base + t - 1
-            beeps = [
-                i
-                for u, lab in labels.items()
-                if lab == level
-                for _d, i in slot_cache[u]
-            ]
-            ordered = sorted(pending_nodes)
-            listen = [i for u in ordered for _d, i in slot_cache[u]]
-            bits = engine.run_round_indexed(layout, beeps, listen)
-            cursor = 0
-            newly: List[Node] = []
-            for u in ordered:
-                u_slots = slot_cache[u]
-                for offset, (d, _i) in enumerate(u_slots):
-                    if bits[cursor + offset]:
-                        wave_parent[u] = u.neighbor(d)  # type: ignore[arg-type]
-                        wave_label[u] = base + t
-                        labels[u] = base + t
-                        newly.append(u)
-                        break
-                cursor += len(u_slots)
-            pending_nodes.difference_update(newly)
-        # Nodes never labeled (all supporting beeps faulted away) stay
-        # out of wave_label and are healed by the verification pass.
 
 
 def route_under_churn(

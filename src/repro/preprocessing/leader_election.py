@@ -64,9 +64,10 @@ def elect_leader(
     # primitive already built it); a single probe set carries the bit.
     # Integer set-ids are resolved once, so each phase is one array pass.
     layout = engine.global_layout(label="leader")
-    index = layout.compiled().index
-    set_of = {u: index.index_of((u, "leader"), "beep on") for u in structure}
-    probe = index.index_of((next(iter(structure)), "leader"), "listen on")
+    id_of = structure.grid_index().id_of
+    keys = [(id_of(u), "leader") for u in structure]
+    set_of = dict(zip(structure, layout.set_ids(keys, "beep on")))
+    probe = set_of[next(iter(structure))]
     with engine.rounds.section(section):
         for _phase in range(phases):
             heads = {u for u in candidates if rng.random() < 0.5}

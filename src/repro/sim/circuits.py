@@ -20,8 +20,10 @@ wiring *does* evolve between rounds:
   (:meth:`CircuitLayout.component_map`, :meth:`CircuitLayout.circuits`)
   are derived lazily from the arrays for tests and tracing.
 * :meth:`CircuitLayout.derive` clones a frozen layout into a new,
-  re-wirable one.  :meth:`CircuitLayout.reassign` replaces the pins of
-  individual partition sets, and the subsequent :meth:`freeze` re-runs
+  re-wirable one.  :meth:`CircuitLayout.exchange_slots` swaps pins
+  between sibling sets, :meth:`CircuitLayout.release_sets` and
+  :meth:`CircuitLayout.assign_sets` drop and add sets (all keyed by
+  grid-index ids), and the subsequent :meth:`freeze` re-runs
   the integer union-find only over the circuits touched by the
   re-wiring — the untouched region keeps its component labels and its
   adjacency rows verbatim, and the integer set-ids stay stable across
@@ -49,7 +51,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.grid.coords import Node
-from repro.grid.directions import OPPOSITE_VALUES as _OPPOSITE, Direction
+from repro.grid.directions import Direction
 from repro.grid.structure import AmoebotStructure
 from repro.sim.compiled import (
     CompiledLayout,
@@ -144,7 +146,9 @@ class CircuitLayout:
     parking them in private singleton sets.
 
     A frozen layout is immutable; to change the wiring, :meth:`derive` a
-    new layout and :meth:`reassign` the partition sets that moved.
+    new layout, then :meth:`exchange_slots` the pins that moved between
+    sibling sets, or :meth:`release_sets` and :meth:`assign_sets` the
+    sets that changed.
     Freezing compiles the layout to flat arrays (:meth:`compiled`); the
     engine executes rounds against those arrays.
 
@@ -156,10 +160,10 @@ class CircuitLayout:
     the pin-ownership table maps int to int.  Validation (does the pin
     exist? is the channel in budget?) reads the index's flat neighbor
     array, and pin mates resolve through its mirror-edge table, so
-    nothing hashes coordinates; only the Node-keyed :meth:`assign`
-    (re-wiring derived layouts) looks one node up.  The builders return
-    slots, and :meth:`set_ids` resolves ``(node id, label)`` keys, so
-    callers address sets without partition-set tuples.  The
+    nothing hashes coordinates.  Every mutator takes grid-index ids;
+    the builders return slots, and :meth:`set_ids` resolves ``(node
+    id, label)`` keys, so callers address sets without partition-set
+    tuples.  The
     :class:`Pin`/:data:`PartitionSetId` object views remain available
     for tests and observability (:meth:`pin_assignments`,
     :meth:`partition_sets`).
@@ -206,24 +210,6 @@ class CircuitLayout:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def assign(
-        self,
-        node: Node,
-        label: str,
-        pins: Iterable[Tuple[Direction, int]],
-    ) -> None:
-        """Place ``pins`` of ``node`` into the partition set ``label``.
-
-        The Node-keyed form of :meth:`assign_sets`, kept for re-wiring
-        *derived* layouts (:meth:`reassign`, the dynamics layer's
-        patching); fresh layouts are built from grid-index integers.
-        """
-        nid = self._gi.id_of(node)
-        if nid is None:
-            raise PinConfigurationError(f"{node} is not part of the structure")
-        base = nid * 6
-        self.assign_sets(((nid, label, [(base + d, ch) for d, ch in pins]),))
-
     def assign_sets(
         self, sets: Iterable[Tuple[int, str, Iterable[Tuple[int, int]]]]
     ) -> List[int]:
@@ -585,8 +571,8 @@ class CircuitLayout:
         The standard global-circuit wiring (termination circuits, leader
         coordination), built in one pass over the grid index's flat
         neighbor array — no per-node direction lists, no coordinate
-        hashing.  Equivalent to calling :meth:`assign` for every node
-        with all of its occupied directions on ``channel``.
+        hashing.  Equivalent to :meth:`assign_sets` with every node's
+        occupied directions on ``channel``.
         """
         if self._frozen:
             raise PinConfigurationError("layout is frozen")
@@ -607,11 +593,13 @@ class CircuitLayout:
         """Clone this (frozen) layout into a new, re-wirable layout.
 
         The clone starts with identical wiring and remembers this
-        layout's compiled arrays.  After :meth:`reassign` calls,
-        freezing the clone re-runs the integer union-find only over the
-        circuits touched by the re-wiring; everything else — component
-        labels, adjacency rows, and the partition-set index itself — is
-        adopted verbatim, so integer set-ids stay stable across the
+        layout's compiled arrays.  After re-wiring
+        (:meth:`exchange_slots`, :meth:`release_sets`,
+        :meth:`assign_sets`), freezing the clone re-runs the integer
+        union-find only over the circuits touched by the re-wiring;
+        everything else — component labels, adjacency rows, and the
+        partition-set index itself — is adopted verbatim while the set
+        universe is unchanged, so integer set-ids stay stable across the
         derive chain.  The clone operation itself shallow-copies the
         pin-ownership tables (hash-free C-level copies; pin lists are
         shared copy-on-write), so only the component work is bounded by
@@ -630,7 +618,7 @@ class CircuitLayout:
         clone._n_alive = self._n_alive
         clone._pin_slot = dict(self._pin_slot)
         clone._channel_mask = self._channel_mask
-        # Pin lists are shared copy-on-write: assign() clones a list
+        # Pin lists are shared copy-on-write: assign_sets() clones a list
         # before its first in-place append, so the frozen base layout is
         # never corrupted and untouched sets are never copied.
         clone._slot_pins = list(self._slot_pins)
@@ -649,12 +637,13 @@ class CircuitLayout:
         The dynamics layer patches wave/coordination layouts across
         structure edits instead of rebuilding them: the clone starts
         with the old wiring but validates subsequent
-        :meth:`assign`/:meth:`release` calls against the **new**
-        structure.  The caller must release every partition set owned
-        by a departed amoebot (and every surviving set's pin toward a
-        departed cell) before freezing — pins into vacated cells would
-        otherwise dangle.  Freezing then recompiles incrementally under
-        the derive contract (validation of untouched sets is skipped).
+        :meth:`assign_sets`/:meth:`release_sets` calls against the
+        **new** structure.  The caller must release every partition set
+        owned by a departed amoebot (and every surviving set's pin
+        toward a departed cell) before freezing — pins into vacated
+        cells would otherwise dangle.  Freezing then recompiles
+        incrementally under the derive contract (validation of
+        untouched sets is skipped).
 
         ``structure`` must share this layout's node-id space: build it
         with :meth:`AmoebotStructure.from_validated
@@ -678,75 +667,55 @@ class CircuitLayout:
         clone._gi = new_index
         return clone
 
-    def release(self, node: Node, label: str) -> None:
-        """Un-declare partition set ``(node, label)`` and free its pins.
+    def release_sets(self, keys: Iterable[Tuple[int, str]]) -> None:
+        """Un-declare the partition sets ``(node id, label)``; free their pins.
 
-        Used when *groups* of sets are re-wired together (e.g. a PASC
-        unit's primary/secondary pair swapping channels): release every
-        member first, then :meth:`assign` the new pin collections —
-        otherwise the new pins of one set collide with the old pins of
-        its sibling.  A released set that is never re-assigned simply
-        disappears from the layout.
+        A released set that is never re-assigned disappears from the
+        layout at the next freeze; one re-declared through
+        :meth:`assign_sets` keeps its slot.  To re-wire a set, release
+        it, then assign its new pins.  On a derived layout each released
+        set and the sets wired to its pins are marked dirty (mates
+        through the index's mirror-edge table, as in
+        :meth:`exchange_slots`); releasing a set that is not declared
+        forces the full relower.  After :meth:`derive_for`, ids of
+        departed amoebots are valid keys: their rows in the new index
+        are cleared, so they mark no mates, and the freeze relowers
+        anyway because the set universe changed.
         """
         if self._frozen:
             raise PinConfigurationError("layout is frozen; derive() a new one first")
         track = self._base_compiled is not None
-        key = self._key_of(self._gi.slot_of(node), label)
-        slot = None if key is None else self._key_slot.get(key)
-        if slot is None or not self._alive[slot]:
-            # Releasing a set this layout never declared: historically
-            # this marked an unknown id dirty, forcing the conservative
-            # relower on a derived freeze; preserve that.
+        mate_edges = self._gi.mate_edges() if track else None
+        key_slot = self._key_slot
+        alive = self._alive
+        slot_pins = self._slot_pins
+        pin_slot = self._pin_slot
+        dirty = self._dirty
+        channels = self._channels
+        for nid, label in keys:
+            key = self._key_of(nid, label)
+            slot = None if key is None else key_slot.get(key)
+            if slot is None or not alive[slot]:
+                if track:
+                    self._force_relower = True
+                continue
+            alive[slot] = 0
+            self._n_alive -= 1
+            old_pins = slot_pins[slot]
+            slot_pins[slot] = None
+            self._owned_pin_lists.discard(slot)
             if track:
-                self._force_relower = True
-            return
-        if track:
-            self._dirty.add(slot)
-        old_pins = self._slot_pins[slot]
-        self._slot_pins[slot] = None
-        self._owned_pin_lists.discard(slot)
-        if old_pins:
-            pin_slot = self._pin_slot
-            for pin in old_pins:
+                dirty.add(slot)
+            for pin in old_pins or ():
                 if pin_slot.get(pin) == slot:
                     del pin_slot[pin]
-            if track:
-                # Mates are computed geometrically (not via the mirror
-                # table): when releasing the sets of a *departed*
-                # amoebot after derive_for, the new index's rows for
-                # the vacated cell are already cleared, but the
-                # surviving neighbors' facing sets still must be
-                # marked dirty.
-                channels = self._channels
-                for pin in old_pins:
+                if track:
                     edge, channel = divmod(pin, channels)
-                    d = edge % 6
-                    mate_id = self._gi.slot_of(node.neighbor(Direction(d)))
-                    if mate_id is None:
-                        continue
-                    mate_owner = pin_slot.get(
-                        (mate_id * 6 + _OPPOSITE[d]) * channels + channel
-                    )
-                    if mate_owner is not None:
-                        self._dirty.add(mate_owner)
-        self._alive[slot] = 0
-        self._n_alive -= 1
-
-    def reassign(
-        self,
-        node: Node,
-        label: str,
-        pins: Iterable[Tuple[Direction, int]],
-    ) -> None:
-        """Replace the pin collection of partition set ``(node, label)``.
-
-        Unlike :meth:`assign` this does not accumulate: the set's old
-        pins are released first.  On a derived layout both the set and
-        every neighbor set it was or becomes wired to are marked dirty,
-        bounding the incremental component recomputation.
-        """
-        self.release(node, label)
-        self.assign(node, label, pins)
+                    mate = mate_edges[edge]
+                    if mate >= 0:
+                        mate_owner = pin_slot.get(mate * channels + channel)
+                        if mate_owner is not None:
+                            dirty.add(mate_owner)
 
     def exchange_slots(
         self, slot_a: int, slot_b: int, pins: Iterable[Tuple[int, int]]
@@ -1012,7 +981,7 @@ class CircuitLayout:
     def uses_channel(self, channel: int) -> bool:
         """Whether any pin was ever assigned on ``channel``.
 
-        Conservative O(1) probe (release does not clear the flag).
+        Conservative O(1) probe (releasing a set does not clear the flag).
         The PASC runner uses it to fail fast when a run wires pins on
         the reserved termination channel — the termination circuit now
         lives on its own layout, so the per-pin collision that used to
@@ -1062,8 +1031,8 @@ class CircuitLayout:
 
         A lazily built dict view over the compiled arrays, cached on the
         layout and returned *without copying*.  Treat the result as
-        read-only; mutate the wiring via :meth:`derive` /
-        :meth:`reassign` instead.  The engine itself no longer reads
+        read-only; mutate the wiring on a :meth:`derive`-d layout
+        instead.  The engine itself no longer reads
         this — rounds execute over the arrays directly.
         """
         if self._components is None:

@@ -33,31 +33,32 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.sim.errors import PinConfigurationError
 from repro.sim.pins import PartitionSetId
 
 
 class PartitionSetIndex:
     """Stable dense integer ids for a layout's partition sets.
 
-    The index is the only place partition-set tuples are hashed; every
-    structure downstream of it (adjacency, components, beep masks) is
-    integer-indexed.  Instances are shared across derived layouts whose
-    set universe did not change, which is what makes the integer ids
-    *stable*: resolve a listen set once, reuse the index every round.
+    Every structure downstream of it (adjacency, components, beep
+    masks) is integer-indexed.  Instances are shared across derived
+    layouts whose set universe did not change, which is what makes the
+    integer ids *stable*: resolve a listen set once
+    (:meth:`CircuitLayout.set_ids
+    <repro.sim.circuits.CircuitLayout.set_ids>`), reuse the id every
+    round.
 
     The index is lazy: ``materialize`` produces the ``(node, label)``
-    tuples on first use of :attr:`ids`, so a layout whose callers
-    address sets by slot never creates them.
+    tuples on first use of :attr:`ids`, the view that observability,
+    fault injection and schedulers read; a layout whose callers address
+    sets by slot never creates them.
     """
 
-    __slots__ = ("_ids", "_size", "_materialize", "_pos_cache")
+    __slots__ = ("_ids", "_size", "_materialize")
 
     def __init__(self, size: int, materialize: Callable[[], List[PartitionSetId]]):
         self._ids: Optional[List[PartitionSetId]] = None
         self._size = size
         self._materialize = materialize
-        self._pos_cache: Optional[Dict[PartitionSetId, int]] = None
 
     @property
     def ids(self) -> List[PartitionSetId]:
@@ -67,52 +68,8 @@ class PartitionSetIndex:
             ids = self._ids = self._materialize()
         return ids
 
-    @property
-    def _pos(self) -> Dict[PartitionSetId, int]:
-        """Tuple -> integer id table, built lazily on first resolution.
-
-        The integer build path never consults it — layouts carry dense
-        ids natively — so the one hashing pass over the id tuples is
-        only paid by callers that actually resolve tuples (algorithm
-        setup code, tests).
-        """
-        pos = self._pos_cache
-        if pos is None:
-            pos = self._pos_cache = {s: i for i, s in enumerate(self.ids)}
-        return pos
-
     def __len__(self) -> int:
         return self._size
-
-    def __contains__(self, set_id: PartitionSetId) -> bool:
-        return set_id in self._pos
-
-    def get(self, set_id: PartitionSetId) -> Optional[int]:
-        """The integer id of ``set_id``, or ``None`` if undeclared."""
-        return self._pos.get(set_id)
-
-    def index_of(self, set_id: PartitionSetId, action: str = "address") -> int:
-        """The integer id of ``set_id``; raises for undeclared sets.
-
-        ``action`` names the operation for the error message, keeping
-        the engine's historical ``cannot beep on`` / ``cannot listen
-        on`` wording intact.
-        """
-        index = self._pos.get(set_id)
-        if index is None:
-            raise PinConfigurationError(f"cannot {action} undeclared partition set {set_id}")
-        return index
-
-    def indices(self, set_ids: Iterable[PartitionSetId], action: str = "address") -> List[int]:
-        """Resolve many partition sets at once (order-preserving)."""
-        pos = self._pos
-        result: List[int] = []
-        for set_id in set_ids:
-            index = pos.get(set_id)
-            if index is None:
-                raise PinConfigurationError(f"cannot {action} undeclared partition set {set_id}")
-            result.append(index)
-        return result
 
 
 class CompiledLayout:

@@ -20,14 +20,14 @@ built *outside* round loops, in the integer space of the structure's
 layout into flat integer arrays
 (:class:`~repro.sim.compiled.CompiledLayout`), whose set-ids are the
 slots the builder handed out, and a round is then a couple of array
-passes.  Node-keyed :meth:`~repro.sim.circuits.CircuitLayout.assign`
-remains for re-wiring derived layouts.
+passes.  Derived layouts re-wire in ids too
+(:meth:`~repro.sim.circuits.CircuitLayout.exchange_slots`,
+:meth:`~repro.sim.circuits.CircuitLayout.release_sets`).
 
 One kernel executes every beep round: :meth:`run_round_indexed`.
 Beeps and listens are stable integer set-ids, resolved once per wiring
-(the builder's slots, :meth:`CircuitLayout.set_ids
-<repro.sim.circuits.CircuitLayout.set_ids>`, or the compiled
-:class:`~repro.sim.compiled.PartitionSetIndex`), and the result is a
+(the builder's slots or :meth:`CircuitLayout.set_ids
+<repro.sim.circuits.CircuitLayout.set_ids>`), and the result is a
 flat list of bits with zero per-round dict construction.  Its optional
 stages run in a fixed order — scheduler epoch, fault filter with
 detection, propagate, tick, round trace — each skipped while its field
@@ -273,9 +273,9 @@ class CircuitEngine:
     ) -> List[bool]:
         """Execute one synchronous round entirely in integer space.
 
-        ``beeps`` and ``listen`` are integer set-ids from the layout's
-        :class:`~repro.sim.compiled.PartitionSetIndex` (resolve them once
-        per wiring, outside the round loop).  Returns one bit per
+        ``beeps`` and ``listen`` are integer set-ids of the layout (its
+        builder's slots or :meth:`CircuitLayout.set_ids`; resolve them
+        once per wiring, outside the round loop).  Returns one bit per
         ``listen`` entry, in order — or one bit per declared set (index
         order) when ``listen`` is ``None``.  No dicts are built and no
         tuples are hashed.

@@ -149,13 +149,4 @@ def _wave_fallback(
     from repro.baselines.bfs_wave import bfs_wave_forest
 
     wave = bfs_wave_forest(engine, structure, sources, destinations)
-    # Prune branches that do not lead to a destination so the result
-    # satisfies forest property 2 (every leaf in S ∪ D).
-    keep: Set[Node] = set(sources)
-    for d in destinations:
-        cur = d
-        while cur not in keep:
-            keep.add(cur)
-            cur = wave.parent[cur]
-    parent = {u: p for u, p in wave.parent.items() if u in keep}
-    return Forest(sources=set(sources), parent=parent, members=keep)
+    return Forest.chains(sources, wave.parent, destinations)

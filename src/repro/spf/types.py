@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.grid.coords import Node
 
@@ -38,6 +38,32 @@ class Forest:
             raise ValueError(
                 f"non-source members without parent: {sorted(missing)[:3]}"
             )
+
+    @classmethod
+    def chains(
+        cls,
+        sources: Iterable[Node],
+        parent: Dict[Node, Node],
+        destinations: Iterable[Node],
+    ) -> "Forest":
+        """The sources plus each destination's parent chain in ``parent``.
+
+        ``parent`` may cover more than the chains (a whole BFS forest);
+        what no destination hangs from is dropped, so every leaf is in
+        ``S ∪ D`` (forest property 2).
+        """
+        source_set = set(sources)
+        members = set(source_set)
+        for d in destinations:
+            cur = d
+            while cur not in members:
+                members.add(cur)
+                cur = parent[cur]
+        return cls(
+            sources=source_set,
+            parent={u: parent[u] for u in members - source_set},
+            members=members,
+        )
 
     def _chain_ends(self) -> Dict[Node, Tuple[Node, int]]:
         """``(root, depth)`` of every source and parented node, memoized.

@@ -8,6 +8,13 @@ Node)`` edges read off rotation-ordered adjacency lists, ``(Node,
 occurrence)`` units, ``ChainLink`` wiring, prefix sums keyed by
 directed node pairs, and :func:`run_round`, a round addressed by
 ``(node, label)`` partition-set ids.
+
+The layout mutators :func:`assign`, :func:`release` and
+:func:`reassign` take a ``Node`` and ``Direction`` pins, and
+:func:`index_of` / :func:`indices` resolve ``(node, label)`` tuples
+through a compiled index's ``ids`` view; the library addresses sets by
+grid-index ids (``CircuitLayout.assign_sets``, ``release_sets``,
+``set_ids``).
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tu
 
 from repro.grid.coords import Node
 from repro.grid.directions import Direction
+from repro.sim.errors import PinConfigurationError
 from repro.sim.pins import PartitionSetId
 
 DirectedEdge = Tuple[Node, Node]
@@ -120,6 +128,43 @@ def ett_prefix(tour: NodeTour, marked: Set[DirectedEdge]) -> Dict[DirectedEdge, 
     return dict(zip(tour.edges, sums))
 
 
+def assign(layout, node: Node, label: str, pins: Iterable[Tuple[Direction, int]]) -> None:
+    """Place ``(direction, channel)`` pins of ``node`` into set ``(node, label)``."""
+    nid = layout.structure.grid_index().id_of(node)
+    if nid is None:
+        raise PinConfigurationError(f"{node} is not part of the structure")
+    base = nid * 6
+    layout.assign_sets(((nid, label, [(base + d, ch) for d, ch in pins]),))
+
+
+def release(layout, node: Node, label: str) -> None:
+    """Un-declare set ``(node, label)``; ``node`` may have departed."""
+    layout.release_sets(((layout.structure.grid_index().slot_of(node), label),))
+
+
+def reassign(layout, node: Node, label: str, pins: Iterable[Tuple[Direction, int]]) -> None:
+    """Replace the pins of set ``(node, label)`` (release, then assign)."""
+    release(layout, node, label)
+    assign(layout, node, label, pins)
+
+
+def indices(index, set_ids: Iterable[PartitionSetId], action: str = "address") -> List[int]:
+    """Integer ids of ``(node, label)`` sets in a compiled index, in order."""
+    pos = {s: i for i, s in enumerate(index.ids)}
+    result = []
+    for set_id in set_ids:
+        i = pos.get(set_id)
+        if i is None:
+            raise PinConfigurationError(f"cannot {action} undeclared partition set {set_id}")
+        result.append(i)
+    return result
+
+
+def index_of(index, set_id: PartitionSetId, action: str = "address") -> int:
+    """The integer id of one ``(node, label)`` set in a compiled index."""
+    return indices(index, (set_id,), action)[0]
+
+
 def run_round(
     engine,
     layout,
@@ -134,11 +179,11 @@ def run_round(
     beep.
     """
     index = layout.compiled().index
-    beep_idx = index.indices(beeps, "beep on")
+    beep_idx = indices(index, beeps, "beep on")
     if listen is None:
         keys: Sequence[PartitionSetId] = index.ids
         listen_idx = None
     else:
         keys = list(listen)
-        listen_idx = index.indices(keys, "listen on")
+        listen_idx = indices(index, keys, "listen on")
     return dict(zip(keys, engine.run_round_indexed(layout, beep_idx, listen_idx)))

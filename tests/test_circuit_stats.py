@@ -4,6 +4,7 @@ from repro.metrics.circuit_stats import layout_stats
 from repro.sim.engine import CircuitEngine
 from repro.workloads import hexagon, line_structure, random_hole_free
 from tests.conftest import bfs_tree_adjacency, node_chain, node_tour
+from tests.node_oracles import assign
 
 
 class TestLayoutStats:
@@ -22,7 +23,7 @@ class TestLayoutStats:
         layout = engine.new_layout()
         for u in s:
             for d in s.occupied_directions(u):
-                layout.assign(u, f"p{d.name}", [(d, 0)])
+                assign(layout, u, f"p{d.name}", [(d, 0)])
         stats = layout_stats(layout)
         assert stats.circuits == 3  # one per edge
         assert stats.largest_circuit == 2

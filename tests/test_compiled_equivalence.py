@@ -37,7 +37,7 @@ from repro.sim.errors import PinConfigurationError
 from repro.workloads.random_structures import random_hole_free
 
 from tests.conftest import exchange_pins
-from tests.node_oracles import run_round
+from tests.node_oracles import assign, index_of, indices, reassign, run_round
 
 CHANNELS = 3
 LABELS = ("a", "b", "c")
@@ -125,7 +125,7 @@ def apply_assignment(
 ) -> CircuitLayout:
     layout = engine.new_layout()
     for (node, label), pins in pins_of.items():
-        layout.assign(node, label, [(d, c) for (_n, d, c) in pins])
+        assign(layout, node, label, [(d, c) for (_n, d, c) in pins])
     return layout
 
 
@@ -220,8 +220,8 @@ def test_round_matches_reference(case):
 
     # Integer fast path: same bits, in listen order and in index order.
     index = layout.compiled().index
-    beep_idx = index.indices(beeps, "beep on")
-    bits = engine.run_round_indexed(layout, beep_idx, index.indices(listen))
+    beep_idx = indices(index, beeps, "beep on")
+    bits = engine.run_round_indexed(layout, beep_idx, indices(index, listen))
     assert list(bits) == [expected[s] for s in listen]
     all_bits = engine.run_round_indexed(layout, beep_idx)
     assert list(all_bits) == [expected[s] for s in index.ids]
@@ -260,7 +260,7 @@ def test_derived_rewiring_matches_fresh_build(case, data):
                 if data.draw(st.booleans())
             ]
             rewired[set_id] = keep
-            derived.reassign(node, label, [(d, c) for (_n, d, c) in keep])
+            reassign(derived, node, label, [(d, c) for (_n, d, c) in keep])
     derived.freeze()
 
     # ...and the incremental recompilation must match both the reference
@@ -290,9 +290,9 @@ def test_error_paths_match_reference_contract():
         run_round(engine, layout, [probe], listen=[ghost])
     index = layout.compiled().index
     with pytest.raises(PinConfigurationError, match="cannot beep on undeclared"):
-        index.indices([ghost], "beep on")
+        indices(index, [ghost], "beep on")
     with pytest.raises(PinConfigurationError, match="cannot listen on undeclared"):
-        index.index_of(ghost, "listen on")
+        index_of(index, ghost, "listen on")
     # The round counter must not tick when validation rejects the beeps.
     before = engine.rounds.total
     with pytest.raises(PinConfigurationError):
@@ -353,8 +353,8 @@ def test_faulty_rounds_replay_from_the_injector_seed(case, seed):
         injector = FaultInjector(drop_prob=0.5, seed=seed)
         engine.fault_injector = injector
         index = layout.compiled().index
-        beep_idx = index.indices(beeps, "beep on")
-        listen_idx = index.indices(listen)
+        beep_idx = indices(index, beeps, "beep on")
+        listen_idx = indices(index, listen)
         bits = [
             list(engine.run_round_indexed(layout, beep_idx, listen_idx))
             for _ in range(4)

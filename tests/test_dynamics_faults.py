@@ -9,7 +9,7 @@ from repro.sim.engine import CircuitEngine
 from repro.spf.api import solve_spf
 from repro.workloads import line_structure, random_hole_free
 from repro.grid.coords import Node
-from tests.node_oracles import run_round
+from tests.node_oracles import index_of, run_round
 
 
 class TestFaultInjector:
@@ -45,7 +45,7 @@ class TestFaultInjector:
             engine.fault_injector = injector
             layout = engine.global_layout()
             compiled = layout.compiled()
-            beep = compiled.index.index_of((Node(0, 0), "global"))
+            beep = index_of(compiled.index, (Node(0, 0), "global"))
             results = [
                 engine.run_round_indexed(layout, [beep], [beep])[0]
                 for _ in range(20)
@@ -64,8 +64,8 @@ class TestFaultInjector:
         engine.fault_injector = injector
         layout = engine.global_layout()
         compiled = layout.compiled()
-        beep = compiled.index.index_of((Node(0, 0), "global"))
-        listen = [compiled.index.index_of((Node(i, 0), "global")) for i in range(5)]
+        beep = index_of(compiled.index, (Node(0, 0), "global"))
+        listen = [index_of(compiled.index, (Node(i, 0), "global")) for i in range(5)]
         bits = engine.run_round_indexed(layout, [beep], listen)
         assert list(bits) == [False] * 5
         assert injector.stats.missed_hears == 5

@@ -33,7 +33,7 @@ from repro.sim.errors import PinConfigurationError
 from repro.workloads import line_structure
 from repro.workloads.specs import build_structure
 from tests.conftest import bfs_tree_adjacency, edge_ids, node_chain, node_ids, node_tour
-from tests.node_oracles import build_euler_tour, channels_for, run_round, tour_links
+from tests.node_oracles import assign, build_euler_tour, channels_for, run_round, tour_links
 
 SHAPES = (
     "random:150:2",
@@ -53,13 +53,13 @@ def oracle_edge_subset(structure, pairs, label, channel, isolated_ok):
     layout = CircuitLayout(structure, 8)
     touched = set()
     for u, v in pairs:
-        layout.assign(u, label, [(u.direction_to(v), channel)])
-        layout.assign(v, label, [(v.direction_to(u), channel)])
+        assign(layout, u, label, [(u.direction_to(v), channel)])
+        assign(layout, v, label, [(v.direction_to(u), channel)])
         touched.update((u, v))
     if isolated_ok:
         for node in structure:
             if node not in touched:
-                layout.assign(node, label, ())
+                assign(layout, node, label, ())
     layout.freeze()
     return layout
 
@@ -83,8 +83,8 @@ def oracle_chain(layout, units, links, weights, tag):
             else:
                 p_pins.append((link.direction, link.primary_channel))
                 s_pins.append((link.direction, link.secondary_channel))
-        layout.assign(node, f"{tag}:{uid}:p", p_pins)
-        layout.assign(node, f"{tag}:{uid}:s", s_pins)
+        assign(layout, node, f"{tag}:{uid}:p", p_pins)
+        assign(layout, node, f"{tag}:{uid}:s", s_pins)
 
 
 def oracle_tree(layout, root, parent, channels, tag):
@@ -106,8 +106,8 @@ def oracle_tree(layout, root, parent, channels, tag):
             d = u.direction_to(child)
             p_pins.append((d, sch))
             s_pins.append((d, pch))
-        layout.assign(u, f"{tag}:0:p", p_pins)
-        layout.assign(u, f"{tag}:0:s", s_pins)
+        assign(layout, u, f"{tag}:0:p", p_pins)
+        assign(layout, u, f"{tag}:0:s", s_pins)
 
 
 def oracle_election(layout, tours, marked, tag):
@@ -123,7 +123,7 @@ def oracle_election(layout, tours, marked, tag):
                 u, v = tour.edges[i]
                 d = u.direction_to(v)
                 pins.append((d, channels_for(d)[0]))
-            layout.assign(node, f"{tag}:{uid}", pins)
+            assign(layout, node, f"{tag}:{uid}", pins)
     layout.freeze()
 
 
@@ -265,8 +265,8 @@ def test_exchange_slots_matches_fresh_build():
     by_slot = base.derive()
     by_slot.exchange_slots(slot_a, slot_b, [(edge, 0), (edge, 1)])
     fresh = engine.new_layout()
-    fresh.assign(u, "a", [(Direction.E, 1)])
-    fresh.assign(u, "b", [(Direction.E, 0)])
+    assign(fresh, u, "a", [(Direction.E, 1)])
+    assign(fresh, u, "b", [(Direction.E, 0)])
     assert by_slot.wiring_fingerprint() == fresh.wiring_fingerprint()
 
 
@@ -285,7 +285,7 @@ class TestErrorPaths:
         layout = self.engine.new_layout()
         with pytest.raises(PinConfigurationError) as err:
             for label, pins in calls:
-                layout.assign(self.u, label, pins)
+                assign(layout, self.u, label, pins)
         return str(err.value)
 
     def test_frozen(self):

@@ -30,7 +30,7 @@ from repro.workloads import hexagon, line_structure
 from repro.workloads.specs import build_structure
 
 from tests.conftest import bfs_tree_adjacency, edge_ids, exchange_pins, node_chain, node_ids, node_tour
-from tests.node_oracles import run_round
+from tests.node_oracles import assign, reassign, release, run_round
 
 
 def line_nodes(n):
@@ -49,7 +49,7 @@ class TestFreezeIdempotence:
         layout = engine.new_layout()
         for node in engine.structure:
             pins = [(d, 0) for d in engine.structure.occupied_directions(node)]
-            layout.assign(node, "g", pins)
+            assign(layout, node, "g", pins)
         layout.freeze()
         assert LAYOUT_STATS.total_builds() == 1
         before = layout.component_map()
@@ -143,19 +143,19 @@ class TestDerive:
         a, b = Node(0, 0), Node(1, 0)
         d = a.direction_to(b)
         layout = engine.new_layout()
-        layout.assign(a, "a", [(d, 0)])
-        layout.assign(a, "a", [(d, 0)])  # idempotent no-op
-        layout.assign(a, "b", ())
-        layout.assign(b, "x", [(b.direction_to(a), 0)])
+        assign(layout, a, "a", [(d, 0)])
+        assign(layout, a, "a", [(d, 0)])  # idempotent no-op
+        assign(layout, a, "b", ())
+        assign(layout, b, "x", [(b.direction_to(a), 0)])
         layout.freeze()
         derived = layout.derive()
         exchange_pins(derived, a, "a", "b", [(d, 0)])
         derived.freeze()
 
         fresh = engine.new_layout()
-        fresh.assign(a, "a", ())
-        fresh.assign(a, "b", [(d, 0)])
-        fresh.assign(b, "x", [(b.direction_to(a), 0)])
+        assign(fresh, a, "a", ())
+        assign(fresh, a, "b", [(d, 0)])
+        assign(fresh, b, "x", [(b.direction_to(a), 0)])
         fresh.freeze()
         assert _partition(derived) == _partition(fresh)
 
@@ -163,11 +163,11 @@ class TestDerive:
         engine = CircuitEngine(line_structure(3))
         layout = engine.new_layout()
         a, b = Node(0, 0), Node(1, 0)
-        layout.assign(a, "x", [(a.direction_to(b), 0)])
-        layout.assign(b, "x", [(b.direction_to(a), 0)])
+        assign(layout, a, "x", [(a.direction_to(b), 0)])
+        assign(layout, b, "x", [(b.direction_to(a), 0)])
         layout.freeze()
         derived = layout.derive()
-        derived.release(b, "x")
+        release(derived, b, "x")
         derived.freeze()
         assert (b, "x") not in derived.partition_sets()
         assert (b, "x") not in derived.component_map()
@@ -220,7 +220,7 @@ class TestPascLayoutReuse:
         assert derived.compiled().index is index
         # ...but dropping a set forces a fresh index.
         shrunk = derived.derive()
-        shrunk.release(nodes[0], "pasc:0:p")
+        release(shrunk, nodes[0], "pasc:0:p")
         shrunk.freeze()
         assert shrunk.compiled().index is not index
 
@@ -470,7 +470,7 @@ class TestLayoutStatsChainConsistency:
             clone = current.derive()
             node = nodes[i % len(nodes)]
             pins = [(d, 1) for d in structure.occupied_directions(node)]
-            clone.reassign(node, "chain", pins if i % 2 == 0 else [])
+            reassign(clone, node, "chain", pins if i % 2 == 0 else [])
             clone.freeze()
             current = clone
         assert LAYOUT_STATS.full_builds == 0
@@ -499,14 +499,14 @@ class TestLayoutStatsChainConsistency:
         layout = engine.new_layout()
         for u in structure:
             pins = [(d, 0) for d in structure.occupied_directions(u)]
-            layout.assign(u, "net", pins)
+            assign(layout, u, "net", pins)
         layout.freeze()
         LAYOUT_STATS.reset()
         current = layout
         released = 0
         for u in nodes[: len(nodes) // 2]:
             clone = current.derive()
-            clone.release(u, "net")
+            release(clone, u, "net")
             clone.freeze()
             released += 1
             current = clone
@@ -530,10 +530,10 @@ class TestLayoutStatsChainConsistency:
             if i % 3 == 0:
                 pass  # noop freeze
             elif i % 3 == 1:
-                clone.reassign(u, "mix", [(structure.occupied_directions(u)[0], 2)])
+                reassign(clone, u, "mix", [(structure.occupied_directions(u)[0], 2)])
             else:
-                clone.release(u, "mix")
-                clone.assign(u, "mix", ())  # re-declared empty: same universe
+                release(clone, u, "mix")
+                assign(clone, u, "mix", ())  # re-declared empty: same universe
             clone.freeze()
             freezes += 1
             current = clone

@@ -32,7 +32,7 @@ from repro.sim.trace import attach_trace
 from repro.spf.spt import shortest_path_tree
 from repro.workloads import random_hole_free
 from repro.workloads.specs import build_structure
-from tests.node_oracles import run_round
+from tests.node_oracles import index_of, run_round
 
 SHAPES = ("random:60:11", "comb:6:8")
 ENGINES = ("sync", "random:1", "adversarial")
@@ -48,7 +48,7 @@ class TestTracedEngineKeepsItsStages:
         trace = attach_trace(engine)
         layout = engine.global_layout()
         beeper = next(iter(structure))
-        beep = layout.compiled().index.index_of((beeper, "global"))
+        beep = index_of(layout.compiled().index, (beeper, "global"))
         assert list(engine.run_round_indexed(layout, [beep], [beep])) == [False]
         heard = run_round(engine, layout, [(beeper, "global")])
         assert not any(heard.values())

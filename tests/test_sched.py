@@ -36,7 +36,7 @@ from repro.spf.api import solve_spf
 from repro.verify.forest_checker import check_forest
 from repro.workloads import sample_sources_destinations, spread_nodes
 from repro.workloads.random_structures import random_hole_free
-from tests.node_oracles import run_round
+from tests.node_oracles import index_of, run_round
 
 ALL_SPECS = ("sync", "random:7", "adversarial:5", "weighted:2")
 
@@ -283,8 +283,8 @@ class TestSchedulerFaults:
         engine.fault_injector = FaultInjector(drop_prob=1.0, seed=0)
         layout = engine.global_layout()
         compiled = layout.compiled()
-        beep = compiled.index.index_of((nodes[0], "global"))
-        listen = [compiled.index.index_of((u, "global")) for u in nodes]
+        beep = index_of(compiled.index, (nodes[0], "global"))
+        listen = [index_of(compiled.index, (u, "global")) for u in nodes]
         with pytest.raises(RuntimeError, match="retransmissions"):
             engine.run_round_indexed(layout, [beep], listen)
 

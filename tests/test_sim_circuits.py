@@ -8,6 +8,7 @@ from repro.sim.circuits import CircuitLayout
 from repro.sim.errors import PinConfigurationError
 from repro.sim.pins import Pin
 from repro.workloads import hexagon, line_structure, parallelogram
+from tests.node_oracles import assign
 
 
 class TestPin:
@@ -25,32 +26,32 @@ class TestLayoutValidation:
         s = line_structure(2)
         layout = CircuitLayout(s, channels=2)
         with pytest.raises(PinConfigurationError):
-            layout.assign(Node(0, 0), "a", [(Direction.E, 5)])
+            assign(layout, Node(0, 0), "a", [(Direction.E, 5)])
 
     def test_pin_toward_unoccupied_neighbor(self):
         s = line_structure(2)
         layout = CircuitLayout(s, channels=2)
         with pytest.raises(PinConfigurationError):
-            layout.assign(Node(0, 0), "a", [(Direction.NE, 0)])
+            assign(layout, Node(0, 0), "a", [(Direction.NE, 0)])
 
     def test_node_outside_structure(self):
         s = line_structure(2)
         layout = CircuitLayout(s, channels=2)
         with pytest.raises(PinConfigurationError):
-            layout.assign(Node(7, 7), "a", [])
+            assign(layout, Node(7, 7), "a", [])
 
     def test_pin_in_two_partition_sets(self):
         s = line_structure(2)
         layout = CircuitLayout(s, channels=2)
-        layout.assign(Node(0, 0), "a", [(Direction.E, 0)])
+        assign(layout, Node(0, 0), "a", [(Direction.E, 0)])
         with pytest.raises(PinConfigurationError):
-            layout.assign(Node(0, 0), "b", [(Direction.E, 0)])
+            assign(layout, Node(0, 0), "b", [(Direction.E, 0)])
 
     def test_repeated_assign_same_label_ok(self):
         s = line_structure(3)
         layout = CircuitLayout(s, channels=2)
-        layout.assign(Node(1, 0), "a", [(Direction.E, 0)])
-        layout.assign(Node(1, 0), "a", [(Direction.W, 0)])
+        assign(layout, Node(1, 0), "a", [(Direction.E, 0)])
+        assign(layout, Node(1, 0), "a", [(Direction.W, 0)])
         layout.freeze()
         assert (Node(1, 0), "a") in layout.partition_sets()
 
@@ -59,7 +60,7 @@ class TestLayoutValidation:
         layout = CircuitLayout(s, channels=2)
         layout.freeze()
         with pytest.raises(PinConfigurationError):
-            layout.assign(Node(0, 0), "x", ())
+            assign(layout, Node(0, 0), "x", ())
 
     def test_zero_channels_rejected(self):
         with pytest.raises(PinConfigurationError):
@@ -72,7 +73,7 @@ class TestCircuitFormation:
         layout = CircuitLayout(s, channels=1)
         for u in s:
             pins = [(d, 0) for d in s.occupied_directions(u)]
-            layout.assign(u, "wire", pins)
+            assign(layout, u, "wire", pins)
         circuits = layout.circuits()
         assert len(circuits) == 1
         assert len(circuits[0]) == 4
@@ -84,7 +85,7 @@ class TestCircuitFormation:
         layout = CircuitLayout(s, channels=1)
         for u in s:
             for d in s.occupied_directions(u):
-                layout.assign(u, f"p{d.name}", [(d, 0)])
+                assign(layout, u, f"p{d.name}", [(d, 0)])
         circuits = layout.circuits()
         assert all(len(c) == 2 for c in circuits)
         assert len(circuits) == 2
@@ -95,18 +96,18 @@ class TestCircuitFormation:
         for u in s:
             if u == Node(2, 0):
                 # The middle amoebot splits its pins into two sets.
-                layout.assign(u, "west", [(Direction.W, 0)])
-                layout.assign(u, "east", [(Direction.E, 0)])
+                assign(layout, u, "west", [(Direction.W, 0)])
+                assign(layout, u, "east", [(Direction.E, 0)])
             else:
-                layout.assign(u, "wire", [(d, 0) for d in s.occupied_directions(u)])
+                assign(layout, u, "wire", [(d, 0) for d in s.occupied_directions(u)])
         assert len(layout.circuits()) == 2
 
     def test_disjoint_channels_make_disjoint_circuits(self):
         s = line_structure(3)
         layout = CircuitLayout(s, channels=2)
         for u in s:
-            layout.assign(u, "c0", [(d, 0) for d in s.occupied_directions(u)])
-            layout.assign(u, "c1", [(d, 1) for d in s.occupied_directions(u)])
+            assign(layout, u, "c0", [(d, 0) for d in s.occupied_directions(u)])
+            assign(layout, u, "c1", [(d, 1) for d in s.occupied_directions(u)])
         circuits = layout.circuits()
         assert len(circuits) == 2
         assert layout.circuit_of(Node(0, 0), "c0") != layout.circuit_of(Node(0, 0), "c1")
@@ -116,8 +117,8 @@ class TestCircuitFormation:
         # circuits, so isolated partition sets stay isolated.
         s = parallelogram(3, 2)
         layout = CircuitLayout(s, channels=1)
-        layout.assign(Node(0, 0), "solo", [(Direction.E, 0)])
-        layout.assign(Node(2, 1), "flag", ())
+        assign(layout, Node(0, 0), "solo", [(Direction.E, 0)])
+        assign(layout, Node(2, 1), "flag", ())
         circuits = layout.circuits()
         assert len(circuits) == 2
 
@@ -132,7 +133,7 @@ class TestCircuitFormation:
         s = hexagon(2)
         layout = CircuitLayout(s, channels=1)
         for u in s:
-            layout.assign(u, "g", [(d, 0) for d in s.occupied_directions(u)])
+            assign(layout, u, "g", [(d, 0) for d in s.occupied_directions(u)])
         component_map = layout.component_map()
         circuits = layout.circuits()
         for index, members in enumerate(circuits):

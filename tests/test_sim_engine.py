@@ -8,7 +8,7 @@ from repro.sim.errors import PinConfigurationError
 from repro.workloads import hexagon, line_structure, parallelogram
 from tests.conftest import edge_ids
 from repro.sim.amoebot import LocalState, assert_constant_size
-from tests.node_oracles import run_round
+from tests.node_oracles import assign, run_round
 
 
 class TestGlobalCircuit:
@@ -99,7 +99,7 @@ class TestBeepSemantics:
                     for d in s.occupied_directions(u)
                     if u.neighbor(d) in row_set
                 ]
-                layout.assign(u, label, pins)
+                assign(layout, u, label, pins)
         received = run_round(engine, layout, [(top[0], "top")])
         assert all(received[(u, "top")] for u in top)
         assert not any(received[(u, "bottom")] for u in bottom)

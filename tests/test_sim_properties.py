@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.sim.engine import CircuitEngine
 from repro.workloads import random_hole_free
-from tests.node_oracles import run_round
+from tests.node_oracles import assign, run_round
 
 
 def random_layout(engine, rng):
@@ -19,8 +19,8 @@ def random_layout(engine, rng):
         directions = structure.occupied_directions(u)
         rng.shuffle(directions)
         cut = rng.randint(0, len(directions))
-        layout.assign(u, "a", [(d, 0) for d in directions[:cut]])
-        layout.assign(u, "b", [(d, 0) for d in directions[cut:]])
+        assign(layout, u, "a", [(d, 0) for d in directions[:cut]])
+        assign(layout, u, "b", [(d, 0) for d in directions[cut:]])
     layout.freeze()
     return layout
 

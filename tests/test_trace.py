@@ -5,7 +5,7 @@ from repro.sim.engine import CircuitEngine
 from repro.sim.trace import RoundTrace, attach_trace
 from repro.spf.spt import shortest_path_tree
 from repro.workloads import hexagon, line_structure
-from tests.node_oracles import run_round
+from tests.node_oracles import assign, run_round
 
 
 class TestTraceRecording:
@@ -63,7 +63,7 @@ class TestTraceRecording:
         layout = engine.new_layout()
         for u in s:
             for d in s.occupied_directions(u):
-                layout.assign(u, f"p{d.name}", [(d, 0)])
+                assign(layout, u, f"p{d.name}", [(d, 0)])
         run_round(engine, layout, [])
         assert trace.max_circuits() == 3
 
