@@ -10,10 +10,12 @@ This bench also guards the layout-reuse-and-compile contract, for
 chains and trees alike: one PASC execution must perform exactly one
 from-scratch layout build (iteration 0) and at most one component
 computation per iteration, every build must lower to flat arrays exactly
-once, and every round must execute on the integer fast path — a
-regression to per-iteration rebuilds or to id-keyed dict rounds fails
-the assertions below.  CI runs the bench in quick mode (``BENCH_QUICK=1``
-shrinks the sweep) as a perf smoke.
+once, every PASC layout must be labelled by the parity pass (no
+union-find per iteration), and every round must execute on the integer
+fast path — a regression to per-iteration rebuilds, to the union-find
+or to id-keyed dict rounds fails the assertions below.  CI runs the
+bench in quick mode (``BENCH_QUICK=1`` shrinks the sweep) as a perf
+smoke.
 """
 
 import math
@@ -81,6 +83,14 @@ def check_layout_reuse(engine, result) -> None:
     assert LAYOUT_STATS.compiles == LAYOUT_STATS.total_builds(), (
         f"{LAYOUT_STATS.compiles} array compilations for "
         f"{LAYOUT_STATS.total_builds()} builds; layouts are being recompiled"
+    )
+    # Parity contract: every PASC layout, fresh or derived, is labelled
+    # by the parity pass over its rails; only the termination layout
+    # reaches the generic union-find.
+    union_finds = LAYOUT_STATS.compiles - LAYOUT_STATS.parity_compiles
+    assert union_finds <= 1, (
+        f"{union_finds} union-find compiles; PASC iterations left the "
+        "parity pass"
     )
     assert LAYOUT_STATS.indexed_rounds == 2 * result.iterations, (
         f"{LAYOUT_STATS.indexed_rounds} indexed rounds for "

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.grid.coords import Node
 from repro.sim.compiled import CompiledLayout
@@ -68,6 +68,8 @@ class FaultInjector:
         self.drop_prob = drop_prob
         self._rng = random.Random(seed)
         self.stats = FaultStats()
+        # ``(grid index, crashed amoebots, their ids)`` as last mapped.
+        self._crashed_ids: Optional[Tuple[object, FrozenSet[Node], FrozenSet[int]]] = None
 
     def crash(self, node: Node) -> None:
         """Crash one amoebot (fail-silent from the next round on)."""
@@ -80,8 +82,8 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # engine hooks
     # ------------------------------------------------------------------
-    def _keep(self, node: Node) -> bool:
-        if node in self.crashed:
+    def _keep(self, crashed: bool) -> bool:
+        if crashed:
             self.stats.suppressed += 1
             return False
         if self.drop_prob and self._rng.random() < self.drop_prob:
@@ -89,15 +91,33 @@ class FaultInjector:
             return False
         return True
 
+    def _crashed_in(self, grid) -> FrozenSet[int]:
+        """The ids of the crashed amoebots in grid index ``grid``, mapped
+        again only when the index or the crashed set changes."""
+        cached = self._crashed_ids
+        if cached is None or cached[0] is not grid or cached[1] != self.crashed:
+            ids = (grid.id_of(node) for node in self.crashed)
+            cached = self._crashed_ids = (
+                grid,
+                frozenset(self.crashed),
+                frozenset(i for i in ids if i is not None),
+            )
+        return cached[2]
+
     def filter_beeps(self, compiled: CompiledLayout, beeps: List[int]) -> List[int]:
         """The beeps that reach their circuit this round (integer set-ids).
 
         Beeps of crashed amoebots are suppressed and each surviving beep
         is dropped with probability :attr:`drop_prob`, in beep order, so
-        a seeded injector loses the same beeps on every run.
+        a seeded injector loses the same beeps on every run.  A beep's
+        amoebot is read off its set's key
+        (:meth:`~repro.sim.compiled.PartitionSetIndex.node_id`), so no
+        ``(node, label)`` tuple is built.
         """
-        ids = compiled.index.ids
-        return [i for i in beeps if self._keep(ids[i][0])]
+        index = compiled.index
+        crashed = self._crashed_in(index.grid) if self.crashed else frozenset()
+        node_id = index.node_id
+        return [i for i in beeps if self._keep(node_id(i) in crashed)]
 
     def detect(
         self,

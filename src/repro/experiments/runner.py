@@ -513,9 +513,15 @@ class CampaignRunner:
                 initializer=_init_worker,
                 initargs=(self.trace_dir,),
             ) as pool:
-                futures = {
-                    pool.submit(self.trial_fn, trial): trial for trial in batch
-                }
+                futures = {}
+                try:
+                    for trial in batch:
+                        futures[pool.submit(self.trial_fn, trial)] = trial
+                except BrokenProcessPool:
+                    # A worker died while the batch was still being
+                    # submitted: the trials not submitted yet are
+                    # unsettled like every outstanding one.
+                    broke = True
                 for future in as_completed(futures):
                     trial = futures[future]
                     try:

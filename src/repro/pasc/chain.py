@@ -155,8 +155,7 @@ class PascRun:
         self._value = [0] * len(nids)
         self._iteration = 0
         #: Units whose activity flipped in the last absorb_bits(); exactly
-        #: these change their child-link wiring for the next iteration
-        #: (the layout-reuse contract's "touched region").
+        #: these change their child-link wiring for the next iteration.
         self._flipped: List[int] = []
         #: Unit -> edge ids of its child links; a chain's are implied
         #: (unit ``i``'s only child link is ``links[i]``).
@@ -297,7 +296,7 @@ class PascRun:
 
     def rewire_layout(self, layout: CircuitLayout) -> None:
         """Reassign only the units whose wiring changed since the last
-        contribute/rewire (a derived layout recomputes just their circuits).
+        contribute/rewire, on a layout derived from the last one.
 
         A flipped unit un-crosses all its child links; a chain unit has
         at most one.

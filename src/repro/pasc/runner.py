@@ -17,11 +17,15 @@ re-cross their child links — so the runner
 honors the layout-reuse contract of :mod:`repro.sim.circuits`: the
 runs' layout is built and frozen **once**, and every subsequent
 iteration *derives* it, re-wiring only the flipped units (one
-``exchange_slots`` crossing flip per unit) and recomputing only the
-touched circuits.  The never-changing global termination circuit lives
-on its own reserved channel, so the runner executes the termination
-round against the engine's cached global layout
-(:meth:`~repro.sim.engine.CircuitEngine.global_layout`) instead of
+``exchange_slots`` crossing flip per unit).  The layout holds nothing
+but the runs, as :meth:`~repro.sim.circuits.CircuitLayout.assign_pasc`
+recorded them, so every freeze — the first and each derived one —
+labels its circuits by one parity pass over the runs' links
+(:func:`~repro.sim.compiled.compile_pasc`): each run's two rails, read
+off the pins the units wired, with no union-find.  The never-changing
+global termination circuit lives on its own reserved channel, so the
+runner executes the termination round against the engine's cached
+global layout (:meth:`~repro.sim.engine.CircuitEngine.global_layout`) instead of
 splicing a structure-sized circuit into every runs' layout: the two
 wirings coexist on disjoint channels of the same pin configuration,
 round counts are unchanged (still one beep round each), and the runs'

@@ -23,15 +23,15 @@ wiring *does* evolve between rounds:
   re-wirable one.  :meth:`CircuitLayout.exchange_slots` swaps pins
   between sibling sets, :meth:`CircuitLayout.release_sets` and
   :meth:`CircuitLayout.assign_sets` drop and add sets (all keyed by
-  grid-index ids), and the subsequent :meth:`freeze` re-runs
-  the integer union-find only over the circuits touched by the
-  re-wiring — the untouched region keeps its component labels and its
-  adjacency rows verbatim, and the integer set-ids stay stable across
-  the whole derive chain.  PASC uses this: each iteration flips the
-  crossing of a few links, so the union-find and recompilation cost
-  O(touched region) instead of O(structure).  (The clone itself still
-  shallow-copies the ownership tables — a hash-free C-level dict copy;
-  pin *lists* are shared copy-on-write.)
+  grid-index ids), and the subsequent :meth:`freeze` relabels the
+  circuits, skipping re-validation; while the set universe is
+  unchanged the integer set-ids stay stable across the whole derive
+  chain.  PASC uses this: each iteration flips the crossing of a few
+  links.  A layout made of PASC runs (:meth:`CircuitLayout.assign_pasc`)
+  is labelled by one parity pass over its links
+  (:func:`~repro.sim.compiled.compile_pasc`) instead of the union-find,
+  fresh or derived.  (The clone shallow-copies the ownership tables — a
+  hash-free C-level dict copy; pin *lists* are shared copy-on-write.)
 * :class:`LayoutCache` memoizes frozen layouts under a caller-chosen
   wiring fingerprint (any hashable key that determines the wiring, e.g.
   ``("global", label, channel)`` or a tuple of tour edges).  Algorithms
@@ -48,16 +48,20 @@ per-round rebuilds.
 from __future__ import annotations
 
 from collections import OrderedDict
+from operator import itemgetter
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.grid.coords import Node
 from repro.grid.directions import Direction
 from repro.grid.structure import AmoebotStructure
 from repro.sim.compiled import (
+    KEY_SHIFT as _KEY_SHIFT,
+    NID_MASK as _NID_MASK,
     CompiledLayout,
     PartitionSetIndex,
+    PascRecord,
+    compile_pasc,
     compile_wiring_ids,
-    recompile_derived,
 )
 from repro.obs.trace import trace_span
 from repro.sim.errors import PinConfigurationError
@@ -68,18 +72,18 @@ class LayoutBuildStats:
     """Counters for layout component computations (probe for tests/CI).
 
     ``full_builds`` counts freezes of from-scratch layouts (assignment
-    validation plus union-find over everything); ``incremental_builds``
-    counts freezes of derived layouts, which skip re-validation and
-    recompute components only as far as the re-wiring reaches;
+    validation plus circuit labelling); ``incremental_builds`` counts
+    freezes of re-wired derived layouts, which skip re-validation;
     ``noop_freezes`` counts derived freezes with no re-wiring at all
     (the base layout's compiled arrays are adopted verbatim).
 
     The compile/execute counters probe the flat-array lowering:
     ``compiles`` counts :class:`~repro.sim.compiled.CompiledLayout`
     constructions (every full or incremental freeze lowers to arrays;
-    noop freezes reuse the base arrays and do not compile),
-    and ``indexed_rounds`` counts every beep round the round kernel
-    executes.
+    noop freezes reuse the base arrays and do not compile), of which
+    ``parity_compiles`` were labelled by the PASC parity pass rather
+    than the union-find, and ``indexed_rounds`` counts every beep round
+    the round kernel executes.
 
     The cache counters aggregate :class:`LayoutCache` traffic across
     every cache in the process: ``cache_hits`` / ``cache_misses`` /
@@ -95,6 +99,7 @@ class LayoutBuildStats:
         self.incremental_builds = 0
         self.noop_freezes = 0
         self.compiles = 0
+        self.parity_compiles = 0
         self.indexed_rounds = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -117,15 +122,12 @@ class LayoutBuildStats:
             f"LayoutBuildStats(full={self.full_builds}, "
             f"incremental={self.incremental_builds}, "
             f"noop={self.noop_freezes}, compiles={self.compiles}, "
+            f"parity={self.parity_compiles}, "
             f"indexed_rounds={self.indexed_rounds}, "
             f"cache=h{self.cache_hits}/m{self.cache_misses}"
             f"/e{self.cache_evictions})"
         )
 
-
-#: A partition set's key is ``label id << _KEY_SHIFT | node id``.
-_KEY_SHIFT = 32
-_NID_MASK = (1 << _KEY_SHIFT) - 1
 
 #: Process-wide component-computation counters.  Reset in tests via
 #: ``LAYOUT_STATS.reset()``; purely observational, never read by the
@@ -201,11 +203,14 @@ class CircuitLayout:
         self._compiled: Optional[CompiledLayout] = None
         # Lazy dict views over the compiled arrays (tests and tracing).
         self._components: Optional[Dict[PartitionSetId, int]] = None
-        # Derivation bookkeeping: when non-None, freeze() recompiles the
-        # arrays incrementally from the base layout's compiled form.
+        # Derivation bookkeeping: when non-None, this layout was derived
+        # from one compiled to these arrays; freeze() adopts them while
+        # nothing was re-wired.
         self._base_compiled: Optional[CompiledLayout] = None
-        self._dirty: Set[int] = set()
-        self._force_relower = False
+        self._rewired = False
+        #: The PASC runs assign_pasc wrote (see compile_pasc); shared
+        #: with derived layouts.
+        self._pasc_runs: List[PascRecord] = []
 
     # ------------------------------------------------------------------
     # construction
@@ -239,10 +244,8 @@ class CircuitLayout:
         pin_slot = self._pin_slot
         get_owner = pin_slot.get
         channels = self._channels
-        track = self._base_compiled is not None
-        mate_edges = gi.mate_edges() if track else None
-        dirty = self._dirty
         channel_mask = self._channel_mask
+        self._rewired = True
         slots: List[int] = []
         for nid, label, pins in sets:
             node = nodes[nid] if nid is not None and 0 <= nid < n_slots else None
@@ -273,8 +276,6 @@ class CircuitLayout:
                     pin_list = slot_pins[slot] = list(pin_list)
                     owned.add(slot)
             slots.append(slot)
-            if track:
-                dirty.add(slot)
             base = nid * 6
             for edge, channel in pins:
                 if not (0 <= channel < channels and 0 <= edge - base < 6 and nbr[edge] >= 0):
@@ -286,10 +287,6 @@ class CircuitLayout:
                     pin_slot[pin] = slot
                     pin_list.append(pin)
                     channel_mask |= 1 << channel
-                    if track:
-                        mate_owner = get_owner(mate_edges[edge] * channels + channel)
-                        if mate_owner is not None:
-                            dirty.add(mate_owner)
                 elif existing != slot:
                     self._channel_mask = channel_mask
                     self._reject_owned(pin)
@@ -323,8 +320,11 @@ class CircuitLayout:
         ``channels[d]``.  Sets are declared in unit order, primary
         first, so the returned ``(primary slots, secondary slots)`` are
         the slots :meth:`assign_sets` would hand out for the same sets.
-        Makes the checks of :meth:`assign_sets` with the same messages,
-        and refuses a set declared before; a call that raises leaves the
+        The run is recorded on the layout, and shared with its derived
+        layouts, so :meth:`freeze` labels its two rails by one pass over
+        its links (:func:`~repro.sim.compiled.compile_pasc`).  Makes the
+        checks of :meth:`assign_sets` with the same messages, and
+        refuses a set declared before; a call that raises leaves the
         layout unusable.  Fresh layouts only: derived layouts re-wire by
         :meth:`exchange_slots`.
         """
@@ -346,6 +346,7 @@ class CircuitLayout:
         label_key = self._label_key
         keys = [(label_key(p), label_key(s)) for p, s in labels]
         key_slot = self._key_slot
+        declare = key_slot.setdefault
         slot_keys = self._slot_keys
         slot_pins = self._slot_pins
         claim = self._pin_slot.setdefault
@@ -364,20 +365,27 @@ class CircuitLayout:
         # One int object per slot, shared by every pin the set claims.
         p_slots = list(range(first, end, 2))
         s_slots = list(range(first + 1, end, 2))
+        # Per direction, its channel pair if both channels are in budget.
+        pairs = [
+            (pch, sch) if 0 <= pch < c and 0 <= sch < c else None
+            for pch, sch in channels
+        ]
+        # Each link's parent-side and child-side pins, two channels per
+        # link in unit order: the record freeze() labels the rails from.
+        ups = [0] * (2 * count - 2)
+        downs = [0] * (2 * count - 2)
+        w = 0
         for j, nid, occurrence, slot, s_slot in zip(
             range(count), nids, occurrences, p_slots, s_slots
         ):
-            base = nid * 6
             kp, ks = keys[occurrence]
             kp |= nid
             ks |= nid
-            if kp in key_slot or ks in key_slot:
-                label = labels[occurrence][0 if kp in key_slot else 1]
+            if declare(kp, slot) != slot or declare(ks, s_slot) != s_slot:
+                label = labels[occurrence][0 if key_slot[kp] != slot else 1]
                 raise PinConfigurationError(
                     f"partition set {(nodes[nid], label)} is already declared"
                 )
-            key_slot[kp] = slot
-            key_slot[ks] = s_slot
             slot_keys.append(kp)
             slot_keys.append(ks)
             if not j:
@@ -388,15 +396,14 @@ class CircuitLayout:
             # the parent is active.
             p = parents[j - 1]
             e = links[j - 1]
-            p_base = nids[p] * 6
-            pch, sch = channels[e % 6]
-            if not (0 <= pch < c and 0 <= sch < c and 0 <= e - p_base < 6 and nbr[e] >= 0):
-                self._reject_pin(nodes[nids[p]], p_base, e, sch if 0 <= pch < c else pch)
-            channel_mask |= 1 << pch | 1 << sch
-            if crossed[p]:
-                p_out, s_out = e * c + sch, e * c + pch
-            else:
-                p_out, s_out = e * c + pch, e * c + sch
+            pair = pairs[e % 6]
+            if pair is None or e // 6 != nids[p] or nbr[e] < 0:
+                pch, sch = channels[e % 6]
+                self._reject_pin(nodes[nids[p]], nids[p] * 6, e, sch if 0 <= pch < c else pch)
+            pch, sch = pair
+            ups[w] = p_up = e * c + pch
+            ups[w + 1] = s_up = e * c + sch
+            p_out, s_out = (s_up, p_up) if crossed[p] else (p_up, s_up)
             p_slot = p_slots[p]
             ps_slot = s_slots[p]
             if claim(p_out, p_slot) != p_slot:
@@ -409,20 +416,29 @@ class CircuitLayout:
             slot_pins[ps_slot][k] = s_out
             # The unit's side: always straight.
             back = mate_edges[e]
-            if not 0 <= back - base < 6:
-                self._reject_pin(nodes[nid], base, back, 0)
-            p_in = back * c + pch
-            s_in = back * c + sch
+            if back // 6 != nid:
+                self._reject_pin(nodes[nid], nid * 6, back, 0)
+            downs[w] = p_in = back * c + pch
+            downs[w + 1] = s_in = back * c + sch
+            w += 2
             if claim(p_in, slot) != slot:
                 self._reject_owned(p_in)
             if claim(s_in, s_slot) != s_slot:
                 self._reject_owned(s_in)
             slot_pins.append([p_in] * (1 + kids[j]))
             slot_pins.append([s_in] * (1 + kids[j]))
+        for d in {e % 6 for e in links}:
+            pch, sch = pairs[d]
+            channel_mask |= 1 << pch | 1 << sch
         self._channel_mask = channel_mask
         self._alive.extend(b"\x01" * (2 * count))
         self._n_alive += 2 * count
         self._owned_pin_lists.update(range(first, end))
+        self._pasc_runs.append(
+            (first, count, itemgetter(*ups), itemgetter(*downs))
+            if ups
+            else (first, count, None, None)
+        )
         return p_slots, s_slots
 
     def _reject_owned(self, pin: int) -> None:
@@ -500,7 +516,7 @@ class CircuitLayout:
                 (key & _NID_MASK, label, ()) for key in keys if key in key_slot
             )
         # Fresh sets change the set universe, so even a derived layout
-        # relowers on freeze: no per-set dirty tracking is needed.
+        # relowers on freeze with a fresh index.
         first = len(self._slot_keys)
         key_slot.update(zip(new, range(first, first + len(new))))
         self._slot_keys.extend(new)
@@ -592,18 +608,18 @@ class CircuitLayout:
     def derive(self) -> "CircuitLayout":
         """Clone this (frozen) layout into a new, re-wirable layout.
 
-        The clone starts with identical wiring and remembers this
-        layout's compiled arrays.  After re-wiring
-        (:meth:`exchange_slots`, :meth:`release_sets`,
-        :meth:`assign_sets`), freezing the clone re-runs the integer
-        union-find only over the circuits touched by the re-wiring;
-        everything else — component labels, adjacency rows, and the
-        partition-set index itself — is adopted verbatim while the set
-        universe is unchanged, so integer set-ids stay stable across the
-        derive chain.  The clone operation itself shallow-copies the
-        pin-ownership tables (hash-free C-level copies; pin lists are
-        shared copy-on-write), so only the component work is bounded by
-        the touched region.  The original layout stays frozen and valid.
+        The clone starts with identical wiring, this layout's PASC run
+        record, and remembers this layout's compiled arrays.  Freezing
+        the clone without re-wiring adopts those arrays.  After
+        re-wiring (:meth:`exchange_slots`, :meth:`release_sets`,
+        :meth:`assign_sets`), freezing relabels the circuits without
+        re-validating: by the parity pass while the layout is still
+        made of its PASC runs, else by the union-find.  While the set
+        universe is unchanged the partition-set index itself is adopted,
+        so integer set-ids stay stable across the derive chain.  The
+        clone operation shallow-copies the pin-ownership tables
+        (hash-free C-level copies; pin lists are shared copy-on-write).
+        The original layout stays frozen and valid.
         """
         self.freeze()
         clone = CircuitLayout.__new__(CircuitLayout)
@@ -627,8 +643,8 @@ class CircuitLayout:
         clone._compiled = None
         clone._components = None
         clone._base_compiled = self._compiled
-        clone._dirty = set()
-        clone._force_relower = False
+        clone._rewired = False
+        clone._pasc_runs = self._pasc_runs
         return clone
 
     def derive_for(self, structure: AmoebotStructure) -> "CircuitLayout":
@@ -641,9 +657,8 @@ class CircuitLayout:
         **new** structure.  The caller must release every partition set
         owned by a departed amoebot (and every surviving set's pin
         toward a departed cell) before freezing — pins into vacated
-        cells would otherwise dangle.  Freezing then recompiles
-        incrementally under the derive contract (validation of
-        untouched sets is skipped).
+        cells would otherwise dangle.  Freezing then relowers under the
+        derive contract (validation of untouched sets is skipped).
 
         ``structure`` must share this layout's node-id space: build it
         with :meth:`AmoebotStructure.from_validated
@@ -673,49 +688,30 @@ class CircuitLayout:
         A released set that is never re-assigned disappears from the
         layout at the next freeze; one re-declared through
         :meth:`assign_sets` keeps its slot.  To re-wire a set, release
-        it, then assign its new pins.  On a derived layout each released
-        set and the sets wired to its pins are marked dirty (mates
-        through the index's mirror-edge table, as in
-        :meth:`exchange_slots`); releasing a set that is not declared
-        forces the full relower.  After :meth:`derive_for`, ids of
-        departed amoebots are valid keys: their rows in the new index
-        are cleared, so they mark no mates, and the freeze relowers
-        anyway because the set universe changed.
+        it, then assign its new pins.  Releasing a set that is not
+        declared does nothing.  After :meth:`derive_for`, ids of
+        departed amoebots are valid keys.
         """
         if self._frozen:
             raise PinConfigurationError("layout is frozen; derive() a new one first")
-        track = self._base_compiled is not None
-        mate_edges = self._gi.mate_edges() if track else None
         key_slot = self._key_slot
         alive = self._alive
         slot_pins = self._slot_pins
         pin_slot = self._pin_slot
-        dirty = self._dirty
-        channels = self._channels
+        self._rewired = True
         for nid, label in keys:
             key = self._key_of(nid, label)
             slot = None if key is None else key_slot.get(key)
             if slot is None or not alive[slot]:
-                if track:
-                    self._force_relower = True
                 continue
             alive[slot] = 0
             self._n_alive -= 1
             old_pins = slot_pins[slot]
             slot_pins[slot] = None
             self._owned_pin_lists.discard(slot)
-            if track:
-                dirty.add(slot)
             for pin in old_pins or ():
                 if pin_slot.get(pin) == slot:
                     del pin_slot[pin]
-                if track:
-                    edge, channel = divmod(pin, channels)
-                    mate = mate_edges[edge]
-                    if mate >= 0:
-                        mate_owner = pin_slot.get(mate * channels + channel)
-                        if mate_owner is not None:
-                            dirty.add(mate_owner)
 
     def exchange_slots(
         self, slot_a: int, slot_b: int, pins: Iterable[Tuple[int, int]]
@@ -749,17 +745,16 @@ class CircuitLayout:
           passes a unit's own link pins, which it owns by
           construction).
         * *No pin is created or destroyed*: the physical pin universe
-          and the partition-set universe are unchanged, which is why a
-          following incremental :meth:`freeze` never falls back to the
-          full relower — only the two sets and the mates at the far end
-          of the swapped links are marked dirty.
+          and the partition-set universe are unchanged, so a following
+          :meth:`freeze` keeps the base layout's partition-set index,
+          and a PASC layout stays labelled by the parity pass.
         * *Copy-on-write is preserved*: pin lists shared with the base
           layout are cloned before their first mutation, so the frozen
           base layout the clone was :meth:`derive`-d from is never
           corrupted.
-        * *An empty swap list is a no-op* that still marks the two sets
-          dirty on a derived layout (harmless, one extra row in the
-          incremental recompilation).
+        * *An empty swap list* changes no pin but still counts as a
+          re-wiring: the next freeze relabels instead of adopting the
+          base arrays.
         """
         if self._frozen:
             raise PinConfigurationError("layout is frozen; derive() a new one first")
@@ -773,12 +768,8 @@ class CircuitLayout:
         pin_slot = self._pin_slot
         slot_pins = self._slot_pins
         owned = self._owned_pin_lists
-        track = self._base_compiled is not None
-        if track:
-            self._dirty.add(slot_a)
-            self._dirty.add(slot_b)
+        self._rewired = True
         channels = self._channels
-        mate_edges = self._gi.mate_edges()
         for edge, channel in pins:
             pin = edge * channels + channel
             owner = pin_slot.get(pin)
@@ -806,12 +797,6 @@ class CircuitLayout:
                 new_list = slot_pins[new_owner] = list(new_list)
                 owned.add(new_owner)
             new_list.append(pin)
-            if track:
-                mate = mate_edges[edge]
-                if mate >= 0:
-                    mate_owner = pin_slot.get(mate * channels + channel)
-                    if mate_owner is not None:
-                        self._dirty.add(mate_owner)
 
     # ------------------------------------------------------------------
     # freezing, compilation, and component computation
@@ -821,7 +806,8 @@ class CircuitLayout:
 
         Idempotent: freezing a frozen layout is a no-op — reusing a
         layout over many rounds pays the component computation once.
-        Derived layouts recompute only the touched region.
+        A derived layout that was not re-wired adopts its base's
+        arrays.
         """
         if self._frozen:
             return
@@ -840,81 +826,52 @@ class CircuitLayout:
         self._owned_pin_lists = set()
 
     def _freeze_full(self) -> None:
-        if self._n_alive != len(self._slot_keys):
-            self._compact()
-        self._compiled = compile_wiring_ids(
-            self._new_index(),
-            self._pin_slot,
-            self._channels,
-            self._gi.mate_edges(),
-        )
+        self._compact()
+        self._lower(self._new_index())
         LAYOUT_STATS.full_builds += 1
-        LAYOUT_STATS.compiles += 1
 
     def _freeze_incremental(self) -> None:
         base = self._base_compiled
         assert base is not None
-        if not self._dirty and not self._force_relower:
+        self._base_compiled = None
+        if not self._rewired:
             # Wiring unchanged: adopt the base compilation wholesale.
             self._compiled = base
             LAYOUT_STATS.noop_freezes += 1
-            self._base_compiled = None
             return
-
-        if (
-            self._force_relower
-            or self._n_alive != len(self._slot_keys)
-            or len(self._slot_keys) != len(base.index)
-        ):
+        if self._n_alive != len(self._slot_keys) or len(self._slot_keys) != len(base.index):
             # The partition-set universe changed (sets released for good
-            # or newly declared): compact the slots and relower from
-            # scratch with a fresh index.  Assignment validation is
-            # still skipped — that is the derive() contract.
+            # or newly declared): compact the slots and relower with a
+            # fresh index.
             self._compact()
-            self._compiled = compile_wiring_ids(
-                self._new_index(),
-                self._pin_slot,
-                self._channels,
-                self._gi.mate_edges(),
-            )
+            index = self._new_index()
         else:
             # Universe intact: slots coincide with the base index's
-            # integer ids, so rebuild only the dirty adjacency rows and
-            # recompute components over the touched region.  The base
-            # index object is reused, so integer set-ids held by
-            # callers stay valid.
-            pin_slot = self._pin_slot
-            get_owner = pin_slot.get
-            mate_edges = self._gi.mate_edges()
-            channels = self._channels
-            slot_pins = self._slot_pins
-            dirty_indices: List[int] = []
-            new_rows: Dict[int, List[int]] = {}
-            for slot in self._dirty:
-                dirty_indices.append(slot)
-                row: List[int] = []
-                for pin in slot_pins[slot] or ():
-                    edge = pin // channels
-                    mate_owner = get_owner(
-                        pin + (mate_edges[edge] - edge) * channels
-                    )
-                    if mate_owner is not None:
-                        row.append(mate_owner)
-                new_rows[slot] = row
-            self._compiled = recompile_derived(base, dirty_indices, new_rows)
+            # integer ids, so the index object is reused and integer
+            # set-ids held by callers stay valid.
+            index = base.index
+        # Assignment validation is skipped: that is the derive() contract.
+        self._lower(index)
         LAYOUT_STATS.incremental_builds += 1
+
+    def _lower(self, index: PartitionSetIndex) -> None:
+        """Compile the circuits over ``index``: one parity pass when the
+        layout is made of its recorded PASC runs, the union-find
+        otherwise (or when the pins do not form the runs' two rails)."""
+        wiring = (index, self._pin_slot, self._channels, self._gi.mate_edges())
+        compiled = compile_pasc(*wiring, self._pasc_runs) if self._pasc_runs else None
+        if compiled is None:
+            compiled = compile_wiring_ids(*wiring)
+        else:
+            LAYOUT_STATS.parity_compiles += 1
+        self._compiled = compiled
         LAYOUT_STATS.compiles += 1
-        self._base_compiled = None
-        self._dirty.clear()
-        self._force_relower = False
 
     def _compact(self) -> None:
         """Renumber slots densely, dropping released (dead) ones.
 
         Only runs on the relower paths: a frozen layout therefore always
-        has its slots coincide with its compiled integer ids, which is
-        what lets the incremental freeze pass slots straight to
-        :func:`~repro.sim.compiled.recompile_derived`.
+        has its slots coincide with its compiled integer ids.
         """
         alive = self._alive
         if self._n_alive == len(self._slot_keys):
@@ -937,23 +894,15 @@ class CircuitLayout:
             remap[slot] for slot in self._owned_pin_lists if alive[slot]
         }
         self._alive = bytearray(b"\x01") * len(self._slot_keys)
-        self._dirty.clear()
 
     def _new_index(self) -> PartitionSetIndex:
         """A set-id index whose ``(node, label)`` tuples are built on demand.
 
         Called at freeze, after compaction: the frozen layout never
-        changes its keys again, so the index may read them later.
+        changes its keys or labels again, so the index may read them
+        later.
         """
-        keys = self._slot_keys
-        nodes = self._gi.nodes
-        labels = self._labels
-        return PartitionSetIndex(
-            size=len(keys),
-            materialize=lambda: [
-                (nodes[key & _NID_MASK], labels[key >> _KEY_SHIFT]) for key in keys
-            ],
-        )
+        return PartitionSetIndex(self._slot_keys, self._gi, self._labels)
 
     def compiled(self) -> CompiledLayout:
         """The flat-array form of this layout (freezes if necessary)."""

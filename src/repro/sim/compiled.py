@@ -2,12 +2,11 @@
 
 A frozen :class:`~repro.sim.circuits.CircuitLayout` is *compiled* into a
 :class:`CompiledLayout`: partition sets become dense integer indices
-(:class:`PartitionSetIndex`), the wired external links become an integer
-adjacency table, and the circuits become a flat component-label array
-plus a CSR-style component -> member index.  A synchronous round is then
-a handful of array passes — mark the beeping components in a byte mask,
-read the mask back for the listened sets — with zero per-round dict
-construction and zero tuple hashing.
+(:class:`PartitionSetIndex`), and the circuits become a flat
+component-label array plus a CSR-style component -> member index.  A
+synchronous round is then a handful of array passes — mark the beeping
+components in a byte mask, read the mask back for the listened sets —
+with zero per-round dict construction and zero tuple hashing.
 
 The same move keeps the matching inner loop of slowmatch-style
 implementations out of object-graph traversal: hash each object exactly
@@ -17,10 +16,15 @@ integer space, so the standard lowering (:func:`compile_wiring_ids`)
 never hashes a tuple at all — pin mates resolve through the grid
 index's mirror-edge table.
 
-Every pass is a pure-Python loop over flat integers; there is one
-kernel set.  Component labels are assigned in ascending order of each
-circuit's minimal member index, so round counts, forests, and every
-pinned total depend only on the wiring.
+There are two ways to label circuits, and both give the same labels:
+the generic lowering runs a union-find over the wired links, and a
+layout made only of PASC runs labels its two rails per run in one pass
+over its links (:func:`compile_pasc`).  Every pass is a pure-Python
+loop over flat integers; there is one kernel set.  Component labels
+are assigned in ascending order of each circuit's minimal member
+index, so round counts, forests, and every pinned total depend only on
+the wiring.  The link adjacency (:attr:`CompiledLayout.adj`) is built
+only when read, from the frozen pin table.
 
 Compiled layouts are immutable and cached on their layout; deriving a
 layout with an unchanged partition-set universe re-uses the base
@@ -31,9 +35,22 @@ derive chain of an algorithm's round loop.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.pins import PartitionSetId
+
+#: A partition set's key is ``label id << KEY_SHIFT | node id``.
+KEY_SHIFT = 32
+NID_MASK = (1 << KEY_SHIFT) - 1
+
+#: A PASC run as a layout records it: first slot, unit count, and the
+#: getters of the owners of its link pins, parent side and child side.
+PascRecord = Tuple[int, int, Optional[Callable], Optional[Callable]]
+
+#: What a layout's link adjacency is read from: its frozen pin table
+#: (encoded pin -> slot), the pin budget, and the grid index's
+#: mirror-edge table.
+Wiring = Tuple[Mapping[int, int], int, Sequence[int]]
 
 
 class PartitionSetIndex:
@@ -47,29 +64,40 @@ class PartitionSetIndex:
     <repro.sim.circuits.CircuitLayout.set_ids>`), reuse the id every
     round.
 
-    The index is lazy: ``materialize`` produces the ``(node, label)``
-    tuples on first use of :attr:`ids`, the view that observability,
-    fault injection and schedulers read; a layout whose callers address
-    sets by slot never creates them.
+    Set ``i`` is the layout's key ``keys[i]`` over the grid index
+    ``grid`` (whose node ids the keys carry) and the label table
+    ``labels``.  :meth:`node_id` reads a set's amoebot off its key; the
+    ``(node, label)`` tuples of :attr:`ids`, the view observability and
+    schedulers read, are built on first use, so a layout whose callers
+    address sets by slot never creates them.
     """
 
-    __slots__ = ("_ids", "_size", "_materialize")
+    __slots__ = ("_ids", "_keys", "_labels", "grid")
 
-    def __init__(self, size: int, materialize: Callable[[], List[PartitionSetId]]):
+    def __init__(self, keys: Sequence[int], grid, labels: Sequence[str]):
         self._ids: Optional[List[PartitionSetId]] = None
-        self._size = size
-        self._materialize = materialize
+        self._keys = keys
+        self._labels = labels
+        self.grid = grid
 
     @property
     def ids(self) -> List[PartitionSetId]:
         """The partition sets in id order, built on first use."""
         ids = self._ids
         if ids is None:
-            ids = self._ids = self._materialize()
+            nodes = self.grid.nodes
+            labels = self._labels
+            ids = self._ids = [
+                (nodes[key & NID_MASK], labels[key >> KEY_SHIFT]) for key in self._keys
+            ]
         return ids
 
+    def node_id(self, i: int) -> int:
+        """The grid-index id of the amoebot that owns set ``i``."""
+        return self._keys[i] & NID_MASK
+
     def __len__(self) -> int:
-        return self._size
+        return len(self._keys)
 
 
 class CompiledLayout:
@@ -79,9 +107,6 @@ class CompiledLayout:
     ----------
     index:
         Partition set <-> integer id mapping.
-    adj:
-        ``adj[i]`` lists the integer ids of the sets wired to set ``i``
-        by external links (one entry per wired link endpoint).
     comp:
         Dense circuit label per set id (``0 .. n_components - 1``).
     n_components:
@@ -90,9 +115,10 @@ class CompiledLayout:
 
     __slots__ = (
         "index",
-        "adj",
         "comp",
         "n_components",
+        "_wiring",
+        "_adj",
         "_starts",
         "_members",
         "_comp_sizes",
@@ -101,17 +127,32 @@ class CompiledLayout:
     def __init__(
         self,
         index: PartitionSetIndex,
-        adj: List[List[int]],
         comp: List[int],
         n_components: int,
+        wiring: Wiring,
     ):
         self.index = index
-        self.adj = adj
         self.comp = comp
         self.n_components = n_components
+        self._wiring = wiring
+        self._adj: Optional[List[List[int]]] = None
         self._starts: Optional[List[int]] = None
         self._members: Optional[List[int]] = None
         self._comp_sizes: Optional[List[int]] = None
+
+    @property
+    def adj(self) -> List[List[int]]:
+        """``adj[i]`` lists the integer ids of the sets wired to set ``i``
+        by external links (one entry per wired link endpoint).
+
+        Built on first read from the frozen pin table, by the loop the
+        generic lowering runs, so the rows do not depend on how the
+        circuits were labelled.
+        """
+        adj = self._adj
+        if adj is None:
+            adj = self._adj = _adjacency(len(self.index), *self._wiring)
+        return adj
 
     def members_csr(self):
         """Component -> member set-ids as ``(starts, members)`` arrays.
@@ -210,8 +251,20 @@ def compile_wiring_ids(
     (:meth:`~repro.grid.compiled.GridIndex.mate_edges`).  The whole
     lowering — mate resolution, adjacency, union-find — runs over flat
     integers: nothing is hashed except the C-level int dict probes.
+    The adjacency is dropped afterwards; :attr:`CompiledLayout.adj`
+    rebuilds it on demand.
     """
-    adj: List[List[int]] = [[] for _ in range(len(index))]
+    comp, n_components = _connected_components(
+        _adjacency(len(index), pin_slot, channels, mate_edges)
+    )
+    return CompiledLayout(index, comp, n_components, (pin_slot, channels, mate_edges))
+
+
+def _adjacency(
+    size: int, pin_slot: Mapping[int, int], channels: int, mate_edges: Sequence[int]
+) -> List[List[int]]:
+    """Per set, the sets at the far end of its wired pins."""
+    adj: List[List[int]] = [[] for _ in range(size)]
     get = pin_slot.get
     c = channels
     for pin, slot in pin_slot.items():
@@ -219,8 +272,67 @@ def compile_wiring_ids(
         mate_slot = get(pin + (mate_edges[e] - e) * c)
         if mate_slot is not None:
             adj[slot].append(mate_slot)
-    comp, n_components = _connected_components(adj)
-    return CompiledLayout(index, adj, comp, n_components)
+    return adj
+
+
+def compile_pasc(
+    index: PartitionSetIndex,
+    pin_slot: Mapping[int, int],
+    channels: int,
+    mate_edges: Sequence[int],
+    runs: Sequence[PascRecord],
+) -> Optional[CompiledLayout]:
+    """Label the circuits of a layout made of PASC runs in one pass.
+
+    ``runs`` lists each run as :meth:`CircuitLayout.assign_pasc
+    <repro.sim.circuits.CircuitLayout.assign_pasc>` recorded it: unit
+    ``i`` owns slots ``first + 2i`` (primary) and ``first + 2i + 1``
+    (secondary), and two getters read the owners of the parent-side
+    and of the child-side pins of every unit's parent link, both
+    channels, in unit order.  Under Corollary 5 wiring a run has
+    exactly two circuits, its rails: the root's primary set gets label
+    ``2r`` and its secondary set ``2r + 1``.  Then, in unit order (every
+    parent before its children), the set owning each child-side pin
+    takes the label of the set owning the parent-side pin.  Ownership
+    is read from the pin table at both ends, so the labels follow the
+    wiring, not the algorithm's state.
+
+    Returns ``None`` — the caller runs :func:`compile_wiring_ids`
+    instead — unless the pins make each run exactly two trees over its
+    own links: the runs cover the slots in order, there is no pin
+    besides the link pins, and every set of run ``r`` ends up labelled
+    ``2r`` or ``2r + 1``.  That last check also catches a set reached
+    twice (another one is then never reached and stays unlabelled), a
+    set labelled before its parent set was, and a link leaving its
+    run's slot range.  The labels then equal the union-find's: each
+    circuit's minimal member is its run's root set.
+    """
+    size = len(index)
+    comp = [-1] * size
+    end = 0
+    n_pins = 0
+    label = 0
+    try:
+        for first, count, parent_owners, child_owners in runs:
+            if first != end:
+                return None
+            end = first + 2 * count
+            comp[first] = label
+            comp[first + 1] = label + 1
+            label += 2
+            if count > 1:
+                for p, q in zip(parent_owners(pin_slot), child_owners(pin_slot)):
+                    comp[q] = comp[p]
+                n_pins += 4 * (count - 1)
+    except (KeyError, IndexError):  # a link pin unowned, or a slot past the end
+        return None
+    if end != size or n_pins != len(pin_slot):
+        return None
+    for rail, (first, count, _, _) in enumerate(runs):
+        sets = comp[first : first + 2 * count]
+        if sets.count(2 * rail) + sets.count(2 * rail + 1) != 2 * count:
+            return None
+    return CompiledLayout(index, comp, label, (pin_slot, channels, mate_edges))
 
 
 def _connected_components(adj: List[List[int]]) -> Tuple[List[int], int]:
@@ -265,107 +377,9 @@ def _connected_components(adj: List[List[int]]) -> Tuple[List[int], int]:
     return comp, n_components
 
 
-def _group_region(region: Sequence[int], adj: List[List[int]]) -> List[List[int]]:
-    """Connected groups of ``region`` under ``adj``.
-
-    The region is closed under adjacency (base circuits are closed under
-    unchanged links; both endpoints of every changed link are dirty and
-    hence inside the region), so a plain flood fill over a byte mask
-    suffices — no hashing at all.
-    """
-    pending = bytearray(len(adj))
-    for i in region:
-        pending[i] = 1
-    groups: List[List[int]] = []
-    for start in region:
-        if not pending[start]:
-            continue
-        pending[start] = 0
-        group = [start]
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if pending[v]:
-                    pending[v] = 0
-                    group.append(v)
-                    stack.append(v)
-        groups.append(group)
-    return groups
-
-
-def recompile_derived(
-    base: CompiledLayout,
-    dirty_indices: Sequence[int],
-    new_rows: Dict[int, List[int]],
-) -> CompiledLayout:
-    """Recompile after a re-wiring that kept the set universe intact.
-
-    ``new_rows`` replaces the adjacency rows of exactly the dirty sets
-    (both endpoints of every changed link are dirty, so all other rows
-    are unchanged and shared with ``base``).  Components are recomputed
-    only inside the touched region — the base circuits containing a
-    dirty set — and relabeled so circuit labels stay dense, mirroring
-    the historical dict-based incremental freeze.
-    """
-    adj = list(base.adj)
-    for i, row in new_rows.items():
-        adj[i] = row
-
-    base_comp = base.comp
-    affected = sorted({base_comp[i] for i in dirty_indices})
-    starts, members = base.members_csr()
-    region: List[int] = []
-    for c in affected:
-        region.extend(members[starts[c] : starts[c + 1]])
-
-    groups = _group_region(region, adj)
-
-    comp = list(base_comp)
-    n_components = base.n_components
-    sizes = [starts[c + 1] - starts[c] for c in range(n_components)]
-    group_members: Dict[int, List[int]] = {}
-    for c in affected:
-        sizes[c] = 0
-
-    hole_cursor = 0
-    for group in groups:
-        if hole_cursor < len(affected):
-            label = affected[hole_cursor]
-            hole_cursor += 1
-        else:
-            label = n_components
-            n_components += 1
-            sizes.append(0)
-        sizes[label] = len(group)
-        group_members[label] = group
-        for i in group:
-            comp[i] = label
-
-    # Compact leftover holes (circuits merged away) so labels stay dense
-    # and every label in 0..n-1 is non-empty.
-    for hole in affected[hole_cursor:]:
-        while n_components and sizes[n_components - 1] == 0:
-            n_components -= 1
-        if hole >= n_components:
-            break
-        tail = n_components - 1
-        moved = group_members.pop(tail, None)
-        if moved is None:
-            moved = members[starts[tail] : starts[tail + 1]]
-        for i in moved:
-            comp[i] = hole
-        group_members[hole] = list(moved)
-        sizes[hole] = sizes[tail]
-        sizes[tail] = 0
-        n_components -= 1
-
-    return CompiledLayout(base.index, adj, comp, n_components)
-
-
 __all__ = [
     "CompiledLayout",
     "PartitionSetIndex",
+    "compile_pasc",
     "compile_wiring_ids",
-    "recompile_derived",
 ]

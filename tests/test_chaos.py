@@ -19,10 +19,13 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.api import Session, SolveRequest
+import repro.experiments.runner as runner_module
 from repro.experiments import CampaignRunner, ResultStore
 from repro.experiments.runner import QUARANTINE_RECORD
 from repro.experiments.spec import CampaignSpec, ScenarioSpec
@@ -163,6 +166,50 @@ class TestWorkerCrashRecovery:
         assert second.quarantined == []
         assert second.cache_hits == 2
         assert second.executed == 1
+
+    def test_pool_breaking_during_submit_isolates_the_rest(self, tmp_path, monkeypatch):
+        """A worker that dies while a batch is still being submitted
+        makes ``submit`` itself raise ``BrokenProcessPool``: the trials
+        not submitted yet go to the isolation pass with the outstanding
+        ones instead of the error escaping the runner.  The executor is
+        an in-process stand-in whose third ``submit`` finds the pool
+        broken, so the test does not depend on timing."""
+        submits = []
+
+        class SubmitBreaksPool:
+            def __init__(self, max_workers=None, initializer=None, initargs=()):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                submits.append(args[0].key())
+                if len(submits) == 3:
+                    raise BrokenProcessPool("a worker died during submit")
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", SubmitBreaksPool)
+        campaign = drill_campaign(5)
+        trials = campaign.trials()
+        report = CampaignRunner(
+            store=ResultStore(tmp_path / "results.jsonl"),
+            workers=2,
+            retry=FAST_RETRY,
+        ).run(campaign, resume=False)
+
+        assert {r.to_dict()["key"] for r in report.results} == {t.key() for t in trials}
+        assert report.quarantined == []
+        # Two trials settled in the pool; the one whose submit broke it
+        # and the two never submitted ran once each in isolation.
+        assert report.retries == 3
+        assert submits == [t.key() for t in trials[:3]] + [t.key() for t in trials[2:]]
+
 
 
 class TestDaemonUnderChaos:
