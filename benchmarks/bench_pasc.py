@@ -25,13 +25,13 @@ from repro.grid.coords import Node
 from repro.grid.oracle import bfs_tree
 from repro.metrics.records import ResultTable
 from repro.pasc.runner import run_pasc
-from repro.pasc.chain import PascRun
 from repro.sim.circuits import LAYOUT_STATS
 from repro.sim.engine import CircuitEngine
 from repro.workloads import hexagon, line_structure
 
 from benchmarks.conftest import emit
 from tests.conftest import node_chain
+from tests.node_oracles import node_tree_run
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 LENGTHS = (4, 16, 256) if QUICK else (4, 16, 64, 256, 1024)
@@ -57,7 +57,7 @@ def tree_pasc_run(radius: int):
     dist, parent = bfs_tree(structure, root)
     del parent[root]
     engine = CircuitEngine(structure)
-    run = PascRun.tree(structure.grid_index(), root, parent, (0, 1), tag="fd")
+    run = node_tree_run(structure.grid_index(), root, parent, (0, 1), tag="fd")
     LAYOUT_STATS.reset()
     result = run_pasc(engine, [run], section="forest_distances")
     check_layout_reuse(engine, result)

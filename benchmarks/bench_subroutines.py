@@ -51,8 +51,7 @@ def propagate_rounds(n: int) -> int:
 
 
 def _sssp(engine, structure, source) -> Forest:
-    spt = shortest_path_tree(engine, structure, source, structure.nodes)
-    return Forest({source}, spt.parent, set(spt.members))
+    return shortest_path_tree(engine, structure, source, structure.nodes).forest
 
 
 def test_subroutine_rounds(benchmark):

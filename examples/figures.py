@@ -122,7 +122,7 @@ def fig5_spt() -> None:
     )
     save(
         "fig5_spt_pruned.svg",
-        render_structure_svg(structure, node_colors=colors, parent=result.parent),
+        render_structure_svg(structure, node_colors=colors, parent=result.forest.parent),
     )
 
 

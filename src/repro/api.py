@@ -710,16 +710,7 @@ class Session:
             from repro.spf.spt import shortest_path_tree
 
             spt = shortest_path_tree(engine, structure, sources[0], destinations)
-            from repro.spf.types import Forest
-
-            return (
-                Forest(
-                    sources={sources[0]},
-                    parent=spt.parent,
-                    members=set(spt.members),
-                ),
-                "spt",
-            )
+            return spt.forest, "spt"
         if request.algorithm == "forest":
             from repro.spf.forest import shortest_path_forest
 
@@ -748,7 +739,7 @@ class Session:
                 algorithm=resolved, rounds=engine.rounds.total - rounds_before
             )
         emit({"event": "solved", "algorithm": resolved,
-              "members": len(forest.members)})
+              "members": len(forest)})
         report = self._base_report(
             request, structure, sources, destinations, engine, forest, resolved
         )
@@ -864,7 +855,7 @@ class Session:
             seed=request.seed,
             algorithm=resolved,
             rounds=engine.rounds.total,
-            forest_members=len(forest.members),
+            forest_members=len(forest),
             elapsed_s=0.0,
             activations=engine.rounds.activations,
             sections=dict(engine.rounds.breakdown()),

@@ -179,6 +179,4 @@ def bfs_wave_forest(
             [nid for nid in links if nid not in labels],
             until={id_of(d) for d in dest_set}.difference(labels),
         )
-    nodes = index.nodes
-    parent = {nodes[nid]: nodes[p] for nid, (p, _label) in heard.items()}
-    return Forest(sources=source_set, parent=parent, members=source_set | set(parent))
+    return Forest(index, labels, {nid: p for nid, (p, _label) in heard.items()})

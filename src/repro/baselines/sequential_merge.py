@@ -34,16 +34,13 @@ def sequential_merge_forest(
     accumulated: Forest | None = None
     with engine.rounds.section(section):
         for source in source_list:
-            spt = shortest_path_tree(
+            single = shortest_path_tree(
                 engine,
                 structure,
                 source,
                 all_nodes,
                 section=f"{section}:spt",
-            )
-            single = Forest(
-                sources={source}, parent=spt.parent, members=set(spt.members)
-            )
+            ).forest
             if accumulated is None:
                 accumulated = single
             else:

@@ -91,7 +91,7 @@ class FaultInjector:
             return False
         return True
 
-    def _crashed_in(self, grid) -> FrozenSet[int]:
+    def crashed_in(self, grid) -> FrozenSet[int]:
         """The ids of the crashed amoebots in grid index ``grid``, mapped
         again only when the index or the crashed set changes."""
         cached = self._crashed_ids
@@ -115,7 +115,7 @@ class FaultInjector:
         ``(node, label)`` tuple is built.
         """
         index = compiled.index
-        crashed = self._crashed_in(index.grid) if self.crashed else frozenset()
+        crashed = self.crashed_in(index.grid) if self.crashed else frozenset()
         node_id = index.node_id
         return [i for i in beeps if self._keep(node_id(i) in crashed)]
 

@@ -116,7 +116,7 @@ def canonical_forest(
     }
     if destinations is None:
         destinations = structure.nodes
-    return Forest.chains(source_set, parent_all, destinations)
+    return Forest.chains(structure.grid_index(), source_set, parent_all, destinations)
 
 
 def update_distances(
@@ -370,7 +370,9 @@ class DynamicSPF:
 
     def _refresh_forest(self) -> None:
         destinations = self.structure.nodes if self.destinations is None else self.destinations
-        self.forest = Forest.chains(self.sources, self._parent, destinations)
+        self.forest = Forest.chains(
+            self.structure.grid_index(), self.sources, self._parent, destinations
+        )
 
     # ------------------------------------------------------------------
     # wave layout maintenance (derive chain across structure versions)

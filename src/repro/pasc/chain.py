@@ -23,9 +23,10 @@ children, and its parent link is the edge id ``nid * 6 + d`` leaving the
 parent's amoebot toward the unit's, checked against :attr:`GridIndex.nbr
 <repro.grid.compiled.GridIndex.nbr>`.  A run's layout is written by one
 :meth:`~repro.sim.circuits.CircuitLayout.assign_pasc` call and its wiring
-key is made of ints and bytes.  ``Node`` appears only in the boundary
-conversion :meth:`PascRun.tree` and the views :meth:`PascRun.node_values`,
-:meth:`PascRun.primary_set` and :meth:`PascRun.secondary_set`.
+key is made of ints and bytes; :meth:`PascRun.tree` builds a run from an
+id parent map.  ``Node`` appears only in the views
+:meth:`PascRun.node_values`, :meth:`PascRun.primary_set` and
+:meth:`PascRun.secondary_set`.
 """
 
 from __future__ import annotations
@@ -186,40 +187,40 @@ class PascRun:
     def tree(
         cls,
         index,
-        root: Node,
-        parent: Mapping[Node, Node],
+        root: int,
+        parent: Mapping[int, int],
         channels: ChannelPair = (0, 1),
         tag: str = "pasc",
     ) -> "PascRun":
-        """Tree PASC (Corollary 5) over a ``Node`` parent map: afterwards
-        every node's value is its depth below ``root``.
+        """Tree PASC (Corollary 5) over an id parent map: afterwards every
+        unit's value is its depth below the node id ``root``.
 
-        Converts the map to units once, root first and breadth-first.
-        Raises :class:`ValueError` for a root with a parent, a tree edge
-        joining non-neighbors, a node outside the structure, and a map
-        that is not one tree below ``root`` (a cycle or a disconnected
-        part).
+        Lists the units root first and breadth-first.  Raises
+        :class:`ValueError` for a root with a parent, a tree edge joining
+        non-neighbors, and a map that is not one tree below ``root`` (a
+        cycle or a disconnected part).
         """
         if root in parent:
             raise ValueError("root must not have a parent")
-        children: Dict[Node, List[Node]] = {}
+        children: Dict[int, List[int]] = {}
         for child, par in parent.items():
-            if not child.is_adjacent(par):
-                raise ValueError(f"tree edge {par}-{child} joins non-neighbors")
             children.setdefault(par, []).append(child)
-        nodes = [root]
+        nids = [root]
         parents: List[int] = []
-        for k, u in enumerate(nodes):  # grows while walked: breadth-first
+        for k, u in enumerate(nids):  # grows while walked: breadth-first
             for child in children.get(u, ()):
-                nodes.append(child)
+                nids.append(child)
                 parents.append(k)
-        if len(nodes) != len(parent) + 1:
+        if len(nids) != len(parent) + 1:
             raise ValueError("parent mapping is not a single tree below the root")
-        id_of = index.id_of
-        nids = [id_of(u) for u in nodes]
-        if None in nids:
-            raise ValueError(f"{nodes[nids.index(None)]} is not part of the structure")
-        links = [nids[p] * 6 + nodes[p].direction_to(u) for p, u in zip(parents, nodes[1:])]
+        nbr = index.nbr
+        links = []
+        for p, u in zip(parents, nids[1:]):
+            base = nids[p] * 6
+            try:
+                links.append(base + nbr[base : base + 6].index(u))
+            except ValueError:
+                raise ValueError(f"tree edge {nids[p]}-{u} joins non-neighbors") from None
         return cls(index, nids, links, channels, tag=tag, parents=parents)
 
     # ------------------------------------------------------------------

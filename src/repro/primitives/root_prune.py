@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from repro.grid.coords import Node
+from repro.grid.directions import OPPOSITE_VALUES as _OPP
 from repro.ett.technique import ETTOp, ETTResult, mark_one_outgoing_edge
-from repro.ett.tour import EulerTour
+from repro.ett.tour import EulerTour, euler_tour
 from repro.pasc.runner import run_pasc
 from repro.primitives.scope import NodeScope
 from repro.sim.engine import CircuitEngine
@@ -89,9 +90,31 @@ class RootPruneOp:
         marked = mark_one_outgoing_edge(tour, self.q_ids)
         self.ett_op = ETTOp(tour, marked, tag=tag)
 
+    @classmethod
+    def of_tree(
+        cls, index, root: int, parent: Mapping[int, int], q_ids: Iterable[int], tag: str = "rp"
+    ) -> "RootPruneOp":
+        """The op on the tree of node ids ``parent`` maps below ``root``,
+        with ``Q`` its nodes among ``q_ids`` plus the root."""
+        nbr = index.nbr
+        masks = {root: 0}
+        for u, p in parent.items():
+            d = nbr[u * 6 : u * 6 + 6].index(p)
+            masks[u] = masks.get(u, 0) | 1 << d
+            masks[p] = masks.get(p, 0) | 1 << _OPP[d]
+        q = set(q_ids).intersection(masks)
+        q.add(root)
+        return cls(euler_tour(index, root, masks), q, tag=tag)
+
     def result(self) -> RootPruneResult:
         """Decode V_Q, parents, and degrees once the ETT has finished."""
         return decode_root_prune(NodeScope(self.tour.index, self.tour.masks), self)
+
+    def parent_ids(self) -> Dict[int, int]:
+        """The parent id of every ``V_Q`` node but the root, once the ETT
+        has finished: the node-id half of :meth:`result`."""
+        inclusive = self.ett_op.result().inclusive
+        return unit_differences(range(self.tour.index.n_slots), self.tour, inclusive)[1]
 
 
 def unit_differences(
@@ -184,18 +207,6 @@ def root_and_prune(
     :func:`repro.ett.tour.adjacency_from_edges`).
     """
     scope = NodeScope.from_adjacency(engine.structure.grid_index(), adjacency)
-    return root_and_prune_scope(engine, scope, root, q_nodes, tag, section)
-
-
-def root_and_prune_scope(
-    engine: CircuitEngine,
-    scope: NodeScope,
-    root: Node,
-    q_nodes: Iterable[Node],
-    tag: str = "rp",
-    section: str = "root_prune",
-) -> RootPruneResult:
-    """:func:`root_and_prune` on a tree given as a :class:`NodeScope`."""
     op = RootPruneOp(scope.tour(root), scope.representative_ids(q_nodes), tag=tag)
     if op.ett_op.chain is not None:
         run_pasc(engine, [op.ett_op.chain], section=section)

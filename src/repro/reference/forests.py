@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Sequence, Set
+from typing import Dict, Iterable, Sequence
 
+from repro.grid.compiled import GridIndex
 from repro.grid.coords import Node
 from repro.grid.structure import AmoebotStructure
 from repro.spf.types import Forest
@@ -39,17 +40,7 @@ def ref_shortest_path_forest(
                 parent[v] = u
                 queue.append(v)
 
-    keep: Set[Node] = set(source_list)
-    for d in dest_set:
-        cur = d
-        while cur not in keep:
-            keep.add(cur)
-            cur = parent[cur]
-    return Forest(
-        sources=set(source_list),
-        parent={u: p for u, p in parent.items() if u in keep},
-        members=keep,
-    )
+    return Forest.chains(structure.grid_index(), source_list, parent, dest_set)
 
 
 def ref_shortest_path_tree(
@@ -80,8 +71,4 @@ def ref_line_forest(chain: Sequence[Node], sources: Iterable[Node]) -> Forest:
             parent[u] = nodes[i - 1]
         else:
             parent[u] = nodes[i + 1]
-    return Forest(
-        sources={nodes[p] for p in source_positions},
-        parent=parent,
-        members=set(nodes),
-    )
+    return Forest.from_nodes(GridIndex(nodes), {nodes[p] for p in source_positions}, parent)

@@ -171,17 +171,12 @@ class ActivationEngine(CircuitEngine):
         if layout is not None:
             observe = getattr(self.scheduler, "observe_layout", None)
             if observe is not None:
-                observe(layout.compiled(), self._grid.id_of)
+                observe(layout.compiled())
 
         crashed_ids = frozenset()
         injector = self.fault_injector
         if injector is not None and injector.crashed:
-            grid = self._grid
-            crashed_ids = frozenset(
-                i
-                for i in (grid.id_of(u) for u in injector.crashed)
-                if i is not None
-            )
+            crashed_ids = injector.crashed_in(self._grid)
         need = len(self._ids) - len(crashed_ids)
         stats = self.stats
         if need <= 0:

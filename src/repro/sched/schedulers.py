@@ -10,11 +10,12 @@ are all the same kind of object:
 * :meth:`Scheduler.start` — (re)initialize for a set of amoebot ids;
 * :meth:`Scheduler.next_delay` — delay until the given amoebot's next
   activation, in abstract time units;
-* ``observe_layout(compiled, id_of)`` — *optional*: an adversary may
-  inspect the current compiled circuit wiring before a round to pick
-  its victims (the worst-case heuristic targets partition sets with
-  many external links — the cut vertices of the circuits, where a
-  delayed amoebot stalls the most communication).
+* ``observe_layout(compiled)`` — *optional*: an adversary may inspect
+  the current compiled circuit wiring before a round to pick its
+  victims, reading each set's owner as a grid-index id
+  (``compiled.index.node_id``); the worst-case heuristic targets
+  partition sets with many external links — the cut vertices of the
+  circuits, where a delayed amoebot stalls the most communication.
 
 All schedulers respect a *fairness bound*: every amoebot's delay is at
 least 1 (nobody activates infinitely often) and the adversary's delays
@@ -26,7 +27,7 @@ scheduler (seeded), so a schedule is reproducible bit for bit.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.sim.compiled import CompiledLayout
 
@@ -124,10 +125,15 @@ class AdversarialDelayScheduler:
         self._pinned = frozenset(victims) if victims is not None else None
         self.victims: frozenset = self._pinned or frozenset()
         self._ids: List[int] = []
+        #: The last two compiled layouts scored, with their victims: a
+        #: PASC iteration alternates its runs' layout with the global
+        #: termination layout.
+        self._scored: List[Tuple[CompiledLayout, frozenset]] = []
 
     def start(self, ids: Sequence[int]) -> None:
         """Remember the population and pick the initial victim set."""
         self._ids = list(ids)
+        self._scored = []
         if self._pinned is not None:
             self.victims = self._pinned
         elif not self._ids:
@@ -138,23 +144,28 @@ class AdversarialDelayScheduler:
             count = max(1, int(len(self._ids) * self.fraction))
             self.victims = frozenset(sorted(self._ids)[:count])
 
-    def observe_layout(
-        self, compiled: CompiledLayout, id_of: Callable[[object], Optional[int]]
-    ) -> None:
-        """Re-target: delay the owners of the highest-degree sets."""
+    def observe_layout(self, compiled: CompiledLayout) -> None:
+        """Re-target: delay the owners of the highest-degree sets.
+
+        The victims are a function of the wiring alone, so the two
+        layouts scored last are not scored again.
+        """
         if self._pinned is not None or not self._ids:
             return
+        for scored, victims in self._scored:
+            if scored is compiled:
+                self.victims = victims
+                return
         score: Dict[int, int] = {}
-        ids = compiled.index.ids
-        adj = compiled.adj
-        for i, set_id in enumerate(ids):
-            nid = id_of(set_id[0])
-            if nid is not None:
-                score[nid] = score.get(nid, 0) + len(adj[i])
+        node_id = compiled.index.node_id
+        for i, links in enumerate(compiled.adj):
+            nid = node_id(i)
+            score[nid] = score.get(nid, 0) + len(links)
         count = max(1, int(len(self._ids) * self.fraction))
         # Ties break toward smaller ids: deterministic victim choice.
         ranked = sorted(self._ids, key=lambda nid: (-score.get(nid, 0), nid))
         self.victims = frozenset(ranked[:count])
+        self._scored = self._scored[-1:] + [(compiled, self.victims)]
 
     def next_delay(self, node_id: int) -> float:
         """Victims wait the full fairness bound, everyone else 1."""

@@ -226,9 +226,13 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_json(202, job.snapshot())
         elif parts == ["shutdown"]:
+            # Close the service and cancel its queue before answering, so
+            # no worker freed after the reply dequeues a queued job.
+            self.service.shutdown(wait=False)
             self._send_json(200, {"ok": True, "shutting_down": True})
-            # Respond first, then stop: shutdown_service() joins the
-            # serve_forever loop and would deadlock run on this thread.
+            # Then join the workers and stop the HTTP loop off this
+            # thread: shutdown_service() joins the serve_forever loop
+            # and would deadlock run here.
             threading.Thread(
                 target=self.server.shutdown_service,  # type: ignore[attr-defined]
                 daemon=True,

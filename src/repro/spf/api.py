@@ -122,10 +122,7 @@ def solve_spf(
         algorithm = "wave-fallback"
     elif len(source_set) == 1:
         source = next(iter(source_set))
-        spt = shortest_path_tree(engine, structure, source, dest_set)
-        forest = Forest(
-            sources={source}, parent=spt.parent, members=set(spt.members)
-        )
+        forest = shortest_path_tree(engine, structure, source, dest_set).forest
         algorithm = "spt"
     else:
         forest = shortest_path_forest(engine, structure, source_set, dest_set)
@@ -149,4 +146,4 @@ def _wave_fallback(
     from repro.baselines.bfs_wave import bfs_wave_forest
 
     wave = bfs_wave_forest(engine, structure, sources, destinations)
-    return Forest.chains(sources, wave.parent, destinations)
+    return Forest.chains(wave.index, sources, wave.parent, destinations)

@@ -30,7 +30,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.grid.coords import Node
 from repro.grid.directions import Axis
 from repro.grid.structure import AmoebotStructure
-from repro.ett.tour import edge_masks, euler_tour
 from repro.pasc.runner import run_pasc
 from repro.portals.portals import Portal, PortalSystem
 from repro.portals.primitives import (
@@ -156,12 +155,14 @@ def shortest_path_forest(
                 f"merging left {len(forests)} regions; expected one with a forest"
             )
         forest = forests[0]
-        if forest.members != structure.nodes:
+        if len(forest) != len(structure):
             raise AssertionError("final forest does not cover the structure")
 
         # ---- Step 5: prune to the destinations (Corollary 57) ----------
         if dest_set != structure.nodes:
-            forest = _prune_to_destinations(engine, forest, dest_set, section)
+            id_of = forest.index.id_of
+            dest_ids = {id_of(d) for d in dest_set}
+            forest = _prune_to_destinations(engine, forest, dest_ids, section)
 
     return forest
 
@@ -392,9 +393,9 @@ def _merge_pair(
         spt = shortest_path_tree(
             engine, sub, mark, target_nodes, section=f"{section}:pair_spt"
         )
-        parent = dict(forest.parent)
-        parent.update(spt.parent)
-        return Forest(sources=set(forest.sources), parent=parent, members=combined)
+        parent = dict(forest.parent_ids)
+        parent.update(spt.forest.parent_ids)
+        return Forest(forest.index, forest.source_ids, parent)
 
     extended_west = extend(west.forest, east)
     extended_east = extend(east.forest, west)
@@ -420,30 +421,22 @@ def _merge_pair(
 def _prune_to_destinations(
     engine: CircuitEngine,
     forest: Forest,
-    destinations: Set[Node],
+    destinations: Set[int],
     section: str,
 ) -> Forest:
     """Batched root-and-prune on every tree with Q = D (Corollary 57)."""
-    ops: List[Tuple[Node, RootPruneOp]] = []
-    index = engine.structure.grid_index()
+    index = forest.index
+    nodes = index.nodes
     with engine.rounds.section(f"{section}:prune"):
-        for source, parent_map in forest.tree_parent_maps().items():
-            tree_nodes = {source} | set(parent_map)
-            q = (destinations & tree_nodes) | {source}
-            masks = edge_masks(index, parent_map.items(), (source,))
-            tour = euler_tour(index, index.id_of(source), masks)
-            q_ids = [index.id_of(u) for u in q]
-            ops.append((source, RootPruneOp(tour, q_ids, tag=f"pr{source.x}_{source.y}")))
-        chains = [op.ett_op.chain for _s, op in ops if op.ett_op.chain is not None]
+        ops = [
+            RootPruneOp.of_tree(index, s, tree, destinations, tag=f"pr{nodes[s].x}_{nodes[s].y}")
+            for s, tree in forest.trees().items()
+        ]
+        chains = [op.ett_op.chain for op in ops if op.ett_op.chain is not None]
         if chains:
             run_pasc(engine, chains, section=f"{section}:prune_pasc")
 
-    parent: Dict[Node, Node] = {}
-    members: Set[Node] = set(forest.sources)
-    for source, op in ops:
-        result = op.result()
-        for u in result.in_vq:
-            members.add(u)
-            if u != source:
-                parent[u] = result.parent[u]
-    return Forest(sources=set(forest.sources), parent=parent, members=members)
+    parent: Dict[int, int] = {}
+    for op in ops:
+        parent.update(op.parent_ids())
+    return Forest(index, forest.source_ids, parent)

@@ -10,7 +10,7 @@ east (where they exist) and points its parent at the closer one.  All
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.grid.coords import Node
 from repro.pasc.chain import PascRun
@@ -39,20 +39,9 @@ def line_forest(
     nodes = list(chain)
     if not nodes:
         raise ValueError("chain must be non-empty")
-    index = {u: i for i, u in enumerate(nodes)}
-    if len(index) != len(nodes):
-        raise ValueError("chain visits an amoebot twice")
     for u, v in zip(nodes, nodes[1:]):
         if not u.is_adjacent(v):
             raise ValueError(f"chain entries {u}, {v} are not adjacent")
-    source_set: Set[Node] = set(sources)
-    if not source_set:
-        raise ValueError("need at least one source")
-    unknown = source_set.difference(index)
-    if unknown:
-        raise ValueError(f"sources not on the chain: {sorted(unknown)[:3]}")
-
-    source_positions = sorted(index[s] for s in source_set)
 
     # The chain in grid-index integers, once: node ids, the edge ids
     # toward the next amoebot and their mirrors toward the previous one.
@@ -60,6 +49,15 @@ def line_forest(
     nids = [grid.id_of(u) for u in nodes]
     if None in nids:
         raise ValueError(f"{nodes[nids.index(None)]} is not part of the structure")
+    position = {nid: i for i, nid in enumerate(nids)}
+    if len(position) != len(nids):
+        raise ValueError("chain visits an amoebot twice")
+    source_ids = {grid.id_of(s) for s in sources}
+    if not source_ids:
+        raise ValueError("need at least one source")
+    if not source_ids.issubset(position):
+        raise ValueError("sources not on the chain")
+    source_positions = sorted(position[s] for s in source_ids)
     east_edges = [nid * 6 + u.direction_to(v) for nid, u, v in zip(nids, nodes, nodes[1:])]
     mate = grid.mate_edges()
     west_edges = [mate[e] for e in east_edges]
@@ -67,8 +65,8 @@ def line_forest(
     # Segments between consecutive sources (and the chain ends); PASC
     # runs from each source toward the next one in both directions.
     runs: List[PascRun] = []
-    east_runs: Dict[int, Tuple[int, PascRun]] = {}  # segment start pos -> (end, run)
-    west_runs: Dict[int, Tuple[int, PascRun]] = {}
+    east_runs: List[Tuple[int, int, PascRun]] = []  # (segment start, end, run)
+    west_runs: List[Tuple[int, int, PascRun]] = []
     for i, pos in enumerate(source_positions):
         east_end = (
             source_positions[i + 1]
@@ -84,7 +82,7 @@ def line_forest(
                 tag=f"line_e{pos}",
             )
             runs.append(run)
-            east_runs[pos] = (east_end, run)
+            east_runs.append((pos, east_end, run))
         west_end = source_positions[i - 1] if i > 0 else 0
         if west_end < pos:
             run = PascRun(
@@ -95,31 +93,32 @@ def line_forest(
                 tag=f"line_w{pos}",
             )
             runs.append(run)
-            west_runs[pos] = (west_end, run)
+            west_runs.append((pos, west_end, run))
 
     if runs:
         run_pasc(engine, runs, section=section)
 
     # Each amoebot compares its two distances and points at the closer
-    # source's direction (a purely local decision).
-    dist_from_west: Dict[Node, int] = {}
-    dist_from_east: Dict[Node, int] = {}
-    for pos, (end, run) in east_runs.items():
-        dist_from_west.update(zip(nodes[pos : end + 1], run.values()))
-    for pos, (end, run) in west_runs.items():
-        dist_from_east.update(zip(nodes[end : pos + 1][::-1], run.values()))
+    # source's direction (a purely local decision), by chain position.
+    m = len(nids)
+    dist_from_west: List[Optional[int]] = [None] * m
+    dist_from_east: List[Optional[int]] = [None] * m
+    for pos, end, run in east_runs:
+        dist_from_west[pos : end + 1] = run.values()
+    for pos, end, run in west_runs:
+        dist_from_east[end : pos + 1] = run.values()[::-1]
     engine.charge_local_round()
 
-    parent: Dict[Node, Node] = {}
-    for i, u in enumerate(nodes):
-        if u in source_set:
+    parent: Dict[int, int] = {}
+    for i, nid in enumerate(nids):
+        if nid in source_ids:
             continue
-        dw = dist_from_west.get(u)
-        de = dist_from_east.get(u)
+        dw = dist_from_west[i]
+        de = dist_from_east[i]
         if dw is not None and (de is None or dw <= de):
-            parent[u] = nodes[i - 1]
+            parent[nid] = nids[i - 1]
         elif de is not None:
-            parent[u] = nodes[i + 1]
+            parent[nid] = nids[i + 1]
         else:  # pragma: no cover - impossible with a non-empty source set
-            raise AssertionError(f"{u} saw no source in either direction")
-    return Forest(sources=source_set, parent=parent, members=set(nodes))
+            raise AssertionError(f"{nodes[i]} saw no source in either direction")
+    return Forest(grid, source_ids, parent)

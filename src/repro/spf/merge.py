@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.grid.coords import Node
 from repro.pasc.runner import run_pasc
 from repro.pasc.chain import PascRun
 from repro.sim.engine import CircuitEngine
@@ -28,30 +27,29 @@ def forest_distances(
     channels=(0, 1),
     tag: str = "fd",
     section: str = "forest_distances",
-) -> Dict[Node, int]:
-    """``dist(S, u)`` for every member via parallel tree PASC runs."""
-    runs = _forest_runs(engine, forest, channels, tag)
+) -> Dict[int, int]:
+    """``dist(S, u)`` for every member id via parallel tree PASC runs."""
+    runs = _forest_runs(forest, channels, tag)
     if runs:
         run_pasc(engine, runs, section=section)
-    return _collect(runs, forest)
+    return _collect(runs)
 
 
-def _forest_runs(engine: CircuitEngine, forest: Forest, channels, tag: str) -> List[PascRun]:
-    """One tree run per source, its tree converted to ids once."""
-    index = engine.structure.grid_index()
+def _forest_runs(forest: Forest, channels, tag: str) -> List[PascRun]:
+    """One tree run per source, over the forest's id parents."""
+    index = forest.index
+    nodes = index.nodes
     return [
-        PascRun.tree(index, source, parent_map, channels, tag=f"{tag}:{source.x}:{source.y}")
-        for source, parent_map in forest.tree_parent_maps().items()
+        PascRun.tree(index, s, tree, channels, tag=f"{tag}:{nodes[s].x}:{nodes[s].y}")
+        for s, tree in forest.trees().items()
     ]
 
 
-def _collect(runs: List[PascRun], forest: Forest) -> Dict[Node, int]:
-    dist: Dict[Node, int] = {}
+def _collect(runs: List[PascRun]) -> Dict[int, int]:
+    """Every unit's depth, keyed by its node id (one unit per amoebot)."""
+    dist: Dict[int, int] = {}
     for run in runs:
-        dist.update(run.node_values())
-    missing = forest.members - set(dist)
-    if missing:
-        raise AssertionError(f"forest distance missing for {sorted(missing)[:3]}")
+        dist.update(zip(run.nids, run.values()))
     return dist
 
 
@@ -67,25 +65,22 @@ def merge_forests(
     amoebot closer to ``S2`` its ``forest2`` parent (ties favor
     ``forest1`` — both are feasible by Lemma 41).
     """
-    if forest1.members != forest2.members:
+    if forest1.index is not forest2.index or forest1.member_ids() != forest2.member_ids():
         raise ValueError("merging requires identical member sets")
 
     with engine.rounds.section(section):
-        runs1 = _forest_runs(engine, forest1, _FOREST1_CHANNELS, "m1")
-        runs2 = _forest_runs(engine, forest2, _FOREST2_CHANNELS, "m2")
-        if runs1 or runs2:
-            run_pasc(engine, runs1 + runs2, section=f"{section}:pasc")
-        dist1 = _collect(runs1, forest1)
-        dist2 = _collect(runs2, forest2)
+        runs1 = _forest_runs(forest1, _FOREST1_CHANNELS, "m1")
+        runs2 = _forest_runs(forest2, _FOREST2_CHANNELS, "m2")
+        run_pasc(engine, runs1 + runs2, section=f"{section}:pasc")
+        dist1 = _collect(runs1)
+        dist2 = _collect(runs2)
         engine.charge_local_round()  # the local parent comparison
 
-    sources = forest1.sources | forest2.sources
-    parent: Dict[Node, Node] = {}
-    for u in forest1.members:
+    sources = set(forest1.source_ids).union(forest2.source_ids)
+    parent1, parent2 = forest1.parent_ids, forest2.parent_ids
+    parent: Dict[int, int] = {}
+    for u, p in parent1.items():
         if u in sources:
             continue
-        if dist1[u] <= dist2[u]:
-            parent[u] = forest1.parent[u]
-        else:
-            parent[u] = forest2.parent[u]
-    return Forest(sources=sources, parent=parent, members=set(forest1.members))
+        parent[u] = p if dist1[u] <= dist2[u] else parent2[u]
+    return Forest(forest1.index, sources, parent)

@@ -33,6 +33,7 @@ propagation runs unchanged under the event-driven engines of
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.grid.coords import Node
@@ -45,11 +46,7 @@ from repro.spf.merge import forest_distances
 from repro.spf.types import Forest
 
 
-def _line_coordinate(node: Node, axis: Axis) -> int:
-    """Coordinate identifying the ``axis``-parallel line of a node."""
-    return node.axis_coordinate(axis)
-
-
+@functools.lru_cache(maxsize=None)
 def _toward_direction(axis: Axis, other: Axis, gap_sign: int) -> Direction:
     """Direction along ``other`` that moves toward the portal's line.
 
@@ -57,7 +54,7 @@ def _toward_direction(axis: Axis, other: Axis, gap_sign: int) -> Direction:
     stepping in the returned direction shrinks the gap.
     """
     pos, neg = other.directions
-    pos_delta = _line_coordinate(Node(0, 0).neighbor(pos), axis)
+    pos_delta = Node(0, 0).neighbor(pos).axis_coordinate(axis)
     if pos_delta == -gap_sign:
         return pos
     return neg
@@ -100,27 +97,35 @@ def propagate_forest(
     ``portal_nodes`` is the portal run ``P`` inside ``structure`` (all
     on one ``axis``-parallel line, all forest members).  ``B`` is the
     complement of the forest's members.  Returns an S-forest covering
-    the whole structure (Lemma 50).
+    the whole structure (Lemma 50), in the ids of the engine
+    structure's grid index, like ``forest``.
 
-    ``systems`` holds portal systems of ``structure`` that the caller
-    already has; the transversal axes missing from it are built and
-    added, so a caller propagating several forests over one structure
-    builds each system once.
+    ``structure`` (a sub-structure of the engine's) keeps its own grid
+    index and portal systems; its nodes are converted to engine ids
+    once, one ``id_of`` per node, and ``B`` is visited in engine id
+    order.  ``systems`` holds portal systems of ``structure`` that
+    the caller already has; the transversal axes missing from it are
+    built and added, so a caller propagating several forests over one
+    structure builds each system once.
     """
     portal = list(portal_nodes)
     if not portal:
         raise ValueError("portal must be non-empty")
-    line = _line_coordinate(portal[0], axis)
-    if any(_line_coordinate(p, axis) != line for p in portal):
+    line = portal[0].axis_coordinate(axis)
+    if any(p.axis_coordinate(axis) != line for p in portal):
         raise ValueError("portal nodes do not share a grid line")
-    portal_set = set(portal)
-    if not portal_set <= forest.members:
+    grid = engine.structure.grid_index()
+    id_of = grid.id_of
+    members = forest.member_ids()
+    portal_ids = [id_of(p) for p in portal]
+    if not members.issuperset(portal_ids):
         raise ValueError("the portal must be covered by the forest")
-    if not forest.members <= structure.nodes:
+    structure_ids = {id_of(u) for u in structure.nodes}
+    if not members <= structure_ids:
         raise ValueError("forest members outside the structure")
 
-    b_nodes = structure.nodes - forest.members
-    if not b_nodes:
+    b_ids = sorted(structure_ids - members)
+    if not b_ids:
         return forest
 
     other_axes = axis.others
@@ -136,65 +141,61 @@ def propagate_forest(
         # portal circuits and every B-amoebot listens on both of its
         # own; it hears on an axis iff its portal on that axis meets P.
         layout = visibility_layout(engine, systems)
-        id_of = engine.structure.grid_index().id_of
         labels = [_vis_label(d) for d in other_axes]
-        ordered = sorted(b_nodes)
-        beeps = ((id_of(p), label) for p in portal for label in labels)
-        listen = ((id_of(u), label) for u in ordered for label in labels)
+        beeps = ((p, label) for p in portal_ids for label in labels)
+        listen = ((u, label) for u in b_ids for label in labels)
         bits = engine.run_round_indexed(
             layout, layout.set_ids(beeps, "beep on"), layout.set_ids(listen, "listen on")
         )
-        visible: Dict[Node, List[Axis]] = {}
-        for i, u in enumerate(ordered):
+        visible: Dict[int, List[Axis]] = {}
+        for i, u in enumerate(b_ids):
             axes = [d for j, d in enumerate(other_axes) if bits[2 * i + j]]
             if axes:
                 visible[u] = axes
         b_prime = set(visible)
-        b_shadow = b_nodes - b_prime
+        b_shadow = set(b_ids).difference(b_prime)
 
-        parent: Dict[Node, Node] = dict(forest.parent)
+        parent: Dict[int, int] = dict(forest.parent_ids)
 
         # Distances on P via PASC over the existing forest; the portal
         # circuits forward the bits to doubly-visible amoebots within
         # the same iterations (no extra rounds, per the paper), so
         # ``meets`` only names the projection whose distance arrives:
-        # where each transversal portal meets P.
-        meets: Dict[Axis, List[Optional[Node]]] = {}
-        dist_on_p: Dict[Node, int] = {}
+        # a transversal portal crosses P's line once, at one p in P.
+        meets: Dict[Axis, Dict[int, int]] = {}
+        dist: Dict[int, int] = {}
+        sub_id = structure.grid_index().id_of
         if any(len(axes) == 2 for axes in visible.values()):
             for d in other_axes:
-                meets[d] = [
-                    next((p for p in run.nodes if p in portal_set), None)
-                    for run in systems[d].portals
-                ]
-            all_dist = forest_distances(
+                index_of = systems[d].portal_index_of_id
+                meets[d] = {index_of[sub_id(p)]: g for p, g in zip(portal, portal_ids)}
+            dist = forest_distances(
                 engine, forest, channels=(0, 1), tag="prop", section=f"{section}:pasc"
             )
-            dist_on_p = {p: all_dist[p] for p in portal}
 
-        grid = structure.grid_index()
+        nodes = grid.nodes
+        nbr = grid.nbr
         for u, axes in visible.items():
-            gap_sign = 1 if _line_coordinate(u, axis) > line else -1
+            gap_sign = 1 if nodes[u].axis_coordinate(axis) > line else -1
             d = axes[0]
             if len(axes) == 2:
-                nid = grid.id_of(u)
-                p1, p2 = (meets[e][systems[e].portal_index_of_id[nid]] for e in axes)
+                sid = sub_id(nodes[u])
+                p1, p2 = (meets[e][systems[e].portal_index_of_id[sid]] for e in axes)
                 # Prefer the first transversal axis on ties, matching the
                 # paper's "chooses n_y(u) if dist(S, proj_y) <= dist(S,
                 # proj_z)".
-                if dist_on_p[p1] > dist_on_p[p2]:
+                if dist[p1] > dist[p2]:
                     d = axes[1]
-            parent[u] = u.neighbor(_toward_direction(axis, d, gap_sign))
+            parent[u] = nbr[u * 6 + _toward_direction(axis, d, gap_sign)]
         engine.charge_local_round()
 
         # ---- Phase 2: shadowed components -----------------------------
-        components = _shadow_components(structure, b_shadow)
+        components = _shadow_components(grid, b_shadow)
         with engine.rounds.parallel() as group:
             for component in components:
                 with group.branch():
                     _propagate_into_shadow(
                         engine,
-                        structure,
                         component,
                         b_prime,
                         parent,
@@ -203,17 +204,12 @@ def propagate_forest(
                         section=section,
                     )
 
-    return Forest(
-        sources=set(forest.sources),
-        parent=parent,
-        members=set(structure.nodes),
-    )
+    return Forest(grid, forest.source_ids, parent)
 
 
-def _shadow_components(
-    structure: AmoebotStructure, shadow: Set[Node]
-) -> List[Set[Node]]:
-    """Connected components of ``B''`` inside the structure."""
+def _shadow_components(grid, shadow: Set[int]) -> List[Set[int]]:
+    """Connected components of ``B''`` (engine ids)."""
+    nbr = grid.nbr
     remaining = set(shadow)
     components = []
     while remaining:
@@ -222,7 +218,7 @@ def _shadow_components(
         stack = [start]
         while stack:
             u = stack.pop()
-            for v in structure.neighbors(u):
+            for v in nbr[u * 6 : u * 6 + 6]:
                 if v in remaining:
                     remaining.discard(v)
                     component.add(v)
@@ -233,10 +229,9 @@ def _shadow_components(
 
 def _propagate_into_shadow(
     engine: CircuitEngine,
-    structure: AmoebotStructure,
-    component: Set[Node],
-    b_prime: Set[Node],
-    parent: Dict[Node, Node],
+    component: Set[int],
+    b_prime: Set[int],
+    parent: Dict[int, int],
     axis: Axis,
     line: int,
     section: str,
@@ -246,18 +241,22 @@ def _propagate_into_shadow(
     # halves of the algorithm (SPT never propagates, so no cycle).
     from repro.spf.spt import shortest_path_tree
 
-    def level(u: Node) -> int:
-        return abs(_line_coordinate(u, axis) - line)
+    grid = engine.structure.grid_index()
+    nodes = grid.nodes
+    nbr = grid.nbr
 
-    gateway_candidates = {
-        u for u in component if any(v in b_prime for v in structure.neighbors(u))
-    }
+    def closest(candidates: List[int]) -> int:
+        """The candidate closest to P's line, ties by node order."""
+        return min(
+            candidates,
+            key=lambda u: (abs(nodes[u].axis_coordinate(axis) - line), nodes[u]),
+        )
+
+    gateway_candidates = [u for u in component if any(v in b_prime for v in nbr[u * 6 : u * 6 + 6])]
     if not gateway_candidates:
         raise AssertionError("shadow component without visible neighbors")
-    s_z = min(gateway_candidates, key=lambda u: (level(u), u.x, u.y))
-    visible_neighbors = [v for v in structure.neighbors(s_z) if v in b_prime]
-    b_z = min(visible_neighbors, key=lambda v: (level(v), v.x, v.y))
-    parent[s_z] = b_z
+    s_z = closest(gateway_candidates)
+    parent[s_z] = closest([v for v in nbr[s_z * 6 : s_z * 6 + 6] if v in b_prime])
 
     if len(component) == 1:
         engine.charge_local_round()
@@ -267,13 +266,12 @@ def _propagate_into_shadow(
     # component sub-structure, destinations = all of Z).  The component
     # was flood-filled, so it is connected and the trusted constructor
     # skips re-validation.
-    sub = AmoebotStructure.from_validated(component)
+    sub = AmoebotStructure.from_validated(nodes[u] for u in component)
     spt = shortest_path_tree(
         engine,
         sub,
-        s_z,
-        component,
+        nodes[s_z],
+        sub.nodes,
         section=f"{section}:shadow_spt",
     )
-    for u, p in spt.parent.items():
-        parent[u] = p
+    parent.update(spt.forest.parent_ids)

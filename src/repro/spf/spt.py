@@ -29,65 +29,42 @@ scheduler via round synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.grid.coords import Node
 from repro.grid.directions import Axis
 from repro.grid.structure import AmoebotStructure
-from repro.ett.tour import edge_masks
+from repro.pasc.runner import run_pasc
 from repro.portals.portals import Portal, PortalSystem
 from repro.portals.primitives import PortalScope, portal_root_and_prune
-from repro.primitives.root_prune import root_and_prune_scope
-from repro.primitives.scope import NodeScope
+from repro.primitives.root_prune import RootPruneOp
 from repro.sim.engine import CircuitEngine
+from repro.spf.types import Forest
 
 
 @dataclass
 class SPTResult:
-    """Output of the shortest path tree algorithm."""
+    """Output of the shortest path tree algorithm: the ``({s},
+    D)``-shortest path tree, in the engine structure's grid-index ids."""
 
     source: Node
-    destinations: Set[Node]
-    parent: Dict[Node, Node]
-    members: Set[Node]
-    #: Parent choices before the final pruning pass (Figure 5b); kept for
-    #: figures and white-box tests.
-    raw_parent: Dict[Node, Node] = field(default_factory=dict)
+    forest: Forest
+    #: Parent choices before the final pruning pass (Figure 5b), in
+    #: engine ids; kept for figures and white-box tests.
+    raw_parent_ids: Dict[int, int] = field(default_factory=dict)
+
+    @property
+    def raw_parent(self) -> Dict[Node, Node]:
+        """``Node`` view of :attr:`raw_parent_ids`."""
+        nodes = self.forest.index.nodes
+        return {nodes[u]: nodes[p] for u, p in self.raw_parent_ids.items()}
 
     def path_from(self, node: Node) -> List[Node]:
         """The tree path from ``node`` up to the source."""
         path = [node]
         while path[-1] != self.source:
-            path.append(self.parent[path[-1]])
+            path.append(self.forest.parent[path[-1]])
         return path
-
-
-def feasible_parents(
-    structure: AmoebotStructure,
-    systems: Dict[Axis, PortalSystem],
-    portal_parents: Dict[Axis, Dict[Portal, Portal]],
-    node: Node,
-) -> List[Node]:
-    """All feasible parents of ``node`` per Equation 1.
-
-    The edge to neighbor ``v`` is parallel to exactly one axis, on which
-    both endpoints share a portal; ``v`` is feasible iff on the two
-    remaining axes the parent of ``node``'s portal is ``v``'s portal.
-    """
-    result = []
-    for v in structure.neighbors(node):
-        edge_axis = node.direction_to(v).axis
-        ok = True
-        for axis in edge_axis.others:
-            parents = portal_parents[axis]
-            pu = systems[axis].portal_of[node]
-            pv = systems[axis].portal_of[v]
-            if parents.get(pu) != pv:
-                ok = False
-                break
-        if ok:
-            result.append(v)
-    return result
 
 
 def shortest_path_tree(
@@ -135,14 +112,18 @@ def shortest_path_tree(
             portal_parents[axis] = rp.parent
 
         # Local parent choice (one local round: no beeps involved),
-        # evaluated over the grid index: Equation 1 becomes a handful
-        # of integer array reads per (node, neighbor) pair.  Equivalent
-        # to calling :func:`feasible_parents` per node and taking the
-        # first hit — neighbor ids ascend in direction order, which is
-        # exactly the ccw-from-East order ``structure.neighbors`` uses.
+        # evaluated over the structure's grid index: Equation 1 becomes
+        # a handful of integer array reads per (node, neighbor) pair, and
+        # every amoebot takes its first feasible neighbor in direction
+        # order (ccw from East).  Parents are written in the engine
+        # structure's ids, one ``id_of`` per node of a sub-structure.
+        index = engine.structure.grid_index()
         grid = structure.grid_index()
         nbr = grid.nbr
-        nodes_of = grid.nodes
+        if grid is index:
+            to_engine: Sequence[int] = range(grid.n_slots)
+        else:
+            to_engine = [-1 if u is None else index.id_of(u) for u in grid.nodes]
         portal_idx = [systems[axis].portal_index_of_id for axis in Axis]
         parent_idx: List[List[int]] = []
         for axis in Axis:
@@ -152,10 +133,11 @@ def shortest_path_tree(
             for child, par in portal_parents[axis].items():
                 row[position[child]] = position[par]
             parent_idx.append(row)
-        raw_parent: Dict[Node, Node] = {}
-        source_id = grid.id_of(source)
+        raw_parent: Dict[int, int] = {}
+        source_id = to_engine[grid.id_of(source)]
         for nid in grid.live_ids():
-            if nid == source_id:
+            u = to_engine[nid]
+            if u == source_id:
                 continue
             base = nid * 6
             for d in range(6):
@@ -174,55 +156,24 @@ def shortest_path_tree(
                         feasible = False
                         break
                 if feasible:
-                    raw_parent[nodes_of[nid]] = nodes_of[vid]
+                    raw_parent[u] = to_engine[vid]
                     break
         engine.charge_local_round()
 
-        # Final pruning: root-and-prune on the source's parent-edge
-        # component with Q = D ∪ {s} (the source must stay in V_Q even
-        # when it is not a destination).
-        component = _component_of(source, raw_parent)
-        edges = [
-            (u, p) for u, p in raw_parent.items() if u in component and p in component
-        ]
-        index = engine.structure.grid_index()
-        rp = root_and_prune_scope(
-            engine,
-            NodeScope(index, edge_masks(index, edges, (source,))),
-            source,
-            (dest_set & component) | {source},
-            section=f"{section}:final_rp",
-        )
+        # Final pruning: root-and-prune on the source's tree of parent
+        # edges (parents strictly decrease the distance, so the parent
+        # edges form a forest) with Q = D ∪ {s} (the source must stay in
+        # V_Q even when it is not a destination).
+        roots = set(raw_parent.values()).difference(raw_parent)
+        roots.add(source_id)
+        tree = Forest(index, roots, raw_parent).trees()[source_id]
+        dest_ids = {index.id_of(d) for d in dest_set}
+        op = RootPruneOp.of_tree(index, source_id, tree, dest_ids)
+        if op.ett_op.chain is not None:
+            run_pasc(engine, [op.ett_op.chain], section=f"{section}:final_rp")
+        forest = Forest(index, (source_id,), op.parent_ids())
 
-        parent = {u: raw_parent[u] for u in rp.in_vq if u != source}
-        members = set(rp.in_vq) | {source}
-
-    unreached = dest_set - members
+    unreached = sorted(index.nodes[u] for u in dest_ids.difference(forest.member_ids()))
     if unreached:
-        raise AssertionError(
-            f"destinations missing from the shortest path tree: {sorted(unreached)[:3]}"
-        )
-    return SPTResult(
-        source=source,
-        destinations=dest_set,
-        parent=parent,
-        members=members,
-        raw_parent=raw_parent,
-    )
-
-
-def _component_of(source: Node, parent: Dict[Node, Node]) -> Set[Node]:
-    """Nodes connected to ``source`` in the undirected parent-edge graph."""
-    adjacency: Dict[Node, List[Node]] = {}
-    for u, p in parent.items():
-        adjacency.setdefault(u, []).append(p)
-        adjacency.setdefault(p, []).append(u)
-    component = {source}
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        for v in adjacency.get(u, []):
-            if v not in component:
-                component.add(v)
-                stack.append(v)
-    return component
+        raise AssertionError(f"destinations missing from the shortest path tree: {unreached[:3]}")
+    return SPTResult(source=source, forest=forest, raw_parent_ids=raw_parent)

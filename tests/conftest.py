@@ -7,6 +7,7 @@ from typing import Dict, List, Set, Tuple
 
 import pytest
 
+from repro.grid.compiled import GridIndex
 from repro.grid.coords import Node
 from repro.grid.oracle import bfs_tree
 from repro.grid.structure import AmoebotStructure
@@ -14,6 +15,7 @@ from repro.ett.tour import EulerTour, adjacency_from_edges
 from repro.pasc.chain import PascRun
 from repro.primitives.scope import NodeScope
 from repro.sim.engine import CircuitEngine
+from repro.spf.types import Forest
 from repro.workloads import hexagon, random_hole_free
 
 
@@ -94,3 +96,9 @@ def exchange_pins(layout, node: Node, label_a: str, label_b: str, pins) -> None:
         layout._key_slot[layout._key_of(nid, label)] for label in (label_a, label_b)
     )
     layout.exchange_slots(slot_a, slot_b, [(nid * 6 + d, ch) for d, ch in pins])
+
+
+def node_forest(sources, parent: Dict[Node, Node], members=None) -> Forest:
+    """A :class:`Forest` from ``Node`` maps, over a grid index of its nodes."""
+    nodes = set(sources) | set(parent) | set(parent.values()) | set(members or ())
+    return Forest.from_nodes(GridIndex(nodes), sources, parent, members)

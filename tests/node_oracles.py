@@ -15,6 +15,11 @@ The layout mutators :func:`assign`, :func:`release` and
 through a compiled index's ``ids`` view; the library addresses sets by
 grid-index ids (``CircuitLayout.assign_sets``, ``release_sets``,
 ``set_ids``).
+
+:func:`node_tree_run` builds a tree PASC run from a ``Node`` parent map
+(the library's :meth:`PascRun.tree` takes node ids), and
+:func:`feasible_parents` is Equation 1 over ``Node`` portals, the
+oracle for the shortest path tree's id-native parent choice.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.grid.coords import Node
 from repro.grid.directions import Direction
@@ -187,3 +192,45 @@ def run_round(
         keys = list(listen)
         listen_idx = indices(index, keys, "listen on")
     return dict(zip(keys, engine.run_round_indexed(layout, beep_idx, listen_idx)))
+
+
+def node_tree_run(index, root: Node, parent: Mapping[Node, Node], channels=(0, 1), tag="pasc"):
+    """:meth:`PascRun.tree <repro.pasc.chain.PascRun.tree>` over a ``Node``
+    parent map: the ``Node`` checks, then one ``id_of`` per node."""
+    from repro.pasc.chain import PascRun
+
+    if root in parent:
+        raise ValueError("root must not have a parent")
+    for child, par in parent.items():
+        if not child.is_adjacent(par):
+            raise ValueError(f"tree edge {par}-{child} joins non-neighbors")
+    id_of = index.id_of
+    for u in (root, *parent):
+        if id_of(u) is None:
+            raise ValueError(f"{u} is not part of the structure")
+    ids = {id_of(child): id_of(par) for child, par in parent.items()}
+    return PascRun.tree(index, id_of(root), ids, channels, tag=tag)
+
+
+def feasible_parents(structure, systems, portal_parents, node: Node) -> List[Node]:
+    """All feasible parents of ``node`` per Equation 1 (Section 4).
+
+    The edge to neighbor ``v`` is parallel to exactly one axis, on which
+    both endpoints share a portal; ``v`` is feasible iff on the two
+    remaining axes the parent of ``node``'s portal is ``v``'s portal.
+    ``shortest_path_tree`` picks the first one in neighbor order.
+    """
+    result = []
+    for v in structure.neighbors(node):
+        edge_axis = node.direction_to(v).axis
+        ok = True
+        for axis in edge_axis.others:
+            parents = portal_parents[axis]
+            pu = systems[axis].portal_of[node]
+            pv = systems[axis].portal_of[v]
+            if parents.get(pu) != pv:
+                ok = False
+                break
+        if ok:
+            result.append(v)
+    return result

@@ -9,8 +9,8 @@ from repro.grid.oracle import bfs_distances
 from repro.sim.engine import CircuitEngine
 from repro.baselines import bfs_wave_forest, sequential_merge_forest
 from repro.spf import solve_spf
-from repro.spf.types import Forest
 from repro.verify import assert_valid_forest
+from tests.conftest import node_forest
 from repro.workloads import hexagon, line_structure, random_hole_free
 
 
@@ -18,7 +18,7 @@ class TestForestType:
     def _simple_forest(self):
         nodes = [Node(i, 0) for i in range(4)]
         parent = {nodes[1]: nodes[0], nodes[2]: nodes[1], nodes[3]: nodes[2]}
-        return Forest({nodes[0]}, parent, set(nodes)), nodes
+        return node_forest({nodes[0]}, parent, set(nodes)), nodes
 
     def test_root_and_depth(self):
         forest, nodes = self._simple_forest()
@@ -26,39 +26,35 @@ class TestForestType:
         assert forest.depth_of(nodes[3]) == 3
         assert forest.depth_of(nodes[0]) == 0
 
-    def test_children(self):
-        forest, nodes = self._simple_forest()
-        children = forest.children()
-        assert children[nodes[0]] == [nodes[1]]
-        assert children[nodes[3]] == []
-
     def test_tree_parent_maps(self):
         forest, nodes = self._simple_forest()
-        trees = forest.tree_parent_maps()
-        assert set(trees) == {nodes[0]}
-        assert len(trees[nodes[0]]) == 3
+        trees = forest.trees()
+        (source,) = forest.source_ids
+        assert set(trees) == {source}
+        assert trees[source] == forest.parent_ids
+        assert len(trees[source]) == 3
 
     def test_missing_parent_rejected(self):
         nodes = [Node(i, 0) for i in range(3)]
         with pytest.raises(ValueError):
-            Forest({nodes[0]}, {}, set(nodes))
+            node_forest({nodes[0]}, {}, set(nodes))
 
     def test_no_sources_rejected(self):
         with pytest.raises(ValueError):
-            Forest(set(), {}, set())
+            node_forest(set(), {}, {Node(0, 0)})
 
     def test_cycle_detected_on_traversal(self):
         a, b, c = Node(0, 0), Node(1, 0), Node(2, 0)
-        forest = Forest({a}, {b: c, c: b}, {a, b, c})
+        forest = node_forest({a}, {b: c, c: b}, {a, b, c})
         with pytest.raises(ValueError):
             forest.root_of(b)
 
-    def test_restricted_to(self):
+    def test_node_views_are_built_once(self):
         forest, nodes = self._simple_forest()
-        sub = forest.restricted_to(set(nodes[:2]))
-        assert sub.members == set(nodes[:2])
-        with pytest.raises(ValueError):
-            forest.restricted_to({nodes[3]})
+        assert forest.parent is forest.parent
+        assert forest.members == set(nodes)
+        assert forest.sources == {nodes[0]}
+        assert len(forest) == 4
 
 
 class TestSolveSpf:

@@ -10,7 +10,7 @@ from repro.sim.engine import CircuitEngine
 from repro.sim.errors import PinConfigurationError
 from repro.spf.types import Forest
 from repro.workloads import hexagon, line_structure
-from tests.conftest import edge_ids
+from tests.conftest import edge_ids, node_forest
 
 
 class TestEngineEdgeCases:
@@ -59,25 +59,29 @@ class TestParallelGroupExceptions:
 class TestForestEdgeCases:
     def test_multi_source_tree_maps(self):
         a, b, c, d = (Node(i, 0) for i in range(4))
-        forest = Forest({a, d}, {b: a, c: d}, {a, b, c, d})
-        trees = forest.tree_parent_maps()
-        assert trees[a] == {b: a}
-        assert trees[d] == {c: d}
+        forest = node_forest({a, d}, {b: a, c: d}, {a, b, c, d})
+        id_of = forest.index.id_of
+        assert forest.trees() == {id_of(a): {id_of(b): id_of(a)}, id_of(d): {id_of(c): id_of(d)}}
 
     def test_depth_of_source_zero(self):
         a, b = Node(0, 0), Node(1, 0)
-        forest = Forest({a}, {b: a}, {a, b})
+        forest = node_forest({a}, {b: a}, {a, b})
         assert forest.depth_of(a) == 0
 
     def test_iteration_yields_members(self):
         a, b = Node(0, 0), Node(1, 0)
-        forest = Forest({a}, {b: a}, {a, b})
+        forest = node_forest({a}, {b: a}, {a, b})
         assert set(iter(forest)) == {a, b}
 
     def test_parent_outside_members_rejected(self):
-        a, b = Node(0, 0), Node(1, 0)
-        with pytest.raises(ValueError):
-            Forest({a}, {b: Node(5, 5)}, {a, b}).restricted_to({a, b})
+        a, b, c = Node(0, 0), Node(1, 0), Node(2, 0)
+        index = line_structure(3).grid_index()
+        with pytest.raises(ValueError, match="not a member"):
+            Forest.from_nodes(index, {a}, {b: c})
+        with pytest.raises(ValueError, match="non-neighbors"):
+            Forest.from_nodes(index, {a}, {c: a})
+        with pytest.raises(ValueError, match="leaves the structure"):
+            Forest.from_nodes(index, {a}, {b: Node(5, 5)})
 
 
 class TestStructureValidationMessages:

@@ -24,7 +24,6 @@ from repro.ett.technique import ETTOp, mark_one_outgoing_edge
 from repro.grid.coords import Node
 from repro.grid.directions import Axis, Direction, opposite
 from repro.pasc.runner import run_pasc
-from repro.pasc.chain import PascRun
 from repro.portals.portals import PortalSystem
 from repro.portals.primitives import PortalScope
 from repro.sim.circuits import CircuitLayout
@@ -33,7 +32,7 @@ from repro.sim.errors import PinConfigurationError
 from repro.workloads import line_structure
 from repro.workloads.specs import build_structure
 from tests.conftest import bfs_tree_adjacency, edge_ids, node_chain, node_ids, node_tour
-from tests.node_oracles import assign, build_euler_tour, channels_for, run_round, tour_links
+from tests.node_oracles import assign, build_euler_tour, channels_for, node_tree_run, run_round, tour_links
 
 SHAPES = (
     "random:150:2",
@@ -192,7 +191,7 @@ class TestSameCircuitsAsOracle:
         structure = build_structure(shape)
         engine = CircuitEngine(structure)
         root, _adjacency, parent = _tree(structure)
-        run = PascRun.tree(structure.grid_index(), root, parent, (2, 3), tag="fd")
+        run = node_tree_run(structure.grid_index(), root, parent, (2, 3), tag="fd")
         got = engine.new_layout()
         run.contribute_layout(got)
         want = engine.new_layout()
@@ -225,7 +224,7 @@ def test_path_shaped_tree_is_the_chain(shape):
         rows.setdefault(u.y, []).append(u)
     nodes = [u for k, y in enumerate(sorted(rows)) for u in rows[y][:: -1 if k % 2 else 1]]
     assert all(u.is_adjacent(v) for u, v in zip(nodes, nodes[1:]))
-    tree = PascRun.tree(structure.grid_index(), nodes[0], dict(zip(nodes[1:], nodes)))
+    tree = node_tree_run(structure.grid_index(), nodes[0], dict(zip(nodes[1:], nodes)))
     chain = node_chain(structure, nodes)
     engine = CircuitEngine(structure)
     layouts = []

@@ -38,10 +38,7 @@ class TestSpecialCases:
         s = random_hole_free(120, seed=32)
         nodes = sorted(s.nodes)
         engine = CircuitEngine(s)
-        result = shortest_path_tree(engine, s, nodes[0], nodes)
-        from repro.spf.types import Forest
-
-        forest = Forest({nodes[0]}, result.parent, set(result.members))
+        forest = shortest_path_tree(engine, s, nodes[0], nodes).forest
         oracle = bfs_distances(s, [nodes[0]])
         for u in nodes:
             assert forest.depth_of(u) == oracle[u]

@@ -30,7 +30,7 @@ from repro.workloads import hexagon, line_structure
 from repro.workloads.specs import build_structure
 
 from tests.conftest import bfs_tree_adjacency, edge_ids, exchange_pins, node_chain, node_ids, node_tour
-from tests.node_oracles import assign, reassign, release, run_round
+from tests.node_oracles import assign, node_tree_run, reassign, release, run_round
 
 
 def line_nodes(n):
@@ -246,7 +246,7 @@ class TestPascLayoutReuse:
         root = structure.westernmost()
         _adjacency, parent = bfs_tree_adjacency(structure, root)
         engine = CircuitEngine(structure)
-        run = PascRun.tree(structure.grid_index(), root, parent)
+        run = node_tree_run(structure.grid_index(), root, parent)
         LAYOUT_STATS.reset()
         run_pasc(engine, [run])
         # Runs' layout + the engine's global termination layout.

@@ -11,7 +11,6 @@ from repro.sim.engine import CircuitEngine
 from repro.spf.line import line_forest
 from repro.spf.merge import forest_distances, merge_forests
 from repro.spf.spt import shortest_path_tree
-from repro.spf.types import Forest
 from repro.verify import assert_valid_forest
 from repro.workloads import line_structure, random_hole_free
 
@@ -94,12 +93,14 @@ class TestForestDistances:
     def test_depths_equal_bfs_distances(self, medium_hexagon):
         nodes = sorted(medium_hexagon.nodes)
         engine = CircuitEngine(medium_hexagon)
-        spt = shortest_path_tree(engine, medium_hexagon, nodes[0], nodes)
-        forest = Forest({nodes[0]}, spt.parent, set(spt.members))
+        forest = shortest_path_tree(engine, medium_hexagon, nodes[0], nodes).forest
         dist = forest_distances(engine, forest)
         from repro.grid.oracle import bfs_distances
 
-        assert dist == bfs_distances(medium_hexagon, [nodes[0]])
+        node_at = forest.index.nodes
+        assert {node_at[u]: d for u, d in dist.items()} == bfs_distances(
+            medium_hexagon, [nodes[0]]
+        )
 
 
 class TestMergingAlgorithm:
@@ -152,5 +153,4 @@ class TestMergingAlgorithm:
 
 
 def _sssp_forest(engine, structure, source):
-    spt = shortest_path_tree(engine, structure, source, structure.nodes)
-    return Forest({source}, spt.parent, set(spt.members))
+    return shortest_path_tree(engine, structure, source, structure.nodes).forest

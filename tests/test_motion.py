@@ -6,14 +6,14 @@ from repro.grid.coords import Node
 from repro.motion import RoutingPlan, route_tokens
 from repro.reference import ref_shortest_path_forest
 from repro.sim.engine import CircuitEngine
-from repro.spf.types import Forest
 from repro.workloads import hexagon, random_hole_free, spread_nodes
+from tests.conftest import node_forest
 
 
 def chain_forest(n):
     nodes = [Node(i, 0) for i in range(n)]
     parent = {nodes[i]: nodes[i - 1] for i in range(1, n)}
-    return Forest({nodes[0]}, parent, set(nodes)), nodes
+    return node_forest({nodes[0]}, parent, set(nodes)), nodes
 
 
 class TestSingleToken:
@@ -77,7 +77,7 @@ class TestConvoyTieBreaks:
         root = Node(0, 0)
         junction = Node(1, 0)
         a, b = Node(2, 0), Node(1, 1)  # both point at the junction
-        forest = Forest(
+        forest = node_forest(
             {root},
             {junction: root, a: junction, b: junction},
             {root, junction, a, b},
@@ -133,7 +133,7 @@ class TestMidFlightForestSwap:
         forest, nodes = chain_forest(6)
         # After step 1, swap to a forest truncated at depth 2: tokens
         # beyond it are stranded and must be re-seated.
-        short = Forest(
+        short = node_forest(
             {nodes[0]},
             {nodes[1]: nodes[0], nodes[2]: nodes[1]},
             {nodes[0], nodes[1], nodes[2]},

@@ -19,7 +19,7 @@ from repro.pasc.chain import PascRun
 from repro.sim.engine import CircuitEngine
 from repro.workloads import line_structure
 from tests.conftest import bfs_tree_adjacency, node_chain
-from tests.node_oracles import run_round
+from tests.node_oracles import node_tree_run, run_round
 
 
 def line_nodes(length):
@@ -151,7 +151,7 @@ class TestTreePasc:
         root = medium_hexagon.westernmost()
         adjacency, parent = bfs_tree_adjacency(medium_hexagon, root)
         engine = CircuitEngine(medium_hexagon)
-        run = PascRun.tree(medium_hexagon.grid_index(), root, parent)
+        run = node_tree_run(medium_hexagon.grid_index(), root, parent)
         run_pasc(engine, [run])
         from repro.grid.oracle import bfs_tree
 
@@ -173,43 +173,45 @@ class TestTreePasc:
             else:
                 parent[u] = Node(u.x, 0)
         engine = CircuitEngine(s)
-        run = PascRun.tree(s.grid_index(), root, parent)
+        run = node_tree_run(s.grid_index(), root, parent)
         result = run_pasc(engine, [run])
         assert result.iterations <= 7  # log(height), not log(100)
 
     def test_single_node_tree(self):
         s = line_structure(1)
         engine = CircuitEngine(s)
-        run = PascRun.tree(s.grid_index(), Node(0, 0), {})
+        run = node_tree_run(s.grid_index(), Node(0, 0), {})
         result = run_pasc(engine, [run])
         assert run.node_values() == {Node(0, 0): 0}
         assert result.iterations == 1
 
+    # On line_structure(n), node Node(i, 0) has id i.
     def test_cycle_rejected(self):
         index = line_structure(6).grid_index()
         with pytest.raises(ValueError, match="single tree"):
-            PascRun.tree(index, Node(0, 0), {Node(1, 0): Node(2, 0), Node(2, 0): Node(1, 0)})
+            PascRun.tree(index, 0, {1: 2, 2: 1})
 
     def test_non_adjacent_edge_rejected(self):
         index = line_structure(6).grid_index()
         with pytest.raises(ValueError, match="non-neighbors"):
-            PascRun.tree(index, Node(0, 0), {Node(5, 0): Node(0, 0)})
+            PascRun.tree(index, 0, {5: 0})
+        with pytest.raises(ValueError, match="non-neighbors"):
+            node_tree_run(index, Node(0, 0), {Node(5, 0): Node(0, 0)})
 
     def test_root_with_parent_rejected(self):
         index = line_structure(6).grid_index()
         with pytest.raises(ValueError, match="root must not have a parent"):
-            PascRun.tree(index, Node(0, 0), {Node(0, 0): Node(1, 0)})
+            PascRun.tree(index, 0, {0: 1})
 
     def test_disconnected_map_rejected(self):
         index = line_structure(6).grid_index()
-        parent = {Node(1, 0): Node(0, 0), Node(4, 0): Node(3, 0)}
         with pytest.raises(ValueError, match="single tree"):
-            PascRun.tree(index, Node(0, 0), parent)
+            PascRun.tree(index, 0, {1: 0, 4: 3})
 
     def test_node_outside_the_structure_rejected(self):
         index = line_structure(2).grid_index()
         with pytest.raises(ValueError, match="not part of the structure"):
-            PascRun.tree(index, Node(0, 0), {Node(1, 0): Node(0, 0), Node(2, 0): Node(1, 0)})
+            node_tree_run(index, Node(0, 0), {Node(1, 0): Node(0, 0), Node(2, 0): Node(1, 0)})
 
     def test_parent_after_its_unit_rejected(self):
         index = line_structure(3).grid_index()
@@ -273,7 +275,7 @@ class TestParallelRuns:
         chain_nodes = [Node(x, 2) for x in range(6)]
 
         def make_runs():
-            tree = PascRun.tree(structure.grid_index(), root, parent)
+            tree = node_tree_run(structure.grid_index(), root, parent)
             chain = node_chain(structure, chain_nodes, tag="chain")
             return tree, chain
 

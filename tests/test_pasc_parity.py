@@ -40,6 +40,7 @@ from repro.spf.forest import shortest_path_forest
 from repro.verify import assert_valid_forest
 from repro.workloads import hexagon, line_structure, random_hole_free, spread_nodes
 from repro.workloads.specs import build_structure
+from tests.node_oracles import node_tree_run
 
 from tests.conftest import node_chain
 
@@ -129,7 +130,7 @@ def test_chain_and_tree_runs_match_union_find(pasc_oracle):
     del parent[root]
     line = sorted(u for u in structure.nodes if u.y == 0)
     engine = CircuitEngine(structure)
-    tree = PascRun.tree(structure.grid_index(), root, parent, (0, 1), tag="t")
+    tree = node_tree_run(structure.grid_index(), root, parent, (0, 1), tag="t")
     chain = node_chain(structure, line, channels=(2, 3), tag="c")
     single = node_chain(structure, [line[0]], tag="one")
     run_pasc(engine, [tree, chain, single])
@@ -245,7 +246,7 @@ def test_derived_pasc_adjacency_matches_union_find_rows(monkeypatch):
     _, parent = bfs_tree(structure, root)
     del parent[root]
     engine = CircuitEngine(structure)
-    run = PascRun.tree(structure.grid_index(), root, parent)
+    run = node_tree_run(structure.grid_index(), root, parent)
     layouts = []
     iteration_layout = pasc_runner._iteration_layout
 
@@ -267,7 +268,7 @@ def test_derived_pasc_adjacency_matches_union_find_rows(monkeypatch):
         for view in (compiled, want):
             scheduler = AdversarialDelayScheduler(fraction=0.2)
             scheduler.start(ids)
-            scheduler.observe_layout(view, id_of)
+            scheduler.observe_layout(view)
             picks.append(scheduler.victims)
         assert picks[0] == picks[1]
 
@@ -290,7 +291,7 @@ def test_drop_armed_pasc_run_leaves_set_tuples_unmaterialized(monkeypatch):
         return layouts[-1]
 
     monkeypatch.setattr(pasc_runner, "_iteration_layout", keep)
-    run = PascRun.tree(structure.grid_index(), root, parent)
+    run = node_tree_run(structure.grid_index(), root, parent)
     run_pasc(engine, [run])
     assert run.node_values() == dist
     assert injector.stats.dropped > 0

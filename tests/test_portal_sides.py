@@ -12,7 +12,6 @@ from repro.portals import PortalSystem, portal_sides
 from repro.sim.engine import CircuitEngine
 from repro.spf.propagate import propagate_forest
 from repro.spf.spt import shortest_path_tree
-from repro.spf.types import Forest
 from repro.verify import assert_valid_forest
 from repro.workloads import hexagon, random_hole_free
 
@@ -68,7 +67,6 @@ class TestPropagationViaPortalSides:
         source = rng.choice(sorted(a))
         a_struct = AmoebotStructure(a, require_hole_free=False)
         engine = CircuitEngine(s)
-        spt = shortest_path_tree(engine, a_struct, source, a)
-        base = Forest({source}, spt.parent, set(a))
+        base = shortest_path_tree(engine, a_struct, source, a).forest
         full = propagate_forest(engine, s, list(portal.nodes), base)
         assert_valid_forest(s, [source], sorted(s.nodes), full.parent)

@@ -10,7 +10,6 @@ from repro.sim.engine import CircuitEngine
 from repro.spf.line import line_forest
 from repro.spf.propagate import propagate_forest
 from repro.spf.spt import shortest_path_tree
-from repro.spf.types import Forest
 from repro.verify import assert_valid_forest
 from repro.workloads import hexagon, parallelogram, random_hole_free, staircase
 
@@ -19,8 +18,7 @@ def forest_on(structure, nodes, sources, engine):
     """An S-forest covering exactly ``nodes`` (a sub-structure)."""
     sub = AmoebotStructure(nodes, require_hole_free=False)
     if len(sources) == 1:
-        spt = shortest_path_tree(engine, sub, sources[0], nodes)
-        return Forest({sources[0]}, spt.parent, set(nodes))
+        return shortest_path_tree(engine, sub, sources[0], nodes).forest
     raise NotImplementedError
 
 

@@ -106,9 +106,9 @@ class TestForestAgreement:
         dests = rng.sample(nodes, min(4, len(nodes)))
         strict = shortest_path_tree(CircuitEngine(s), s, source, dests)
         ref = ref_shortest_path_tree(s, source, dests)
-        assert strict.members >= set(dests)
+        assert strict.forest.members >= set(dests)
         for d in dests:
-            strict_depth = _depth(strict.parent, {source}, d)
+            strict_depth = _depth(strict.forest.parent, {source}, d)
             assert strict_depth == ref.depth_of(d)
 
     @given(st.integers(min_value=0, max_value=2**16))

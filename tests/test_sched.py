@@ -210,6 +210,49 @@ class TestAdversarialScheduler:
         solve_spf(structure, [nodes[0]], nodes[-2:], engine=engine)
         assert sched.victims == frozenset([victim])
 
+    def test_adversarial_solve_leaves_set_tuples_unbuilt(self, monkeypatch):
+        # The adversary scores sets by their owners' grid-index ids, so
+        # no layout it observes materializes its (node, label) tuples.
+        structure = random_hole_free(60, seed=3)
+        sources = spread_nodes(structure, 2)
+        rest = [u for u in sorted(structure.nodes) if u not in set(sources)]
+        observed = []
+        observe = AdversarialDelayScheduler.observe_layout
+
+        def spy(self, compiled, *args):
+            observed.append(compiled)
+            return observe(self, compiled, *args)
+
+        monkeypatch.setattr(AdversarialDelayScheduler, "observe_layout", spy)
+        engine = ActivationEngine(structure, scheduler="adversarial")
+        solve_spf(structure, sources, rest[:3], engine=engine)
+        assert observed
+        assert all(compiled.index._ids is None for compiled in observed)
+
+    def test_same_layout_is_scored_once(self):
+        # A re-score builds a new victim set; a remembered layout hands
+        # back the very set it scored.
+        structure = random_hole_free(30, seed=4)
+        engine = ActivationEngine(structure, scheduler="sync")
+        first = engine.global_layout().compiled()
+        second = engine.global_layout(label="other", channel=1).compiled()
+        ids = list(structure.grid_index().live_ids())
+        sched = AdversarialDelayScheduler(fraction=0.2)
+        sched.start(ids)
+        sched.observe_layout(first)
+        first_victims = sched.victims
+        sched.observe_layout(first)
+        assert sched.victims is first_victims
+        sched.observe_layout(second)
+        second_victims = sched.victims
+        assert second_victims is not first_victims
+        sched.observe_layout(first)  # the two layouts scored last are kept
+        assert sched.victims is first_victims
+        sched.start(ids)
+        sched.observe_layout(second)  # a restart scores again
+        assert sched.victims == second_victims
+        assert sched.victims is not second_victims
+
 
 class TestWeightedScheduler:
     def test_rates_skew_activation_counts(self):

@@ -7,10 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.grid.coords import Node
+from repro.grid.directions import Axis
 from repro.grid.oracle import bfs_distances
+from repro.grid.transforms import rotate60, transform_structure
+from repro.portals.portals import PortalSystem
+from repro.portals.primitives import portal_root_and_prune
 from repro.sim.engine import CircuitEngine
 from repro.spf.spt import shortest_path_tree
 from repro.verify import assert_valid_forest
+from tests.node_oracles import feasible_parents
 from repro.workloads import (
     comb,
     hexagon,
@@ -43,7 +48,7 @@ class TestCorrectness:
         dests = rng.sample(nodes, min(6, len(nodes) // 3))
         engine = CircuitEngine(structure)
         result = shortest_path_tree(engine, structure, source, dests)
-        assert_valid_forest(structure, [source], dests, result.parent)
+        assert_valid_forest(structure, [source], dests, result.forest.parent)
 
     @given(st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=12, deadline=None)
@@ -55,14 +60,14 @@ class TestCorrectness:
         dests = rng.sample(nodes, min(5, len(nodes)))
         engine = CircuitEngine(structure)
         result = shortest_path_tree(engine, structure, source, dests)
-        assert_valid_forest(structure, [source], dests, result.parent)
+        assert_valid_forest(structure, [source], dests, result.forest.parent)
 
     def test_all_destinations_sssp(self, medium_hexagon):
         nodes = sorted(medium_hexagon.nodes)
         engine = CircuitEngine(medium_hexagon)
         result = shortest_path_tree(engine, medium_hexagon, nodes[0], nodes)
-        assert result.members == set(nodes)
-        assert_valid_forest(medium_hexagon, [nodes[0]], nodes, result.parent)
+        assert result.forest.members == set(nodes)
+        assert_valid_forest(medium_hexagon, [nodes[0]], nodes, result.forest.parent)
 
     def test_members_are_paths_to_destinations(self, medium_hexagon):
         nodes = sorted(medium_hexagon.nodes)
@@ -73,21 +78,53 @@ class TestCorrectness:
         assert path[0] == dest and path[-1] == source
         assert len(path) - 1 == bfs_distances(medium_hexagon, [source])[dest]
         # Pruning: every member lies on the source-destination path here.
-        assert result.members == set(path)
+        assert result.forest.members == set(path)
 
     def test_source_is_destination(self, small_hexagon):
         source = small_hexagon.westernmost()
         engine = CircuitEngine(small_hexagon)
         result = shortest_path_tree(engine, small_hexagon, source, [source])
-        assert result.members == {source}
-        assert result.parent == {}
+        assert result.forest.members == {source}
+        assert result.forest.parent == {}
 
     def test_raw_parents_superset(self, medium_hexagon):
         nodes = sorted(medium_hexagon.nodes)
         engine = CircuitEngine(medium_hexagon)
         result = shortest_path_tree(engine, medium_hexagon, nodes[0], [nodes[-1]])
-        for u, p in result.parent.items():
+        for u, p in result.forest.parent.items():
             assert result.raw_parent[u] == p
+
+
+class TestFeasibleParents:
+    """The id-native parent choice is Equation 1's first feasible hit."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 2], ids=["rot0", "rot60", "rot120"])
+    @pytest.mark.parametrize(
+        "family", ["small_hexagon", "medium_hexagon", "random_structure", "dendrite_structure"]
+    )
+    def test_raw_parents_are_first_feasible(self, request, family, steps):
+        # Sixth-turns move each grid axis through the three roles.
+        structure = transform_structure(request.getfixturevalue(family), rotate60(steps))
+        nodes = sorted(structure.nodes)
+        rng = random.Random(steps)
+        source = rng.choice(nodes)
+        destinations = rng.sample(nodes, 4)
+        result = shortest_path_tree(CircuitEngine(structure), structure, source, destinations)
+
+        engine = CircuitEngine(structure)
+        systems = {axis: PortalSystem(structure, axis) for axis in Axis}
+        portal_parents = {}
+        for axis, system in systems.items():
+            root = system.portal_of[source]
+            q = {system.portal_of[d] for d in destinations} | {root}
+            portal_parents[axis] = portal_root_and_prune(engine, system, root, q).parent
+        want = {}
+        for u in nodes:
+            hits = feasible_parents(structure, systems, portal_parents, u)
+            if u != source and hits:
+                want[u] = hits[0]
+        assert result.raw_parent == want
+        assert all(result.raw_parent[u] == p for u, p in result.forest.parent.items())
 
 
 class TestValidation:

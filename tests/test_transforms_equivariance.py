@@ -88,7 +88,7 @@ class TestAlgorithmEquivariance:
         a = shortest_path_tree(CircuitEngine(s), s, source, [dest])
         b = shortest_path_tree(CircuitEngine(moved), moved, t(source), [t(dest)])
         # Exact equivariance for translations (no tie-break asymmetry).
-        assert transform_parent_map(a.parent, t) == b.parent
+        assert transform_parent_map(a.forest.parent, t) == b.forest.parent
 
     def test_forest_valid_after_rotation(self):
         s = random_hole_free(70, seed=402)
