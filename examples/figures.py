@@ -154,9 +154,10 @@ def fig15_regions() -> None:
     decomposition = RegionDecomposition(system, q_prime, rp.in_vq)
     regions = decomposition.build_regions()
     colors = {}
+    nodes = structure.grid_index().nodes
     for i, region in enumerate(regions):
         for u in region.nodes:
-            colors[u] = PALETTE[i % len(PALETTE)]
+            colors[nodes[u]] = PALETTE[i % len(PALETTE)]
     for portal in q_prime:  # boundary portals drawn red, as in Fig. 15
         for u in portal.nodes:
             colors[u] = "#e31a1c"

@@ -39,28 +39,24 @@ from repro.spf.types import Forest
 WAVE_LABELS = [f"wave:{d.name}" for d in Direction]
 
 
-def build_wave_layout(engine: CircuitEngine, structure: AmoebotStructure) -> CircuitLayout:
-    """Singleton pin configuration: one partition set per incident link.
+def build_wave_layout(engine: CircuitEngine) -> CircuitLayout:
+    """Singleton pin configuration: one partition set per incident link
+    of the engine's structure.
 
     Shared by the BFS wave baseline and the dynamic repair wave
     (:class:`repro.dynamics.maintain.DynamicSPF`), which derives it
     across structure versions.
     """
     layout = engine.new_layout()
-    layout.assign_sets(_link_sets(engine.structure.grid_index(), structure.grid_index()))
+    layout.assign_sets(_link_sets(engine.structure.grid_index()))
     layout.freeze()
     return layout
 
 
-def _link_sets(index, sub):
-    """One singleton set per link of ``sub``, with ``index``'s ids.
-
-    The wave may run on a sub-structure: its links are the
-    sub-structure's, its ids the engine structure's.
-    """
-    for sid in sub.live_ids():
-        nid = index.id_of(sub.nodes[sid])
-        for d in sub.occupied_direction_values(sid):
+def _link_sets(index):
+    """One singleton set per link of the index's structure."""
+    for nid in index.live_ids():
+        for d in index.occupied_direction_values(nid):
             yield nid, WAVE_LABELS[d], ((nid * 6 + d, 0),)
 
 
@@ -156,27 +152,23 @@ def bfs_wave_forest(
 
     # The wiring never changes, so the layout is built once (and cached
     # on the engine for repeated waves over the same structure).  The
-    # key carries the node set: callers may run waves over
-    # sub-structures of the engine's structure.
+    # key carries the node set: a layout cache may serve the engines
+    # of several structures.
     layout = engine.layouts.get_or_build(
         ("bfs-wave", 0, structure.nodes),
-        lambda: build_wave_layout(engine, structure),
+        lambda: build_wave_layout(engine),
     )
 
-    # The wave runs in the engine structure's ids over the links of
-    # ``structure``, which may be a sub-structure.
     index = engine.structure.grid_index()
-    sub = structure.grid_index()
     id_of = index.id_of
-    links = {id_of(sub.nodes[sid]): sub.occupied_direction_values(sid) for sid in sub.live_ids()}
     labels = dict.fromkeys(sorted(id_of(s) for s in source_set), 0)
     with engine.rounds.section(section):
         heard = timed_wave(
             engine,
             layout,
-            links.__getitem__,
+            index.occupied_direction_values,
             labels,
-            [nid for nid in links if nid not in labels],
+            [nid for nid in index.live_ids() if nid not in labels],
             until={id_of(d) for d in dest_set}.difference(labels),
         )
     return Forest(index, labels, {nid: p for nid, (p, _label) in heard.items()})

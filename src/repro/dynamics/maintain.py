@@ -336,7 +336,7 @@ class DynamicSPF:
         self.dist: Dict[Node, int]
         self._parent: Dict[Node, Node] = {}
         self._solve_full()
-        self._wave_layout = build_wave_layout(self.engine, self.structure)
+        self._wave_layout = build_wave_layout(self.engine)
 
     @property
     def protected(self) -> FrozenSet[Node]:

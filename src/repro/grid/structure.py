@@ -74,12 +74,14 @@ class AmoebotStructure:
     ) -> "AmoebotStructure":
         """Trusted constructor: skip the connectivity and hole re-scan.
 
-        The dynamics subsystem validates edits *incrementally* (one O(1)
+        The dynamics editor validates edits *incrementally* (one O(1)
         neighborhood check per operation, see
         :class:`repro.dynamics.edits.StructureEditor`), so rebuilding a
         structure after a validated edit batch must not pay the O(n)
-        flood fills of ``__init__`` again.  Callers assert that
-        ``nodes`` is non-empty, connected, and hole-free.
+        flood fills of ``__init__`` again; it is this constructor's
+        caller.  (The sub-structures of a solve are id subsets of the
+        engine structure's grid index, not structures.)  Callers assert
+        that ``nodes`` is non-empty, connected, and hole-free.
 
         ``basis``/``dirty`` optionally seed the adjacency caches from a
         previous structure: cache entries of nodes not adjacent to any

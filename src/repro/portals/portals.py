@@ -63,12 +63,13 @@ class Portal:
         return cached
 
     def __hash__(self) -> int:
-        # The generated dataclass hash re-hashes the whole node tuple on
-        # every dict probe, and portals key several bookkeeping tables
-        # (connectors, adjacency); cache it per instance instead.
+        # Equal portals share their first node, so hashing ``(axis,
+        # first node)`` agrees with ``==`` without hashing the whole
+        # run; portals key several bookkeeping tables (connectors,
+        # adjacency), so the hash is cached per instance too.
         cached = getattr(self, "_cached_hash", None)
         if cached is None:
-            cached = hash((self.axis, self.nodes))
+            cached = hash((self.axis, self.nodes[0]))
             object.__setattr__(self, "_cached_hash", cached)
         return cached
 
@@ -77,27 +78,51 @@ class Portal:
 
 
 class PortalSystem:
-    """All portal-level structure of one axis for one amoebot structure.
+    """All portal-level structure of one axis for a set of amoebots.
 
-    Construction runs over the structure's
-    :class:`~repro.grid.compiled.GridIndex`: portal runs, the local
-    tree rule, the implicit spanning tree, and the portal adjacency are
-    all computed from the flat neighbor array in integer space.  The
-    implicit tree stays in it (:attr:`tree_masks`, which Euler tours are
-    read off); the :class:`Portal` objects and ``portal_of`` are
-    materialized once at the end (one dict insert per node), and the
-    ``Node`` views :attr:`implicit_adjacency` and :attr:`connector` are
-    built only when asked for.
+    ``structure`` is the structure the engine runs on, and ``members``
+    a connected, hole-free subset of the ids of its
+    :class:`~repro.grid.compiled.GridIndex` (default: every live id).
+    A region, a merged side or a shadow component of the forest
+    algorithm is such a subset: amoebots of the one structure that
+    keep a membership flag, not a structure with ids of its own.
+
+    Construction runs over the index's flat neighbor array, over the
+    members only, and a neighbor outside ``members`` counts as absent:
+    portal runs, the local tree rule, the implicit spanning tree and
+    the portal adjacency are all computed in integer space.  The
+    implicit tree stays in it (:attr:`tree_masks`, which Euler tours
+    are read off); the :class:`Portal` objects are materialized once,
+    and the ``Node`` views :attr:`portal_of` and
+    :attr:`implicit_adjacency` are built only when asked for.
     """
 
-    def __init__(self, structure: AmoebotStructure, axis: Axis):
+    def __init__(
+        self,
+        structure: AmoebotStructure,
+        axis: Axis,
+        members: Optional[Iterable[int]] = None,
+    ):
         self.structure = structure
         self.axis = axis
         self._rotation = int(axis)  # X: 0, Y: 1, Z: 2 sixth-turns ccw
         self._gi = structure.grid_index()
-        self.portal_of: Dict[Node, Portal] = {}
+        #: The member ids, ascending.
+        self.ids: List[int] = (
+            list(self._gi.live_ids()) if members is None else sorted(members)
+        )
+        #: ``inside[j]`` is 1 iff ``j`` is a member.  One spare trailing
+        #: byte stays 0, so ``inside[nbr[e]]`` also reads 0 for an
+        #: absent neighbor (``-1``): it is the whole membership test of
+        #: a neighbor-table read.
+        self.inside = bytearray(self._gi.n_slots + 1)
+        for nid in self.ids:
+            self.inside[nid] = 1
         self.portals: List[Portal] = []
-        #: node id -> index into :attr:`portals` (the integer view).
+        #: The member ids of each portal, in positive axis direction
+        #: (parallel to :attr:`portals`).
+        self.runs: List[List[int]] = []
+        #: node id -> index into :attr:`portals` (-1 off the members).
         self.portal_index_of_id: List[int] = []
         #: node id -> position of the node within its portal's run.
         self.portal_offset_of_id: List[int] = []
@@ -122,59 +147,55 @@ class PortalSystem:
         gi = self._gi
         nbr = gi.nbr
         nodes = gi.nodes
+        inside = self.inside
         pos_dir, neg_dir = self.axis.directions
         pos_d, neg_d = int(pos_dir), int(neg_dir)
-        n_slots = gi.n_slots
-        portal_index = [-1] * n_slots
-        portal_offset = [-1] * n_slots
+        portal_offset = [-1] * gi.n_slots
         runs: List[Tuple[Portal, List[int]]] = []
-        # Ids ascend in sorted node order for from-scratch indexes, so
-        # first-seen run order matches the historical sorted scan; the
-        # final sort makes the order canonical for derived indexes too.
-        for start in range(n_slots):
-            if portal_index[start] != -1 or nodes[start] is None:
+        for start in self.ids:
+            if portal_offset[start] != -1:
                 continue
             head = start
             j = nbr[head * 6 + neg_d]
-            while j >= 0:
+            while inside[j]:
                 head = j
                 j = nbr[head * 6 + neg_d]
             line_ids = [head]
             j = nbr[head * 6 + pos_d]
-            while j >= 0:
+            while inside[j]:
                 line_ids.append(j)
                 j = nbr[j * 6 + pos_d]
-            portal = Portal(self.axis, tuple(nodes[i] for i in line_ids))
-            marker = len(runs)
             for offset, i in enumerate(line_ids):
-                portal_index[i] = marker
                 portal_offset[i] = offset
-            runs.append((portal, line_ids))
-        order = sorted(range(len(runs)), key=lambda k: runs[k][0])
-        rank = [0] * len(runs)
-        for new_index, old_index in enumerate(order):
-            rank[old_index] = new_index
-        self.portals = [runs[k][0] for k in order]
-        self.portal_index_of_id = [
-            rank[m] if m >= 0 else -1 for m in portal_index
-        ]
-        self.portal_offset_of_id = portal_offset
-        portal_of = self.portal_of
-        for portal, line_ids in runs:
+            runs.append((Portal(self.axis, tuple(nodes[i] for i in line_ids)), line_ids))
+        # Portals are ordered by their nodes, whatever the ids' order.
+        runs.sort(key=lambda run: run[0])
+        portal_index = [-1] * gi.n_slots
+        for k, (_portal, line_ids) in enumerate(runs):
             for i in line_ids:
-                portal_of[nodes[i]] = portal
+                portal_index[i] = k
+        self.portals = [portal for portal, _ids in runs]
+        self.runs = [line_ids for _portal, line_ids in runs]
+        self.portal_index_of_id = portal_index
+        self.portal_offset_of_id = portal_offset
+
+    @cached_property
+    def portal_of(self) -> Dict[Node, Portal]:
+        """``Node`` -> its portal (a view for tests and figures)."""
+        return {u: p for p in self.portals for u in p.nodes}
 
     def tree_directions(self, node: Node) -> List[Direction]:
         """Incident implicit-tree edges of ``node``, by the local rule."""
         nid = self._gi.id_of(node)
-        if nid is None:
+        if nid is None or not self.inside[nid]:
             raise KeyError(f"{node} is not part of the structure")
         mask = self._tree_direction_mask(nid)
         return [Direction(d) for d in range(6) if mask >> d & 1]
 
     def _tree_direction_mask(self, nid: int) -> int:
-        """The local rule over the grid index, as a direction bitmask."""
+        """The local rule over the members, as a direction bitmask."""
         nbr = self._gi.nbr
+        inside = self.inside
         base = nid * 6
         r = self._rotation
         east = r
@@ -184,29 +205,26 @@ class PortalSystem:
         sw = (4 + r) % 6
         se = (5 + r) % 6
         mask = 0
-        if nbr[base + east] >= 0:
+        if inside[nbr[base + east]]:
             mask |= 1 << east
-        if nbr[base + west] >= 0:
+        if inside[nbr[base + west]]:
             mask |= 1 << west
         else:
-            if nbr[base + nw] >= 0:
+            if inside[nbr[base + nw]]:
                 mask |= 1 << nw
-            if nbr[base + sw] >= 0:
+            if inside[nbr[base + sw]]:
                 mask |= 1 << sw
-        if nbr[base + nw] < 0 and nbr[base + ne] >= 0:
+        if not inside[nbr[base + nw]] and inside[nbr[base + ne]]:
             mask |= 1 << ne
-        if nbr[base + sw] < 0 and nbr[base + se] >= 0:
+        if not inside[nbr[base + sw]] and inside[nbr[base + se]]:
             mask |= 1 << se
         return mask
 
     def _build_implicit_tree(self) -> None:
-        gi = self._gi
-        nbr = gi.nbr
-        nodes = gi.nodes
-        n_slots = gi.n_slots
-        selected = [
-            0 if nodes[nid] is None else self._tree_direction_mask(nid) for nid in range(n_slots)
-        ]
+        nbr = self._gi.nbr
+        inside = self.inside
+        ids = self.ids
+        selected = {nid: self._tree_direction_mask(nid) for nid in ids}
 
         # The rule is asymmetric (selected by one endpoint); an edge
         # belongs to the tree when either endpoint selects it, which the
@@ -215,16 +233,12 @@ class PortalSystem:
         masks = self.tree_masks
         adjacency_ids: Dict[int, Set[int]] = {}
         edge_count = 0
-        live = 0
-        for nid in range(n_slots):
-            if nodes[nid] is None:
-                continue
-            live += 1
+        for nid in ids:
             base = nid * 6
             mask = selected[nid]
             for d in range(6):
                 j = nbr[base + d]
-                if j < 0 or not (mask >> d & 1 or selected[j] >> _OPP[d] & 1):
+                if not inside[j] or not (mask >> d & 1 or selected[j] >> _OPP[d] & 1):
                     continue
                 mask |= 1 << d
                 if nid < j:
@@ -236,7 +250,7 @@ class PortalSystem:
                         adjacency_ids.setdefault(pv, set()).add(pu)
             masks[nid] = mask
 
-        expected = live - 1
+        expected = len(ids) - 1
         if edge_count != expected:
             raise AssertionError(
                 f"implicit portal tree of axis {self.axis.name} has "
@@ -253,21 +267,20 @@ class PortalSystem:
             self.portal_adjacency.setdefault(p, [])
 
     @cached_property
-    def connector(self) -> Dict[Tuple[Portal, Portal], Tuple[Node, Node]]:
+    def connector(self) -> Dict[Tuple[Portal, Portal], Tuple[int, int]]:
         """``(p, q) -> (u, v)``: the implicit-tree edge from portal ``p``
-        to its neighbor portal ``q`` (built on first use)."""
-        nodes = self._gi.nodes
+        to its neighbor portal ``q``, as node ids (built on first use)."""
         nbr = self._gi.nbr
         portals = self.portals
         portal_index = self.portal_index_of_id
-        connector: Dict[Tuple[Portal, Portal], Tuple[Node, Node]] = {}
+        connector: Dict[Tuple[Portal, Portal], Tuple[int, int]] = {}
         for nid, mask in self.tree_masks.items():
             for d in range(6):
                 if mask >> d & 1:
                     j = nbr[nid * 6 + d]
                     if portal_index[nid] != portal_index[j]:
                         key = (portals[portal_index[nid]], portals[portal_index[j]])
-                        connector[key] = (nodes[nid], nodes[j])
+                        connector[key] = (nid, j)
         return connector
 
     @property

@@ -28,7 +28,6 @@ from __future__ import annotations
 import copy
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.grid.coords import Node
 from repro.grid.directions import Axis
 from repro.ett.tour import EulerTour, euler_tour
 from repro.pasc.chain import PascRun
@@ -62,35 +61,18 @@ class PortalScope:
     connected portal subtree (the decomposition's recursions, the forest
     algorithm's regions); this helper owns the restriction plumbing.  It
     is the tree scope (see :mod:`repro.primitives.scope`) whose units
-    are portals, numbered as in ``system.portals``.  ``index`` is the
-    grid index of the structure the engine runs on (default: the
-    system's own); the system's tree is carried over to it once.
+    are portals, numbered as in ``system.portals``.  The system is
+    built over the engine structure's grid index, so the scope adopts
+    its tree and portal numbering verbatim.
     """
 
-    def __init__(
-        self,
-        system: PortalSystem,
-        portals: Optional[Iterable[Portal]] = None,
-        index=None,
-    ):
+    def __init__(self, system: PortalSystem, portals: Optional[Iterable[Portal]] = None):
         self.system = system
-        own = system.structure.grid_index()
-        self.index = own if index is None else index
+        self.index = system.structure.grid_index()
         self.unit_objects: List[Portal] = system.portals
-        if self.index is own:
-            # Whole-system views, adopted verbatim (read-only).
-            self.masks: Dict[int, int] = system.tree_masks
-            self.unit_index = system.portal_index_of_id
-        else:
-            id_of = self.index.id_of
-            nodes = own.nodes
-            portal_index = system.portal_index_of_id
-            self.masks = {}
-            self.unit_index = {}
-            for nid, mask in system.tree_masks.items():
-                moved = id_of(nodes[nid])
-                self.masks[moved] = mask
-                self.unit_index[moved] = portal_index[nid]
+        # Whole-system views, adopted verbatim (read-only).
+        self.masks: Dict[int, int] = system.tree_masks
+        self.unit_index = system.portal_index_of_id
         self.portals = set(system.portals)
         self.unit_adjacency: Dict[Portal, List[Portal]] = system.portal_adjacency
         self._circuit_key: Optional[Tuple] = None
@@ -157,8 +139,7 @@ class PortalScope:
     def announce_winner(self, engine: CircuitEngine, winner_ids: Iterable[int]) -> Set[Portal]:
         """One portal-circuit round: each winning amoebot beeps, and the
         portals that hear are the winners."""
-        nodes = self.index.nodes
-        return self.broadcast(engine, (nodes[nid] for nid in winner_ids))
+        return self.broadcast(engine, winner_ids)
 
     def check(self, portals: Iterable[Portal]) -> Set[Portal]:
         """``set(portals)``, or :class:`ValueError` if one lies outside."""
@@ -167,17 +148,18 @@ class PortalScope:
             raise ValueError("Q contains portals outside the scope")
         return portal_set
 
-    def broadcast(self, engine: CircuitEngine, beepers: Iterable[Node]) -> Set[Portal]:
+    def broadcast(self, engine: CircuitEngine, beepers: Iterable[int]) -> Set[Portal]:
         """One round on the scope's portal circuits: the portals that heard.
 
-        ``beepers`` beep; both end amoebots of every portal listen (a
-        one-amoebot portal's only amoebot listens alone).  A portal
+        The amoebots ``beepers`` (node ids) beep; both end amoebots of
+        every portal listen (a one-amoebot portal's only amoebot listens
+        alone).  A portal
         circuit spans its whole portal, so its ends hear alike; ends
         that disagree mean a split circuit, and the round raises naming
         the portal.
         """
         layout = self.portal_circuit_layout(engine)
-        id_of = engine.structure.grid_index().id_of
+        id_of = self.index.id_of
         if self._listeners is None or self._listeners[0] is not layout:
             portals = list(self.portals)
             ends = []
@@ -187,7 +169,7 @@ class PortalScope:
                     ends.append((id_of(p.nodes[-1]), PORTAL_LABEL))
             self._listeners = (layout, portals, layout.set_ids(ends, "listen on"))
         _layout, portals, listen = self._listeners
-        beeps = layout.set_ids(((id_of(u), PORTAL_LABEL) for u in beepers), "beep on")
+        beeps = layout.set_ids(((u, PORTAL_LABEL) for u in beepers), "beep on")
         bits = iter(engine.run_round_indexed(layout, beeps, listen))
         heard: Set[Portal] = set()
         for p in portals:
@@ -285,7 +267,7 @@ def portal_root_and_prune(
     ``O(log |Q|)`` rounds.
     """
     if scope is None:
-        scope = PortalScope(system, index=engine.structure.grid_index())
+        scope = PortalScope(system)
     q = scope.check(q_portals)
     op = RootPruneOp(scope.tour(root_portal), scope.representative_ids(q), tag="prp")
     with engine.rounds.section(section):
@@ -296,7 +278,7 @@ def portal_root_and_prune(
         # circuit, and V_Q is the set of portals that heard.  Fig. 4b:
         # the parent direction on per-directed-edge circuits, which carry
         # one beep each — charged as one more round.
-        result.in_vq = scope.broadcast(engine, (p.nodes[0] for p in result.in_vq))
+        result.in_vq = scope.broadcast(engine, scope.representative_ids(result.in_vq))
         engine.charge_local_round()
         if compute_augmentation:
             _count_degrees(engine, scope, result, section=section)
@@ -369,7 +351,7 @@ def _count_degrees(
                 raise AssertionError(f"portal degree recount mismatch for {p}")
     # One more round: portals with degree >= 3 announce membership in A_Q
     # on their portal circuits.
-    result.augmentation = scope.broadcast(engine, (p.nodes[-1] for p in result.augmentation))
+    result.augmentation = scope.broadcast(engine, scope.representative_ids(result.augmentation))
 
 
 def portal_elect(
@@ -390,11 +372,11 @@ def portal_elect(
     if not candidates:
         raise ValueError("portal election requires candidates")
     if scope is None:
-        scope = PortalScope(system, index=engine.structure.grid_index())
+        scope = PortalScope(system)
     with engine.rounds.section(section):
         winner = elect_unit(engine, scope, root_portal, candidates, f"{section}:ett")
         if len(scope.units) > 1:
-            heard = scope.broadcast(engine, (winner.representative,))
+            heard = scope.broadcast(engine, scope.representative_ids((winner,)))
             if len(heard) != 1:
                 raise AssertionError(f"{len(heard)} portals heard the election winner")
             (winner,) = heard
@@ -415,13 +397,13 @@ def portal_centroids(
     portals that hear are returned.
     """
     if scope is None:
-        scope = PortalScope(system, index=engine.structure.grid_index())
+        scope = PortalScope(system)
     q = scope.check(q_portals)
     op = CentroidOp(scope.tour(root_portal), scope.representative_ids(q), tag="pc")
     with engine.rounds.section(section):
         run_centroid_phases(engine, [op], (f"{section}:ett1", f"{section}:ett2"))
         centroids = decode_centroids(scope, op, q)
-        return scope.broadcast(engine, (p.representative for p in centroids))
+        return scope.broadcast(engine, scope.representative_ids(centroids))
 
 
 def portal_centroid_decomposition(
@@ -439,7 +421,7 @@ def portal_centroid_decomposition(
     depends on that (Section 5.4.4).
     """
     if scope is None:
-        scope = PortalScope(system, index=engine.structure.grid_index())
+        scope = PortalScope(system)
     if not q_prime:
         raise ValueError("Q' must be non-empty")
     scope.check(q_prime)

@@ -42,9 +42,9 @@ from repro.primitives.root_prune import RootPruneOp
 from repro.sim.engine import CircuitEngine
 from repro.spf.line import line_forest
 from repro.spf.merge import merge_forests
-from repro.spf.propagate import propagate_forest
+from repro.spf.propagate import propagate_forest_ids
 from repro.spf.regions import Region, RegionDecomposition, SubPortal
-from repro.spf.spt import shortest_path_tree
+from repro.spf.spt import shortest_path_tree_ids
 from repro.spf.types import Forest
 
 
@@ -68,16 +68,18 @@ def shortest_path_forest(
         raise ValueError(f"sources outside the structure: {sorted(missing)[:3]}")
     dest_set = set(destinations) if destinations is not None else set(structure.nodes)
 
-    system = PortalSystem(structure, axis)
-    leader = structure.westernmost()
-    root_portal = system.portal_of[leader]
+    index = engine.structure.grid_index()
+    id_of = index.id_of
+    source_ids = {id_of(s) for s in source_set}
+    system = PortalSystem(engine.structure, axis)
+    root_portal = system.portals[system.portal_index_of_id[id_of(structure.westernmost())]]
 
     with engine.rounds.section(section):
         # ---- Step 1: Q, A_Q, Q' (Lemma 51) ----------------------------
-        scope = PortalScope(system, index=engine.structure.grid_index())
+        scope = PortalScope(system)
         # Every source beeps on its portal circuit; Q is the set of
         # portals that heard.
-        q_portals = scope.broadcast(engine, source_set)
+        q_portals = scope.broadcast(engine, source_ids)
 
         rp = portal_root_and_prune(
             engine,
@@ -113,15 +115,13 @@ def shortest_path_forest(
             for region in regions:
                 with group.branch():
                     region.forest = _base_case(
-                        engine, region, source_set, r_prime, rooted.parent,
+                        engine, region, source_ids, r_prime, rooted.parent,
                         axis, section,
                     )
 
         # ---- Step 4: merging along the decomposition tree --------------
         if len(q_prime) == 1:
-            _merge_at_portal(
-                engine, decomposition, next(iter(q_prime)), source_set, axis, section
-            )
+            _merge_at_portal(engine, decomposition, next(iter(q_prime)), axis, section)
         else:
             dt = portal_centroid_decomposition(
                 engine, system, r_prime, q_prime, scope=scope,
@@ -142,8 +142,7 @@ def shortest_path_forest(
                     for portal in dt.levels[level]:
                         with group.branch():
                             _merge_at_portal(
-                                engine, decomposition, portal, source_set,
-                                axis, section,
+                                engine, decomposition, portal, axis, section
                             )
 
         final_regions = {id(decomposition.region_of_vertex(v)): decomposition.region_of_vertex(v)
@@ -160,7 +159,6 @@ def shortest_path_forest(
 
         # ---- Step 5: prune to the destinations (Corollary 57) ----------
         if dest_set != structure.nodes:
-            id_of = forest.index.id_of
             dest_ids = {id_of(d) for d in dest_set}
             forest = _prune_to_destinations(engine, forest, dest_ids, section)
 
@@ -175,7 +173,7 @@ def shortest_path_forest(
 def _base_case(
     engine: CircuitEngine,
     region: Region,
-    source_set: Set[Node],
+    source_ids: Set[int],
     r_prime: Portal,
     portal_parent: Dict[Portal, Portal],
     axis: Axis,
@@ -205,23 +203,22 @@ def _base_case(
     ]
 
     # Regions are connected by construction (components of the split
-    # portal graph, adjacent vertices sharing connector edges), so the
-    # trusted constructor skips the O(n) re-validation flood fill.
-    sub_structure = AmoebotStructure.from_validated(region.nodes)
-    systems: Dict[Axis, PortalSystem] = {}  # of sub_structure, built on demand
+    # portal graph, adjacent vertices sharing connector edges).
+    nodes = engine.structure.grid_index().nodes
+    systems: Dict[Axis, PortalSystem] = {}  # over region.nodes, built on demand
     forest: Optional[Forest] = None
     for vertex in ordered:
-        line_nodes = list(vertex.nodes)
-        line_sources = [u for u in line_nodes if u in source_set]
+        line_ids = vertex.nodes
+        line_sources = [nodes[u] for u in line_ids if u in source_ids]
         if not line_sources:
             continue
         partial = line_forest(
-            engine, line_nodes, line_sources, section=f"{section}:line"
+            engine, [nodes[u] for u in line_ids], line_sources, section=f"{section}:line"
         )
-        partial = propagate_forest(
+        partial = propagate_forest_ids(
             engine,
-            sub_structure,
-            line_nodes,
+            region.nodes,
+            line_ids,
             partial,
             axis=axis,
             section=f"{section}:base_propagate",
@@ -244,7 +241,6 @@ def _merge_at_portal(
     engine: CircuitEngine,
     decomposition: RegionDecomposition,
     portal: Portal,
-    source_set: Set[Node],
     axis: Axis,
     section: str,
 ) -> None:
@@ -253,9 +249,7 @@ def _merge_at_portal(
     side_regions: Dict[str, Optional[Region]] = {}
     for side in ("N", "S"):
         vertices = decomposition.side_vertices(portal, side)
-        region, consumed = _merge_side(
-            engine, decomposition, portal, side, vertices, source_set, axis, section
-        )
+        region, consumed = _merge_side(engine, vertices, decomposition, section)
         side_regions[side] = region
         merged_inputs.extend(consumed)
 
@@ -266,23 +260,22 @@ def _merge_at_portal(
     # Phase 2: merge the two sides across the portal with two
     # propagations and a merge (or fewer when a side has no sources).
     combined_nodes = north.nodes | south.nodes
-    overlap = north.nodes & south.nodes
-    if not set(portal.nodes) <= overlap:
+    portal_ids = decomposition.side_vertices(portal, "N")[0].run
+    if not north.nodes.intersection(south.nodes).issuperset(portal_ids):
         raise AssertionError("portal is not shared by both side regions")
     # Both side regions are connected and share the portal, so their
-    # union is connected: the trusted constructor applies.
-    structure = AmoebotStructure.from_validated(combined_nodes)
-    systems: Dict[Axis, PortalSystem] = {}  # of structure, built on demand
+    # union is connected.
+    systems: Dict[Axis, PortalSystem] = {}  # over combined_nodes, built on demand
 
     forests = []
     for forest in (north.forest, south.forest):
         if forest is None:
             continue
         forests.append(
-            propagate_forest(
+            propagate_forest_ids(
                 engine,
-                structure,
-                list(portal.nodes),
+                combined_nodes,
+                portal_ids,
                 forest,
                 axis=axis,
                 section=f"{section}:merge_propagate",
@@ -308,15 +301,11 @@ def _merge_at_portal(
 
 def _merge_side(
     engine: CircuitEngine,
-    decomposition: RegionDecomposition,
-    portal: Portal,
-    side: str,
     vertices: Sequence[SubPortal],
-    source_set: Set[Node],
-    axis: Axis,
+    decomposition: RegionDecomposition,
     section: str,
 ) -> Tuple[Region, List[Region]]:
-    """Phase 1 of Lemma 55 for one side of the portal.
+    """Phase 1 of Lemma 55 for one side of a portal (its ``vertices``).
 
     Iteratively pair-merges the side's regions across the marked
     amoebots using the PASC-parity pairing until one region remains.
@@ -328,9 +317,8 @@ def _merge_side(
         if not groups or groups[-1] is not region:
             groups.append(region)
     consumed = list(groups)
-    marks = [
-        portal.nodes[i] for i in decomposition.marks.get((portal, side), [])
-    ]
+    # Every interval but the westernmost starts at a marked amoebot.
+    marks = [vertex.nodes[0] for vertex in vertices[1:]]
     if len(marks) != len(groups) - 1:
         raise AssertionError("marks and side regions are inconsistent")
 
@@ -347,11 +335,9 @@ def _merge_side(
             for j in range(0, len(marks), 2):
                 west, east = groups[j], groups[j + 1]
                 with group.branch():
-                    merged_pairs[j] = _merge_pair(
-                        engine, west, east, marks[j], source_set, section
-                    )
+                    merged_pairs[j] = _merge_pair(engine, west, east, marks[j], section)
         rebuilt: List[Region] = []
-        new_marks: List[Node] = []
+        new_marks: List[int] = []
         for j in range(0, len(marks), 2):
             rebuilt.append(merged_pairs[j])
             if j + 1 < len(marks):
@@ -368,8 +354,7 @@ def _merge_pair(
     engine: CircuitEngine,
     west: Region,
     east: Region,
-    mark: Node,
-    source_set: Set[Node],
+    mark: int,
     section: str,
 ) -> Region:
     """Merge two regions sharing exactly the marked amoebot (§5.4.3).
@@ -387,11 +372,9 @@ def _merge_pair(
     def extend(forest: Optional[Forest], into: Region) -> Optional[Forest]:
         if forest is None:
             return None
-        target_nodes = into.nodes
         # A region's node set is connected (see _base_case).
-        sub = AmoebotStructure.from_validated(target_nodes)
-        spt = shortest_path_tree(
-            engine, sub, mark, target_nodes, section=f"{section}:pair_spt"
+        spt = shortest_path_tree_ids(
+            engine, into.nodes, mark, into.nodes, section=f"{section}:pair_spt"
         )
         parent = dict(forest.parent_ids)
         parent.update(spt.forest.parent_ids)

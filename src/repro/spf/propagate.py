@@ -37,7 +37,7 @@ import functools
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.grid.coords import Node
-from repro.grid.directions import Axis, Direction
+from repro.grid.directions import DIRECTION_OFFSETS, Axis, Direction
 from repro.grid.structure import AmoebotStructure
 from repro.portals.portals import PortalSystem
 from repro.portals.primitives import portal_run_edges, portal_runs_key
@@ -54,7 +54,8 @@ def _toward_direction(axis: Axis, other: Axis, gap_sign: int) -> Direction:
     stepping in the returned direction shrinks the gap.
     """
     pos, neg = other.directions
-    pos_delta = Node(0, 0).neighbor(pos).axis_coordinate(axis)
+    dx, dy = DIRECTION_OFFSETS[pos]
+    pos_delta = (dy, dx, dx + dy)[axis]  # Node.axis_coordinate of the step
     if pos_delta == -gap_sign:
         return pos
     return neg
@@ -90,41 +91,62 @@ def propagate_forest(
     forest: Forest,
     axis: Axis = Axis.X,
     section: str = "propagate",
+) -> Forest:
+    """Extend an ``A ∪ P`` forest across portal ``P`` into the rest.
+
+    The ``Node`` boundary of :func:`propagate_forest_ids`: ``structure``
+    is the engine's structure or a connected, hole-free sub-structure
+    of it, and ``portal_nodes`` the portal run ``P`` inside it; both
+    are converted to grid-index ids once.
+    """
+    id_of = engine.structure.grid_index().id_of
+    members = None if structure is engine.structure else {id_of(u) for u in structure}
+    portal_ids = [id_of(p) for p in portal_nodes]
+    if None in portal_ids:
+        raise ValueError("portal nodes outside the structure")
+    return propagate_forest_ids(engine, members, portal_ids, forest, axis, section)
+
+
+def propagate_forest_ids(
+    engine: CircuitEngine,
+    members: Optional[Set[int]],
+    portal_ids: Sequence[int],
+    forest: Forest,
+    axis: Axis = Axis.X,
+    section: str = "propagate",
     systems: Optional[Dict[Axis, PortalSystem]] = None,
 ) -> Forest:
     """Extend an ``A ∪ P`` forest across portal ``P`` into the rest.
 
-    ``portal_nodes`` is the portal run ``P`` inside ``structure`` (all
-    on one ``axis``-parallel line, all forest members).  ``B`` is the
-    complement of the forest's members.  Returns an S-forest covering
-    the whole structure (Lemma 50), in the ids of the engine
-    structure's grid index, like ``forest``.
+    ``members`` is a connected, hole-free set of ids of the engine
+    structure's grid index (``None``: all of them), and ``portal_ids``
+    the portal run ``P`` inside it (all on one ``axis``-parallel line,
+    all forest members).  ``B`` is the complement of the forest's
+    members, visited in id order.  Returns an S-forest covering all of
+    ``members`` (Lemma 50), in the engine's ids like ``forest``.
 
-    ``structure`` (a sub-structure of the engine's) keeps its own grid
-    index and portal systems; its nodes are converted to engine ids
-    once, one ``id_of`` per node, and ``B`` is visited in engine id
-    order.  ``systems`` holds portal systems of ``structure`` that
-    the caller already has; the transversal axes missing from it are
-    built and added, so a caller propagating several forests over one
-    structure builds each system once.
+    ``systems`` holds portal systems over ``members`` that the caller
+    already has; the transversal axes missing from it are built and
+    added, so a caller propagating several forests over one member set
+    builds each system once.
     """
-    portal = list(portal_nodes)
+    portal = list(portal_ids)
     if not portal:
         raise ValueError("portal must be non-empty")
-    line = portal[0].axis_coordinate(axis)
-    if any(p.axis_coordinate(axis) != line for p in portal):
-        raise ValueError("portal nodes do not share a grid line")
     grid = engine.structure.grid_index()
-    id_of = grid.id_of
-    members = forest.member_ids()
-    portal_ids = [id_of(p) for p in portal]
-    if not members.issuperset(portal_ids):
+    nodes = grid.nodes
+    line = nodes[portal[0]].axis_coordinate(axis)
+    if any(nodes[p].axis_coordinate(axis) != line for p in portal):
+        raise ValueError("portal nodes do not share a grid line")
+    covered = forest.member_ids()
+    if not covered.issuperset(portal):
         raise ValueError("the portal must be covered by the forest")
-    structure_ids = {id_of(u) for u in structure.nodes}
-    if not members <= structure_ids:
+    if members is None:
+        members = set(grid.live_ids())
+    if not covered <= members:
         raise ValueError("forest members outside the structure")
 
-    b_ids = sorted(structure_ids - members)
+    b_ids = sorted(members - covered)
     if not b_ids:
         return forest
 
@@ -133,7 +155,7 @@ def propagate_forest(
         systems = {}
     for d in other_axes:
         if d not in systems:
-            systems[d] = PortalSystem(structure, d)
+            systems[d] = PortalSystem(engine.structure, d, members)
 
     with engine.rounds.section(section):
         # ---- Phase 1: visibility + parents inside B' ------------------
@@ -142,7 +164,7 @@ def propagate_forest(
         # own; it hears on an axis iff its portal on that axis meets P.
         layout = visibility_layout(engine, systems)
         labels = [_vis_label(d) for d in other_axes]
-        beeps = ((p, label) for p in portal_ids for label in labels)
+        beeps = ((p, label) for p in portal for label in labels)
         listen = ((u, label) for u in b_ids for label in labels)
         bits = engine.run_round_indexed(
             layout, layout.set_ids(beeps, "beep on"), layout.set_ids(listen, "listen on")
@@ -164,28 +186,27 @@ def propagate_forest(
         # a transversal portal crosses P's line once, at one p in P.
         meets: Dict[Axis, Dict[int, int]] = {}
         dist: Dict[int, int] = {}
-        sub_id = structure.grid_index().id_of
         if any(len(axes) == 2 for axes in visible.values()):
             for d in other_axes:
                 index_of = systems[d].portal_index_of_id
-                meets[d] = {index_of[sub_id(p)]: g for p, g in zip(portal, portal_ids)}
+                meets[d] = {index_of[p]: p for p in portal}
             dist = forest_distances(
                 engine, forest, channels=(0, 1), tag="prop", section=f"{section}:pasc"
             )
 
-        nodes = grid.nodes
         nbr = grid.nbr
         for u, axes in visible.items():
             gap_sign = 1 if nodes[u].axis_coordinate(axis) > line else -1
             d = axes[0]
             if len(axes) == 2:
-                sid = sub_id(nodes[u])
-                p1, p2 = (meets[e][systems[e].portal_index_of_id[sid]] for e in axes)
+                p1, p2 = (meets[e][systems[e].portal_index_of_id[u]] for e in axes)
                 # Prefer the first transversal axis on ties, matching the
                 # paper's "chooses n_y(u) if dist(S, proj_y) <= dist(S,
                 # proj_z)".
                 if dist[p1] > dist[p2]:
                     d = axes[1]
+            # The step toward P stays on u's transversal portal, which
+            # meets P: the neighbor is a member.
             parent[u] = nbr[u * 6 + _toward_direction(axis, d, gap_sign)]
         engine.charge_local_round()
 
@@ -239,7 +260,7 @@ def _propagate_into_shadow(
     """Phase 2 for one shadowed component ``Z`` (mutates ``parent``)."""
     # Local import: propagate and spt call each other across the two
     # halves of the algorithm (SPT never propagates, so no cycle).
-    from repro.spf.spt import shortest_path_tree
+    from repro.spf.spt import shortest_path_tree_ids
 
     grid = engine.structure.grid_index()
     nodes = grid.nodes
@@ -263,15 +284,9 @@ def _propagate_into_shadow(
         return
 
     # Shortest path tree with source s_Z inside Z (Theorem 39 on the
-    # component sub-structure, destinations = all of Z).  The component
-    # was flood-filled, so it is connected and the trusted constructor
-    # skips re-validation.
-    sub = AmoebotStructure.from_validated(nodes[u] for u in component)
-    spt = shortest_path_tree(
-        engine,
-        sub,
-        nodes[s_z],
-        sub.nodes,
-        section=f"{section}:shadow_spt",
+    # component's amoebots, destinations = all of Z; the component was
+    # flood-filled, so it is connected).
+    spt = shortest_path_tree_ids(
+        engine, component, s_z, component, section=f"{section}:shadow_spt"
     )
     parent.update(spt.forest.parent_ids)

@@ -17,7 +17,10 @@ Regions are the connected components of the resulting split portal
 graph; each intersects one or two ``Q'`` (sub)portals (Lemma 52).  The
 bookkeeping lives in the driver — every amoebot could maintain its
 region memberships with O(1) local flags — while all round costs of the
-construction are the primitives charged by the caller.
+construction are the primitives charged by the caller.  Amoebots keep
+their identity: a region, and every (sub)portal interval, is a set of
+ids of the engine structure's grid index, the index the portal system
+is built over.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.grid.coords import Node
 from repro.grid.directions import Direction
 from repro.portals.portals import Portal, PortalSystem
 from repro.spf.types import Forest
@@ -45,11 +47,12 @@ class SubPortal:
     index: int  # interval index within the side
     start: int  # first node index within the portal (inclusive)
     end: int  # last node index (inclusive)
+    run: List[int]  # the whole portal's node ids, in axis order
 
     @property
-    def nodes(self) -> Tuple[Node, ...]:
-        """The amoebots of this (sub)portal interval."""
-        return self.portal.nodes[self.start : self.end + 1]
+    def nodes(self) -> List[int]:
+        """The node ids of this (sub)portal interval."""
+        return self.run[self.start : self.end + 1]
 
     @property
     def is_boundary(self) -> bool:
@@ -59,10 +62,10 @@ class SubPortal:
 
 @dataclass
 class Region:
-    """A region: a connected set of (sub)portals with its node set."""
+    """A region: a connected set of (sub)portals with its node ids."""
 
     vertices: List[SubPortal]
-    nodes: Set[Node] = field(default_factory=set)
+    nodes: Set[int] = field(default_factory=set)
     forest: Optional[Forest] = None
 
     def __post_init__(self) -> None:
@@ -77,12 +80,6 @@ class Region:
     def boundary_portals(self) -> Set[Portal]:
         """The distinct Q' portals the region touches."""
         return {v.portal for v in self.boundary_vertices()}
-
-
-def _is_north_side(system: PortalSystem, u: Node, v: Node) -> bool:
-    """Whether connector edge u->v leaves on the rotated-north side."""
-    d = u.direction_to(v)
-    return d in (system.rotate(Direction.NW), system.rotate(Direction.NE))
 
 
 class RegionDecomposition:
@@ -103,6 +100,10 @@ class RegionDecomposition:
         self.marks: Dict[Tuple[Portal, str], List[int]] = {}
         self.regions: List[Region] = []
         self._region_of_vertex: Dict[SubPortal, int] = {}
+        # A connector u->v leaves on the rotated-north side iff v is
+        # u's rotated-NW or -NE neighbor.
+        self._nbr = system.structure.grid_index().nbr
+        self._north = (int(system.rotate(Direction.NW)), int(system.rotate(Direction.NE)))
         self._build()
 
     # ------------------------------------------------------------------
@@ -111,47 +112,34 @@ class RegionDecomposition:
     def _side_of(self, p1: Portal, p2: Portal) -> str:
         """Side ("N"/"S") of adjacent portal ``p2`` as seen from ``p1``."""
         u, v = self.system.connector[(p1, p2)]
-        return "N" if _is_north_side(self.system, u, v) else "S"
-
-    def _node_index(self, portal: Portal, node: Node) -> int:
-        nid = self.system.structure.grid_index().id_of(node)
-        if nid is not None and self.system.portal_offset_of_id[nid] >= 0:
-            return self.system.portal_offset_of_id[nid]
-        return portal.nodes.index(node)
+        return "N" if any(self._nbr[u * 6 + d] == v for d in self._north) else "S"
 
     def _build(self) -> None:
+        system = self.system
+        offset_of = system.portal_offset_of_id
         # 1. subportal vertices.
-        for portal in self.system.portals:
+        for portal, run in zip(system.portals, system.runs):
+            last = len(run) - 1
             if portal not in self.q_prime:
-                self.vertices_of[portal] = {
-                    None: [SubPortal(portal, None, 0, 0, len(portal.nodes) - 1)]
-                }
+                self.vertices_of[portal] = {None: [SubPortal(portal, None, 0, 0, last, run)]}
                 continue
             sides: Dict[Optional[str], List[SubPortal]] = {}
             for side in ("N", "S"):
                 vq_connectors = []
-                for p2 in self.system.portal_adjacency[portal]:
+                for p2 in system.portal_adjacency[portal]:
                     if p2 in self.vq and self._side_of(portal, p2) == side:
-                        u, _v = self.system.connector[(portal, p2)]
-                        vq_connectors.append(self._node_index(portal, u))
+                        u, _v = system.connector[(portal, p2)]
+                        vq_connectors.append(offset_of[u])
                 vq_connectors.sort()
                 # Unmark the westernmost connector; split at the rest.
                 marks = vq_connectors[1:]
                 self.marks[(portal, side)] = marks
-                boundaries = [0] + marks + [len(portal.nodes) - 1]
-                intervals: List[SubPortal] = []
-                if marks:
-                    for i in range(len(marks) + 1):
-                        start = boundaries[0] if i == 0 else marks[i - 1]
-                        end = (
-                            marks[i] if i < len(marks) else len(portal.nodes) - 1
-                        )
-                        intervals.append(SubPortal(portal, side, i, start, end))
-                else:
-                    intervals.append(
-                        SubPortal(portal, side, 0, 0, len(portal.nodes) - 1)
-                    )
-                sides[side] = intervals
+                starts = [0] + marks
+                ends = marks + [last]
+                sides[side] = [
+                    SubPortal(portal, side, i, start, end, run)
+                    for i, (start, end) in enumerate(zip(starts, ends))
+                ]
             self.vertices_of[portal] = sides
 
     def _vertex_for_edge(self, p1: Portal, p2: Portal) -> SubPortal:
@@ -161,7 +149,7 @@ class RegionDecomposition:
             return sides[None][0]
         side = self._side_of(p1, p2)
         u, _v = self.system.connector[(p1, p2)]
-        idx = self._node_index(p1, u)
+        idx = self.system.portal_offset_of_id[u]
         intervals = sides[side]
         marks = self.marks[(p1, side)]
         # Boundary (marked) connectors are assigned eastward: the

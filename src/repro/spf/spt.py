@@ -29,13 +29,13 @@ scheduler via round synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.grid.coords import Node
 from repro.grid.directions import Axis
 from repro.grid.structure import AmoebotStructure
 from repro.pasc.runner import run_pasc
-from repro.portals.portals import Portal, PortalSystem
+from repro.portals.portals import PortalSystem
 from repro.portals.primitives import PortalScope, portal_root_and_prune
 from repro.primitives.root_prune import RootPruneOp
 from repro.sim.engine import CircuitEngine
@@ -47,11 +47,15 @@ class SPTResult:
     """Output of the shortest path tree algorithm: the ``({s},
     D)``-shortest path tree, in the engine structure's grid-index ids."""
 
-    source: Node
     forest: Forest
     #: Parent choices before the final pruning pass (Figure 5b), in
     #: engine ids; kept for figures and white-box tests.
     raw_parent_ids: Dict[int, int] = field(default_factory=dict)
+
+    @property
+    def source(self) -> Node:
+        """The tree's source ``s``."""
+        return self.forest.index.nodes[self.forest.source_ids[0]]
 
     @property
     def raw_parent(self) -> Dict[Node, Node]:
@@ -72,13 +76,13 @@ def shortest_path_tree(
     structure: AmoebotStructure,
     source: Node,
     destinations: Iterable[Node],
-    systems: Optional[Dict[Axis, PortalSystem]] = None,
     section: str = "spt",
 ) -> SPTResult:
     """Compute an ``({s}, D)``-shortest path forest (Theorem 39).
 
-    ``systems`` may carry precomputed portal systems (the forest
-    algorithm reuses them across many invocations on sub-structures).
+    The ``Node`` boundary of :func:`shortest_path_tree_ids`:
+    ``structure`` is the engine's structure or a connected, hole-free
+    sub-structure of it, converted to grid-index ids once.
     """
     dest_set = set(destinations)
     if not dest_set:
@@ -88,61 +92,75 @@ def shortest_path_tree(
     missing = {d for d in dest_set if d not in structure}
     if missing:
         raise ValueError(f"destinations outside the structure: {sorted(missing)[:3]}")
-    if systems is None:
-        systems = {axis: PortalSystem(structure, axis) for axis in Axis}
+    id_of = engine.structure.grid_index().id_of
+    members = None if structure is engine.structure else {id_of(u) for u in structure}
+    return shortest_path_tree_ids(
+        engine, members, id_of(source), {id_of(d) for d in dest_set}, section
+    )
+
+
+def shortest_path_tree_ids(
+    engine: CircuitEngine,
+    members: Optional[Set[int]],
+    source_id: int,
+    dest_ids: Set[int],
+    section: str = "spt",
+) -> SPTResult:
+    """Theorem 39 on the amoebots ``members`` of the engine's structure.
+
+    ``members`` is a connected, hole-free set of ids of the engine
+    structure's grid index (``None``: all of them), holding the source
+    ``source_id`` and the destinations ``dest_ids``.
+    """
+    index = engine.structure.grid_index()
+    systems = [PortalSystem(engine.structure, axis, members) for axis in Axis]
+    inside = systems[0].inside
+    if not inside[source_id] or not all(inside[d] for d in dest_ids):
+        raise ValueError("source and destinations must be members")
 
     with engine.rounds.section(section):
-        portal_parents: Dict[Axis, Dict[Portal, Portal]] = {}
-        for axis in Axis:
-            system = systems[axis]
-            scope = PortalScope(system, index=engine.structure.grid_index())
+        # Per axis: node id -> portal number, and portal number -> the
+        # number of its parent portal (-1 for the root and the pruned).
+        portal_idx: List[List[int]] = []
+        parent_idx: List[List[int]] = []
+        for system in systems:
+            scope = PortalScope(system)
             # One beep round: every destination beeps on its portal
             # circuit, and Q is the set of portals that heard.  The
             # source's own portal counts as populated even without
             # destinations, so the root is never pruned away.
-            q_portals = scope.broadcast(engine, dest_set)
+            q_portals = scope.broadcast(engine, dest_ids)
+            root = system.portals[system.portal_index_of_id[source_id]]
             rp = portal_root_and_prune(
                 engine,
                 system,
-                system.portal_of[source],
-                q_portals | {system.portal_of[source]},
+                root,
+                q_portals | {root},
                 scope=scope,
                 section=f"{section}:portal_rp",
             )
-            portal_parents[axis] = rp.parent
+            position = {p: i for i, p in enumerate(system.portals)}
+            row = [-1] * len(system.portals)
+            for child, par in rp.parent.items():
+                row[position[child]] = position[par]
+            portal_idx.append(system.portal_index_of_id)
+            parent_idx.append(row)
 
         # Local parent choice (one local round: no beeps involved),
-        # evaluated over the structure's grid index: Equation 1 becomes
-        # a handful of integer array reads per (node, neighbor) pair, and
-        # every amoebot takes its first feasible neighbor in direction
-        # order (ccw from East).  Parents are written in the engine
-        # structure's ids, one ``id_of`` per node of a sub-structure.
-        index = engine.structure.grid_index()
-        grid = structure.grid_index()
-        nbr = grid.nbr
-        if grid is index:
-            to_engine: Sequence[int] = range(grid.n_slots)
-        else:
-            to_engine = [-1 if u is None else index.id_of(u) for u in grid.nodes]
-        portal_idx = [systems[axis].portal_index_of_id for axis in Axis]
-        parent_idx: List[List[int]] = []
-        for axis in Axis:
-            portals = systems[axis].portals
-            position = {p: i for i, p in enumerate(portals)}
-            row = [-1] * len(portals)
-            for child, par in portal_parents[axis].items():
-                row[position[child]] = position[par]
-            parent_idx.append(row)
+        # evaluated over the grid index: Equation 1 becomes a handful of
+        # integer array reads per (node, neighbor) pair, and every
+        # amoebot takes its first feasible neighbor in direction order
+        # (ccw from East).  A neighbor outside the members is no
+        # candidate: its portal number -1 would match the root's.
+        nbr = index.nbr
         raw_parent: Dict[int, int] = {}
-        source_id = to_engine[grid.id_of(source)]
-        for nid in grid.live_ids():
-            u = to_engine[nid]
+        for u in systems[0].ids:
             if u == source_id:
                 continue
-            base = nid * 6
+            base = u * 6
             for d in range(6):
-                vid = nbr[base + d]
-                if vid < 0:
+                v = nbr[base + d]
+                if not inside[v]:
                     continue
                 # The edge's axis value is d % 3; the two other axes
                 # must both see v's portal as the parent of u's.
@@ -152,11 +170,11 @@ def shortest_path_tree(
                     if axis_value == edge_axis:
                         continue
                     idx = portal_idx[axis_value]
-                    if parent_idx[axis_value][idx[nid]] != idx[vid]:
+                    if parent_idx[axis_value][idx[u]] != idx[v]:
                         feasible = False
                         break
                 if feasible:
-                    raw_parent[u] = to_engine[vid]
+                    raw_parent[u] = v
                     break
         engine.charge_local_round()
 
@@ -167,13 +185,12 @@ def shortest_path_tree(
         roots = set(raw_parent.values()).difference(raw_parent)
         roots.add(source_id)
         tree = Forest(index, roots, raw_parent).trees()[source_id]
-        dest_ids = {index.id_of(d) for d in dest_set}
         op = RootPruneOp.of_tree(index, source_id, tree, dest_ids)
         if op.ett_op.chain is not None:
             run_pasc(engine, [op.ett_op.chain], section=f"{section}:final_rp")
         forest = Forest(index, (source_id,), op.parent_ids())
 
-    unreached = sorted(index.nodes[u] for u in dest_ids.difference(forest.member_ids()))
+    unreached = sorted(index.nodes[u] for u in set(dest_ids).difference(forest.member_ids()))
     if unreached:
         raise AssertionError(f"destinations missing from the shortest path tree: {unreached[:3]}")
-    return SPTResult(source=source, forest=forest, raw_parent_ids=raw_parent)
+    return SPTResult(forest=forest, raw_parent_ids=raw_parent)

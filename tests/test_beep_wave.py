@@ -112,8 +112,8 @@ def test_baseline_wave_leaves_set_tuples_unmaterialized(monkeypatch):
     built = []
     build = bfs_wave.build_wave_layout
 
-    def spy(engine, structure):
-        built.append(build(engine, structure))
+    def spy(engine):
+        built.append(build(engine))
         return built[-1]
 
     monkeypatch.setattr(bfs_wave, "build_wave_layout", spy)

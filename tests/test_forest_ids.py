@@ -4,7 +4,9 @@ A ``Forest`` is one parent id per member over the engine structure's
 grid index; ``Node`` values appear only in its views.  A counting spy on
 ``Node.__hash__`` and ``Node.__new__`` (the hash itself unchanged) checks
 that merging, forest distances and the final pruning hash and create no
-``Node`` at all on a real multi-source solve.
+``Node`` at all on a real multi-source solve, and that the whole solve
+creates none: regions, merged sides and shadow components are id
+subsets of the engine's grid index, which it never rebuilds.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pytest
 import repro.spf.forest as forest_mod
 import repro.spf.merge as merge_mod
 import repro.spf.propagate as propagate_mod
+from repro.grid.compiled import GRID_STATS
 from repro.grid.coords import Node
 from repro.sim.engine import CircuitEngine
 from repro.spf.forest import shortest_path_forest
@@ -75,6 +78,29 @@ def test_merge_distances_and_prune_touch_no_node(monkeypatch, random_structure):
 
     assert all(calls.values()), calls
     assert counts == {"hash": 0, "new": 0}
+    assert not check_forest(structure, sources, destinations, forest.parent)
+
+
+def test_forest_solve_builds_no_index_and_creates_no_node(monkeypatch, random_structure):
+    structure = random_structure
+    sources = spread_nodes(structure, 4)
+    destinations = sorted(structure.nodes)[::5]
+    engine = CircuitEngine(structure)
+    structure.grid_index()
+    builds = GRID_STATS.full_builds
+    created = [0]
+    node_new = Node.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        created[0] += 1
+        return node_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Node, "__new__", counting_new)
+    forest = shortest_path_forest(engine, structure, sources, destinations)
+    monkeypatch.undo()
+
+    assert GRID_STATS.full_builds == builds
+    assert created == [0]
     assert not check_forest(structure, sources, destinations, forest.parent)
 
 

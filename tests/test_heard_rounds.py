@@ -77,10 +77,11 @@ class TestPortalBroadcast:
         structure = random_hole_free(80, seed=4)
         engine = CircuitEngine(structure)
         beepers = random.Random(0).sample(sorted(structure.nodes), 6)
+        id_of = structure.grid_index().id_of
         for axis in Axis:
             system = PortalSystem(structure, axis)
-            scope = PortalScope(system, index=structure.grid_index())
-            heard = scope.broadcast(engine, beepers)
+            scope = PortalScope(system)
+            heard = scope.broadcast(engine, [id_of(u) for u in beepers])
             assert heard == {system.portal_of[u] for u in beepers}
             assert scope.broadcast(engine, ()) == set()
 
@@ -88,10 +89,10 @@ class TestPortalBroadcast:
         structure = hexagon(3)
         engine = CircuitEngine(structure)
         system = PortalSystem(structure, Axis.X)
-        scope = PortalScope(system, index=structure.grid_index())
+        scope = PortalScope(system)
         root = system.portal_of[structure.westernmost()]
         part = {root, *system.portal_adjacency[root]}
-        everyone = [p.nodes[-1] for p in system.portals]
+        everyone = [run[-1] for run in system.runs]
         assert scope.broadcast(engine, everyone) == set(system.portals)
         assert scope.restrict(part).broadcast(engine, everyone) == part
 
@@ -101,8 +102,8 @@ class TestPortalBroadcast:
         system = PortalSystem(structure, Axis.Y)
         singles = [p for p in system.portals if len(p.nodes) == 1]
         assert singles
-        scope = PortalScope(system, index=structure.grid_index())
-        assert scope.broadcast(engine, [singles[0].nodes[0]]) == {singles[0]}
+        scope = PortalScope(system)
+        assert scope.broadcast(engine, scope.representative_ids(singles[:1])) == {singles[0]}
 
     def test_primitives_return_what_was_heard(self, broadcasts):
         structure = random_hole_free(70, seed=8)
@@ -235,8 +236,9 @@ class TestFaultsOnPortalRounds:
         # costs its portal the membership in Q.
         engine = CircuitEngine(structure)
         engine.fault_injector = FaultInjector(drop_prob=0.2, seed=1)
-        scope = PortalScope(system, index=structure.grid_index())
-        assert scope.broadcast(engine, set(sources)) < clean_q
+        scope = PortalScope(system)
+        id_of = structure.grid_index().id_of
+        assert scope.broadcast(engine, {id_of(s) for s in sources}) < clean_q
 
     def test_crashed_source_leaves_q_without_retransmission(self, broadcasts):
         structure, sources = forest_instance()

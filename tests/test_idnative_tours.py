@@ -16,6 +16,7 @@ from collections import Counter
 
 import pytest
 
+import repro.spf.propagate as propagate_mod
 from repro.api import Session, SolveRequest
 from repro.ett.technique import ETTOp, mark_one_outgoing_edge, run_ett
 from repro.ett.tour import adjacency_from_edges, edge_masks, euler_tour, tree_masks
@@ -235,17 +236,16 @@ def test_cached_pasc_layouts_hold_no_node_objects():
 
 
 def test_forest_builds_each_portal_system_once(monkeypatch):
-    """Propagations over one structure share its portal systems."""
+    """Propagations over one member set share its portal systems."""
     builds: Counter = Counter()
     alive = []
-    build = PortalSystem.__init__
 
-    def counting(self, structure, axis):
-        alive.append(structure)  # keep ids unique for the whole solve
-        builds[(id(structure), axis)] += 1
-        build(self, structure, axis)
+    def counting(structure, axis, members):
+        alive.append(members)  # keep ids unique for the whole solve
+        builds[(id(members), axis)] += 1
+        return PortalSystem(structure, axis, members)
 
-    monkeypatch.setattr(PortalSystem, "__init__", counting)
+    monkeypatch.setattr(propagate_mod, "PortalSystem", counting)
     report = Session().run(SolveRequest(kind="solve", shape="random:500:3", k=4, l=5, seed=1))
     assert report.rounds == 460
     assert builds and max(builds.values()) == 1

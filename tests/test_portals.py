@@ -122,9 +122,10 @@ class TestImplicitPortalTree:
         for s in ALL_SHAPES:
             for axis in Axis:
                 system = PortalSystem(s, axis)
+                nodes = s.grid_index().nodes
                 for p1, neighbors in system.portal_adjacency.items():
                     for p2 in neighbors:
-                        u, v = system.connector[(p1, p2)]
+                        u, v = (nodes[i] for i in system.connector[(p1, p2)])
                         assert u in p1.nodes and v in p2.nodes
                         assert u.is_adjacent(v)
 

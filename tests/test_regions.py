@@ -44,31 +44,33 @@ class TestRegionStructure:
         covered = set()
         for region in regions:
             covered |= region.nodes
-        assert covered == set(s.nodes)
+        assert covered == set(s.grid_index().live_ids())
 
     @pytest.mark.parametrize("seed", range(5))
     def test_regions_connected(self, seed):
         s = random_hole_free(140, seed=seed + 50)
         _system, _qp, _dec, regions, _src = build_decomposition(s, 6, seed)
+        nbr = s.grid_index().nbr
         for region in regions:
-            nodes = region.nodes
-            start = next(iter(nodes))
+            ids = region.nodes
+            start = next(iter(ids))
             seen = {start}
             stack = [start]
             while stack:
                 u = stack.pop()
-                for v in s.neighbors(u):
-                    if v in nodes and v not in seen:
+                for v in nbr[u * 6 : u * 6 + 6]:
+                    if v in ids and v not in seen:
                         seen.add(v)
                         stack.append(v)
-            assert seen == nodes
+            assert seen == ids
 
     def test_overlap_only_on_q_prime_portals_and_marks(self):
         s = random_hole_free(140, seed=55)
         system, q_prime, _dec, regions, _src = build_decomposition(s, 6, 1)
+        id_of = s.grid_index().id_of
         q_prime_nodes = set()
         for p in q_prime:
-            q_prime_nodes.update(p.nodes)
+            q_prime_nodes.update(id_of(u) for u in p.nodes)
         for i, a in enumerate(regions):
             for b in regions[i + 1 :]:
                 overlap = a.nodes & b.nodes
@@ -77,12 +79,13 @@ class TestRegionStructure:
     def test_sources_covered_by_boundary_vertices(self):
         s = random_hole_free(140, seed=56)
         system, _qp, _dec, regions, sources = build_decomposition(s, 6, 2)
+        id_of = s.grid_index().id_of
         for source in sources:
             holders = [
                 r
                 for r in regions
                 if any(
-                    source in v.nodes for v in r.boundary_vertices()
+                    id_of(source) in v.nodes for v in r.boundary_vertices()
                 )
             ]
             assert holders, f"source {source} not on any region boundary"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.grid.coords import Node
 from repro.grid.directions import Axis
+from repro.grid.structure import AmoebotStructure
 from repro.grid.oracle import bfs_distances
 from repro.grid.transforms import rotate60, transform_structure
 from repro.portals.portals import PortalSystem
@@ -125,6 +126,35 @@ class TestFeasibleParents:
                 want[u] = hits[0]
         assert result.raw_parent == want
         assert all(result.raw_parent[u] == p for u, p in result.forest.parent.items())
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_sub_structure_parents_stay_inside(self, rows):
+        # The lower half of a hexagon, with its destinations at the
+        # bottom: the pruned top-row portals border the non-members, and
+        # a non-member's portal number -1 equals a pruned portal's
+        # parent, so only the membership test keeps them out.
+        structure = hexagon(4)
+        sub = AmoebotStructure([u for u in structure.nodes if u.y <= rows])
+        bottom = sorted(u for u in sub.nodes if u.y == -4)
+        source, destinations = bottom[0], bottom[1:3]
+        engine = CircuitEngine(structure)
+        result = shortest_path_tree(engine, sub, source, destinations)
+
+        id_of = structure.grid_index().id_of
+        members = {id_of(u) for u in sub.nodes}
+        systems = {axis: PortalSystem(structure, axis, members) for axis in Axis}
+        portal_parents = {}
+        for axis, system in systems.items():
+            root = system.portal_of[source]
+            q = {system.portal_of[d] for d in destinations} | {root}
+            portal_parents[axis] = portal_root_and_prune(engine, system, root, q).parent
+        want = {}
+        for u in sub.nodes:
+            hits = feasible_parents(sub, systems, portal_parents, u)
+            if u != source and hits:
+                want[u] = hits[0]
+        assert result.raw_parent == want
+        assert members.issuperset(result.raw_parent_ids.values())
 
 
 class TestValidation:
