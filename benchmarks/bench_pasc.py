@@ -21,6 +21,7 @@ smoke.
 import math
 import os
 
+from repro.api import Session, SolveRequest
 from repro.grid.coords import Node
 from repro.grid.oracle import bfs_tree
 from repro.metrics.records import ResultTable
@@ -97,12 +98,15 @@ def check_layout_reuse(engine, result) -> None:
         f"{result.iterations} iterations; rounds left the integer fast path"
     )
     # hearing_count contract: the O(circuits) size-summing fast path
-    # must agree with the O(partition sets) definition on every mask.
+    # must agree with the O(partition sets) definition on every mask; a
+    # singleton id (past the declared sets) hears only itself.
     compiled = engine.global_layout(label="hc-probe").compiled()
-    for beep in ([], [0], list(range(len(compiled.comp)))):
-        hears = compiled.propagate(beep)
-        brute = sum(hears[c] for c in compiled.comp)
-        assert compiled.hearing_count(hears) == brute, (
+    size = len(compiled.comp)
+    for beep in ([], [0], list(range(size)), [size + 7, size + 7, 1]):
+        heard = compiled.propagate(beep)
+        hears, _lone = heard
+        brute = sum(hears[c] for c in compiled.comp) + len({i for i in beep if i >= size})
+        assert compiled.hearing_count(heard) == brute, (
             "hearing_count diverged from the per-set definition"
         )
 
@@ -144,3 +148,35 @@ def test_tree_pasc_iterations():
         claim="tree PASC costs the chain's rounds on its longest root path (Corollary 5)",
         verdict="iterations within the longest path's chain bound, rounds == 2x iterations",
     )
+
+
+def test_edge_layouts_declare_only_pinned_sets():
+    """Sets only where pins are: every edge-subset and global layout of
+    a cold solve declares exactly the sets that own a pin."""
+    layouts = []
+    builders = {
+        name: getattr(CircuitEngine, name)
+        for name in ("_build_edge_subset_layout", "_build_global_layout")
+    }
+
+    def keeping(build):
+        def wrapped(*args):
+            layouts.append(build(*args))
+            return layouts[-1]
+
+        return wrapped
+
+    try:
+        for name, build in builders.items():
+            setattr(CircuitEngine, name, keeping(build))
+        Session().run(SolveRequest(kind="solve", shape="random:300:1", k=4, l=5))
+    finally:
+        for name, build in builders.items():
+            setattr(CircuitEngine, name, build)
+    assert layouts
+    for layout in layouts:
+        owners = set(layout.pin_assignments().values())
+        assert len(layout.compiled().index) == len(owners), (
+            f"{len(layout.compiled().index) - len(owners)} pinless partition "
+            "sets declared; a set without pins is a singleton circuit"
+        )

@@ -178,14 +178,6 @@ class ResultStore:
                 finally:
                     os.close(fd)
 
-    def add_many(self, records: Iterator[Mapping[str, object]]) -> int:
-        """Record several results; returns how many were added."""
-        count = 0
-        for record in records:
-            self.add(record)
-            count += 1
-        return count
-
     def compact(self) -> int:
         """Rewrite the JSONL file with one line per trial key.
 

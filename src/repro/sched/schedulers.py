@@ -27,6 +27,7 @@ scheduler (seeded), so a schedule is reproducible bit for bit.
 from __future__ import annotations
 
 import random
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.sim.compiled import CompiledLayout
@@ -125,6 +126,9 @@ class AdversarialDelayScheduler:
         self._pinned = frozenset(victims) if victims is not None else None
         self.victims: frozenset = self._pinned or frozenset()
         self._ids: List[int] = []
+        #: ``_ids`` ascending, and as a set.
+        self._order: List[int] = []
+        self._members: frozenset = frozenset()
         #: The last two compiled layouts scored, with their victims: a
         #: PASC iteration alternates its runs' layout with the global
         #: termination layout.
@@ -133,6 +137,8 @@ class AdversarialDelayScheduler:
     def start(self, ids: Sequence[int]) -> None:
         """Remember the population and pick the initial victim set."""
         self._ids = list(ids)
+        self._order = sorted(self._ids)
+        self._members = frozenset(self._ids)
         self._scored = []
         if self._pinned is not None:
             self.victims = self._pinned
@@ -142,13 +148,18 @@ class AdversarialDelayScheduler:
             # Until the adversary sees a wiring, delay a deterministic
             # prefix so the schedule is adversarial from round one.
             count = max(1, int(len(self._ids) * self.fraction))
-            self.victims = frozenset(sorted(self._ids)[:count])
+            self.victims = frozenset(self._order[:count])
 
     def observe_layout(self, compiled: CompiledLayout) -> None:
         """Re-target: delay the owners of the highest-degree sets.
 
-        The victims are a function of the wiring alone, so the two
-        layouts scored last are not scored again.
+        An amoebot's score is the number of external links at its
+        partition sets, read off the compiled pin table
+        (:meth:`~repro.sim.compiled.CompiledLayout.link_degrees`).  Only
+        the scored amoebots are sorted, by score and then id; amoebots
+        without a link follow in ascending id order.  The victims are a
+        function of the wiring alone, so the two layouts scored last
+        are not scored again.
         """
         if self._pinned is not None or not self._ids:
             return
@@ -156,15 +167,17 @@ class AdversarialDelayScheduler:
             if scored is compiled:
                 self.victims = victims
                 return
-        score: Dict[int, int] = {}
-        node_id = compiled.index.node_id
-        for i, links in enumerate(compiled.adj):
-            nid = node_id(i)
-            score[nid] = score.get(nid, 0) + len(links)
+        score = compiled.link_degrees()
         count = max(1, int(len(self._ids) * self.fraction))
         # Ties break toward smaller ids: deterministic victim choice.
-        ranked = sorted(self._ids, key=lambda nid: (-score.get(nid, 0), nid))
-        self.victims = frozenset(ranked[:count])
+        members = self._members
+        ranked = sorted(
+            (nid for nid in score if nid in members), key=lambda nid: (-score[nid], nid)
+        )[:count]
+        if len(ranked) < count:
+            unscored = (nid for nid in self._order if nid not in score)
+            ranked.extend(islice(unscored, count - len(ranked)))
+        self.victims = frozenset(ranked)
         self._scored = self._scored[-1:] + [(compiled, self.victims)]
 
     def next_delay(self, node_id: int) -> float:

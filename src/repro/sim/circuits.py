@@ -7,6 +7,13 @@ vertices are partition sets and whose edges are the external links between
 them (Section 1.2).  Layouts are reusable: algorithms that keep the same
 pin configuration over many rounds pay the component computation once.
 
+A layout's integer pin table (encoded pin -> set slot) is the one record
+of which set owns which pin.  Sets are declared only where pins are: a
+partition set without pins is a circuit of its own, so a beep or listen
+on an undeclared ``(node id, label)`` of a label the layout carries
+resolves to that key's singleton circuit, which hears exactly its own
+beep (:meth:`CircuitLayout.set_ids`).
+
 **Rule: build layouts outside round loops.**  Per-round work should be
 :meth:`CircuitEngine.run_round_indexed
 <repro.sim.engine.CircuitEngine.run_round_indexed>` calls against a
@@ -30,8 +37,8 @@ wiring *does* evolve between rounds:
   links.  A layout made of PASC runs (:meth:`CircuitLayout.assign_pasc`)
   is labelled by one parity pass over its links
   (:func:`~repro.sim.compiled.compile_pasc`) instead of the union-find,
-  fresh or derived.  (The clone shallow-copies the ownership tables — a
-  hash-free C-level dict copy; pin *lists* are shared copy-on-write.)
+  fresh or derived.  (The clone shallow-copies the key and pin tables —
+  hash-free C-level copies.)
 * :class:`LayoutCache` memoizes frozen layouts under a caller-chosen
   wiring fingerprint (any hashable key that determines the wiring, e.g.
   ``("global", label, channel)`` or a tuple of tour edges).  Algorithms
@@ -140,12 +147,14 @@ class CircuitLayout:
 
     Build one from grid-index integers — :meth:`assign_sets` places
     ``(edge id, channel)`` pins into named partition sets ``(node id,
-    label)``, :meth:`assign_edges` fuses an edge subset, and
-    :meth:`assign_global` wires the global circuit — then
-    :meth:`freeze` (done implicitly by the engine).  Unassigned pins
-    are inert singletons: they belong to no algorithm-visible partition
-    set and never carry beeps, which is equivalent to each amoebot
-    parking them in private singleton sets.
+    label)``, :meth:`assign_edges` fuses an edge subset (the global
+    circuit is the subset of all edges) — then :meth:`freeze` (done
+    implicitly by the engine).  Unassigned pins are inert singletons:
+    they belong to no algorithm-visible partition set and never carry
+    beeps, which is equivalent to each amoebot parking them in private
+    singleton sets.  Likewise a set without pins need not be declared:
+    :meth:`set_ids` resolves an undeclared key of a label the layout
+    carries to its singleton circuit.
 
     A frozen layout is immutable; to change the wiring, :meth:`derive` a
     new layout, then :meth:`exchange_slots` the pins that moved between
@@ -162,10 +171,11 @@ class CircuitLayout:
     the pin-ownership table maps int to int.  Validation (does the pin
     exist? is the channel in budget?) reads the index's flat neighbor
     array, and pin mates resolve through its mirror-edge table, so
-    nothing hashes coordinates.  Every mutator takes grid-index ids;
-    the builders return slots, and :meth:`set_ids` resolves ``(node
-    id, label)`` keys, so callers address sets without partition-set
-    tuples.  The
+    nothing hashes coordinates.  The pin table is the only record of
+    which set owns which pin: no set keeps a pin list.  Every mutator
+    takes grid-index ids; the builders return slots, and
+    :meth:`set_ids` resolves ``(node id, label)`` keys, so callers
+    address sets without partition-set tuples.  The
     :class:`Pin`/:data:`PartitionSetId` object views remain available
     for tests and observability (:meth:`pin_assignments`,
     :meth:`partition_sets`).
@@ -189,16 +199,16 @@ class CircuitLayout:
         self._slot_keys: List[int] = []
         self._alive = bytearray()
         self._n_alive = 0
+        #: encoded pin -> slot: the one record of pin ownership.
         self._pin_slot: Dict[int, int] = {}
-        self._slot_pins: List[Optional[List[int]]] = []
         # Bitmask of channels that ever carried a pin (conservative: a
         # released channel stays flagged).  O(1) probe for callers that
         # reserve a channel, e.g. the PASC termination circuit.
         self._channel_mask = 0
-        # Copy-on-write support: only pin lists named here are private to
-        # this layout; derived layouts start with every list shared with
-        # their base and clone a list before its first in-place append.
-        self._owned_pin_lists: Set[int] = set()
+        #: Slot pairs the edge builder joined, flat, while the layout is
+        #: made by assign_edges alone (freeze labels the circuits from
+        #: them); ``None`` once another mutator touched it.
+        self._links: Optional[List[int]] = []
         self._frozen = False
         self._compiled: Optional[CompiledLayout] = None
         # Lazy dict views over the compiled arrays (tests and tracing).
@@ -225,9 +235,10 @@ class CircuitLayout:
         leave its amoebot ``nid``.  Pins accumulate over repeated
         entries for one set; an empty pin collection still declares the
         set (a partition set with no pins forms its own trivial
-        circuit; an amoebot may use one as a local flag).  Returns each
-        entry's slot, which is its compiled set-id once the layout is
-        frozen.
+        circuit; an amoebot may use one as a local flag, though
+        :meth:`set_ids` resolves an undeclared key to the same
+        singleton circuit).  Returns each entry's slot, which is its
+        compiled set-id once the layout is frozen.
         """
         if self._frozen:
             raise PinConfigurationError("layout is frozen")
@@ -239,13 +250,11 @@ class CircuitLayout:
         label_ids = self._label_ids
         slot_keys = self._slot_keys
         alive = self._alive
-        slot_pins = self._slot_pins
-        owned = self._owned_pin_lists
-        pin_slot = self._pin_slot
-        get_owner = pin_slot.get
+        claim = self._pin_slot.setdefault
         channels = self._channels
         channel_mask = self._channel_mask
         self._rewired = True
+        self._links = None
         slots: List[int] = []
         for nid, label, pins in sets:
             node = nodes[nid] if nid is not None and 0 <= nid < n_slots else None
@@ -258,23 +267,10 @@ class CircuitLayout:
             if slot == fresh:
                 slot_keys.append(key)
                 alive.append(1)
-                pin_list: List[int] = []
-                slot_pins.append(pin_list)
-                owned.add(slot)
                 self._n_alive += 1
-            else:
-                if not alive[slot]:
-                    alive[slot] = 1
-                    self._n_alive += 1
-                pin_list = slot_pins[slot]
-                if pin_list is None:
-                    pin_list = slot_pins[slot] = []
-                    owned.add(slot)
-                elif slot not in owned:
-                    # Clone before appending: the list is shared with
-                    # the frozen base layout this one was derived from.
-                    pin_list = slot_pins[slot] = list(pin_list)
-                    owned.add(slot)
+            elif not alive[slot]:
+                alive[slot] = 1
+                self._n_alive += 1
             slots.append(slot)
             base = nid * 6
             for edge, channel in pins:
@@ -282,18 +278,11 @@ class CircuitLayout:
                     self._channel_mask = channel_mask
                     self._reject_pin(node, base, edge, channel)
                 pin = edge * channels + channel
-                existing = get_owner(pin)
-                if existing is None:
-                    pin_slot[pin] = slot
-                    pin_list.append(pin)
-                    channel_mask |= 1 << channel
-                elif existing != slot:
+                # Re-assigning a pin to its own set is an idempotent no-op.
+                if claim(pin, slot) != slot:
                     self._channel_mask = channel_mask
                     self._reject_owned(pin)
-                # Re-assigning a pin to its own set is an idempotent
-                # no-op: a duplicate pin-list entry would leave a stale
-                # record behind if the pin later moved to a sibling via
-                # exchange_slots (which removes exactly one entry).
+                channel_mask |= 1 << channel
         self._channel_mask = channel_mask
         return slots
 
@@ -346,25 +335,25 @@ class CircuitLayout:
         label_key = self._label_key
         keys = [(label_key(p), label_key(s)) for p, s in labels]
         key_slot = self._key_slot
-        declare = key_slot.setdefault
         slot_keys = self._slot_keys
-        slot_pins = self._slot_pins
         claim = self._pin_slot.setdefault
         channel_mask = self._channel_mask
-        # Pin lists are allocated at their final size, the parent link
-        # first and then one slot per child link, filled as the children
-        # come: cached layouts keep them, so no list carries spare room.
+        self._links = None
         count = len(nids)
-        kids = [0] * count
-        for p in parents:
-            kids[p] += 1
-        fill = [1] * count
-        fill[0] = 0
         first = len(slot_keys)
         end = first + 2 * count
         # One int object per slot, shared by every pin the set claims.
         p_slots = list(range(first, end, 2))
         s_slots = list(range(first + 1, end, 2))
+        # Declare the sets in unit order, primary first.
+        new_keys = [0] * (2 * count)
+        new_keys[::2] = [keys[o][0] | nid for nid, o in zip(nids, occurrences)]
+        new_keys[1::2] = [keys[o][1] | nid for nid, o in zip(nids, occurrences)]
+        declared = len(key_slot)
+        key_slot.update(zip(new_keys, range(first, end)))
+        slot_keys.extend(new_keys)
+        if len(key_slot) != declared + 2 * count:
+            self._reject_declared(first)
         # Per direction, its channel pair if both channels are in budget.
         pairs = [
             (pch, sch) if 0 <= pch < c and 0 <= sch < c else None
@@ -375,27 +364,9 @@ class CircuitLayout:
         ups = [0] * (2 * count - 2)
         downs = [0] * (2 * count - 2)
         w = 0
-        for j, nid, occurrence, slot, s_slot in zip(
-            range(count), nids, occurrences, p_slots, s_slots
-        ):
-            kp, ks = keys[occurrence]
-            kp |= nid
-            ks |= nid
-            if declare(kp, slot) != slot or declare(ks, s_slot) != s_slot:
-                label = labels[occurrence][0 if key_slot[kp] != slot else 1]
-                raise PinConfigurationError(
-                    f"partition set {(nodes[nid], label)} is already declared"
-                )
-            slot_keys.append(kp)
-            slot_keys.append(ks)
-            if not j:
-                slot_pins.append([0] * kids[0])
-                slot_pins.append([0] * kids[0])
-                continue
+        for e, p, nid, slot, s_slot in zip(links, parents, nids[1:], p_slots[1:], s_slots[1:]):
             # The parent's side of the link: straight, or crossed while
             # the parent is active.
-            p = parents[j - 1]
-            e = links[j - 1]
             pair = pairs[e % 6]
             if pair is None or e // 6 != nids[p] or nbr[e] < 0:
                 pch, sch = channels[e % 6]
@@ -410,10 +381,6 @@ class CircuitLayout:
                 self._reject_owned(p_out)
             if claim(s_out, ps_slot) != ps_slot:
                 self._reject_owned(s_out)
-            k = fill[p]
-            fill[p] = k + 1
-            slot_pins[p_slot][k] = p_out
-            slot_pins[ps_slot][k] = s_out
             # The unit's side: always straight.
             back = mate_edges[e]
             if back // 6 != nid:
@@ -425,21 +392,30 @@ class CircuitLayout:
                 self._reject_owned(p_in)
             if claim(s_in, s_slot) != s_slot:
                 self._reject_owned(s_in)
-            slot_pins.append([p_in] * (1 + kids[j]))
-            slot_pins.append([s_in] * (1 + kids[j]))
         for d in {e % 6 for e in links}:
             pch, sch = pairs[d]
             channel_mask |= 1 << pch | 1 << sch
         self._channel_mask = channel_mask
         self._alive.extend(b"\x01" * (2 * count))
         self._n_alive += 2 * count
-        self._owned_pin_lists.update(range(first, end))
         self._pasc_runs.append(
             (first, count, itemgetter(*ups), itemgetter(*downs))
             if ups
             else (first, count, None, None)
         )
         return p_slots, s_slots
+
+    def _reject_declared(self, first: int) -> None:
+        """Raise the error for the first set from slot ``first`` on that
+        was declared before."""
+        slot_keys = self._slot_keys
+        seen = set(slot_keys[:first])
+        for slot in range(first, len(slot_keys)):
+            if slot_keys[slot] in seen:
+                raise PinConfigurationError(
+                    f"partition set {self._set_id(slot)} is already declared"
+                )
+            seen.add(slot_keys[slot])
 
     def _reject_owned(self, pin: int) -> None:
         """Raise the error for a pin that already belongs to another set."""
@@ -464,13 +440,7 @@ class CircuitLayout:
             "pin does not exist"
         )
 
-    def assign_edges(
-        self,
-        label: str,
-        channel: int,
-        edges: Iterable[int],
-        isolated_ok: bool = False,
-    ) -> None:
+    def assign_edges(self, label: str, channel: int, edges: Iterable[int]) -> None:
         """Fuse each connected component of an edge subset into one circuit.
 
         ``edges`` are grid-index edge ids ``nid * 6 + direction``; both
@@ -478,51 +448,73 @@ class CircuitLayout:
         into their set ``label`` (mates come from
         :meth:`~repro.grid.compiled.GridIndex.mate_edges`), so the
         circuits of ``label`` are exactly the components of the edge
-        subset.  With ``isolated_ok`` every amoebot the edges do not
-        touch declares an empty set ``label`` too (so it can still
-        listen, hearing nothing), in bulk over the index.  Makes the
-        checks of :meth:`assign_sets`, with the same messages.
+        subset.  A set is declared only for an amoebot some edge
+        touches; every other amoebot's key of ``label`` resolves to its
+        singleton circuit (:meth:`set_ids`), which hears nothing but
+        its own beep.  The circuits are labelled by a union-find over
+        the joined sets, the edges being the amoebots' wiring.  Makes
+        the checks of :meth:`assign_sets`, with the same messages.
         """
         if self._frozen:
             raise PinConfigurationError("layout is frozen")
-        if not 0 <= channel < self._channels:
-            raise PinConfigurationError(
-                f"channel {channel} out of range (c={self._channels})"
-            )
-        gi = self._gi
-        mate_edges = gi.mate_edges()
-        touched: Set[int] = set()
-
-        def ends():
-            for edge in edges:
-                touched.add(edge // 6)
-                yield edge // 6, label, ((edge, channel),)
-                # Reached only once assign_sets accepted the edge.
-                mate = mate_edges[edge]
-                touched.add(mate // 6)
-                yield mate // 6, label, ((mate, channel),)
-
-        self.assign_sets(ends())
-        if not isolated_ok:
-            return
-        key_slot = self._key_slot
+        c = self._channels
+        if not 0 <= channel < c:
+            raise PinConfigurationError(f"channel {channel} out of range (c={c})")
         label_key = self._label_key(label)
-        keys = [label_key | nid for nid in gi.live_ids() if nid not in touched]
-        new = [key for key in keys if key not in key_slot]
-        if len(new) != len(keys):
-            # Sets declared earlier (maybe released since): the general
-            # path revives them.
-            self.assign_sets(
-                (key & _NID_MASK, label, ()) for key in keys if key in key_slot
-            )
-        # Fresh sets change the set universe, so even a derived layout
-        # relowers on freeze with a fresh index.
-        first = len(self._slot_keys)
-        key_slot.update(zip(new, range(first, first + len(new))))
+        edges = list(edges)
+        if not edges:
+            return
+        mate_edges = self._gi.mate_edges()
+        n_edges = len(mate_edges)
+        if min(edges) < 0 or max(edges) >= n_edges:
+            self._reject_edge(next(e for e in edges if not 0 <= e < n_edges), channel)
+        mates = [mate_edges[e] for e in edges]
+        if min(mates) < 0:
+            self._reject_edge(next(e for e, m in zip(edges, mates) if m < 0), channel)
+        # Both ends of every edge, in edge order: each end's amoebot
+        # joins the end's pin into its set ``label``.
+        ends = [0] * (2 * len(edges))
+        ends[::2] = edges
+        ends[1::2] = mates
+        keys = [label_key | end // 6 for end in ends]
+        pins = [end * c + channel for end in ends]
+        key_slot = self._key_slot
+        pin_slot = self._pin_slot
+        if pin_slot and not pin_slot.keys().isdisjoint(pins):
+            for pin, key in zip(pins, keys):
+                owner = pin_slot.get(pin)
+                if owner is not None and owner != key_slot.get(key):
+                    self._reject_owned(pin)
+        # Declare the touched amoebots' sets in first-touch order.
+        touched = dict.fromkeys(keys)
+        new = [key for key in touched if key not in key_slot] if key_slot else list(touched)
+        if len(new) != len(touched):
+            alive = self._alive
+            for key in touched:
+                slot = key_slot.get(key)
+                if slot is not None and not alive[slot]:
+                    alive[slot] = 1
+                    self._n_alive += 1
+        fresh = len(self._slot_keys)
+        key_slot.update(zip(new, range(fresh, fresh + len(new))))
         self._slot_keys.extend(new)
         self._alive.extend(b"\x01" * len(new))
-        self._slot_pins.extend([None] * len(new))
         self._n_alive += len(new)
+        slots = list(map(key_slot.__getitem__, keys))
+        pin_slot.update(zip(pins, slots))
+        self._channel_mask |= 1 << channel
+        self._rewired = True
+        if self._links is not None:
+            # The slots of the two ends of each edge, pair by pair.
+            self._links.extend(slots)
+
+    def _reject_edge(self, edge: int, channel: int) -> None:
+        """Raise the error for an edge id that names no edge of the structure."""
+        gi = self._gi
+        nid = edge // 6
+        if not 0 <= nid < gi.n_slots or gi.nodes[nid] is None:
+            raise PinConfigurationError(f"node id {nid} is not part of the structure")
+        self._reject_pin(gi.nodes[nid], nid * 6, edge, channel)
 
     def _pin_of(self, pin: int) -> Pin:
         """Decode an integer pin into its :class:`Pin` view (cold paths)."""
@@ -558,20 +550,32 @@ class CircuitLayout:
         Freezes the layout, whose slots then coincide with its compiled
         set-ids, so resolution is one int-keyed probe per set; the
         :class:`~repro.sim.compiled.PartitionSetIndex` tuple table is
-        never built.  ``action`` names the operation in the error for
-        an undeclared set (``beep on`` / ``listen on``).
+        never built.
+
+        An undeclared key of a label the layout carries, on a live
+        amoebot, is a set without pins: it resolves to its *singleton
+        id* ``len(index) + key``, a circuit of its own that hears only
+        its own beep (see :mod:`repro.sim.compiled`).  The id is
+        computed, so the frozen layout is not changed.  An unknown
+        label or a node id outside the structure raises; ``action``
+        names the operation in the error (``beep on`` / ``listen on``).
         """
         self.freeze()
         key_slot = self._key_slot
         label_ids = self._label_ids
+        nodes = self._gi.nodes
         n_slots = self._gi.n_slots
+        size = len(self._slot_keys)
         result: List[int] = []
         for nid, label in keys:
             lid = label_ids.get(label)
             if lid is None or nid is None or not 0 <= nid < n_slots:
                 slot = None
             else:
-                slot = key_slot.get(lid << _KEY_SHIFT | nid)
+                key = lid << _KEY_SHIFT | nid
+                slot = key_slot.get(key)
+                if slot is None and nodes[nid] is not None:
+                    slot = size + key
             if slot is None:
                 in_range = isinstance(nid, int) and 0 <= nid < self._gi.n_slots
                 node = self._gi.nodes[nid] if in_range else nid
@@ -580,27 +584,6 @@ class CircuitLayout:
                 )
             result.append(slot)
         return result
-
-    def assign_global(self, label: str, channel: int) -> None:
-        """Wire every amoebot's channel-``channel`` pins into one set each.
-
-        The standard global-circuit wiring (termination circuits, leader
-        coordination), built in one pass over the grid index's flat
-        neighbor array — no per-node direction lists, no coordinate
-        hashing.  Equivalent to :meth:`assign_sets` with every node's
-        occupied directions on ``channel``.
-        """
-        if self._frozen:
-            raise PinConfigurationError("layout is frozen")
-        if not 0 <= channel < self._channels:
-            raise PinConfigurationError(
-                f"channel {channel} out of range (c={self._channels})"
-            )
-        nbr = self._gi.nbr
-        self.assign_sets(
-            (nid, label, [(e, channel) for e in range(nid * 6, nid * 6 + 6) if nbr[e] >= 0])
-            for nid in self._gi.live_ids()
-        )
 
     # ------------------------------------------------------------------
     # derivation: cheap re-wiring of an already-computed layout
@@ -617,9 +600,10 @@ class CircuitLayout:
         made of its PASC runs, else by the union-find.  While the set
         universe is unchanged the partition-set index itself is adopted,
         so integer set-ids stay stable across the derive chain.  The
-        clone operation shallow-copies the pin-ownership tables
-        (hash-free C-level copies; pin lists are shared copy-on-write).
-        The original layout stays frozen and valid.
+        clone shallow-copies the key and pin tables (hash-free C-level
+        copies); the pin table is the only ownership record, so nothing
+        the frozen original holds is shared mutably.  The original
+        layout stays frozen and valid.
         """
         self.freeze()
         clone = CircuitLayout.__new__(CircuitLayout)
@@ -634,11 +618,7 @@ class CircuitLayout:
         clone._n_alive = self._n_alive
         clone._pin_slot = dict(self._pin_slot)
         clone._channel_mask = self._channel_mask
-        # Pin lists are shared copy-on-write: assign_sets() clones a list
-        # before its first in-place append, so the frozen base layout is
-        # never corrupted and untouched sets are never copied.
-        clone._slot_pins = list(self._slot_pins)
-        clone._owned_pin_lists = set()
+        clone._links = None
         clone._frozen = False
         clone._compiled = None
         clone._components = None
@@ -690,15 +670,18 @@ class CircuitLayout:
         :meth:`assign_sets` keeps its slot.  To re-wire a set, release
         it, then assign its new pins.  Releasing a set that is not
         declared does nothing.  After :meth:`derive_for`, ids of
-        departed amoebots are valid keys.
+        departed amoebots are valid keys.  A set's pins are found by
+        probing its amoebot's ``6 * c`` pin ids in the pin table.
         """
         if self._frozen:
             raise PinConfigurationError("layout is frozen; derive() a new one first")
         key_slot = self._key_slot
         alive = self._alive
-        slot_pins = self._slot_pins
         pin_slot = self._pin_slot
+        owner = pin_slot.get
+        span = 6 * self._channels
         self._rewired = True
+        self._links = None
         for nid, label in keys:
             key = self._key_of(nid, label)
             slot = None if key is None else key_slot.get(key)
@@ -706,11 +689,8 @@ class CircuitLayout:
                 continue
             alive[slot] = 0
             self._n_alive -= 1
-            old_pins = slot_pins[slot]
-            slot_pins[slot] = None
-            self._owned_pin_lists.discard(slot)
-            for pin in old_pins or ():
-                if pin_slot.get(pin) == slot:
+            for pin in range(nid * span, nid * span + span):
+                if owner(pin) == slot:
                     del pin_slot[pin]
 
     def exchange_slots(
@@ -748,10 +728,9 @@ class CircuitLayout:
           and the partition-set universe are unchanged, so a following
           :meth:`freeze` keeps the base layout's partition-set index,
           and a PASC layout stays labelled by the parity pass.
-        * *Copy-on-write is preserved*: pin lists shared with the base
-          layout are cloned before their first mutation, so the frozen
-          base layout the clone was :meth:`derive`-d from is never
-          corrupted.
+        * *The base layout is untouched*: the swap rewrites this
+          layout's own copy of the pin table, so the frozen layout the
+          clone was :meth:`derive`-d from keeps its wiring.
         * *An empty swap list* changes no pin but still counts as a
           re-wiring: the next freeze relabels instead of adopting the
           base arrays.
@@ -766,9 +745,8 @@ class CircuitLayout:
                 f"{set_id(slot_b)} to be declared"
             )
         pin_slot = self._pin_slot
-        slot_pins = self._slot_pins
-        owned = self._owned_pin_lists
         self._rewired = True
+        self._links = None
         channels = self._channels
         for edge, channel in pins:
             pin = edge * channels + channel
@@ -784,19 +762,6 @@ class CircuitLayout:
                     f"{set_id(slot_a)} or {set_id(slot_b)}"
                 )
             pin_slot[pin] = new_owner
-            old_list = slot_pins[owner]
-            if owner not in owned:
-                old_list = slot_pins[owner] = list(old_list)
-                owned.add(owner)
-            old_list.remove(pin)
-            new_list = slot_pins[new_owner]
-            if new_list is None:
-                new_list = slot_pins[new_owner] = []
-                owned.add(new_owner)
-            elif new_owner not in owned:
-                new_list = slot_pins[new_owner] = list(new_list)
-                owned.add(new_owner)
-            new_list.append(pin)
 
     # ------------------------------------------------------------------
     # freezing, compilation, and component computation
@@ -820,10 +785,6 @@ class CircuitLayout:
             else:
                 self._freeze_full()
         self._frozen = True
-        # Copy-on-write bookkeeping is only read while the layout is
-        # mutable; derived clones start their own.  Cached layouts drop
-        # one set entry per partition set.
-        self._owned_pin_lists = set()
 
     def _freeze_full(self) -> None:
         self._compact()
@@ -857,11 +818,17 @@ class CircuitLayout:
     def _lower(self, index: PartitionSetIndex) -> None:
         """Compile the circuits over ``index``: one parity pass when the
         layout is made of its recorded PASC runs, the union-find
-        otherwise (or when the pins do not form the runs' two rails)."""
+        otherwise (or when the pins do not form the runs' two rails),
+        over the edge builder's links when it alone built the layout."""
         wiring = (index, self._pin_slot, self._channels, self._gi.mate_edges())
         compiled = compile_pasc(*wiring, self._pasc_runs) if self._pasc_runs else None
         if compiled is None:
-            compiled = compile_wiring_ids(*wiring)
+            links = self._links
+            self._links = None
+            if links is not None:
+                ends = iter(links)
+                links = zip(ends, ends)
+            compiled = compile_wiring_ids(*wiring, links)
         else:
             LAYOUT_STATS.parity_compiles += 1
         self._compiled = compiled
@@ -883,16 +850,12 @@ class CircuitLayout:
                 remap[slot] = fresh
                 fresh += 1
         self._slot_keys = [key for key, a in zip(self._slot_keys, alive) if a]
-        self._slot_pins = [pl for pl, a in zip(self._slot_pins, alive) if a]
         self._key_slot = {
             key: remap[slot]
             for key, slot in self._key_slot.items()
             if alive[slot]
         }
         self._pin_slot = {pin: remap[slot] for pin, slot in self._pin_slot.items()}
-        self._owned_pin_lists = {
-            remap[slot] for slot in self._owned_pin_lists if alive[slot]
-        }
         self._alive = bytearray(b"\x01") * len(self._slot_keys)
 
     def _new_index(self) -> PartitionSetIndex:

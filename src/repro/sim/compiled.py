@@ -10,21 +10,31 @@ with zero per-round dict construction and zero tuple hashing.
 
 The same move keeps the matching inner loop of slowmatch-style
 implementations out of object-graph traversal: hash each object exactly
-once into an index, then run the hot loop over flat integers.  Since
-the grid-index refactor the layouts themselves keep their pin tables in
-integer space, so the standard lowering (:func:`compile_wiring_ids`)
-never hashes a tuple at all — pin mates resolve through the grid
-index's mirror-edge table.
+once into an index, then run the hot loop over flat integers.  The
+layouts keep one integer pin table (encoded pin -> set), the only
+record of which set owns which pin, so the standard lowering
+(:func:`compile_wiring_ids`) never hashes a tuple at all — pin mates
+resolve through the grid index's mirror-edge table.
 
-There are two ways to label circuits, and both give the same labels:
-the generic lowering runs a union-find over the wired links, and a
-layout made only of PASC runs labels its two rails per run in one pass
-over its links (:func:`compile_pasc`).  Every pass is a pure-Python
-loop over flat integers; there is one kernel set.  Component labels
-are assigned in ascending order of each circuit's minimal member
-index, so round counts, forests, and every pinned total depend only on
-the wiring.  The link adjacency (:attr:`CompiledLayout.adj`) is built
-only when read, from the frozen pin table.
+**Singleton circuits.**  A partition set without pins is a circuit of
+its own, so a layout need not declare it.  A beep or listen on an
+undeclared ``(node id, label)`` key of a label the layout carries is
+addressed by the *singleton id* ``len(index) + key`` (see
+:meth:`CircuitLayout.set_ids
+<repro.sim.circuits.CircuitLayout.set_ids>`): every id at or past
+``len(index)`` hears exactly its own beep.  Singleton ids are computed,
+never stored, so resolving one leaves a frozen (possibly cached and
+shared) layout untouched.
+
+There are three ways to label circuits, and all give the same labels:
+the generic lowering runs a union-find over the links it reads off the
+pin table, the edge builder hands the union-find the links it wired,
+and a layout made only of PASC runs labels its two rails per run in one
+pass over its links (:func:`compile_pasc`).  Every pass is a
+pure-Python loop over flat integers; there is one kernel set.
+Component labels are assigned in ascending order of each circuit's
+minimal member index, so round counts, forests, and every pinned total
+depend only on the wiring.
 
 Compiled layouts are immutable and cached on their layout; deriving a
 layout with an unchanged partition-set universe re-uses the base
@@ -35,7 +45,7 @@ derive chain of an algorithm's round loop.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.sim.pins import PartitionSetId
 
@@ -47,7 +57,11 @@ NID_MASK = (1 << KEY_SHIFT) - 1
 #: getters of the owners of its link pins, parent side and child side.
 PascRecord = Tuple[int, int, Optional[Callable], Optional[Callable]]
 
-#: What a layout's link adjacency is read from: its frozen pin table
+#: What a round's beeps reach (:meth:`CompiledLayout.propagate`): a
+#: byte mask over circuits and the singleton ids that beeped.
+Heard = Tuple[bytearray, Set[int]]
+
+#: What a layout's links are read from: its frozen pin table
 #: (encoded pin -> slot), the pin budget, and the grid index's
 #: mirror-edge table.
 Wiring = Tuple[Mapping[int, int], int, Sequence[int]]
@@ -66,7 +80,8 @@ class PartitionSetIndex:
 
     Set ``i`` is the layout's key ``keys[i]`` over the grid index
     ``grid`` (whose node ids the keys carry) and the label table
-    ``labels``.  :meth:`node_id` reads a set's amoebot off its key; the
+    ``labels``.  :meth:`node_id` reads a set's amoebot off its key (a
+    singleton id carries its key past ``len(index)``); the
     ``(node, label)`` tuples of :attr:`ids`, the view observability and
     schedulers read, are built on first use, so a layout whose callers
     address sets by slot never creates them.
@@ -94,7 +109,9 @@ class PartitionSetIndex:
 
     def node_id(self, i: int) -> int:
         """The grid-index id of the amoebot that owns set ``i``."""
-        return self._keys[i] & NID_MASK
+        keys = self._keys
+        size = len(keys)
+        return (keys[i] if i < size else i - size) & NID_MASK
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -118,10 +135,10 @@ class CompiledLayout:
         "comp",
         "n_components",
         "_wiring",
-        "_adj",
         "_starts",
         "_members",
         "_comp_sizes",
+        "_degrees",
     )
 
     def __init__(
@@ -135,24 +152,10 @@ class CompiledLayout:
         self.comp = comp
         self.n_components = n_components
         self._wiring = wiring
-        self._adj: Optional[List[List[int]]] = None
         self._starts: Optional[List[int]] = None
         self._members: Optional[List[int]] = None
         self._comp_sizes: Optional[List[int]] = None
-
-    @property
-    def adj(self) -> List[List[int]]:
-        """``adj[i]`` lists the integer ids of the sets wired to set ``i``
-        by external links (one entry per wired link endpoint).
-
-        Built on first read from the frozen pin table, by the loop the
-        generic lowering runs, so the rows do not depend on how the
-        circuits were labelled.
-        """
-        adj = self._adj
-        if adj is None:
-            adj = self._adj = _adjacency(len(self.index), *self._wiring)
-        return adj
+        self._degrees: Optional[Dict[int, int]] = None
 
     def members_csr(self):
         """Component -> member set-ids as ``(starts, members)`` arrays.
@@ -177,23 +180,52 @@ class CompiledLayout:
         assert self._members is not None
         return self._starts, self._members
 
+    def link_degrees(self) -> Dict[int, int]:
+        """Per amoebot (grid-index id), its wired pins whose mate pin is
+        wired too; amoebots without such a pin are left out.
+
+        One pass over the frozen pin table, on first call: the number of
+        external links that end at the amoebot's partition sets.
+        """
+        degrees = self._degrees
+        if degrees is None:
+            pin_slot, c, mate_edges = self._wiring
+            degrees = self._degrees = {}
+            get = degrees.get
+            for pin in pin_slot:
+                e = pin // c
+                if pin + (mate_edges[e] - e) * c in pin_slot:
+                    nid = e // 6
+                    degrees[nid] = get(nid, 0) + 1
+        return degrees
+
     # ------------------------------------------------------------------
     # round execution
     # ------------------------------------------------------------------
-    def propagate(self, beep_indices: Iterable[int]) -> bytearray:
-        """Byte mask over circuits: 1 where some ``beep_indices`` set beeped."""
+    def propagate(self, beep_indices: Iterable[int]) -> Heard:
+        """What a round's beeps reach: a byte mask over circuits, 1 where
+        some ``beep_indices`` set beeped, and the singleton ids that
+        beeped (each hears only itself)."""
         hears = bytearray(self.n_components)
+        lone: Set[int] = set()
         comp = self.comp
+        size = len(comp)
         for i in beep_indices:
-            hears[comp[i]] = 1
-        return hears
+            if i < size:
+                hears[comp[i]] = 1
+            else:
+                lone.add(i)
+        return hears, lone
 
-    def read(self, hears: bytearray, listen_indices: Optional[Sequence[int]] = None) -> List[bool]:
-        """Per-set beep bits for ``listen_indices`` (all sets if ``None``)."""
+    def read(self, heard: Heard, listen_indices: Optional[Sequence[int]] = None) -> List[bool]:
+        """Per-set beep bits for ``listen_indices`` (all declared sets if
+        ``None``); a singleton id hears iff it beeped."""
+        hears, lone = heard
         comp = self.comp
         if listen_indices is None:
             return [hears[c] != 0 for c in comp]
-        return [hears[comp[i]] != 0 for i in listen_indices]
+        size = len(comp)
+        return [hears[comp[i]] != 0 if i < size else i in lone for i in listen_indices]
 
     def execute(
         self,
@@ -217,15 +249,17 @@ class CompiledLayout:
             self._comp_sizes = sizes
         return sizes
 
-    def hearing_count(self, hears: bytearray) -> int:
-        """How many partition sets hear a beep under mask ``hears``.
+    def hearing_count(self, heard: Heard) -> int:
+        """How many partition sets hear a beep in ``heard``.
 
         Sums the precomputed circuit sizes over the beeping circuits
         only — O(circuits) per call rather than O(partition sets),
-        which matters to the tracer, the only per-round consumer.
+        which matters to the tracer, the only per-round consumer — plus
+        one per singleton that beeped.
         """
+        hears, lone = heard
         sizes = self.component_sizes()
-        total = 0
+        total = len(lone)
         for c in range(self.n_components):
             if hears[c]:
                 total += sizes[c]
@@ -242,37 +276,39 @@ def compile_wiring_ids(
     pin_slot: Mapping[int, int],
     channels: int,
     mate_edges: Sequence[int],
+    links: Optional[Iterable[Tuple[int, int]]] = None,
 ) -> CompiledLayout:
     """Lower an integer-keyed wiring to a :class:`CompiledLayout`.
 
     ``pin_slot`` maps encoded pins ``(node_id * 6 + direction) *
     channels + channel`` to dense partition-set slots; ``mate_edges``
     is the grid index's mirror-edge table
-    (:meth:`~repro.grid.compiled.GridIndex.mate_edges`).  The whole
-    lowering — mate resolution, adjacency, union-find — runs over flat
-    integers: nothing is hashed except the C-level int dict probes.
-    The adjacency is dropped afterwards; :attr:`CompiledLayout.adj`
-    rebuilds it on demand.
+    (:meth:`~repro.grid.compiled.GridIndex.mate_edges`).  The circuits
+    are the union-find components of the ``links``, slot pairs joined
+    by an external link; without ``links`` they are read off the pin
+    table, one per pin whose mate pin is wired.  The whole lowering
+    runs over flat integers: nothing is hashed except the C-level int
+    dict probes.
     """
-    comp, n_components = _connected_components(
-        _adjacency(len(index), pin_slot, channels, mate_edges)
-    )
+    if links is None:
+        links = _links(pin_slot, channels, mate_edges)
+    comp, n_components = _components(len(index), links)
     return CompiledLayout(index, comp, n_components, (pin_slot, channels, mate_edges))
 
 
-def _adjacency(
-    size: int, pin_slot: Mapping[int, int], channels: int, mate_edges: Sequence[int]
-) -> List[List[int]]:
-    """Per set, the sets at the far end of its wired pins."""
-    adj: List[List[int]] = [[] for _ in range(size)]
+def _links(
+    pin_slot: Mapping[int, int], channels: int, mate_edges: Sequence[int]
+) -> Iterable[Tuple[int, int]]:
+    """The slot pairs of the wired links, each link once."""
     get = pin_slot.get
     c = channels
     for pin, slot in pin_slot.items():
         e = pin // c
-        mate_slot = get(pin + (mate_edges[e] - e) * c)
-        if mate_slot is not None:
-            adj[slot].append(mate_slot)
-    return adj
+        mate = pin + (mate_edges[e] - e) * c
+        if pin < mate:
+            mate_slot = get(mate)
+            if mate_slot is not None:
+                yield slot, mate_slot
 
 
 def compile_pasc(
@@ -335,32 +371,29 @@ def compile_pasc(
     return CompiledLayout(index, comp, label, (pin_slot, channels, mate_edges))
 
 
-def _connected_components(adj: List[List[int]]) -> Tuple[List[int], int]:
-    """Dense component labels of the integer adjacency table.
+def _components(size: int, links: Iterable[Tuple[int, int]]) -> Tuple[List[int], int]:
+    """Dense component labels of ``size`` sets joined by ``links``.
 
     Union-find with path halving and union by size, entirely over flat
     integer arrays.  Labels are assigned in ascending order of each
     component's minimal member index (the first member encountered by
-    the ascending scan).
+    the ascending scan), so they do not depend on the link order.
     """
-    size = len(adj)
     parent = list(range(size))
     rank = [1] * size
-    for i in range(size):
-        for j in adj[i]:
-            a, b = i, j
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a == b:
-                continue
-            if rank[a] < rank[b]:
-                a, b = b, a
-            parent[b] = a
-            rank[a] += rank[b]
+    for a, b in links:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a == b:
+            continue
+        if rank[a] < rank[b]:
+            a, b = b, a
+        parent[b] = a
+        rank[a] += rank[b]
     comp = [-1] * size
     n_components = 0
     for i in range(size):

@@ -10,8 +10,8 @@ round.
 
 Execution pipeline: **build -> freeze -> compile -> run**.  Layouts are
 built *outside* round loops, in the integer space of the structure's
-:class:`~repro.grid.compiled.GridIndex`: edge subsets from edge ids
-``nid * 6 + direction`` in one pass
+:class:`~repro.grid.compiled.GridIndex`: edge subsets, the global
+circuit among them, from edge ids ``nid * 6 + direction`` in one pass
 (:meth:`CircuitLayout.assign_edges
 <repro.sim.circuits.CircuitLayout.assign_edges>`), per-set wirings
 (PASC units, election subpaths) from ``(edge id, channel)`` pins
@@ -180,7 +180,9 @@ class CircuitEngine:
         circuit — the standard global coordination circuit.  Cached: the
         wiring is fully determined by ``(label, channel)``, so repeated
         calls (e.g. one termination check per loop iteration) return the
-        same frozen layout.
+        same frozen layout.  Built by the edge-subset builder over every
+        edge of the structure, each once (from the end it leaves E, NE
+        or NW).
         """
         return self.layouts.get_or_build(
             ("global", label, channel),
@@ -188,8 +190,9 @@ class CircuitEngine:
         )
 
     def _build_global_layout(self, label: str, channel: int) -> CircuitLayout:
+        nbr = self.structure.grid_index().nbr
         layout = self.new_layout()
-        layout.assign_global(label, channel)
+        layout.assign_edges(label, channel, [e for e, j in enumerate(nbr) if j >= 0 and e % 6 < 3])
         layout.freeze()
         return layout
 
@@ -198,7 +201,6 @@ class CircuitEngine:
         edges: Iterable[int],
         label: str = "net",
         channel: int = 0,
-        isolated_ok: bool = True,
         key: Optional[Hashable] = None,
     ) -> CircuitLayout:
         """A layout that fuses each connected component of ``edges``.
@@ -207,9 +209,12 @@ class CircuitEngine:
         this engine's structure.  Every endpoint of a listed edge joins
         its channel-``channel`` pin for that edge into a single
         partition set per amoebot, so the circuits are exactly the
-        connected components of the edge subset.  Amoebots not incident
-        to any listed edge declare an empty partition set (so they can
-        still listen, hearing nothing) when ``isolated_ok`` is set.
+        connected components of the edge subset.  Only amoebots that an
+        edge touches declare a set: an amoebot no edge touches still
+        beeps and listens on its key ``(node id, label)``, which
+        :meth:`CircuitLayout.set_ids
+        <repro.sim.circuits.CircuitLayout.set_ids>` resolves to a
+        singleton circuit (it hears its own beep, nothing else).
         Cached by the edge set: deterministic algorithms that rebuild
         identical sub-circuits (the recomputed decomposition tree,
         repeated portal broadcasts) hit the cache.
@@ -221,13 +226,12 @@ class CircuitEngine:
         hit; the caller guarantees the key uniquely determines the
         edge set on this engine's structure.
         """
-        return self.edge_subsets_layout({label: edges}, channel, isolated_ok, key)
+        return self.edge_subsets_layout({label: edges}, channel, key)
 
     def edge_subsets_layout(
         self,
         subsets: Mapping[str, Iterable[int]],
         channel: int = 0,
-        isolated_ok: bool = True,
         key: Optional[Hashable] = None,
     ) -> CircuitLayout:
         """:meth:`edge_subset_layout` for several labelled edge subsets.
@@ -246,19 +250,16 @@ class CircuitEngine:
         else:
             key = (tuple(subsets), key)
         return self.layouts.get_or_build(
-            ("edges", channel, isolated_ok, key),
-            lambda: self._build_edge_subset_layout(subsets, channel, isolated_ok),
+            ("edges", channel, key),
+            lambda: self._build_edge_subset_layout(subsets, channel),
         )
 
     def _build_edge_subset_layout(
-        self,
-        subsets: Mapping[str, Iterable[int]],
-        channel: int,
-        isolated_ok: bool,
+        self, subsets: Mapping[str, Iterable[int]], channel: int
     ) -> CircuitLayout:
         layout = self.new_layout()
         for label, edges in subsets.items():
-            layout.assign_edges(label, channel, edges, isolated_ok=isolated_ok)
+            layout.assign_edges(label, channel, edges)
         layout.freeze()
         return layout
 
@@ -275,10 +276,10 @@ class CircuitEngine:
 
         ``beeps`` and ``listen`` are integer set-ids of the layout (its
         builder's slots or :meth:`CircuitLayout.set_ids`; resolve them
-        once per wiring, outside the round loop).  Returns one bit per
-        ``listen`` entry, in order — or one bit per declared set (index
-        order) when ``listen`` is ``None``.  No dicts are built and no
-        tuples are hashed.
+        once per wiring, outside the round loop); a singleton id hears
+        iff it beeps.  Returns one bit per ``listen`` entry, in order —
+        or one bit per declared set (index order) when ``listen`` is
+        ``None``.  No dicts are built and no tuples are hashed.
 
         This is the only code that executes a beep round.  Its stages
         run in a fixed order, each skipped while its field is unset:

@@ -40,8 +40,10 @@ class RoundTrace:
         """Record one beep round from its compiled arrays.
 
         ``beeps`` are the set-ids that reached their circuit (after the
-        fault filter).  Hearing sets are counted off the component mask
-        — no dict is materialized to observe the round.
+        fault filter).  Hearing sets are counted off the component mask,
+        plus one per singleton that beeped — no dict is materialized to
+        observe the round.  ``circuits`` and ``partition_sets`` count
+        the declared sets only: a set without pins is not declared.
         """
         hears = compiled.propagate(beeps)
         self.records.append(

@@ -178,19 +178,25 @@ def run_round(
 ) -> Dict[PartitionSetId, bool]:
     """One round addressed by ``(node, label)`` ids, heard bits as a dict.
 
-    Resolves the ids to the layout's integer set-ids and runs
-    ``engine.run_round_indexed``; the result maps every listened set
-    (every declared set when ``listen`` is None) to whether it heard a
-    beep.
+    Resolves the ids to the layout's integer set-ids through
+    ``layout.set_ids`` (an undeclared key of a carried label is its
+    singleton circuit) and runs ``engine.run_round_indexed``; the
+    result maps every listened set (every declared set when ``listen``
+    is None) to whether it heard a beep.
     """
     index = layout.compiled().index
-    beep_idx = indices(index, beeps, "beep on")
+    id_of = layout.structure.grid_index().id_of
+
+    def resolve(keys, action):
+        return layout.set_ids(((id_of(u), label) for u, label in keys), action)
+
+    beep_idx = resolve(beeps, "beep on")
     if listen is None:
         keys: Sequence[PartitionSetId] = index.ids
         listen_idx = None
     else:
         keys = list(listen)
-        listen_idx = indices(index, keys, "listen on")
+        listen_idx = resolve(keys, "listen on")
     return dict(zip(keys, engine.run_round_indexed(layout, beep_idx, listen_idx)))
 
 

@@ -397,12 +397,9 @@ def reference_labels(size: int, edges: List[Tuple[int, int]]) -> Tuple[List[int]
 
 
 def _labeler_output(size: int, edges: List[Tuple[int, int]]) -> Tuple[List[int], int]:
-    from repro.sim.compiled import _connected_components
+    from repro.sim.compiled import _components
 
-    adj: List[List[int]] = [[] for _ in range(size)]
-    for a, b in edges:
-        adj[a].append(b)
-    labels, count = _connected_components(adj)
+    labels, count = _components(size, edges)
     return list(labels), count
 
 

@@ -25,11 +25,9 @@ class TestEngineEdgeCases:
     def test_edge_subset_layout_without_isolated(self):
         s = line_structure(4)
         engine = CircuitEngine(s)
-        layout = engine.edge_subset_layout(
-            edge_ids(s, [(Node(0, 0), Node(1, 0))]), isolated_ok=False
-        )
+        layout = engine.edge_subset_layout(edge_ids(s, [(Node(0, 0), Node(1, 0))]))
         sets = layout.partition_sets()
-        assert (Node(3, 0), "net") not in sets
+        assert sets == {(Node(0, 0), "net"), (Node(1, 0), "net")}
 
     def test_charge_local_round_negative_rejected(self):
         engine = CircuitEngine(line_structure(2))

@@ -19,6 +19,7 @@ from collections import Counter
 import pytest
 
 from repro.api import Session, SolveRequest
+from repro.dynamics.faults import FaultInjector
 from repro.ett.election import ElectionRequest, _election_layout
 from repro.ett.technique import ETTOp, mark_one_outgoing_edge
 from repro.grid.coords import Node
@@ -27,9 +28,11 @@ from repro.pasc.runner import run_pasc
 from repro.portals.portals import PortalSystem
 from repro.portals.primitives import PortalScope
 from repro.sim.circuits import CircuitLayout
+from repro.sim.compiled import CompiledLayout
 from repro.sim.engine import CircuitEngine
 from repro.sim.errors import PinConfigurationError
-from repro.workloads import line_structure
+from repro.spf.forest import shortest_path_forest
+from repro.workloads import line_structure, random_hole_free, spread_nodes
 from repro.workloads.specs import build_structure
 from tests.conftest import bfs_tree_adjacency, edge_ids, node_chain, node_ids, node_tour
 from tests.node_oracles import assign, build_euler_tour, channels_for, node_tree_run, run_round, tour_links
@@ -48,17 +51,22 @@ SHAPES = (
 # ----------------------------------------------------------------------
 # Node-keyed oracles
 # ----------------------------------------------------------------------
-def oracle_edge_subset(structure, pairs, label, channel, isolated_ok):
+def oracle_edge_subset(structure, subsets, channel, isolated_ok):
+    """The edge-subset build before sets were declared only where pins
+    are: ``subsets`` maps each label to its ``(u, v)`` node pairs, and
+    with ``isolated_ok`` every amoebot no edge of a label touches
+    declares an empty set of that label."""
     layout = CircuitLayout(structure, 8)
-    touched = set()
-    for u, v in pairs:
-        assign(layout, u, label, [(u.direction_to(v), channel)])
-        assign(layout, v, label, [(v.direction_to(u), channel)])
-        touched.update((u, v))
-    if isolated_ok:
-        for node in structure:
-            if node not in touched:
-                assign(layout, node, label, ())
+    for label, pairs in subsets.items():
+        touched = set()
+        for u, v in pairs:
+            assign(layout, u, label, [(u.direction_to(v), channel)])
+            assign(layout, v, label, [(v.direction_to(u), channel)])
+            touched.update((u, v))
+        if isolated_ok:
+            for node in structure:
+                if node not in touched:
+                    assign(layout, node, label, ())
     layout.freeze()
     return layout
 
@@ -150,16 +158,28 @@ def _tree(structure):
 @pytest.mark.parametrize("shape", SHAPES)
 class TestSameCircuitsAsOracle:
     def test_edge_subset_layout(self, shape):
+        # The build declares exactly the sets the edges touch: the
+        # oracle's circuits without the pinless sets it declared for the
+        # untouched amoebots.  Those amoebots' keys are singleton
+        # circuits, so every amoebot hears what it heard in the oracle.
         structure = build_structure(shape)
         engine = CircuitEngine(structure)
         rng = random.Random(shape)
         pairs = rng.sample(structure.edges(), len(structure.edges()) // 3)
-        for isolated_ok in (True, False):
-            got = engine.edge_subset_layout(
-                edge_ids(structure, pairs), label="net", channel=2, isolated_ok=isolated_ok
+        got = engine.edge_subset_layout(edge_ids(structure, pairs), label="net", channel=2)
+        want = oracle_edge_subset(structure, {"net": pairs}, 2, isolated_ok=False)
+        assert_same_circuits(engine, got, want, shape)
+        isolated = oracle_edge_subset(structure, {"net": pairs}, 2, isolated_ok=True)
+        touched = {u for pair in pairs for u in pair}
+        assert {frozenset(c) for c in isolated.circuits()} == {
+            frozenset(c) for c in got.circuits()
+        } | {frozenset([(u, "net")]) for u in structure if u not in touched}
+        keys = sorted(isolated.partition_sets())
+        for _ in range(6):
+            beeps = rng.sample(keys, rng.randint(1, 3))
+            assert run_round(engine, got, beeps, keys) == run_round(
+                engine, isolated, beeps, keys
             )
-            want = oracle_edge_subset(structure, pairs, "net", 2, isolated_ok)
-            assert_same_circuits(engine, got, want, shape)
 
     def test_pasc_chain_contribution(self, shape):
         structure = build_structure(shape)
@@ -270,6 +290,153 @@ def test_exchange_slots_matches_fresh_build():
 
 
 # ----------------------------------------------------------------------
+# oracle: every edge-subset round of real solves
+# ----------------------------------------------------------------------
+#: One instance per shape family (those of ``test_pasc_parity.py``).
+FAMILIES = (
+    "hexagon:4",
+    "parallelogram:6:8",
+    "triangle:9",
+    "line:40",
+    "comb:5:6",
+    "staircase:4:5",
+    "lollipop:3:8",
+    "random:70:3",
+    "dendrite:70:2",
+)
+
+
+@pytest.fixture
+def isolated_oracle(monkeypatch):
+    """Check every round on an edge-subset or global layout against the
+    build that declares an empty set for every untouched amoebot.
+
+    Each such layout is rebuilt by :func:`oracle_edge_subset` with
+    ``isolated_ok``; every round executed on it (after the fault filter,
+    and the fault-free re-run that detects missed hears) is re-run on the
+    oracle with the same ``(node id, label)`` keys, and the listened bits
+    must agree.  Returns the counters ``rounds`` / ``singleton_rounds``
+    and the list of ``mismatches``.
+    """
+    oracles = {}
+    keys_of = {}
+    seen = {"rounds": 0, "singleton_rounds": 0, "mismatches": []}
+
+    def track(build):
+        def wrapped(engine, subsets, channel):
+            subsets = {label: list(edges) for label, edges in subsets.items()}
+            layout = build(engine, subsets, channel)
+            nodes = engine.structure.grid_index().nodes
+            mates = engine.structure.grid_index().mate_edges()
+            pairs = {
+                label: [(nodes[e // 6], nodes[mates[e] // 6]) for e in edges]
+                for label, edges in subsets.items()
+            }
+            oracle = oracle_edge_subset(engine.structure, pairs, channel, isolated_ok=True)
+            oracles[id(layout.compiled())] = (layout, oracle)
+            keys_of[id(layout)] = {}
+            return layout
+
+        return wrapped
+
+    build_edges = CircuitEngine._build_edge_subset_layout
+    monkeypatch.setattr(CircuitEngine, "_build_edge_subset_layout", track(build_edges))
+    build_global = CircuitEngine._build_global_layout
+
+    def global_subsets(engine, label, channel):
+        nbr = engine.structure.grid_index().nbr
+        edges = [e for e in range(len(nbr)) if e % 6 < 3 and nbr[e] >= 0]
+        layout = track(lambda eng, subsets, ch: build_global(eng, label, ch))(
+            engine, {label: edges}, channel
+        )
+        return layout
+
+    monkeypatch.setattr(CircuitEngine, "_build_global_layout", global_subsets)
+
+    set_ids = CircuitLayout.set_ids
+
+    def recording(layout, keys, action="address"):
+        keys = list(keys)
+        ids = set_ids(layout, keys, action)
+        known = keys_of.get(id(layout))
+        if known is not None:
+            known.update(zip(ids, keys))
+        return ids
+
+    monkeypatch.setattr(CircuitLayout, "set_ids", recording)
+    execute = CompiledLayout.execute
+
+    def checked(compiled, beeps, listen=None):
+        beeps = list(beeps)
+        bits = execute(compiled, beeps, listen)
+        entry = oracles.get(id(compiled))
+        if entry is None or listen is None:
+            return bits
+        layout, oracle = entry
+        known = keys_of[id(layout)]
+        want = oracle.compiled().execute(
+            oracle.set_ids([known[i] for i in beeps]),
+            oracle.set_ids([known[i] for i in listen]),
+        )
+        seen["rounds"] += 1
+        size = len(compiled.index)
+        if any(i >= size for i in [*beeps, *listen]):
+            seen["singleton_rounds"] += 1
+        if bits != want:
+            seen["mismatches"].append((layout, beeps, listen, bits, want))
+        return bits
+
+    monkeypatch.setattr(CompiledLayout, "execute", checked)
+    return seen
+
+
+def _oracle_solve(structure, k, axis=Axis.X, injector=None):
+    engine = CircuitEngine(structure)
+    engine.fault_injector = injector
+    sources = spread_nodes(structure, min(k, len(structure)))
+    try:
+        shortest_path_forest(engine, structure, sources, axis=axis)
+    except Exception:  # noqa: BLE001 - faulty solves may fail; the bits are checked
+        if injector is None:
+            raise
+
+
+def _assert_oracle_held(seen):
+    assert seen["rounds"], "no edge-subset round was executed"
+    assert not seen["mismatches"], (
+        f"{len(seen['mismatches'])} of {seen['rounds']} edge-subset rounds "
+        "heard differently from the isolated-set build"
+    )
+
+
+@pytest.mark.parametrize("k", [1, 4, 32])
+@pytest.mark.parametrize("spec", FAMILIES)
+def test_solve_rounds_match_isolated_build(isolated_oracle, spec, k):
+    _oracle_solve(build_structure(spec), k)
+    _assert_oracle_held(isolated_oracle)
+
+
+@pytest.mark.parametrize("axis", list(Axis))
+def test_every_axis_matches_isolated_build(isolated_oracle, axis):
+    _oracle_solve(random_hole_free(80, seed=92), 4, axis=axis)
+    _assert_oracle_held(isolated_oracle)
+    assert isolated_oracle["singleton_rounds"]
+
+
+@pytest.mark.parametrize("fault", ["drops", "crash"])
+@pytest.mark.parametrize("spec", FAMILIES)
+def test_faulty_solve_rounds_match_isolated_build(isolated_oracle, spec, fault):
+    structure = build_structure(spec)
+    if fault == "drops":
+        injector = FaultInjector(drop_prob=0.1, seed=5)
+    else:
+        injector = FaultInjector(crashed=spread_nodes(structure, 1))
+    _oracle_solve(structure, 4, injector=injector)
+    _assert_oracle_held(isolated_oracle)
+    assert injector.stats.lost
+
+
+# ----------------------------------------------------------------------
 # error paths: PinConfigurationError with the Node-keyed messages
 # ----------------------------------------------------------------------
 class TestErrorPaths:
@@ -334,12 +501,27 @@ class TestErrorPaths:
         assert str(err.value) == want
 
     def test_undeclared_set(self):
+        # A label the layout does not carry, or a node id outside the
+        # structure, still raises; an untouched amoebot's key of a
+        # carried label is its singleton circuit, past the declared sets.
         layout = self.engine.edge_subset_layout([self.east], label="a")
         with pytest.raises(
             PinConfigurationError,
             match=r"^cannot beep on undeclared partition set \(Node\(0, 0\), 'b'\)$",
         ):
             layout.set_ids([(self.nid, "b")], "beep on")
+        for foreign in (-1, self.structure.grid_index().n_slots, None):
+            with pytest.raises(
+                PinConfigurationError,
+                match=rf"^cannot listen on undeclared partition set \({foreign}, 'a'\)$",
+            ):
+                layout.set_ids([(foreign, "a")], "listen on")
+        far = self.structure.grid_index().id_of(Node(3, 0))
+        size = len(layout.compiled().index)
+        (singleton,) = layout.set_ids([(far, "a")])
+        assert size == 2 and singleton >= size
+        assert layout.set_ids([(far, "a")]) == [singleton]
+        assert len(layout.compiled().index) == size
 
 
 # ----------------------------------------------------------------------
@@ -351,12 +533,12 @@ def test_edge_subset_builds_per_solve(monkeypatch):
     portal_builds = Counter()
     build = CircuitEngine._build_edge_subset_layout
 
-    def counting(self, subsets, channel, isolated_ok):
+    def counting(self, subsets, channel):
         subsets = {label: list(edges) for label, edges in subsets.items()}
         builds[tuple(subsets)] += 1
         if "portal" in subsets:
             portal_builds[frozenset(subsets["portal"])] += 1
-        return build(self, subsets, channel, isolated_ok)
+        return build(self, subsets, channel)
 
     monkeypatch.setattr(CircuitEngine, "_build_edge_subset_layout", counting)
     report = Session().run(
@@ -368,17 +550,30 @@ def test_edge_subset_builds_per_solve(monkeypatch):
 
 
 def test_visibility_circuits_are_transversal_portals():
-    """Each transversal axis keeps its own sets: one circuit per portal."""
+    """Each transversal axis keeps its own sets: one circuit per portal.
+
+    A one-amoebot portal has no edge, so its amoebot declares no set:
+    its key is a singleton circuit that hears only its own beep.
+    """
     from repro.spf.propagate import visibility_layout
 
     structure = build_structure("random:500:1")
     engine = CircuitEngine(structure)
+    id_of = structure.grid_index().id_of
     systems = {d: PortalSystem(structure, d) for d in Axis.X.others}
     layout = visibility_layout(engine, systems)
     assert layout.compiled().n_components == sum(
-        len(system.portals) for system in systems.values()
+        1 for system in systems.values() for portal in system.portals if len(portal.nodes) > 1
     )
+    singles = []
     for d, system in systems.items():
         for portal in system.portals:
+            if len(portal.nodes) == 1:
+                singles.append((id_of(portal.nodes[0]), f"vis:{d.name}"))
+                continue
             circuits = {layout.circuit_of(u, f"vis:{d.name}") for u in portal.nodes}
             assert len(circuits) == 1
+    assert singles
+    ids = layout.set_ids(singles)
+    assert min(ids) >= len(layout.compiled().index)
+    assert engine.run_round_indexed(layout, ids[:1], ids[:2]) == [True, False]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.grid.coords import Node
+from repro.grid.structure import AmoebotStructure
 from repro.ett.election import elect_first_marked
 from repro.ett.technique import mark_one_outgoing_edge
 from repro.pasc.runner import run_pasc
@@ -135,10 +136,9 @@ class TestDerive:
         assert _partition(base) == snapshot  # untouched by the derivation
 
     def test_duplicate_assign_is_idempotent_under_exchange(self):
-        # Re-assigning a pin to its own set must not leave a duplicate
-        # pin-list entry behind: exchange_slots removes exactly one entry,
-        # and a stale leftover would feed a phantom edge to the derived
-        # freeze's adjacency rebuild (merging circuits never wired).
+        # Re-assigning a pin to its own set must be a no-op: a stale
+        # ownership record left behind would feed a phantom edge to the
+        # derived freeze (merging circuits never wired).
         engine = CircuitEngine(line_structure(3))
         a, b = Node(0, 0), Node(1, 0)
         d = a.direction_to(b)
@@ -158,6 +158,47 @@ class TestDerive:
         assign(fresh, b, "x", [(b.direction_to(a), 0)])
         fresh.freeze()
         assert _partition(derived) == _partition(fresh)
+
+    def test_release_frees_exactly_the_released_pins(self):
+        # The pin table is the one record of pin ownership: a derived
+        # exchange rewrites the clone's copy only, and release_sets finds
+        # a set's pins by probing its amoebot's pin ids.
+        structure = line_structure(4)
+        engine = CircuitEngine(structure)
+        w, a, b, gone = line_nodes(4)
+        east, west = a.direction_to(b), a.direction_to(w)
+        base = engine.new_layout()
+        assign(base, a, "p", [(east, 0), (west, 1)])
+        assign(base, a, "s", [(east, 1), (west, 0)])
+        assign(base, b, "p", [(b.direction_to(a), 0), (b.direction_to(a), 1)])
+        assign(base, w, "p", [(w.direction_to(a), 0), (w.direction_to(a), 1)])
+        base.freeze()
+        pins, fingerprint, compiled = (
+            base.pin_assignments(),
+            base.wiring_fingerprint(),
+            base.compiled(),
+        )
+        derived = base.derive()
+        exchange_pins(derived, a, "p", "s", [(east, 0), (east, 1)])
+        derived.freeze()
+        assert base.pin_assignments() == pins
+        assert base.wiring_fingerprint() == fingerprint
+        assert base.compiled() is compiled
+        swapped = derived.pin_assignments()
+        assert swapped != pins and swapped.keys() == pins.keys()
+
+        edited = AmoebotStructure.from_validated(line_nodes(3), basis=structure, dirty=[gone])
+        clone = derived.derive_for(edited)
+        release(clone, a, "s")
+        clone.freeze()
+        owned = {pin for pin, owner in swapped.items() if owner == (a, "s")}
+        assert len(owned) == 2
+        assert clone.pin_assignments() == {
+            pin: owner for pin, owner in swapped.items() if pin not in owned
+        }
+        assert (a, "s") not in clone.partition_sets()
+        assert derived.pin_assignments() == swapped
+        assert gone not in edited
 
     def test_released_set_disappears(self):
         engine = CircuitEngine(line_structure(3))

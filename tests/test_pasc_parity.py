@@ -13,8 +13,8 @@ it to the generic lowering:
   its pins say, not the ones the algorithm meant;
 * a hand-crossed child-side pin takes the fallback and still equals the
   generic compile;
-* the lazy ``adj`` of a derived PASC layout equals the generic
-  compile's row for row, so the adversarial scheduler picks the same
+* the lazy ``link_degrees`` of a derived PASC layout equals the
+  generic compile's, so the adversarial scheduler picks the same
   victims;
 * fault injection reads beepers off set keys: drop-armed PASC runs and
   wave repairs never build the ``(node, label)`` tuples.
@@ -238,7 +238,7 @@ def test_foreign_set_in_a_pasc_layout_falls_back(pasc_oracle):
 
 
 # ----------------------------------------------------------------------
-# lazy adjacency
+# lazy link degrees
 # ----------------------------------------------------------------------
 def test_derived_pasc_adjacency_matches_union_find_rows(monkeypatch):
     structure = hexagon(3)
@@ -262,8 +262,8 @@ def test_derived_pasc_adjacency_matches_union_find_rows(monkeypatch):
     for layout in layouts[1:]:
         compiled = layout.compiled()
         want = generic(layout)
-        assert compiled._adj is None  # built on first read only
-        assert compiled.adj == want.adj
+        assert compiled._degrees is None  # built on first read only
+        assert compiled.link_degrees() == want.link_degrees()
         picks = []
         for view in (compiled, want):
             scheduler = AdversarialDelayScheduler(fraction=0.2)

@@ -229,6 +229,42 @@ class TestAdversarialScheduler:
         assert observed
         assert all(compiled.index._ids is None for compiled in observed)
 
+    def test_ranking_matches_degree_formula(self, monkeypatch):
+        # The adversary scores amoebots off the compiled pin table and
+        # sorts only the linked ones; the victims equal the formula that
+        # sums each set's external links onto its owner and sorts every
+        # id by (-score, id), on every layout a solve observes (PASC
+        # runs, portal and visibility circuits, global layouts) and at
+        # every victim fraction.
+        structure = random_hole_free(80, seed=6)
+        observed = []
+        observe = AdversarialDelayScheduler.observe_layout
+
+        def spy(self, compiled):
+            observed.append(compiled)
+            return observe(self, compiled)
+
+        monkeypatch.setattr(AdversarialDelayScheduler, "observe_layout", spy)
+        engine = ActivationEngine(structure, scheduler="adversarial")
+        solve_spf(structure, spread_nodes(structure, 4), sorted(structure.nodes), engine=engine)
+        layouts = list({id(c): c for c in observed}.values())
+        assert len(layouts) > 20
+        ids = list(structure.grid_index().live_ids())
+        for fraction in (0.05, 0.3, 1.0):
+            count = max(1, int(len(ids) * fraction))
+            for compiled in layouts:
+                pin_slot, c, mates = compiled._wiring
+                score = {}
+                for pin, slot in pin_slot.items():
+                    if (mates[pin // c] - pin // c) * c + pin in pin_slot:
+                        nid = compiled.index.node_id(slot)
+                        score[nid] = score.get(nid, 0) + 1
+                want = sorted(ids, key=lambda nid: (-score.get(nid, 0), nid))[:count]
+                sched = AdversarialDelayScheduler(fraction=fraction)
+                sched.start(ids[::-1])
+                observe(sched, compiled)
+                assert sched.victims == frozenset(want)
+
     def test_same_layout_is_scored_once(self):
         # A re-score builds a new victim set; a remembered layout hands
         # back the very set it scored.

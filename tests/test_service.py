@@ -232,15 +232,25 @@ class TestHTTPEndpoints:
             client.submit({"request": {"shape": "hexagon:2", "bogus": 1}})
         assert err.value.status == 400
 
-    def test_result_timeout_is_408(self, daemon):
-        service, client = daemon
-        job = client.submit(
-            JobSpec(request=SolveRequest(shape="random:400:9", k=1, l=3))
-        )
-        with pytest.raises(ServiceError) as err:
-            client.result(job["id"], timeout=0.001)
-        assert err.value.status == 408
-        service.wait(job["id"])  # drain before fixture shutdown
+    def test_result_timeout_is_408(self):
+        # The job is held at the gate, so it cannot finish inside the
+        # timeout however fast the solve is.
+        gated, server, thread, client = gated_server(workers=1)
+        try:
+            job = client.submit(
+                JobSpec(request=SolveRequest(shape="random:400:9", k=1, l=3))
+            )
+            with pytest.raises(ServiceError) as err:
+                client.result(job["id"], timeout=0.001)
+            assert err.value.status == 408
+            gated.release()
+            server.service.wait(job["id"], timeout=60)
+        finally:
+            gated.release()
+            server.service.shutdown(wait=True)
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
 
     def test_metrics_endpoint_is_valid_prometheus(self, daemon):
         _service, client = daemon

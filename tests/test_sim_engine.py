@@ -70,11 +70,31 @@ class TestEdgeSubsetLayout:
             (Node(4, 0), Node(5, 0)),
         ]
         layout = engine.edge_subset_layout(edge_ids(s, edges), label="net")
-        received = run_round(engine, layout, [(Node(0, 0), "net")])
+        listen = [(Node(x, 0), "net") for x in range(6)]
+        received = run_round(engine, layout, [(Node(0, 0), "net")], listen)
         assert received[(Node(2, 0), "net")]
         assert not received[(Node(4, 0), "net")]
-        # Isolated amoebot (3, 0) still has a declared, silent set.
+        # Isolated amoebot (3, 0) declares no set: its key is a silent
+        # singleton circuit.
+        assert (Node(3, 0), "net") not in layout.partition_sets()
         assert not received[(Node(3, 0), "net")]
+
+    def test_undeclared_key_hears_only_its_own_beep(self):
+        # Only (0, 0) and (1, 0) are touched: (2, 0) .. (5, 0) declare no
+        # set, and each key of theirs is a circuit of its own.
+        s = line_structure(6)
+        engine = CircuitEngine(s)
+        layout = engine.edge_subset_layout(edge_ids(s, [(Node(0, 0), Node(1, 0))]), label="net")
+        assert len(layout.compiled().index) == 2
+        listen = [(Node(x, 0), "net") for x in range(6)]
+        for beeper in range(6):
+            received = run_round(engine, layout, [(Node(beeper, 0), "net")], listen)
+            want = {(Node(x, 0), "net"): x == beeper or x + beeper == 1 for x in range(6)}
+            assert received == want
+        silent = run_round(engine, layout, [], listen)
+        assert not any(silent.values())
+        both = run_round(engine, layout, [(Node(2, 0), "net"), (Node(4, 0), "net")], listen)
+        assert [both[key] for key in listen] == [False, False, True, False, True, False]
 
     def test_beeping_on_undeclared_set_raises(self):
         s = line_structure(3)
