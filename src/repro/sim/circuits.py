@@ -10,9 +10,9 @@ pin configuration over many rounds pay the component computation once.
 A layout's integer pin table (encoded pin -> set slot) is the one record
 of which set owns which pin.  Sets are declared only where pins are: a
 partition set without pins is a circuit of its own, so a beep or listen
-on an undeclared ``(node id, label)`` of a label the layout carries
-resolves to that key's singleton circuit, which hears exactly its own
-beep (:meth:`CircuitLayout.set_ids`).
+on an undeclared ``(node id, label)`` of a label an edge subset wired
+(:meth:`CircuitLayout.assign_edges`) resolves to that key's singleton
+circuit, which hears exactly its own beep (:meth:`CircuitLayout.set_ids`).
 
 **Rule: build layouts outside round loops.**  Per-round work should be
 :meth:`CircuitEngine.run_round_indexed
@@ -152,9 +152,9 @@ class CircuitLayout:
     implicitly by the engine).  Unassigned pins are inert singletons:
     they belong to no algorithm-visible partition set and never carry
     beeps, which is equivalent to each amoebot parking them in private
-    singleton sets.  Likewise a set without pins need not be declared:
-    :meth:`set_ids` resolves an undeclared key of a label the layout
-    carries to its singleton circuit.
+    singleton sets.  Likewise an edge subset declares no set without
+    pins: :meth:`set_ids` resolves an undeclared key of a label
+    :meth:`assign_edges` wired to its singleton circuit.
 
     A frozen layout is immutable; to change the wiring, :meth:`derive` a
     new layout, then :meth:`exchange_slots` the pins that moved between
@@ -205,10 +205,9 @@ class CircuitLayout:
         # released channel stays flagged).  O(1) probe for callers that
         # reserve a channel, e.g. the PASC termination circuit.
         self._channel_mask = 0
-        #: Slot pairs the edge builder joined, flat, while the layout is
-        #: made by assign_edges alone (freeze labels the circuits from
-        #: them); ``None`` once another mutator touched it.
-        self._links: Optional[List[int]] = []
+        #: Ids of the labels assign_edges wired: only their undeclared
+        #: keys resolve to singleton circuits (see set_ids).
+        self._edge_lids: Set[int] = set()
         self._frozen = False
         self._compiled: Optional[CompiledLayout] = None
         # Lazy dict views over the compiled arrays (tests and tracing).
@@ -235,10 +234,9 @@ class CircuitLayout:
         leave its amoebot ``nid``.  Pins accumulate over repeated
         entries for one set; an empty pin collection still declares the
         set (a partition set with no pins forms its own trivial
-        circuit; an amoebot may use one as a local flag, though
-        :meth:`set_ids` resolves an undeclared key to the same
-        singleton circuit).  Returns each entry's slot, which is its
-        compiled set-id once the layout is frozen.
+        circuit; an amoebot may use one as a local flag).  Returns each
+        entry's slot, which is its compiled set-id once the layout is
+        frozen.
         """
         if self._frozen:
             raise PinConfigurationError("layout is frozen")
@@ -254,7 +252,6 @@ class CircuitLayout:
         channels = self._channels
         channel_mask = self._channel_mask
         self._rewired = True
-        self._links = None
         slots: List[int] = []
         for nid, label, pins in sets:
             node = nodes[nid] if nid is not None and 0 <= nid < n_slots else None
@@ -313,9 +310,9 @@ class CircuitLayout:
         layouts, so :meth:`freeze` labels its two rails by one pass over
         its links (:func:`~repro.sim.compiled.compile_pasc`).  Makes the
         checks of :meth:`assign_sets` with the same messages, and
-        refuses a set declared before; a call that raises leaves the
-        layout unusable.  Fresh layouts only: derived layouts re-wire by
-        :meth:`exchange_slots`.
+        refuses a set declared before, before it declares any; a call
+        that raises a pin error leaves the layout unusable.  Fresh
+        layouts only: derived layouts re-wire by :meth:`exchange_slots`.
         """
         if self._frozen:
             raise PinConfigurationError("layout is frozen")
@@ -338,7 +335,6 @@ class CircuitLayout:
         slot_keys = self._slot_keys
         claim = self._pin_slot.setdefault
         channel_mask = self._channel_mask
-        self._links = None
         count = len(nids)
         first = len(slot_keys)
         end = first + 2 * count
@@ -349,11 +345,10 @@ class CircuitLayout:
         new_keys = [0] * (2 * count)
         new_keys[::2] = [keys[o][0] | nid for nid, o in zip(nids, occurrences)]
         new_keys[1::2] = [keys[o][1] | nid for nid, o in zip(nids, occurrences)]
-        declared = len(key_slot)
+        if not key_slot.keys().isdisjoint(new_keys) or len(set(new_keys)) != len(new_keys):
+            self._reject_declared(new_keys)
         key_slot.update(zip(new_keys, range(first, end)))
         slot_keys.extend(new_keys)
-        if len(key_slot) != declared + 2 * count:
-            self._reject_declared(first)
         # Per direction, its channel pair if both channels are in budget.
         pairs = [
             (pch, sch) if 0 <= pch < c and 0 <= sch < c else None
@@ -405,17 +400,16 @@ class CircuitLayout:
         )
         return p_slots, s_slots
 
-    def _reject_declared(self, first: int) -> None:
-        """Raise the error for the first set from slot ``first`` on that
-        was declared before."""
-        slot_keys = self._slot_keys
-        seen = set(slot_keys[:first])
-        for slot in range(first, len(slot_keys)):
-            if slot_keys[slot] in seen:
+    def _reject_declared(self, keys: Sequence[int]) -> None:
+        """Raise the error for the first of ``keys`` that is declared
+        already, on the layout or earlier in ``keys``."""
+        seen = set(self._key_slot)
+        for key in keys:
+            if key in seen:
                 raise PinConfigurationError(
-                    f"partition set {self._set_id(slot)} is already declared"
+                    f"partition set {self._key_view(key)} is already declared"
                 )
-            seen.add(slot_keys[slot])
+            seen.add(key)
 
     def _reject_owned(self, pin: int) -> None:
         """Raise the error for a pin that already belongs to another set."""
@@ -449,11 +443,10 @@ class CircuitLayout:
         :meth:`~repro.grid.compiled.GridIndex.mate_edges`), so the
         circuits of ``label`` are exactly the components of the edge
         subset.  A set is declared only for an amoebot some edge
-        touches; every other amoebot's key of ``label`` resolves to its
-        singleton circuit (:meth:`set_ids`), which hears nothing but
-        its own beep.  The circuits are labelled by a union-find over
-        the joined sets, the edges being the amoebots' wiring.  Makes
-        the checks of :meth:`assign_sets`, with the same messages.
+        touches; every other live amoebot's key of ``label`` resolves to
+        its singleton circuit (:meth:`set_ids`), which hears nothing but
+        its own beep, even when ``edges`` is empty.  Makes the checks
+        of :meth:`assign_sets`, with the same messages.
         """
         if self._frozen:
             raise PinConfigurationError("layout is frozen")
@@ -461,6 +454,7 @@ class CircuitLayout:
         if not 0 <= channel < c:
             raise PinConfigurationError(f"channel {channel} out of range (c={c})")
         label_key = self._label_key(label)
+        self._edge_lids.add(label_key >> _KEY_SHIFT)
         edges = list(edges)
         if not edges:
             return
@@ -504,9 +498,6 @@ class CircuitLayout:
         pin_slot.update(zip(pins, slots))
         self._channel_mask |= 1 << channel
         self._rewired = True
-        if self._links is not None:
-            # The slots of the two ends of each edge, pair by pair.
-            self._links.extend(slots)
 
     def _reject_edge(self, edge: int, channel: int) -> None:
         """Raise the error for an edge id that names no edge of the structure."""
@@ -539,7 +530,10 @@ class CircuitLayout:
 
     def _set_id(self, slot: int) -> PartitionSetId:
         """The ``(node, label)`` view of a slot (cold paths)."""
-        key = self._slot_keys[slot]
+        return self._key_view(self._slot_keys[slot])
+
+    def _key_view(self, key: int) -> PartitionSetId:
+        """The ``(node, label)`` view of a key (cold paths)."""
         return (self._gi.nodes[key & _NID_MASK], self._labels[key >> _KEY_SHIFT])
 
     def set_ids(
@@ -552,17 +546,20 @@ class CircuitLayout:
         :class:`~repro.sim.compiled.PartitionSetIndex` tuple table is
         never built.
 
-        An undeclared key of a label the layout carries, on a live
-        amoebot, is a set without pins: it resolves to its *singleton
-        id* ``len(index) + key``, a circuit of its own that hears only
-        its own beep (see :mod:`repro.sim.compiled`).  The id is
-        computed, so the frozen layout is not changed.  An unknown
-        label or a node id outside the structure raises; ``action``
-        names the operation in the error (``beep on`` / ``listen on``).
+        An undeclared key of a label :meth:`assign_edges` wired, on a
+        live amoebot, is a set without pins: it resolves to its
+        *singleton id* ``len(index) + key``, a circuit of its own that
+        hears only its own beep (see :mod:`repro.sim.compiled`).  The
+        id is computed, so the frozen layout is not changed; it is
+        valid for this layout only (a derived layout that declares
+        more sets moves it).  Any other undeclared key raises:
+        ``action`` names the operation in the error (``beep on`` /
+        ``listen on``).
         """
         self.freeze()
         key_slot = self._key_slot
         label_ids = self._label_ids
+        edge_lids = self._edge_lids
         nodes = self._gi.nodes
         n_slots = self._gi.n_slots
         size = len(self._slot_keys)
@@ -574,7 +571,7 @@ class CircuitLayout:
             else:
                 key = lid << _KEY_SHIFT | nid
                 slot = key_slot.get(key)
-                if slot is None and nodes[nid] is not None:
+                if slot is None and lid in edge_lids and nodes[nid] is not None:
                     slot = size + key
             if slot is None:
                 in_range = isinstance(nid, int) and 0 <= nid < self._gi.n_slots
@@ -618,7 +615,7 @@ class CircuitLayout:
         clone._n_alive = self._n_alive
         clone._pin_slot = dict(self._pin_slot)
         clone._channel_mask = self._channel_mask
-        clone._links = None
+        clone._edge_lids = set(self._edge_lids)
         clone._frozen = False
         clone._compiled = None
         clone._components = None
@@ -681,7 +678,6 @@ class CircuitLayout:
         owner = pin_slot.get
         span = 6 * self._channels
         self._rewired = True
-        self._links = None
         for nid, label in keys:
             key = self._key_of(nid, label)
             slot = None if key is None else key_slot.get(key)
@@ -746,7 +742,6 @@ class CircuitLayout:
             )
         pin_slot = self._pin_slot
         self._rewired = True
-        self._links = None
         channels = self._channels
         for edge, channel in pins:
             pin = edge * channels + channel
@@ -818,19 +813,22 @@ class CircuitLayout:
     def _lower(self, index: PartitionSetIndex) -> None:
         """Compile the circuits over ``index``: one parity pass when the
         layout is made of its recorded PASC runs, the union-find
-        otherwise (or when the pins do not form the runs' two rails),
-        over the edge builder's links when it alone built the layout."""
+        otherwise (or when the pins do not form the runs' two rails)."""
         wiring = (index, self._pin_slot, self._channels, self._gi.mate_edges())
         compiled = compile_pasc(*wiring, self._pasc_runs) if self._pasc_runs else None
         if compiled is None:
-            links = self._links
-            self._links = None
-            if links is not None:
-                ends = iter(links)
-                links = zip(ends, ends)
-            compiled = compile_wiring_ids(*wiring, links)
+            compiled = compile_wiring_ids(*wiring)
         else:
             LAYOUT_STATS.parity_compiles += 1
+        edge_lids = self._edge_lids
+        if edge_lids:
+            # The undeclared keys of the edge labels on live amoebots.
+            keys = self._slot_keys
+            if len(edge_lids) == len(self._labels):
+                declared = len(keys)
+            else:
+                declared = sum(1 for key in keys if key >> _KEY_SHIFT in edge_lids)
+            compiled.n_singletons = len(self._gi) * len(edge_lids) - declared
         self._compiled = compiled
         LAYOUT_STATS.compiles += 1
 
@@ -917,16 +915,14 @@ class CircuitLayout:
         """Index of the circuit containing partition set ``(node, label)``.
 
         Only meaningful to the simulator/tests — amoebots themselves never
-        learn circuit identities, only beeps.
+        learn circuit identities, only beeps.  A key that :meth:`set_ids`
+        resolves to a singleton id gets an index of its own past the
+        declared circuits; any other undeclared key raises.
         """
         compiled = self.compiled()
-        key = self._key_of(self._gi.id_of(node), label)
-        slot = None if key is None else self._key_slot.get(key)
-        if slot is None:
-            raise PinConfigurationError(
-                f"partition set ({node}, {label!r}) was never declared"
-            )
-        return compiled.comp[slot]
+        (slot,) = self.set_ids([(self._gi.id_of(node), label)])
+        size = len(compiled.comp)
+        return compiled.comp[slot] if slot < size else compiled.n_components + slot - size
 
     def circuits(self) -> List[List[PartitionSetId]]:
         """All circuits as lists of partition sets (simulator/test view)."""

@@ -17,20 +17,20 @@ record of which set owns which pin, so the standard lowering
 resolve through the grid index's mirror-edge table.
 
 **Singleton circuits.**  A partition set without pins is a circuit of
-its own, so a layout need not declare it.  A beep or listen on an
-undeclared ``(node id, label)`` key of a label the layout carries is
-addressed by the *singleton id* ``len(index) + key`` (see
+its own, so an edge-subset layout declares none.  A beep or listen on
+an undeclared ``(node id, label)`` key of a label an edge subset wired
+is addressed by the *singleton id* ``len(index) + key`` (see
 :meth:`CircuitLayout.set_ids
 <repro.sim.circuits.CircuitLayout.set_ids>`): every id at or past
 ``len(index)`` hears exactly its own beep.  Singleton ids are computed,
 never stored, so resolving one leaves a frozen (possibly cached and
-shared) layout untouched.
+shared) layout untouched; :attr:`CompiledLayout.n_singletons` counts
+the undeclared keys, so traces still count those sets and circuits.
 
-There are three ways to label circuits, and all give the same labels:
+There are two ways to label circuits, and both give the same labels:
 the generic lowering runs a union-find over the links it reads off the
-pin table, the edge builder hands the union-find the links it wired,
-and a layout made only of PASC runs labels its two rails per run in one
-pass over its links (:func:`compile_pasc`).  Every pass is a
+pin table, and a layout made only of PASC runs labels its two rails per
+run in one pass over its links (:func:`compile_pasc`).  Every pass is a
 pure-Python loop over flat integers; there is one kernel set.
 Component labels are assigned in ascending order of each circuit's
 minimal member index, so round counts, forests, and every pinned total
@@ -128,12 +128,17 @@ class CompiledLayout:
         Dense circuit label per set id (``0 .. n_components - 1``).
     n_components:
         Number of circuits; every label in that range is non-empty.
+    n_singletons:
+        Number of undeclared keys of the edge-subset labels on live
+        amoebots: sets without pins, each a circuit of its own that is
+        not in ``comp``.
     """
 
     __slots__ = (
         "index",
         "comp",
         "n_components",
+        "n_singletons",
         "_wiring",
         "_starts",
         "_members",
@@ -151,6 +156,7 @@ class CompiledLayout:
         self.index = index
         self.comp = comp
         self.n_components = n_components
+        self.n_singletons = 0
         self._wiring = wiring
         self._starts: Optional[List[int]] = None
         self._members: Optional[List[int]] = None
@@ -276,7 +282,6 @@ def compile_wiring_ids(
     pin_slot: Mapping[int, int],
     channels: int,
     mate_edges: Sequence[int],
-    links: Optional[Iterable[Tuple[int, int]]] = None,
 ) -> CompiledLayout:
     """Lower an integer-keyed wiring to a :class:`CompiledLayout`.
 
@@ -284,15 +289,11 @@ def compile_wiring_ids(
     channels + channel`` to dense partition-set slots; ``mate_edges``
     is the grid index's mirror-edge table
     (:meth:`~repro.grid.compiled.GridIndex.mate_edges`).  The circuits
-    are the union-find components of the ``links``, slot pairs joined
-    by an external link; without ``links`` they are read off the pin
-    table, one per pin whose mate pin is wired.  The whole lowering
-    runs over flat integers: nothing is hashed except the C-level int
-    dict probes.
+    are the union-find components of the links read off the pin table,
+    one per pin whose mate pin is wired.  The whole lowering runs over
+    flat integers: nothing is hashed except the C-level int dict probes.
     """
-    if links is None:
-        links = _links(pin_slot, channels, mate_edges)
-    comp, n_components = _components(len(index), links)
+    comp, n_components = _components(len(index), _links(pin_slot, channels, mate_edges))
     return CompiledLayout(index, comp, n_components, (pin_slot, channels, mate_edges))
 
 

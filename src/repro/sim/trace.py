@@ -42,15 +42,16 @@ class RoundTrace:
         ``beeps`` are the set-ids that reached their circuit (after the
         fault filter).  Hearing sets are counted off the component mask,
         plus one per singleton that beeped — no dict is materialized to
-        observe the round.  ``circuits`` and ``partition_sets`` count
-        the declared sets only: a set without pins is not declared.
+        observe the round.  ``circuits`` and ``partition_sets`` include
+        the sets an edge-subset layout leaves undeclared (each a
+        singleton circuit).
         """
         hears = compiled.propagate(beeps)
         self.records.append(
             RoundRecord(
                 index=len(self.records),
-                circuits=compiled.n_components,
-                partition_sets=len(compiled.index),
+                circuits=compiled.n_components + compiled.n_singletons,
+                partition_sets=len(compiled.index) + compiled.n_singletons,
                 beeping_sets=len(beeps),
                 hearing_sets=compiled.hearing_count(hears),
             )

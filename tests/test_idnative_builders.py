@@ -315,7 +315,8 @@ def isolated_oracle(monkeypatch):
     ``isolated_ok``; every round executed on it (after the fault filter,
     and the fault-free re-run that detects missed hears) is re-run on the
     oracle with the same ``(node id, label)`` keys, and the listened bits
-    must agree.  Returns the counters ``rounds`` / ``singleton_rounds``
+    must agree, as must the set and circuit counts a trace records.
+    Returns the counters ``rounds`` / ``singleton_rounds``
     and the list of ``mismatches``.
     """
     oracles = {}
@@ -333,6 +334,12 @@ def isolated_oracle(monkeypatch):
                 for label, edges in subsets.items()
             }
             oracle = oracle_edge_subset(engine.structure, pairs, channel, isolated_ok=True)
+            got, want = layout.compiled(), oracle.compiled()
+            if (len(got.index) + got.n_singletons, got.n_components + got.n_singletons) != (
+                len(want.index),
+                want.n_components,
+            ):
+                seen["mismatches"].append((layout, "counts"))
             oracles[id(layout.compiled())] = (layout, oracle)
             keys_of[id(layout)] = {}
             return layout
@@ -522,6 +529,33 @@ class TestErrorPaths:
         assert size == 2 and singleton >= size
         assert layout.set_ids([(far, "a")]) == [singleton]
         assert len(layout.compiled().index) == size
+        # circuit_of agrees: the singleton gets an index past the
+        # declared circuits, and the unknown label raises.
+        compiled = layout.compiled()
+        assert layout.circuit_of(Node(3, 0), "a") == compiled.n_components + singleton - size
+        assert layout.circuit_of(Node(1, 0), "a") == layout.circuit_of(self.u, "a")
+        with pytest.raises(PinConfigurationError, match="undeclared partition set"):
+            layout.circuit_of(Node(3, 0), "b")
+
+    def test_undeclared_set_of_assigned_label(self):
+        # Only labels an edge subset wired have singleton keys: a label
+        # that assign_sets declared names only its declared sets.
+        layout = self.engine.new_layout()
+        layout.assign_sets([(self.nid, "a", [(self.east, 0)])])
+        layout.assign_edges("e", 0, [])
+        far = self.structure.grid_index().id_of(Node(3, 0))
+        with pytest.raises(
+            PinConfigurationError,
+            match=r"^cannot beep on undeclared partition set \(Node\(3, 0\), 'a'\)$",
+        ):
+            layout.set_ids([(far, "a")], "beep on")
+        with pytest.raises(PinConfigurationError, match="undeclared partition set"):
+            layout.circuit_of(Node(3, 0), "a")
+        # An empty edge subset still makes every live amoebot's key a
+        # singleton circuit.
+        (lone,) = layout.set_ids([(far, "e")])
+        assert lone >= len(layout.compiled().index)
+        assert layout.compiled().n_singletons == len(self.structure)
 
 
 # ----------------------------------------------------------------------

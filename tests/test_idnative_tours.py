@@ -185,6 +185,16 @@ class TestAssignChain:
         with pytest.raises(PinConfigurationError, match="already declared"):
             node_chain(self.structure, self.nodes, (2, 3)).contribute_layout(layout)
 
+    def test_refused_run_leaves_earlier_sets_declared(self):
+        # A run that re-declares a set is refused before it declares any
+        # of its own: the earlier run's sets keep their slots and pins.
+        layout = self.engine.new_layout()
+        node_chain(self.structure, self.nodes).contribute_layout(layout)
+        before = (dict(layout._key_slot), list(layout._slot_keys), dict(layout._pin_slot))
+        with pytest.raises(PinConfigurationError, match="already declared"):
+            node_chain(self.structure, self.nodes, (2, 3)).contribute_layout(layout)
+        assert (dict(layout._key_slot), list(layout._slot_keys), dict(layout._pin_slot)) == before
+
     def test_derived_layouts_are_rewired_not_rebuilt(self):
         layout = self.engine.new_layout()
         run = node_chain(self.structure, self.nodes)

@@ -40,6 +40,20 @@ class TestTraceRecording:
         assert record.hearing_sets == 4  # everyone on the global circuit
         assert record.circuits == 1
 
+    def test_edge_subset_counts_undeclared_sets(self):
+        # Only (0, 0) and (1, 0) declare a set of "net"; the other four
+        # amoebots' pinless sets still count, each as its own circuit.
+        s = line_structure(6)
+        engine = CircuitEngine(s)
+        trace = attach_trace(engine)
+        gi = s.grid_index()
+        layout = engine.edge_subset_layout([gi.id_of(Node(0, 0)) * 6], label="net")
+        run_round(engine, layout, [(Node(0, 0), "net"), (Node(3, 0), "net")])
+        record = trace.records[0]
+        assert len(layout.compiled().index) == 2
+        assert (record.partition_sets, record.circuits) == (6, 5)
+        assert (record.beeping_sets, record.hearing_sets) == (2, 3)
+
     def test_silent_rounds_counted(self):
         s = line_structure(3)
         engine = CircuitEngine(s)
