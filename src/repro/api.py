@@ -467,7 +467,7 @@ class Session:
     # hot state
     # ------------------------------------------------------------------
     def structure(self, shape: str) -> AmoebotStructure:
-        """Build (or serve from the LRU) a structure with a warm index.
+        """Build (or serve from the LRU) a structure and its grid index.
 
         Churn requests share it too: the dynamics layer edits its own
         copy of the node set and derives new indexes, never mutating
@@ -479,9 +479,7 @@ class Session:
                 self.stats.structure_hits += 1
                 return self._structures[shape]
         with trace_span("structure", shape=shape):
-            structure = build_structure(shape)
-        with trace_span("grid_index", n=len(structure)):
-            structure.grid_index()  # warm: one build, reused by every layout
+            structure = build_structure(shape)  # index built with it
         with self._lock:
             self.stats.structures_built += 1
             self._structures[shape] = structure

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.grid.coords import Node
-from repro.grid.directions import all_directions_ccw
+from repro.grid.directions import DIRECTION_OFFSETS, RING_ARCS, all_directions_ccw
 from repro.grid.structure import AmoebotStructure
 
 #: Churn flavors understood by :func:`generate_churn` (and, through the
@@ -165,6 +165,10 @@ class EditorStats:
     flood_cells: int = 0
 
 
+#: ``(bit, offset)`` of the six ring neighbors, in direction-value order.
+_RING_OFFSETS = tuple((1 << d, DIRECTION_OFFSETS[d]) for d in all_directions_ccw())
+
+
 class StructureEditor:
     """Applies edit operations to an evolving node set, validating each.
 
@@ -256,21 +260,15 @@ class StructureEditor:
     # ------------------------------------------------------------------
     # single-operation validation (all local)
     # ------------------------------------------------------------------
-    def _ring(self, u: Node) -> List[bool]:
-        """Occupancy of the six ring neighbors, counterclockwise."""
-        nodes = self._nodes
-        return [u.neighbor(d) in nodes for d in all_directions_ccw()]
+    def _ring(self, u: Node) -> int:
+        """Occupancy mask of the six ring neighbors (bit d = direction d).
 
-    @staticmethod
-    def _arc_count(ring: List[bool]) -> int:
-        """Number of contiguous ``True`` arcs in the cyclic ring."""
-        arcs = 0
-        for i in range(6):
-            if ring[i] and not ring[i - 1]:
-                arcs += 1
-        if arcs == 0 and ring[0]:
-            return 1  # all six occupied
-        return arcs
+        Its occupied arcs are ``RING_ARCS[mask]`` and its empty arcs
+        ``RING_ARCS[mask ^ 63]``.
+        """
+        nodes = self._nodes
+        x, y = u
+        return sum(bit for bit, (dx, dy) in _RING_OFFSETS if (x + dx, y + dy) in nodes)
 
     def _in_box(self, u: Node) -> bool:
         return (
@@ -305,17 +303,16 @@ class StructureEditor:
         if u in self._nodes:
             return f"{u} is already occupied"
         ring = self._ring(u)
-        if not any(ring):
+        if not ring:
             return f"{u} has no occupied neighbor (would disconnect)"
-        empty_arcs = self._arc_count([not r for r in ring])
-        if empty_arcs <= 1:
+        if RING_ARCS[ring ^ 63] <= 1:
             return None  # the surrounding empty region cannot split
         # The addition splits the local empty region: every resulting
         # arc must still reach infinity.
         checked: Set[Node] = set()
         directions = all_directions_ccw()
         for i in range(6):
-            if ring[i]:
+            if ring >> i & 1:
                 continue
             cell = u.neighbor(directions[i])
             if cell in checked:
@@ -335,10 +332,10 @@ class StructureEditor:
         if len(self._nodes) == 1:
             return "cannot remove the last amoebot"
         ring = self._ring(u)
-        arcs = self._arc_count(ring)
+        arcs = RING_ARCS[ring]
         if arcs != 1:
             return f"removing {u} would disconnect the structure ({arcs} arcs)"
-        if all(ring):
+        if ring == 63:
             return f"removing {u} would create a one-cell hole"
         return None
 

@@ -35,9 +35,8 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.grid.coords import Node
+from repro.grid.coords import KEY_STEPS, Node, node_key
 from repro.grid.directions import DIRECTION_OFFSETS, OPPOSITE_VALUES as _OPP, Direction
-from repro.obs.trace import trace_span
 
 #: Direction offsets in direction-value order (E, NE, NW, W, SW, SE).
 _OFFSETS: Tuple[Tuple[int, int], ...] = tuple(
@@ -75,30 +74,20 @@ GRID_STATS = GridIndexStats()
 
 
 def _build_tables(ordered: List[Node]) -> Tuple[array, bytearray, bytearray]:
-    """Neighbor/degree/boundary tables by one hashing pass.
+    """Neighbor/degree/boundary tables by one pass over packed int keys.
 
     ``ordered`` must already be sorted; ids are list positions.
     """
-    pos: Dict[Node, int] = {u: i for i, u in enumerate(ordered)}
-    nbr = array("i", [-1] * (6 * len(ordered)))
-    deg = bytearray(len(ordered))
-    boundary = bytearray(len(ordered))
-    get = pos.get
-    base = 0
-    for u in ordered:
-        x, y = u.x, u.y
-        d = 0
-        count = 0
-        for dx, dy in _OFFSETS:
-            j = get(Node(x + dx, y + dy))
-            if j is not None:
-                nbr[base + d] = j
-                count += 1
-            d += 1
-        deg[base // 6] = count
-        boundary[base // 6] = 1 if count < 6 else 0
-        base += 6
-    return nbr, deg, boundary
+    keys = [node_key(u) for u in ordered]
+    g = dict(zip(keys, range(len(keys)))).get
+    e, ne, nw, w, sw, se = KEY_STEPS
+    rows = [
+        (g(k + e, -1), g(k + ne, -1), g(k + nw, -1), g(k + w, -1), g(k + sw, -1), g(k + se, -1))
+        for k in keys
+    ]
+    deg = bytearray(6 - row.count(-1) for row in rows)
+    boundary = bytearray(c < 6 for c in deg)
+    return array("i", [j for row in rows for j in row]), deg, boundary
 
 
 class GridIndex:
@@ -126,13 +115,11 @@ class GridIndex:
     )
 
     def __init__(self, nodes: Iterable[Node]):
-        node_list = list(set(nodes))
-        if not node_list:
+        ordered = sorted(nodes if isinstance(nodes, (set, frozenset)) else set(nodes))
+        if not ordered:
             raise ValueError("grid index requires at least one node")
-        with trace_span("grid_tables", n=len(node_list)):
-            ordered = sorted(node_list)
-            nbr, deg, boundary = _build_tables(ordered)
-        self.nodes: List[Optional[Node]] = list(ordered)
+        nbr, deg, boundary = _build_tables(ordered)
+        self.nodes: List[Optional[Node]] = ordered
         self.n_slots = len(ordered)
         self._live = len(ordered)
         self._pos: Dict[Node, int] = {u: i for i, u in enumerate(ordered)}
@@ -193,6 +180,48 @@ class GridIndex:
         nbr = self.nbr
         base = i * 6
         return [d for d in range(6) if nbr[base + d] >= 0]
+
+    def topology(self) -> Tuple[int, int]:
+        """``(components, holes)`` of the live nodes, read off ``nbr``.
+
+        Components come from an id BFS (tombstone rows are all ``-1``,
+        so they are never reached and never start one).  Holes, the
+        finite components of the complement, come from Euler's formula
+        for the plane graph :math:`G_X`: its bounded faces number
+        ``E - V + components``, and every bounded face is either a unit
+        triangle with all three corners occupied or holds exactly one
+        hole.  A triangle is seen at each of its three corners, as a
+        pair of consecutive occupied ring directions ``(d, d + 1 mod 6)``.
+        """
+        nbr = self.nbr
+        deg = self.deg
+        nodes = self.nodes
+        seen = bytearray(self.n_slots)
+        components = 0
+        for start in range(self.n_slots):
+            if seen[start] or nodes[start] is None:
+                continue
+            components += 1
+            seen[start] = 1
+            stack = [start]
+            while stack:
+                base = 6 * stack.pop()
+                for j in nbr[base:base + 6]:
+                    if j >= 0 and not seen[j]:
+                        seen[j] = 1
+                        stack.append(j)
+        corners = 0
+        for i in range(self.n_slots):
+            count = deg[i]
+            if count == 6:
+                corners += 6
+            elif count > 1:
+                base = 6 * i
+                for d in range(6):
+                    if nbr[base + d] >= 0 and nbr[base + (d + 1) % 6] >= 0:
+                        corners += 1
+        edges = sum(deg) // 2
+        return components, edges - self._live + components - corners // 3
 
     # ------------------------------------------------------------------
     # derived tables

@@ -83,6 +83,29 @@ class Node(NamedTuple):
 
 _OFFSETS = frozenset(DIRECTION_OFFSETS.values())
 
+#: Packed int keys: ``node_key`` is order-isomorphic to the ``(x, y)``
+#: order of :class:`Node` for any ``|x|, |y| < 2^32`` (python ints, so
+#: no overflow anywhere), and a neighbor's key is the node's key plus
+#: ``KEY_STEPS[d]``.  Structure generation and index construction probe
+#: these ints instead of creating and hashing a ``Node`` per probe.
+KEY_BIAS = 1 << 32
+KEY_SHIFT = 1 << 33
+#: Key offsets of the six neighbors, in direction-value order.
+KEY_STEPS: Tuple[int, ...] = tuple(
+    dx * KEY_SHIFT + dy for dx, dy in (DIRECTION_OFFSETS[d] for d in all_directions_ccw())
+)
+
+
+def node_key(u: Tuple[int, int]) -> int:
+    """The packed int key of a node (see :data:`KEY_STEPS`)."""
+    return (u[0] + KEY_BIAS) * KEY_SHIFT + (u[1] + KEY_BIAS)
+
+
+def key_node(key: int) -> Node:
+    """The :class:`Node` a packed key (:func:`node_key`) stands for."""
+    x, y = divmod(key, KEY_SHIFT)
+    return Node(x - KEY_BIAS, y - KEY_BIAS)
+
 
 def grid_distance(u: Node, v: Node) -> int:
     """Distance between two nodes in the *infinite* triangular grid.

@@ -101,6 +101,17 @@ _ROTATED: List[Direction] = [Direction(i % 6) for i in range(12)]
 #: grid-index/layout loops that avoid enum construction entirely.
 OPPOSITE_VALUES: Tuple[int, ...] = (3, 4, 5, 0, 1, 2)
 
+#: ``RING_ARCS[mask]`` is the number of maximal runs of set bits in a
+#: cyclic six-cell ring mask (bit ``d`` = the neighbor in direction
+#: value ``d``); the full ring is one arc.  Occupied arcs of a ring are
+#: ``RING_ARCS[mask]``, empty arcs ``RING_ARCS[mask ^ 63]``.
+RING_ARCS: Tuple[int, ...] = tuple(
+    1 if mask == 63 else sum(
+        1 for d in range(6) if mask >> d & 1 and not mask >> (d - 1) % 6 & 1
+    )
+    for mask in range(64)
+)
+
 
 def opposite(direction: Direction) -> Direction:
     """Return the direction pointing the opposite way."""

@@ -5,6 +5,10 @@ The paper assumes the structure ``X`` has no holes: the complement
 grid (Section 1.1).  For a finite ``X`` this is decidable by flood-filling
 the complement inside a bounding box padded by one ring: every unoccupied
 node inside the box must reach the outer ring.
+
+:func:`find_holes` reports the holes.  A structure counts its own on its
+grid index instead (:meth:`~repro.grid.compiled.GridIndex.topology`);
+the tests hold that count to this flood fill.
 """
 
 from __future__ import annotations

@@ -2,28 +2,25 @@
 
 An :class:`AmoebotStructure` is the set ``X`` of occupied nodes.  It offers
 adjacency queries on the induced subgraph :math:`G_X` and validates the
-paper's standing assumptions (connectivity; optionally hole-freeness).
+paper's standing assumptions (connectivity; optionally hole-freeness)
+once, on the grid index it builds with the structure.
 """
 
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
     List,
     Optional,
-    Set,
     Tuple,
 )
 
+from repro.grid.compiled import GridIndex
 from repro.grid.coords import Node
 from repro.grid.directions import Axis, Direction, all_directions_ccw
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.grid.compiled import GridIndex
 
 
 class StructureError(ValueError):
@@ -50,20 +47,13 @@ class AmoebotStructure:
             raise StructureError("amoebot structure must be non-empty")
         self._nodes: FrozenSet[Node] = node_set
         self._neighbor_cache: Dict[Node, Tuple[Node, ...]] = {}
-        self._direction_cache: Dict[Node, Tuple[Direction, ...]] = {}
-        self._grid_index: Optional["GridIndex"] = None
-        # Set once the constructor has scanned the structure and found
-        # no hole; trusted and hole-tolerant constructions leave it
-        # unset, so consumers must scan.
-        self._checked_hole_free = False
-        if not self._is_connected():
+        self._grid_index = GridIndex(node_set)
+        components, holes = self._grid_index.topology()
+        if components != 1:
             raise StructureError("amoebot structure must be connected")
-        if require_hole_free:
-            from repro.grid.holes import has_holes  # local import: avoid cycle
-
-            if has_holes(node_set):
-                raise StructureError("amoebot structure must be hole-free")
-            self._checked_hole_free = True
+        if require_hole_free and holes:
+            raise StructureError("amoebot structure must be hole-free")
+        self._holes: Optional[int] = holes
 
     @classmethod
     def from_validated(
@@ -78,18 +68,17 @@ class AmoebotStructure:
         neighborhood check per operation, see
         :class:`repro.dynamics.edits.StructureEditor`), so rebuilding a
         structure after a validated edit batch must not pay the O(n)
-        flood fills of ``__init__`` again; it is this constructor's
+        validation of ``__init__`` again; it is this constructor's
         caller.  (The sub-structures of a solve are id subsets of the
         engine structure's grid index, not structures.)  Callers assert
         that ``nodes`` is non-empty, connected, and hole-free.
 
-        ``basis``/``dirty`` optionally seed the adjacency caches from a
-        previous structure: cache entries of nodes not adjacent to any
-        ``dirty`` (edited) node are carried over verbatim, so repeated
-        small edits keep amortized cache warmth.  If the basis already
-        built its :meth:`grid_index`, the index is *derived* — patched
-        only around the edited cells, with every surviving node's
-        integer id kept stable — instead of rebuilt.
+        Given the previous structure as ``basis`` and the edited nodes
+        as ``dirty``, the basis's :meth:`grid_index` is *derived* —
+        patched only around the edited cells, with every surviving
+        node's integer id kept stable — instead of rebuilt; without a
+        basis (or if ``dirty`` missed an edit) the index is built from
+        scratch.
         """
         self = cls.__new__(cls)
         node_set = frozenset(nodes)
@@ -97,53 +86,44 @@ class AmoebotStructure:
             raise StructureError("amoebot structure must be non-empty")
         self._nodes = node_set
         self._neighbor_cache = {}
-        self._direction_cache = {}
-        self._grid_index = None
-        self._checked_hole_free = False
+        self._holes = None
+        index = None
         if basis is not None:
             dirty_nodes = tuple(dirty)
-            stale: Set[Node] = set(dirty_nodes)
-            for u in tuple(stale):
-                stale.update(u.neighbors())
-            for u, cached in basis._neighbor_cache.items():
-                if u in node_set and u not in stale:
-                    self._neighbor_cache[u] = cached
-            for u, cached_d in basis._direction_cache.items():
-                if u in node_set and u not in stale:
-                    self._direction_cache[u] = cached_d
-            basis_index = basis._grid_index
-            if basis_index is not None:
-                basis_nodes = basis._nodes
-                added = [
-                    u for u in dirty_nodes if u in node_set and u not in basis_nodes
-                ]
-                removed = [
-                    u for u in dirty_nodes if u in basis_nodes and u not in node_set
-                ]
-                derived = basis_index.derive(added, removed)
-                if len(derived) == len(node_set):
-                    self._grid_index = derived
+            basis_nodes = basis._nodes
+            added = [u for u in dirty_nodes if u in node_set and u not in basis_nodes]
+            removed = [u for u in dirty_nodes if u in basis_nodes and u not in node_set]
+            derived = basis._grid_index.derive(added, removed)
+            if len(derived) == len(node_set):
+                index = derived
+        self._grid_index = index if index is not None else GridIndex(node_set)
         return self
 
     # ------------------------------------------------------------------
     # flat integer index
     # ------------------------------------------------------------------
-    def grid_index(self) -> "GridIndex":
+    def grid_index(self) -> GridIndex:
         """The structure's :class:`~repro.grid.compiled.GridIndex`.
 
-        Built lazily on first use (hashing every node exactly once into
-        a dense id) and cached for the structure's lifetime; structures
+        Built with the structure (every node hashed exactly once into a
+        dense id), and the constructor's validation reads it; structures
         produced by :meth:`from_validated` with a ``basis`` inherit a
-        derived index with stable ids instead of rebuilding.  Layout
-        construction, portal building, and region splitting all run
-        over its flat arrays.
+        derived index with stable ids instead.  Layout construction,
+        portal building, and region splitting all run over its flat
+        arrays.
         """
-        index = self._grid_index
-        if index is None:
-            from repro.grid.compiled import GridIndex  # local: avoid cycle
+        return self._grid_index
 
-            index = self._grid_index = GridIndex(self._nodes)
-        return index
+    def hole_count(self) -> int:
+        """The number of holes, counted once on the grid index.
+
+        The constructor counts them while validating; a trusted
+        structure (:meth:`from_validated`) counts on first call.
+        """
+        holes = self._holes
+        if holes is None:
+            holes = self._holes = self._grid_index.topology()[1]
+        return holes
 
     # ------------------------------------------------------------------
     # basic container protocol
@@ -177,15 +157,20 @@ class AmoebotStructure:
     # adjacency in the induced subgraph G_X
     # ------------------------------------------------------------------
     def neighbors(self, node: Node) -> Tuple[Node, ...]:
-        """Occupied neighbors of ``node`` in counterclockwise order."""
+        """Occupied neighbors of ``node`` in counterclockwise order.
+
+        Read off the grid index and cached per node.
+        """
         cached = self._neighbor_cache.get(node)
-        if cached is not None:
-            return cached
-        if node not in self._nodes:
-            raise KeyError(f"{node} is not part of the structure")
-        result = tuple(v for v in node.neighbors() if v in self._nodes)
-        self._neighbor_cache[node] = result
-        return result
+        if cached is None:
+            index = self._grid_index
+            i = index.id_of(node)
+            if i is None:
+                raise KeyError(f"{node} is not part of the structure")
+            nodes = index.nodes
+            cached = tuple(nodes[j] for j in index.nbr[6 * i:6 * i + 6] if j >= 0)
+            self._neighbor_cache[node] = cached
+        return cached
 
     def degree(self, node: Node) -> int:
         """Number of occupied neighbors."""
@@ -193,24 +178,14 @@ class AmoebotStructure:
 
     def has_neighbor(self, node: Node, direction: Direction) -> bool:
         """Whether the adjacent node in ``direction`` is occupied."""
-        cached = self._direction_cache.get(node)
-        if cached is not None:
-            return direction in cached
-        return node.neighbor(direction) in self._nodes
+        i = self._grid_index.id_of(node)
+        if i is None:
+            return node.neighbor(direction) in self._nodes
+        return self._grid_index.nbr[6 * i + direction] >= 0
 
     def occupied_directions(self, node: Node) -> List[Direction]:
-        """Directions toward occupied neighbors, counterclockwise order.
-
-        Cached per node (the structure is immutable): layout construction
-        asks for these on every amoebot, often once per wiring.
-        """
-        cached = self._direction_cache.get(node)
-        if cached is None:
-            cached = tuple(
-                d for d in all_directions_ccw() if self.has_neighbor(node, d)
-            )
-            self._direction_cache[node] = cached
-        return list(cached)
+        """Directions toward occupied neighbors, counterclockwise order."""
+        return [d for d in all_directions_ccw() if self.has_neighbor(node, d)]
 
     def edges(self) -> List[Tuple[Node, Node]]:
         """All undirected edges of :math:`G_X` (each listed once)."""
@@ -269,18 +244,3 @@ class AmoebotStructure:
             line.append(cur)
             cur = cur.neighbor(pos)
         return line
-
-    # ------------------------------------------------------------------
-    # internal
-    # ------------------------------------------------------------------
-    def _is_connected(self) -> bool:
-        start = next(iter(self._nodes))
-        seen: Set[Node] = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in u.neighbors():
-                if v in self._nodes and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == len(self._nodes)

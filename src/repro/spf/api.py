@@ -107,11 +107,9 @@ def solve_spf(
     start = engine.rounds.total
     start_activations = engine.rounds.activations
 
-    from repro.grid.holes import has_holes
-
-    # A structure its constructor already found hole-free is not scanned
-    # again; trusted and hole-tolerant constructions are.
-    if not structure._checked_hole_free and has_holes(structure.nodes):
+    # The constructor counted the holes on the grid index; a trusted
+    # structure counts them there on first use.
+    if structure.hole_count():
         if not allow_holes:
             raise ValueError(
                 "structure has holes; the polylogarithmic algorithms "

@@ -56,12 +56,15 @@ def hexagon(radius: int, origin: Node = Node(0, 0)) -> AmoebotStructure:
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    nodes = [
+    return AmoebotStructure(_hexagon_nodes(radius, origin))
+
+
+def _hexagon_nodes(radius: int, origin: Node = Node(0, 0)) -> List[Node]:
+    return [
         Node(origin.x + x, origin.y + y)
         for x in range(-radius, radius + 1)
         for y in range(max(-radius, -x - radius), min(radius, -x + radius) + 1)
     ]
-    return AmoebotStructure(nodes)
 
 
 def comb(teeth: int, tooth_length: int, spacing: int = 2) -> AmoebotStructure:
@@ -107,7 +110,9 @@ def lollipop(blob_radius: int, handle_length: int) -> AmoebotStructure:
     """A hexagon blob with an E/W handle attached to its eastern vertex."""
     if blob_radius < 0 or handle_length < 0:
         raise ValueError("invalid lollipop parameters")
-    nodes = set(hexagon(blob_radius).nodes)
+    # Copied from a frozenset of the blob, which fixes the set's iteration
+    # order, and with it every tie-break downstream.
+    nodes = set(frozenset(_hexagon_nodes(blob_radius)))
     for i in range(1, handle_length + 1):
         nodes.add(Node(blob_radius + i, 0))
     return AmoebotStructure(nodes)

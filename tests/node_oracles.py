@@ -20,6 +20,10 @@ grid-index ids (``CircuitLayout.assign_sets``, ``release_sets``,
 (the library's :meth:`PascRun.tree` takes node ids), and
 :func:`feasible_parents` is Equation 1 over ``Node`` portals, the
 oracle for the shortest path tree's id-native parent choice.
+
+:func:`addable_nodes` is the structure generator's growth rule over a
+``Node`` set (the generator grows on packed int keys and reads a ring
+mask table), the oracle of its historical re-scan reference.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.grid.coords import Node
-from repro.grid.directions import Direction
+from repro.grid.directions import Direction, all_directions_ccw
 from repro.sim.errors import PinConfigurationError
 from repro.sim.pins import PartitionSetId
 
@@ -240,3 +244,31 @@ def feasible_parents(structure, systems, portal_parents, node: Node) -> List[Nod
         if ok:
             result.append(v)
     return result
+
+
+def _occupied_mask(nodes: Set[Node], candidate: Node) -> List[bool]:
+    """Occupancy of the six neighbors of ``candidate``, ccw order."""
+    return [candidate.neighbor(d) in nodes for d in all_directions_ccw()]
+
+
+def is_contiguous_arc(mask: Sequence[bool]) -> bool:
+    """Whether the true entries of a cyclic mask form one contiguous run."""
+    if not any(mask):
+        return False
+    if all(mask):
+        return True
+    # Count cyclic False->True transitions; exactly one means one arc.
+    transitions = sum(
+        1 for i in range(6) if not mask[i - 1] and mask[i]
+    )
+    return transitions == 1
+
+
+def addable_nodes(nodes: Set[Node]) -> Set[Node]:
+    """All unoccupied nodes whose addition provably keeps the set hole-free."""
+    frontier: Set[Node] = set()
+    for u in nodes:
+        for v in u.neighbors():
+            if v not in nodes:
+                frontier.add(v)
+    return {v for v in frontier if is_contiguous_arc(_occupied_mask(nodes, v))}

@@ -58,30 +58,44 @@ class TestHoleFallback:
 
 
 class TestOneHoleScanPerSolve:
+    """Holes are counted once per structure, on its grid index."""
+
     @pytest.fixture
     def scans(self, monkeypatch):
-        from repro.grid import holes
+        from repro.grid.compiled import GridIndex
 
         calls = []
-        find_holes = holes.find_holes
+        topology = GridIndex.topology
 
-        def counting(nodes):
+        def counting(index):
             calls.append(1)
-            return find_holes(nodes)
+            return topology(index)
 
-        monkeypatch.setattr(holes, "find_holes", counting)
+        monkeypatch.setattr(GridIndex, "topology", counting)
         return calls
 
     def test_session_solve_scans_once(self, scans):
         from repro.api import Session, SolveRequest
 
-        Session().run(SolveRequest(kind="solve", shape="random:120:2", k=2, l=4))
-        assert len(scans) == 1
+        session = Session()
+        request = SolveRequest(kind="solve", shape="random:120:2", k=2, l=4)
+        session.run(request)
+        assert len(scans) == 1  # the structure's constructor, not the solve
+        session.run(request)
+        assert len(scans) == 1  # a cached repeat builds nothing
 
     def test_unchecked_structures_are_scanned(self, scans, holey_structure):
         nodes = sorted(holey_structure.nodes)
         scans.clear()
-        trusted = AmoebotStructure.from_validated(nodes)
-        solution = solve_spf(trusted, [nodes[0]], [nodes[-1]], allow_holes=True)
+        tolerant = AmoebotStructure(nodes, require_hole_free=False)
+        assert len(scans) == 1  # hole-tolerant construction counts too
+        solution = solve_spf(tolerant, [nodes[0]], [nodes[-1]], allow_holes=True)
         assert solution.algorithm == "wave-fallback"
+        assert len(scans) == 1
+        scans.clear()
+        trusted = AmoebotStructure.from_validated(nodes)
+        assert not scans
+        for _ in range(2):
+            solution = solve_spf(trusted, [nodes[0]], [nodes[-1]], allow_holes=True)
+            assert solution.algorithm == "wave-fallback"
         assert len(scans) == 1

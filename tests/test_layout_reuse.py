@@ -460,18 +460,19 @@ class TestRoundTotalsMatchSeed:
 
     def test_solves_ride_the_grid_index_build_path(self, spec):
         # The seed-identical round totals above must be produced by the
-        # int-indexed build path: the structure's GridIndex is built
-        # (once — substructures carry their own) and never derived.
+        # int-indexed build path: the structure builds its GridIndex
+        # exactly once, with the structure, and the solve neither
+        # rebuilds nor derives one.
         from repro.grid.compiled import GRID_STATS
 
+        GRID_STATS.reset()
         structure = build_structure(spec)
+        assert GRID_STATS.full_builds == 1
         nodes = sorted(structure.nodes)
         engine = CircuitEngine(structure)
-        GRID_STATS.reset()
         solution = solve_spf(structure, [nodes[0]], list(structure.nodes), engine=engine)
         assert solution.rounds == SEED_ROUNDS[spec]["sssp"]
-        assert structure._grid_index is not None
-        assert GRID_STATS.full_builds >= 1
+        assert GRID_STATS.full_builds == 1  # none inside the solve
         assert GRID_STATS.derives == 0  # no edits, so no derived indexes
 
 

@@ -136,7 +136,7 @@ class TestRandomStructures:
         import random as random_mod
 
         from repro.grid.directions import all_directions_ccw
-        from repro.workloads.random_structures import addable_nodes
+        from tests.node_oracles import addable_nodes
 
         def reference(n, seed, compactness):
             rng = random_mod.Random(seed)
