@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the paper's illustrative figures as SVG files.
 
-Writes to ``figures/`` (created next to the repository root):
+Writes to an output directory (default ``figures/`` next to the
+repository root, created if missing):
 
 * fig1_structure.svg      — an amoebot structure (Figure 1a)
 * fig2_portals_{x,y,z}.svg — implicit portal graphs per axis (Figure 2)
@@ -10,9 +11,10 @@ Writes to ``figures/`` (created next to the repository root):
 * fig6_line.svg           — line algorithm distances (Figure 6)
 * fig15_regions.svg       — region decomposition at Q' portals (Figure 15)
 
-Run:  python examples/figures.py
+Run:  python examples/figures.py [OUTPUT_DIR]
 """
 
+import argparse
 import os
 import random
 
@@ -38,7 +40,9 @@ def bfs_tree_adjacency(structure, root):
     adjacency = adjacency_from_edges(edges) if edges else {root: []}
     return adjacency, {c: p for c, p in parent.items() if p is not None}
 
-OUT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "figures")
+DEFAULT_OUT = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "figures"
+)
 
 PALETTE = [
     "#a6cee3", "#b2df8a", "#fb9a99", "#fdbf6f", "#cab2d6",
@@ -46,25 +50,25 @@ PALETTE = [
 ]
 
 
-def save(name: str, svg: str) -> None:
-    path = os.path.join(OUT, name)
+def save(out: str, name: str, svg: str) -> None:
+    path = os.path.join(out, name)
     with open(path, "w") as handle:
         handle.write(svg)
     print(f"wrote {path}")
 
 
-def fig1_structure() -> None:
+def fig1_structure(out: str) -> None:
     structure = random_hole_free(40, seed=3)
-    save("fig1_structure.svg", render_structure_svg(structure))
+    save(out, "fig1_structure.svg", render_structure_svg(structure))
 
 
-def fig2_portals() -> None:
+def fig2_portals(out: str) -> None:
     structure = random_hole_free(60, seed=12)
     for axis in Axis:
         system = PortalSystem(structure, axis)
         colors = {}
-        for i, portal in enumerate(system.portals):
-            for u in portal.nodes:
+        for i in range(system.portal_count()):
+            for u in system.portal_nodes(i):
                 colors[u] = PALETTE[i % len(PALETTE)]
         tree_edges = [
             (u, v)
@@ -73,6 +77,7 @@ def fig2_portals() -> None:
             if u < v
         ]
         save(
+            out,
             f"fig2_portals_{axis.name.lower()}.svg",
             render_structure_svg(
                 structure, node_colors=colors, highlight_edges=tree_edges
@@ -80,7 +85,7 @@ def fig2_portals() -> None:
         )
 
 
-def fig3_root_prune() -> None:
+def fig3_root_prune(out: str) -> None:
     structure = random_hole_free(60, seed=9)
     root = structure.westernmost()
     adjacency, _ = bfs_tree_adjacency(structure, root)
@@ -99,12 +104,13 @@ def fig3_root_prune() -> None:
         else:
             colors[u] = "#dddddd"  # pruned
     save(
+        out,
         "fig3_root_prune.svg",
         render_structure_svg(structure, node_colors=colors, parent=result.parent),
     )
 
 
-def fig5_spt() -> None:
+def fig5_spt(out: str) -> None:
     structure = random_hole_free(70, seed=21)
     nodes = sorted(structure.nodes)
     rng = random.Random(4)
@@ -117,16 +123,18 @@ def fig5_spt() -> None:
     for d in dests:
         colors[d] = "#1f78b4"
     save(
+        out,
         "fig5_spt_raw.svg",
         render_structure_svg(structure, node_colors=colors, parent=result.raw_parent),
     )
     save(
+        out,
         "fig5_spt_pruned.svg",
         render_structure_svg(structure, node_colors=colors, parent=result.forest.parent),
     )
 
 
-def fig6_line() -> None:
+def fig6_line(out: str) -> None:
     structure = line_structure(20)
     chain = sorted(structure.nodes)
     sources = [chain[4], chain[13]]
@@ -136,17 +144,18 @@ def fig6_line() -> None:
     for s in sources:
         colors[s] = "#e31a1c"
     save(
+        out,
         "fig6_line.svg",
         render_structure_svg(structure, node_colors=colors, parent=forest.parent),
     )
 
 
-def fig15_regions() -> None:
+def fig15_regions(out: str) -> None:
     structure = random_hole_free(150, seed=33)
     system = PortalSystem(structure, Axis.X)
     rng = random.Random(5)
     sources = rng.sample(sorted(structure.nodes), 6)
-    q = system.portals_containing(sources)
+    q = {system.portal_of[u] for u in sources}
     root = system.portal_of[structure.westernmost()]
     engine = CircuitEngine(structure)
     rp = portal_root_and_prune(engine, system, root, q, compute_augmentation=True)
@@ -159,19 +168,23 @@ def fig15_regions() -> None:
         for u in region.nodes:
             colors[nodes[u]] = PALETTE[i % len(PALETTE)]
     for portal in q_prime:  # boundary portals drawn red, as in Fig. 15
-        for u in portal.nodes:
+        for u in system.portal_nodes(portal):
             colors[u] = "#e31a1c"
-    save("fig15_regions.svg", render_structure_svg(structure, node_colors=colors))
+    save(out, "fig15_regions.svg", render_structure_svg(structure, node_colors=colors))
 
 
-def main() -> None:
-    os.makedirs(OUT, exist_ok=True)
-    fig1_structure()
-    fig2_portals()
-    fig3_root_prune()
-    fig5_spt()
-    fig6_line()
-    fig15_regions()
+FIGURES = (fig1_structure, fig2_portals, fig3_root_prune, fig5_spt, fig6_line, fig15_regions)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "out", nargs="?", default=DEFAULT_OUT, help="output directory (default: %(default)s)"
+    )
+    out = parser.parse_args(argv).out
+    os.makedirs(out, exist_ok=True)
+    for figure in FIGURES:
+        figure(out)
     print("all figures regenerated")
 
 

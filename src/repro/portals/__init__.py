@@ -12,13 +12,14 @@ Amoebots cannot see portal graphs directly; they operate on the
 containing all ``d``-parallel edges plus the westernmost edge between
 each pair of adjacent portals — membership of every incident edge is
 locally decidable.  The :class:`PortalSystem` materializes all of this
-per axis, and :mod:`repro.portals.primitives` lifts the Section 3 tree
-primitives to portals per Section 3.5.
+per axis in grid-index integers: a portal is its number, the index of
+its run of node ids in ``PortalSystem.runs``.  :mod:`repro.portals.primitives`
+lifts the Section 3 tree primitives to portals per Section 3.5, with
+portal numbers as their units.
 """
 
-from repro.portals.portals import Portal, PortalSystem, portal_sides
+from repro.portals.portals import PortalSystem, portal_sides
 from repro.portals.primitives import (
-    PortalRootPruneResult,
     portal_root_and_prune,
     portal_elect,
     portal_centroids,
@@ -26,10 +27,8 @@ from repro.portals.primitives import (
 )
 
 __all__ = [
-    "Portal",
     "PortalSystem",
     "portal_sides",
-    "PortalRootPruneResult",
     "portal_root_and_prune",
     "portal_elect",
     "portal_centroids",

@@ -21,60 +21,14 @@ adjacent portals, so the implicit portal graph is a spanning tree of
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ett.tour import mask_adjacency
 from repro.grid.coords import Node
 from repro.grid.directions import OPPOSITE_VALUES as _OPP
 from repro.grid.directions import Axis, Direction, counterclockwise
 from repro.grid.structure import AmoebotStructure
-
-
-@dataclass(frozen=True, order=True)
-class Portal:
-    """A maximal run of amoebots along one axis-parallel grid line.
-
-    Ordered and hashed by ``(axis, first node)``; ``nodes`` is the run in
-    positive axis direction, so ``nodes[0]`` is the canonical
-    representative (the "westernmost" amoebot after rotation).
-    """
-
-    axis: Axis
-    nodes: Tuple[Node, ...]
-
-    @property
-    def representative(self) -> Node:
-        return self.nodes[0]
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __contains__(self, node: Node) -> bool:
-        return node in self._node_set()
-
-    def _node_set(self) -> FrozenSet[Node]:
-        # Cached lazily on the instance despite frozen dataclass.
-        cached = getattr(self, "_cached_set", None)
-        if cached is None:
-            cached = frozenset(self.nodes)
-            object.__setattr__(self, "_cached_set", cached)
-        return cached
-
-    def __hash__(self) -> int:
-        # Equal portals share their first node, so hashing ``(axis,
-        # first node)`` agrees with ``==`` without hashing the whole
-        # run; portals key several bookkeeping tables (connectors,
-        # adjacency), so the hash is cached per instance too.
-        cached = getattr(self, "_cached_hash", None)
-        if cached is None:
-            cached = hash((self.axis, self.nodes[0]))
-            object.__setattr__(self, "_cached_hash", cached)
-        return cached
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"Portal({self.axis.name}, {self.nodes[0]}..{self.nodes[-1]})"
 
 
 class PortalSystem:
@@ -90,11 +44,12 @@ class PortalSystem:
     Construction runs over the index's flat neighbor array, over the
     members only, and a neighbor outside ``members`` counts as absent:
     portal runs, the local tree rule, the implicit spanning tree and
-    the portal adjacency are all computed in integer space.  The
-    implicit tree stays in it (:attr:`tree_masks`, which Euler tours
-    are read off); the :class:`Portal` objects are materialized once,
-    and the ``Node`` views :attr:`portal_of` and
-    :attr:`implicit_adjacency` are built only when asked for.
+    the portal adjacency are all computed in integer space, and stay
+    in it.  A portal is its number, its index into :attr:`runs`;
+    portals are numbered in the order of their first ``Node``.  The
+    implicit tree is :attr:`tree_masks`, which Euler tours are read
+    off.  The ``Node`` views :attr:`portal_of`, :meth:`portal_nodes`
+    and :attr:`implicit_adjacency` are for tests and figures.
     """
 
     def __init__(
@@ -118,16 +73,17 @@ class PortalSystem:
         self.inside = bytearray(self._gi.n_slots + 1)
         for nid in self.ids:
             self.inside[nid] = 1
-        self.portals: List[Portal] = []
-        #: The member ids of each portal, in positive axis direction
-        #: (parallel to :attr:`portals`).
+        #: The member ids of each portal, in positive axis direction:
+        #: ``runs[k][0]`` is portal ``k``'s representative (the
+        #: "westernmost" amoebot after rotation).
         self.runs: List[List[int]] = []
-        #: node id -> index into :attr:`portals` (-1 off the members).
+        #: node id -> its portal's number (-1 off the members).
         self.portal_index_of_id: List[int] = []
         #: node id -> position of the node within its portal's run.
         self.portal_offset_of_id: List[int] = []
         self._build_portals()
-        self.portal_adjacency: Dict[Portal, List[Portal]] = {}
+        #: portal number -> its neighbor portals' numbers, ascending.
+        self.portal_adjacency: List[List[int]] = []
         #: The implicit portal tree: node id -> bitmask of its tree
         #: directions (the form :func:`~repro.ett.tour.euler_tour` reads).
         self.tree_masks: Dict[int, int] = {}
@@ -151,7 +107,7 @@ class PortalSystem:
         pos_dir, neg_dir = self.axis.directions
         pos_d, neg_d = int(pos_dir), int(neg_dir)
         portal_offset = [-1] * gi.n_slots
-        runs: List[Tuple[Portal, List[int]]] = []
+        runs: List[List[int]] = []
         for start in self.ids:
             if portal_offset[start] != -1:
                 continue
@@ -167,22 +123,28 @@ class PortalSystem:
                 j = nbr[j * 6 + pos_d]
             for offset, i in enumerate(line_ids):
                 portal_offset[i] = offset
-            runs.append((Portal(self.axis, tuple(nodes[i] for i in line_ids)), line_ids))
-        # Portals are ordered by their nodes, whatever the ids' order.
-        runs.sort(key=lambda run: run[0])
+            runs.append(line_ids)
+        # Portals are numbered by their first node, whatever the ids' order.
+        runs.sort(key=lambda run: nodes[run[0]])
         portal_index = [-1] * gi.n_slots
-        for k, (_portal, line_ids) in enumerate(runs):
+        for k, line_ids in enumerate(runs):
             for i in line_ids:
                 portal_index[i] = k
-        self.portals = [portal for portal, _ids in runs]
-        self.runs = [line_ids for _portal, line_ids in runs]
+        self.runs = runs
         self.portal_index_of_id = portal_index
         self.portal_offset_of_id = portal_offset
 
     @cached_property
-    def portal_of(self) -> Dict[Node, Portal]:
-        """``Node`` -> its portal (a view for tests and figures)."""
-        return {u: p for p in self.portals for u in p.nodes}
+    def portal_of(self) -> Dict[Node, int]:
+        """``Node`` -> its portal's number (a view for tests and figures)."""
+        nodes = self._gi.nodes
+        return {nodes[i]: k for k, run in enumerate(self.runs) for i in run}
+
+    def portal_nodes(self, k: int) -> Tuple[Node, ...]:
+        """Portal ``k``'s nodes in positive axis direction (a view for
+        tests and figures)."""
+        nodes = self._gi.nodes
+        return tuple(nodes[i] for i in self.runs[k])
 
     def tree_directions(self, node: Node) -> List[Direction]:
         """Incident implicit-tree edges of ``node``, by the local rule."""
@@ -258,29 +220,23 @@ class PortalSystem:
                 "have holes"
             )
 
-        portals = self.portals
-        self.portal_adjacency = {
-            portals[k]: [portals[m] for m in sorted(members)]
-            for k, members in adjacency_ids.items()
-        }
-        for p in portals:
-            self.portal_adjacency.setdefault(p, [])
+        self.portal_adjacency = [
+            sorted(adjacency_ids.get(k, ())) for k in range(len(self.runs))
+        ]
 
     @cached_property
-    def connector(self) -> Dict[Tuple[Portal, Portal], Tuple[int, int]]:
+    def connector(self) -> Dict[Tuple[int, int], Tuple[int, int]]:
         """``(p, q) -> (u, v)``: the implicit-tree edge from portal ``p``
         to its neighbor portal ``q``, as node ids (built on first use)."""
         nbr = self._gi.nbr
-        portals = self.portals
         portal_index = self.portal_index_of_id
-        connector: Dict[Tuple[Portal, Portal], Tuple[int, int]] = {}
+        connector: Dict[Tuple[int, int], Tuple[int, int]] = {}
         for nid, mask in self.tree_masks.items():
             for d in range(6):
                 if mask >> d & 1:
                     j = nbr[nid * 6 + d]
                     if portal_index[nid] != portal_index[j]:
-                        key = (portals[portal_index[nid]], portals[portal_index[j]])
-                        connector[key] = (nid, j)
+                        connector[(portal_index[nid], portal_index[j])] = (nid, j)
         return connector
 
     @property
@@ -294,13 +250,9 @@ class PortalSystem:
     # ------------------------------------------------------------------
     def portal_count(self) -> int:
         """Number of portals of this axis."""
-        return len(self.portals)
+        return len(self.runs)
 
-    def portals_containing(self, nodes: Iterable[Node]) -> Set[Portal]:
-        """The set of portals containing any of ``nodes``."""
-        return {self.portal_of[u] for u in nodes}
-
-    def portal_graph_distances(self, start: Portal) -> Dict[Portal, int]:
+    def portal_graph_distances(self, start: int) -> Dict[int, int]:
         """BFS distances in the portal graph (oracle for Lemma 11 tests)."""
         dist = {start: 0}
         queue = deque([start])
@@ -314,14 +266,12 @@ class PortalSystem:
 
     def is_portal_graph_tree(self) -> bool:
         """Lemma 9: the portal graph of a hole-free structure is a tree."""
-        edge_count = sum(len(v) for v in self.portal_adjacency.values()) // 2
-        return edge_count == len(self.portals) - 1
+        edge_count = sum(map(len, self.portal_adjacency)) // 2
+        return edge_count == len(self.runs) - 1
 
-    def parent_relation(
-        self, root_portal: Portal
-    ) -> Dict[Portal, Optional[Portal]]:
+    def parent_relation(self, root_portal: int) -> Dict[int, Optional[int]]:
         """Parents in the portal tree rooted at ``root_portal`` (oracle)."""
-        parent: Dict[Portal, Optional[Portal]] = {root_portal: None}
+        parent: Dict[int, Optional[int]] = {root_portal: None}
         queue = deque([root_portal])
         while queue:
             p = queue.popleft()
@@ -332,10 +282,8 @@ class PortalSystem:
         return parent
 
 
-def portal_sides(
-    structure: AmoebotStructure, portal: Portal
-) -> Tuple[Set[Node], Set[Node]]:
-    """Split the structure at a portal into its two sides (§5.3 inputs).
+def portal_sides(system: PortalSystem, portal: int) -> Tuple[Set[Node], Set[Node]]:
+    """Split the system's structure at a portal into its two sides (§5.3 inputs).
 
     Returns ``(A, B)`` where ``B`` is the union of the connected
     components of ``X \\ P`` that touch ``P`` from the rotated-north
@@ -344,12 +292,9 @@ def portal_sides(
     member/complement pair :func:`repro.spf.propagate.propagate_forest`
     expects (every ``A``-to-``B`` path crosses ``P``, Lemma 13).
     """
-    system_rotation = int(portal.axis)
-    north_dirs = {
-        counterclockwise(Direction.NW, system_rotation),
-        counterclockwise(Direction.NE, system_rotation),
-    }
-    portal_set = set(portal.nodes)
+    structure = system.structure
+    north_dirs = {system.rotate(Direction.NW), system.rotate(Direction.NE)}
+    portal_set = set(system.portal_nodes(portal))
     remaining = set(structure.nodes) - portal_set
     a_side: Set[Node] = set(portal_set)
     b_side: Set[Node] = set()

@@ -26,13 +26,13 @@ about nodes.  What remains is intra-portal communication:
 from __future__ import annotations
 
 import copy
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.grid.directions import Axis
 from repro.ett.tour import EulerTour, euler_tour
 from repro.pasc.chain import PascRun
 from repro.pasc.runner import run_pasc
-from repro.portals.portals import Portal, PortalSystem
+from repro.portals.portals import PortalSystem
 from repro.primitives.centroid import CentroidOp, decode_centroids, run_centroid_phases
 from repro.primitives.decomposition import DecompositionTree, decompose
 from repro.primitives.election import elect_unit
@@ -49,11 +49,6 @@ PORTAL_LABEL = "portal"
 PORTAL_COUNT_CHANNELS = (0, 1, 2, 3)
 
 
-#: Portal-level root and prune outcome (Lemma 33 / 34): the node result
-#: type, with portals as its units.
-PortalRootPruneResult = RootPruneResult
-
-
 class PortalScope:
     """A connected set of portals with its restricted implicit tree.
 
@@ -61,94 +56,72 @@ class PortalScope:
     connected portal subtree (the decomposition's recursions, the forest
     algorithm's regions); this helper owns the restriction plumbing.  It
     is the tree scope (see :mod:`repro.primitives.scope`) whose units
-    are portals, numbered as in ``system.portals``.  The system is
-    built over the engine structure's grid index, so the scope adopts
-    its tree and portal numbering verbatim.
+    are portals: a unit is a portal's number, its index into
+    ``system.runs``.  The system is built over the engine structure's
+    grid index, so the scope adopts its tree and portal numbering
+    verbatim.
     """
 
-    def __init__(self, system: PortalSystem, portals: Optional[Iterable[Portal]] = None):
+    def __init__(self, system: PortalSystem, portals: Optional[Iterable[int]] = None):
         self.system = system
         self.index = system.structure.grid_index()
-        self.unit_objects: List[Portal] = system.portals
         # Whole-system views, adopted verbatim (read-only).
+        self.runs: List[List[int]] = system.runs
         self.masks: Dict[int, int] = system.tree_masks
         self.unit_index = system.portal_index_of_id
-        self.portals = set(system.portals)
-        self.unit_adjacency: Dict[Portal, List[Portal]] = system.portal_adjacency
+        self.units: Set[int] = set(range(len(system.runs)))
+        self.unit_adjacency: Mapping[int, List[int]] = system.portal_adjacency
         self._circuit_key: Optional[Tuple] = None
         #: ``(layout, portals, listen set-ids)``: the portals' end
         #: amoebots, resolved once per scope and layout.
-        self._listeners: Optional[Tuple[CircuitLayout, List[Portal], List[int]]] = None
+        self._listeners: Optional[Tuple[CircuitLayout, List[int], List[int]]] = None
         if portals is not None:
-            portal_set = set(portals)
-            if not portal_set <= self.portals:
-                raise ValueError("scope contains portals of a different system")
-            self._restrict_to(portal_set)
+            self._restrict_to(self.check(portals))
 
-    @property
-    def units(self) -> Set[Portal]:
-        return self.portals
-
-    def _restrict_to(self, portals: Set[Portal]) -> None:
+    def _restrict_to(self, portals: Set[int]) -> None:
         self.masks = restrict_masks(self.index, self.masks, self.node_ids_of(portals))
         self.unit_adjacency = {
             p: [q for q in self.unit_adjacency[p] if q in portals] for p in portals
         }
-        self.portals = portals
+        self.units = portals
         self._circuit_key = None
         self._listeners = None
 
-    def tour(self, root_portal: Portal) -> EulerTour:
+    def tour(self, root_portal: int) -> EulerTour:
         """Euler tour of the scope's implicit tree, rooted at the portal's representative."""
-        if root_portal not in self.portals:
+        if root_portal not in self.units:
             raise ValueError("root portal outside the scope")
-        root_id = self.index.id_of(root_portal.representative)
-        return euler_tour(self.index, root_id, self.masks)
+        return euler_tour(self.index, self.runs[root_portal][0], self.masks)
 
-    def representative_ids(self, portals: Iterable[Portal]) -> List[int]:
+    def representative_ids(self, portals: Iterable[int]) -> List[int]:
         """Node ids of the representative amoebots of the given portals."""
-        id_of = self.index.id_of
-        return [id_of(p.representative) for p in portals]
+        runs = self.runs
+        return [runs[p][0] for p in portals]
 
-    def unit_at(self, nid: int) -> Portal:
-        """The portal an amoebot of the scope belongs to."""
-        return self.unit_objects[self.unit_index[nid]]
-
-    def node_ids_of(self, portals: Iterable[Portal]) -> Set[int]:
+    def node_ids_of(self, portals: Iterable[int]) -> Set[int]:
         """The node ids of the given portals' amoebots."""
-        nbr = self.index.nbr
-        id_of = self.index.id_of
-        ids: Set[int] = set()
-        for p in portals:
-            pos_d = int(p.axis.directions[0])
-            nid = id_of(p.representative)
-            ids.add(nid)
-            for _ in range(len(p.nodes) - 1):
-                nid = nbr[nid * 6 + pos_d]
-                ids.add(nid)
-        return ids
+        runs = self.runs
+        return {nid for p in portals for nid in runs[p]}
 
-    def restrict(self, portals: Set[Portal]) -> "PortalScope":
+    def restrict(self, portals: Set[int]) -> "PortalScope":
         """The scope of a connected subset of this scope's portals."""
-        if not portals <= self.portals:
-            raise ValueError("scope contains portals of a different system")
         scope = copy.copy(self)
-        scope._restrict_to(set(portals))
+        scope._restrict_to(self.check(portals))
         return scope
 
-    def announce_winner(self, engine: CircuitEngine, winner_ids: Iterable[int]) -> Set[Portal]:
+    def announce_winner(self, engine: CircuitEngine, winner_ids: Iterable[int]) -> Set[int]:
         """One portal-circuit round: each winning amoebot beeps, and the
         portals that hear are the winners."""
         return self.broadcast(engine, winner_ids)
 
-    def check(self, portals: Iterable[Portal]) -> Set[Portal]:
+    def check(self, portals: Iterable[int]) -> Set[int]:
         """``set(portals)``, or :class:`ValueError` if one lies outside."""
         portal_set = set(portals)
         if not portal_set <= self.units:
-            raise ValueError("Q contains portals outside the scope")
+            raise ValueError("portals outside the scope")
         return portal_set
 
-    def broadcast(self, engine: CircuitEngine, beepers: Iterable[int]) -> Set[Portal]:
+    def broadcast(self, engine: CircuitEngine, beepers: Iterable[int]) -> Set[int]:
         """One round on the scope's portal circuits: the portals that heard.
 
         The amoebots ``beepers`` (node ids) beep; both end amoebots of
@@ -159,24 +132,26 @@ class PortalScope:
         the portal.
         """
         layout = self.portal_circuit_layout(engine)
-        id_of = self.index.id_of
+        runs = self.runs
         if self._listeners is None or self._listeners[0] is not layout:
-            portals = list(self.portals)
+            portals = list(self.units)
             ends = []
             for p in portals:
-                ends.append((id_of(p.nodes[0]), PORTAL_LABEL))
-                if len(p.nodes) > 1:
-                    ends.append((id_of(p.nodes[-1]), PORTAL_LABEL))
+                run = runs[p]
+                ends.append((run[0], PORTAL_LABEL))
+                if len(run) > 1:
+                    ends.append((run[-1], PORTAL_LABEL))
             self._listeners = (layout, portals, layout.set_ids(ends, "listen on"))
         _layout, portals, listen = self._listeners
         beeps = layout.set_ids(((u, PORTAL_LABEL) for u in beepers), "beep on")
         bits = iter(engine.run_round_indexed(layout, beeps, listen))
-        heard: Set[Portal] = set()
+        heard: Set[int] = set()
         for p in portals:
             bit = next(bits)
-            if len(p.nodes) > 1 and next(bits) != bit:
+            if len(runs[p]) > 1 and next(bits) != bit:
                 raise AssertionError(
-                    f"portal circuit of {p} is split: its two ends heard different bits"
+                    f"portal circuit of portal {p} at {self.index.nodes[runs[p][0]]} "
+                    "is split: its two ends heard different bits"
                 )
             if bit:
                 heard.add(p)
@@ -194,8 +169,9 @@ class PortalScope:
         """
         key = self._circuit_key
         if key is None:
+            axis = self.system.axis
             key = self._circuit_key = portal_runs_key(
-                engine, ((self.system.axis, p) for p in self.portals)
+                engine, ((axis, self.runs[p]) for p in self.units)
             )
         return engine.edge_subset_layout(
             portal_run_edges(engine, key),
@@ -206,15 +182,16 @@ class PortalScope:
 
 
 def portal_runs_key(
-    engine: CircuitEngine, runs: Iterable[Tuple[Axis, Portal]]
+    engine: CircuitEngine, runs: Iterable[Tuple[Axis, Sequence[int]]]
 ) -> Tuple:
     """A cheap canonical cache key for a set of portal runs.
 
     A portal is a maximal contiguous run of grid cells, so ``(axis,
-    representative id, length)`` triples — ids taken from the *engine
-    structure's* grid index — uniquely name its edge set without
-    hashing per-edge coordinate pairs; single-amoebot runs have no
-    edge and are left out, so scopes with the same edges share a key.
+    representative id, length)`` triples — ids of the *engine
+    structure's* grid index, which ``runs`` are given in — uniquely
+    name its edge set without hashing per-edge coordinate pairs;
+    single-amoebot runs have no edge and are left out, so scopes with
+    the same edges share a key.
     From-scratch indexes assign ids canonically (sorted node order), so
     these keys may be shared across equal structures (the campaign
     workers' node-set-scoped layout cache relies on that); *derived*
@@ -225,15 +202,10 @@ def portal_runs_key(
     the edges a key names.
     """
     index = engine.structure.grid_index()
-    id_of = index.id_of
     return (
         "pruns",
         None if index.canonical else id(index.root),
-        frozenset(
-            (int(axis), id_of(p.representative), len(p.nodes))
-            for axis, p in runs
-            if len(p.nodes) > 1
-        ),
+        frozenset((int(axis), run[0], len(run)) for axis, run in runs if len(run) > 1),
     )
 
 
@@ -256,15 +228,15 @@ def portal_run_edges(engine: CircuitEngine, key: Tuple) -> Iterator[int]:
 def portal_root_and_prune(
     engine: CircuitEngine,
     system: PortalSystem,
-    root_portal: Portal,
-    q_portals: Iterable[Portal],
+    root_portal: int,
+    q_portals: Iterable[int],
     scope: Optional[PortalScope] = None,
     compute_augmentation: bool = False,
     section: str = "portal_root_prune",
-) -> PortalRootPruneResult:
+) -> RootPruneResult:
     """Root the portal tree, prune, optionally compute ``A_Q`` (Lemma 33/34).
 
-    ``O(log |Q|)`` rounds.
+    Portals are numbers of ``system``; ``O(log |Q|)`` rounds.
     """
     if scope is None:
         scope = PortalScope(system)
@@ -288,7 +260,7 @@ def portal_root_and_prune(
 def _count_degrees(
     engine: CircuitEngine,
     scope: PortalScope,
-    result: PortalRootPruneResult,
+    result: RootPruneResult,
     section: str,
 ) -> None:
     """Count ``deg_Q`` by PASC prefix sums along the portals (Lemma 34).
@@ -305,20 +277,16 @@ def _count_degrees(
     inclusive = result.ett.inclusive
     twin = tour.twin
     unit_index = scope.unit_index
-    portals = scope.unit_objects
     index = scope.index
     nbr = index.nbr
     r = int(scope.system.axis)
     north_dirs = ((1 + r) % 6, (2 + r) % 6)  # the rotated NE and NW
-    roles: Dict[Portal, Tuple[Set[int], Set[int]]] = {}
+    roles: Dict[int, Tuple[Set[int], Set[int]]] = {}
     for i, e in enumerate(tour.edge_ids):
         if inclusive[i] == inclusive[twin[i]]:
             continue
-        u = unit_index[e // 6]
-        if u == unit_index[nbr[e]]:
-            continue
-        p = portals[u]
-        if p not in result.in_vq:
+        p = unit_index[e // 6]
+        if p == unit_index[nbr[e]] or p not in result.in_vq:
             continue
         north, south = roles.setdefault(p, (set(), set()))
         side = north if e % 6 in north_dirs else south
@@ -327,16 +295,14 @@ def _count_degrees(
         side.add(e // 6)
 
     runs: List[PascRun] = []
-    expected: List[Tuple[Portal, int]] = []
+    expected: List[Tuple[int, int]] = []
     pch, sch, pch2, sch2 = PORTAL_COUNT_CHANNELS
-    for p in scope.portals:
-        if p not in result.in_vq or len(p.nodes) < 2:
+    pos_d = int(scope.system.axis.directions[0])
+    for p in scope.units:
+        nids = scope.runs[p]
+        if p not in result.in_vq or len(nids) < 2:
             continue  # a single-amoebot portal counts its roles locally
         north, south = roles.get(p, ((), ()))
-        pos_d = int(p.axis.directions[0])
-        nids = [index.id_of(p.representative)]
-        for _ in range(len(p.nodes) - 1):
-            nids.append(nbr[nids[-1] * 6 + pos_d])
         out_edges = [nid * 6 + pos_d for nid in nids[:-1]]
         wn = [1 if nid in north else 0 for nid in nids]
         ws = [1 if nid in south else 0 for nid in nids]
@@ -357,11 +323,11 @@ def _count_degrees(
 def portal_elect(
     engine: CircuitEngine,
     system: PortalSystem,
-    root_portal: Portal,
-    q_portals: Iterable[Portal],
+    root_portal: int,
+    q_portals: Iterable[int],
     scope: Optional[PortalScope] = None,
     section: str = "portal_election",
-) -> Portal:
+) -> int:
     """Elect one portal of ``Q`` in ``O(1)`` rounds (Lemma 35).
 
     The simplified ETT elects an amoebot among the representatives of
@@ -386,11 +352,11 @@ def portal_elect(
 def portal_centroids(
     engine: CircuitEngine,
     system: PortalSystem,
-    root_portal: Portal,
-    q_portals: Iterable[Portal],
+    root_portal: int,
+    q_portals: Iterable[int],
     scope: Optional[PortalScope] = None,
     section: str = "portal_centroid",
-) -> Set[Portal]:
+) -> Set[int]:
     """The portal Q-centroid(s); ``O(log |Q|)`` rounds (Lemma 36).
 
     Each centroid's representative beeps on its portal circuit; the
@@ -409,8 +375,8 @@ def portal_centroids(
 def portal_centroid_decomposition(
     engine: CircuitEngine,
     system: PortalSystem,
-    root_portal: Portal,
-    q_prime: Set[Portal],
+    root_portal: int,
+    q_prime: Set[int],
     scope: Optional[PortalScope] = None,
     section: str = "portal_decomposition",
 ) -> DecompositionTree:

@@ -23,7 +23,7 @@ from repro.ett.technique import ETTOp
 from repro.ett.tour import EulerTour
 from repro.pasc.runner import run_pasc
 from repro.primitives.root_prune import RootPruneOp, unit_differences
-from repro.primitives.scope import NodeScope
+from repro.primitives.scope import NodeScope, ids_of
 from repro.sim.engine import CircuitEngine
 
 
@@ -39,7 +39,7 @@ class CentroidOp:
        rounds, as in the paper).
 
     Call :meth:`prepare_phase2` between the phases and
-    :meth:`centroids` at the end.
+    :func:`decode_centroids` at the end.
     """
 
     def __init__(self, tour: EulerTour, q_ids: Iterable[int], tag: str = "cen"):
@@ -55,14 +55,8 @@ class CentroidOp:
         """Build the second ETT, with the first one's weights."""
         self.phase2 = ETTOp(self.tour, self.phase1.ett_op.marked, tag=f"{self.tag}2")
 
-    def centroids(self) -> Set[Node]:
-        """The Q-centroids, from both phases' prefix sums."""
-        nodes = self.tour.index.nodes
-        scope = NodeScope(self.tour.index, self.tour.masks)
-        return decode_centroids(scope, self, {nodes[n] for n in self.q_ids})
 
-
-def decode_centroids(scope, op: CentroidOp, q_units: Set) -> Set:
+def decode_centroids(scope, op: CentroidOp, q_units: Set[int]) -> Set[int]:
     """Decode finished centroid ETTs on the units of a tree scope.
 
     ``op`` ran on ``scope``'s tour with the representatives of
@@ -97,8 +91,7 @@ def decode_centroids(scope, op: CentroidOp, q_units: Set) -> Set:
         size = q_size - d if parent.get(u) == v else -d
         if 2 * size > q_size:
             heavy.add(u)
-    units = scope.unit_objects
-    return {units[u] for u in q if u not in heavy}
+    return q - heavy
 
 
 def q_centroids(
@@ -108,11 +101,18 @@ def q_centroids(
     q_nodes: Iterable[Node],
     section: str = "centroid",
 ) -> Set[Node]:
-    """Compute the Q-centroid(s) of a tree; ``O(log |Q|)`` rounds."""
-    scope = NodeScope.from_adjacency(engine.structure.grid_index(), adjacency)
-    op = CentroidOp(scope.tour(root), scope.representative_ids(q_nodes))
+    """Compute the Q-centroid(s) of a tree; ``O(log |Q|)`` rounds.
+
+    The ``Node`` boundary of :func:`decode_centroids`.
+    """
+    index = engine.structure.grid_index()
+    scope = NodeScope.from_adjacency(index, adjacency)
+    (root_id,) = ids_of(index, [root], "root")
+    q = set(ids_of(index, q_nodes))
+    op = CentroidOp(scope.tour(root_id), q)
     run_centroid_phases(engine, [op], (section, section))
-    return op.centroids()
+    nodes = index.nodes
+    return {nodes[u] for u in decode_centroids(scope, op, q)}
 
 
 def run_centroid_phases(

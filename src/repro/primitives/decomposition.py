@@ -18,13 +18,13 @@ primitive costs ``O(log² |Q'|)`` rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.grid.coords import Node
 from repro.ett.election import ElectionRequest, elect_first_marked_many
 from repro.ett.technique import mark_one_outgoing_edge
 from repro.primitives.centroid import CentroidOp, decode_centroids, run_centroid_phases
-from repro.primitives.scope import NodeScope, split_components
+from repro.primitives.scope import NodeScope, ids_of, split_components
 from repro.sim.engine import CircuitEngine
 
 
@@ -32,14 +32,24 @@ from repro.sim.engine import CircuitEngine
 class DecompositionTree:
     """A Q'-centroid decomposition tree (the paper's ``DT(T)``).
 
-    Its members are nodes, or portals for the portal decomposition
-    (Lemma 37); ``subtree_units`` maps each member to the units of the
-    recursion that elected it.
+    Its units are ints: node ids, or portal numbers for the portal
+    decomposition (Lemma 37); ``subtree_units`` maps each member to the
+    units of the recursion that elected it.  The ``Node``-level
+    :func:`centroid_decomposition` returns it :meth:`mapped` to ``Node``
+    values.
     """
 
     levels: List[List[Hashable]] = field(default_factory=list)
     parent: Dict[Hashable, Optional[Hashable]] = field(default_factory=dict)
     subtree_units: Dict[Hashable, Set[Hashable]] = field(default_factory=dict)
+
+    def mapped(self, f: Callable) -> "DecompositionTree":
+        """The same tree with every unit ``u`` replaced by ``f(u)``."""
+        return DecompositionTree(
+            levels=[[f(u) for u in level] for level in self.levels],
+            parent={f(u): None if p is None else f(p) for u, p in self.parent.items()},
+            subtree_units={f(u): {f(v) for v in vs} for u, vs in self.subtree_units.items()},
+        )
 
     @property
     def height(self) -> int:
@@ -60,9 +70,9 @@ class DecompositionTree:
 @dataclass
 class _Recursion:
     scope: object  # the recursion's subtree, see repro.primitives.scope
-    root: Hashable
-    q: Set[Hashable]
-    caller: Optional[Hashable]
+    root: int
+    q: Set[int]
+    caller: Optional[int]
 
 
 def centroid_decomposition(
@@ -74,32 +84,36 @@ def centroid_decomposition(
 ) -> DecompositionTree:
     """Compute a Q'-centroid decomposition tree (Lemma 31).
 
-    ``adjacency`` is the full tree in rotation order; ``q_prime`` the
-    augmented set.  Deterministic: re-running yields the same tree, which
-    the divide & conquer forest algorithm relies on (Section 5.4.4).
+    The ``Node`` boundary of :func:`decompose`: ``adjacency`` is the
+    full tree in rotation order; ``q_prime`` the augmented set.
+    Deterministic: re-running yields the same tree, which the divide &
+    conquer forest algorithm relies on (Section 5.4.4).
     """
     if not q_prime:
         raise ValueError("Q' must be non-empty")
     unknown = q_prime.difference(adjacency)
     if unknown:
         raise ValueError(f"Q' contains non-tree nodes: {sorted(unknown)[:3]}")
-    return decompose(
+    index = engine.structure.grid_index()
+    (root_id,) = ids_of(index, [root], "root")
+    tree = decompose(
         engine,
-        NodeScope.from_adjacency(engine.structure.grid_index(), adjacency),
-        root,
-        q_prime,
+        NodeScope.from_adjacency(index, adjacency),
+        root_id,
+        set(ids_of(index, q_prime)),
         section,
         sections="decomposition",
         label="decomp",
         tag="cen",
     )
+    return tree.mapped(index.nodes.__getitem__)
 
 
 def decompose(
     engine: CircuitEngine,
     scope,
-    root: Hashable,
-    q_prime: Set[Hashable],
+    root: int,
+    q_prime: Set[int],
     section: str,
     sections: str,
     label: str,
@@ -167,7 +181,7 @@ def _run_level(
     sections: str,
     label: str,
     tag: str,
-) -> Tuple[List[Hashable], List[_Recursion]]:
+) -> Tuple[List[int], List[_Recursion]]:
     """Execute all recursions of one level (subtrees of ``scope``) together."""
     ops = [
         CentroidOp(rec.scope.tour(rec.root), rec.scope.representative_ids(rec.q), tag=tag)
@@ -178,7 +192,7 @@ def _run_level(
 
     # Elect one centroid per recursion in one shared round.
     requests: List[Optional[ElectionRequest]] = []
-    centroid_sets: List[Set[Hashable]] = []
+    centroid_sets: List[Set[int]] = []
     for op, rec in zip(ops, recursions):
         centroids = decode_centroids(rec.scope, op, rec.q)
         if not centroids:
@@ -204,7 +218,7 @@ def _run_level(
     ]
     # Every recursion's winner learns it won, all in one shared round.
     heard = scope.announce_winner(engine, winner_ids)
-    elected: List[Hashable] = []
+    elected: List[int] = []
     for rec in recursions:
         units = set(rec.scope.units)
         won = heard & units
@@ -219,7 +233,7 @@ def _run_level(
     # circuits (the union of each component's tree edges) decides which
     # components still hold Q' units.
     comp_label = f"{label}:comp"
-    specs: List[Tuple[_Recursion, Hashable, Set[Hashable]]] = []
+    specs: List[Tuple[_Recursion, int, Set[int]]] = []
     for rec, choice in zip(recursions, elected):
         for component in split_components(rec.scope.unit_adjacency, choice):
             specs.append((rec, choice, component))

@@ -8,12 +8,12 @@ subpath, and the owner of the first marked edge wins.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Set
+from typing import Dict, Iterable, List, Set
 
 from repro.grid.coords import Node
 from repro.ett.election import elect_first_marked
 from repro.ett.technique import mark_one_outgoing_edge
-from repro.primitives.scope import NodeScope
+from repro.primitives.scope import NodeScope, ids_of
 from repro.sim.engine import CircuitEngine
 
 
@@ -24,27 +24,32 @@ def elect(
     q_nodes: Iterable[Node],
     section: str = "election",
 ) -> Node:
-    """Elect one node of ``q_nodes``; costs one round (Lemma 21)."""
-    candidates = set(q_nodes)
+    """Elect one node of ``q_nodes``; costs one round (Lemma 21).
+
+    The ``Node`` boundary of :func:`elect_unit`.
+    """
+    index = engine.structure.grid_index()
+    candidates = set(ids_of(index, q_nodes, "candidates"))
     if not candidates:
         raise ValueError("election requires a non-empty candidate set")
-    scope = NodeScope.from_adjacency(engine.structure.grid_index(), adjacency)
-    return elect_unit(engine, scope, root, candidates, section)
+    scope = NodeScope.from_adjacency(index, adjacency)
+    (root_id,) = ids_of(index, [root], "root")
+    return index.nodes[elect_unit(engine, scope, root_id, candidates, section)]
 
 
 def elect_unit(
-    engine: CircuitEngine, scope, root: Hashable, candidates: Set, section: str
-) -> Hashable:
+    engine: CircuitEngine, scope, root: int, candidates: Set[int], section: str
+) -> int:
     """Elect one unit of a tree scope among non-empty ``candidates``.
 
     Candidates outside the scope are rejected.  A one-unit scope elects
     its only unit locally; otherwise the election costs one round.
     """
-    unknown = candidates.difference(scope.unit_adjacency)
+    unknown = candidates.difference(scope.units)
     if unknown:
         raise ValueError(f"candidates outside the tree: {sorted(unknown)[:3]}")
-    if len(scope.unit_adjacency) == 1:
+    if len(scope.units) == 1:
         return next(iter(candidates))
     tour = scope.tour(root)
     marked = mark_one_outgoing_edge(tour, scope.representative_ids(candidates))
-    return scope.unit_at(elect_first_marked(engine, tour, marked, section=section))
+    return scope.unit_index[elect_first_marked(engine, tour, marked, section=section)]

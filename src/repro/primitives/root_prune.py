@@ -16,15 +16,15 @@ Costs ``O(log |Q|)`` rounds (Lemma 20).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from repro.grid.coords import Node
 from repro.grid.directions import OPPOSITE_VALUES as _OPP
 from repro.ett.technique import ETTOp, ETTResult, mark_one_outgoing_edge
 from repro.ett.tour import EulerTour, euler_tour
 from repro.pasc.runner import run_pasc
-from repro.primitives.scope import NodeScope
+from repro.primitives.scope import NodeScope, ids_of
 from repro.sim.engine import CircuitEngine
 
 
@@ -32,8 +32,10 @@ from repro.sim.engine import CircuitEngine
 class RootPruneResult:
     """Everything the root and prune primitive reveals.
 
-    Its units are nodes, or portals for the portal primitive (Lemma 33);
-    the attributes below say "node" for either.
+    Its units are ints: node ids, or portal numbers for the portal
+    primitive (Lemma 33); the attributes below say "node" for either.
+    The ``Node``-level :func:`root_and_prune` returns it :meth:`mapped`
+    to ``Node`` values.
 
     Attributes
     ----------
@@ -55,17 +57,28 @@ class RootPruneResult:
         centroid primitive).
     """
 
-    root: Node
-    in_vq: Set[Node]
-    parent: Dict[Node, Node]
-    degree_q: Dict[Node, int]
-    augmentation: Set[Node]
+    root: int
+    in_vq: Set[int]
+    parent: Dict[int, int]
+    degree_q: Dict[int, int]
+    augmentation: Set[int]
     q_size: int
     ett: ETTResult
 
-    def children(self) -> Dict[Node, list]:
+    def mapped(self, f: Callable) -> "RootPruneResult":
+        """The same result with every unit ``u`` replaced by ``f(u)``."""
+        return replace(
+            self,
+            root=f(self.root),
+            in_vq={f(u) for u in self.in_vq},
+            parent={f(u): f(p) for u, p in self.parent.items()},
+            degree_q={f(u): d for u, d in self.degree_q.items()},
+            augmentation={f(u) for u in self.augmentation},
+        )
+
+    def children(self) -> Dict[int, list]:
         """Child lists of the pruned tree ``T_Q``."""
-        result: Dict[Node, list] = {u: [] for u in self.in_vq}
+        result: Dict[int, list] = {u: [] for u in self.in_vq}
         for child, par in self.parent.items():
             result[par].append(child)
         return result
@@ -107,14 +120,9 @@ class RootPruneOp:
         return cls(euler_tour(index, root, masks), q, tag=tag)
 
     def result(self) -> RootPruneResult:
-        """Decode V_Q, parents, and degrees once the ETT has finished."""
+        """Decode V_Q, parents, and degrees by node id once the ETT has
+        finished."""
         return decode_root_prune(NodeScope(self.tour.index, self.tour.masks), self)
-
-    def parent_ids(self) -> Dict[int, int]:
-        """The parent id of every ``V_Q`` node but the root, once the ETT
-        has finished: the node-id half of :meth:`result`."""
-        inclusive = self.ett_op.result().inclusive
-        return unit_differences(range(self.tour.index.n_slots), self.tour, inclusive)[1]
 
 
 def unit_differences(
@@ -159,33 +167,24 @@ def decode_root_prune(scope, op: RootPruneOp) -> RootPruneResult:
     """
     ett = op.ett_op.result()
     tour = op.tour
-    units = scope.unit_objects
     root = scope.unit_index[tour.root_id]
     # A single-node tree has no tour: its root reads |Q| locally.
     q_size = ett.total if tour.length else len(op.q_ids)
-    degree, parent = unit_differences(scope.unit_index, tour, ett.inclusive)
-    in_vq: Set = set()
-    parent_of: Dict = {}
-    degree_q: Dict = {}
-    for u, count in degree.items():
-        if u == root:
-            continue
-        if u not in parent:
-            raise AssertionError(
-                f"node {units[u]} sees no positive difference; ETT prefix sums are inconsistent"
-            )
-        unit = units[u]
-        in_vq.add(unit)
-        degree_q[unit] = count
-        parent_of[unit] = units[parent[u]]
+    degree_q, parent = unit_differences(scope.unit_index, tour, ett.inclusive)
+    root_degree = degree_q.pop(root, 0)
+    parent.pop(root, None)
+    if len(parent) != len(degree_q):
+        u = next(u for u in degree_q if u not in parent)
+        raise AssertionError(
+            f"unit {u} sees no positive difference; ETT prefix sums are inconsistent"
+        )
     if q_size > 0:
-        in_vq.add(units[root])
-        degree_q[units[root]] = degree.get(root, 0)
+        degree_q[root] = root_degree
     augmentation = {u for u, deg in degree_q.items() if deg >= 3}
     return RootPruneResult(
-        root=units[root],
-        in_vq=in_vq,
-        parent=parent_of,
+        root=root,
+        in_vq=set(degree_q),
+        parent=parent,
         degree_q=degree_q,
         augmentation=augmentation,
         q_size=q_size,
@@ -203,11 +202,14 @@ def root_and_prune(
 ) -> RootPruneResult:
     """Convenience wrapper: build the tour, run the ETT, decode.
 
-    ``adjacency`` is the tree in rotation order (see
-    :func:`repro.ett.tour.adjacency_from_edges`).
+    The ``Node`` boundary: ``adjacency`` is the tree in rotation order
+    (see :func:`repro.ett.tour.adjacency_from_edges`), and the result's
+    units are ``Node`` values.
     """
-    scope = NodeScope.from_adjacency(engine.structure.grid_index(), adjacency)
-    op = RootPruneOp(scope.tour(root), scope.representative_ids(q_nodes), tag=tag)
+    index = engine.structure.grid_index()
+    scope = NodeScope.from_adjacency(index, adjacency)
+    (root_id,) = ids_of(index, [root], "root")
+    op = RootPruneOp(scope.tour(root_id), ids_of(index, q_nodes), tag=tag)
     if op.ett_op.chain is not None:
         run_pasc(engine, [op.ett_op.chain], section=section)
-    return decode_root_prune(scope, op)
+    return decode_root_prune(scope, op).mapped(index.nodes.__getitem__)

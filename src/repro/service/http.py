@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import logging
+import selectors
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
@@ -58,6 +59,28 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     def __init__(self, address: Tuple[str, int], service: SolverService):
         super().__init__(address, _Handler)
         self.service = service
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Serve until shutdown, then answer the requests already queued.
+
+        socketserver's loop checks its stop flag before it accepts a
+        connection that ``select`` found ready, so a request queued as
+        the loop stops (a second concurrent ``POST /shutdown``, say)
+        would sit in the listen backlog unanswered until its client
+        times out.  Once the loop exits, the connections already in the
+        backlog are accepted and handled as usual (at most the backlog
+        size of them, so new arrivals cannot keep the loop alive).
+        """
+        super().serve_forever(poll_interval)
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                for _ in range(self.request_queue_size):
+                    if not selector.select(0):
+                        break
+                    self._handle_request_noblock()
+        except (OSError, ValueError):
+            pass  # server_close() ran meanwhile: no backlog is left
 
     def shutdown_service(self) -> dict:
         """Stop the worker pool, then the HTTP loop (idempotent)."""

@@ -31,7 +31,7 @@ from repro.grid.coords import Node
 from repro.grid.directions import Axis
 from repro.grid.structure import AmoebotStructure
 from repro.pasc.runner import run_pasc
-from repro.portals.portals import Portal, PortalSystem
+from repro.portals.portals import PortalSystem
 from repro.portals.primitives import (
     PortalScope,
     portal_centroid_decomposition,
@@ -40,7 +40,7 @@ from repro.portals.primitives import (
 )
 from repro.primitives.root_prune import RootPruneOp
 from repro.sim.engine import CircuitEngine
-from repro.spf.line import line_forest
+from repro.spf.line import line_forest_ids
 from repro.spf.merge import merge_forests
 from repro.spf.propagate import propagate_forest_ids
 from repro.spf.regions import Region, RegionDecomposition, SubPortal
@@ -72,7 +72,7 @@ def shortest_path_forest(
     id_of = index.id_of
     source_ids = {id_of(s) for s in source_set}
     system = PortalSystem(engine.structure, axis)
-    root_portal = system.portals[system.portal_index_of_id[id_of(structure.westernmost())]]
+    root_portal = system.portal_index_of_id[id_of(structure.westernmost())]
 
     with engine.rounds.section(section):
         # ---- Step 1: Q, A_Q, Q' (Lemma 51) ----------------------------
@@ -146,7 +146,7 @@ def shortest_path_forest(
                             )
 
         final_regions = {id(decomposition.region_of_vertex(v)): decomposition.region_of_vertex(v)
-                         for sides in decomposition.vertices_of.values()
+                         for sides in decomposition.vertices_of
                          for vs in sides.values() for v in vs}
         forests = [r.forest for r in final_regions.values()]
         if len(forests) != 1 or forests[0] is None:
@@ -174,8 +174,8 @@ def _base_case(
     engine: CircuitEngine,
     region: Region,
     source_ids: Set[int],
-    r_prime: Portal,
-    portal_parent: Dict[Portal, Portal],
+    r_prime: int,
+    portal_parent: Dict[int, int],
     axis: Axis,
     section: str,
 ) -> Optional[Forest]:
@@ -185,7 +185,7 @@ def _base_case(
         raise AssertionError("region without boundary portal")
     portals_of_region = {v.portal for v in region.vertices}
 
-    def is_lca(portal: Portal) -> bool:
+    def is_lca(portal: int) -> bool:
         if portal == r_prime:
             return True
         parent = portal_parent.get(portal)
@@ -204,17 +204,14 @@ def _base_case(
 
     # Regions are connected by construction (components of the split
     # portal graph, adjacent vertices sharing connector edges).
-    nodes = engine.structure.grid_index().nodes
     systems: Dict[Axis, PortalSystem] = {}  # over region.nodes, built on demand
     forest: Optional[Forest] = None
     for vertex in ordered:
         line_ids = vertex.nodes
-        line_sources = [nodes[u] for u in line_ids if u in source_ids]
+        line_sources = [u for u in line_ids if u in source_ids]
         if not line_sources:
             continue
-        partial = line_forest(
-            engine, [nodes[u] for u in line_ids], line_sources, section=f"{section}:line"
-        )
+        partial = line_forest_ids(engine, line_ids, line_sources, section=f"{section}:line")
         partial = propagate_forest_ids(
             engine,
             region.nodes,
@@ -240,7 +237,7 @@ def _base_case(
 def _merge_at_portal(
     engine: CircuitEngine,
     decomposition: RegionDecomposition,
-    portal: Portal,
+    portal: int,
     axis: Axis,
     section: str,
 ) -> None:
@@ -260,7 +257,7 @@ def _merge_at_portal(
     # Phase 2: merge the two sides across the portal with two
     # propagations and a merge (or fewer when a side has no sources).
     combined_nodes = north.nodes | south.nodes
-    portal_ids = decomposition.side_vertices(portal, "N")[0].run
+    portal_ids = decomposition.system.runs[portal]
     if not north.nodes.intersection(south.nodes).issuperset(portal_ids):
         raise AssertionError("portal is not shared by both side regions")
     # Both side regions are connected and share the portal, so their
@@ -421,5 +418,5 @@ def _prune_to_destinations(
 
     parent: Dict[int, int] = {}
     for op in ops:
-        parent.update(op.parent_ids())
+        parent.update(op.result().parent)
     return Forest(index, forest.source_ids, parent)

@@ -10,7 +10,7 @@ east (where they exist) and points its parent at the closer one.  All
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.grid.coords import Node
 from repro.pasc.chain import PascRun
@@ -31,34 +31,56 @@ def line_forest(
 ) -> Forest:
     """Compute an S-shortest-path forest on a chain of amoebots.
 
-    ``chain`` lists the amoebots in order (consecutive entries adjacent);
-    ``sources`` must all lie on the chain.  Ties between two equidistant
-    sources break toward the front of the chain (deterministic, so
-    neighboring amoebots agree).
+    The ``Node`` boundary of :func:`line_forest_ids`: ``chain`` lists
+    the amoebots in order (consecutive entries adjacent); ``sources``
+    must all lie on the chain.
     """
     nodes = list(chain)
-    if not nodes:
-        raise ValueError("chain must be non-empty")
-    for u, v in zip(nodes, nodes[1:]):
-        if not u.is_adjacent(v):
-            raise ValueError(f"chain entries {u}, {v} are not adjacent")
-
-    # The chain in grid-index integers, once: node ids, the edge ids
-    # toward the next amoebot and their mirrors toward the previous one.
     grid = engine.structure.grid_index()
     nids = [grid.id_of(u) for u in nodes]
     if None in nids:
         raise ValueError(f"{nodes[nids.index(None)]} is not part of the structure")
+    return line_forest_ids(engine, nids, [grid.id_of(s) for s in sources], section)
+
+
+def line_forest_ids(
+    engine: CircuitEngine,
+    line_ids: Sequence[int],
+    source_ids: Iterable[int],
+    section: str = "line",
+) -> Forest:
+    """The line algorithm on a chain of ids of the engine structure's
+    grid index.
+
+    ``line_ids`` lists the amoebots in order (consecutive entries
+    adjacent); ``source_ids`` must all lie on the chain.  Ties between
+    two equidistant sources break toward the front of the chain
+    (deterministic, so neighboring amoebots agree).
+    """
+    nids = list(line_ids)
+    if not nids:
+        raise ValueError("chain must be non-empty")
     position = {nid: i for i, nid in enumerate(nids)}
     if len(position) != len(nids):
         raise ValueError("chain visits an amoebot twice")
-    source_ids = {grid.id_of(s) for s in sources}
+    source_ids = set(source_ids)
     if not source_ids:
         raise ValueError("need at least one source")
     if not source_ids.issubset(position):
         raise ValueError("sources not on the chain")
     source_positions = sorted(position[s] for s in source_ids)
-    east_edges = [nid * 6 + u.direction_to(v) for nid, u, v in zip(nids, nodes, nodes[1:])]
+
+    # The edge ids toward the next amoebot and their mirrors toward the
+    # previous one.
+    grid = engine.structure.grid_index()
+    nbr = grid.nbr
+    east_edges = []
+    for u, v in zip(nids, nids[1:]):
+        row = nbr[u * 6 : u * 6 + 6]
+        if v not in row:
+            nodes = grid.nodes
+            raise ValueError(f"chain entries {nodes[u]}, {nodes[v]} are not adjacent")
+        east_edges.append(u * 6 + row.index(v))
     mate = grid.mate_edges()
     west_edges = [mate[e] for e in east_edges]
 
@@ -71,7 +93,7 @@ def line_forest(
         east_end = (
             source_positions[i + 1]
             if i + 1 < len(source_positions)
-            else len(nodes) - 1
+            else len(nids) - 1
         )
         if east_end > pos:
             run = PascRun(
@@ -120,5 +142,5 @@ def line_forest(
         elif de is not None:
             parent[nid] = nids[i + 1]
         else:  # pragma: no cover - impossible with a non-empty source set
-            raise AssertionError(f"{nodes[i]} saw no source in either direction")
+            raise AssertionError(f"amoebot {nid} saw no source in either direction")
     return Forest(grid, source_ids, parent)

@@ -74,7 +74,7 @@ def visibility_layout(engine: CircuitEngine, systems: Dict[Axis, PortalSystem]):
     both: one round lets every ``p`` in ``P`` beep on both its circuits.
     """
     keys = {
-        _vis_label(d): portal_runs_key(engine, ((d, p) for p in system.portals))
+        _vis_label(d): portal_runs_key(engine, ((d, run) for run in system.runs))
         for d, system in systems.items()
     }
     return engine.edge_subsets_layout(

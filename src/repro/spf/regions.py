@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.grid.directions import Direction
-from repro.portals.portals import Portal, PortalSystem
+from repro.portals.portals import PortalSystem
 from repro.spf.types import Forest
 
 
@@ -42,12 +42,12 @@ class SubPortal:
     the region bookkeeping free of portal-length tuple hashing.
     """
 
-    portal: Portal
+    portal: int  # the portal's number in the system
     side: Optional[str]  # "N"/"S" for Q' portals, None for ordinary ones
     index: int  # interval index within the side
     start: int  # first node index within the portal (inclusive)
     end: int  # last node index (inclusive)
-    run: List[int]  # the whole portal's node ids, in axis order
+    run: List[int]  # the whole portal's node ids (``system.runs[portal]``)
 
     @property
     def nodes(self) -> List[int]:
@@ -77,7 +77,7 @@ class Region:
         """The region's Q'-(sub)portal vertices."""
         return [v for v in self.vertices if v.is_boundary]
 
-    def boundary_portals(self) -> Set[Portal]:
+    def boundary_portals(self) -> Set[int]:
         """The distinct Q' portals the region touches."""
         return {v.portal for v in self.boundary_vertices()}
 
@@ -88,16 +88,16 @@ class RegionDecomposition:
     def __init__(
         self,
         system: PortalSystem,
-        q_prime: Set[Portal],
-        vq: Set[Portal],
+        q_prime: Set[int],
+        vq: Set[int],
     ):
         self.system = system
         self.q_prime = set(q_prime)
         self.vq = set(vq)
-        #: subportal vertices per portal: {portal: {side: [SubPortal...]}}
-        self.vertices_of: Dict[Portal, Dict[Optional[str], List[SubPortal]]] = {}
+        #: subportal vertices per portal number: [{side: [SubPortal...]}]
+        self.vertices_of: List[Dict[Optional[str], List[SubPortal]]] = []
         #: marks per Q' portal and side: node indices splitting the side
-        self.marks: Dict[Tuple[Portal, str], List[int]] = {}
+        self.marks: Dict[Tuple[int, str], List[int]] = {}
         self.regions: List[Region] = []
         self._region_of_vertex: Dict[SubPortal, int] = {}
         # A connector u->v leaves on the rotated-north side iff v is
@@ -109,7 +109,7 @@ class RegionDecomposition:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _side_of(self, p1: Portal, p2: Portal) -> str:
+    def _side_of(self, p1: int, p2: int) -> str:
         """Side ("N"/"S") of adjacent portal ``p2`` as seen from ``p1``."""
         u, v = self.system.connector[(p1, p2)]
         return "N" if any(self._nbr[u * 6 + d] == v for d in self._north) else "S"
@@ -118,10 +118,10 @@ class RegionDecomposition:
         system = self.system
         offset_of = system.portal_offset_of_id
         # 1. subportal vertices.
-        for portal, run in zip(system.portals, system.runs):
+        for portal, run in enumerate(system.runs):
             last = len(run) - 1
             if portal not in self.q_prime:
-                self.vertices_of[portal] = {None: [SubPortal(portal, None, 0, 0, last, run)]}
+                self.vertices_of.append({None: [SubPortal(portal, None, 0, 0, last, run)]})
                 continue
             sides: Dict[Optional[str], List[SubPortal]] = {}
             for side in ("N", "S"):
@@ -140,9 +140,9 @@ class RegionDecomposition:
                     SubPortal(portal, side, i, start, end, run)
                     for i, (start, end) in enumerate(zip(starts, ends))
                 ]
-            self.vertices_of[portal] = sides
+            self.vertices_of.append(sides)
 
-    def _vertex_for_edge(self, p1: Portal, p2: Portal) -> SubPortal:
+    def _vertex_for_edge(self, p1: int, p2: int) -> SubPortal:
         """The (sub)portal vertex of ``p1`` owning the edge to ``p2``."""
         sides = self.vertices_of[p1]
         if p1 not in self.q_prime:
@@ -166,12 +166,12 @@ class RegionDecomposition:
     def build_regions(self) -> List[Region]:
         """Connected components of the split portal graph."""
         adjacency: Dict[SubPortal, List[SubPortal]] = {}
-        for portal, sides in self.vertices_of.items():
+        for sides in self.vertices_of:
             for vertex_list in sides.values():
                 for vertex in vertex_list:
                     adjacency.setdefault(vertex, [])
-        for p1 in self.system.portals:
-            for p2 in self.system.portal_adjacency[p1]:
+        for p1, neighbors in enumerate(self.system.portal_adjacency):
+            for p2 in neighbors:
                 if p1 >= p2:
                     continue
                 v1 = self._vertex_for_edge(p1, p2)
@@ -214,7 +214,7 @@ class RegionDecomposition:
         """Current region owning a (sub)portal vertex."""
         return self.regions[self._region_of_vertex[vertex]]
 
-    def side_vertices(self, portal: Portal, side: str) -> List[SubPortal]:
+    def side_vertices(self, portal: int, side: str) -> List[SubPortal]:
         """The subportal intervals of one side, west to east."""
         if portal not in self.q_prime:
             raise KeyError("only Q' portals have sides")

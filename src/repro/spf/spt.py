@@ -130,7 +130,7 @@ def shortest_path_tree_ids(
             # source's own portal counts as populated even without
             # destinations, so the root is never pruned away.
             q_portals = scope.broadcast(engine, dest_ids)
-            root = system.portals[system.portal_index_of_id[source_id]]
+            root = system.portal_index_of_id[source_id]
             rp = portal_root_and_prune(
                 engine,
                 system,
@@ -139,10 +139,9 @@ def shortest_path_tree_ids(
                 scope=scope,
                 section=f"{section}:portal_rp",
             )
-            position = {p: i for i, p in enumerate(system.portals)}
-            row = [-1] * len(system.portals)
+            row = [-1] * system.portal_count()
             for child, par in rp.parent.items():
-                row[position[child]] = position[par]
+                row[child] = par
             portal_idx.append(system.portal_index_of_id)
             parent_idx.append(row)
 
@@ -188,7 +187,7 @@ def shortest_path_tree_ids(
         op = RootPruneOp.of_tree(index, source_id, tree, dest_ids)
         if op.ett_op.chain is not None:
             run_pasc(engine, [op.ett_op.chain], section=f"{section}:final_rp")
-        forest = Forest(index, (source_id,), op.parent_ids())
+        forest = Forest(index, (source_id,), op.result().parent)
 
     unreached = sorted(index.nodes[u] for u in set(dest_ids).difference(forest.member_ids()))
     if unreached:

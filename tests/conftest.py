@@ -13,7 +13,7 @@ from repro.grid.oracle import bfs_tree
 from repro.grid.structure import AmoebotStructure
 from repro.ett.tour import EulerTour, adjacency_from_edges
 from repro.pasc.chain import PascRun
-from repro.primitives.scope import NodeScope
+from repro.primitives.scope import NodeScope, ids_of
 from repro.sim.engine import CircuitEngine
 from repro.spf.types import Forest
 from repro.workloads import hexagon, random_hole_free
@@ -58,7 +58,9 @@ def node_tour(
     structure: AmoebotStructure, root: Node, adjacency: Dict[Node, List[Node]]
 ) -> EulerTour:
     """The Euler tour of a ``Node``-adjacency tree of ``structure``."""
-    return NodeScope.from_adjacency(structure.grid_index(), adjacency).tour(root)
+    index = structure.grid_index()
+    (root_id,) = ids_of(index, [root], "root")
+    return NodeScope.from_adjacency(index, adjacency).tour(root_id)
 
 
 def node_chain(

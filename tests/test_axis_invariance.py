@@ -60,7 +60,7 @@ class TestPropagationAxisChoice:
         # A = the components of X \ P that touch P from the "negative"
         # side; on a convex hexagon each side is one component, so we
         # use the complement-of-one-side helper from the checker tests.
-        nodes = list(portal.nodes)
+        nodes = list(system.portal_nodes(portal))
         coord = nodes[0].axis_coordinate(axis)
         members = {
             u for u in s.nodes if u.axis_coordinate(axis) >= coord

@@ -1,12 +1,15 @@
 """The Section 5 forest layers run in grid-index ids.
 
 A ``Forest`` is one parent id per member over the engine structure's
-grid index; ``Node`` values appear only in its views.  A counting spy on
-``Node.__hash__`` and ``Node.__new__`` (the hash itself unchanged) checks
-that merging, forest distances and the final pruning hash and create no
-``Node`` at all on a real multi-source solve, and that the whole solve
-creates none: regions, merged sides and shadow components are id
-subsets of the engine's grid index, which it never rebuilds.
+grid index; ``Node`` values appear only in its views.  A portal is its
+number in its ``PortalSystem``.  A counting spy on ``Node.__hash__`` and
+``Node.__new__`` (the hash itself unchanged) checks that the portal
+primitives, the regions, the base case, merging (at a portal, of two
+forests, forest distances), the shortest path trees and the final
+pruning hash and create no ``Node`` at all on a real multi-source
+solve, and that the whole solve creates none: regions, merged sides and
+shadow components are id subsets of the engine's grid index, which it
+never rebuilds.
 """
 
 from __future__ import annotations
@@ -16,15 +19,26 @@ import pytest
 import repro.spf.forest as forest_mod
 import repro.spf.merge as merge_mod
 import repro.spf.propagate as propagate_mod
+import repro.spf.spt as spt_mod
 from repro.grid.compiled import GRID_STATS
 from repro.grid.coords import Node
 from repro.sim.engine import CircuitEngine
 from repro.spf.forest import shortest_path_forest
+from repro.spf.regions import RegionDecomposition
 from repro.verify import check_forest
 from repro.workloads import spread_nodes
 
-#: (module, function) pairs that must stay free of ``Node``.
+#: (namespace, function) pairs that must stay free of ``Node``: each is
+#: patched where the solve looks it up.
 ID_ONLY = (
+    (forest_mod, "portal_root_and_prune"),
+    (forest_mod, "portal_elect"),
+    (forest_mod, "portal_centroid_decomposition"),
+    (RegionDecomposition, "build_regions"),
+    (forest_mod, "_base_case"),
+    (forest_mod, "_merge_at_portal"),
+    (forest_mod, "shortest_path_tree_ids"),
+    (spt_mod, "shortest_path_tree_ids"),
     (forest_mod, "merge_forests"),
     (merge_mod, "forest_distances"),
     (propagate_mod, "forest_distances"),
@@ -33,6 +47,8 @@ ID_ONLY = (
 
 
 def test_merge_distances_and_prune_touch_no_node(monkeypatch, random_structure):
+    """Every ``ID_ONLY`` layer runs at least once, and none hashes or
+    creates a ``Node``."""
     structure = random_structure
     sources = spread_nodes(structure, 4)
     rest = [u for u in sorted(structure.nodes) if u not in set(sources)]

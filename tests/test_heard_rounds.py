@@ -93,14 +93,14 @@ class TestPortalBroadcast:
         root = system.portal_of[structure.westernmost()]
         part = {root, *system.portal_adjacency[root]}
         everyone = [run[-1] for run in system.runs]
-        assert scope.broadcast(engine, everyone) == set(system.portals)
+        assert scope.broadcast(engine, everyone) == set(range(system.portal_count()))
         assert scope.restrict(part).broadcast(engine, everyone) == part
 
     def test_one_amoebot_portals_listen_alone(self):
         structure = random_hole_free(40, seed=2)
         engine = CircuitEngine(structure)
         system = PortalSystem(structure, Axis.Y)
-        singles = [p for p in system.portals if len(p.nodes) == 1]
+        singles = [p for p, run in enumerate(system.runs) if len(run) == 1]
         assert singles
         scope = PortalScope(system)
         assert scope.broadcast(engine, scope.representative_ids(singles[:1])) == {singles[0]}
@@ -109,7 +109,7 @@ class TestPortalBroadcast:
         structure = random_hole_free(70, seed=8)
         system = PortalSystem(structure, Axis.X)
         root = system.portal_of[structure.westernmost()]
-        q = set(random.Random(1).sample(system.portals, 5))
+        q = set(random.Random(1).sample(range(system.portal_count()), 5))
         engine = CircuitEngine(structure)
         rp = portal_root_and_prune(
             engine, system, root, q, compute_augmentation=True
@@ -130,7 +130,7 @@ def decomposition_instance():
     structure = random_hole_free(70, seed=8)
     system = PortalSystem(structure, Axis.X)
     root = system.portal_of[structure.westernmost()]
-    q = set(random.Random(1).sample(system.portals, 5))
+    q = set(random.Random(1).sample(range(system.portal_count()), 5))
     engine = CircuitEngine(structure)
     rp = portal_root_and_prune(engine, system, root, q, compute_augmentation=True)
     return engine, system, root, q | rp.augmentation
@@ -171,7 +171,7 @@ class TestMisWiredCircuits:
             "portal_run_edges",
             skip_first_edge(portal_primitives.portal_run_edges),
         )
-        with pytest.raises(AssertionError, match=r"portal circuit of Portal\(.*is split"):
+        with pytest.raises(AssertionError, match=r"portal circuit of portal \d+ at .*is split"):
             shortest_path_forest(CircuitEngine(structure), structure, sources)
 
     def test_skipped_visibility_edge_changes_propagation(self, monkeypatch):

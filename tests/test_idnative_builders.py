@@ -189,11 +189,11 @@ class TestSameCircuitsAsOracle:
         # ETT chains of the three implicit portal trees (Theorem 39).
         for axis in Axis:
             system = PortalSystem(structure, axis)
-            portal = system.portals[len(system.portals) // 2]
+            portal = system.portal_count() // 2
             trees.append(
                 (
                     PortalScope(system).tour(portal),
-                    build_euler_tour(portal.representative, system.implicit_adjacency),
+                    build_euler_tour(system.portal_nodes(portal)[0], system.implicit_adjacency),
                 )
             )
         rng = random.Random(shape)
@@ -597,15 +597,15 @@ def test_visibility_circuits_are_transversal_portals():
     systems = {d: PortalSystem(structure, d) for d in Axis.X.others}
     layout = visibility_layout(engine, systems)
     assert layout.compiled().n_components == sum(
-        1 for system in systems.values() for portal in system.portals if len(portal.nodes) > 1
+        1 for system in systems.values() for run in system.runs if len(run) > 1
     )
     singles = []
     for d, system in systems.items():
-        for portal in system.portals:
-            if len(portal.nodes) == 1:
-                singles.append((id_of(portal.nodes[0]), f"vis:{d.name}"))
+        for k, run in enumerate(system.runs):
+            if len(run) == 1:
+                singles.append((run[0], f"vis:{d.name}"))
                 continue
-            circuits = {layout.circuit_of(u, f"vis:{d.name}") for u in portal.nodes}
+            circuits = {layout.circuit_of(u, f"vis:{d.name}") for u in system.portal_nodes(k)}
             assert len(circuits) == 1
     assert singles
     ids = layout.set_ids(singles)

@@ -59,12 +59,13 @@ def assert_ett_matches_oracle(structure, tour, oracle, members, seed):
 def test_portal_tree_tour_and_ett_match_oracle(shape, axis):
     structure = build_structure(shape)
     system = PortalSystem(structure, axis)
-    root_portal = system.portals[len(system.portals) // 3]
+    count = system.portal_count()
+    root_portal = count // 3
     tour = PortalScope(system).tour(root_portal)
-    oracle = build_euler_tour(root_portal.representative, system.implicit_adjacency)
+    oracle = build_euler_tour(system.portal_nodes(root_portal)[0], system.implicit_adjacency)
     rng = random.Random(f"{shape}:{axis.name}")
-    q = rng.sample(system.portals, max(1, len(system.portals) // 4))
-    members = [p.representative for p in q]
+    q = rng.sample(range(count), max(1, count // 4))
+    members = [system.portal_nodes(p)[0] for p in q]
     assert_ett_matches_oracle(structure, tour, oracle, members, shape)
 
 
@@ -234,7 +235,7 @@ def test_cached_pasc_layouts_hold_no_node_objects():
     structure = build_structure("random:200:3")
     engine = CircuitEngine(structure)
     system = PortalSystem(structure, Axis.X)
-    portal_root_and_prune(engine, system, system.portals[0], system.portals[::3])
+    portal_root_and_prune(engine, system, 0, range(0, system.portal_count(), 3))
     entries = engine.layouts._entries
     assert any(key[0] == "pasc" for key in entries)
     for key, layout in entries.items():

@@ -37,7 +37,7 @@ def oracle_portal_vq(system, root, q):
             out |= subtree(c)
         return out
 
-    return {p for p in system.portals if subtree(p) & q}
+    return {p for p in range(system.portal_count()) if subtree(p) & q}
 
 
 class TestPortalRootPrune:
@@ -45,7 +45,7 @@ class TestPortalRootPrune:
         s, system = make_system()
         rng = random.Random(4)
         q_nodes = rng.sample(sorted(s.nodes), 10)
-        q = system.portals_containing(q_nodes)
+        q = {system.portal_of[u] for u in q_nodes}
         root = system.portal_of[s.westernmost()]
         engine = CircuitEngine(s)
         result = portal_root_and_prune(engine, system, root, q)
@@ -56,7 +56,7 @@ class TestPortalRootPrune:
 
     def test_q_size(self):
         s, system = make_system()
-        q = set(system.portals[:5])
+        q = set(range(5))
         root = system.portal_of[s.westernmost()]
         engine = CircuitEngine(s)
         assert portal_root_and_prune(engine, system, root, q).q_size == 5
@@ -67,7 +67,7 @@ class TestPortalRootPrune:
         s = comb(4, 3, spacing=2)
         system = PortalSystem(s, Axis.X)
         tips = [u for u in s if u.y == 3]
-        q = system.portals_containing(tips)
+        q = {system.portal_of[u] for u in tips}
         root = system.portal_of[Node(0, 0)]
         engine = CircuitEngine(s)
         result = portal_root_and_prune(
@@ -84,7 +84,7 @@ class TestPortalRootPrune:
     def test_rounds_logarithmic_in_q(self):
         s, system = make_system(n=250, seed=2)
         root = system.portal_of[s.westernmost()]
-        q = set(system.portals[:3])
+        q = set(range(3))
         engine = CircuitEngine(s)
         portal_root_and_prune(engine, system, root, q, section="prp")
         assert engine.rounds.section_total("prp") <= 40
@@ -93,34 +93,29 @@ class TestPortalRootPrune:
         s, system = make_system()
         root = system.portal_of[s.westernmost()]
         scope = PortalScope(system)
-        assert set(scope.portals) == set(system.portals)
+        assert scope.units == set(range(system.portal_count()))
+        # A portal is its number: one past the last is no portal here.
         with pytest.raises(ValueError):
             portal_root_and_prune(
                 engine=CircuitEngine(s),
                 system=system,
                 root_portal=root,
-                q_portals=[Portal_like_outsider()],
+                q_portals=[system.portal_count()],
             )
-
-
-def Portal_like_outsider():
-    from repro.portals.portals import Portal
-
-    return Portal(Axis.X, (Node(99, 99),))
 
 
 class TestPortalElection:
     def test_winner_in_q(self):
         s, system = make_system()
         rng = random.Random(5)
-        q = system.portals_containing(rng.sample(sorted(s.nodes), 6))
+        q = {system.portal_of[u] for u in rng.sample(sorted(s.nodes), 6)}
         root = system.portal_of[s.westernmost()]
         engine = CircuitEngine(s)
         assert portal_elect(engine, system, root, q) in q
 
     def test_constant_rounds(self):
         s, system = make_system()
-        q = set(system.portals[:4])
+        q = set(range(4))
         root = system.portal_of[s.westernmost()]
         engine = CircuitEngine(s)
         portal_elect(engine, system, root, q, section="pe")
@@ -136,7 +131,7 @@ class TestPortalElection:
         # A one-portal scope must not hand out a candidate it does not
         # contain, as the node-level elect() refuses the same input.
         s, system = make_system(seed=3, n=60)
-        p, q = system.portals[0], system.portals[1]
+        p, q = 0, 1
         scope = PortalScope(system, [p])
         for candidates in ([q], [p, q]):
             with pytest.raises(ValueError):
@@ -145,7 +140,7 @@ class TestPortalElection:
 
 
 def brute_force_portal_centroids(system, q, scope_portals=None):
-    portals = scope_portals or set(system.portals)
+    portals = scope_portals or set(range(system.portal_count()))
     adjacency = {
         p: [x for x in system.portal_adjacency[p] if x in portals] for p in portals
     }
@@ -172,7 +167,7 @@ class TestPortalCentroids:
     def test_matches_brute_force(self, seed):
         s, system = make_system(seed=seed + 20)
         rng = random.Random(seed)
-        q = system.portals_containing(rng.sample(sorted(s.nodes), 8))
+        q = {system.portal_of[u] for u in rng.sample(sorted(s.nodes), 8)}
         root = system.portal_of[s.westernmost()]
         engine = CircuitEngine(s)
         got = portal_centroids(engine, system, root, q)
@@ -183,7 +178,7 @@ class TestPortalDecomposition:
     def test_members_and_height(self):
         s, system = make_system()
         rng = random.Random(6)
-        q = system.portals_containing(rng.sample(sorted(s.nodes), 9))
+        q = {system.portal_of[u] for u in rng.sample(sorted(s.nodes), 9)}
         root = system.portal_of[s.westernmost()]
         engine = CircuitEngine(s)
         rp = portal_root_and_prune(
@@ -196,7 +191,7 @@ class TestPortalDecomposition:
 
     def test_deterministic(self):
         s, system = make_system()
-        q = set(system.portals[:6])
+        q = set(range(6))
         root = system.portal_of[s.westernmost()]
         engine = CircuitEngine(s)
         rp = portal_root_and_prune(engine, system, root, q, compute_augmentation=True)
@@ -207,7 +202,7 @@ class TestPortalDecomposition:
 
     def test_depths_consistent(self):
         s, system = make_system(seed=30)
-        q = set(system.portals[::3])
+        q = set(range(0, system.portal_count(), 3))
         root = system.portal_of[s.westernmost()]
         engine = CircuitEngine(s)
         rp = portal_root_and_prune(engine, system, root, q, compute_augmentation=True)

@@ -35,8 +35,8 @@ class TestPortalPartition:
         for s in ALL_SHAPES:
             system = PortalSystem(s, axis)
             seen = set()
-            for portal in system.portals:
-                for u in portal.nodes:
+            for k in range(system.portal_count()):
+                for u in system.portal_nodes(k):
                     assert u not in seen
                     seen.add(u)
             assert seen == set(s.nodes)
@@ -46,30 +46,35 @@ class TestPortalPartition:
         s = hexagon(3)
         system = PortalSystem(s, axis)
         pos = axis.directions[0]
-        for portal in system.portals:
-            for u, v in zip(portal.nodes, portal.nodes[1:]):
+        for k in range(system.portal_count()):
+            nodes = system.portal_nodes(k)
+            for u, v in zip(nodes, nodes[1:]):
                 assert u.neighbor(pos) == v
 
     def test_portal_of_consistency(self):
         s = parallelogram(6, 3)
         system = PortalSystem(s, Axis.X)
-        for portal in system.portals:
-            for u in portal.nodes:
-                assert system.portal_of[u] is portal
+        for k in range(system.portal_count()):
+            for u in system.portal_nodes(k):
+                assert system.portal_of[u] == k
 
     def test_representative_is_first_node(self):
         s = hexagon(2)
         for axis in Axis:
             system = PortalSystem(s, axis)
-            for portal in system.portals:
-                assert portal.representative == portal.nodes[0]
+            nodes = s.grid_index().nodes
+            for k, run in enumerate(system.runs):
+                assert nodes[run[0]] == system.portal_nodes(k)[0]
+            # Portals are numbered by their first node.
+            firsts = [system.portal_nodes(k)[0] for k in range(system.portal_count())]
+            assert firsts == sorted(firsts)
 
     def test_x_portals_are_rows(self):
         s = parallelogram(5, 3)
         system = PortalSystem(s, Axis.X)
         assert system.portal_count() == 3
-        for portal in system.portals:
-            assert len(portal) == 5
+        for k in range(system.portal_count()):
+            assert len(system.portal_nodes(k)) == 5
 
 
 class TestPortalGraphTree:
@@ -92,7 +97,7 @@ class TestPortalGraphTree:
         s = random_hole_free(80, seed=1)
         for axis in Axis:
             system = PortalSystem(s, axis)
-            for p, neighbors in system.portal_adjacency.items():
+            for p, neighbors in enumerate(system.portal_adjacency):
                 for q in neighbors:
                     assert p in system.portal_adjacency[q]
 
@@ -123,10 +128,11 @@ class TestImplicitPortalTree:
             for axis in Axis:
                 system = PortalSystem(s, axis)
                 nodes = s.grid_index().nodes
-                for p1, neighbors in system.portal_adjacency.items():
+                for p1, neighbors in enumerate(system.portal_adjacency):
                     for p2 in neighbors:
                         u, v = (nodes[i] for i in system.connector[(p1, p2)])
-                        assert u in p1.nodes and v in p2.nodes
+                        assert u in system.portal_nodes(p1)
+                        assert v in system.portal_nodes(p2)
                         assert u.is_adjacent(v)
 
     def test_tree_membership_is_locally_decidable(self):
@@ -180,5 +186,5 @@ class TestPortalGraphQueries:
     def test_portals_containing(self):
         s = parallelogram(4, 2)
         system = PortalSystem(s, Axis.X)
-        found = system.portals_containing([Node(0, 0), Node(3, 0), Node(1, 1)])
-        assert len(found) == 2
+        found = {system.portal_of[u] for u in [Node(0, 0), Node(3, 0), Node(1, 1)]}
+        assert found == {0, 1}

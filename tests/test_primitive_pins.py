@@ -32,9 +32,10 @@ from tests.conftest import bfs_tree_adjacency, random_subset
 
 
 
-def _key(unit):
-    """Canonical coordinates of a node, or of a portal's representative."""
-    node = getattr(unit, "representative", unit)
+def _key(unit, system=None):
+    """Canonical coordinates of a node, or of the representative of
+    ``system``'s portal number ``unit``."""
+    node = unit if system is None else system.portal_nodes(unit)[0]
     return (node.x, node.y)
 
 
@@ -42,25 +43,31 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
-def _root_prune_outputs(result):
+def _root_prune_outputs(result, system=None):
+    def key(u):
+        return _key(u, system)
+
     return _digest(
         (
-            _key(result.root),
-            sorted(map(_key, result.in_vq)),
-            sorted((_key(c), _key(p)) for c, p in result.parent.items()),
-            sorted((_key(u), d) for u, d in result.degree_q.items()),
-            sorted(map(_key, result.augmentation)),
+            key(result.root),
+            sorted(map(key, result.in_vq)),
+            sorted((key(c), key(p)) for c, p in result.parent.items()),
+            sorted((key(u), d) for u, d in result.degree_q.items()),
+            sorted(map(key, result.augmentation)),
             result.q_size,
         )
     )
 
 
-def _tree_outputs(tree):
+def _tree_outputs(tree, system=None):
+    def key(u):
+        return _key(u, system)
+
     return _digest(
         (
-            [[_key(u) for u in level] for level in tree.levels],
+            [[key(u) for u in level] for level in tree.levels],
             sorted(
-                (_key(u), None if p is None else _key(p))
+                (key(u), None if p is None else key(p))
                 for u, p in tree.parent.items()
             ),
         )
@@ -79,7 +86,7 @@ def _portal_setup(spec):
     structure = build_structure(spec)
     system = PortalSystem(structure, Axis.X)
     rng = random.Random(2)
-    q = system.portals_containing(rng.sample(sorted(structure.nodes), 6))
+    q = {system.portal_of[u] for u in rng.sample(sorted(structure.nodes), 6)}
     root = system.portal_of[structure.westernmost()]
     return structure, system, root, q
 
@@ -99,14 +106,15 @@ def observe(spec: str, primitive: str):
         ).augmentation
         calls = {
             "portal_root_and_prune": lambda e: _root_prune_outputs(
-                portal_root_and_prune(e, system, root, q, compute_augmentation=True)
+                portal_root_and_prune(e, system, root, q, compute_augmentation=True),
+                system,
             ),
             "portal_centroids": lambda e: sorted(
-                map(_key, portal_centroids(e, system, root, q))
+                _key(p, system) for p in portal_centroids(e, system, root, q)
             ),
-            "portal_elect": lambda e: _key(portal_elect(e, system, root, q)),
+            "portal_elect": lambda e: _key(portal_elect(e, system, root, q), system),
             "portal_centroid_decomposition": lambda e: _tree_outputs(
-                portal_centroid_decomposition(e, system, root, q_prime)
+                portal_centroid_decomposition(e, system, root, q_prime), system
             ),
         }
     else:

@@ -94,15 +94,16 @@ class TestShadowRegions:
             from repro.portals.portals import PortalSystem
 
             system = PortalSystem(s, Axis.X)
-            portal = max(system.portals, key=len)
+            longest = max(range(system.portal_count()), key=lambda k: len(system.runs[k]))
+            portal = system.portal_nodes(longest)
             members = _a_union_p(s, portal)
             if members == set(s.nodes):
                 continue  # this portal has only one side; nothing to do
             engine = CircuitEngine(s)
-            base = forest_on(s, members, [portal.nodes[0]], engine)
-            full = propagate_forest(engine, s, list(portal.nodes), base)
+            base = forest_on(s, members, [portal[0]], engine)
+            full = propagate_forest(engine, s, list(portal), base)
             assert full.members == set(s.nodes)
-            assert_valid_forest(s, [portal.nodes[0]], sorted(s.nodes), full.parent)
+            assert_valid_forest(s, [portal[0]], sorted(s.nodes), full.parent)
 
     def test_dendrite_structures(self):
         for seed in (3, 4):
@@ -110,14 +111,15 @@ class TestShadowRegions:
             from repro.portals.portals import PortalSystem
 
             system = PortalSystem(s, Axis.X)
-            portal = max(system.portals, key=len)
+            longest = max(range(system.portal_count()), key=lambda k: len(system.runs[k]))
+            portal = system.portal_nodes(longest)
             members = _a_union_p(s, portal)
             if members == set(s.nodes):
                 continue
             engine = CircuitEngine(s)
-            base = forest_on(s, members, [portal.nodes[0]], engine)
-            full = propagate_forest(engine, s, list(portal.nodes), base)
-            assert_valid_forest(s, [portal.nodes[0]], sorted(s.nodes), full.parent)
+            base = forest_on(s, members, [portal[0]], engine)
+            full = propagate_forest(engine, s, list(portal), base)
+            assert_valid_forest(s, [portal[0]], sorted(s.nodes), full.parent)
 
 
 class TestValidation:
@@ -163,7 +165,7 @@ def _a_union_p(structure, portal):
     portal (Lemma 13); we take B = the components that lie north of the
     portal at their point of contact, A = everything else.
     """
-    portal_set = set(portal.nodes)
+    portal_set = set(portal)
     rest = set(structure.nodes) - portal_set
     members = set(portal_set)
     while rest:
@@ -204,5 +206,5 @@ class TestVisibilityRound:
             if any(label.startswith("vis") for _, label in layout.compiled().index.ids)
         ]
         assert len(vis) == 1
-        portals = sum(len(PortalSystem(s, d).portals) for d in Axis.X.others)
+        portals = sum(PortalSystem(s, d).portal_count() for d in Axis.X.others)
         assert vis[0].compiled().n_components == portals

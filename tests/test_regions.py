@@ -17,7 +17,7 @@ def build_decomposition(structure, k, seed):
     system = PortalSystem(structure, Axis.X)
     rng = random.Random(seed)
     sources = rng.sample(sorted(structure.nodes), k)
-    q = system.portals_containing(sources)
+    q = {system.portal_of[u] for u in sources}
     root = system.portal_of[structure.westernmost()]
     engine = CircuitEngine(structure)
     rp = portal_root_and_prune(
@@ -67,10 +67,9 @@ class TestRegionStructure:
     def test_overlap_only_on_q_prime_portals_and_marks(self):
         s = random_hole_free(140, seed=55)
         system, q_prime, _dec, regions, _src = build_decomposition(s, 6, 1)
-        id_of = s.grid_index().id_of
         q_prime_nodes = set()
         for p in q_prime:
-            q_prime_nodes.update(id_of(u) for u in p.nodes)
+            q_prime_nodes.update(system.runs[p])
         for i, a in enumerate(regions):
             for b in regions[i + 1 :]:
                 overlap = a.nodes & b.nodes
@@ -123,7 +122,7 @@ class TestSubPortals:
     def test_non_q_portal_has_no_sides(self):
         s = random_hole_free(140, seed=58)
         system, q_prime, dec, _regions, _src = build_decomposition(s, 4, 4)
-        other = next(p for p in system.portals if p not in q_prime)
+        other = next(p for p in range(system.portal_count()) if p not in q_prime)
         with pytest.raises(KeyError):
             dec.side_vertices(other, "N")
 

@@ -3,14 +3,17 @@
 Covers the service contract end to end: submit → stream → fetch round
 trips, cache hits on repeated identical jobs (with the layout/grid
 probes asserting nothing is rebuilt), failed jobs, campaign jobs,
-graceful shutdown (including mid-stream, with queued jobs, and when
-requested twice concurrently), resume-after-restart from the store,
+graceful shutdown (including mid-stream, with queued jobs, when
+requested twice concurrently, and with a request still queued in the
+listen backlog as the loop stops), resume-after-restart from the store,
 and the HTTP shapes of the resilience features (429 shedding, 408
 bodies, field-named 400s).
 """
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 import time
 
@@ -423,6 +426,50 @@ class TestShutdownEdgeCases:
         assert server.service.shutdown(wait=True) == {"cancelled": 0}
         with pytest.raises(ServiceClosed):
             server.service.submit(JobSpec(request=REQUEST))
+
+
+    def test_request_queued_as_the_loop_stops_is_answered(self):
+        """A connection in the listen backlog when the serve loop stops
+        is still answered (socketserver checks its stop flag before it
+        accepts a connection that select found ready)."""
+        server = serve(port=0, workers=1)
+        holding, release = threading.Event(), threading.Event()
+
+        def hold() -> None:  # socketserver calls this once per loop pass
+            holding.set()
+            release.wait(timeout=30)
+
+        server.service_actions = hold
+        loop = threading.Thread(target=server.serve_forever, daemon=True)
+        loop.start()
+        assert holding.wait(timeout=10)
+        # The loop is held: this request waits in the listen backlog.
+        late = socket.create_connection(server.server_address[:2], timeout=10)
+        late.sendall(
+            b"POST /shutdown HTTP/1.1\r\nHost: localhost\r\nContent-Length: 0\r\n\r\n"
+        )
+        stopper = threading.Thread(target=server.shutdown_service, daemon=True)
+        stopper.start()
+        # Release the loop only once the stop is requested, so its next
+        # flag check ends it with the request still unaccepted.
+        deadline = time.monotonic() + 10
+        while not server._BaseServer__shutdown_request:  # socketserver's stop flag
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        release.set()
+        with late, late.makefile("rb") as reply:
+            status = reply.readline()
+            headers = {}
+            for line in iter(reply.readline, b"\r\n"):
+                name, _, value = line.decode().partition(":")
+                headers[name.strip().lower()] = value.strip()
+            body = json.loads(reply.read(int(headers["content-length"])))
+        assert status.startswith(b"HTTP/1.1 200")
+        assert body == {"ok": True, "shutting_down": True}
+        loop.join(timeout=30)
+        stopper.join(timeout=30)
+        assert not loop.is_alive() and not stopper.is_alive()
+        server.server_close()
 
 
 class TestResilienceOverHTTP:
